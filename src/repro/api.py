@@ -81,7 +81,7 @@ from .sql.ast import (
     Statement,
     Update,
 )
-from .sql.parser import parse, parse_query
+from .sql.parser import parse, require_query
 
 #: Sentinel distinguishing "argument not passed" from an explicit None
 #: or False in :meth:`Cursor.execute` keyword overrides.
@@ -101,6 +101,7 @@ def run_with_options(
     health: Any | None = None,
     on_guard: Any | None = None,
     transaction: Any | None = None,
+    sql_text: str | None = None,
 ) -> GuardedOutcome:
     """Execute *query* under one :class:`ExecutionOptions` value.
 
@@ -136,13 +137,22 @@ def run_with_options(
     here — transaction lifetime belongs to the owner of the transaction
     handle (a :class:`Connection` or a service session), so control
     statements must go through :func:`apply_transaction_control`.
+
+    *query* is SQL text — parsed once, here — or a statement a front
+    door already parsed, in which case *sql_text* carries the caller's
+    original text down beside it (``GuardedOutcome.sql`` of a DML
+    statement, the safe-mode sampling key, span attributes).  Nothing
+    below this function lexes or parses again.
     """
     options = options if options is not None else ExecutionOptions()
-    statement: Any = parse(query) if isinstance(query, str) else query
+    if isinstance(query, str):
+        sql_text, statement = query, parse(query)
+    else:
+        statement = query
     if isinstance(statement, (Insert, Update, Delete)):
         return run_dml_with_options(
             statement,
-            query if isinstance(query, str) else None,
+            sql_text,
             database,
             transaction,
             params=params,
@@ -219,7 +229,7 @@ def run_with_options(
         optimizer = Optimizer(database.catalog, rules=[])
     try:
         outcome = run_guarded(
-            query,
+            require_query(statement),
             database,
             params=params,
             budget=budget,
@@ -232,6 +242,7 @@ def run_with_options(
             engine_mode=engine_mode,
             batch_rows=options.batch_rows,
             on_guard=on_guard,
+            original_text=sql_text,
         )
     except ReproError as error:
         # Budget violations and user errors (bad SQL, unknown tables)
@@ -251,7 +262,7 @@ def run_with_options(
         # Adaptive mode forces this instrumented run — observed actuals
         # are the feedback the correction store folds.
         outcome.analysis = execute_analyzed(
-            parse_query(outcome.sql),
+            outcome.query,
             database,
             params=params,
             options=planner_options,
@@ -514,10 +525,22 @@ class _LocalBackend:
         self.plan_cache = plan_cache
         self.transaction = None
 
+    @staticmethod
+    def parse_statement(sql: Any) -> Statement:
+        """The door's one parse; an already-parsed statement passes."""
+        return parse(sql) if isinstance(sql, str) else sql
+
     def run(
-        self, sql: str, params: dict | None, options: ExecutionOptions
+        self,
+        sql: str,
+        params: dict | None,
+        options: ExecutionOptions,
+        statement: Statement | None = None,
     ) -> ExecutedQuery:
-        statement = parse(sql) if isinstance(sql, str) else sql
+        """Execute *sql*; *statement* is :meth:`parse_statement` of it when the
+        caller already holds one (``executemany`` parses once per batch)."""
+        if statement is None:
+            statement = self.parse_statement(sql)
         if isinstance(
             statement,
             (BeginTransaction, CommitTransaction, RollbackTransaction),
@@ -528,12 +551,13 @@ class _LocalBackend:
         if self.transaction is None and not options.autocommit:
             self.transaction = self.database.begin()
         outcome = run_with_options(
-            sql,
+            statement,
             self.database,
             params=params,
             options=options,
             plan_cache=self.plan_cache,
             transaction=self.transaction,
+            sql_text=sql if isinstance(sql, str) else None,
         )
         return executed_from_outcome(outcome)
 
@@ -605,13 +629,8 @@ class Cursor:
         plain worker count; ``deadline`` accepts seconds-from-now as
         shorthand for a :class:`~repro.resilience.deadline.Deadline`.
         """
-        base = (
-            options
-            if options is not None
-            else self.connection.default_options
-        )
-        resolved = _apply_overrides(
-            base,
+        resolved = self._resolve(
+            options,
             budget=budget,
             timeout=timeout,
             row_budget=row_budget,
@@ -629,6 +648,17 @@ class Cursor:
         self._executed = self.connection._backend.run(sql, params, resolved)
         self._position = 0
         return self
+
+    def _resolve(
+        self, options: ExecutionOptions | None = None, **overrides: Any
+    ) -> ExecutionOptions:
+        """The connection's options (or *options*) plus *overrides*."""
+        base = (
+            options
+            if options is not None
+            else self.connection.default_options
+        )
+        return _apply_overrides(base, **overrides)
 
     # -- DB-API style access --------------------------------------------
 
@@ -661,14 +691,22 @@ class Cursor:
         The statements are not implicitly atomic — open a transaction
         (``autocommit = False`` or ``BEGIN``) to make the batch
         all-or-nothing.
+
+        A local connection parses *sql* once for the whole batch; a
+        remote one sends the text per set, as :meth:`execute` does.
         """
+        backend = self.connection._backend
+        parse_once = getattr(backend, "parse_statement", None)
+        parsed: tuple = ()
         total = 0
         last: ExecutedQuery | None = None
         for params in seq_of_params:
-            self.execute(sql, params, **kwargs)
-            assert self._executed is not None
-            total += max(self._executed.rowcount, 0)
-            last = self._executed
+            if parse_once is not None and not parsed:
+                # Inside the loop: an empty batch parses nothing.
+                parsed = (parse_once(sql),)
+            last = backend.run(sql, params, self._resolve(**kwargs), *parsed)
+            self._executed = last
+            total += max(last.rowcount, 0)
         if last is None:  # zero parameter sets: a completed empty batch
             last = ExecutedQuery(columns=[], rows=[], sql=sql)
         last.rowcount = total

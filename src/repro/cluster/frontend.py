@@ -334,7 +334,7 @@ class ClusterFrontend:
         if point is not None:
             return _Route("point", point=point)
         if self.coordinator.shards > 1:
-            merge = classify_scatter(sql, database)
+            merge = classify_scatter(query, database)
             if merge is not None:
                 return _Route("scatter", merge=merge)
         return _Route("forward")

@@ -60,7 +60,7 @@ from ..engine.operators import (
     SortSetOp,
 )
 from ..engine.planner import Planner, PlannerOptions
-from ..sql.ast import SetOpKind
+from ..sql.ast import Query, SetOpKind
 from ..sql.parser import parse_query
 from ..types.values import row_sort_key, sort_key
 from .routing import subquery_reference_counts, table_reference_counts
@@ -108,12 +108,12 @@ def partition_ranges(
 
 
 def classify_scatter(
-    sql: str,
+    query: Query | str,
     database,
     *,
     optimize: bool = True,
 ) -> MergeSpec | None:
-    """Classify *sql* for scatter-gather against *database*'s catalog.
+    """Classify *query* for scatter-gather against *database*'s catalog.
 
     Mirrors the worker execution pipeline exactly — the same relational
     rewrite rules when ``optimize`` is on, then the default planner
@@ -122,10 +122,11 @@ def classify_scatter(
     first (largest) table that qualifies as the driving table, or None
     when the query must fall back to single-shard routing.
     """
-    try:
-        query = parse_query(sql)
-    except Exception:
-        return None  # let the worker produce the real parse error
+    if isinstance(query, str):
+        try:
+            query = parse_query(query)
+        except Exception:
+            return None  # let the worker produce the real parse error
     if optimize:
         try:
             query = Optimizer.for_relational(database.catalog).optimize(query).query

@@ -46,7 +46,7 @@ class RewriteContext:
         rule: str,
         theorem: str,
         decision: str,
-        target: Query,
+        target: Query | str,
         note: str,
         witness: dict | None = None,
     ) -> None:
@@ -54,11 +54,13 @@ class RewriteContext:
 
         No-op otherwise, so rules stay usable outside the optimizer
         without paying for evidence they have no trail to put in.
+        *target* is the query the decision is about, or its printed
+        form when the rule already has one.
         """
         if self.audit is not None:
-            self.audit.record(
-                rule, theorem, decision, to_sql(target), note, witness
-            )
+            if not isinstance(target, str):
+                target = to_sql(target)
+            self.audit.record(rule, theorem, decision, target, note, witness)
 
     def fresh_alias(self, base: str, taken: set[str]) -> str:
         """A correlation name not in *taken*, derived from *base*."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ...sql.ast import Quantifier, Query, SelectQuery
+from ...sql.printer import to_sql
 from ..uniqueness import test_uniqueness
 from .base import RewriteContext, Rule
 
@@ -23,13 +24,15 @@ class DistinctElimination(Rule):
     ) -> tuple[Query, str] | None:
         if not isinstance(query, SelectQuery) or not query.distinct:
             return None
-        result = test_uniqueness(query, ctx.catalog, ctx.options)
+        # One rendering serves Algorithm 1's memo key and the audit record.
+        text = to_sql(query)
+        result = test_uniqueness(query, ctx.catalog, ctx.options, text=text)
         if not result.unique:
             ctx.record(
                 self.name,
                 "Theorem 1",
                 "rejected",
-                query,
+                text,
                 f"Algorithm 1 answers NO: {result.reason}",
                 result.witness(),
             )
@@ -39,7 +42,7 @@ class DistinctElimination(Rule):
             self.name,
             "Theorem 1",
             "fired",
-            query,
+            text,
             f"Algorithm 1 answers YES: {result.reason}; DISTINCT removed",
             result.witness(),
         )

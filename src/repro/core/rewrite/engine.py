@@ -50,11 +50,23 @@ class OptimizeResult:
     query: Query
     steps: list[RewriteStep] = field(default_factory=list)
     audit: AuditTrail = field(default_factory=AuditTrail)
+    _printed: tuple[Query, str] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def sql(self) -> str:
-        """The rewritten query as SQL text."""
-        return to_sql(self.query)
+        """The rewritten query as SQL text.
+
+        Printed on first use and kept beside the AST it was printed
+        from, so the audit record, the Algorithm 1 memo key, the
+        plan-cache key and the served ``sql`` of one request all share
+        one rendering.
+        """
+        printed = self._printed
+        if printed is None or printed[0] is not self.query:
+            printed = self._printed = (self.query, to_sql(self.query))
+        return printed[1]
 
     @property
     def changed(self) -> bool:
@@ -132,7 +144,7 @@ class Optimizer:
         result = OptimizeResult(query)
         self.ctx.audit = result.audit
         span_cm = (
-            TRACER.span("rewrite.optimize", sql=to_sql(query))
+            TRACER.span("rewrite.optimize", sql=result.sql)
             if TRACER.enabled
             else NULL_SPAN
         )
@@ -163,7 +175,9 @@ class Optimizer:
             return
         query = result.query
         if isinstance(query, SelectQuery):
-            verdict = test_uniqueness(query, self.ctx.catalog, self.ctx.options)
+            verdict = test_uniqueness(
+                query, self.ctx.catalog, self.ctx.options, text=result.sql
+            )
             note = (
                 "projection is provably duplicate-free as written"
                 if verdict.unique
@@ -173,7 +187,7 @@ class Optimizer:
                 "optimizer",
                 "Algorithm 1",
                 VERDICT,
-                to_sql(query),
+                result.sql,
                 note,
                 verdict.witness(),
             )
@@ -182,7 +196,7 @@ class Optimizer:
                 "optimizer",
                 "Algorithm 1",
                 VERDICT,
-                to_sql(query),
+                result.sql,
                 "set operation left as written; no operand examined by "
                 "any rule",
             )

@@ -188,18 +188,26 @@ def test_uniqueness(
     query: SelectQuery | str,
     catalog: Catalog,
     options: UniquenessOptions | None = None,
+    *,
+    text: str | None = None,
 ) -> UniquenessResult:
     """Run Algorithm 1: is duplicate elimination unnecessary for *query*?
 
     The quantifier of *query* is ignored — the test asks whether the
     projection is duplicate-free *without* duplicate elimination.
+    *text* is ``to_sql(query)`` when the caller already printed the
+    parsed *query* (the verdict memo keys on it); omitted, it is
+    printed here.
     """
     options = options or UniquenessOptions()
 
     # SQL text keys directly (equal text parses equally), so a warm hit
     # skips parsing as well as the analysis; ASTs key on their rendering.
     # Fail-closed: an uncomputable fingerprint skips the cache entirely.
-    text = query if isinstance(query, str) else to_sql(query)
+    if isinstance(query, str):
+        text = query
+    elif text is None:
+        text = to_sql(query)
     if not TRACER.enabled:
         return _cached_test_uniqueness(query, text, catalog, options)
     with TRACER.span("uniqueness.algorithm1", sql=text) as span:

@@ -716,6 +716,7 @@ def execute_planned(
     parallel: "ParallelOptions | ParallelExecution | None" = None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
+    sql_text: str | None = None,
 ) -> Result:
     """Plan and execute *query* with the physical engine.
 
@@ -737,13 +738,20 @@ def execute_planned(
     the result sequence — only which threads evaluate which row ranges.
     *engine_mode* and *batch_rows* stay out of the key for the same
     reason: the vectorized engine runs the identical plan, just batched.
+
+    *sql_text* is ``to_sql(query)`` when the caller already printed the
+    parsed *query* (the cache keys on it); omitted, it is printed here.
+    SQL text is parsed once, here, and keys on itself.
     """
     options = options or PlannerOptions()
     if not use_indexes and options.index_scans:
         options = replace(options, index_scans=False)
     stats = stats if stats is not None else Stats()
     cache = plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
-    sql_text = query if isinstance(query, str) else to_sql(query)
+    if isinstance(query, str):
+        sql_text, query = query, parse_query(query)
+    elif sql_text is None:
+        sql_text = to_sql(query)
     traced = TRACER.enabled  # one test up front; hot path stays bare
     span_cm = (
         TRACER.span("query.execute_planned", stats=stats, sql=sql_text)

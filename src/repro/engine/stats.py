@@ -8,7 +8,18 @@ probes saved), which the counters expose directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
+
+
+@functools.cache
+def _counter_names(cls: type) -> tuple[str, ...]:
+    """The counter names of one :class:`Stats` class, resolved once.
+
+    Keyed by the concrete class, so a subclass that adds counters gets
+    its own, longer tuple.
+    """
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -102,31 +113,32 @@ class Stats:
 
     def reset(self) -> None:
         """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _counter_names(type(self)):
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dictionary."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _counter_names(type(self))}
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""
         return type(self)(**self.as_dict())
 
-    # Arithmetic iterates fields(self) and constructs type(self), so a
-    # counter added later — including in a subclass — participates in
-    # merging automatically instead of being silently dropped.
+    # Arithmetic iterates type(self)'s counters and constructs
+    # type(self), so a counter added later — including in a subclass —
+    # participates in merging automatically instead of being silently
+    # dropped.
 
     def __add__(self, other: "Stats") -> "Stats":
         merged = type(self)()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _counter_names(type(self)):
+            setattr(merged, name, getattr(self, name) + getattr(other, name))
         return merged
 
     def __sub__(self, other: "Stats") -> "Stats":
         merged = type(self)()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) - getattr(other, f.name))
+        for name in _counter_names(type(self)):
+            setattr(merged, name, getattr(self, name) - getattr(other, name))
         return merged
 
     def describe(self) -> str:

@@ -68,6 +68,8 @@ class GuardedOutcome:
             mismatch this is the *reference* (unrewritten) result — the
             verified answer — not the rewritten one.
         sql: the SQL text the returned result came from.
+        query: the parsed query *sql* was printed from (None for DML and
+            transaction-control outcomes, which execute no query).
         rewritten: whether any rewrite rule fired.
         rules: names of the rules that fired, in application order.
         stats: execution counters for the primary (rewritten) execution.
@@ -98,6 +100,7 @@ class GuardedOutcome:
     audit: AuditTrail = field(default_factory=AuditTrail)
     analysis: object | None = None
     rowcount: int = -1
+    query: Query | None = None
 
     def describe(self) -> str:
         """One line: rewrite trail, verification status, row count."""
@@ -135,6 +138,7 @@ def run_guarded(
     engine_mode: str | None = None,
     batch_rows: int | None = None,
     on_guard: Callable[[ExecutionGuard], None] | None = None,
+    original_text: str | None = None,
 ) -> GuardedOutcome:
     """Optimize and execute *query* under *budget*, optionally verified.
 
@@ -171,6 +175,10 @@ def run_guarded(
             whose client abandoned the wait) can cooperatively cancel
             mid-flight.  When no budget was given, an unlimited guard is
             created just so there is a cancellation point to hand out.
+        original_text: the caller's own SQL text when *query* arrives
+            already parsed — the safe-mode sampling key, the eviction
+            text after a mismatch and the span attribute stay the bytes
+            the caller wrote.  Omitted, a parsed *query* is printed.
 
     Budget violations always propagate as
     :class:`~repro.errors.ResourceError` subclasses — no fallback ladder
@@ -184,7 +192,8 @@ def run_guarded(
         parsed = parse_query(query)
     else:
         parsed = query
-        original_text = to_sql(query)
+        if original_text is None:
+            original_text = to_sql(query)
     if optimizer is None:
         optimizer = Optimizer.for_relational(database.catalog)
     traced = TRACER.enabled  # one test when tracing is off
@@ -215,6 +224,7 @@ def run_guarded(
             parallel=parallel,
             engine_mode=engine_mode,
             batch_rows=batch_rows,
+            sql_text=outcome.sql,
         )
         if guarded_span is not None and guard is not None:
             guarded_span.attributes["guard_rows"] = guard.rows_processed
@@ -224,11 +234,12 @@ def run_guarded(
                 rules.append(step.rule)
         out = GuardedOutcome(
             result=result,
-            sql=to_sql(outcome.query),
+            sql=outcome.sql,
             rewritten=outcome.changed,
             rules=rules,
             stats=stats,
             audit=outcome.audit,
+            query=outcome.query,
         )
 
         if not (safe_mode and outcome.changed):
@@ -275,6 +286,7 @@ def run_guarded(
             guarded_span.attributes["mismatch"] = True
         out.result = reference
         out.sql = original_text
+        out.query = parsed
         if strict:
             raise RewriteMismatchError(rules, original_text)
         return out

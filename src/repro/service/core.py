@@ -481,29 +481,28 @@ class QueryService:
             )
             # Session-scoped transaction control: BEGIN/COMMIT/ROLLBACK
             # flip the session's transaction; everything else executes
-            # inside it while it is open.  Parse failures fall through
-            # so run_with_options raises the same typed error it always
-            # did.
-            control = None
-            try:
-                candidate = parse(sql)
-            except Exception:
-                candidate = None
-            if isinstance(
-                candidate,
-                (BeginTransaction, CommitTransaction, RollbackTransaction),
-            ):
-                control = candidate
+            # inside it while it is open.  This is the request's one
+            # parse: a malformed statement fails the ticket from here,
+            # everything else travels down as the AST plus its text.
             try:
                 with span_cm:
-                    if control is not None:
+                    statement = parse(sql)
+                    if isinstance(
+                        statement,
+                        (
+                            BeginTransaction,
+                            CommitTransaction,
+                            RollbackTransaction,
+                        ),
+                    ):
                         outcome = apply_transaction_control(
-                            control, session, session.database, stats
+                            statement, session, session.database, stats
                         )
                     else:
                         outcome = run_with_options(
-                            sql,
+                            statement,
                             session.database,
+                            sql_text=sql,
                             params=params,
                             options=effective,
                             stats=stats,

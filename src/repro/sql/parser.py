@@ -592,7 +592,15 @@ def parse(text: str) -> Statement:
 
 def parse_query(text: str) -> Query:
     """Parse a statement and require it to be a query."""
-    statement = parse(text)
+    return require_query(parse(text))
+
+
+def require_query(statement: Statement) -> Query:
+    """*statement* itself when it is a query, else :class:`ParseError`.
+
+    For callers that hold an already-parsed statement and need what
+    :func:`parse_query` guarantees without lexing the text again.
+    """
     if not isinstance(statement, (SelectQuery, SetOperation)):
         raise ParseError("expected a query")
     return statement

@@ -5,9 +5,18 @@ the engine; neither may perturb results.  Every paper query runs twice
 — through a local :class:`~repro.api.Connection` and through a
 :class:`~repro.net.server.QueryServer` — and must produce the same
 columns and the same row multiset (≐ semantics, NULLs included), plus
-the same rewrite trail, both plain and streamed."""
+the same rewrite trail, both plain and streamed.
+
+``golden_examples.json`` pins the trail itself: ``GuardedOutcome.sql``,
+``.rules``, the audit records and ``Cursor.executed.sql`` for every
+example, captured before ASTs (rather than re-parsed text) started
+travelling down the request path.  Both engine modes must reproduce it
+byte for byte."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +63,36 @@ def test_examples_identical_over_http(query, db, served):
     assert remote_executed.rewritten == local_executed.rewritten
     assert remote_executed.rules == local_executed.rules
     assert remote_executed.sql == local_executed.sql
+
+
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_examples.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("mode", ["tuple", "vectorized"])
+@pytest.mark.parametrize(
+    "query", PAPER_QUERIES, ids=lambda q: f"E{q.example}"
+)
+def test_rewrite_trail_matches_golden(query, mode, db, served):
+    golden = GOLDEN[f"E{query.example}"]
+    repro.clear_all_caches()
+    with repro.connect(db) as local_conn:
+        local = local_conn.execute(
+            query.sql, query.params or None, engine_mode=mode
+        )
+        outcome = local.outcome
+        assert outcome.sql == golden["outcome_sql"]
+        assert outcome.rules == golden["rules"]
+        assert outcome.audit.to_dicts() == golden["audit"]
+        assert local.executed.sql == golden["executed_sql"]
+        assert repro.to_sql(outcome.query) == golden["outcome_sql"]
+    with repro.connect(served.url) as remote_conn:
+        remote = remote_conn.execute(
+            query.sql, query.params or None, engine_mode=mode
+        )
+        assert remote.executed.sql == golden["executed_sql"]
+        assert remote.executed.rules == golden["rules"]
 
 
 @pytest.mark.parametrize(
