@@ -9,7 +9,8 @@
   Example 7 join.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, timed
 from repro.core import UniquenessOptions, test_uniqueness
 from repro.engine import PlannerOptions

@@ -8,7 +8,8 @@
   redundant DISTINCTs the base algorithm misses.
 """
 
-from repro import Stats, execute_planned
+from repro import Stats
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, speedup, timed
 from repro.catalog import Catalog
 from repro.core import Optimizer, UniquenessOptions, test_uniqueness

@@ -15,10 +15,10 @@ Every table in this module lands in ``BENCH_hotpath.json``.
 from repro import (
     Stats,
     clear_all_caches,
-    execute_planned,
     set_caches_enabled,
     test_uniqueness,
 )
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, speedup, timed
 from repro.engine import PlanCache, set_compilation_enabled
 from repro.workloads import SupplierScale, build_database, generate

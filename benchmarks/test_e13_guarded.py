@@ -24,7 +24,9 @@ machine drift hits both arms equally:
 Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
 """
 
-from repro import clear_all_caches, execute_planned, run_guarded
+from repro import clear_all_caches
+from repro.engine import execute_planned
+from repro.resilience.guarded import run_guarded
 from repro.bench import ExperimentReport, timed
 from repro.engine import PlanCache
 from repro.resilience import FAULTS, ResourceBudget

@@ -21,7 +21,8 @@ Lands in ``BENCH_e14.json`` with the batch's engine-counter deltas.
 
 from time import perf_counter
 
-from repro import Stats, clear_all_caches, execute_planned
+from repro import Stats, clear_all_caches
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, timed
 from repro.engine import PlanCache
 from repro.observe import NULL_SPAN, TRACER, set_tracing

@@ -19,7 +19,8 @@ row sequence identical to the serial run's.
 
 import pytest
 
-from repro import QueryService, run_guarded
+from repro import QueryService
+from repro.resilience.guarded import run_guarded
 from repro.bench import ExperimentReport, speedup, timed
 from repro.engine.plan_cache import PlanCache
 from repro.resilience import FAULTS, SITE_PLAN_CACHE

@@ -5,7 +5,8 @@ DISTINCT is *necessary*: the optimizer must keep it, and executing
 without it would return a strictly larger multiset.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport
 
 QUERY = (

@@ -6,7 +6,8 @@ optimizer use a hash join.  We report subquery re-executions eliminated
 and wall-clock speedup.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, speedup, timed
 from repro.workloads import SupplierScale, build_database, generate
 

@@ -5,7 +5,8 @@ outer block lets the optimizer flatten to a DISTINCT join — trading the
 per-row subquery re-execution for one hash join plus one (small) sort.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, speedup, timed
 from repro.workloads import SupplierScale, build_database, generate
 

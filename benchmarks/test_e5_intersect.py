@@ -6,7 +6,8 @@ operands; when one operand is duplicate-free, the rewrite chain
 result.  We compare rows sorted and wall-clock time.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
+from repro.engine import execute_planned
 from repro.bench import ExperimentReport, speedup, timed
 from repro.workloads import SupplierScale, build_database, generate
 

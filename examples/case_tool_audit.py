@@ -10,7 +10,8 @@ time on a generated instance.
 Run:  python examples/case_tool_audit.py
 """
 
-from repro import Stats, execute, optimize, test_uniqueness
+from repro import Stats, optimize, test_uniqueness
+from repro.engine import execute
 from repro.workloads import SupplierScale, build_database, generate
 
 # What a code generator might emit: every query gets DISTINCT "to be safe".

@@ -10,7 +10,8 @@ choice, then verifies the chosen form by executing it.
 Run:  python examples/cost_based_selection.py
 """
 
-from repro import Stats, execute, execute_planned
+from repro import Stats
+from repro.engine import execute, execute_planned
 from repro.core import StrategySelector
 from repro.workloads import SupplierScale, build_database, generate
 

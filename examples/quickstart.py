@@ -8,7 +8,8 @@ shows that the rewritten query returns the same rows without sorting.
 Run:  python examples/quickstart.py
 """
 
-from repro import Stats, execute, optimize, test_uniqueness
+from repro import Stats, optimize, test_uniqueness
+from repro.engine import execute
 from repro.engine import Database
 
 SCHEMA_AND_DATA = """

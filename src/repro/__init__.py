@@ -25,9 +25,10 @@ Quickstart::
 :func:`connect` returns the same :class:`Connection` facade for an
 in-process database, a SQL script path, or the URL of a ``repro serve
 --http`` server; every execution knob travels through one frozen
-:class:`ExecutionOptions`.  The older entrypoints (``execute``,
-``execute_planned``, ``run_guarded``, ``execute_analyzed``) remain as
-deprecated shims delegating to the same code.
+:class:`ExecutionOptions`.  The layered engine functions beneath the
+facade live in their home modules: ``repro.engine.execute_planned``,
+``repro.resilience.guarded.run_guarded``,
+``repro.observe.execute_analyzed``.
 """
 
 from .cache import (
@@ -57,8 +58,6 @@ from .engine import (
     Result,
     Stats,
 )
-from .engine import execute as _engine_execute
-from .engine import execute_planned as _engine_execute_planned
 from .errors import (
     ExecutionError,
     NetworkError,
@@ -95,15 +94,12 @@ from .observe import (
     set_tracing,
     tracing_enabled,
 )
-from .observe import execute_analyzed as _observe_execute_analyzed
 from .resilience.guarded import GuardedOutcome
-from .resilience.guarded import run_guarded as _guarded_run_guarded
 from .api import (
     Connection,
     Cursor,
     ExecutedQuery,
     connect,
-    deprecated_entrypoint as _deprecated_entrypoint,
     run_with_options,
 )
 from .options import ExecutionOptions
@@ -115,25 +111,6 @@ from .stats import (
     ensure_statistics,
 )
 
-#: Deprecated entrypoints — thin shims over the unchanged module-level
-#: implementations.  Import from the home modules (``repro.engine``,
-#: ``repro.resilience.guarded``, ``repro.observe``) to skip the warning.
-execute = _deprecated_entrypoint(
-    "execute", "Connection.execute()", _engine_execute
-)
-execute_planned = _deprecated_entrypoint(
-    "execute_planned", "Connection.execute()", _engine_execute_planned
-)
-run_guarded = _deprecated_entrypoint(
-    "run_guarded",
-    "Connection.execute(..., safe_mode=True)",
-    _guarded_run_guarded,
-)
-execute_analyzed = _deprecated_entrypoint(
-    "execute_analyzed",
-    "Connection.execute(..., analyze=True)",
-    _observe_execute_analyzed,
-)
 from .sql import parse, parse_query, parse_script, to_sql
 from .types import NULL
 
@@ -200,13 +177,9 @@ __all__ = [
     "collect_statistics",
     "connect",
     "ensure_statistics",
-    "execute",
-    "execute_analyzed",
-    "execute_planned",
     "explain_analyze",
     "is_duplicate_free",
     "optimize",
-    "run_guarded",
     "run_with_options",
     "set_caches_enabled",
     "set_tracing",

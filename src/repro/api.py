@@ -1,12 +1,8 @@
 """The unified ``Connection``/``Cursor`` facade — one way to execute.
 
-The library grew four overlapping execution entrypoints
-(:func:`~repro.engine.executor.execute`,
-:func:`~repro.engine.planner.execute_planned`,
-:func:`~repro.resilience.guarded.run_guarded`,
-:func:`~repro.observe.analyze.execute_analyzed`), each threading its own
-subset of budget/safe-mode/parallel keyword arguments.  This module
-subsumes them behind a DB-API-flavored facade:
+A DB-API-flavored facade over the engine's layered functions
+(:func:`~repro.engine.planner.execute_planned` under
+:func:`~repro.resilience.guarded.run_guarded`):
 
 * :func:`connect` — open a :class:`Connection` from a
   :class:`~repro.engine.database.Database`, a SQL-script path, or an
@@ -19,11 +15,6 @@ subsumes them behind a DB-API-flavored facade:
   and the :class:`~repro.service.QueryService` workers call: guarded
   execution (budgets, safe-mode verification) plus optional EXPLAIN
   ANALYZE, driven entirely by an options value.
-
-The legacy entrypoints remain importable from :mod:`repro` as thin
-delegating shims that raise :class:`DeprecationWarning`; their module
-homes (``repro.engine``, ``repro.resilience.guarded``,
-``repro.observe``) are unchanged and unwarned for internal use.
 
 Quickstart::
 
@@ -40,14 +31,11 @@ Quickstart::
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
 from .core.rewrite.engine import Optimizer
 from .engine.database import Database
-from .engine.parallel import ParallelOptions
 from .engine.plan_cache import PlanCache
 from .engine.result import Result
 from .engine.stats import Stats
@@ -59,11 +47,9 @@ from .errors import (
     SqlError,
     TransactionError,
 )
-from .observe.analyze import execute_analyzed
+from .observe.analyze import AnalyzedExecution, PlanAnalysis
 from .observe.trace import NULL_SPAN, TRACER
 from .options import ExecutionOptions
-from .resilience.budgets import ResourceBudget
-from .resilience.deadline import Deadline
 from .resilience.guarded import GuardedOutcome, run_guarded
 from .resilience.health import (
     SUBSYSTEM_ESTIMATOR,
@@ -82,10 +68,6 @@ from .sql.ast import (
     Update,
 )
 from .sql.parser import parse, require_query
-
-#: Sentinel distinguishing "argument not passed" from an explicit None
-#: or False in :meth:`Cursor.execute` keyword overrides.
-_UNSET = object()
 
 
 def run_with_options(
@@ -109,8 +91,11 @@ def run_with_options(
     facade, :meth:`repro.service.QueryService.submit`, and the HTTP
     server: guarded execution with the options' budget and safe mode,
     rewrites disabled when ``options.optimize`` is False, and — with
-    ``options.analyze`` — an instrumented EXPLAIN ANALYZE run attached
-    as :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.
+    ``options.analyze`` or ``options.adaptive`` — that same execution's
+    per-operator actuals (EXPLAIN ANALYZE) attached as
+    :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.  There
+    is one execution either way: the analysis describes the rows that
+    were served, under the one guard *on_guard* was handed.
 
     *parallel* overrides ``options.parallel`` when not None (the service
     passes its live shared :class:`~repro.engine.parallel.ParallelExecution`).
@@ -177,16 +162,9 @@ def run_with_options(
         from .engine.sliced import SlicedDatabase
 
         database = SlicedDatabase.wrap(database, options.scan_ranges)
-    timeout = options.timeout
-    if options.deadline is not None:
-        # Raises DeadlineExpiredError when nothing is left: queue wait
-        # or network transit already spent the client's whole budget.
-        timeout = options.deadline.clamp_timeout(timeout)
-    budget = (
-        None
-        if timeout is None and options.row_budget is None
-        else ResourceBudget(timeout=timeout, row_budget=options.row_budget)
-    )
+    # Raises DeadlineExpiredError when nothing is left: queue wait or
+    # network transit already spent the client's whole budget.
+    budget = options.budget()
     effective_parallel = parallel if parallel is not None else options.parallel
     optimize = options.optimize
     engine_mode = options.engine_mode
@@ -227,6 +205,9 @@ def run_with_options(
         # execution: no rewrite can fire, so safe mode has nothing to
         # cross-check and the audit trail stays empty.
         optimizer = Optimizer(database.catalog, rules=[])
+    # Adaptive mode always analyzes: observed actuals are the feedback
+    # the correction store folds.
+    sink = PlanAnalysis() if options.analyze or adaptive else None
     try:
         outcome = run_guarded(
             require_query(statement),
@@ -243,6 +224,7 @@ def run_with_options(
             batch_rows=options.batch_rows,
             on_guard=on_guard,
             original_text=sql_text,
+            analysis=sink,
         )
     except ReproError as error:
         # Budget violations and user errors (bad SQL, unknown tables)
@@ -256,35 +238,19 @@ def run_with_options(
         raise
     if health is not None and decision is not None:
         health.observe(decision, stats=outcome.stats, outcome=outcome)
-    if (options.analyze or adaptive) and not outcome.mismatch:
-        # Re-execute the winning form instrumented; the guarded result
-        # above stays the served answer, the analysis rides alongside.
-        # Adaptive mode forces this instrumented run — observed actuals
-        # are the feedback the correction store folds.
-        outcome.analysis = execute_analyzed(
-            outcome.query,
-            database,
-            params=params,
-            options=planner_options,
-            guard=budget.guard() if budget is not None else None,
-            engine_mode=engine_mode,
-            batch_rows=options.batch_rows,
+    if sink is not None and not outcome.mismatch:
+        # After a mismatch the served rows are the reference run's, which
+        # the sink did not observe — so no analysis rides along.
+        outcome.analysis = AnalyzedExecution(
+            result=outcome.result,
+            analysis=sink,
+            stats=outcome.stats,
+            health=health.tiers() if health is not None else None,
         )
-        if health is not None:
-            outcome.analysis.health = health.tiers()
         if adaptive:
             from .stats.adaptive import fold_analysis
 
-            folded = fold_analysis(
-                database,
-                outcome.analysis.plan,
-                outcome.analysis.analysis,
-                stats=outcome.stats,
-            )
-            if folded:
-                # Mirror onto the instrumented run's own counters so
-                # EXPLAIN ANALYZE output reports the folds it caused.
-                outcome.analysis.stats.adaptive_corrections += folded
+            fold_analysis(database, sink.plan, sink, stats=outcome.stats)
     return outcome
 
 
@@ -314,14 +280,7 @@ def run_dml_with_options(
     stats = stats if stats is not None else Stats()
     if options.scan_ranges:
         raise ProtocolError("writes cannot run against a shard slice")
-    timeout = options.timeout
-    if options.deadline is not None:
-        timeout = options.deadline.clamp_timeout(timeout)
-    budget = (
-        None
-        if timeout is None and options.row_budget is None
-        else ResourceBudget(timeout=timeout, row_budget=options.row_budget)
-    )
+    budget = options.budget()
     guard = budget.guard() if budget is not None else None
     if sql_text is None:
         sql_text = f"{type(statement).__name__.upper()} {statement.table}"
@@ -605,46 +564,21 @@ class Cursor:
         sql: str,
         params: dict | None = None,
         *,
-        budget: ResourceBudget | None = _UNSET,  # type: ignore[assignment]
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        row_budget: int | None = _UNSET,  # type: ignore[assignment]
-        safe_mode: bool = _UNSET,  # type: ignore[assignment]
-        analyze: bool = _UNSET,  # type: ignore[assignment]
-        optimize: bool = _UNSET,  # type: ignore[assignment]
-        stats: bool = _UNSET,  # type: ignore[assignment]
-        adaptive: bool = _UNSET,  # type: ignore[assignment]
-        parallel: "ParallelOptions | int | None" = _UNSET,  # type: ignore[assignment]
-        engine_mode: str | None = _UNSET,  # type: ignore[assignment]
-        batch_rows: int | None = _UNSET,  # type: ignore[assignment]
-        deadline: "Deadline | float | None" = _UNSET,  # type: ignore[assignment]
-        priority: str = _UNSET,  # type: ignore[assignment]
         options: ExecutionOptions | None = None,
+        **overrides: Any,
     ) -> "Cursor":
         """Execute *sql* with the connection's options plus overrides.
 
         Precedence: an explicit ``options=`` value replaces the
-        connection defaults wholesale; individual keyword arguments are
-        then layered on top of whichever base applies.  ``budget``
-        expands to ``timeout``/``row_budget``; ``parallel`` accepts a
-        plain worker count; ``deadline`` accepts seconds-from-now as
-        shorthand for a :class:`~repro.resilience.deadline.Deadline`.
+        connection defaults wholesale; individual keyword arguments —
+        ``timeout``, ``row_budget``, ``budget``, ``safe_mode``,
+        ``analyze``, ``optimize``, ``stats``, ``adaptive``, ``parallel``,
+        ``engine_mode``, ``batch_rows``, ``deadline``, ``priority`` —
+        are then layered on top of whichever base applies, with the
+        shorthands of :meth:`ExecutionOptions.override
+        <repro.options.ExecutionOptions.override>`.
         """
-        resolved = self._resolve(
-            options,
-            budget=budget,
-            timeout=timeout,
-            row_budget=row_budget,
-            safe_mode=safe_mode,
-            analyze=analyze,
-            optimize=optimize,
-            stats=stats,
-            adaptive=adaptive,
-            parallel=parallel,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
-            deadline=deadline,
-            priority=priority,
-        )
+        resolved = self._resolve(options, **overrides)
         self._executed = self.connection._backend.run(sql, params, resolved)
         self._position = 0
         return self
@@ -658,7 +592,7 @@ class Cursor:
             if options is not None
             else self.connection.default_options
         )
-        return _apply_overrides(base, **overrides)
+        return base.override(**overrides)
 
     # -- DB-API style access --------------------------------------------
 
@@ -978,104 +912,6 @@ def connect(
     )
 
 
-def _apply_overrides(
-    base: ExecutionOptions,
-    *,
-    budget: Any = _UNSET,
-    timeout: Any = _UNSET,
-    row_budget: Any = _UNSET,
-    safe_mode: Any = _UNSET,
-    analyze: Any = _UNSET,
-    optimize: Any = _UNSET,
-    stats: Any = _UNSET,
-    adaptive: Any = _UNSET,
-    parallel: Any = _UNSET,
-    engine_mode: Any = _UNSET,
-    batch_rows: Any = _UNSET,
-    deadline: Any = _UNSET,
-    priority: Any = _UNSET,
-) -> ExecutionOptions:
-    """Layer explicitly-passed keyword overrides onto *base*."""
-    values: dict[str, Any] = {
-        "timeout": base.timeout,
-        "row_budget": base.row_budget,
-        "safe_mode": base.safe_mode,
-        "analyze": base.analyze,
-        "optimize": base.optimize,
-        "stats": base.stats,
-        "adaptive": base.adaptive,
-        "parallel": base.parallel,
-        "engine_mode": base.engine_mode,
-        "batch_rows": base.batch_rows,
-        "deadline": base.deadline,
-        "priority": base.priority,
-        "scan_ranges": base.scan_ranges,
-        "autocommit": base.autocommit,
-    }
-    if budget is not _UNSET and budget is not None:
-        if not isinstance(budget, ResourceBudget):
-            raise TypeError("budget must be a ResourceBudget")
-        values["timeout"] = budget.timeout
-        values["row_budget"] = budget.row_budget
-    if timeout is not _UNSET:
-        values["timeout"] = timeout
-    if row_budget is not _UNSET:
-        values["row_budget"] = row_budget
-    if safe_mode is not _UNSET:
-        values["safe_mode"] = bool(safe_mode)
-    if analyze is not _UNSET:
-        values["analyze"] = bool(analyze)
-    if optimize is not _UNSET:
-        values["optimize"] = bool(optimize)
-    if stats is not _UNSET:
-        values["stats"] = bool(stats)
-    if adaptive is not _UNSET:
-        values["adaptive"] = bool(adaptive)
-    if parallel is not _UNSET:
-        if isinstance(parallel, int) and not isinstance(parallel, bool):
-            parallel = (
-                ParallelOptions(workers=parallel) if parallel > 1 else None
-            )
-        values["parallel"] = parallel
-    if engine_mode is not _UNSET:
-        values["engine_mode"] = engine_mode
-    if batch_rows is not _UNSET:
-        values["batch_rows"] = batch_rows
-    if deadline is not _UNSET:
-        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
-            deadline = Deadline.after(float(deadline))
-        values["deadline"] = deadline
-    if priority is not _UNSET:
-        values["priority"] = priority
-    return ExecutionOptions(**values)
-
-
-def deprecated_entrypoint(name: str, replacement: str, target: Any) -> Any:
-    """Wrap a legacy entrypoint so calls warn but still work.
-
-    The shim preserves the target's signature and behavior exactly; the
-    :class:`DeprecationWarning` names the facade spelling to migrate to.
-    The un-shimmed function stays importable from its home module for
-    internal callers.
-    """
-
-    @functools.wraps(target)
-    def shim(*args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"repro.{name}() is deprecated; use {replacement} "
-            f"(see repro.connect / repro.api.Connection)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    shim.__doc__ = (
-        f"Deprecated alias of :func:`{target.__module__}.{target.__name__}`;"
-        f" use {replacement} instead.\n\n{target.__doc__ or ''}"
-    )
-    return shim
-
-
 __all__ = [
     "Connection",
     "Cursor",
@@ -1083,7 +919,6 @@ __all__ = [
     "ExecutionOptions",
     "apply_transaction_control",
     "connect",
-    "deprecated_entrypoint",
     "executed_from_outcome",
     "run_dml_with_options",
     "run_with_options",

@@ -47,15 +47,15 @@ Usage::
   plus the rewrite proof sketch, and ``--metrics-out FILE`` exports a
   metrics snapshot (``.prom`` selects Prometheus text, else JSON).
   ``--stats`` plans cost-based from table statistics (collected
-  automatically on first use); ``--adaptive`` additionally runs
-  instrumented and folds observed row counts back into per-plan-node
+  automatically on first use); ``--adaptive`` additionally analyzes
+  the run and folds observed row counts back into per-plan-node
   corrections so repeated runs converge (see ``docs/cost_model.md``).
 * ``analyze-stats`` runs the ANALYZE pass — per-table row counts,
   per-column NULL/distinct counts, min/max, equi-depth histograms —
   stores the catalog on the database, and prints a summary.
 * ``explain`` shows the rewrite audit and the physical plan without
-  printing rows; with ``--analyze`` the plan is annotated with actuals
-  from one instrumented execution.
+  printing rows; with ``--analyze`` the query is executed once and the
+  plan is annotated with that execution's actuals.
 * ``serve`` runs a batch of queries (one per line, from ``--file`` or
   stdin) through the embedded :class:`~repro.service.QueryService` —
   ``--workers`` query threads, a ``--queue-depth``-bounded admission
@@ -250,7 +250,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--analyze",
         action="store_true",
-        help="EXPLAIN ANALYZE: execute instrumented and print per-operator "
+        help="EXPLAIN ANALYZE: also print the execution's per-operator "
         "actual rows, loops, timing, and q-error plus the rewrite audit",
     )
     run.add_argument(
@@ -263,7 +263,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--adaptive",
         action="store_true",
         help="statistics-driven planning plus the adaptive feedback "
-        "loop: execute instrumented and fold actual row counts into "
+        "loop: analyze the execution and fold actual row counts into "
         "per-plan-node corrections (implies --stats)",
     )
     run.add_argument(
@@ -324,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--analyze",
         action="store_true",
-        help="execute once, instrumented, and annotate the plan with actuals",
+        help="execute once and annotate the plan with that run's actuals",
     )
     explain.add_argument(
         "--json",
@@ -620,38 +620,19 @@ def _print_json(payload: dict[str, Any]) -> None:
     print(json.dumps(payload, indent=2, default=str))
 
 
-def _plan_fresh(database: Database, sql: str, args: Any = None) -> Any:
-    """Plan *sql* the way the invocation executed it — cost-based when
-    ``--stats``/``--adaptive`` was given, rule order otherwise."""
-    if args is not None and (
-        getattr(args, "stats", False) or getattr(args, "adaptive", False)
-    ):
-        from .stats import ensure_statistics
-
-        try:
-            ensure_statistics(database)
-        except ReproError:
-            pass  # estimator falls back to heuristics
-        options = PlannerOptions(
-            use_stats=True, adaptive=getattr(args, "adaptive", False)
-        )
-        planner = Planner(database.catalog, options, database=database)
-        return planner.plan(parse_query(sql))
-    return Planner(database.catalog).plan(parse_query(sql))
+def _plan(database: Database, query: Any, args: Any) -> Any:
+    """The physical plan of the parsed *query*, planned the way the
+    invocation executes it — cost-based when ``--stats``/``--adaptive``
+    was given (the run already collected the statistics), rule order
+    otherwise."""
+    options = None
+    if getattr(args, "stats", False) or getattr(args, "adaptive", False):
+        options = PlannerOptions(use_stats=True, adaptive=args.adaptive)
+    return Planner(database.catalog, options, database=database).plan(query)
 
 
-def _print_plan(
-    database: Database,
-    sql: str,
-    plan: Any = None,
-    analysis: Any = None,
-    header: str = "physical plan:",
-    args: Any = None,
-) -> None:
-    """Print the physical plan for *sql* (planned fresh unless given)."""
-    if plan is None:
-        plan = _plan_fresh(database, sql, args)
-    print(header)
+def _print_plan(plan: Any, analysis: Any = None) -> None:
+    print("physical plan:" if analysis is None else "EXPLAIN ANALYZE:")
     print(plan.explain(indent=1, analysis=analysis))
     print()
 
@@ -758,12 +739,7 @@ def _run_query(
     analyzed = outcome.analysis  # AnalyzedExecution when --analyze ran
     audit: AuditTrail | None = outcome.audit
     rules, mismatch, final_sql = executed.rules, executed.mismatch, executed.sql
-    if analyzed is not None:
-        # EXPLAIN ANALYZE re-executed the winning form instrumented;
-        # show the actuals (and counters) from that run.
-        result, stats = analyzed.result, analyzed.stats
-    else:
-        result, stats = outcome.result, outcome.stats
+    result, stats = outcome.result, outcome.stats
 
     if args.metrics_out:
         _write_metrics(args.metrics_out, stats, outcome=outcome, audit=audit)
@@ -793,8 +769,7 @@ def _run_query(
         if analyzed is not None:
             payload["plan"] = analyzed.to_dict()
         elif args.plan:
-            plan = _plan_fresh(database, final_sql, args)
-            payload["plan"] = plan.explain()
+            payload["plan"] = _plan(database, outcome.query, args).explain()
         if args.trace:
             payload["trace"] = TRACER.to_dicts()
         _print_json(payload)
@@ -805,15 +780,9 @@ def _run_query(
         print(f"-- {final_sql}")
         print()
     if analyzed is not None:
-        _print_plan(
-            database,
-            final_sql,
-            plan=analyzed.plan,
-            analysis=analyzed.analysis,
-            header="EXPLAIN ANALYZE:",
-        )
+        _print_plan(analyzed.plan, analyzed.analysis)
     elif args.plan:
-        _print_plan(database, final_sql, args=args)
+        _print_plan(_plan(database, outcome.query, args))
     if outcome.rowcount >= 0:
         # A DML statement: no result rows, just the affected count.
         print(f"-- {outcome.rowcount} row(s) affected; {stats.describe()}")
@@ -840,6 +809,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     database = _load_database(args)
     params = _parse_params(args.param)
 
+    query = parse_query(args.sql)  # the invocation's one lex
     audit: AuditTrail | None = None
     rules: list[str] = []
     final_sql = args.sql
@@ -848,22 +818,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
             optimizer = Optimizer.for_navigational(database.catalog)
         else:
             optimizer = Optimizer.for_relational(database.catalog)
-        outcome = optimizer.optimize(args.sql)
-        final_sql = outcome.sql
-        audit = outcome.audit
+        outcome = optimizer.optimize(query)
+        query, final_sql, audit = outcome.query, outcome.sql, outcome.audit
         for step in outcome.steps:
             if step.rule not in rules:
                 rules.append(step.rule)
 
     analyzed = None
-    analysis = None
     if args.analyze:
-        analyzed = execute_analyzed(
-            parse_query(final_sql), database, params=params
-        )
-        plan, analysis = analyzed.plan, analyzed.analysis
+        analyzed = execute_analyzed(query, database, params=params)
+        plan = analyzed.plan
     else:
-        plan = Planner(database.catalog).plan(parse_query(final_sql))
+        plan = _plan(database, query, args)
 
     if args.json:
         payload: dict[str, Any] = {
@@ -885,13 +851,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"-- rewritten via {', '.join(rules)}")
         print(f"-- {final_sql}")
         print()
-    _print_plan(
-        database,
-        final_sql,
-        plan=plan,
-        analysis=analysis,
-        header="EXPLAIN ANALYZE:" if args.analyze else "physical plan:",
-    )
+    _print_plan(plan, analyzed.analysis if analyzed is not None else None)
     if audit is not None and len(audit):
         print("rewrite audit:")
         print(audit.proof_sketch())

@@ -47,7 +47,7 @@ class DmlNode(PlanNode):
     """Base class: a write statement as a plan node.
 
     ``execute`` performs the statement and returns the affected-row
-    count; ``rows`` exists for plan-protocol compatibility (EXPLAIN,
+    count; ``_rows`` exists for plan-protocol compatibility (EXPLAIN,
     analysis walkers) and yields nothing.
     """
 
@@ -56,7 +56,7 @@ class DmlNode(PlanNode):
         self.schema = RelSchema.for_table(self.table, [])
         self.affected = 0
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         return iter(())
 
     def execute(self, ctx: ExecContext, txn: "Transaction") -> int:

@@ -18,6 +18,7 @@ from ..schema import RelSchema, Scope
 from ..stats import Stats
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...observe.analyze import PlanAnalysis
     from ..database import Database
     from ..parallel import ParallelExecution
 
@@ -53,6 +54,13 @@ class ExecContext:
     schedule unless a test forces the vectorized path explicitly).
     ``None`` inherits the process default
     (:func:`repro.engine.columnar.default_engine_mode`).
+
+    When an *analysis* sink is supplied (EXPLAIN ANALYZE, the adaptive
+    loop), every node this execution opens accounts its loops, rows,
+    batches and inclusive time into it — see :meth:`PlanNode.rows`.
+    The sink belongs to this one execution; the plan nodes themselves
+    stay untouched, so a cached plan can serve analyzed and plain
+    executions concurrently.
     """
 
     def __init__(
@@ -65,6 +73,7 @@ class ExecContext:
         parallel: "ParallelExecution | None" = None,
         engine_mode: str | None = None,
         batch_rows: int | None = None,
+        analysis: "PlanAnalysis | None" = None,
     ) -> None:
         from ..executor import Executor  # deferred to break the cycle
 
@@ -72,6 +81,7 @@ class ExecContext:
         self.stats = stats or Stats()
         self.guard = guard
         self.parallel = parallel
+        self.analysis = analysis
         self._interpreter = Executor(
             database,
             params=params,
@@ -117,29 +127,50 @@ class PlanNode:
     """A node of a physical execution plan.
 
     Subclasses define ``schema`` (a :class:`RelSchema` for the rows they
-    produce) and implement :meth:`rows`.
+    produce) and implement :meth:`_rows`; parents consume their inputs
+    through :meth:`rows` / :meth:`batches`, the one place an execution's
+    analysis sink hooks in.
     """
 
     schema: RelSchema
 
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        """Yield output rows.  *outer* carries correlation bindings."""
-        raise NotImplementedError
+        """Open the row stream.  *outer* carries correlation bindings.
+
+        With an analysis sink on *ctx* the stream is accounted into it;
+        without one this is a single test per open and nothing per row.
+        """
+        if ctx.analysis is None:
+            return self._rows(ctx, outer)
+        return ctx.analysis.observe(self, self._rows(ctx, outer), False)
 
     def batches(
         self, ctx: ExecContext, outer: Scope | None = None
     ) -> Iterator[ColumnBatch]:
-        """Yield output as :class:`~repro.engine.columnar.ColumnBatch`\\ es.
+        """Open the :class:`~repro.engine.columnar.ColumnBatch` stream."""
+        if ctx.analysis is None:
+            return self._batches(ctx, outer)
+        return ctx.analysis.observe(self, self._batches(ctx, outer), True)
 
-        The default re-batches :meth:`rows` — any operator without a
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+        """Yield output rows."""
+        raise NotImplementedError
+
+    def _batches(
+        self, ctx: ExecContext, outer: Scope | None = None
+    ) -> Iterator[ColumnBatch]:
+        """Yield output as column batches.
+
+        The default re-batches :meth:`_rows` — any operator without a
         vectorized kernel (or one that declined to vectorize) keeps its
         exact tuple semantics, including ticks and counters, while
         vectorized parents consume it uniformly.  Overrides produce
         batches natively and must preserve the row sequence byte for
-        byte.
+        byte.  Falling back through ``_rows`` (not ``rows``) keeps the
+        node's own open counted once.
         """
         yield from batches_from_rows(
-            self.rows(ctx, outer), len(self.schema), ctx.batch_rows
+            self._rows(ctx, outer), len(self.schema), ctx.batch_rows
         )
 
     def children(self) -> tuple["PlanNode", ...]:
@@ -153,7 +184,7 @@ class PlanNode:
         """A printable operator tree.
 
         With *analysis* (a :class:`~repro.observe.analyze.PlanAnalysis`
-        recorded by an instrumented execution of this exact tree), each
+        recorded by an analyzed execution of this exact tree), each
         line is suffixed with actual rows/loops/time and the estimated
         cardinality's q-error — EXPLAIN ANALYZE output.
         """

@@ -102,7 +102,7 @@ class Filter(PlanNode):
             output.extend(kept)
         return output
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         parallel_result = self._parallel_rows(ctx, outer)
         if parallel_result is not None:
             yield from parallel_result
@@ -147,7 +147,7 @@ class Filter(PlanNode):
     # ------------------------------------------------------------------
     # vectorized path
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Selection as a boolean mask over a batch-compiled predicate.
 
         The batch compiler has the same frontier as the row compiler:
@@ -171,7 +171,7 @@ class Filter(PlanNode):
                 # fallback accounting.
                 ctx.stats.vectorized_fallbacks += 1
         if kernel is None:
-            yield from PlanNode.batches(self, ctx, outer)
+            yield from PlanNode._batches(self, ctx, outer)
             return
         stats = ctx.stats
         stats.predicates_compiled += 1

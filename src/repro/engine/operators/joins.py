@@ -101,7 +101,7 @@ class NestedLoopJoin(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         inner = list(self.right.rows(ctx, outer))
         qualifies = _residual_test(self, self.predicate, ctx, outer)
         tick = ctx.tick
@@ -305,7 +305,7 @@ class HashJoin(PlanNode):
         stats.parallel_morsels += len(morsels)
         return output
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         if self.build_left:
             build, probe = self.left, self.right
             build_keys, probe_keys = self.left_keys, self.right_keys
@@ -399,7 +399,7 @@ class HashJoin(PlanNode):
             set(key.columns) <= names for key in schema.candidate_keys
         )
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized build/probe over canonical key vectors.
 
         Build and probe batches contribute whole ``sort_keys()``
@@ -414,7 +414,7 @@ class HashJoin(PlanNode):
         partitioned build/probe phases already exist row-wise.
         """
         if outer is not None or self._parallel_ok(ctx, outer):
-            yield from PlanNode.batches(self, ctx, outer)
+            yield from PlanNode._batches(self, ctx, outer)
             return
         if self.build_left:
             build, probe = self.left, self.right
@@ -577,7 +577,7 @@ class SortMergeJoin(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         left_rows = self._sorted_input(ctx, self.left, self.left_keys, outer)
         right_rows = self._sorted_input(ctx, self.right, self.right_keys, outer)
         qualifies = _residual_test(self, self.residual, ctx, outer)
@@ -666,7 +666,7 @@ class HashSemiJoin(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         keys: set[tuple] = set()
         for right_row in self.right.rows(ctx, outer):
             key_values = [right_row[i] for i in self.right_keys]

@@ -23,11 +23,11 @@ class Project(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         for row in self.child.rows(ctx, outer):
             yield tuple(row[i] for i in self.indices)
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized projection: pure column slicing, zero copying."""
         stats = ctx.stats
         source = self.child.batches(ctx, outer)
@@ -73,7 +73,7 @@ class SortDistinct(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         rows = list(self.child.rows(ctx, outer))
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
@@ -87,7 +87,7 @@ class SortDistinct(PlanNode):
             else:
                 ctx.stats.duplicates_removed += 1
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """DISTINCT over canonical key vectors.
 
         Each input batch contributes a ``sort_keys()`` vector (the
@@ -151,7 +151,7 @@ class HashDistinct(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         seen: set[tuple] = set()
         for row in self.child.rows(ctx, outer):
             key = row_sort_key(row)
@@ -163,7 +163,7 @@ class HashDistinct(PlanNode):
             ctx.stats.hash_builds += 1
             yield row
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Streaming DISTINCT: one key vector per batch, one shared set."""
         stats = ctx.stats
         seen: set[tuple] = set()
@@ -217,7 +217,7 @@ class Sort(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         from ..executor import _Reversed  # shared DESC-order helper
         from ...types.values import sort_key
 

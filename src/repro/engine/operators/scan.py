@@ -28,7 +28,7 @@ class SeqScan(PlanNode):
         self.alias = alias
         self.schema = RelSchema.for_table(alias, column_names)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         tick = ctx.tick
         if not ctx.batch_ticks:
             # Faults armed: every row is a checkpoint (and an
@@ -51,7 +51,7 @@ class SeqScan(PlanNode):
             tick(pending)
             stats.rows_scanned += pending
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized scan: serve the table's cached columnar batches.
 
         One guard tick per batch (the documented vectorized
@@ -136,7 +136,7 @@ class IndexScan(PlanNode):
             if row_sort_key(tuple(row[p] for p in positions)) == target
         ]
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         data = ctx.database.table(self.table_name)
         values = self._probe_values(ctx)
         ctx.stats.index_probes += 1

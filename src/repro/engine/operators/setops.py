@@ -35,7 +35,7 @@ class SortSetOp(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         left_rows = list(self.left.rows(ctx, outer))
         right_rows = list(self.right.rows(ctx, outer))
         ctx.stats.sorts += 2
@@ -103,9 +103,9 @@ class SortSetOp(PlanNode):
             keys.extend(map(row_sort_key, batch_rows))
         return rows, keys
 
-    def batches(self, ctx: ExecContext, outer: Scope | None = None):
+    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Set operation over canonical key vectors (same counting
-        strategy as :meth:`rows`, with the per-row key calls replaced
+        strategy as :meth:`_rows`, with the per-row key calls replaced
         by batch key vectors)."""
         stats = ctx.stats
         left_rows, left_keys = self._gather(ctx, outer, self.left)

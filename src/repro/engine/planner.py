@@ -611,6 +611,7 @@ def execute_plan(
     parallel: "ParallelOptions | ParallelExecution | None" = None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
+    analysis=None,
 ) -> Result:
     """Run a physical plan to completion.
 
@@ -630,6 +631,11 @@ def execute_plan(
     and ``"auto"`` vectorizes exactly when faults are disarmed.  Like
     *parallel*, the mode is execution-time only — same plan, same
     output sequence.  *batch_rows* sizes the column batches.
+
+    *analysis* (a :class:`~repro.observe.analyze.PlanAnalysis`) turns
+    this same execution into EXPLAIN ANALYZE: the operators account
+    their actuals into it as they run.  *plan* — cached or not — is
+    never modified.
     """
     ctx = ExecContext(
         database,
@@ -640,7 +646,10 @@ def execute_plan(
         parallel=parallel_execution(parallel),
         engine_mode=engine_mode,
         batch_rows=batch_rows,
+        analysis=analysis,
     )
+    if analysis is not None:
+        analysis.begin(plan)
     # One attribute test when tracing is off — the hot path stays bare.
     span_cm = (
         TRACER.span("plan.execute", stats=ctx.stats, root=plan.label())
@@ -654,6 +663,8 @@ def execute_plan(
                 rows.extend(batch.to_rows())
         else:
             rows = list(plan.rows(ctx))
+        if analysis is not None:
+            analysis.finish()
         ctx.stats.rows_output += len(rows)
         if span:
             span.attributes["rows"] = len(rows)
@@ -717,6 +728,7 @@ def execute_planned(
     engine_mode: str | None = None,
     batch_rows: int | None = None,
     sql_text: str | None = None,
+    analysis=None,
 ) -> Result:
     """Plan and execute *query* with the physical engine.
 
@@ -742,6 +754,10 @@ def execute_planned(
     *sql_text* is ``to_sql(query)`` when the caller already printed the
     parsed *query* (the cache keys on it); omitted, it is printed here.
     SQL text is parsed once, here, and keys on itself.
+
+    *analysis* is :func:`execute_plan`'s sink; here it additionally
+    receives the estimates of the cost model the plan was chosen with.
+    A cached plan serves an analyzed execution like any other.
     """
     options = options or PlannerOptions()
     if not use_indexes and options.index_scans:
@@ -809,7 +825,7 @@ def execute_planned(
             stats.plan_cache_hits += 1
             if span:
                 span.attributes["plan_cache"] = "hit"
-        return execute_plan(
+        result = execute_plan(
             plan,
             database,
             params=params,
@@ -819,4 +835,12 @@ def execute_planned(
             parallel=parallel,
             engine_mode=engine_mode,
             batch_rows=batch_rows,
+            analysis=analysis,
         )
+        if analysis is not None:
+            from ..stats.estimator import estimator_for
+
+            analysis.attach_estimates(
+                estimator_for(database, options, stats=stats)
+            )
+        return result

@@ -4,8 +4,8 @@ Four cooperating pieces, all zero-dependency:
 
 * :mod:`~repro.observe.trace` — hierarchical spans with wall time and
   :class:`~repro.engine.stats.Stats` deltas, near-zero cost when off;
-* :mod:`~repro.observe.analyze` — EXPLAIN ANALYZE over instrumented
-  plan clones (actual rows, loops, time, per-node q-error);
+* :mod:`~repro.observe.analyze` — EXPLAIN ANALYZE: the sink a normal
+  execution accounts into (actual rows, loops, time, per-node q-error);
 * :mod:`~repro.observe.audit` — the rewrite audit trail: every
   Theorem 1/2/3 and Algorithm 1 decision with its witness;
 * :mod:`~repro.observe.metrics` — a registry exporting engine, cache,
@@ -17,10 +17,8 @@ from .analyze import (
     AnalyzedExecution,
     NodeStats,
     PlanAnalysis,
-    clone_plan,
     execute_analyzed,
     explain_analyze,
-    instrument_plan,
 )
 from .metrics import PROCESS_METRICS, MetricsRegistry
 from .trace import NULL_SPAN, TRACER, Span, Tracer, set_tracing, tracing_enabled
@@ -34,10 +32,8 @@ __all__ = [
     "AnalyzedExecution",
     "NodeStats",
     "PlanAnalysis",
-    "clone_plan",
     "execute_analyzed",
     "explain_analyze",
-    "instrument_plan",
     "MetricsRegistry",
     "PROCESS_METRICS",
     "NULL_SPAN",

@@ -1,16 +1,19 @@
 """EXPLAIN ANALYZE: per-operator actuals over a physical plan.
 
-An *instrumented* execution runs a cloned plan whose nodes count loops,
-output rows, and inclusive wall time; afterwards each node is annotated
-with those actuals plus the cost model's estimate and the resulting
-q-error (``max(est/actual, actual/est)``, both floored at one row — the
+An analyzed execution is the ordinary one with a sink attached: the
+execution context carries a :class:`PlanAnalysis`, and every plan node
+opened through :meth:`~repro.engine.operators.base.PlanNode.rows` /
+``batches`` accounts its loops, output rows, column batches and
+inclusive wall time into it.  Afterwards each node is annotated with
+those actuals plus the cost model's estimate and the resulting q-error
+(``max(est/actual, actual/est)``, both floored at one row — the
 standard cardinality-quality measure).
 
-The cached/shared plan is never touched: :func:`clone_plan` makes
-shallow per-node copies (rewiring the ``child``/``left``/``right``
-links) and the counting wrappers are installed as *instance* attributes
-on the clones only.  The normal execution path therefore keeps its
-generators bare — this module adds zero cost when analyze mode is off.
+The sink belongs to one execution and is keyed by node identity, so
+the plan itself — usually the plan cache's shared instance — is never
+written to: concurrent analyzed and plain executions of one cached plan
+do not see each other.  With no sink the dispatch costs one ``is None``
+test per operator open and nothing per row.
 
 Engine imports stay inside function bodies: the engine itself imports
 :mod:`repro.observe.trace`, and keeping this module lazily bound
@@ -19,32 +22,22 @@ prevents a partially-initialized-package cycle.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .trace import TRACER, Span
-
-#: Attributes under which plan nodes store their inputs.
-_CHILD_ATTRS = ("child", "left", "right")
 
 
 @dataclass
 class NodeStats:
     """Actuals for one plan node across one execution."""
 
-    label: str
     loops: int = 0
     rows: int = 0
     batches: int = 0  # column batches emitted (vectorized mode only)
     seconds: float = 0.0  # inclusive of children, like EXPLAIN ANALYZE
     est_rows: float | None = None
-    #: True while the node's batches() wrapper is live, so a batches
-    #: implementation that falls back through the node's own rows()
-    #: (the default re-batch, or an explicit tuple-path delegation)
-    #: does not double-count loops/rows/time.
-    suspended: bool = False
 
     @property
     def q_error(self) -> float | None:
@@ -58,15 +51,64 @@ class NodeStats:
 
 @dataclass
 class PlanAnalysis:
-    """Per-node actuals for one instrumented plan, keyed by node id."""
+    """Per-node actuals of one plan execution, keyed by node id.
+
+    ``plan`` is the root the execution ran (set by :meth:`begin`); it
+    also keeps the nodes alive, so their ids stay unique for as long as
+    the analysis is read.
+    """
 
     wall_seconds: float = 0.0
+    plan: Any | None = None
     _stats: dict[int, NodeStats] = field(default_factory=dict)
+    _started: float = 0.0
 
     def register(self, node: Any) -> NodeStats:
-        stats = NodeStats(label=node.label())
-        self._stats[id(node)] = stats
+        stats = self._stats[id(node)] = NodeStats()
         return stats
+
+    def begin(self, plan: Any) -> None:
+        """Start the clock on *plan*; every node starts at zero loops, so
+        one the execution never opens reads ``[never executed]``."""
+        self.plan = plan
+        for node in _walk(plan):
+            self.register(node)
+        self._started = perf_counter()
+
+    def finish(self) -> None:
+        """Stop the clock; when tracing, hang the per-operator actuals
+        under the span that is open right now."""
+        self.wall_seconds = perf_counter() - self._started
+        if TRACER.enabled:
+            TRACER.attach(self.to_spans(self.plan))
+
+    def observe(
+        self, node: Any, source: Iterable[Any], batched: bool
+    ) -> Iterator[Any]:
+        """Pass *source* (one open of *node*) through, accounting it.
+
+        Time is inclusive of the node's inputs and exclusive of its
+        consumer: the clock stops while a yielded item is away.
+        """
+        stats = self._stats.get(id(node))
+        if stats is None:
+            stats = self.register(node)
+        stats.loops += 1
+        start = perf_counter()
+        try:
+            for item in source:
+                stats.seconds += perf_counter() - start
+                if batched:
+                    stats.rows += item.length
+                    stats.batches += 1
+                else:
+                    stats.rows += 1
+                yield item
+                start = perf_counter()
+            stats.seconds += perf_counter() - start
+        except BaseException:
+            stats.seconds += perf_counter() - start
+            raise
 
     def for_node(self, node: Any) -> NodeStats | None:
         return self._stats.get(id(node))
@@ -104,25 +146,15 @@ class PlanAnalysis:
         ]
         return max(errors) if errors else None
 
-    def attach_estimates(
-        self, plan: Any, database: Any, model: Any | None = None
-    ) -> None:
-        """Fill ``est_rows`` from the cost model, node by node.
+    def attach_estimates(self, model: Any) -> None:
+        """Fill ``est_rows`` for every node of :attr:`plan` from *model*.
 
-        *model* (any object with ``estimate(node)``) selects the
-        estimator; default is the heuristic
-        :class:`~repro.engine.cost.CostModel` — statistics-driven runs
-        pass the estimator their plan was actually costed with, so the
-        reported q-error measures the model that made the decisions.
+        *model* (any object with ``estimate(node)``) is the estimator
+        the plan was actually costed with, so the reported q-error
+        measures the model that made the decisions.
         """
-        if model is None:
-            from ..engine.cost import CostModel
-
-            model = CostModel(database)
-        for node in _walk(plan):
+        for node in _walk(self.plan):
             stats = self.for_node(node)
-            if stats is None:
-                continue
             try:
                 stats.est_rows = float(model.estimate(node).rows)
             except Exception:
@@ -171,90 +203,21 @@ def _walk(node: Any):
         yield from _walk(child)
 
 
-def clone_plan(node: Any) -> Any:
-    """Shallow per-node copy of a plan tree.
-
-    Shared, immutable parts (schemas, expressions, key lists) stay
-    shared; only the tree structure is duplicated, so instrumentation
-    never leaks into plans held by the plan cache.
-    """
-    clone = copy.copy(node)
-    for attr in _CHILD_ATTRS:
-        child = getattr(clone, attr, None)
-        if child is not None and hasattr(child, "rows") and hasattr(child, "label"):
-            setattr(clone, attr, clone_plan(child))
-    return clone
-
-
-def instrument_plan(plan: Any) -> tuple[Any, PlanAnalysis]:
-    """A cloned plan whose nodes record actuals into a fresh analysis."""
-    analysis = PlanAnalysis()
-    clone = clone_plan(plan)
-    for node in _walk(clone):
-        _instrument_node(node, analysis)
-    return clone, analysis
-
-
-def _instrument_node(node: Any, analysis: PlanAnalysis) -> None:
-    stats = analysis.register(node)
-    original = type(node).rows  # the plain function, not a bound method
-    original_batches = type(node).batches
-
-    def counting_rows(ctx, outer=None, _node=node, _orig=original, _stats=stats):
-        if _stats.suspended:
-            # This node's batches() wrapper is already accounting; the
-            # inner rows() call is its tuple-path fallback, not a loop.
-            yield from _orig(_node, ctx, outer)
-            return
-        _stats.loops += 1
-        start = perf_counter()
-        try:
-            for row in _orig(_node, ctx, outer):
-                _stats.seconds += perf_counter() - start
-                _stats.rows += 1
-                yield row
-                start = perf_counter()
-            _stats.seconds += perf_counter() - start
-        except BaseException:
-            _stats.seconds += perf_counter() - start
-            raise
-
-    def counting_batches(
-        ctx, outer=None, _node=node, _orig=original_batches, _stats=stats
-    ):
-        _stats.loops += 1
-        _stats.suspended = True
-        start = perf_counter()
-        try:
-            for batch in _orig(_node, ctx, outer):
-                _stats.seconds += perf_counter() - start
-                _stats.rows += batch.length
-                _stats.batches += 1
-                yield batch
-                start = perf_counter()
-            _stats.seconds += perf_counter() - start
-        except BaseException:
-            _stats.seconds += perf_counter() - start
-            raise
-        finally:
-            _stats.suspended = False
-
-    # Instance attributes shadow the class methods for this clone only.
-    node.rows = counting_rows
-    node.batches = counting_batches
-
-
 @dataclass
 class AnalyzedExecution:
-    """Everything one EXPLAIN ANALYZE execution produced."""
+    """One execution together with the per-operator actuals it recorded."""
 
     result: Any
-    plan: Any
     analysis: PlanAnalysis
     stats: Any
     #: subsystem → degradation-ladder tier when the execution ran under
     #: a health tracker (see :mod:`repro.resilience.health`), else None.
     health: dict[str, str] | None = None
+
+    @property
+    def plan(self) -> Any:
+        """The plan that ran — the tree :attr:`analysis` is keyed on."""
+        return self.analysis.plan
 
     def explain(self) -> str:
         """The plan tree annotated with actuals (and estimates)."""
@@ -289,58 +252,33 @@ def execute_analyzed(
     engine_mode: str | None = None,
     batch_rows: int | None = None,
 ) -> AnalyzedExecution:
-    """Plan *query*, execute an instrumented clone, return the actuals.
+    """:func:`~repro.engine.planner.execute_planned` with an analysis sink.
 
-    Plans fresh (never from the plan cache — instrumented nodes must not
-    be shared) and records per-node loops/rows/time plus the cost
-    model's estimates.  Under a vectorized *engine_mode* each node also
-    reports the column batches it emitted.  When tracing is enabled the
-    per-operator actuals are additionally attached to the global tracer
-    as a span subtree.
+    The engine-level spelling of ``Connection.execute(..., analyze=True)``
+    without rewrites or budgets: one planned execution (plan cache
+    included) whose per-node loops/rows/time, the cost model's estimates
+    and — under a vectorized *engine_mode* — emitted column batches come
+    back beside the result.  When tracing is enabled the per-operator
+    actuals also hang under the ``plan.execute`` span.
     """
-    from ..engine.planner import Planner, PlannerOptions, execute_plan
+    from ..engine.planner import execute_planned
     from ..engine.stats import Stats
-    from ..sql.parser import parse_query
 
-    if isinstance(query, str):
-        query = parse_query(query)
-    planner_options = options or PlannerOptions()
-    if not use_indexes and planner_options.index_scans:
-        from dataclasses import replace
-
-        planner_options = replace(planner_options, index_scans=False)
     stats = stats if stats is not None else Stats()
-    planner = Planner(
-        database.catalog, planner_options, database=database, stats=stats
+    analysis = PlanAnalysis()
+    result = execute_planned(
+        query,
+        database,
+        params=params,
+        stats=stats,
+        options=options,
+        use_indexes=use_indexes,
+        guard=guard,
+        engine_mode=engine_mode,
+        batch_rows=batch_rows,
+        analysis=analysis,
     )
-    plan = planner.plan(query)
-    instrumented, analysis = instrument_plan(plan)
-    with TRACER.span("analyze.execute", stats=stats) as span:
-        start = perf_counter()
-        result = execute_plan(
-            instrumented,
-            database,
-            params=params,
-            stats=stats,
-            use_indexes=use_indexes,
-            guard=guard,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
-        )
-        analysis.wall_seconds = perf_counter() - start
-        if span:
-            span.attributes["rows"] = len(result)
-        from ..stats.estimator import estimator_for
-
-        model = estimator_for(database, planner_options, stats=stats)
-        analysis.attach_estimates(instrumented, database, model=model)
-        if TRACER.enabled:
-            # While the span is still open the synthesized per-operator
-            # subtree nests under it instead of becoming its own root.
-            TRACER.attach(analysis.to_spans(instrumented))
-    return AnalyzedExecution(
-        result=result, plan=instrumented, analysis=analysis, stats=stats
-    )
+    return AnalyzedExecution(result=result, analysis=analysis, stats=stats)
 
 
 def explain_analyze(

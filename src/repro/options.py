@@ -1,10 +1,7 @@
 """One frozen options object for every execution surface.
 
-Before this module existed, the same three knobs — budgets, safe mode,
-morsel parallelism — were threaded as loose keyword arguments through
-four different entrypoints (``execute``, ``execute_planned``,
-``run_guarded``, ``execute_analyzed``), the service's ``Session``, and
-the CLI.  :class:`ExecutionOptions` consolidates them: the
+Budgets, safe mode, morsel parallelism, engine mode, deadlines: every
+per-query knob lives in :class:`ExecutionOptions`.  The
 :mod:`repro.api` facade, :meth:`repro.service.QueryService.submit`, and
 the HTTP request schema (:mod:`repro.net.protocol`) all carry this one
 immutable value, and :meth:`ExecutionOptions.to_wire` /
@@ -147,75 +144,66 @@ class ExecutionOptions:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        *,
-        budget: ResourceBudget | None = None,
-        timeout: float | None = None,
-        row_budget: int | None = None,
-        safe_mode: bool = False,
-        analyze: bool = False,
-        optimize: bool = True,
-        stats: bool = False,
-        adaptive: bool = False,
-        parallel: "ParallelOptions | int | None" = None,
-        engine_mode: str | None = None,
-        batch_rows: int | None = None,
-        deadline: "Deadline | float | None" = None,
-        priority: str = PRIORITY_INTERACTIVE,
-        scan_ranges: "Mapping[str, tuple[int, int]] | tuple[tuple[str, int, int], ...] | None" = None,
-        autocommit: bool = True,
-    ) -> "ExecutionOptions":
-        """Build options from the looser spellings the API accepts.
+    def create(cls, **loose: Any) -> "ExecutionOptions":
+        """Build options from the looser spellings :meth:`override` takes."""
+        return DEFAULT_OPTIONS.override(**loose)
 
-        ``budget`` expands into ``timeout``/``row_budget`` (explicit
-        fields win over the budget's); ``parallel`` accepts a plain
-        worker count as shorthand for ``ParallelOptions(workers=n)``;
-        ``deadline`` accepts plain seconds-from-now as shorthand for
-        ``Deadline.after(seconds)``.
+    def override(self, **loose: Any) -> "ExecutionOptions":
+        """These options with keyword overrides on top.
+
+        The one place the looser spellings are understood — every field
+        name is accepted, plus: ``budget`` (a
+        :class:`~repro.resilience.budgets.ResourceBudget`) expands into
+        ``timeout``/``row_budget``, an explicitly passed field winning
+        over the budget's; ``parallel`` accepts a plain worker count as
+        shorthand for ``ParallelOptions(workers=n)`` (1 = serial);
+        ``deadline`` accepts seconds-from-now as shorthand for
+        ``Deadline.after(seconds)``; ``scan_ranges`` accepts a
+        ``{table: (start, stop)}`` mapping.  Fields not named keep this
+        value's setting, no overrides returns this value itself, and an
+        unknown keyword raises :class:`TypeError`.
         """
+        if not loose:
+            return self
+        budget = loose.pop("budget", None)
         if budget is not None:
-            if timeout is None:
-                timeout = budget.timeout
-            if row_budget is None:
-                row_budget = budget.row_budget
-        if isinstance(parallel, int):
-            parallel = (
+            if not isinstance(budget, ResourceBudget):
+                raise TypeError("budget must be a ResourceBudget")
+            loose.setdefault("timeout", budget.timeout)
+            loose.setdefault("row_budget", budget.row_budget)
+        parallel = loose.get("parallel")
+        if isinstance(parallel, int) and not isinstance(parallel, bool):
+            loose["parallel"] = (
                 ParallelOptions(workers=parallel) if parallel > 1 else None
             )
-        if isinstance(deadline, (int, float)):
-            deadline = Deadline.after(float(deadline))
+        deadline = loose.get("deadline")
+        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+            loose["deadline"] = Deadline.after(float(deadline))
+        scan_ranges = loose.get("scan_ranges")
         if isinstance(scan_ranges, Mapping):
-            scan_ranges = tuple(
+            loose["scan_ranges"] = tuple(
                 (table, start, stop)
                 for table, (start, stop) in sorted(scan_ranges.items())
             )
         elif scan_ranges is not None:
-            scan_ranges = tuple(tuple(entry) for entry in scan_ranges)
-        return cls(
-            timeout=timeout,
-            row_budget=row_budget,
-            safe_mode=safe_mode,
-            analyze=analyze,
-            optimize=optimize,
-            stats=stats,
-            adaptive=adaptive,
-            parallel=parallel,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
-            deadline=deadline,
-            priority=priority,
-            scan_ranges=scan_ranges,
-            autocommit=autocommit,
-        )
+            loose["scan_ranges"] = tuple(tuple(entry) for entry in scan_ranges)
+        return replace(self, **loose)
 
     # -- derived views --------------------------------------------------
 
     def budget(self) -> ResourceBudget | None:
-        """The :class:`ResourceBudget` these options imply, if any."""
-        if self.timeout is None and self.row_budget is None:
+        """The :class:`ResourceBudget` one execution gets, if any.
+
+        The timeout is the smaller of ``timeout`` and what ``deadline``
+        has left right now; an already-expired deadline raises
+        :class:`~repro.errors.DeadlineExpiredError` here.
+        """
+        timeout = self.timeout
+        if self.deadline is not None:
+            timeout = self.deadline.clamp_timeout(timeout)
+        if timeout is None and self.row_budget is None:
             return None
-        return ResourceBudget(timeout=self.timeout, row_budget=self.row_budget)
+        return ResourceBudget(timeout=timeout, row_budget=self.row_budget)
 
     def merged(self, override: "ExecutionOptions | None") -> "ExecutionOptions":
         """These options with every non-default field of *override* on top.
@@ -380,9 +368,7 @@ class ExecutionOptions:
         parallel = payload.get("parallel")
         if parallel is not None:
             if isinstance(parallel, int) and not isinstance(parallel, bool):
-                kwargs["parallel"] = (
-                    ParallelOptions(workers=parallel) if parallel > 1 else None
-                )
+                kwargs["parallel"] = parallel  # override() expands the count
             elif isinstance(parallel, Mapping):
                 extra = set(parallel) - {
                     "workers",
@@ -404,7 +390,7 @@ class ExecutionOptions:
                     "option 'parallel' must be a worker count or an object"
                 )
         try:
-            return cls(**kwargs)
+            return DEFAULT_OPTIONS.override(**kwargs)
         except ValueError as error:
             raise ProtocolError(f"invalid options: {error}") from None
 

@@ -53,10 +53,13 @@ def reset_safe_mode_sampling() -> None:
 
 def _take_sample(text: str, every: int) -> bool:
     """Deterministic sampling: the first execution of a text is always
-    checked, then every *every*-th one after it."""
+    checked, then every *every*-th one after it.  Checking every
+    execution needs no count, so it keeps none."""
+    if every <= 1:
+        return True
     count = _sample_counters.get(text, 0)
     _sample_counters[text] = count + 1
-    return every <= 1 or count % every == 0
+    return count % every == 0
 
 
 @dataclass
@@ -79,9 +82,9 @@ class GuardedOutcome:
         evicted: cache entries evicted after a mismatch.
         audit: the optimizer's audit trail — every theorem decision
             (fired or rejected, with witness) behind the rewrite.
-        analysis: the EXPLAIN ANALYZE
-            :class:`~repro.observe.analyze.AnalyzedExecution` when the
-            execution ran with ``analyze`` requested (see
+        analysis: the :class:`~repro.observe.analyze.AnalyzedExecution`
+            (per-operator actuals of the execution that produced
+            *result*) when ``analyze`` was requested (see
             :func:`repro.api.run_with_options`), else None.
         rowcount: rows affected by a DML statement, or -1 for reads
             (DB-API convention; the facade reports ``len(result)`` for
@@ -139,6 +142,7 @@ def run_guarded(
     batch_rows: int | None = None,
     on_guard: Callable[[ExecutionGuard], None] | None = None,
     original_text: str | None = None,
+    analysis=None,
 ) -> GuardedOutcome:
     """Optimize and execute *query* under *budget*, optionally verified.
 
@@ -179,6 +183,10 @@ def run_guarded(
             already parsed — the safe-mode sampling key, the eviction
             text after a mismatch and the span attribute stay the bytes
             the caller wrote.  Omitted, a parsed *query* is printed.
+        analysis: a :class:`~repro.observe.analyze.PlanAnalysis` the
+            primary execution accounts its per-operator actuals into —
+            the same run, under the same guard, that produces the
+            served rows.  The safe-mode reference run is not analyzed.
 
     Budget violations always propagate as
     :class:`~repro.errors.ResourceError` subclasses — no fallback ladder
@@ -225,6 +233,7 @@ def run_guarded(
             engine_mode=engine_mode,
             batch_rows=batch_rows,
             sql_text=outcome.sql,
+            analysis=analysis,
         )
         if guarded_span is not None and guard is not None:
             guarded_span.attributes["guard_rows"] = guard.rows_processed

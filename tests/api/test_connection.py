@@ -97,6 +97,37 @@ class TestCursor:
             )
             assert not cursor.outcome.verified
 
+    def test_overrides_resolve_in_one_place(self, tiny_db, monkeypatch):
+        """``execute`` and ``executemany`` share ExecutionOptions.override:
+        no overrides hands the backend the connection's own value, an
+        unknown keyword is a TypeError, and reads and writes both take
+        their budget from ``ExecutionOptions.budget``."""
+        budgets = []
+        original = ExecutionOptions.budget
+        monkeypatch.setattr(
+            ExecutionOptions,
+            "budget",
+            lambda self: budgets.append(self) or original(self),
+        )
+        options = ExecutionOptions(safe_mode=True)
+        with repro.connect(tiny_db, options=options) as conn:
+            cursor = conn.cursor()
+            assert cursor._resolve() is options
+            assert cursor._resolve(row_budget=5).safe_mode
+            conn.execute("SELECT S.SNO FROM SUPPLIER S")
+            conn.execute("DELETE FROM AGENTS WHERE ANO = 100")
+            assert budgets == [options, options]
+            with pytest.raises(TypeError):
+                conn.execute("SELECT S.SNO FROM SUPPLIER S", row_bugdet=1)
+            with pytest.raises(TypeError):
+                cursor.executemany(
+                    "DELETE FROM AGENTS WHERE ANO = :A", [{"A": 101}], bogus=1
+                )
+            with pytest.raises(RowBudgetExceeded):
+                cursor.executemany(
+                    "SELECT S.SNO FROM SUPPLIER S", [None], parallel=1, row_budget=1
+                )
+
     def test_analyze_attaches_plan(self, tiny_db):
         with repro.connect(tiny_db) as conn:
             cursor = conn.execute(
@@ -121,28 +152,7 @@ class TestCursor:
         assert rows == [(NULL,)]
 
 
-class TestDeprecatedShims:
-    @pytest.mark.parametrize(
-        "name,call",
-        [
-            ("execute", lambda db: repro.execute(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-            ("execute_planned", lambda db: repro.execute_planned(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-            ("run_guarded", lambda db: repro.run_guarded(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-        ],
-    )
-    def test_shim_warns_and_still_works(self, tiny_db, name, call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = call(tiny_db)
-        assert result is not None
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any(name in message for message in messages)
-        assert any("repro.connect" in message for message in messages)
-
+class TestHomeModules:
     def test_home_modules_do_not_warn(self, tiny_db):
         from repro.engine import execute_planned as home_execute_planned
 

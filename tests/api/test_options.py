@@ -42,6 +42,41 @@ class TestConstruction:
         assert options.parallel.workers == 4
         assert ExecutionOptions.create(parallel=1).parallel is None
 
+    def test_override_is_the_one_normalizer(self):
+        base = ExecutionOptions(
+            safe_mode=True, autocommit=False, scan_ranges=(("PARTS", 0, 4),)
+        )
+        assert base.override() is base  # nothing to rebuild or re-validate
+        budget = ResourceBudget(timeout=2.0, row_budget=100)
+        layered = base.override(budget=budget, row_budget=7, parallel=3, deadline=5)
+        assert (layered.timeout, layered.row_budget) == (2.0, 7)
+        assert layered.parallel == ParallelOptions(workers=3)
+        assert 0 < layered.deadline.remaining() <= 5
+        # Fields an override does not name survive it.
+        assert layered.safe_mode and not layered.autocommit
+        assert layered.scan_ranges == (("PARTS", 0, 4),)
+        assert ExecutionOptions.create(
+            budget=budget, scan_ranges={"PARTS": (0, 4)}
+        ) == ExecutionOptions().override(
+            timeout=2.0, row_budget=100, scan_ranges=[("PARTS", 0, 4)]
+        )
+        with pytest.raises(TypeError):
+            base.override(sample_every=25)
+        with pytest.raises(TypeError):
+            base.override(budget=2.0)
+        with pytest.raises(ValueError):
+            base.override(timeout=0)
+
+    def test_budget_is_clamped_to_the_deadline(self):
+        from repro.errors import DeadlineExpiredError
+
+        options = ExecutionOptions.create(timeout=30.0, deadline=0.5, row_budget=9)
+        budget = options.budget()
+        assert budget.timeout <= 0.5 and budget.row_budget == 9
+        assert ExecutionOptions.create(deadline=0.5).budget().timeout <= 0.5
+        with pytest.raises(DeadlineExpiredError):
+            ExecutionOptions.create(deadline=-1.0).budget()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutionOptions(timeout=0)

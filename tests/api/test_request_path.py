@@ -255,3 +255,18 @@ def test_malformed_statement_over_http(tiny_db, lexed, sql, error_type, message)
         assert caught.value.error_type == error_type.__name__
         assert caught.value.status == 400
         assert str(caught.value) == f"{error_type.__name__}: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv", [["explain"], ["explain", "--analyze"], ["run", "--plan"]]
+)
+def test_cli_plans_from_the_ast_it_holds(lexed, capsys, argv):
+    """The CLI shows the plan of the AST it optimized or executed; it
+    never re-lexes SQL it printed itself."""
+    from repro.cli import main
+
+    sql = paper_query("1").sql  # rewritten: the printed form differs
+    assert main(argv + [sql]) == 0
+    assert "SeqScan" in capsys.readouterr().out
+    # (Building the demo database lexes its DDL; only queries count.)
+    assert [text for text in lexed if text.startswith("SELECT")] == [sql]

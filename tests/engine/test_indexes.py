@@ -8,7 +8,8 @@ each asserted to return exactly the rows the scan path returns.
 
 import pytest
 
-from repro import Database, Stats, execute, execute_planned
+from repro import Database, Stats
+from repro.engine import execute, execute_planned
 from repro.errors import MissingHostVariableError
 from repro.types import NULL
 

@@ -8,7 +8,8 @@ all the conservative-gating rules that keep ineligible paths serial.
 
 import pytest
 
-from repro import Stats, execute_planned
+from repro import Stats
+from repro.engine import execute_planned
 from repro.engine import ParallelOptions
 from repro.engine.parallel import (
     MorselPool,

@@ -10,7 +10,8 @@ resolve bindings at execution time.
 
 import pytest
 
-from repro import Database, Stats, clear_all_caches, execute_planned, set_caches_enabled
+from repro import Database, Stats, clear_all_caches, set_caches_enabled
+from repro.engine import execute_planned
 from repro.engine import GLOBAL_PLAN_CACHE, PlanCache, PlannerOptions
 
 DDL = """

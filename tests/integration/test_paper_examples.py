@@ -7,7 +7,8 @@ expected rule fired with the paper's stated outcome.
 
 import pytest
 
-from repro import Stats, execute, optimize
+from repro import Stats, optimize
+from repro.engine import execute
 from repro.core import Optimizer
 from repro.workloads import PAPER_QUERIES, paper_query
 

@@ -14,7 +14,7 @@ import random
 import pytest
 
 import repro
-from repro import execute_planned
+from repro.engine import execute_planned
 from repro.errors import ReproError
 from repro.net.server import QueryServer
 from repro.resilience import (

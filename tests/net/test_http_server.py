@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 import repro
-from repro import execute_planned
+from repro.engine import execute_planned
 from repro.errors import (
     RemoteQueryError,
     TransientNetworkError,
@@ -84,8 +84,10 @@ def test_analyze_over_the_wire(server):
             "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 1", analyze=True
         )
         assert cursor.fetchall() == [(1,)]
-        assert cursor.analysis is not None
-        assert "plan" in cursor.analysis or cursor.analysis  # dict payload
+        assert set(cursor.analysis) == {
+            "wall_ms", "plan", "stats", "max_q_error", "health",
+        }
+        assert cursor.analysis["plan"]["actual_rows"] == 1
 
 
 def test_healthz_and_metrics(server):

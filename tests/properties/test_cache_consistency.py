@@ -14,11 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import (
     Catalog,
     clear_all_caches,
-    execute,
-    execute_planned,
     set_caches_enabled,
     test_uniqueness,
 )
+from repro.engine import execute, execute_planned
 from repro.engine import set_compilation_enabled
 from repro.errors import ReproError
 from repro.workloads import (

@@ -9,7 +9,8 @@ serve correct, store nothing.
 
 import pytest
 
-from repro import Stats, clear_all_caches, execute_planned, test_uniqueness
+from repro import Stats, clear_all_caches, test_uniqueness
+from repro.engine import execute_planned
 from repro.cache import safe_fingerprint
 from repro.core.strategy import StrategySelector
 from repro.engine import Database

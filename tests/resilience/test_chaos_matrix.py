@@ -18,7 +18,9 @@ import random
 
 import pytest
 
-from repro import clear_all_caches, execute_planned, run_guarded
+from repro import clear_all_caches
+from repro.engine import execute_planned
+from repro.resilience.guarded import run_guarded
 from repro.core.rewrite import unquarantine_all
 from repro.errors import ReproError
 from repro.ims import ImsGateway

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import Stats, execute_planned
+from repro import Stats
+from repro.engine import execute_planned
 from repro.errors import InjectedFaultError
 from repro.resilience import (
     FAULTS,

@@ -12,7 +12,8 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import clear_all_caches, execute_planned
+from repro import clear_all_caches
+from repro.engine import execute_planned
 from repro.errors import ReproError
 from repro.resilience import (
     FAULTS,

@@ -10,7 +10,8 @@ evict the poisoned entries, and serve the reference answer.
 
 import pytest
 
-from repro import Stats, UniquenessResult, run_guarded
+from repro import Stats, UniquenessResult
+from repro.resilience.guarded import run_guarded
 from repro.cli import exit_code_for
 from repro.core.rewrite import quarantined_rules
 from repro.engine import Database
@@ -82,6 +83,19 @@ def test_safe_mode_detects_quarantines_and_serves_reference(db):
     assert sorted(later.result.rows) == CORRECT_ROWS
 
 
+def test_mismatch_keeps_no_analysis(db):
+    """The served rows are the reference run's, which the analysis sink
+    (attached to the rewritten run) did not observe."""
+    from repro.api import run_with_options
+    from repro.options import ExecutionOptions
+
+    options = ExecutionOptions(analyze=True, safe_mode=True)
+    with _inject_unsound_verdict():
+        outcome = run_with_options(DUPLICATE_SQL, db, options=options)
+    assert outcome.mismatch and outcome.analysis is None
+    assert sorted(outcome.result.rows) == CORRECT_ROWS
+
+
 def test_eviction_purges_the_poisoned_verdict(db):
     """After quarantine + eviction, lifting the quarantine is safe: the
     poisoned cache entry is gone, so Algorithm 1 re-runs and says NO."""
@@ -126,6 +140,21 @@ def test_sampling_checks_first_then_every_nth(db):
 
     with pytest.raises(ValueError):
         run_guarded(SOUND_SQL, db, safe_mode=True, sample_every=0)
+
+
+def test_checking_every_execution_keeps_no_per_text_state(db):
+    """Every front door runs safe mode at ``sample_every=1``; served
+    traffic with distinct literals must not grow a counter per text."""
+    from repro.resilience import guarded
+
+    for key in range(50):
+        outcome = run_guarded(
+            f"SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = {key}",
+            db,
+            safe_mode=True,
+        )
+        assert outcome.rewritten and outcome.verified
+    assert guarded._sample_counters == {}
 
 
 def test_unchanged_queries_skip_the_cross_check(db):

@@ -14,8 +14,8 @@ from repro import (
     QueryService,
     ResourceBudget,
     clear_all_caches,
-    execute_planned,
 )
+from repro.engine import execute_planned
 from repro.cli import exit_code_for
 from repro.errors import (
     ReproError,

@@ -11,7 +11,8 @@ import threading
 
 import pytest
 
-from repro import Database, PlannerOptions, Stats, execute_planned
+from repro import Database, PlannerOptions, Stats
+from repro.engine import execute_planned
 from repro.cache import LRUCache, MISSING
 from repro.engine.plan_cache import PlanCache
 from repro.errors import InjectedFaultError
