@@ -10,7 +10,7 @@ value, so at most one row may carry any given (possibly NULL) key.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ..catalog.table import TableSchema
 from ..errors import ConstraintViolation, UniquenessViolationError
@@ -35,10 +35,19 @@ class TableData:
         #: materialization of the live versions (``xmax is None``), so
         #: the read fast path never pays a visibility check.
         self.versions: list[RowVersion] = []
-        # One uniqueness index per declared key: canonical key-tuple -> row.
-        self._key_indexes: list[dict[tuple, tuple]] = [
-            {} for _ in schema.candidate_keys
+        #: The declared candidate keys, resolved once (the schema is
+        #: immutable once registered); key number *slot* everywhere
+        #: below is a position in this tuple.
+        self.keys = tuple(schema.candidate_keys)
+        # One uniqueness index per declared key: canonical key tuple ->
+        # the versions carrying it, newest last.  A key with a single
+        # version maps to that version itself (no list per row); a dead
+        # version stays exactly as long as it stays in ``versions``.
+        self._key_indexes: list[dict[tuple, RowVersion | list[RowVersion]]] = [
+            {} for _ in self.keys
         ]
+        # Column tuple -> row positions, resolved on first use.
+        self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
         # General hash indexes, built lazily per column tuple and then
         # maintained incrementally: canonical key -> rows in insertion
         # order (non-unique columns map to multi-row buckets).
@@ -80,7 +89,7 @@ class TableData:
         probes from ``EXISTS`` / ``IN`` subqueries.
         """
         columns: set[str] = set()
-        for key in self.schema.candidate_keys:
+        for key in self.keys:
             columns.update(key.columns)
         for fk in self.schema.foreign_keys:
             columns.update(fk.columns)
@@ -211,8 +220,9 @@ class TableData:
             self._check_conditions(row, evaluator)
             self._check_keys(row)
         self.rows.append(row)
-        self.versions.append(RowVersion(row))
-        self._index_row(row)
+        version = RowVersion(row)
+        self.versions.append(version)
+        self._index_version(version)
         return row
 
     def insert_mapping(
@@ -268,18 +278,22 @@ class TableData:
         Returns None when *columns* is not a declared candidate key (the
         caller must fall back to a scan).
         """
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            if key.columns == tuple(columns):
-                return row_sort_key(values) in index
-        return None
+        slot = self.key_slot(columns)
+        if slot is None:
+            return None
+        return self.key_live(slot, row_sort_key(values))
 
     def remove_last(self) -> tuple:
         """Undo the most recent insert (row and all index entries)."""
         row = self.rows.pop()
         if self.versions and self.versions[-1].row is row:
             self.versions.pop()
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            index.pop(self._key_tuple(key.columns, row), None)
+        for index, kt in zip(self._key_indexes, self.key_tuples(row)):
+            entry = index.get(kt)
+            if type(entry) is list and len(entry) > 1:
+                entry.pop()
+            else:
+                index.pop(kt, None)
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 key = self._key_tuple(columns, row)
@@ -296,7 +310,7 @@ class TableData:
 
     def apply_writes(
         self,
-        deletes: Sequence["RowVersion"],
+        deletes: Collection["RowVersion"],
         inserts: Sequence[tuple],
         xid: int,
     ) -> None:
@@ -308,8 +322,10 @@ class TableData:
         rebuilt and swapped in one reference assignment — a concurrent
         reader sees the whole commit or none of it.  Key and hash
         indexes are maintained as one deferred batch (never touched at
-        statement time), and the data version bumps exactly once, which
-        is what keeps invalidation scoped to touched tables.
+        statement time; a deleted version stays in its key chain, its
+        ``xmax`` stamp is what says the key is free), and the data
+        version bumps exactly once, which is what keeps invalidation
+        scoped to touched tables.
         """
         for version in deletes:
             version.xmax = xid
@@ -322,11 +338,8 @@ class TableData:
         new_rows.extend(version.row for version in fresh)
         self.rows = new_rows
         # Batched index maintenance: one pass over the write set.
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            for version in deletes:
-                index.pop(self._key_tuple(key.columns, version.row), None)
-            for version in fresh:
-                index[self._key_tuple(key.columns, version.row)] = version.row
+        for version in fresh:
+            self._chain_version(version)
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 for version in deletes:
@@ -389,14 +402,58 @@ class TableData:
                 )
 
     def _check_keys(self, row: tuple) -> None:
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            key_value = self._key_tuple(key.columns, row)
-            if key_value in index:
-                raise UniquenessViolationError(self.schema.name, key.describe())
+        for slot, kt in enumerate(self.key_tuples(row)):
+            if self.key_live(slot, kt):
+                raise UniquenessViolationError(
+                    self.schema.name, self.keys[slot].describe()
+                )
 
-    def _index_row(self, row: tuple) -> None:
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            index[self._key_tuple(key.columns, row)] = row
+    # ------------------------------------------------------------------
+    # candidate-key version index
+
+    def key_slot(self, columns: Sequence[str]) -> int | None:
+        """The number of the candidate key over exactly *columns*."""
+        columns = tuple(columns)
+        for slot, key in enumerate(self.keys):
+            if key.columns == columns:
+                return slot
+        return None
+
+    def key_tuples(self, row: tuple) -> list[tuple]:
+        """The canonical key tuple of *row* under each candidate key."""
+        return [self._key_tuple(key.columns, row) for key in self.keys]
+
+    def key_chain(self, slot: int, kt: tuple) -> Iterable[RowVersion]:
+        """Versions carrying *kt* in candidate key *slot*, newest first."""
+        entry = self._key_indexes[slot].get(kt)
+        if entry is None:
+            return ()
+        return reversed(entry) if type(entry) is list else (entry,)
+
+    def key_holder(self, slot: int, kt: tuple) -> RowVersion | None:
+        """The version holding *kt* in the latest committed state: only
+        the newest version of a key can still be live."""
+        entry = self._key_indexes[slot].get(kt)
+        newest = entry[-1] if type(entry) is list else entry
+        return None if newest is None or newest.xmax is not None else newest
+
+    def key_live(self, slot: int, kt: tuple) -> bool:
+        """Whether the latest committed state holds *kt*."""
+        return self.key_holder(slot, kt) is not None
+
+    def _chain_version(self, version: RowVersion) -> None:
+        for index, kt in zip(self._key_indexes, self.key_tuples(version.row)):
+            entry = index.get(kt)
+            if entry is None:
+                index[kt] = version
+            elif type(entry) is list:
+                entry.append(version)
+            else:
+                index[kt] = [entry, version]
+
+    def _index_version(self, version: RowVersion) -> None:
+        row = version.row
+        self._chain_version(version)
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 hash_index.setdefault(
@@ -405,7 +462,11 @@ class TableData:
         self.version += 1
 
     def _key_tuple(self, columns: tuple[str, ...], row: tuple) -> tuple:
-        values = tuple(row[self.schema.column_index(name)] for name in columns)
+        positions = self._positions.get(columns)
+        if positions is None:
+            positions = self._positions[columns] = tuple(
+                self.schema.column_index(name) for name in columns
+            )
         # row_sort_key canonicalizes NULL so NULL keys collide, matching
         # SQL2's treatment of NULL as a single special key value.
-        return row_sort_key(values)
+        return row_sort_key(tuple(row[p] for p in positions))

@@ -11,8 +11,13 @@ deleter (if any) did not.
 Writes never touch shared state until commit: each
 :class:`Transaction` buffers inserted rows and to-be-deleted version
 references per table, so rollback is simply dropping the buffers —
-nothing to undo, nothing for a reader to ever glimpse.  Commit runs
-under the manager's single commit lock:
+nothing to undo, nothing for a reader to ever glimpse.  Candidate keys
+are enforced at buffer time by a point probe
+(:meth:`Transaction.holds_key`): the table's per-key version index
+answers for the snapshot, a transaction-local overlay for the
+transaction's own pending inserts — one hash probe per candidate key
+per row, for any table size and any snapshot age.  Commit runs under
+the manager's single commit lock:
 
 1. the ``wal_commit`` fault site fires *first* (an injected failure
    aborts cleanly — shared state has not moved);
@@ -102,6 +107,12 @@ class Snapshot:
         self.high = high
         self.active = active
 
+    def committed_before(self, xid: int) -> bool:
+        """Whether transaction *xid* had committed when this snapshot
+        was taken (0 stamps bootstrap loads, which every snapshot sees).
+        Those transactions are a prefix of the commit order."""
+        return not xid or (xid <= self.high and xid not in self.active)
+
     def sees(self, version: RowVersion) -> bool:
         """Visibility under snapshot isolation."""
         xmin = version.xmin
@@ -183,13 +194,18 @@ class Transaction:
         self.status = "active"
         self.change_count = 0
         self._inserts: dict[str, list[tuple]] = {}
-        self._deletes: dict[str, list[RowVersion]] = {}
-        self._deleted_ids: dict[str, set[int]] = {}
-        # Per-table candidate-key occupancy under this transaction's
-        # view (snapshot + own writes), built lazily on first write to
-        # a table and maintained incrementally — the online uniqueness
-        # check is O(keys) per row, not O(table).
-        self._key_sets: dict[str, list[dict[tuple, int]]] = {}
+        # Buffered deletes per table, ``id(version) -> version`` in
+        # buffering order (the ids answer "have I deleted this one?").
+        self._deletes: dict[str, dict[int, RowVersion]] = {}
+        # The overlay of the online uniqueness check: per table, the
+        # ``(key slot, key tuple)`` pairs of this transaction's pending
+        # inserts.  Everything else the check needs is the table's
+        # shared version index, so it is one probe per candidate key
+        # whatever the table size or the snapshot's age.
+        self._own_keys: dict[str, set[tuple[int, tuple]]] = {}
+        # Chronological undo entries ``(table, version, row, position)``
+        # of the buffered writes; a savepoint is a length of this list.
+        self._undo: list[tuple] = []
         self._view: TransactionView | None = None
 
     # ------------------------------------------------------------------
@@ -207,7 +223,11 @@ class Transaction:
 
     def touched_tables(self) -> list[str]:
         """Tables with buffered writes, sorted."""
-        return sorted(set(self._inserts) | set(self._deletes))
+        return sorted(
+            name
+            for name in set(self._inserts) | set(self._deletes)
+            if self._inserts.get(name) or self._deletes.get(name)
+        )
 
     def view(self) -> "TransactionView":
         """The database as this transaction sees it."""
@@ -222,7 +242,7 @@ class Transaction:
         """Shared versions visible to this transaction, own deletes
         excluded (own inserts are buffered, not versioned yet)."""
         data = self.database.table(table)
-        deleted = self._deleted_ids.get(data.schema.name, ())
+        deleted = self._deletes.get(data.schema.name, ())
         sees = self.snapshot.sees
         for version in data.versions:
             if id(version) not in deleted and sees(version):
@@ -245,18 +265,16 @@ class Transaction:
         name = data.schema.name
         row = tuple(values)
         data.validate_row(row)
-        self._check_unique(data, name, row)
+        keys = list(enumerate(data.key_tuples(row)))
+        for slot, kt in keys:
+            if self.holds_key(data, slot, kt):
+                raise UniquenessViolationError(name, data.keys[slot].describe())
         from .database import Database  # local import breaks the cycle
 
         Database._check_foreign_keys(self.view(), data.schema, row)
         self._inserts.setdefault(name, []).append(row)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, row)
-            key_set[kt] = key_set.get(kt, 0) + 1
-        self.change_count += 1
-        self._invalidate_view(name)
+        self._own_keys.setdefault(name, set()).update(keys)
+        self._wrote(name, None, row, None)
         return row
 
     def delete_version(self, table: str, version: RowVersion) -> bool:
@@ -265,23 +283,11 @@ class Transaction:
         self._require_active("delete")
         data = self.database.table(table)
         name = data.schema.name
-        deleted = self._deleted_ids.setdefault(name, set())
+        deleted = self._deletes.setdefault(name, {})
         if id(version) in deleted:
             return False
-        self._ensure_key_sets(data, name)
-        deleted.add(id(version))
-        self._deletes.setdefault(name, []).append(version)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, version.row)
-            count = key_set.get(kt, 0) - 1
-            if count <= 0:
-                key_set.pop(kt, None)
-            else:
-                key_set[kt] = count
-        self.change_count += 1
-        self._invalidate_view(name)
+        deleted[id(version)] = version
+        self._wrote(name, version, None, None)
         return True
 
     def delete_pending_insert(self, table: str, row: tuple) -> bool:
@@ -293,38 +299,38 @@ class Transaction:
         pending = self._inserts.get(name)
         if not pending or row not in pending:
             return False
-        pending.remove(row)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, row)
-            count = key_set.get(kt, 0) - 1
-            if count <= 0:
-                key_set.pop(kt, None)
-            else:
-                key_set[kt] = count
-        self.change_count += 1
-        self._invalidate_view(name)
+        position = pending.index(row)
+        del pending[position]
+        self._own_keys[name].difference_update(enumerate(data.key_tuples(row)))
+        self._wrote(name, None, row, position)
         return True
 
-    def _ensure_key_sets(self, data: "TableData", name: str) -> None:
-        if name in self._key_sets:
-            return
-        key_sets: list[dict[tuple, int]] = [
-            {} for _ in data.schema.candidate_keys
-        ]
-        if key_sets:
-            for version in self.visible_versions(name):
-                for key_set, key in zip(key_sets, data.schema.candidate_keys):
-                    kt = data._key_tuple(key.columns, version.row)
-                    key_set[kt] = key_set.get(kt, 0) + 1
-        self._key_sets[name] = key_sets
+    def holds_key(self, data: "TableData", slot: int, kt: tuple) -> bool:
+        """Whether this transaction's view holds a row carrying *kt* in
+        candidate key *slot* of *data*: one of its own pending inserts
+        does, or a version it sees and has not deleted.
 
-    def _check_unique(self, data: "TableData", name: str, row: tuple) -> None:
-        self._ensure_key_sets(data, name)
-        for key_set, key in zip(self._key_sets[name], data.schema.candidate_keys):
-            if data._key_tuple(key.columns, row) in key_set:
-                raise UniquenessViolationError(name, key.describe())
+        The key's versions are walked newest first and the walk ends at
+        the first whose inserter the snapshot sees: a snapshot sees a
+        prefix of the commit order, and every older version of the key
+        was deleted no later than that one was inserted, so the
+        snapshot sees those deletes too.
+        """
+        name = data.schema.name
+        if (slot, kt) in self._own_keys.get(name, ()):
+            return True
+        snapshot = self.snapshot
+        for version in data.key_chain(slot, kt):
+            if snapshot.committed_before(version.xmin):
+                return snapshot.sees(version) and (
+                    id(version) not in self._deletes.get(name, ())
+                )
+        return False
+
+    def _wrote(self, name: str, version, row, position) -> None:
+        self._undo.append((name, version, row, position))
+        self.change_count += 1
+        self._invalidate_view(name)
 
     def _invalidate_view(self, table: str) -> None:
         if self._view is not None:
@@ -333,28 +339,31 @@ class Transaction:
     # ------------------------------------------------------------------
     # statement atomicity
 
-    def savepoint(self) -> dict:
-        """A copy of the buffered write state, for statement rollback."""
-        return {
-            "inserts": {k: list(v) for k, v in self._inserts.items()},
-            "deletes": {k: list(v) for k, v in self._deletes.items()},
-            "deleted_ids": {k: set(v) for k, v in self._deleted_ids.items()},
-            "key_sets": {
-                k: [dict(d) for d in v] for k, v in self._key_sets.items()
-            },
-            "change_count": self.change_count,
-        }
+    def savepoint(self) -> int:
+        """A mark in the undo list, for statement rollback — O(1)."""
+        return len(self._undo)
 
-    def restore(self, state: dict) -> None:
-        """Restore the buffers saved by :meth:`savepoint` (a failed
-        statement leaves the transaction exactly as it found it)."""
-        touched = set(self._inserts) | set(self._deletes)
-        self._inserts = state["inserts"]
-        self._deletes = state["deletes"]
-        self._deleted_ids = state["deleted_ids"]
-        self._key_sets = state["key_sets"]
-        self.change_count = state["change_count"] + 1
-        for name in touched | set(self._inserts) | set(self._deletes):
+    def restore(self, mark: int) -> None:
+        """Undo, newest first, every write buffered since *mark* (a
+        failed statement leaves the transaction exactly as it found
+        it) — work proportional to that statement's own writes."""
+        undo = self._undo
+        touched = set()
+        while len(undo) > mark:
+            name, version, row, position = undo.pop()
+            touched.add(name)
+            if version is not None:
+                del self._deletes[name][id(version)]
+                continue
+            keys = enumerate(self.database.table(name).key_tuples(row))
+            if position is None:  # a buffered insert: always the last one
+                self._inserts[name].pop()
+                self._own_keys[name].difference_update(keys)
+            else:  # a pending insert that was deleted again
+                self._inserts[name].insert(position, row)
+                self._own_keys[name].update(keys)
+        self.change_count += 1
+        for name in touched:
             self._invalidate_view(name)
 
     # ------------------------------------------------------------------
@@ -369,13 +378,8 @@ class Transaction:
         self._abort()
 
     def _abort(self) -> None:
-        self._inserts.clear()
-        self._deletes.clear()
-        self._deleted_ids.clear()
-        self._key_sets.clear()
-        self.status = "rolled back"
-        self.manager._finish(self.xid, committed=False)
-        PROCESS_METRICS.inc("txn_rollbacks_total")
+        with self.manager._lock:
+            self._abort_locked()
 
     def commit(self) -> list[str]:
         """Atomically publish the buffered writes; returns the touched
@@ -403,7 +407,7 @@ class Transaction:
                     raise
                 for name in touched:
                     self.database.table(name).apply_writes(
-                        self._deletes.get(name, ()),
+                        self._deletes.get(name, {}).values(),
                         self._inserts.get(name, ()),
                         self.xid,
                     )
@@ -419,8 +423,8 @@ class Transaction:
         """Abort while already holding the manager lock."""
         self._inserts.clear()
         self._deletes.clear()
-        self._deleted_ids.clear()
-        self._key_sets.clear()
+        self._own_keys.clear()
+        self._undo.clear()
         self.status = "rolled back"
         self._active_discard_locked(committed=False)
         PROCESS_METRICS.inc("txn_rollbacks_total")
@@ -437,7 +441,7 @@ class Transaction:
         """First-committer-wins: a delete target with any xmax stamp was
         already superseded by a committed concurrent transaction."""
         for name, versions in self._deletes.items():
-            for version in versions:
+            for version in versions.values():
                 if version.xmax is not None:
                     self.manager.conflicts += 1
                     PROCESS_METRICS.inc("txn_conflicts_total")
@@ -446,29 +450,20 @@ class Transaction:
     def _check_commit_keys(self) -> None:
         """Re-validate candidate keys against the *latest committed*
         state: keys committed after our snapshot were invisible to the
-        statement-time check."""
+        statement-time check.  A key is taken when its newest version
+        is live and is not one this transaction deletes."""
         for name, rows in self._inserts.items():
             data = self.database.table(name)
-            if not data.schema.candidate_keys:
-                continue
-            freed = [
-                {
-                    data._key_tuple(key.columns, version.row)
-                    for version in self._deletes.get(name, ())
-                }
-                for key in data.schema.candidate_keys
-            ]
+            deleted = self._deletes.get(name, ())
             for row in rows:
-                for index, key, freed_keys in zip(
-                    data._key_indexes, data.schema.candidate_keys, freed
-                ):
-                    kt = data._key_tuple(key.columns, row)
-                    if kt in index and kt not in freed_keys:
+                for slot, kt in enumerate(data.key_tuples(row)):
+                    holder = data.key_holder(slot, kt)
+                    if holder is not None and id(holder) not in deleted:
                         self.manager.conflicts += 1
                         PROCESS_METRICS.inc("txn_conflicts_total")
                         raise UniquenessViolationError(
                             name,
-                            key.describe(),
+                            data.keys[slot].describe(),
                             "committed concurrently",
                         )
 
@@ -555,10 +550,16 @@ class _TxnTable:
     def has_hash_index(self, columns: tuple[str, ...]) -> bool:
         return columns in self._hash_indexes
 
-    def has_key_value(self, columns: tuple[str, ...], values: tuple):
-        """None: not index-resolvable here — callers fall back to a scan
-        of :attr:`rows`, which is exactly the transactional view."""
-        return None
+    def has_key_value(
+        self, columns: tuple[str, ...], values: tuple
+    ) -> bool | None:
+        """The same probe as the uniqueness check, for a declared key;
+        None otherwise — callers fall back to a scan of :attr:`rows`,
+        which is exactly the transactional view."""
+        slot = self.base.key_slot(columns)
+        if slot is None:
+            return None
+        return self._txn.holds_key(self.base, slot, row_sort_key(values))
 
     def column_batches(self, batch_rows: int):
         self.columnar_builds += 1
