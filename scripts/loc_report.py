@@ -7,20 +7,31 @@ or deleting comments, docstrings and blank lines never moves the number;
 only code does.  This is the figure ROADMAP item 3 ("``src/`` shrinks")
 is tracked with.
 
+Below the lines comes the knob census: every independently settable
+value a caller, an operator or the ladder can choose — keyword
+parameters of the four execution entry points, fields of the two
+options dataclasses, CLI flags per subcommand, degradation rungs and
+``Stats`` counters — read off the imported package itself, so a knob
+cannot be added or removed without this number moving.
+
 Usage::
 
     python scripts/loc_report.py [--json] [ROOT]
 
-ROOT defaults to ``src/repro``.  Top-level modules are grouped under
-``(root)``; every sub-package gets its own row.
+ROOT defaults to ``src/repro`` and must be the ``repro`` package
+directory (the census imports it from ROOT's parent).  Top-level modules
+are grouped under ``(root)``; every sub-package gets its own row.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import inspect
 import io
 import json
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -80,6 +91,46 @@ def report(root: Path) -> dict[str, dict[str, int]]:
     return {package: dict(row) for package, row in sorted(rows.items())}
 
 
+def knob_census(root: Path) -> dict[str, dict[str, int] | int]:
+    """Counts of independently settable values in the package at *root*."""
+    sys.path.insert(0, str(root.resolve().parent))
+    from repro.api import run_with_options
+    from repro.cli import build_arg_parser
+    from repro.engine.planner import PlannerOptions, execute_plan, execute_planned
+    from repro.engine.stats import Stats
+    from repro.options import ExecutionOptions
+    from repro.resilience.guarded import run_guarded
+    from repro.resilience.health import LADDER
+
+    subcommands = next(
+        action
+        for action in build_arg_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        "parameters": {
+            function.__name__: len(inspect.signature(function).parameters)
+            for function in (
+                execute_plan, execute_planned, run_guarded, run_with_options
+            )
+        },
+        "fields": {
+            cls.__name__: len(dataclasses.fields(cls))
+            for cls in (ExecutionOptions, PlannerOptions)
+        },
+        "cli_flags": {
+            name: sum(
+                option.startswith("--") and option != "--help"
+                for action in subparser._actions
+                for option in action.option_strings
+            )
+            for name, subparser in subcommands.choices.items()
+        },
+        "ladder_rungs": len(LADDER),
+        "stats_counters": len(dataclasses.fields(Stats)),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", nargs="?", default=REPO_ROOT / "src" / "repro")
@@ -87,13 +138,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = report(Path(args.root))
     total = sum((Counter(row) for row in rows.values()), Counter())
+    knobs = knob_census(Path(args.root))
     if args.json:
-        print(json.dumps({"packages": rows, "total": dict(total)}, indent=2))
+        print(
+            json.dumps(
+                {"packages": rows, "total": dict(total), "knobs": knobs},
+                indent=2,
+            )
+        )
         return 0
     print(f"{'package':<12} {'files':>5} {'code':>7} {'raw':>7}")
     for package, row in rows.items():
         print(f"{package:<12} {row['files']:>5} {row['code']:>7} {row['raw']:>7}")
     print(f"{'total':<12} {total['files']:>5} {total['code']:>7} {total['raw']:>7}")
+    print()
+    for group, counts in knobs.items():
+        if isinstance(counts, int):
+            print(f"{group:<14} {counts:>3}")
+            continue
+        listed = "  ".join(f"{name} {count}" for name, count in counts.items())
+        print(f"{group:<14} {sum(counts.values()):>3}  {listed}")
     return 0
 
 

@@ -52,7 +52,6 @@ from .core import (
 from .engine import (
     Database,
     Executor,
-    ParallelOptions,
     Planner,
     PlannerOptions,
     Result,
@@ -139,7 +138,6 @@ __all__ = [
     "OptimizeResult",
     "Optimizer",
     "PROCESS_METRICS",
-    "ParallelOptions",
     "Planner",
     "PlannerOptions",
     "ProtocolError",

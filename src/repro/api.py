@@ -54,7 +54,6 @@ from .resilience.guarded import GuardedOutcome, run_guarded
 from .resilience.health import (
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
-    SUBSYSTEM_PARALLEL,
     SUBSYSTEM_PLAN_CACHE,
     SUBSYSTEM_VECTORIZED,
 )
@@ -78,7 +77,6 @@ def run_with_options(
     options: ExecutionOptions | None = None,
     stats: Stats | None = None,
     plan_cache: PlanCache | None = None,
-    parallel: Any | None = None,
     planner_options: Any | None = None,
     health: Any | None = None,
     on_guard: Any | None = None,
@@ -96,9 +94,6 @@ def run_with_options(
     :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.  There
     is one execution either way: the analysis describes the rows that
     were served, under the one guard *on_guard* was handed.
-
-    *parallel* overrides ``options.parallel`` when not None (the service
-    passes its live shared :class:`~repro.engine.parallel.ParallelExecution`).
 
     Deadline semantics: when ``options.deadline`` is set, the effective
     execution timeout is the smaller of ``options.timeout`` and the
@@ -165,7 +160,6 @@ def run_with_options(
     # Raises DeadlineExpiredError when nothing is left: queue wait or
     # network transit already spent the client's whole budget.
     budget = options.budget()
-    effective_parallel = parallel if parallel is not None else options.parallel
     optimize = options.optimize
     engine_mode = options.engine_mode
     use_stats = options.stats or options.adaptive
@@ -175,7 +169,6 @@ def run_with_options(
         decision = health.decide(
             {
                 SUBSYSTEM_VECTORIZED: engine_mode != "tuple",
-                SUBSYSTEM_PARALLEL: effective_parallel is not None,
                 SUBSYSTEM_OPTIMIZER: optimize,
                 SUBSYSTEM_PLAN_CACHE: True,
                 SUBSYSTEM_ESTIMATOR: use_stats,
@@ -183,8 +176,6 @@ def run_with_options(
         )
         if not decision.granted(SUBSYSTEM_VECTORIZED) and engine_mode != "tuple":
             engine_mode = "tuple"
-        if not decision.granted(SUBSYSTEM_PARALLEL):
-            effective_parallel = None
         if not decision.granted(SUBSYSTEM_OPTIMIZER):
             optimize = False
         if not decision.granted(SUBSYSTEM_PLAN_CACHE):
@@ -219,7 +210,6 @@ def run_with_options(
             stats=stats,
             plan_cache=plan_cache,
             planner_options=planner_options,
-            parallel=effective_parallel,
             engine_mode=engine_mode,
             batch_rows=options.batch_rows,
             on_guard=on_guard,
@@ -572,7 +562,7 @@ class Cursor:
         Precedence: an explicit ``options=`` value replaces the
         connection defaults wholesale; individual keyword arguments —
         ``timeout``, ``row_budget``, ``budget``, ``safe_mode``,
-        ``analyze``, ``optimize``, ``stats``, ``adaptive``, ``parallel``,
+        ``analyze``, ``optimize``, ``stats``, ``adaptive``,
         ``engine_mode``, ``batch_rows``, ``deadline``, ``priority`` —
         are then layered on top of whichever base applies, with the
         shorthands of :meth:`ExecutionOptions.override

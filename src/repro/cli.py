@@ -12,7 +12,6 @@ Usage::
                              [--trace] [--analyze] [--json]
                              [--stats] [--adaptive]
                              [--metrics-out FILE]
-                             [--workers N] [--parallel-scan]
                              "SELECT ..."
     python -m repro analyze-stats [--script DB.sql | --demo] [--json]
     python -m repro explain  [--script DB.sql | --demo]
@@ -21,8 +20,8 @@ Usage::
                              [--param NAME=VALUE ...] "SELECT ..."
     python -m repro serve    [--script DB.sql | --demo] [--file FILE]
                              [--workers N] [--queue-depth N]
-                             [--parallel-scan] [--timeout SECONDS]
-                             [--row-budget N] [--safe-mode] [--json]
+                             [--timeout SECONDS] [--row-budget N]
+                             [--safe-mode] [--json]
                              [--stats] [--adaptive]
                              [--http PORT] [--host ADDR] [--shards N]
     python -m repro client   URL [--session NAME] [--stream]
@@ -58,12 +57,11 @@ Usage::
   plan is annotated with that execution's actuals.
 * ``serve`` runs a batch of queries (one per line, from ``--file`` or
   stdin) through the embedded :class:`~repro.service.QueryService` —
-  ``--workers`` query threads, a ``--queue-depth``-bounded admission
-  queue, and optional per-query morsel parallelism.  With ``--http
-  PORT`` it instead starts the network server
-  (:class:`~repro.net.server.QueryServer`) on that port and serves
-  until SIGTERM/SIGINT, then drains gracefully — in-flight queries
-  complete before the listener closes.  ``--shards N`` (with
+  ``--workers`` query threads and a ``--queue-depth``-bounded
+  admission queue.  With ``--http PORT`` it instead starts the network
+  server (:class:`~repro.net.server.QueryServer`) on that port and
+  serves until SIGTERM/SIGINT, then drains gracefully — in-flight
+  queries complete before the listener closes.  ``--shards N`` (with
   ``--http``) serves a sharded cluster instead: N worker processes
   behind the :class:`~repro.cluster.ClusterFrontend` front end (see
   ``docs/cluster.md``).
@@ -71,11 +69,6 @@ Usage::
   server through the same :class:`~repro.api.Connection` facade local
   code uses, with bounded retry on 429/transient faults.
 * ``demo`` walks through the paper's worked examples.
-
-``run`` additionally accepts ``--workers N`` (morsel worker threads for
-partition-parallel scans and hash joins; 1 = serial) and
-``--parallel-scan`` (drop the row-count cost gate so even small inputs
-take the morsel paths — mainly for demos and tests).
 
 Exit codes: 0 success (for ``check``: verdict YES), 1 ``check`` verdict
 NO, 2 generic library error, 3 other resource-budget error, 4 query
@@ -99,7 +92,6 @@ from .catalog import Catalog
 from .core import Optimizer, UniquenessOptions, test_uniqueness
 from .engine import (
     Database,
-    ParallelOptions,
     Planner,
     PlannerOptions,
     Stats,
@@ -130,6 +122,26 @@ from .workloads import (
     build_database,
     generate,
 )
+
+
+def _positive(kind: type) -> Any:
+    """An argparse ``type=``: a strictly positive *kind* (int or float).
+
+    Budgets, batch sizes and pool sizes are all "at least one of
+    something"; rejecting zero and negatives here makes them ordinary
+    usage errors (exit 2) instead of a ``ValueError`` traceback from
+    whichever constructor first looks at the number.
+    """
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not value > 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -213,13 +225,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         metavar="SECONDS",
         help="abort the query after this many seconds (exit code 4)",
     )
     run.add_argument(
         "--row-budget",
-        type=int,
+        type=_positive(int),
         metavar="N",
         help="abort after processing this many rows (exit code 5)",
     )
@@ -277,20 +289,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="emit rows, stats, audit, plan, and trace as one JSON object",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="morsel worker threads for partition-parallel operators "
-        "(default 1 = serial execution)",
-    )
-    run.add_argument(
-        "--parallel-scan",
-        action="store_true",
-        help="drop the row-count cost gate so even small inputs take the "
-        "parallel morsel paths (implies --workers 2 when unset)",
-    )
-    run.add_argument(
         "--engine-mode",
         choices=("tuple", "vectorized", "auto"),
         help="execution style: tuple (row-at-a-time interpreter), "
@@ -299,7 +297,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--batch-rows",
-        type=int,
+        type=_positive(int),
         metavar="N",
         help="rows per column batch in vectorized mode",
     )
@@ -381,34 +379,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=2,
         metavar="N",
         help="query worker threads (default 2)",
     )
     serve.add_argument(
         "--queue-depth",
-        type=int,
+        type=_positive(int),
         default=64,
         metavar="N",
         help="admission queue bound; a full queue blocks submission "
         "(default 64)",
     )
     serve.add_argument(
-        "--parallel-scan",
-        action="store_true",
-        help="additionally enable partition-parallel operators inside "
-        "each query (separate morsel pool)",
-    )
-    serve.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         metavar="SECONDS",
         help="per-query wall-clock budget",
     )
     serve.add_argument(
         "--row-budget",
-        type=int,
+        type=_positive(int),
         metavar="N",
         help="per-query row-processing budget",
     )
@@ -454,7 +446,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards",
-        type=int,
+        type=_positive(int),
         metavar="N",
         help="with --http: serve a sharded cluster of N worker "
         "processes behind an asyncio front end (key-bound point "
@@ -480,13 +472,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         metavar="SECONDS",
         help="per-query wall-clock budget (enforced server-side)",
     )
     client.add_argument(
         "--row-budget",
-        type=int,
+        type=_positive(int),
         metavar="N",
         help="per-query row-processing budget (enforced server-side)",
     )
@@ -567,28 +559,6 @@ def _load_database(args: argparse.Namespace) -> Database:
     return build_database(
         generate(SupplierScale(suppliers=25, parts_per_supplier=5))
     )
-
-
-def _parallel_options(args: argparse.Namespace) -> ParallelOptions | None:
-    """Morsel-parallelism options from ``--workers``/``--parallel-scan``.
-
-    ``--parallel-scan`` without an explicit worker count still gets two
-    morsel workers; with ``workers`` at 1 and no force flag, execution
-    stays serial (returns None).
-    """
-    workers = getattr(args, "workers", 1)
-    forced = getattr(args, "parallel_scan", False)
-    if forced and workers < 2:
-        workers = 2
-    if workers < 2:
-        return None
-    if forced:
-        # Drop the cost gate (and shrink morsels) so small demo inputs
-        # still exercise the parallel operator paths.
-        return ParallelOptions(
-            workers=workers, morsel_size=256, min_parallel_rows=1
-        )
-    return ParallelOptions(workers=workers)
 
 
 def _parse_params(pairs: list[str]) -> dict[str, SqlValue]:
@@ -728,7 +698,6 @@ def _run_query(
         optimize=not args.no_optimize,
         stats=args.stats,
         adaptive=args.adaptive,
-        parallel=_parallel_options(args),
         engine_mode=args.engine_mode,
         batch_rows=args.batch_rows,
     )
@@ -922,18 +891,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         budget = ResourceBudget(
             timeout=args.timeout, row_budget=args.row_budget
         )
-    parallel = (
-        ParallelOptions(workers=2, morsel_size=256, min_parallel_rows=1)
-        if args.parallel_scan
-        else None
-    )
 
     failures: list[tuple[str, ReproError]] = []
     records: list[dict[str, Any]] = []
     with QueryService(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        parallel=parallel,
+        workers=args.workers, queue_depth=args.queue_depth
     ) as service:
         session = service.session(
             database,
@@ -1019,11 +981,6 @@ def _serve_http(args: argparse.Namespace, database: Database) -> int:
         stats=args.stats,
         adaptive=args.adaptive,
     )
-    parallel = (
-        ParallelOptions(workers=2, morsel_size=256, min_parallel_rows=1)
-        if args.parallel_scan
-        else None
-    )
     stop = threading.Event()
 
     def _request_stop(signum: int, _frame: Any) -> None:
@@ -1044,7 +1001,6 @@ def _serve_http(args: argparse.Namespace, database: Database) -> int:
             port=args.http,
             workers=args.workers,
             queue_depth=args.queue_depth,
-            parallel=parallel,
             options=options,
         ) as server:
             print(f"-- serving on {server.url}", file=sys.stderr, flush=True)
@@ -1064,9 +1020,6 @@ def _serve_cluster_http(args: argparse.Namespace) -> int:
 
     from .cluster import ClusterFrontend, ClusterCoordinator, WorkerConfig, WorkerSource
 
-    if args.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
-        return 2
     if args.script:
         with open(args.script) as handle:
             source = WorkerSource.from_script(handle.read())
@@ -1086,7 +1039,6 @@ def _serve_cluster_http(args: argparse.Namespace) -> int:
         host="127.0.0.1",
         threads=args.workers,
         queue_depth=args.queue_depth,
-        parallel_workers=2 if args.parallel_scan else None,
         options_wire=options.to_wire() or None,
     )
     stop = threading.Event()

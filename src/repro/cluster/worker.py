@@ -83,7 +83,6 @@ class WorkerConfig:
     host: str = "127.0.0.1"
     threads: int = 2
     queue_depth: int = 64
-    parallel_workers: int | None = None
     stream_chunk_rows: int = 1000
     options_wire: Mapping[str, Any] | None = None
     faults: tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
@@ -131,22 +130,15 @@ def worker_main(
 
     try:
         _arm_faults(config)
-        from ..engine.parallel import ParallelOptions
         from ..net.server import QueryServer
 
         database = source.build()
-        parallel = (
-            ParallelOptions(workers=config.parallel_workers)
-            if config.parallel_workers and config.parallel_workers > 1
-            else None
-        )
         server = QueryServer(
             database,
             host=config.host,
             port=0,
             workers=config.threads,
             queue_depth=config.queue_depth,
-            parallel=parallel,
             options=config.default_options(),
             stream_chunk_rows=config.stream_chunk_rows,
         )

@@ -15,13 +15,6 @@ from .cost import CostModel, PlanEstimate
 from .database import Database
 from .evaluator import Evaluator
 from .executor import Executor, execute
-from .parallel import (
-    MorselPool,
-    ParallelExecution,
-    ParallelOptions,
-    parallel_execution,
-    shared_pool,
-)
 from .plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from .planner import Planner, PlannerOptions, execute_plan, execute_planned
 from .result import Result
@@ -41,9 +34,6 @@ __all__ = [
     "Database",
     "Evaluator",
     "Executor",
-    "MorselPool",
-    "ParallelExecution",
-    "ParallelOptions",
     "Planner",
     "PlannerOptions",
     "RelSchema",
@@ -59,9 +49,7 @@ __all__ = [
     "execute",
     "execute_plan",
     "execute_planned",
-    "parallel_execution",
     "resolve_engine_mode",
     "set_compilation_enabled",
     "set_default_engine_mode",
-    "shared_pool",
 ]

@@ -75,8 +75,8 @@ from ..types.values import SqlValue, compare_where, is_null
 from .compile import CannotCompile, compilation_enabled
 from .schema import RelSchema
 
-#: Rows per batch — matches the default morsel size, so the parallel
-#: pool can be fed whole batches without re-chunking.
+#: Rows per batch.  E17c's sweep: 256-row batches run ~15 % slower
+#: (per-batch kernel set-up), 4096 buys nothing over 2048.
 DEFAULT_BATCH_ROWS = 2048
 
 #: The engine_mode knob's legal values.

@@ -20,7 +20,6 @@ from ..stats import Stats
 if TYPE_CHECKING:  # pragma: no cover
     from ...observe.analyze import PlanAnalysis
     from ..database import Database
-    from ..parallel import ParallelExecution
 
 
 def _tick_noop(rows: int = 1) -> None:
@@ -39,12 +38,6 @@ class ExecContext:
     :meth:`tick`, giving the guard its cooperative checkpoints (timeout,
     row budget, cancellation) and the fault injector its
     ``operator_next`` trigger opportunities.
-
-    When a *parallel* execution handle is supplied (see
-    :mod:`repro.engine.parallel`), eligible operators — filtered base
-    scans, hash-join build/probe phases — split their input into
-    row-range morsels on the shared pool; everything else runs the
-    serial code unchanged.
 
     *engine_mode* selects the execution style (see
     :mod:`repro.engine.columnar`): ``"tuple"`` is the verified row
@@ -70,7 +63,6 @@ class ExecContext:
         stats: Stats | None = None,
         use_indexes: bool = True,
         guard: ExecutionGuard | None = None,
-        parallel: "ParallelExecution | None" = None,
         engine_mode: str | None = None,
         batch_rows: int | None = None,
         analysis: "PlanAnalysis | None" = None,
@@ -80,7 +72,6 @@ class ExecContext:
         self.database = database
         self.stats = stats or Stats()
         self.guard = guard
-        self.parallel = parallel
         self.analysis = analysis
         self._interpreter = Executor(
             database,

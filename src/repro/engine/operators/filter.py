@@ -27,15 +27,6 @@ class Filter(PlanNode):
     The interpretive path doubles as the verified fallback: a failure in
     compilation, or in a compiled closure mid-stream, degrades to the
     evaluator for the remaining rows with identical semantics.
-
-    With a parallel execution context, a Filter directly over a
-    :class:`~repro.engine.operators.scan.SeqScan` of a large enough
-    table becomes a **parallel scan**: the stored rows are split into
-    row-range morsels, each evaluated through the compiled predicate on
-    the worker pool, and the surviving rows are concatenated in morsel
-    order — the exact sequence the serial loop would emit.  Any worker
-    failure discards the parallel attempt and re-runs the whole filter
-    serially (nothing has been yielded yet, so the fallback is clean).
     """
 
     def __init__(self, child: PlanNode, predicate: Expr) -> None:
@@ -46,67 +37,7 @@ class Filter(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _parallel_rows(
-        self, ctx: ExecContext, outer: Scope | None
-    ) -> list[tuple] | None:
-        """The parallel-scan result list, or None to run serially."""
-        from .scan import SeqScan  # deferred: scan imports base too
-
-        par = ctx.parallel
-        if par is None or not isinstance(self.child, SeqScan):
-            return None
-        table_rows = ctx.database.table(self.child.table_name).rows
-        if not par.eligible(ctx, len(table_rows), outer):
-            return None
-        try:
-            compiled = compile_filter(
-                self.predicate, self.schema, ctx.evaluator.params
-            )
-        except ResourceError:
-            raise
-        except Exception:
-            return None  # serial path counts the fallback
-        if compiled is None:
-            return None
-
-        morsels = par.morsels(len(table_rows))
-
-        def task(bounds: tuple[int, int]) -> list[tuple]:
-            lo, hi = bounds
-            return [row for row in table_rows[lo:hi] if compiled(row)]
-
-        try:
-            results = par.pool.run_ordered(task, morsels)
-        except ResourceError:
-            raise
-        except Exception:
-            # A compiled closure died in a worker.  Nothing has been
-            # yielded and no counter touched, so the serial path simply
-            # re-runs the filter (and accounts its own fallback).
-            return None
-        # Account ticks and counters only after every morsel succeeded,
-        # so a failed parallel attempt leaves no partial accounting for
-        # the serial re-run to double.
-        stats = ctx.stats
-        for (lo, hi) in morsels:
-            ctx.tick(hi - lo)
-        scanned = len(table_rows)
-        stats.rows_scanned += scanned
-        stats.predicate_evals += scanned
-        stats.compiled_evals += scanned
-        stats.predicates_compiled += 1
-        stats.parallel_scans += 1
-        stats.parallel_morsels += len(morsels)
-        output: list[tuple] = []
-        for kept in results:
-            output.extend(kept)
-        return output
-
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        parallel_result = self._parallel_rows(ctx, outer)
-        if parallel_result is not None:
-            yield from parallel_result
-            return
         compiled = None
         if outer is None:
             try:
@@ -175,10 +106,6 @@ class Filter(PlanNode):
             return
         stats = ctx.stats
         stats.predicates_compiled += 1
-        parallel_result = self._parallel_batches(ctx, outer, kernel)
-        if parallel_result is not None:
-            yield from parallel_result
-            return
         source = self.child.batches(ctx, outer)
         for batch in source:
             try:
@@ -215,46 +142,6 @@ class Filter(PlanNode):
         yield from batches_from_rows(
             kept_rows(), len(self.schema), ctx.batch_rows
         )
-
-    def _parallel_batches(self, ctx: ExecContext, outer, kernel):
-        """Column batches through the morsel pool, or None to stay serial.
-
-        The pool is fed the table's cached column batches (morsel-sized)
-        instead of row ranges; each worker applies the mask kernel and
-        the selected batches are concatenated in submission order — the
-        exact sequence the serial vectorized loop emits.
-        """
-        from .scan import SeqScan  # deferred: scan imports base too
-
-        par = ctx.parallel
-        if par is None or not isinstance(self.child, SeqScan):
-            return None
-        data = ctx.database.table(self.child.table_name)
-        nrows = len(data.rows)
-        if not par.eligible(ctx, nrows, outer):
-            return None
-        batches = data.column_batches(par.options.morsel_size)
-
-        def task(batch):
-            return batch.select(kernel(batch))
-
-        try:
-            results = par.pool.run_ordered(task, batches)
-        except ResourceError:
-            raise
-        except Exception:
-            return None  # the serial loop accounts its own demotion
-        stats = ctx.stats
-        for batch in batches:
-            ctx.tick(batch.length)
-        stats.rows_scanned += nrows
-        stats.predicate_evals += nrows
-        stats.compiled_evals += nrows
-        stats.parallel_scans += 1
-        stats.parallel_morsels += len(batches)
-        stats.vectorized_batches += len(batches)
-        stats.vectorized_rows += nrows
-        return [batch for batch in results if batch.length]
 
     def label(self) -> str:
         return f"Filter({to_sql(self.predicate)})"

@@ -132,14 +132,6 @@ class HashJoin(PlanNode):
     (``build_left=True``) when the cost model estimates the left input
     is smaller, so the hash table is built on the cheaper side.  Output
     is a multiset either way — only enumeration order changes.
-
-    With a parallel execution context, large build and probe inputs are
-    split into row-range morsels on the worker pool.  Workers compute
-    pure per-slice results (key/row pairs for the build, combined
-    output rows for the probe); the coordinating thread merges slices
-    left-to-right, so per-key bucket order and the probe output
-    sequence are byte-identical to the serial join's.  Small inputs,
-    correlated joins, and armed-fault runs stay on the serial code.
     """
 
     def __init__(
@@ -175,136 +167,6 @@ class HashJoin(PlanNode):
             for value, safe in zip(key_values, self.null_safe)
         )
 
-    def _parallel_ok(self, ctx: ExecContext, outer: Scope | None) -> bool:
-        """Whether this execution may even consider the parallel phases.
-
-        Materializing an input is only safe when ticks may be batched
-        (faults disarmed — armed faults need the serial interleaving of
-        per-row trigger opportunities) and there is no correlation.
-        """
-        return ctx.parallel is not None and outer is None and ctx.batch_ticks
-
-    def _parallel_build(
-        self,
-        ctx: ExecContext,
-        build_rows: list[tuple],
-        build_keys: list[int],
-    ) -> dict[tuple, list[tuple]] | None:
-        """Partitioned hash-table build, or None to build serially.
-
-        Workers hash disjoint row slices into per-slice key/row pair
-        lists; the coordinator merges slices left-to-right, so every
-        bucket lists build rows in exactly the order a serial build
-        inserts them.
-        """
-        par = ctx.parallel
-        if not par.eligible(ctx, len(build_rows), None):
-            return None
-        morsels = par.morsels(len(build_rows))
-        usable = self._usable
-
-        def task(bounds: tuple[int, int]) -> list[tuple]:
-            lo, hi = bounds
-            pairs = []
-            for row in build_rows[lo:hi]:
-                key_values = [row[i] for i in build_keys]
-                if usable(key_values):
-                    pairs.append((row_sort_key(key_values), row))
-            return pairs
-
-        try:
-            results = par.pool.run_ordered(task, morsels)
-        except ResourceError:
-            raise
-        except Exception:
-            return None  # pure workers failed; serial build recomputes
-        buckets: dict[tuple, list[tuple]] = {}
-        for pairs in results:
-            ctx.stats.hash_builds += len(pairs)
-            for key, row in pairs:
-                buckets.setdefault(key, []).append(row)
-        ctx.stats.parallel_joins += 1
-        ctx.stats.parallel_morsels += len(morsels)
-        return buckets
-
-    def _parallel_probe(
-        self,
-        ctx: ExecContext,
-        buckets: dict[tuple, list[tuple]],
-        probe_rows: list[tuple],
-        probe_keys: list[int],
-    ) -> list[tuple] | None:
-        """Partitioned probe output, or None to probe serially.
-
-        Requires a compiled (pure) residual; an evaluator-backed
-        residual stays serial.  Workers probe the shared read-only
-        buckets over disjoint probe slices; slices concatenate in order,
-        reproducing the serial output sequence.
-        """
-        par = ctx.parallel
-        if not par.eligible(ctx, len(probe_rows), None):
-            return None
-        residual_fn = None
-        if self.residual is not None:
-            try:
-                residual_fn = compile_filter(
-                    self.residual, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                return None  # serial probe counts the fallback
-            if residual_fn is None:
-                return None
-        morsels = par.morsels(len(probe_rows))
-        usable = self._usable
-        build_left = self.build_left
-
-        def task(bounds: tuple[int, int]) -> tuple[list[tuple], int, int]:
-            lo, hi = bounds
-            out: list[tuple] = []
-            probes = 0
-            matches = 0
-            for probe_row in probe_rows[lo:hi]:
-                key_values = [probe_row[i] for i in probe_keys]
-                if not usable(key_values):
-                    continue
-                probes += 1
-                for build_row in buckets.get(row_sort_key(key_values), ()):
-                    matches += 1
-                    if build_left:
-                        combined = build_row + probe_row
-                    else:
-                        combined = probe_row + build_row
-                    if residual_fn is not None and not residual_fn(combined):
-                        continue
-                    out.append(combined)
-            return out, probes, matches
-
-        try:
-            results = par.pool.run_ordered(task, morsels)
-        except ResourceError:
-            raise
-        except Exception:
-            return None  # e.g. compiled residual died; serial re-probes
-        # Account only after every slice succeeded — a failed attempt
-        # must leave no partial counters for the serial re-run to double.
-        stats = ctx.stats
-        output: list[tuple] = []
-        for out, probes, matches in results:
-            ctx.tick(matches)
-            stats.hash_probes += probes
-            stats.rows_joined += matches
-            if residual_fn is not None:
-                stats.predicate_evals += matches
-                stats.compiled_evals += matches
-            output.extend(out)
-        if residual_fn is not None:
-            stats.predicates_compiled += 1
-        stats.parallel_joins += 1
-        stats.parallel_morsels += len(morsels)
-        return output
-
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         if self.build_left:
             build, probe = self.left, self.right
@@ -313,40 +175,17 @@ class HashJoin(PlanNode):
             build, probe = self.right, self.left
             build_keys, probe_keys = self.right_keys, self.left_keys
 
-        parallel_ok = self._parallel_ok(ctx, outer)
-        buckets: dict[tuple, list[tuple]] | None = None
-        if parallel_ok:
-            build_source: Iterator[tuple] | list[tuple] = list(
-                build.rows(ctx, outer)
-            )
-            buckets = self._parallel_build(ctx, build_source, build_keys)
-        else:
-            build_source = build.rows(ctx, outer)
-        if buckets is None:
-            buckets = {}
-            for build_row in build_source:
-                key_values = [build_row[i] for i in build_keys]
-                if not self._usable(key_values):
-                    continue  # a NULL key can never satisfy '='
-                ctx.stats.hash_builds += 1
-                buckets.setdefault(row_sort_key(key_values), []).append(build_row)
-
-        if parallel_ok:
-            probe_source: Iterator[tuple] | list[tuple] = list(
-                probe.rows(ctx, outer)
-            )
-            combined_rows = self._parallel_probe(
-                ctx, buckets, probe_source, probe_keys
-            )
-            if combined_rows is not None:
-                yield from combined_rows
-                return
-        else:
-            probe_source = probe.rows(ctx, outer)
+        buckets: dict[tuple, list[tuple]] = {}
+        for build_row in build.rows(ctx, outer):
+            key_values = [build_row[i] for i in build_keys]
+            if not self._usable(key_values):
+                continue  # a NULL key can never satisfy '='
+            ctx.stats.hash_builds += 1
+            buckets.setdefault(row_sort_key(key_values), []).append(build_row)
 
         qualifies = _residual_test(self, self.residual, ctx, outer)
         tick = ctx.tick
-        for probe_row in probe_source:
+        for probe_row in probe.rows(ctx, outer):
             key_values = [probe_row[i] for i in probe_keys]
             if not self._usable(key_values):
                 continue
@@ -409,11 +248,10 @@ class HashJoin(PlanNode):
         that batch only — bucket contents and output order stay
         byte-identical either way.
 
-        Correlated and parallel executions delegate to the tuple path
-        (re-batched): correlation needs the evaluator, and the
-        partitioned build/probe phases already exist row-wise.
+        Correlated executions delegate to the tuple path (re-batched):
+        correlation needs the evaluator.
         """
-        if outer is not None or self._parallel_ok(ctx, outer):
+        if outer is not None:
             yield from PlanNode._batches(self, ctx, outer)
             return
         if self.build_left:

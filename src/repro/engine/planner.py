@@ -60,7 +60,6 @@ from .operators import (
     SortMergeJoin,
     SortSetOp,
 )
-from .parallel import ParallelExecution, ParallelOptions, parallel_execution
 from .plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from .projection import resolve_projection
 from .result import Result
@@ -608,7 +607,6 @@ def execute_plan(
     stats: Stats | None = None,
     use_indexes: bool = True,
     guard: ExecutionGuard | None = None,
-    parallel: "ParallelOptions | ParallelExecution | None" = None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
     analysis=None,
@@ -619,18 +617,14 @@ def execute_plan(
     embedded reference interpreter (plan-level IndexScan choices were
     already fixed at planning time).  *guard* receives a cooperative
     tick per processed row; budget violations abort the execution with
-    a :class:`~repro.errors.ResourceError` subclass.  *parallel* (a
-    :class:`~repro.engine.parallel.ParallelOptions` or a live
-    :class:`~repro.engine.parallel.ParallelExecution`) lets eligible
-    operators split large inputs into morsels on the worker pool; it
-    never changes the plan or the output sequence.
+    a :class:`~repro.errors.ResourceError` subclass.
 
     *engine_mode* picks the execution style: ``"tuple"`` streams rows
     through the interpreter/compiled closures, ``"vectorized"`` drives
     the plan through the operators' columnar ``batches()`` protocol,
-    and ``"auto"`` vectorizes exactly when faults are disarmed.  Like
-    *parallel*, the mode is execution-time only — same plan, same
-    output sequence.  *batch_rows* sizes the column batches.
+    and ``"auto"`` vectorizes exactly when faults are disarmed.  The
+    mode is execution-time only — same plan, same output sequence.
+    *batch_rows* sizes the column batches.
 
     *analysis* (a :class:`~repro.observe.analyze.PlanAnalysis`) turns
     this same execution into EXPLAIN ANALYZE: the operators account
@@ -643,7 +637,6 @@ def execute_plan(
         stats=stats,
         use_indexes=use_indexes,
         guard=guard,
-        parallel=parallel_execution(parallel),
         engine_mode=engine_mode,
         batch_rows=batch_rows,
         analysis=analysis,
@@ -724,7 +717,6 @@ def execute_planned(
     use_indexes: bool = True,
     plan_cache: PlanCache | None = None,
     guard: ExecutionGuard | None = None,
-    parallel: "ParallelOptions | ParallelExecution | None" = None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
     sql_text: str | None = None,
@@ -745,11 +737,9 @@ def execute_planned(
     nothing is cached — a stale plan is never served in exchange for a
     broken fingerprint.
 
-    *parallel* is execution-time only: it does not enter the cache key,
-    because parallel morsel execution never changes the plan shape or
-    the result sequence — only which threads evaluate which row ranges.
-    *engine_mode* and *batch_rows* stay out of the key for the same
-    reason: the vectorized engine runs the identical plan, just batched.
+    *engine_mode* and *batch_rows* are execution-time only and stay out
+    of the cache key: the vectorized engine runs the identical plan,
+    just batched.
 
     *sql_text* is ``to_sql(query)`` when the caller already printed the
     parsed *query* (the cache keys on it); omitted, it is printed here.
@@ -832,7 +822,6 @@ def execute_planned(
             stats=stats,
             use_indexes=use_indexes,
             guard=guard,
-            parallel=parallel,
             engine_mode=engine_mode,
             batch_rows=batch_rows,
             analysis=analysis,

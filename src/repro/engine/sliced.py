@@ -75,8 +75,9 @@ class _SlicedTable:
         self.columnar_builds = 0
         self._hash_indexes: dict[tuple[str, ...], dict[tuple, list[tuple]]] = {}
         self._columnar: dict[int, list[ColumnBatch]] = {}
-        # Leaf lock: a slice is usually query-private, but the parallel
-        # scan operators may probe it from several executor threads.
+        # Leaf lock: slice views are cached per (database, ranges), so
+        # concurrent requests on the service's worker threads share one
+        # slice and may build its lazy indexes at the same time.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -56,11 +56,6 @@ class Stats:
             the base table instead.
         cache_skips: cache lookups skipped fail-closed because the
             fingerprint (or the lookup itself) failed.
-        parallel_scans: filtered base-table scans executed as row-range
-            morsels on the worker pool instead of one serial loop.
-        parallel_joins: hash joins whose build and/or probe phase was
-            partitioned across the worker pool.
-        parallel_morsels: total morsel tasks dispatched to the pool.
         vectorized_batches: column batches produced by vectorized
             operator kernels (scan, mask-select, slice, probe).
         vectorized_rows: rows flowing through those batches — compare
@@ -98,9 +93,6 @@ class Stats:
     compile_fallbacks: int = 0
     index_fallbacks: int = 0
     cache_skips: int = 0
-    parallel_scans: int = 0
-    parallel_joins: int = 0
-    parallel_morsels: int = 0
     vectorized_batches: int = 0
     vectorized_rows: int = 0
     vectorized_fallbacks: int = 0

@@ -39,7 +39,6 @@ from typing import Any
 
 from ..api import executed_from_outcome
 from ..engine.database import Database
-from ..engine.parallel import ParallelExecution, ParallelOptions
 from ..engine.plan_cache import PlanCache
 from ..errors import (
     ProtocolError,
@@ -88,7 +87,7 @@ class QueryServer:
     Args:
         database: the database the default session queries.
         host / port: bind address (port 0 picks a free port).
-        workers / queue_depth / parallel / plan_cache: forwarded to the
+        workers / queue_depth / plan_cache: forwarded to the
             underlying :class:`~repro.service.QueryService`.
         options: server-wide default
             :class:`~repro.options.ExecutionOptions`; session defaults
@@ -107,7 +106,6 @@ class QueryServer:
         port: int = 0,
         workers: int = 2,
         queue_depth: int = 64,
-        parallel: ParallelOptions | ParallelExecution | None = None,
         plan_cache: PlanCache | None = None,
         options: ExecutionOptions | None = None,
         metrics: MetricsRegistry | None = None,
@@ -126,7 +124,6 @@ class QueryServer:
         self.service = QueryService(
             workers=workers,
             queue_depth=queue_depth,
-            parallel=parallel,
             plan_cache=plan_cache,
             metrics=self.metrics,
             shedding=shedding,

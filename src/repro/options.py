@@ -1,16 +1,14 @@
 """One frozen options object for every execution surface.
 
-Budgets, safe mode, morsel parallelism, engine mode, deadlines: every
-per-query knob lives in :class:`ExecutionOptions`.  The
-:mod:`repro.api` facade, :meth:`repro.service.QueryService.submit`, and
-the HTTP request schema (:mod:`repro.net.protocol`) all carry this one
-immutable value, and :meth:`ExecutionOptions.to_wire` /
+Budgets, safe mode, engine mode, deadlines: every per-query knob
+lives in :class:`ExecutionOptions`.  The :mod:`repro.api` facade,
+:meth:`repro.service.QueryService.submit`, and the HTTP request schema
+(:mod:`repro.net.protocol`) all carry this one immutable value, and :meth:`ExecutionOptions.to_wire` /
 :meth:`ExecutionOptions.from_wire` round-trip it local → service →
 socket without loss.
 
-Import discipline: this module depends only on the leaf dataclasses
-(:class:`~repro.resilience.budgets.ResourceBudget`,
-:class:`~repro.engine.parallel.ParallelOptions`) plus
+Import discipline: this module depends only on the leaf dataclass
+:class:`~repro.resilience.budgets.ResourceBudget` plus
 :mod:`repro.errors`, so every layer — engine, service, net, CLI — can
 import it without cycles.
 """
@@ -21,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from .engine.columnar import ENGINE_MODES
-from .engine.parallel import ParallelOptions
 from .errors import ProtocolError
 from .resilience.admission import PRIORITIES, PRIORITY_INTERACTIVE
 from .resilience.budgets import ResourceBudget
@@ -49,7 +46,6 @@ class ExecutionOptions:
             back into the adaptive correction store, and consult prior
             corrections while planning; implies statistics-driven
             planning and forces an instrumented execution.
-        parallel: morsel-parallel execution knobs, or None for serial.
         engine_mode: ``"tuple"`` (row-at-a-time interpreter/compiled
             closures), ``"vectorized"`` (columnar batches), ``"auto"``
             (vectorize exactly when faults are disarmed), or None to
@@ -91,7 +87,6 @@ class ExecutionOptions:
     optimize: bool = True
     stats: bool = False
     adaptive: bool = False
-    parallel: ParallelOptions | None = None
     engine_mode: str | None = None
     batch_rows: int | None = None
     deadline: Deadline | None = None
@@ -155,13 +150,11 @@ class ExecutionOptions:
         name is accepted, plus: ``budget`` (a
         :class:`~repro.resilience.budgets.ResourceBudget`) expands into
         ``timeout``/``row_budget``, an explicitly passed field winning
-        over the budget's; ``parallel`` accepts a plain worker count as
-        shorthand for ``ParallelOptions(workers=n)`` (1 = serial);
-        ``deadline`` accepts seconds-from-now as shorthand for
-        ``Deadline.after(seconds)``; ``scan_ranges`` accepts a
-        ``{table: (start, stop)}`` mapping.  Fields not named keep this
-        value's setting, no overrides returns this value itself, and an
-        unknown keyword raises :class:`TypeError`.
+        over the budget's; ``deadline`` accepts seconds-from-now as
+        shorthand for ``Deadline.after(seconds)``; ``scan_ranges``
+        accepts a ``{table: (start, stop)}`` mapping.  Fields not named
+        keep this value's setting, no overrides returns this value
+        itself, and an unknown keyword raises :class:`TypeError`.
         """
         if not loose:
             return self
@@ -171,11 +164,6 @@ class ExecutionOptions:
                 raise TypeError("budget must be a ResourceBudget")
             loose.setdefault("timeout", budget.timeout)
             loose.setdefault("row_budget", budget.row_budget)
-        parallel = loose.get("parallel")
-        if isinstance(parallel, int) and not isinstance(parallel, bool):
-            loose["parallel"] = (
-                ParallelOptions(workers=parallel) if parallel > 1 else None
-            )
         deadline = loose.get("deadline")
         if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
             loose["deadline"] = Deadline.after(float(deadline))
@@ -241,12 +229,6 @@ class ExecutionOptions:
             payload["stats"] = True
         if self.adaptive:
             payload["adaptive"] = True
-        if self.parallel is not None:
-            payload["parallel"] = {
-                "workers": self.parallel.workers,
-                "morsel_size": self.parallel.morsel_size,
-                "min_parallel_rows": self.parallel.min_parallel_rows,
-            }
         if self.engine_mode is not None:
             payload["engine_mode"] = self.engine_mode
         if self.batch_rows is not None:
@@ -365,30 +347,6 @@ class ExecutionOptions:
                     )
                 entries.append((table, int(window[0]), int(window[1])))
             kwargs["scan_ranges"] = tuple(entries)
-        parallel = payload.get("parallel")
-        if parallel is not None:
-            if isinstance(parallel, int) and not isinstance(parallel, bool):
-                kwargs["parallel"] = parallel  # override() expands the count
-            elif isinstance(parallel, Mapping):
-                extra = set(parallel) - {
-                    "workers",
-                    "morsel_size",
-                    "min_parallel_rows",
-                }
-                if extra:
-                    raise ProtocolError(
-                        f"unknown parallel option(s): {', '.join(sorted(extra))}"
-                    )
-                try:
-                    kwargs["parallel"] = ParallelOptions(**dict(parallel))
-                except (TypeError, ValueError) as error:
-                    raise ProtocolError(
-                        f"invalid parallel options: {error}"
-                    ) from None
-            else:
-                raise ProtocolError(
-                    "option 'parallel' must be a worker count or an object"
-                )
         try:
             return DEFAULT_OPTIONS.override(**kwargs)
         except ValueError as error:

@@ -73,7 +73,6 @@ from .health import (
     SUBSYSTEMS,
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
-    SUBSYSTEM_PARALLEL,
     SUBSYSTEM_PLAN_CACHE,
     SUBSYSTEM_VECTORIZED,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "SUBSYSTEMS",
     "SUBSYSTEM_ESTIMATOR",
     "SUBSYSTEM_OPTIMIZER",
-    "SUBSYSTEM_PARALLEL",
     "SUBSYSTEM_PLAN_CACHE",
     "SUBSYSTEM_VECTORIZED",
     "SheddingPolicy",

@@ -18,7 +18,7 @@ Two priority classes cross every layer (HTTP header ``X-Priority``, the
 
 Why EWMA of observed wait rather than queue length × mean service
 time: the wait a dequeued query actually experienced already folds in
-worker count, stalls, morsel contention, and fault storms — it is the
+worker count, stalls, GIL contention, and fault storms — it is the
 ground truth the prediction wants to converge to, with no model of the
 service's internals to drift out of date.
 """

@@ -137,7 +137,6 @@ def run_guarded(
     planner_options: PlannerOptions | None = None,
     plan_cache: PlanCache | None = None,
     use_indexes: bool = True,
-    parallel=None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
     on_guard: Callable[[ExecutionGuard], None] | None = None,
@@ -163,16 +162,12 @@ def run_guarded(
         stats: counter sink for the primary execution.
         planner_options / plan_cache / use_indexes: forwarded to
             :func:`~repro.engine.planner.execute_planned`.
-        parallel: a :class:`~repro.engine.parallel.ParallelOptions` or
-            live :class:`~repro.engine.parallel.ParallelExecution`,
-            forwarded to the primary execution.  The safe-mode reference
-            run stays serial on purpose: a diverse pair of executions is
-            a stronger cross-check than two identical ones.
         engine_mode / batch_rows: execution style for the primary run
             (see :func:`~repro.engine.planner.execute_plan`).  The
-            safe-mode reference is pinned to the tuple interpreter for
-            the same diversity reason the parallel knob stays serial:
-            the verified answer comes from the row-at-a-time code path.
+            safe-mode reference is pinned to the tuple interpreter on
+            purpose — a diverse pair of executions is a stronger
+            cross-check than two identical ones, and the verified answer
+            comes from the row-at-a-time code path.
         on_guard: called with the primary execution's
             :class:`~repro.resilience.budgets.ExecutionGuard` before the
             first operator runs, so an external owner (a service ticket
@@ -229,7 +224,6 @@ def run_guarded(
             use_indexes=use_indexes,
             plan_cache=plan_cache,
             guard=guard,
-            parallel=parallel,
             engine_mode=engine_mode,
             batch_rows=batch_rows,
             sql_text=outcome.sql,

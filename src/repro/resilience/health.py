@@ -2,12 +2,12 @@
 
 PR 2 and PR 6 gave every fast path a verified fallback — compiled
 predicate → interpreter, cached plan → replan, vectorized batch →
-tuple, parallel morsel → serial — but each query re-trips the same
-fallback from scratch: a sick subsystem fails, falls back, and is tried
-again on the very next query, forever.  This module converts *repeated*
-fallback events into **sticky demotions** with timed probation, the way
-the QueryTorque exemplar routes an observed failure symptom to a
-concrete remediation tier instead of retrying blindly.
+tuple — but each query re-trips the same fallback from scratch: a sick
+subsystem fails, falls back, and is tried again on the very next query,
+forever.  This module converts *repeated* fallback events into
+**sticky demotions** with timed probation, the way the QueryTorque
+exemplar routes an observed failure symptom to a concrete remediation
+tier instead of retrying blindly.
 
 Four rungs, one per accelerating subsystem (each demotion lands on the
 verified slow-but-correct tier, so a demotion can never change an
@@ -17,9 +17,9 @@ answer, only a latency):
 subsystem       healthy tier     degraded tier
 ==============  ===============  ==============
 ``vectorized``  ``vectorized``   ``tuple``
-``parallel``    ``parallel``     ``serial``
 ``optimizer``   ``on``           ``off``
 ``plan_cache``  ``cache``        ``bypass``
+``estimator``   ``stats``        ``heuristic``
 ==============  ===============  ==============
 
 Error-budget math: each subsystem keeps the timestamps of its recent
@@ -50,14 +50,12 @@ from typing import Any, Callable
 
 # Subsystem names (the ladder's rungs).
 SUBSYSTEM_VECTORIZED = "vectorized"
-SUBSYSTEM_PARALLEL = "parallel"
 SUBSYSTEM_OPTIMIZER = "optimizer"
 SUBSYSTEM_PLAN_CACHE = "plan_cache"
 SUBSYSTEM_ESTIMATOR = "estimator"
 
 SUBSYSTEMS = (
     SUBSYSTEM_VECTORIZED,
-    SUBSYSTEM_PARALLEL,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PLAN_CACHE,
     SUBSYSTEM_ESTIMATOR,
@@ -66,7 +64,6 @@ SUBSYSTEMS = (
 #: subsystem → (healthy tier label, degraded tier label).
 LADDER: dict[str, tuple[str, str]] = {
     SUBSYSTEM_VECTORIZED: ("vectorized", "tuple"),
-    SUBSYSTEM_PARALLEL: ("parallel", "serial"),
     SUBSYSTEM_OPTIMIZER: ("on", "off"),
     SUBSYSTEM_PLAN_CACHE: ("cache", "bypass"),
     SUBSYSTEM_ESTIMATOR: ("stats", "heuristic"),
@@ -227,7 +224,7 @@ class HealthDecision:
 
     ``use`` maps subsystem → whether the healthy tier was granted;
     ``probes`` marks which of those grants were probation probes.
-    Subsystems irrelevant to the execution (no parallelism requested,
+    Subsystems irrelevant to the execution (tuple mode requested,
     optimizer off by caller choice, ...) are absent from both, so their
     budgets never see traffic that could not have exercised them.
 
@@ -372,8 +369,6 @@ class HealthTracker:
 
         * ``vectorized`` — ``stats.vectorized_fallbacks`` (mid-stream
           demotions to the tuple interpreter).
-        * ``parallel`` — an engine-level failure while morsel
-          parallelism was active.
         * ``optimizer`` — a safe-mode mismatch (a rewrite changed the
           result and was quarantined).
         * ``plan_cache`` — ``stats.cache_skips`` (fail-closed
@@ -405,12 +400,6 @@ class HealthTracker:
                 evidence.append((SUBSYSTEM_VECTORIZED, faults, False, probe))
             elif getattr(stats, "vectorized_batches", 0) and error is None:
                 evidence.append((SUBSYSTEM_VECTORIZED, 0, True, probe))
-        if decision.granted(SUBSYSTEM_PARALLEL):
-            probe = SUBSYSTEM_PARALLEL in decision.probes
-            if error is not None:
-                evidence.append((SUBSYSTEM_PARALLEL, 1, False, probe))
-            elif stats is not None and getattr(stats, "parallel_morsels", 0):
-                evidence.append((SUBSYSTEM_PARALLEL, 0, True, probe))
         if decision.granted(SUBSYSTEM_OPTIMIZER):
             probe = SUBSYSTEM_OPTIMIZER in decision.probes
             if outcome is not None and getattr(outcome, "mismatch", False):

@@ -20,10 +20,11 @@ Concurrency design (the full locking order lives in DESIGN.md §3e):
   structures a query touches (plan cache, memo caches, fault injector,
   metrics, tracer, per-table index builds) are individually
   thread-safe leaf locks, so no lock ordering between them can arise.
-* **Morsel parallelism uses a separate pool.**  Query workers dispatch
-  row-range morsels to :func:`repro.engine.parallel.shared_pool`, never
-  to each other — a query worker waiting on its own pool for morsel
-  slots would be a deadlock by construction.
+* **One query runs on one worker thread.**  Workers never hand work
+  to each other, so a worker can never wait on its own pool.  Under
+  the GIL the worker threads overlap queue and network waits, not
+  compute; more cores come from the cluster's worker *processes*
+  (:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from ..sql.ast import (
 )
 from ..sql.parser import parse
 from ..engine.database import Database
-from ..engine.parallel import (
-    ParallelExecution,
-    ParallelOptions,
-    parallel_execution,
-)
 from ..engine.plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from ..engine.planner import PlannerOptions
 from ..engine.stats import Stats
@@ -186,10 +182,6 @@ class QueryService:
         queue_depth: bound on queries admitted but not yet running;
             a full queue blocks ``submit`` (or raises with
             ``wait=False``) — the backpressure contract.
-        parallel: optional
-            :class:`~repro.engine.parallel.ParallelOptions` enabling
-            partition-parallel operators *within* each query, on a
-            morsel pool separate from the query workers.
         plan_cache: plan cache shared by every session (the process
             global by default).  Safe across sessions: keys include the
             database fingerprint.
@@ -211,7 +203,6 @@ class QueryService:
         workers: int = 2,
         queue_depth: int = 64,
         *,
-        parallel: ParallelOptions | ParallelExecution | None = None,
         plan_cache: PlanCache | None = None,
         metrics: MetricsRegistry | None = None,
         shedding: SheddingPolicy | None = None,
@@ -227,7 +218,6 @@ class QueryService:
         self._plan_cache = (
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         )
-        self._parallel = parallel_execution(parallel)
         # Service-scoped on purpose: a chaos test demoting subsystems on
         # one service must never poison another service (or the tests
         # that run after it), so neither tracker is a process global.
@@ -508,7 +498,6 @@ class QueryService:
                             stats=stats,
                             planner_options=session.planner_options,
                             plan_cache=self._plan_cache,
-                            parallel=self._parallel,
                             health=self.health,
                             on_guard=ticket._attach_guard,
                             transaction=session.transaction,

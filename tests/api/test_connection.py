@@ -120,12 +120,17 @@ class TestCursor:
             with pytest.raises(TypeError):
                 conn.execute("SELECT S.SNO FROM SUPPLIER S", row_bugdet=1)
             with pytest.raises(TypeError):
+                conn.execute("SELECT S.SNO FROM SUPPLIER S", parallel=2)
+            with pytest.raises(TypeError):
                 cursor.executemany(
                     "DELETE FROM AGENTS WHERE ANO = :A", [{"A": 101}], bogus=1
                 )
             with pytest.raises(RowBudgetExceeded):
                 cursor.executemany(
-                    "SELECT S.SNO FROM SUPPLIER S", [None], parallel=1, row_budget=1
+                    "SELECT S.SNO FROM SUPPLIER S",
+                    [None],
+                    engine_mode="tuple",
+                    row_budget=1,
                 )
 
     def test_analyze_attaches_plan(self, tiny_db):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.parallel import ParallelOptions
 from repro.errors import ProtocolError
 from repro.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.resilience import ResourceBudget
@@ -20,7 +19,6 @@ class TestConstruction:
         assert not options.safe_mode
         assert not options.analyze
         assert options.optimize
-        assert options.parallel is None
         assert options.budget() is None
 
     def test_frozen(self):
@@ -36,21 +34,14 @@ class TestConstruction:
         derived = options.budget()
         assert derived.timeout == 2.0 and derived.row_budget == 100
 
-    def test_create_int_parallel(self):
-        options = ExecutionOptions.create(parallel=4)
-        assert isinstance(options.parallel, ParallelOptions)
-        assert options.parallel.workers == 4
-        assert ExecutionOptions.create(parallel=1).parallel is None
-
     def test_override_is_the_one_normalizer(self):
         base = ExecutionOptions(
             safe_mode=True, autocommit=False, scan_ranges=(("PARTS", 0, 4),)
         )
         assert base.override() is base  # nothing to rebuild or re-validate
         budget = ResourceBudget(timeout=2.0, row_budget=100)
-        layered = base.override(budget=budget, row_budget=7, parallel=3, deadline=5)
+        layered = base.override(budget=budget, row_budget=7, deadline=5)
         assert (layered.timeout, layered.row_budget) == (2.0, 7)
-        assert layered.parallel == ParallelOptions(workers=3)
         assert 0 < layered.deadline.remaining() <= 5
         # Fields an override does not name survive it.
         assert layered.safe_mode and not layered.autocommit
@@ -62,6 +53,11 @@ class TestConstruction:
         )
         with pytest.raises(TypeError):
             base.override(sample_every=25)
+        # One query runs on one thread: no parallelism option exists.
+        with pytest.raises(TypeError):
+            base.override(parallel=2)
+        with pytest.raises(TypeError):
+            ExecutionOptions.create(parallel=2)
         with pytest.raises(TypeError):
             base.override(budget=2.0)
         with pytest.raises(ValueError):
@@ -109,7 +105,7 @@ class TestWire:
             safe_mode=True,
             analyze=True,
             optimize=False,
-            parallel=ParallelOptions(workers=3),
+            engine_mode="vectorized",
         )
         assert ExecutionOptions.from_wire(options.to_wire()) == options
 
@@ -121,11 +117,11 @@ class TestWire:
     def test_unknown_key_rejected(self):
         with pytest.raises(ProtocolError):
             ExecutionOptions.from_wire({"bogus": 1})
+        with pytest.raises(ProtocolError, match=r"unknown option\(s\): parallel"):
+            ExecutionOptions.from_wire({"parallel": 2})
 
     def test_bad_types_rejected(self):
         with pytest.raises(ProtocolError):
             ExecutionOptions.from_wire({"timeout": "fast"})
         with pytest.raises(ProtocolError):
             ExecutionOptions.from_wire({"safe_mode": 1})
-        with pytest.raises(ProtocolError):
-            ExecutionOptions.from_wire({"parallel": "two"})

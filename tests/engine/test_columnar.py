@@ -9,9 +9,9 @@ Three layers under test:
   the interpretive :class:`Evaluator` lane for lane, including the
   NULL-heavy rows where Kleene folds are easiest to get wrong;
 * the engine_mode contract — vectorized execution is byte-identical to
-  the tuple interpreter across every paper example (serial and
-  parallel), shares its work accounting, and demotes to the interpreter
-  under injected ``vectorized_eval`` faults without changing a row.
+  the tuple interpreter across every paper example, shares its work
+  accounting, and demotes to the interpreter under injected
+  ``vectorized_eval`` faults without changing a row.
 """
 
 import itertools
@@ -21,7 +21,6 @@ import pytest
 from repro.engine import (
     ColumnBatch,
     DEFAULT_BATCH_ROWS,
-    ParallelOptions,
     default_engine_mode,
     execute_planned,
     set_default_engine_mode,
@@ -225,14 +224,9 @@ def test_engine_mode_resolution_and_default_override():
 # byte-identity across the paper examples
 
 
-def _run(query, db, mode, parallel=None, stats=None):
+def _run(query, db, mode, stats=None):
     return execute_planned(
-        query.sql,
-        db,
-        params=query.params,
-        engine_mode=mode,
-        parallel=parallel,
-        stats=stats,
+        query.sql, db, params=query.params, engine_mode=mode, stats=stats
     )
 
 
@@ -244,28 +238,12 @@ def test_paper_examples_byte_identical_serial(query, small_db):
     assert vectorized.columns == reference.columns
     assert vectorized.rows == reference.rows  # sequence, not just multiset
     # Work accounting is mode-independent; only the path-descriptive
-    # vectorized_*/parallel_* counters (and cache warmth between the
-    # two runs) may differ.
+    # vectorized_* counters (and cache warmth between the two runs)
+    # may differ.
     for name, value in tuple_stats.as_dict().items():
-        if (
-            name.startswith("vectorized")
-            or name.startswith("parallel")
-            or name.startswith("plan_cache")
-        ):
+        if name.startswith("vectorized") or name.startswith("plan_cache"):
             continue
         assert getattr(vec_stats, name) == value, name
-
-
-@pytest.mark.parametrize("query", PAPER_QUERIES, ids=lambda q: f"ex{q.example}")
-def test_paper_examples_byte_identical_parallel(query, small_db):
-    reference = _run(query, small_db, "tuple")
-    vectorized = _run(
-        query,
-        small_db,
-        "vectorized",
-        parallel=ParallelOptions(workers=4, morsel_size=16, min_parallel_rows=8),
-    )
-    assert vectorized.rows == reference.rows
 
 
 def test_auto_mode_vectorizes_when_faults_are_unarmed(small_db):

@@ -9,6 +9,7 @@ import json
 import repro
 from repro.resilience.admission import PRIORITY_HEADER
 from repro.resilience.deadline import DEADLINE_HEADER
+from repro.resilience.health import LADDER
 
 from .conftest import raw_get, raw_post
 
@@ -96,11 +97,7 @@ def test_healthz_exposes_ladder_and_admission_views(server):
     assert status == 200
     payload = json.loads(body)
     assert payload["health"] == {
-        "vectorized": "vectorized",
-        "parallel": "parallel",
-        "optimizer": "on",
-        "plan_cache": "cache",
-        "estimator": "stats",
+        rung: healthy for rung, (healthy, _degraded) in LADDER.items()
     }
     assert set(payload["subsystems"]) == set(payload["health"])
     for view in payload["subsystems"].values():

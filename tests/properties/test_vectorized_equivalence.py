@@ -6,7 +6,7 @@ randomized schemas, NULL-bearing data, and random SPJ queries:
 
 * vectorized output matches the interpreter row for row,
 * the shared engine counters agree exactly (only the path-descriptive
-  ``vectorized_*``/``parallel_*`` counters may differ),
+  ``vectorized_*`` counters may differ),
 * under seeded ``vectorized_eval`` fault schedules the demotion ladder
   lands back on the interpreter without changing a single row,
 * batch size never affects results, only batch counts.
@@ -61,11 +61,7 @@ def test_vectorized_is_byte_identical_to_tuple(
     assert vectorized.columns == reference.columns
     assert vectorized.rows == reference.rows  # sequence, not just multiset
     for name, value in tuple_stats.as_dict().items():
-        if (
-            name.startswith("vectorized")
-            or name.startswith("parallel")
-            or name.startswith("plan_cache")
-        ):
+        if name.startswith("vectorized") or name.startswith("plan_cache"):
             continue
         assert getattr(vec_stats, name) == value, name
 

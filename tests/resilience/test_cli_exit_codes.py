@@ -65,6 +65,39 @@ class TestCliIntegration:
         code = main(["run", "--param", "JUNK", "SELECT S.SNO FROM SUPPLIER S"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            # Out-of-range numbers are usage errors, not tracebacks.
+            ("run", "--timeout", "0"),
+            ("run", "--row-budget", "0"),
+            ("run", "--batch-rows", "0"),
+            ("run", "--timeout", "nan"),
+            ("serve", "--timeout", "0"),
+            ("serve", "--row-budget", "-1"),
+            ("serve", "--workers", "0"),
+            ("serve", "--queue-depth", "0"),
+            ("serve", "--shards", "0"),
+            ("client", "--timeout", "0"),
+            ("client", "--row-budget", "0"),
+            # One query runs on one thread: these flags do not exist.
+            ("run", "--workers", "2"),
+            ("run", "--parallel-scan", None),
+            ("serve", "--parallel-scan", None),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error(self, command, flag, value, capsys):
+        argv = [command, flag] + ([value] if value is not None else [])
+        if command == "client":
+            argv.append("http://127.0.0.1:1")  # never contacted
+        if command != "serve":
+            argv.append("SELECT S.SNO FROM SUPPLIER S")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_budgeted_run_succeeds_within_limits(self, capsys):
         code = main(
             [

@@ -13,7 +13,6 @@ from repro.resilience.health import (
     STATE_HEALTHY,
     STATE_PROBATION,
     SUBSYSTEM_OPTIMIZER,
-    SUBSYSTEM_PARALLEL,
     SUBSYSTEM_PLAN_CACHE,
     SUBSYSTEM_VECTORIZED,
     SUBSYSTEMS,
@@ -83,12 +82,17 @@ def test_budget_exhaustion_demotes():
     assert not tracker.healthy()
 
 
+# The budget, probation and backoff mechanics are the same for every
+# rung, so the tests below run over all of LADDER rather than naming one.
+
+
 def test_faults_outside_the_window_are_forgotten():
-    tracker, clock = make_tracker()
-    tracker.record(SUBSYSTEM_PARALLEL, faults=POLICY.budget - 1)
-    clock.advance(POLICY.window + 1.0)  # the old faults age out
-    tracker.record(SUBSYSTEM_PARALLEL, faults=POLICY.budget - 1)
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_HEALTHY
+    for rung in LADDER:
+        tracker, clock = make_tracker()
+        tracker.record(rung, faults=POLICY.budget - 1)
+        clock.advance(POLICY.window + 1.0)  # the old faults age out
+        tracker.record(rung, faults=POLICY.budget - 1)
+        assert tracker.state(rung) == STATE_HEALTHY, rung
 
 
 def test_demotion_is_sticky_until_the_probation_delay():
@@ -134,37 +138,37 @@ def test_clean_probes_repromote_and_reset():
 
 
 def test_dirty_probe_redemotes_with_doubled_delay():
-    tracker, clock = make_tracker()
-    tracker.record(SUBSYSTEM_PARALLEL, faults=POLICY.budget)
-    clock.advance(POLICY.probation_delay)
-    while not grant(tracker, SUBSYSTEM_PARALLEL).use.get(SUBSYSTEM_PARALLEL):
-        pass  # reach the probe slot
-    tracker.record(SUBSYSTEM_PARALLEL, faults=1, probe=True)
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_DEGRADED
-    # The original delay is no longer enough to re-enter probation.
-    clock.advance(POLICY.probation_delay)
-    grant(tracker, SUBSYSTEM_PARALLEL)
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_DEGRADED
-    clock.advance(POLICY.probation_delay)  # 2x total: now it probes
-    grant(tracker, SUBSYSTEM_PARALLEL)
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_PROBATION
+    for rung in LADDER:
+        tracker, clock = make_tracker()
+        tracker.record(rung, faults=POLICY.budget)
+        clock.advance(POLICY.probation_delay)
+        while not grant(tracker, rung).use.get(rung):
+            pass  # reach the probe slot
+        tracker.record(rung, faults=1, probe=True)
+        assert tracker.state(rung) == STATE_DEGRADED, rung
+        # The original delay is no longer enough to re-enter probation.
+        clock.advance(POLICY.probation_delay)
+        grant(tracker, rung)
+        assert tracker.state(rung) == STATE_DEGRADED, rung
+        clock.advance(POLICY.probation_delay)  # 2x total: now it probes
+        grant(tracker, rung)
+        assert tracker.state(rung) == STATE_PROBATION, rung
 
 
 def test_backoff_is_capped():
-    tracker, clock = make_tracker()
-    tracker.record(SUBSYSTEM_PARALLEL, faults=POLICY.budget)
-    # Fail many probations: delay doubles but must cap.
-    for _ in range(10):
+    for rung in LADDER:
+        tracker, clock = make_tracker()
+        tracker.record(rung, faults=POLICY.budget)
+        # Fail many probations: delay doubles but must cap.
+        for _ in range(10):
+            clock.advance(POLICY.max_probation_delay)
+            while not grant(tracker, rung).use.get(rung):
+                pass
+            tracker.record(rung, faults=1, probe=True)
+        # Capped: max_probation_delay is always enough to probe again.
         clock.advance(POLICY.max_probation_delay)
-        while not grant(tracker, SUBSYSTEM_PARALLEL).use.get(
-            SUBSYSTEM_PARALLEL
-        ):
-            pass
-        tracker.record(SUBSYSTEM_PARALLEL, faults=1, probe=True)
-    # Capped: max_probation_delay is always enough to probe again.
-    clock.advance(POLICY.max_probation_delay)
-    grant(tracker, SUBSYSTEM_PARALLEL)
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_PROBATION
+        grant(tracker, rung)
+        assert tracker.state(rung) == STATE_PROBATION, rung
 
 
 def test_irrelevant_subsystems_never_advance_probation():
@@ -192,7 +196,6 @@ class FakeStats:
     def __init__(self, **kwargs):
         self.vectorized_fallbacks = 0
         self.vectorized_batches = 0
-        self.parallel_morsels = 0
         self.cache_skips = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -228,16 +231,26 @@ def test_observe_attributes_cache_skips_to_the_plan_cache():
     assert tracker.tier(SUBSYSTEM_PLAN_CACHE) == "bypass"
 
 
-def test_observe_blames_errors_on_parallel_only_when_granted():
-    tracker, _ = make_tracker()
-    # Not granted (tuple-tier decision): an error is not parallel's fault.
-    decision = tracker.decide({SUBSYSTEM_PARALLEL: False})
-    tracker.observe(decision, error=RuntimeError("boom"))
-    assert tracker.state(SUBSYSTEM_PARALLEL) == STATE_HEALTHY
-    for _ in range(POLICY.budget):
-        decision = grant(tracker, SUBSYSTEM_PARALLEL)
-        tracker.observe(decision, stats=FakeStats(), error=RuntimeError("boom"))
-    assert tracker.tier(SUBSYSTEM_PARALLEL) == "serial"
+def test_observe_never_blames_a_rung_that_was_not_granted():
+    """Whatever went wrong, a rung the execution did not use is not at
+    fault — and a bare engine error carries no rung's fault signal."""
+    everything_wrong = dict(
+        stats=FakeStats(
+            vectorized_fallbacks=POLICY.budget,
+            cache_skips=POLICY.budget,
+            estimator_fallbacks=POLICY.budget,
+        ),
+        outcome=FakeOutcome(mismatch=True),
+        error=RuntimeError("boom"),
+    )
+    for rung in LADDER:
+        tracker, _ = make_tracker()
+        for _ in range(POLICY.budget):
+            tracker.observe(tracker.decide({rung: False}), **everything_wrong)
+            tracker.observe(
+                grant(tracker, rung), stats=FakeStats(), error=RuntimeError("boom")
+            )
+        assert tracker.healthy(), rung
 
 
 def test_metrics_counters_and_gauges():

@@ -10,7 +10,7 @@ holds when queries run on service workers.
 import pytest
 
 from repro import (
-    ParallelOptions,
+    ExecutionOptions,
     QueryService,
     ResourceBudget,
     clear_all_caches,
@@ -74,8 +74,18 @@ def test_service_results_match_serial(db, baselines):
             assert outcome.result.multiset() == baselines[query.example], (
                 f"E{query.example} served a different multiset"
             )
+        # An uncorrelated equi-join asked for in vectorized mode runs
+        # the batch kernels on a service worker, with nothing demoted.
+        joined = service.submit(
+            session,
+            "SELECT S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P "
+            "WHERE S.SNO = P.SNO",
+            options=ExecutionOptions(engine_mode="vectorized"),
+        ).result(timeout=30)
+        assert joined.stats.vectorized_batches > 0
+        assert joined.stats.vectorized_fallbacks == 0
     snapshot = session.snapshot()
-    assert snapshot["completed"] == len(PAPER_QUERIES)
+    assert snapshot["completed"] == len(PAPER_QUERIES) + 1
     assert snapshot["failed"] == 0
 
 
@@ -105,20 +115,6 @@ def test_sessions_are_isolated(db, other_db):
     # Counter isolation: each session accumulated only its own scans.
     assert session_a.stats.rows_output == 10 * len(expected_a)
     assert session_b.stats.rows_output == 10 * len(expected_b)
-
-
-def test_parallel_service_results_match_serial(db, baselines):
-    """Morsel parallelism inside service workers must not change results."""
-    parallel = ParallelOptions(workers=2, morsel_size=8, min_parallel_rows=1)
-    with QueryService(workers=4, parallel=parallel) as service:
-        session = service.session(db)
-        tickets = [
-            service.submit(session, query.sql, query.params)
-            for query in PAPER_QUERIES
-        ]
-        for query, ticket in zip(PAPER_QUERIES, tickets):
-            outcome = ticket.result(timeout=30)
-            assert outcome.result.multiset() == baselines[query.example]
 
 
 def test_backpressure_overload_is_typed(db):
