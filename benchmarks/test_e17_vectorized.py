@@ -158,7 +158,10 @@ def test_e17_join_and_distinct_vectorized(benchmark, bench_db):
         experiment="E17b: hash join and DISTINCT under column batches",
         claim="vectorized build/probe and key-vector DISTINCT beat the "
         "interpreter, short of the pure-selection gain",
-        columns=["query", "rows", "tuple t(ms)", "vectorized t(ms)", "speedup"],
+        columns=[
+            "query", "rows", "tuple t(ms)", "tuple + compiled t(ms)",
+            "vectorized t(ms)", "speedup",
+        ],
         slug="e17",
     )
     report.record_engine("vectorized", DEFAULT_BATCH_ROWS)
@@ -172,14 +175,21 @@ def test_e17_join_and_distinct_vectorized(benchmark, bench_db):
             interp, t_interp = _bench(sql, bench_db, params, "tuple", cache)
         finally:
             set_compilation_enabled(previous)
+        compiled, t_compiled = _bench(sql, bench_db, params, "tuple", cache)
         vectorized, t_vec = _bench(sql, bench_db, params, "vectorized", cache)
         ratio = speedup(t_interp, t_vec)
         report.add_row(
-            label, len(interp.rows), t_interp * 1e3, t_vec * 1e3, ratio
+            label, len(interp.rows), t_interp * 1e3, t_compiled * 1e3,
+            t_vec * 1e3, ratio,
         )
-        assert vectorized.rows == interp.rows  # sequence, not just multiset
+        assert vectorized.rows == interp.rows == compiled.rows  # sequence
         assert ratio >= 2.0, f"{label}: vectorized only {ratio:.1f}x faster"
 
+    report.note(
+        "speedup is vectorized over the interpreter (compilation off); "
+        "'tuple + compiled' is the default tuple engine — the rung gap "
+        "ROADMAP 5(b) judges — and is reported, not asserted"
+    )
     report.show()
 
     result = benchmark(

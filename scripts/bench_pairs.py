@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one end-to-end workload.
+"""Alternating parent/change pairs of one end-to-end workload, or of all.
 
     python3 scripts/bench_pairs.py --parent /root/scratch/parent --change . \\
         --workload write_local --seed 7 --pairs 10 --claim stmts_per_s
+    python3 scripts/bench_pairs.py --parent /root/scratch/parent --change . \\
+        --workload all --seed 7 --pairs 10 --claim stmts_per_s@analytic_local
+
+``--workload all`` runs the workloads of ``BENCHMARK.json`` in its order,
+one after the other, and prints one verdict table per workload plus a
+final line; the claim then names its workload (``METRIC@WORKLOAD``), and
+every other workload is judged for regressions only.
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --seconds T
 --trace 0`` once from each checkout — every run builds what it measures
@@ -27,7 +34,8 @@ guide, section 8:
 
 A run that fails an operation or differs from the sqlite oracle is
 reported and makes the exit status non-zero, as does a regression or an
-unmet claim.  ``--json FILE`` writes every run's numbers.
+unmet claim on any workload.  ``--json FILE`` writes every run's numbers,
+keyed by workload.
 """
 
 from __future__ import annotations
@@ -40,12 +48,12 @@ import subprocess
 import sys
 
 
-def run_once(checkout: str, args: argparse.Namespace) -> dict:
+def run_once(checkout: str, workload: str, args: argparse.Namespace) -> dict:
     """One contract-mode run from *checkout*; its last stdout line."""
     command = [
         sys.executable,
         os.path.join("benchmarks", "e2e", "run.py"),
-        "--workload", args.workload,
+        "--workload", workload,
         "--seed", str(args.seed),
         "--seconds", str(args.seconds),
         "--trace", "0",
@@ -97,37 +105,23 @@ def judge(metric: dict, parent: list[float], change: list[float], claimed: bool)
     return won, lost, "regressed" if regressed else "ok"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run alternating parent/change pairs of one e2e workload "
-        "and judge them by the choosing-metrics rule (section 8).",
-    )
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", default=".", help="checkout of the change (default: .)")
-    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--claim", default=None,
-                        help="the end-to-end metric the change claims to improve")
-    parser.add_argument("--json", default=None, help="write every run's numbers here")
-    args = parser.parse_args(argv)
+def run_workload(
+    workload: str,
+    claim: str | None,
+    metrics: list[dict],
+    sides: dict[str, str],
+    args: argparse.Namespace,
+) -> tuple[dict[str, list[dict]], list[str]]:
+    """All pairs of one workload and its verdict table.
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        spec = json.load(handle)
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
-    metrics = spec["end_to_end"]
-    if args.claim and args.claim not in {m["name"] for m in metrics}:
-        parser.error(f"--claim must be one of {[m['name'] for m in metrics]}")
-
-    sides = {"parent": args.parent, "change": args.change}
+    Returns every run's numbers and the findings that fail the whole
+    invocation (regressions, an unmet claim, incorrect runs).
+    """
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args)
+            result = run_once(sides[side], workload, args)
             runs[side].append(result)
             shown = "  ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
@@ -135,10 +129,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"pair {pair + 1:2d} {side:6s} {shown}", flush=True)
 
-    print(f"\n{args.workload}  seed {args.seed}  {args.seconds} s  {args.pairs} pairs")
+    print(f"\n{workload}  seed {args.seed}  {args.seconds} s  {args.pairs} pairs")
     print(f"{'metric':14s} {'side':6s} {'q1':>10s} {'median':>10s} {'q3':>10s}"
           f"  won/lost  verdict")
-    failed = False
+    findings = []
     for metric in metrics:
         name = metric["name"]
         values = {
@@ -146,9 +140,10 @@ def main(argv: list[str] | None = None) -> int:
             for side in sides
         }
         won, lost, verdict = judge(
-            metric, values["parent"], values["change"], name == args.claim
+            metric, values["parent"], values["change"], name == claim
         )
-        failed |= verdict in ("regressed", "claim not met")
+        if verdict in ("regressed", "claim not met"):
+            findings.append(f"{name}@{workload} {verdict}")
         for side in sides:
             q1, mid, q3 = quartiles(values[side])
             tail = f"  {won:2d}/{lost:<2d}    {verdict}" if side == "change" else ""
@@ -159,11 +154,66 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{side}: {attempted} operations attempted, "
               f"{sum(r['failed'] for r in runs[side])} failed, "
               f"{len(bad)} of {len(runs[side])} runs incorrect")
-        failed |= bool(bad)
+        if bad:
+            findings.append(f"{len(bad)} incorrect {side} run(s)@{workload}")
+    return runs, findings
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Run alternating parent/change pairs of one e2e workload "
+        "(or of all of them) and judge them by the choosing-metrics rule "
+        "(section 8).",
+    )
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", default=".", help="checkout of the change (default: .)")
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all' for each in order")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=int, default=None,
+                        help="run length (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--claim", default=None, metavar="METRIC[@WORKLOAD]",
+                        help="the end-to-end metric the change claims to improve; "
+                        "@WORKLOAD is required when more than one workload runs")
+    parser.add_argument("--json", default=None, help="write every run's numbers here")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
+    metrics = spec["end_to_end"]
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else [args.workload]
+    claim_metric, _, claim_workload = (args.claim or "").partition("@")
+    if args.claim:
+        if claim_metric not in {m["name"] for m in metrics}:
+            parser.error(f"--claim must be one of {[m['name'] for m in metrics]}")
+        if not claim_workload and len(workloads) > 1:
+            parser.error("--claim needs METRIC@WORKLOAD when more than one workload runs")
+        claim_workload = claim_workload or workloads[0]
+        if claim_workload not in workloads:
+            parser.error(f"--claim names a workload that does not run: {claim_workload}")
+
+    sides = {"parent": args.parent, "change": args.change}
+    all_runs: dict[str, dict[str, list[dict]]] = {}
+    findings: list[str] = []
+    for index, workload in enumerate(workloads):
+        if index:
+            print()
+        claim = claim_metric if workload == claim_workload else None
+        all_runs[workload], found = run_workload(workload, claim, metrics, sides, args)
+        findings += found
+    if len(workloads) > 1:
+        clean = "no regression, no incorrect run" + (
+            f", {args.claim} gain" if args.claim else ""
+        )
+        print(f"\n{len(workloads)} workloads: {'; '.join(findings) or clean}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"args": vars(args), "runs": runs}, handle, indent=1)
-    return 1 if failed else 0
+            json.dump({"args": vars(args), "runs": all_runs}, handle, indent=1)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

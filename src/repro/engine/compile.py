@@ -1,20 +1,34 @@
-"""Predicate compilation: lowering an ``Expr`` tree into a row closure.
+"""Predicate compilation: lowering an ``Expr`` tree into row closures.
 
 The interpretive :class:`~repro.engine.evaluator.Evaluator` pays, for
 *every row*, a :class:`~repro.engine.schema.Scope` allocation, a chain
-of ``isinstance`` dispatches, and — worst — a linear scan over the
-schema for every column reference (``RelSchema.try_index_of``).  On a
-filter over a large input that dispatch dominates the wall clock.
+of ``isinstance`` dispatches, a linear scan over the schema for every
+column reference (``RelSchema.try_index_of``) and a
+:class:`~repro.types.tristate.Tristate` per node.  On a filter over a
+large input that dispatch dominates the wall clock.
 
-This module performs that work *once* per (expression, schema) pair and
-returns a plain Python closure over the row tuple:
+This module performs that work *once* per (expression, schema) pair.
+The paper's Table 2 keeps a row iff the *false interpretation* ⌊P⌋ of
+its WHERE clause holds, and ⌊P⌋ with its dual ⌊¬P⌋ ("definitely
+false") is closed under the connectives::
+
+    ⌊P AND Q⌋ = ⌊P⌋ and ⌊Q⌋        ⌊¬(P AND Q)⌋ = ⌊¬P⌋ or ⌊¬Q⌋
+    ⌊P OR Q⌋  = ⌊P⌋ or ⌊Q⌋         ⌊¬(P OR Q)⌋  = ⌊¬P⌋ and ⌊¬Q⌋
+    ⌊NOT P⌋   = ⌊¬P⌋               ⌊¬(NOT P)⌋   = ⌊P⌋
+
+so every condition node lowers to ``(is_true, is_false)`` — two closures
+from the row tuple to a plain ``bool`` — and no node builds the third
+truth value at run time; UNKNOWN is "neither".
 
 * column references are resolved to tuple indices at compile time,
 * host variables and literals are folded to constants (and constant
   subtrees are evaluated during compilation — ``5 = 5`` compiles to the
-  constant ``TRUE``),
-* ``AND``/``OR`` keep the evaluator's three-valued short-circuit
-  semantics (``FALSE`` absorbs conjunctions, ``TRUE`` disjunctions),
+  constant ``TRUE``, a comparison with a NULL constant to ``UNKNOWN``),
+* a comparison is specialised on its operator and operand shape
+  (column–constant, column–column); ``BETWEEN`` and ``IN`` are the AND
+  and OR of their comparisons, their ``NOT`` forms the swapped pair,
+* ``AND``/``OR`` evaluate their parts left to right and stop at the
+  first that decides them, like the evaluator's short-circuit,
 * everything the interpreter would have to defer — subqueries,
   correlated (outer-scope) column references, missing host variables,
   ambiguous names — aborts compilation, and the caller falls back to
@@ -31,6 +45,7 @@ and property tests can A/B the compiled and interpretive paths.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from ..errors import AmbiguousColumnError
@@ -49,13 +64,16 @@ from ..sql.expressions import (
     Or,
 )
 from ..types.tristate import FALSE, TRUE, UNKNOWN, Tristate
-from ..types.values import SqlValue, compare_where, is_null
+from ..types.values import NULL, SqlValue, comparable, compare_where
 from .schema import RelSchema
 
+#: A compiled row test: row tuple -> plain bool.
+RowTest = Callable[[Sequence[SqlValue]], bool]
 #: A compiled predicate: row tuple -> three-valued truth value.
 PredicateFn = Callable[[Sequence[SqlValue]], Tristate]
-#: A compiled scalar operand: row tuple -> SQL value.
-ScalarFn = Callable[[Sequence[SqlValue]], SqlValue]
+#: A lowered condition node: ``(is_true, is_false, None)``, or
+#: ``(None, None, const)`` when the subtree folded to a constant.
+Lowered = tuple[RowTest | None, RowTest | None, Tristate | None]
 
 _enabled = True
 
@@ -79,13 +97,14 @@ class CannotCompile(Exception):
     """Internal control flow: the expression needs the interpreter."""
 
 
-def compile_predicate(
+def compile_pair(
     expr: Expr,
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
-) -> PredicateFn | None:
-    """Compile a search condition against a fixed row schema.
+) -> tuple[RowTest, RowTest] | None:
+    """Lower a search condition to ``(is_true, is_false)`` = (⌊P⌋, ⌊¬P⌋).
 
+    For every row at most one of the two holds; neither means UNKNOWN.
     Returns ``None`` when the expression cannot be compiled (contains a
     subquery, an outer-scope or ambiguous column reference, or an
     unbound host variable); callers then fall back to the interpretive
@@ -94,38 +113,61 @@ def compile_predicate(
     if not _enabled:
         return None
     if FAULTS.armed:
-        # Fault hooks: a "compile" fault raises out of here (callers own
-        # the fall-back to the interpreter); a "compiled_eval" fault
-        # instruments the returned closure so it can fail per row.
+        # Fault hook: a "compile" fault raises out of here (callers own
+        # the fall-back to the interpreter).
         FAULTS.check(SITE_COMPILE)
     try:
-        fn, const = _predicate(expr, schema, params or {})
+        is_true, is_false, const = _lower(expr, schema, params or {})
     except CannotCompile:
         return None
     if const is not None:
-        fn = lambda row: const  # noqa: E731
-    if FAULTS.armed:
-        fn = FAULTS.wrap_callable(SITE_COMPILED_EVAL, fn)
-    return fn
+        return _always(const is TRUE), _always(const is FALSE)
+    return is_true, is_false
+
+
+def compile_predicate(
+    expr: Expr,
+    schema: RelSchema,
+    params: dict[str, SqlValue] | None = None,
+) -> PredicateFn | None:
+    """The three-valued verdict, derived from :func:`compile_pair`
+    (``None`` exactly when that is)."""
+    pair = compile_pair(expr, schema, params)
+    if pair is None:
+        return None
+    is_true, is_false = pair
+
+    def predicate(row):
+        return TRUE if is_true(row) else FALSE if is_false(row) else UNKNOWN
+
+    return _instrumented(predicate)
 
 
 def compile_filter(
     expr: Expr | None,
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
-) -> Callable[[Sequence[SqlValue]], bool] | None:
+) -> RowTest | None:
     """Compile a WHERE-clause row test (the false-interpretation ⌊P⌋).
 
-    The returned closure maps a row tuple to a plain bool: keep the row
-    only when the predicate is definitely TRUE.  Returns ``None`` when
-    *expr* is ``None`` (nothing to test) or uncompilable.
+    The returned closure is :func:`compile_pair`'s ``is_true`` itself:
+    keep the row only when the predicate is definitely TRUE.  Returns
+    ``None`` when *expr* is ``None`` (nothing to test) or uncompilable.
     """
     if expr is None:
         return None
-    predicate = compile_predicate(expr, schema, params)
-    if predicate is None:
-        return None
-    return lambda row: predicate(row) is TRUE
+    pair = compile_pair(expr, schema, params)
+    return None if pair is None else _instrumented(pair[0])
+
+
+def _instrumented(fn):
+    """A "compiled_eval" fault instruments the closure handed to the
+    operators so it can fail per row; disarmed, *fn* comes back bare."""
+    return FAULTS.wrap_callable(SITE_COMPILED_EVAL, fn) if FAULTS.armed else fn
+
+
+def _always(verdict: bool) -> RowTest:
+    return lambda row: verdict
 
 
 # ----------------------------------------------------------------------
@@ -133,13 +175,9 @@ def compile_filter(
 
 def _scalar(
     expr: Expr, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[ScalarFn | None, object]:
-    """Compile a scalar operand; returns ``(fn, const)``.
-
-    Exactly one of the pair is meaningful: a constant-folded operand
-    comes back as ``(None, value)``, a row-dependent one as
-    ``(fn, _DYNAMIC)``.
-    """
+) -> tuple[int | None, SqlValue]:
+    """Resolve a scalar operand: ``(index, None)`` for a column of the
+    row, ``(None, value)`` for a literal or bound host variable."""
     if isinstance(expr, Literal):
         return None, expr.value
     if isinstance(expr, HostVar):
@@ -153,27 +191,20 @@ def _scalar(
             raise CannotCompile(str(exc)) from None
         if index is None:
             raise CannotCompile(f"outer reference {expr!r}")
-        return (lambda row: row[index]), _DYNAMIC
+        return index, None
     raise CannotCompile(f"{type(expr).__name__} is not a scalar operand")
 
 
-#: Marker: the scalar/predicate depends on the row.
-_DYNAMIC = object()
-
-
 # ----------------------------------------------------------------------
-# predicates
+# conditions
 
-def _predicate(
-    expr: Expr, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[PredicateFn | None, Tristate | None]:
-    """Compile a condition; returns ``(fn, const)`` with ``const`` set
-    (and ``fn`` None) when the whole subtree folded to a constant."""
+def _lower(expr: Expr, schema: RelSchema, params: dict[str, SqlValue]) -> Lowered:
+    """Lower one condition node (see :data:`Lowered`)."""
     if isinstance(expr, Literal):
-        if is_null(expr.value):
-            return None, UNKNOWN
+        if expr.value is NULL:
+            return None, None, UNKNOWN
         if isinstance(expr.value, bool):
-            return None, (TRUE if expr.value else FALSE)
+            return None, None, (TRUE if expr.value else FALSE)
         raise CannotCompile(f"literal {expr.value!r} is not a condition")
     if isinstance(expr, Comparison):
         return _comparison(expr, schema, params)
@@ -182,35 +213,111 @@ def _predicate(
     if isinstance(expr, Or):
         return _connective(expr.operands, schema, params, conjunctive=False)
     if isinstance(expr, Not):
-        fn, const = _predicate(expr.operand, schema, params)
-        if const is not None:
-            return None, ~const
-        return (lambda row: ~fn(row)), None
+        return _negated(_lower(expr.operand, schema, params))
     if isinstance(expr, IsNull):
-        return _is_null(expr, schema, params)
-    if isinstance(expr, Between):
-        return _between(expr, schema, params)
-    if isinstance(expr, InList):
-        return _in_list(expr, schema, params)
+        index, const = _scalar(expr.operand, schema, params)
+        if index is None:
+            lowered = None, None, (TRUE if const is NULL else FALSE)
+        else:
+            lowered = (
+                lambda row: row[index] is NULL,
+                lambda row: row[index] is not NULL,
+                None,
+            )
+        return _negated(lowered) if expr.negated else lowered
+    if isinstance(expr, (Between, InList)):
+        # The AND / OR of their comparisons.  Every operand is resolved
+        # first: a folded sibling must not hide one the compiler refuses.
+        for operand in expr.children():
+            _scalar(operand, schema, params)
+        conjunctive = isinstance(expr, Between)
+        if conjunctive:
+            parts = (
+                Comparison(">=", expr.operand, expr.low),
+                Comparison("<=", expr.operand, expr.high),
+            )
+        else:
+            parts = tuple(Comparison("=", expr.operand, i) for i in expr.items)
+        lowered = _connective(parts, schema, params, conjunctive)
+        return _negated(lowered) if expr.negated else lowered
     # Exists / InSubquery / anything exotic: interpreter territory.
     raise CannotCompile(f"cannot compile {type(expr).__name__}")
 
 
+def _negated(lowered: Lowered) -> Lowered:
+    """⌊NOT P⌋ = ⌊¬P⌋ and ⌊¬NOT P⌋ = ⌊P⌋: swap the pair."""
+    is_true, is_false, const = lowered
+    if const is not None:
+        return None, None, ~const
+    return is_false, is_true, None
+
+
+_HOLDS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _comparison(
     expr: Comparison, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[PredicateFn | None, Tristate | None]:
-    op = expr.op
-    left_fn, left_const = _scalar(expr.left, schema, params)
-    right_fn, right_const = _scalar(expr.right, schema, params)
-    if left_fn is None and right_fn is None:
-        return None, compare_where(op, left_const, right_const)
-    if left_fn is None:
-        lv = left_const
-        return (lambda row: compare_where(op, lv, right_fn(row))), None
-    if right_fn is None:
-        rv = right_const
-        return (lambda row: compare_where(op, left_fn(row), rv)), None
-    return (lambda row: compare_where(op, left_fn(row), right_fn(row))), None
+) -> Lowered:
+    """Specialise ``compare_where`` on the operator and operand shape.
+
+    Both closures hold only where the operands are non-NULL and (for an
+    ordering) comparable.  ``is_false`` is then ``not (a op b)``, never
+    the complementary operator: ``NaN < 1`` and ``NaN >= 1`` are both
+    FALSE.
+    """
+    left, left_const = _scalar(expr.left, schema, params)
+    right, const = _scalar(expr.right, schema, params)
+    if left is None and right is None:
+        return None, None, compare_where(expr.op, left_const, const)
+    if left is None:
+        # constant ⋈ column: the same test with the column first.
+        expr, left, right, const = expr.flipped(), right, None, left_const
+    if right is None and const is NULL:
+        return None, None, UNKNOWN
+    holds = _HOLDS[expr.op]
+    # = and <> never consult comparability; the orderings are UNKNOWN
+    # across comparability classes (see compare_where).
+    unordered = expr.op in ("=", "<>")
+
+    def row_test(verdict: Callable[[SqlValue, SqlValue], bool]) -> RowTest:
+        if right is not None:
+            def columns_test(row):
+                a, b = row[left], row[right]
+                return (
+                    a is not NULL and b is not NULL
+                    and (unordered or type(a) is type(b) or comparable(a, b))
+                    and verdict(a, b)
+                )
+
+            return columns_test
+
+        # The constant's comparability class, resolved once: the exact
+        # value types certainly in it (any other type asks ``comparable``).
+        if isinstance(const, bool):
+            exact = frozenset({bool})
+        elif isinstance(const, (int, float)):
+            exact = frozenset({int, float})
+        else:
+            exact = frozenset({type(const)})
+
+        def constant_test(row):
+            a = row[left]
+            return (
+                a is not NULL
+                and (unordered or type(a) in exact or comparable(a, const))
+                and verdict(a, const)
+            )
+
+        return constant_test
+
+    return row_test(holds), row_test(lambda a, b: not holds(a, b)), None
 
 
 def _connective(
@@ -218,103 +325,60 @@ def _connective(
     schema: RelSchema,
     params: dict[str, SqlValue],
     conjunctive: bool,
-) -> tuple[PredicateFn | None, Tristate | None]:
-    """Shared AND/OR compilation with constant folding.
+) -> Lowered:
+    """Shared AND/OR lowering with constant folding.
 
     Constant operands fold into an accumulator; an absorbing constant
     (FALSE for AND, TRUE for OR) decides the whole connective because
-    compiled siblings can never raise.  The runtime closure keeps the
-    evaluator's short-circuit behaviour over the remaining parts.
+    compiled siblings can never raise.  Over the remaining parts AND is
+    TRUE when every part is and FALSE when some part is; OR is the dual.
     """
-    absorbing = FALSE if conjunctive else TRUE
-    identity = TRUE if conjunctive else FALSE
+    absorbing, identity = (FALSE, TRUE) if conjunctive else (TRUE, FALSE)
     folded = identity
-    parts: list[PredicateFn] = []
+    trues: list[RowTest] = []
+    falses: list[RowTest] = []
     for operand in operands:
-        fn, const = _predicate(operand, schema, params)
-        if const is not None:
-            folded = (folded & const) if conjunctive else (folded | const)
-            if folded is absorbing:
-                return None, absorbing
-        else:
-            parts.append(fn)
-    if not parts:
-        return None, folded
-    if len(parts) == 1 and folded is identity:
-        return parts[0], None
-
+        is_true, is_false, const = _lower(operand, schema, params)
+        if const is None:
+            trues.append(is_true)
+            falses.append(is_false)
+            continue
+        folded = (folded & const) if conjunctive else (folded | const)
+        if folded is absorbing:
+            return None, None, absorbing
+    if not trues:
+        return None, None, folded
+    if folded is UNKNOWN:
+        # An UNKNOWN constant is one more part that is neither: the AND
+        # can no longer be TRUE, the OR no longer FALSE.
+        trues.append(_always(False))
+        falses.append(_always(False))
+    if len(trues) == 1:
+        return trues[0], falses[0], None
     if conjunctive:
-        def fn(row, _parts=tuple(parts), _seed=folded):
-            result = _seed
-            for part in _parts:
-                result = result & part(row)
-                if result is FALSE:
-                    return FALSE
-            return result
-    else:
-        def fn(row, _parts=tuple(parts), _seed=folded):
-            result = _seed
-            for part in _parts:
-                result = result | part(row)
-                if result is TRUE:
-                    return TRUE
-            return result
-
-    return fn, None
+        return _every(trues), _some(falses), None
+    return _some(trues), _every(falses), None
 
 
-def _is_null(
-    expr: IsNull, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[PredicateFn | None, Tristate | None]:
-    fn, const = _scalar(expr.operand, schema, params)
-    negated = expr.negated
-    if fn is None:
-        outcome = is_null(const) != negated
-        return None, (TRUE if outcome else FALSE)
-    return (
-        lambda row: TRUE if (is_null(fn(row)) != negated) else FALSE
-    ), None
+def _every(tests: Sequence[RowTest]) -> RowTest:
+    tests = tuple(tests)
+
+    def every(row):
+        for test in tests:
+            if not test(row):
+                return False
+        return True
+
+    return every
 
 
-def _between(
-    expr: Between, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[PredicateFn | None, Tristate | None]:
-    operand_fn, operand_const = _scalar(expr.operand, schema, params)
-    low_fn, low_const = _scalar(expr.low, schema, params)
-    high_fn, high_const = _scalar(expr.high, schema, params)
-    negated = expr.negated
+def _some(tests: Sequence[RowTest]) -> RowTest:
+    tests = tuple(tests)
 
-    def fn(row):
-        value = operand_const if operand_fn is None else operand_fn(row)
-        low = low_const if low_fn is None else low_fn(row)
-        high = high_const if high_fn is None else high_fn(row)
-        result = compare_where(">=", value, low) & compare_where(
-            "<=", value, high
-        )
-        return ~result if negated else result
+    def some(row):
+        for test in tests:
+            if test(row):
+                return True
+        return False
 
-    if operand_fn is None and low_fn is None and high_fn is None:
-        return None, fn(())
-    return fn, None
-
-
-def _in_list(
-    expr: InList, schema: RelSchema, params: dict[str, SqlValue]
-) -> tuple[PredicateFn | None, Tristate | None]:
-    operand_fn, operand_const = _scalar(expr.operand, schema, params)
-    items = [_scalar(item, schema, params) for item in expr.items]
-    negated = expr.negated
-
-    def fn(row):
-        value = operand_const if operand_fn is None else operand_fn(row)
-        result = FALSE
-        for item_fn, item_const in items:
-            item = item_const if item_fn is None else item_fn(row)
-            result = result | compare_where("=", value, item)
-            if result is TRUE:
-                break
-        return ~result if negated else result
-
-    if operand_fn is None and all(item_fn is None for item_fn, _ in items):
-        return None, fn(())
-    return fn, None
+    return some

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from ...errors import ResourceError
 from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
+from ...sql.expressions import Expr
 from ...types.values import SqlValue
 from ..columnar import (
     DEFAULT_BATCH_ROWS,
@@ -13,6 +15,7 @@ from ..columnar import (
     batches_from_rows,
     resolve_engine_mode,
 )
+from ..compile import RowTest, compile_filter
 from ..evaluator import Evaluator
 from ..schema import RelSchema, Scope
 from ..stats import Stats
@@ -186,3 +189,81 @@ class PlanNode:
         for child in self.children():
             lines.append(child.explain(indent + 1, analysis))
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the tuple path's row test
+#
+# Counter rule for every tuple row loop: count in locals, credit
+# ``ctx.stats`` in ``finally`` — totals are then the same at every exit
+# (exhaustion, a consumer that abandons the stream, a ResourceError, a
+# mid-stream demotion).  A loop that can raise while its input is
+# suspended also closes that input there, so the input's own ``finally``
+# has run before anyone reads the totals.
+
+def compile_row_test(
+    ctx: ExecContext, predicate: Expr, schema: RelSchema, outer: Scope | None
+) -> RowTest | None:
+    """``compile_filter`` with the fallback ladder's accounting.
+
+    ``None`` sends the caller to the evaluator: a correlated execution
+    (*outer* bindings need it), a predicate the compiler refuses, or a
+    compilation that blew up (counted in ``compile_fallbacks``).
+    """
+    if outer is not None:
+        return None
+    try:
+        compiled = compile_filter(predicate, schema, ctx.evaluator.params)
+    except ResourceError:
+        raise
+    except Exception:
+        ctx.stats.compile_fallbacks += 1
+        return None
+    if compiled is not None:
+        ctx.stats.predicates_compiled += 1
+    return compiled
+
+
+def select_rows(
+    ctx: ExecContext,
+    predicate: Expr,
+    schema: RelSchema,
+    rows: Iterator[tuple],
+    outer: Scope | None,
+) -> Iterator[tuple]:
+    """Keep the rows of the generator *rows* whose *predicate* is
+    definitely TRUE (⌊P⌋) — the selection loop of ``Filter`` and of
+    ``IndexScan``'s residual.
+
+    The compiled test runs bare in the loop; if it dies mid-stream the
+    failing row and every remaining one go through the evaluator, which
+    is the verified fallback with identical semantics.
+    """
+    compiled = compile_row_test(ctx, predicate, schema, outer)
+    stats = ctx.stats
+    qualifies = ctx.evaluator.qualifies
+    evals = 0
+    try:
+        for row in rows:
+            if compiled is not None:
+                evals += 1
+                try:
+                    keep = compiled(row)
+                except ResourceError:
+                    raise
+                except Exception:
+                    # Back out this row's compiled count and degrade to
+                    # the evaluator for it and every remaining row.
+                    evals -= 1
+                    stats.compile_fallbacks += 1
+                    compiled = None
+                else:
+                    if keep:
+                        yield row
+                    continue
+            if qualifies(predicate, Scope(schema, row, outer=outer)):
+                yield row
+    finally:
+        stats.predicate_evals += evals
+        stats.compiled_evals += evals
+        rows.close()

@@ -10,9 +10,8 @@ from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ..columnar import batches_from_rows, compile_batch_filter
-from ..compile import compile_filter
 from ..schema import Scope
-from .base import ExecContext, PlanNode
+from .base import ExecContext, PlanNode, select_rows
 
 
 class Filter(PlanNode):
@@ -38,42 +37,9 @@ class Filter(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        compiled = None
-        if outer is None:
-            try:
-                compiled = compile_filter(
-                    self.predicate, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                ctx.stats.compile_fallbacks += 1
-        stats = ctx.stats
-        if compiled is not None:
-            stats.predicates_compiled += 1
-        for row in self.child.rows(ctx, outer):
-            if compiled is not None:
-                stats.predicate_evals += 1
-                stats.compiled_evals += 1
-                try:
-                    keep = compiled(row)
-                except ResourceError:
-                    raise
-                except Exception:
-                    # Compiled predicate died mid-stream: back out this
-                    # row's compiled counters and degrade to the
-                    # evaluator for it and every remaining row.
-                    stats.predicate_evals -= 1
-                    stats.compiled_evals -= 1
-                    stats.compile_fallbacks += 1
-                    compiled = None
-                else:
-                    if keep:
-                        yield row
-                    continue
-            scope = Scope(self.schema, row, outer=outer)
-            if ctx.evaluator.qualifies(self.predicate, scope):
-                yield row
+        return select_rows(
+            ctx, self.predicate, self.schema, self.child.rows(ctx, outer), outer
+        )
 
     # ------------------------------------------------------------------
     # vectorized path

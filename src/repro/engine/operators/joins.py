@@ -13,16 +13,21 @@ subqueries or outer references fall back to the shared evaluator.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
-from ...types.values import SqlValue, is_null, row_sort_key
+from ...types.values import key_extractor
 from ..columnar import ColumnBatch, batch_fault_check, batches_from_rows
-from ..compile import compile_filter
+from ..compile import RowTest
 from ..schema import Scope
-from .base import ExecContext, PlanNode
+from .base import ExecContext, PlanNode, compile_row_test
+
+
+def _no_flush() -> None:
+    """Nothing counted, nothing to credit."""
 
 
 def _residual_test(
@@ -30,57 +35,51 @@ def _residual_test(
     predicate: Expr | None,
     ctx: ExecContext,
     outer: Scope | None,
-) -> Callable[[Sequence[SqlValue]], bool] | None:
-    """A per-row test for a join residual, or None when there is none.
+) -> tuple[RowTest | None, Callable[[], None]]:
+    """A per-row test for a join residual, with its counter flush.
 
+    Returns ``(test, flush)``; *test* is None when there is no residual.
     Compiles the predicate when possible (counting the compilation);
-    otherwise returns an evaluator-backed closure with identical
+    otherwise *test* is an evaluator-backed closure with identical
     semantics.  The evaluator closure is also the verified fallback: a
     compilation failure, or a compiled closure dying mid-stream, swaps
-    in the interpreter for the remaining rows.
+    in the interpreter for the remaining rows.  Compiled evaluations
+    are counted in the closure; the join credits them by calling
+    *flush* once, in the ``finally`` of its row loop.
     """
     if predicate is None:
-        return None
+        return None, _no_flush
     stats = ctx.stats
 
     def interpret(row):
         scope = Scope(node.schema, row, outer=outer)
         return ctx.evaluator.qualifies(predicate, scope)
 
-    compiled = None
-    if outer is None:
-        try:
-            compiled = compile_filter(
-                predicate, node.schema, ctx.evaluator.params
-            )
-        except ResourceError:
-            raise
-        except Exception:
-            stats.compile_fallbacks += 1
+    compiled = compile_row_test(ctx, predicate, node.schema, outer)
     if compiled is None:
-        return interpret
-
-    stats.predicates_compiled += 1
-    state = {"fn": compiled}
+        return interpret, _no_flush
+    evals = 0
 
     def test(row):
-        fn = state["fn"]
-        if fn is None:
+        nonlocal compiled, evals
+        if compiled is None:
             return interpret(row)
-        stats.predicate_evals += 1
-        stats.compiled_evals += 1
+        evals += 1
         try:
-            return fn(row)
+            return compiled(row)
         except ResourceError:
             raise
         except Exception:
-            stats.predicate_evals -= 1
-            stats.compiled_evals -= 1
+            evals -= 1
             stats.compile_fallbacks += 1
-            state["fn"] = None
+            compiled = None
             return interpret(row)
 
-    return test
+    def flush():
+        stats.predicate_evals += evals
+        stats.compiled_evals += evals
+
+    return test, flush
 
 
 class NestedLoopJoin(PlanNode):
@@ -103,16 +102,22 @@ class NestedLoopJoin(PlanNode):
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         inner = list(self.right.rows(ctx, outer))
-        qualifies = _residual_test(self, self.predicate, ctx, outer)
+        qualifies, flush = _residual_test(self, self.predicate, ctx, outer)
         tick = ctx.tick
-        for left_row in self.left.rows(ctx, outer):
-            for right_row in inner:
-                tick()
-                ctx.stats.rows_joined += 1
-                combined = left_row + right_row
-                if qualifies is not None and not qualifies(combined):
-                    continue
-                yield combined
+        joined = 0
+        left_rows = self.left.rows(ctx, outer)
+        try:
+            for left_row in left_rows:
+                for right_row in inner:
+                    tick()
+                    joined += 1
+                    combined = left_row + right_row
+                    if qualifies is None or qualifies(combined):
+                        yield combined
+        finally:
+            ctx.stats.rows_joined += joined
+            flush()
+            left_rows.close()
 
     def label(self) -> str:
         if self.predicate is None:
@@ -160,46 +165,59 @@ class HashJoin(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def _usable(self, key_values: list) -> bool:
-        """A NULL key participates only at null-safe positions."""
-        return not any(
-            is_null(value) and not safe
-            for value, safe in zip(key_values, self.null_safe)
-        )
+    def _sides(self) -> tuple[PlanNode, PlanNode, list[int], list[int]]:
+        """``(build, probe, build_keys, probe_keys)``."""
+        if self.build_left:
+            return self.left, self.right, self.left_keys, self.right_keys
+        return self.right, self.left, self.right_keys, self.left_keys
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        if self.build_left:
-            build, probe = self.left, self.right
-            build_keys, probe_keys = self.left_keys, self.right_keys
-        else:
-            build, probe = self.right, self.left
-            build_keys, probe_keys = self.right_keys, self.left_keys
-
-        buckets: dict[tuple, list[tuple]] = {}
-        for build_row in build.rows(ctx, outer):
-            key_values = [build_row[i] for i in build_keys]
-            if not self._usable(key_values):
-                continue  # a NULL key can never satisfy '='
-            ctx.stats.hash_builds += 1
-            buckets.setdefault(row_sort_key(key_values), []).append(build_row)
-
-        qualifies = _residual_test(self, self.residual, ctx, outer)
+        build, probe, build_keys, probe_keys = self._sides()
+        # A NULL key participates only at null-safe positions: anywhere
+        # else it can never satisfy '=' and the kernel answers None.
+        build_key = key_extractor(build_keys, self.null_safe)
+        probe_key = key_extractor(probe_keys, self.null_safe)
+        build_left = self.build_left
         tick = ctx.tick
-        for probe_row in probe.rows(ctx, outer):
-            key_values = [probe_row[i] for i in probe_keys]
-            if not self._usable(key_values):
-                continue
-            ctx.stats.hash_probes += 1
-            for build_row in buckets.get(row_sort_key(key_values), ()):
-                tick()
-                ctx.stats.rows_joined += 1
-                if self.build_left:
-                    combined = build_row + probe_row
-                else:
-                    combined = probe_row + build_row
-                if qualifies is not None and not qualifies(combined):
+        buckets: dict[tuple, list[tuple]] = {}
+        builds = probes = joined = 0
+        flush = _no_flush
+        probe_rows = probe.rows(ctx, outer)
+        try:
+            for build_row in build.rows(ctx, outer):
+                key = build_key(build_row)
+                if key is None:
                     continue
-                yield combined
+                builds += 1
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [build_row]
+                else:
+                    bucket.append(build_row)
+
+            qualifies, flush = _residual_test(self, self.residual, ctx, outer)
+            matching = buckets.get
+            for probe_row in probe_rows:
+                key = probe_key(probe_row)
+                if key is None:
+                    continue
+                probes += 1
+                for build_row in matching(key, ()):
+                    tick()
+                    joined += 1
+                    if build_left:
+                        combined = build_row + probe_row
+                    else:
+                        combined = probe_row + build_row
+                    if qualifies is None or qualifies(combined):
+                        yield combined
+        finally:
+            stats = ctx.stats
+            stats.hash_builds += builds
+            stats.hash_probes += probes
+            stats.rows_joined += joined
+            flush()
+            probe_rows.close()
 
     # ------------------------------------------------------------------
     # vectorized path
@@ -254,12 +272,9 @@ class HashJoin(PlanNode):
         if outer is not None:
             yield from PlanNode._batches(self, ctx, outer)
             return
-        if self.build_left:
-            build, probe = self.left, self.right
-            build_keys, probe_keys = self.left_keys, self.right_keys
-        else:
-            build, probe = self.right, self.left
-            build_keys, probe_keys = self.right_keys, self.left_keys
+        build, probe, build_keys, probe_keys = self._sides()
+        build_key = key_extractor(build_keys, self.null_safe)
+        probe_key = key_extractor(probe_keys, self.null_safe)
 
         stats = ctx.stats
         unique_build = self._unique_build(ctx, build, build_keys)
@@ -292,11 +307,10 @@ class HashJoin(PlanNode):
                 # Per-batch demotion: hash this batch the tuple way.
                 stats.vectorized_fallbacks += 1
                 for row in batch_rows:
-                    key_values = [row[i] for i in build_keys]
-                    if not self._usable(key_values):
-                        continue
-                    stats.hash_builds += 1
-                    insert(row_sort_key(key_values), row)
+                    key = build_key(row)
+                    if key is not None:
+                        stats.hash_builds += 1
+                        insert(key, row)
                 continue
             if skip:
                 selector = (batch.ones ^ skip).to_bytes(batch.length, "little")
@@ -319,7 +333,7 @@ class HashJoin(PlanNode):
             def lookup(key):
                 return buckets_get(key, ())
 
-        qualifies = _residual_test(self, self.residual, ctx, outer)
+        qualifies, flush = _residual_test(self, self.residual, ctx, outer)
         tick = ctx.tick
         build_left = self.build_left
 
@@ -335,11 +349,11 @@ class HashJoin(PlanNode):
                 except Exception:
                     stats.vectorized_fallbacks += 1
                     for probe_row in batch_rows:
-                        key_values = [probe_row[i] for i in probe_keys]
-                        if not self._usable(key_values):
+                        key = probe_key(probe_row)
+                        if key is None:
                             continue
                         stats.hash_probes += 1
-                        for build_row in lookup(row_sort_key(key_values)):
+                        for build_row in lookup(key):
                             tick()
                             stats.rows_joined += 1
                             if build_left:
@@ -375,9 +389,12 @@ class HashJoin(PlanNode):
                 stats.vectorized_rows += len(batch_rows)
                 yield from out_buffer
 
-        yield from batches_from_rows(
-            combined_rows(), len(self.schema), ctx.batch_rows
-        )
+        try:
+            yield from batches_from_rows(
+                combined_rows(), len(self.schema), ctx.batch_rows
+            )
+        finally:
+            flush()
 
     def label(self) -> str:
         keys = ", ".join(
@@ -418,33 +435,38 @@ class SortMergeJoin(PlanNode):
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         left_rows = self._sorted_input(ctx, self.left, self.left_keys, outer)
         right_rows = self._sorted_input(ctx, self.right, self.right_keys, outer)
-        qualifies = _residual_test(self, self.residual, ctx, outer)
+        qualifies, flush = _residual_test(self, self.residual, ctx, outer)
+        tick = ctx.tick
+        joined = 0
 
         i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            left_key, left_row = left_rows[i]
-            right_key, right_row = right_rows[j]
-            if left_key < right_key:
-                i += 1
-            elif left_key > right_key:
-                j += 1
-            else:
-                # Gather the group of equal keys on the right, join with
-                # every equal-keyed left row.
-                j_end = j
-                while j_end < len(right_rows) and right_rows[j_end][0] == left_key:
-                    j_end += 1
-                while i < len(left_rows) and left_rows[i][0] == left_key:
-                    _, current_left = left_rows[i]
-                    for _, match in right_rows[j:j_end]:
-                        ctx.tick()
-                        ctx.stats.rows_joined += 1
-                        combined = current_left + match
-                        if qualifies is not None and not qualifies(combined):
-                            continue
-                        yield combined
+        try:
+            while i < len(left_rows) and j < len(right_rows):
+                left_key, left_row = left_rows[i]
+                right_key, right_row = right_rows[j]
+                if left_key < right_key:
                     i += 1
-                j = j_end
+                elif left_key > right_key:
+                    j += 1
+                else:
+                    # Gather the group of equal keys on the right, join
+                    # with every equal-keyed left row.
+                    j_end = j
+                    while j_end < len(right_rows) and right_rows[j_end][0] == left_key:
+                        j_end += 1
+                    while i < len(left_rows) and left_rows[i][0] == left_key:
+                        _, current_left = left_rows[i]
+                        for _, match in right_rows[j:j_end]:
+                            tick()
+                            joined += 1
+                            combined = current_left + match
+                            if qualifies is None or qualifies(combined):
+                                yield combined
+                        i += 1
+                    j = j_end
+        finally:
+            ctx.stats.rows_joined += joined
+            flush()
 
     def _sorted_input(
         self,
@@ -453,19 +475,17 @@ class SortMergeJoin(PlanNode):
         keys: list[int],
         outer: Scope | None,
     ) -> list[tuple]:
-        rows = []
-        for row in child.rows(ctx, outer):
-            key_values = [row[i] for i in keys]
-            skip = any(
-                is_null(value) and not safe
-                for value, safe in zip(key_values, self.null_safe)
-            )
-            if skip:
-                continue
-            rows.append((row_sort_key(key_values), row))
+        """``(key, row)`` pairs in key order, NULL-keyed rows dropped
+        (except at null-safe positions)."""
+        extract = key_extractor(keys, self.null_safe)
+        rows = [
+            (key, row)
+            for row in child.rows(ctx, outer)
+            if (key := extract(row)) is not None
+        ]
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
-        rows.sort(key=lambda pair: pair[0])
+        rows.sort(key=itemgetter(0))
         return rows
 
     def label(self) -> str:
@@ -505,24 +525,34 @@ class HashSemiJoin(PlanNode):
         return (self.left, self.right)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+        right_key = key_extractor(self.right_keys)
+        left_key = key_extractor(self.left_keys)
+        negated = self.negated
+        tick = ctx.tick
         keys: set[tuple] = set()
-        for right_row in self.right.rows(ctx, outer):
-            key_values = [right_row[i] for i in self.right_keys]
-            if any(is_null(value) for value in key_values):
-                continue
-            ctx.stats.hash_builds += 1
-            keys.add(row_sort_key(key_values))
+        builds = probes = 0
+        left_rows = self.left.rows(ctx, outer)
+        try:
+            for right_row in self.right.rows(ctx, outer):
+                key = right_key(right_row)
+                if key is not None:
+                    builds += 1
+                    keys.add(key)
 
-        for left_row in self.left.rows(ctx, outer):
-            ctx.tick()
-            key_values = [left_row[i] for i in self.left_keys]
-            if any(is_null(value) for value in key_values):
-                matched = False
-            else:
-                ctx.stats.hash_probes += 1
-                matched = row_sort_key(key_values) in keys
-            if matched != self.negated:
-                yield left_row
+            for left_row in left_rows:
+                tick()
+                key = left_key(left_row)
+                if key is None:
+                    matched = False
+                else:
+                    probes += 1
+                    matched = key in keys
+                if matched != negated:
+                    yield left_row
+        finally:
+            ctx.stats.hash_builds += builds
+            ctx.stats.hash_probes += probes
+            left_rows.close()
 
     def label(self) -> str:
         kind = "HashAntiJoin" if self.negated else "HashSemiJoin"

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from ...errors import ResourceError
-from ...types.values import row_sort_key
+from ...types.values import key_extractor, row_sort_key
 from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
@@ -24,8 +25,12 @@ class Project(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        for row in self.child.rows(ctx, outer):
-            yield tuple(row[i] for i in self.indices)
+        indices = self.indices
+        if len(indices) > 1:
+            pick = itemgetter(*indices)  # a tuple, built in C
+        else:
+            pick = lambda row: tuple([row[i] for i in indices])  # noqa: E731
+        yield from map(pick, self.child.rows(ctx, outer))
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized projection: pure column slicing, zero copying."""
@@ -77,15 +82,20 @@ class SortDistinct(PlanNode):
         rows = list(self.child.rows(ctx, outer))
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
-        rows.sort(key=row_sort_key)
+        # Each row is canonicalised once; the stable sort on the key
+        # alone keeps equal-key rows in input order.
+        keyed = sorted(zip(map(key_extractor(), rows), rows), key=itemgetter(0))
         previous_key = None
-        for row in rows:
-            key = row_sort_key(row)
-            if key != previous_key:
-                previous_key = key
-                yield row
-            else:
-                ctx.stats.duplicates_removed += 1
+        duplicates = 0
+        try:
+            for key, row in keyed:
+                if key != previous_key:
+                    previous_key = key
+                    yield row
+                else:
+                    duplicates += 1
+        finally:
+            ctx.stats.duplicates_removed += duplicates
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """DISTINCT over canonical key vectors.
@@ -152,16 +162,22 @@ class HashDistinct(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+        row_key = key_extractor()
         seen: set[tuple] = set()
-        for row in self.child.rows(ctx, outer):
-            key = row_sort_key(row)
-            ctx.stats.hash_probes += 1
-            if key in seen:
-                ctx.stats.duplicates_removed += 1
-                continue
-            seen.add(key)
-            ctx.stats.hash_builds += 1
-            yield row
+        probes = 0
+        try:
+            for row in self.child.rows(ctx, outer):
+                key = row_key(row)
+                probes += 1
+                if key not in seen:
+                    seen.add(key)
+                    yield row
+        finally:
+            # Every probe either built an entry or removed a duplicate.
+            stats = ctx.stats
+            stats.hash_probes += probes
+            stats.hash_builds += len(seen)
+            stats.duplicates_removed += probes - len(seen)
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Streaming DISTINCT: one key vector per batch, one shared set."""

@@ -7,10 +7,9 @@ from typing import Iterator
 from ...errors import ExecutionError, MissingHostVariableError, ResourceError
 from ...sql.expressions import Expr, HostVar, Literal
 from ...sql.printer import to_sql
-from ...types.values import is_null, row_sort_key
-from ..compile import compile_filter
+from ...types.values import is_null, key_extractor, row_sort_key
 from ..schema import RelSchema, Scope
-from .base import ExecContext, PlanNode
+from .base import ExecContext, PlanNode, select_rows
 
 #: Rows a sequential scan accounts per guard tick when ticks may be
 #: batched (divides CLOCK_CHECK_INTERVAL, so deadline checks stay on
@@ -126,74 +125,44 @@ class IndexScan(PlanNode):
         fallback when the hash-index machinery fails."""
         if any(is_null(value) for value in values):
             return []
-        positions = [
-            data.schema.column_index(name) for name in self.key_columns
-        ]
+        row_key = key_extractor(
+            [data.schema.column_index(name) for name in self.key_columns]
+        )
         target = row_sort_key(values)
-        return [
-            row
-            for row in data.rows
-            if row_sort_key(tuple(row[p] for p in positions)) == target
-        ]
+        return [row for row in data.rows if row_key(row) == target]
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         data = ctx.database.table(self.table_name)
         values = self._probe_values(ctx)
-        ctx.stats.index_probes += 1
+        stats = ctx.stats
+        stats.index_probes += 1
         try:
             matches = data.index_lookup(self.key_columns, values)
         except ResourceError:
             raise
         except Exception:
-            ctx.stats.index_fallbacks += 1
+            stats.index_fallbacks += 1
             matches = self._scan_matches(data, values)
-        ctx.stats.index_rows += len(matches)
-
-        tick = ctx.tick
+        stats.index_rows += len(matches)
+        scanned = self._scanned(ctx, matches)
         if self.residual is None:
+            yield from scanned
+        else:
+            yield from select_rows(
+                ctx, self.residual, self.schema, scanned, outer
+            )
+
+    def _scanned(self, ctx: ExecContext, matches: list[tuple]) -> Iterator[tuple]:
+        """The matched rows, each one a checkpoint and a scanned row."""
+        tick = ctx.tick
+        scanned = 0
+        try:
             for row in matches:
                 tick()
-                ctx.stats.rows_scanned += 1
+                scanned += 1
                 yield row
-            return
-
-        compiled = None
-        if outer is None:
-            try:
-                compiled = compile_filter(
-                    self.residual, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                ctx.stats.compile_fallbacks += 1
-        stats = ctx.stats
-        if compiled is not None:
-            stats.predicates_compiled += 1
-        for row in matches:
-            tick()
-            stats.rows_scanned += 1
-            if compiled is not None:
-                stats.predicate_evals += 1
-                stats.compiled_evals += 1
-                try:
-                    keep = compiled(row)
-                except ResourceError:
-                    raise
-                except Exception:
-                    # A compiled residual died mid-stream: back out this
-                    # row's compiled counters and finish interpretively.
-                    stats.predicate_evals -= 1
-                    stats.compiled_evals -= 1
-                    stats.compile_fallbacks += 1
-                    compiled = None
-                else:
-                    if keep:
-                        yield row
-                    continue
-            scope = Scope(self.schema, row, outer=outer)
-            if ctx.evaluator.qualifies(self.residual, scope):
-                yield row
+        finally:
+            ctx.stats.rows_scanned += scanned
 
     def label(self) -> str:
         keys = ", ".join(

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from ...errors import ResourceError
 from ...sql.ast import SetOpKind
-from ...types.values import row_sort_key
+from ...types.values import key_extractor, row_sort_key
 from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import Scope
 from .base import ExecContext, PlanNode
@@ -41,13 +41,14 @@ class SortSetOp(PlanNode):
         ctx.stats.sorts += 2
         ctx.stats.sort_rows += len(left_rows) + len(right_rows)
 
+        row_key = key_extractor()
         left_counts: Counter = Counter()
         representatives: dict = {}
         for row in left_rows:
-            key = row_sort_key(row)
+            key = row_key(row)
             left_counts[key] += 1
             representatives.setdefault(key, row)
-        right_counts: Counter = Counter(row_sort_key(row) for row in right_rows)
+        right_counts: Counter = Counter(map(row_key, right_rows))
 
         if self.kind is SetOpKind.UNION:
             if self.all_rows:
@@ -55,13 +56,17 @@ class SortSetOp(PlanNode):
                 yield from right_rows
                 return
             emitted: set = set()
-            for row in left_rows + right_rows:
-                key = row_sort_key(row)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield row
-                else:
-                    ctx.stats.duplicates_removed += 1
+            duplicates = 0
+            try:
+                for row in left_rows + right_rows:
+                    key = row_key(row)
+                    if key not in emitted:
+                        emitted.add(key)
+                        yield row
+                    else:
+                        duplicates += 1
+            finally:
+                ctx.stats.duplicates_removed += duplicates
             return
 
         for key in sorted(left_counts):

@@ -31,13 +31,13 @@ class Tristate(enum.Enum):
         )
 
     def __and__(self, other: "Tristate") -> "Tristate":
-        return Tristate(min(self.value, other.value))
+        return _AND[self._value_][other._value_]
 
     def __or__(self, other: "Tristate") -> "Tristate":
-        return Tristate(max(self.value, other.value))
+        return _OR[self._value_][other._value_]
 
     def __invert__(self) -> "Tristate":
-        return Tristate(2 - self.value)
+        return _NOT[self._value_]
 
     def false_interpreted(self) -> bool:
         """The paper's ⌊P⌋: true only when the value is ``TRUE``.
@@ -63,6 +63,15 @@ class Tristate(enum.Enum):
 TRUE = Tristate.TRUE
 FALSE = Tristate.FALSE
 UNKNOWN = Tristate.UNKNOWN
+
+# The Kleene connectives as lookup tables over the three singletons,
+# filled once from the members and indexed by their values (FALSE 0 <
+# UNKNOWN 1 < TRUE 2): AND is min, OR is max, NOT is 2 - x — without an
+# ``Enum.__call__`` and two ``DynamicClassAttribute`` reads per node.
+_BY_VALUE = (FALSE, UNKNOWN, TRUE)
+_AND = tuple(tuple(_BY_VALUE[min(a, b)] for b in range(3)) for a in range(3))
+_OR = tuple(tuple(_BY_VALUE[max(a, b)] for b in range(3)) for a in range(3))
+_NOT = tuple(_BY_VALUE[2 - a] for a in range(3))
 
 
 def all3(values) -> Tristate:

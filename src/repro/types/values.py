@@ -16,7 +16,9 @@ Values themselves are ordinary Python objects (``int``, ``float``,
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from .tristate import FALSE, TRUE, UNKNOWN, Tristate
 
@@ -59,7 +61,7 @@ def is_null(value: SqlValue) -> bool:
     return value is NULL or isinstance(value, _Null)
 
 
-def _comparable(left: SqlValue, right: SqlValue) -> bool:
+def comparable(left: SqlValue, right: SqlValue) -> bool:
     """Whether two non-null values belong to mutually comparable types."""
     if isinstance(left, bool) or isinstance(right, bool):
         return isinstance(left, bool) and isinstance(right, bool)
@@ -92,9 +94,16 @@ def compare_where(op: str, left: SqlValue, right: SqlValue) -> Tristate:
     """Evaluate a comparison operator under WHERE semantics.
 
     Supported operators: ``=``, ``<>``, ``<``, ``<=``, ``>``, ``>=``.
-    Any NULL operand yields UNKNOWN; incomparable types yield UNKNOWN as
-    well (mirroring how a cautious engine treats a type mismatch caused
-    by host-variable substitution).
+    Any NULL operand yields UNKNOWN.  The *ordering* operators also
+    yield UNKNOWN for operands of incomparable types (bool, numeric and
+    each other type are classes of their own — how a cautious engine
+    treats a mismatch caused by host-variable substitution).  ``=`` and
+    ``<>`` never consult comparability: they are Python ``==``/``!=``,
+    so ``1 = '1'`` is FALSE and ``TRUE = 1`` is TRUE although
+    ``TRUE < 1`` is UNKNOWN (and a hash-join key, which carries the
+    type rank, never matches ``TRUE`` with ``1``).  A non-null ordering
+    comparison is FALSE exactly when Python's is — ``NaN < 1`` and
+    ``NaN >= 1`` are both FALSE.
     """
     if is_null(left) or is_null(right):
         return UNKNOWN
@@ -102,7 +111,7 @@ def compare_where(op: str, left: SqlValue, right: SqlValue) -> Tristate:
         return TRUE if left == right else FALSE
     if op == "<>":
         return TRUE if left != right else FALSE
-    if not _comparable(left, right):
+    if not comparable(left, right):
         return UNKNOWN
     if op == "<":
         return Tristate.of(left < right)
@@ -138,6 +147,60 @@ def sort_key(value: SqlValue) -> tuple:
 def row_sort_key(row: Sequence[SqlValue]) -> tuple:
     """Sort key for an entire row (lexicographic over :func:`sort_key`)."""
     return tuple(sort_key(value) for value in row)
+
+
+_NULL_KEY = (-1, 0)
+
+
+def key_extractor(
+    indices: Sequence[int] | None = None,
+    null_safe: Sequence[bool] | None = None,
+) -> Callable[[Sequence[SqlValue]], tuple | None]:
+    """The per-row key kernel of the tuple operators, built once per
+    execution so the row loop pays one call per key.
+
+    The returned ``extract(row)`` is exactly
+    ``row_sort_key([row[i] for i in indices])`` — or ``None`` when the
+    row holds NULL at a position not flagged in *null_safe*, i.e. a
+    join key WHERE-equality can never match (no flags: every position
+    is strict).  With *indices* ``None`` it canonicalises the whole row
+    and never answers ``None`` (DISTINCT and the set operators compare
+    under ≐, where NULLs are equal).
+    """
+    rank = _TYPE_RANK.get
+    strict = () if indices is None else tuple(
+        i for i, safe in zip(indices, null_safe or repeat(False)) if not safe
+    )
+
+    if indices is not None and len(indices) == 1:
+        # One key column (most equi-joins): no list, no inner loop.
+        (only,) = indices
+        skip_null = bool(strict)
+
+        def extract_one(row):
+            value = row[only]
+            r = rank(type(value))
+            if r is not None:
+                return ((r, value),)
+            if value is NULL:
+                return None if skip_null else (_NULL_KEY,)
+            return ((3, repr(value)),)
+
+        return extract_one
+
+    pick = itemgetter(*indices) if indices is not None else None
+
+    def extract(row):
+        for i in strict:
+            if row[i] is NULL:
+                return None
+        return tuple([
+            (r, value) if (r := rank(type(value))) is not None
+            else _NULL_KEY if value is NULL else (3, repr(value))
+            for value in (row if pick is None else pick(row))
+        ])
+
+    return extract
 
 
 def rows_equivalent(left: Sequence[SqlValue], right: Sequence[SqlValue]) -> bool:

@@ -21,11 +21,16 @@ from repro.types import NULL, FALSE, TRUE, UNKNOWN
 SCHEMA = RelSchema.for_table("T", ["A", "B", "C"])
 
 # Every combination of NULL/low/high over two numeric columns and a
-# string column: 27 rows exercising all three truth values.
+# string column exercises all three truth values; a bool, a float, a
+# NaN and a numeric-looking string add the incomparable lane of the
+# ordering operators (bool / numeric / str are classes of their own)
+# and the rows where ``a < b`` and ``a >= b`` are both FALSE.
 ROWS = [
     (a, b, c)
     for a, b, c in itertools.product(
-        (NULL, 1, 2), (NULL, 1, 2), (NULL, "X", "Y")
+        (NULL, 1, 2, True, 1.5, float("nan")),
+        (NULL, 1, 2, True, 1.5),
+        (NULL, "X", "Y", "1"),
     )
 ]
 
@@ -46,6 +51,10 @@ CONDITIONS = [
     "A = :P AND C <> :Q",
     "A = 1 AND 1 = 1",
     "A = 1 OR 1 = 0",
+    "A < C",
+    "A >= :Q",
+    "NOT A < B",
+    "A <> C",
 ]
 
 PARAMS = {"P": 1, "Q": "X"}
