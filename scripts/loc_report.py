@@ -12,7 +12,10 @@ value a caller, an operator or the ladder can choose — keyword
 parameters of the four execution entry points, fields of the two
 options dataclasses, CLI flags per subcommand, degradation rungs and
 ``Stats`` counters — read off the imported package itself, so a knob
-cannot be added or removed without this number moving.
+cannot be added or removed without this number moving.  Its last row,
+``batch_kernels``, names the plan operators under ``repro.engine`` that
+override ``_batches``: each one is a second implementation of its own
+row loop, so the row says how much of the engine exists twice.
 
 Usage::
 
@@ -28,9 +31,11 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 import io
 import json
+import pkgutil
 import sys
 import tokenize
 from collections import Counter
@@ -91,17 +96,27 @@ def report(root: Path) -> dict[str, dict[str, int]]:
     return {package: dict(row) for package, row in sorted(rows.items())}
 
 
-def knob_census(root: Path) -> dict[str, dict[str, int] | int]:
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
     """Counts of independently settable values in the package at *root*."""
     sys.path.insert(0, str(root.resolve().parent))
+    import repro.engine
     from repro.api import run_with_options
     from repro.cli import build_arg_parser
+    from repro.engine.operators.base import PlanNode
     from repro.engine.planner import PlannerOptions, execute_plan, execute_planned
     from repro.engine.stats import Stats
     from repro.options import ExecutionOptions
     from repro.resilience.guarded import run_guarded
     from repro.resilience.health import LADDER
 
+    for module in pkgutil.walk_packages(repro.engine.__path__, "repro.engine."):
+        importlib.import_module(module.name)
     subcommands = next(
         action
         for action in build_arg_parser()._actions
@@ -128,6 +143,9 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | int]:
         },
         "ladder_rungs": len(LADDER),
         "stats_counters": len(dataclasses.fields(Stats)),
+        "batch_kernels": sorted(
+            cls.__name__ for cls in _subclasses(PlanNode) if "_batches" in vars(cls)
+        ),
     }
 
 
@@ -155,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     for group, counts in knobs.items():
         if isinstance(counts, int):
             print(f"{group:<14} {counts:>3}")
+            continue
+        if isinstance(counts, list):
+            print(f"{group:<14} {len(counts):>3}  {'  '.join(counts)}")
             continue
         listed = "  ".join(f"{name} {count}" for name, count in counts.items())
         print(f"{group:<14} {sum(counts.values()):>3}  {listed}")

@@ -1,11 +1,20 @@
 """Columnar execution: morsel-sized batches and vectorized kernels.
 
-The tuple interpreter pays a Python-level dispatch per row — per
-predicate, per projection, per join probe.  This module amortizes that
-dispatch over *morsel-sized column batches*: a :class:`ColumnBatch`
-holds one Python list per column plus a null bitmap, and operators work
-on whole vectors with C-speed builtins (``zip``, ``map``,
-``itertools.compress``, comprehensions) instead of row loops.
+The tuple path pays a Python-level dispatch per row per predicate and
+per projection.  This module amortizes that dispatch over *morsel-sized
+column batches*: a :class:`ColumnBatch` holds one Python list per column
+plus a null bitmap, and a kernel works on whole vectors with C-speed
+builtins (``zip``, ``map``, ``itertools.compress``, comprehensions)
+instead of a row loop.
+
+In a read plan batches are the format of scan → filter → project
+pipelines and of nothing else: a ``SeqScan`` serves the table's cached batches, a
+``Filter`` over it is a mask kernel, a ``Project`` a column slice.
+Where the pipeline ends — at a join, a DISTINCT, a set operation, a
+sort, or the result — :class:`UnbatchedRows` hands its rows to the one
+row-shaped implementation those operators have (a second, batch-shaped
+join lost to the loop it restated on every join class; EXPERIMENTS.md,
+"One kernel per row-shaped operator").
 
 Masks
 -----
@@ -44,15 +53,15 @@ tuple interpreter, which remains the verified reference semantics.
 
 Fault injection: batch compilation consults the ``compile`` site, and
 armed ``vectorized_eval`` faults instrument every returned kernel (and,
-via :func:`batch_fault_check`, each non-predicate vectorized operator),
-so the chaos suite can force the vectorized→interpreter demotion ladder
+via :func:`batch_fault_check`, the projection's column slice), so the
+chaos suite can force the vectorized→interpreter demotion ladder
 mid-stream.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..resilience.faults import FAULTS, SITE_COMPILE, SITE_VECTORIZED_EVAL
@@ -123,8 +132,8 @@ def resolve_engine_mode(mode: str | None) -> str:
 
 
 def batch_fault_check() -> None:
-    """One ``vectorized_eval`` trigger opportunity (non-predicate
-    vectorized operators call this once per batch)."""
+    """One ``vectorized_eval`` trigger opportunity (``Project``, the
+    batch kernel that is not a predicate, calls this once per batch)."""
     if FAULTS.armed:
         FAULTS.check(SITE_VECTORIZED_EVAL)
 
@@ -221,25 +230,6 @@ class ColumnBatch:
             self.length,
         )
 
-    def sort_keys(self, indices: Sequence[int] | None = None) -> list[tuple]:
-        """Canonical per-row sort keys (``row_sort_key`` vectorized).
-
-        One comprehension per column computes the type-ranked
-        :func:`~repro.types.values.sort_key` vector; ``zip`` transposes
-        them into the per-row key tuples DISTINCT, set operations, and
-        hash joins use for ≐ row identity.
-        """
-        from ..types.values import sort_key
-
-        columns = (
-            self.columns if indices is None
-            else [self.columns[i] for i in indices]
-        )
-        if not columns:
-            return [()] * self.length
-        key_columns = [[sort_key(v) for v in column] for column in columns]
-        return list(zip(*key_columns))
-
     def __len__(self) -> int:
         return self.length
 
@@ -257,7 +247,7 @@ def batches_from_rows(
 
     This is the tuple→columnar adapter: the default
     ``PlanNode.batches`` and every mid-stream demotion path use it, so
-    vectorized parents can consume any child — including one that just
+    a batch parent can consume any child — including one that just
     fell back to the interpreter.
     """
     iterator = iter(rows)
@@ -266,6 +256,33 @@ def batches_from_rows(
         if not chunk:
             return
         yield ColumnBatch.from_rows(chunk, width)
+
+
+class UnbatchedRows:
+    """The rows of a :class:`ColumnBatch` stream — the columnar→tuple
+    adapter, mirror of :func:`batches_from_rows`.
+
+    Iterating it hands out a C-level ``chain`` over each batch's
+    ``zip``, so a row loop reading a batch pipeline pays no Python
+    frame per row.  :meth:`close` closes the batch stream the way a
+    generator's would: a consumer that leaves early has run the
+    kernels' ``finally`` blocks before anyone reads the totals.
+    """
+
+    __slots__ = ("_batches", "_rows")
+
+    def __init__(self, batches: Iterator[ColumnBatch]) -> None:
+        self._batches = batches
+        self._rows = chain.from_iterable(map(ColumnBatch.iter_rows, batches))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._rows
+
+    def __next__(self) -> tuple:
+        return next(self._rows)
+
+    def close(self) -> None:
+        self._batches.close()
 
 
 # ----------------------------------------------------------------------

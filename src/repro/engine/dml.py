@@ -31,6 +31,7 @@ from ..errors import (
     ConstraintViolation,
     ExecutionError,
     MissingHostVariableError,
+    ResourceError,
 )
 from ..sql.ast import Assignment, Delete, Dml, Insert, Update
 from ..sql.expressions import HostVar
@@ -84,11 +85,11 @@ class DmlNode(PlanNode):
             return pairs
         data = txn.database.table(self.table)
         schema = RelSchema.for_table(self.table, data.schema.column_names)
+        matched = []
         if ctx.use_batches:
             kernel = compile_batch_filter(where, schema, ctx.evaluator.params)
             if kernel is not None:
-                return self._matching_batches(ctx, pairs, kernel)
-        matched = []
+                matched, pairs = self._matching_batches(ctx, pairs, kernel)
         for pair in pairs:
             ctx.tick()
             ctx.stats.predicate_evals += 1
@@ -97,7 +98,11 @@ class DmlNode(PlanNode):
         return matched
 
     def _matching_batches(self, ctx: ExecContext, pairs, kernel):
-        """Vectorized matching: mask kernels over candidate batches."""
+        """Vectorized matching: mask kernels over candidate batches.
+
+        Returns ``(matched, unjudged)``; *unjudged* is empty unless a
+        kernel died mid-stream — then it is the failed batch and the
+        rest, which the caller's evaluator loop finishes."""
         matched = []
         offset = 0
         for batch in batches_from_rows(
@@ -105,7 +110,13 @@ class DmlNode(PlanNode):
             len(ctx.database.table(self.table).schema.columns),
             ctx.batch_rows,
         ):
-            mask = kernel(batch)
+            try:
+                mask = kernel(batch)
+            except ResourceError:
+                raise
+            except Exception:
+                ctx.stats.vectorized_fallbacks += 1
+                return matched, pairs[offset:]
             ctx.stats.vectorized_batches += 1
             ctx.stats.vectorized_rows += batch.length
             ctx.tick(batch.length)
@@ -115,7 +126,7 @@ class DmlNode(PlanNode):
                     pairs[offset + i] for i, lane in enumerate(selector) if lane
                 )
             offset += batch.length
-        return matched
+        return matched, []
 
 
 class InsertNode(DmlNode):

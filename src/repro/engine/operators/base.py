@@ -12,6 +12,7 @@ from ...types.values import SqlValue
 from ..columnar import (
     DEFAULT_BATCH_ROWS,
     ColumnBatch,
+    UnbatchedRows,
     batches_from_rows,
     resolve_engine_mode,
 )
@@ -42,14 +43,17 @@ class ExecContext:
     row budget, cancellation) and the fault injector its
     ``operator_next`` trigger opportunities.
 
-    *engine_mode* selects the execution style (see
-    :mod:`repro.engine.columnar`): ``"tuple"`` is the verified row
-    interpreter, ``"vectorized"`` drives the plan through
-    :meth:`PlanNode.batches`, and ``"auto"`` vectorizes unless the
-    fault injector is armed (chaos runs exercise the per-row trigger
-    schedule unless a test forces the vectorized path explicitly).
-    ``None`` inherits the process default
-    (:func:`repro.engine.columnar.default_engine_mode`).
+    *engine_mode* selects the format of the scan → filter → project
+    pipelines at the leaves of the plan (see
+    :mod:`repro.engine.columnar`): under ``"tuple"`` they stream rows,
+    under ``"vectorized"`` they run on column batches (mask kernels,
+    column slicing) and hand rows to whatever consumes them, and
+    ``"auto"`` batches unless the fault injector is armed (chaos runs
+    exercise the per-row trigger schedule unless a test forces the
+    batch path explicitly).  Joins, duplicate elimination, set
+    operations and sorts have one implementation and read rows in
+    every mode — see :meth:`PlanNode.rows`.  ``None`` inherits the
+    process default (:func:`repro.engine.columnar.default_engine_mode`).
 
     When an *analysis* sink is supplied (EXPLAIN ANALYZE, the adaptive
     loop), every node this execution opens accounts its loops, rows,
@@ -121,19 +125,31 @@ class PlanNode:
     """A node of a physical execution plan.
 
     Subclasses define ``schema`` (a :class:`RelSchema` for the rows they
-    produce) and implement :meth:`_rows`; parents consume their inputs
-    through :meth:`rows` / :meth:`batches`, the one place an execution's
-    analysis sink hooks in.
+    produce) and implement :meth:`_rows`; every parent reads its inputs
+    through :meth:`rows`, in both engine modes.  :meth:`rows` and
+    :meth:`batches` are the one place an execution's analysis sink
+    hooks in.
     """
 
     schema: RelSchema
 
+    #: Whether this subtree is a *batch pipeline*: a ``SeqScan``, or a
+    #: ``Filter``/``Project`` over one.  Fixed from the plan shape when
+    #: the node is built; only these nodes have a batch kernel.
+    batch_pipeline = False
+
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Open the row stream.  *outer* carries correlation bindings.
 
-        With an analysis sink on *ctx* the stream is accounted into it;
-        without one this is a single test per open and nothing per row.
+        In batch mode a batch pipeline answers from its own
+        :meth:`batches` (that open is the node's one analysis
+        observation); a correlated open needs the evaluator and stays on
+        :meth:`_rows`, like every other node.  With an analysis sink on
+        *ctx* the stream is accounted into it; without one this is two
+        tests per open and nothing per row.
         """
+        if self.batch_pipeline and ctx.use_batches and outer is None:
+            return UnbatchedRows(self.batches(ctx))
         if ctx.analysis is None:
             return self._rows(ctx, outer)
         return ctx.analysis.observe(self, self._rows(ctx, outer), False)
@@ -155,13 +171,14 @@ class PlanNode:
     ) -> Iterator[ColumnBatch]:
         """Yield output as column batches.
 
-        The default re-batches :meth:`_rows` — any operator without a
-        vectorized kernel (or one that declined to vectorize) keeps its
-        exact tuple semantics, including ticks and counters, while
-        vectorized parents consume it uniformly.  Overrides produce
-        batches natively and must preserve the row sequence byte for
-        byte.  Falling back through ``_rows`` (not ``rows``) keeps the
-        node's own open counted once.
+        The default re-batches :meth:`_rows` — a ``Filter`` whose
+        predicate the batch compiler declines keeps its exact tuple
+        semantics, including ticks and counters, while a batch parent
+        consumes it uniformly.  Overrides (the batch pipeline:
+        ``SeqScan``, ``Filter``, ``Project``) produce batches natively
+        and must preserve the row sequence byte for byte.  Falling back
+        through ``_rows`` (not ``rows``) keeps the node's own open
+        counted once.
         """
         yield from batches_from_rows(
             self._rows(ctx, outer), len(self.schema), ctx.batch_rows

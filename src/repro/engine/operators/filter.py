@@ -32,6 +32,7 @@ class Filter(PlanNode):
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
+        self.batch_pipeline = child.batch_pipeline
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)

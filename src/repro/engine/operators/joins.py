@@ -12,7 +12,6 @@ subqueries or outer references fall back to the shared evaluator.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -20,7 +19,6 @@ from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ...types.values import key_extractor
-from ..columnar import ColumnBatch, batch_fault_check, batches_from_rows
 from ..compile import RowTest
 from ..schema import Scope
 from .base import ExecContext, PlanNode, compile_row_test
@@ -218,183 +216,6 @@ class HashJoin(PlanNode):
             stats.rows_joined += joined
             flush()
             probe_rows.close()
-
-    # ------------------------------------------------------------------
-    # vectorized path
-
-    def _skip_mask(self, batch: ColumnBatch, key_indices: list[int]) -> int:
-        """Lanes whose key is NULL at a non-null-safe position."""
-        mask = 0
-        for index, safe in zip(key_indices, self.null_safe):
-            if not safe:
-                mask |= batch.null_masks[index]
-        return mask
-
-    def _unique_build(self, ctx: ExecContext, build, build_keys) -> bool:
-        """Key-aware pre-sizing: whether every usable build key is unique.
-
-        True when the build input is a (possibly filtered) base-table
-        access whose join-key columns cover a declared candidate key —
-        filtering preserves uniqueness, and the candidate-key indexes
-        enforce it under the same ≐ canonicalization the join hashes
-        with.  The hash table then maps each key to a single row
-        instead of a bucket list: no per-key list allocations, and
-        probe matches are exact 0/1 lookups (the Theorem 1 cardinality
-        argument, applied to the physical hash table).
-        """
-        from .filter import Filter  # deferred: filter imports base too
-        from .scan import IndexScan, SeqScan
-
-        base = build
-        while isinstance(base, Filter):
-            base = base.child
-        if not isinstance(base, (SeqScan, IndexScan)):
-            return False
-        names = {build.schema.columns[i].name for i in build_keys}
-        schema = ctx.database.table(base.table_name).schema
-        return any(
-            set(key.columns) <= names for key in schema.candidate_keys
-        )
-
-    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
-        """Vectorized build/probe over canonical key vectors.
-
-        Build and probe batches contribute whole ``sort_keys()``
-        vectors; NULL keys at non-null-safe positions are dropped by a
-        mask (one int op per batch) instead of a per-row test.  A batch
-        whose key kernel fails degrades to the per-row arithmetic for
-        that batch only — bucket contents and output order stay
-        byte-identical either way.
-
-        Correlated executions delegate to the tuple path (re-batched):
-        correlation needs the evaluator.
-        """
-        if outer is not None:
-            yield from PlanNode._batches(self, ctx, outer)
-            return
-        build, probe, build_keys, probe_keys = self._sides()
-        build_key = key_extractor(build_keys, self.null_safe)
-        probe_key = key_extractor(probe_keys, self.null_safe)
-
-        stats = ctx.stats
-        unique_build = self._unique_build(ctx, build, build_keys)
-        single: dict[tuple, tuple] = {}
-        buckets: dict[tuple, list[tuple]] = {}
-
-        def insert(key, row):
-            nonlocal unique_build
-            if unique_build:
-                if single.setdefault(key, row) is not row:
-                    # A declared key turned out non-unique (possible
-                    # only via an unenforced load): degrade to bucket
-                    # lists, preserving insertion order.
-                    unique_build = False
-                    for k, r in single.items():
-                        buckets[k] = [r]
-                    buckets[key].append(row)
-            else:
-                buckets.setdefault(key, []).append(row)
-
-        for batch in build.batches(ctx, outer):
-            batch_rows = batch.to_rows()
-            try:
-                batch_fault_check()
-                keys = batch.sort_keys(build_keys)
-                skip = self._skip_mask(batch, build_keys)
-            except ResourceError:
-                raise
-            except Exception:
-                # Per-batch demotion: hash this batch the tuple way.
-                stats.vectorized_fallbacks += 1
-                for row in batch_rows:
-                    key = build_key(row)
-                    if key is not None:
-                        stats.hash_builds += 1
-                        insert(key, row)
-                continue
-            if skip:
-                selector = (batch.ones ^ skip).to_bytes(batch.length, "little")
-                pairs = compress(zip(keys, batch_rows), selector)
-            else:
-                pairs = zip(keys, batch_rows)
-            for key, row in pairs:
-                stats.hash_builds += 1
-                insert(key, row)
-
-        if unique_build:
-            single_get = single.get
-
-            def lookup(key):
-                row = single_get(key)
-                return () if row is None else (row,)
-        else:
-            buckets_get = buckets.get
-
-            def lookup(key):
-                return buckets_get(key, ())
-
-        qualifies, flush = _residual_test(self, self.residual, ctx, outer)
-        tick = ctx.tick
-        build_left = self.build_left
-
-        def combined_rows():
-            for batch in probe.batches(ctx, outer):
-                batch_rows = batch.to_rows()
-                try:
-                    batch_fault_check()
-                    keys = batch.sort_keys(probe_keys)
-                    skip = self._skip_mask(batch, probe_keys)
-                except ResourceError:
-                    raise
-                except Exception:
-                    stats.vectorized_fallbacks += 1
-                    for probe_row in batch_rows:
-                        key = probe_key(probe_row)
-                        if key is None:
-                            continue
-                        stats.hash_probes += 1
-                        for build_row in lookup(key):
-                            tick()
-                            stats.rows_joined += 1
-                            if build_left:
-                                combined = build_row + probe_row
-                            else:
-                                combined = probe_row + build_row
-                            if qualifies is None or qualifies(combined):
-                                yield combined
-                    continue
-                if skip:
-                    selector = (batch.ones ^ skip).to_bytes(
-                        batch.length, "little"
-                    )
-                    pairs = compress(zip(keys, batch_rows), selector)
-                else:
-                    pairs = zip(keys, batch_rows)
-                out_buffer: list[tuple] = []
-                matches = 0
-                for key, probe_row in pairs:
-                    stats.hash_probes += 1
-                    for build_row in lookup(key):
-                        matches += 1
-                        if build_left:
-                            combined = build_row + probe_row
-                        else:
-                            combined = probe_row + build_row
-                        if qualifies is not None and not qualifies(combined):
-                            continue
-                        out_buffer.append(combined)
-                tick(matches)
-                stats.rows_joined += matches
-                stats.vectorized_batches += 1
-                stats.vectorized_rows += len(batch_rows)
-                yield from out_buffer
-
-        try:
-            yield from batches_from_rows(
-                combined_rows(), len(self.schema), ctx.batch_rows
-            )
-        finally:
-            flush()
 
     def label(self) -> str:
         keys = ", ".join(

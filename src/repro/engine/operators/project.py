@@ -7,7 +7,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from ...errors import ResourceError
-from ...types.values import key_extractor, row_sort_key
+from ...types.values import key_extractor
 from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
@@ -20,6 +20,7 @@ class Project(PlanNode):
         self.child = child
         self.indices = indices
         self.schema = RelSchema(ColumnInfo(None, name) for name in names)
+        self.batch_pipeline = child.batch_pipeline
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -97,56 +98,6 @@ class SortDistinct(PlanNode):
         finally:
             ctx.stats.duplicates_removed += duplicates
 
-    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
-        """DISTINCT over canonical key vectors.
-
-        Each input batch contributes a ``sort_keys()`` vector (the
-        per-column ``sort_key`` comprehension); the sort then permutes
-        *indices* by key, which is stable exactly like the tuple path's
-        ``list.sort`` — equal-key rows keep input order, so the emitted
-        representative is byte-identical.
-        """
-        stats = ctx.stats
-        rows: list[tuple] = []
-        keys: list[tuple] | None = []
-        for batch in self.child.batches(ctx, outer):
-            batch_rows = batch.to_rows()
-            rows.extend(batch_rows)
-            if keys is None:
-                continue
-            try:
-                batch_fault_check()
-                keys.extend(batch.sort_keys())
-            except ResourceError:
-                raise
-            except Exception:
-                # Keys built so far are exact; recompute the lot the
-                # interpreter's way and carry on.
-                stats.vectorized_fallbacks += 1
-                keys = None
-        demoted = keys is None
-        if keys is None:
-            keys = [row_sort_key(row) for row in rows]
-        stats.sorts += 1
-        stats.sort_rows += len(rows)
-        order = sorted(range(len(rows)), key=keys.__getitem__)
-
-        def emit():
-            previous = None
-            for index in order:
-                key = keys[index]
-                if key != previous:
-                    previous = key
-                    yield rows[index]
-                else:
-                    stats.duplicates_removed += 1
-
-        for out in batches_from_rows(emit(), len(self.schema), ctx.batch_rows):
-            if not demoted:
-                stats.vectorized_batches += 1
-                stats.vectorized_rows += out.length
-            yield out
-
     def label(self) -> str:
         return "Distinct(sort)"
 
@@ -178,42 +129,6 @@ class HashDistinct(PlanNode):
             stats.hash_probes += probes
             stats.hash_builds += len(seen)
             stats.duplicates_removed += probes - len(seen)
-
-    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
-        """Streaming DISTINCT: one key vector per batch, one shared set."""
-        stats = ctx.stats
-        seen: set[tuple] = set()
-        demoted = False
-
-        def emit():
-            nonlocal demoted
-            for batch in self.child.batches(ctx, outer):
-                batch_rows = batch.to_rows()
-                keys = None
-                if not demoted:
-                    try:
-                        batch_fault_check()
-                        keys = batch.sort_keys()
-                    except ResourceError:
-                        raise
-                    except Exception:
-                        stats.vectorized_fallbacks += 1
-                        demoted = True
-                if keys is None:
-                    keys = [row_sort_key(row) for row in batch_rows]
-                for row, key in zip(batch_rows, keys):
-                    stats.hash_probes += 1
-                    if key in seen:
-                        stats.duplicates_removed += 1
-                        continue
-                    seen.add(key)
-                    stats.hash_builds += 1
-                    yield row
-
-        for out in batches_from_rows(emit(), len(self.schema), ctx.batch_rows):
-            stats.vectorized_batches += 1
-            stats.vectorized_rows += out.length
-            yield out
 
     def label(self) -> str:
         return "Distinct(hash)"

@@ -22,6 +22,8 @@ TICK_CHUNK = 64
 class SeqScan(PlanNode):
     """Sequential scan of a stored table under a correlation name."""
 
+    batch_pipeline = True
+
     def __init__(self, table_name: str, alias: str, column_names: list[str]) -> None:
         self.table_name = table_name
         self.alias = alias

@@ -619,11 +619,12 @@ def execute_plan(
     tick per processed row; budget violations abort the execution with
     a :class:`~repro.errors.ResourceError` subclass.
 
-    *engine_mode* picks the execution style: ``"tuple"`` streams rows
-    through the interpreter/compiled closures, ``"vectorized"`` drives
-    the plan through the operators' columnar ``batches()`` protocol,
-    and ``"auto"`` vectorizes exactly when faults are disarmed.  The
-    mode is execution-time only — same plan, same output sequence.
+    *engine_mode* picks the format of the plan's scan → filter →
+    project pipelines: ``"tuple"`` streams rows through the compiled
+    closures, ``"vectorized"`` runs those pipelines on column batches
+    (every other operator reads their rows, as in tuple mode), and
+    ``"auto"`` batches exactly when faults are disarmed.  The mode is
+    execution-time only — same plan, same output sequence.
     *batch_rows* sizes the column batches.
 
     *analysis* (a :class:`~repro.observe.analyze.PlanAnalysis`) turns
@@ -650,12 +651,7 @@ def execute_plan(
         else NULL_SPAN
     )
     with span_cm as span:
-        if ctx.use_batches:
-            rows = []
-            for batch in plan.batches(ctx):
-                rows.extend(batch.to_rows())
-        else:
-            rows = list(plan.rows(ctx))
+        rows = list(plan.rows(ctx))
         if analysis is not None:
             analysis.finish()
         ctx.stats.rows_output += len(rows)

@@ -56,8 +56,9 @@ class Stats:
             the base table instead.
         cache_skips: cache lookups skipped fail-closed because the
             fingerprint (or the lookup itself) failed.
-        vectorized_batches: column batches produced by vectorized
-            operator kernels (scan, mask-select, slice, probe).
+        vectorized_batches: column batches produced by the batch
+            kernels (scan, mask-select, slice) — a join, DISTINCT or set
+            operation reads rows in every mode and adds nothing here.
         vectorized_rows: rows flowing through those batches — compare
             with ``predicate_evals`` to see the per-row dispatch avoided.
         vectorized_fallbacks: batch-kernel failures recovered by

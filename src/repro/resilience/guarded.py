@@ -162,12 +162,14 @@ def run_guarded(
         stats: counter sink for the primary execution.
         planner_options / plan_cache / use_indexes: forwarded to
             :func:`~repro.engine.planner.execute_planned`.
-        engine_mode / batch_rows: execution style for the primary run
-            (see :func:`~repro.engine.planner.execute_plan`).  The
-            safe-mode reference is pinned to the tuple interpreter on
-            purpose — a diverse pair of executions is a stronger
-            cross-check than two identical ones, and the verified answer
-            comes from the row-at-a-time code path.
+        engine_mode / batch_rows: format of the primary run's scan →
+            filter → project pipelines (see
+            :func:`~repro.engine.planner.execute_plan`).  The safe-mode
+            reference is pinned to tuple mode on purpose: the verified
+            answer comes from the row-at-a-time selection.  The pair is
+            diverse in its selections and projections only — joins,
+            DISTINCT and set operations are the same code in every
+            mode; what differs between the two runs is the rewrite.
         on_guard: called with the primary execution's
             :class:`~repro.resilience.budgets.ExecutionGuard` before the
             first operator runs, so an external owner (a service ticket

@@ -4,41 +4,64 @@ byte-identity contract.
 Three layers under test:
 
 * :class:`ColumnBatch` value mechanics — transpose round-trips, byte-lane
-  mask selection, null bitmaps, column slicing, canonical key vectors;
+  mask selection, null bitmaps, column slicing;
 * batch predicate compilation — every mask-pair kernel must agree with
   the interpretive :class:`Evaluator` lane for lane, including the
   NULL-heavy rows where Kleene folds are easiest to get wrong;
 * the engine_mode contract — vectorized execution is byte-identical to
-  the tuple interpreter across every paper example, shares its work
-  accounting, and demotes to the interpreter under injected
-  ``vectorized_eval`` faults without changing a row.
+  the tuple interpreter across every paper example and across plan
+  shapes the planner rarely emits, shares its work accounting, opens
+  and observes each node once, and demotes to the interpreter under
+  injected ``vectorized_eval`` faults without changing a row — reads
+  and UPDATE/DELETE alike.
 """
 
 import itertools
 
 import pytest
 
+import repro
 from repro.engine import (
     ColumnBatch,
     DEFAULT_BATCH_ROWS,
     default_engine_mode,
+    execute_plan,
     execute_planned,
     set_default_engine_mode,
 )
 from repro.engine.columnar import (
+    UnbatchedRows,
     batches_from_rows,
     compile_batch_filter,
     compile_batch_predicate,
     resolve_engine_mode,
 )
 from repro.engine.evaluator import Evaluator
+from repro.engine.operators import (
+    ExecContext,
+    Filter,
+    HashDistinct,
+    HashJoin,
+    IndexScan,
+    Project,
+    SeqScan,
+    SortSetOp,
+)
 from repro.engine.schema import RelSchema, Scope
 from repro.engine.stats import Stats
+from repro.errors import RowBudgetExceeded
+from repro.observe.analyze import PlanAnalysis
 from repro.resilience import FAULTS, SITE_VECTORIZED_EVAL
 from repro.sql import parse_condition
+from repro.sql.ast import SetOpKind
+from repro.sql.expressions import Literal
 from repro.types import NULL, FALSE, TRUE, UNKNOWN
-from repro.types.values import row_sort_key
-from repro.workloads import PAPER_QUERIES
+from repro.workloads import (
+    PAPER_QUERIES,
+    SupplierScale,
+    build_database,
+    generate,
+)
 
 # ----------------------------------------------------------------------
 # ColumnBatch mechanics
@@ -84,13 +107,6 @@ def test_project_slices_reorders_and_duplicates_columns():
     assert projected.null_masks[0] == batch.null_masks[2]
 
 
-def test_sort_keys_match_row_sort_key():
-    rows = [(1, "a"), (NULL, "b"), (2, NULL)]
-    batch = ColumnBatch.from_rows(rows, 2)
-    assert batch.sort_keys() == [row_sort_key(row) for row in rows]
-    assert batch.sort_keys([1]) == [row_sort_key((row[1],)) for row in rows]
-
-
 def test_zero_width_batches_carry_row_counts():
     batch = ColumnBatch.from_rows([(), (), ()], 0)
     assert batch.length == 3
@@ -103,6 +119,23 @@ def test_batches_from_rows_chunks_to_morsel_size():
     assert [b.length for b in batches] == [4, 4, 2]
     assert [row for b in batches for row in b.to_rows()] == rows
     assert list(batches_from_rows([], 1, 4)) == []
+
+
+def test_closing_unbatched_rows_closes_the_batch_stream():
+    closed = []
+
+    def stream():
+        try:
+            yield ColumnBatch.from_rows([(1,), (2,)], 1)
+            yield ColumnBatch.from_rows([(3,)], 1)
+        finally:
+            closed.append(True)
+
+    rows = UnbatchedRows(stream())
+    assert next(rows) == (1,)
+    rows.close()
+    assert closed == [True]
+    assert list(UnbatchedRows(stream())) == [(1,), (2,), (3,)]
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +303,135 @@ def test_auto_mode_defers_to_armed_faults(small_db):
 
 
 # ----------------------------------------------------------------------
+# plan shapes the planner rarely emits: batches end where rows begin
+
+
+def _scan(db, table, alias):
+    return SeqScan(table, alias, db.catalog.table(table).column_names)
+
+
+def _filter_over_join(db):
+    """A cross-table residual above the join, not inside it."""
+    supplier, parts = _scan(db, "SUPPLIER", "S"), _scan(db, "PARTS", "P")
+    join = HashJoin(
+        supplier, parts,
+        [supplier.schema.index_of("S", "SNO")], [parts.schema.index_of("P", "SNO")],
+    )
+    return Filter(join, parse_condition("S.SNO <= P.PNO AND P.COLOR <> 'RED'"))
+
+
+def _project_over_hash_distinct(db):
+    parts = _scan(db, "PARTS", "P")
+    pipeline = Project(
+        Filter(parts, parse_condition("P.PNO > 1")),
+        [parts.schema.index_of("P", "COLOR"), parts.schema.index_of("P", "PNAME")],
+        ["COLOR", "PNAME"],
+    )
+    return Project(HashDistinct(pipeline), [0], ["COLOR"])
+
+
+def _setop_of_two_pipelines(db):
+    supplier, agents = _scan(db, "SUPPLIER", "S"), _scan(db, "AGENTS", "A")
+    left = Project(supplier, [supplier.schema.index_of("S", "SNO")], ["SNO"])
+    right = Project(
+        Filter(agents, parse_condition("A.ACITY = 'Chicago'")),
+        [agents.schema.index_of("A", "SNO")],
+        ["SNO"],
+    )
+    return SortSetOp(SetOpKind.INTERSECT, True, left, right)
+
+
+def _project_over_index_scan(db):
+    probe = IndexScan(
+        "PARTS", "P", db.catalog.table("PARTS").column_names,
+        ("SNO",), (Literal(3),), residual=parse_condition("P.PNO >= 2"),
+    )
+    return Project(probe, [1, 2], ["PNO", "PNAME"])
+
+
+def _nodes(plan):
+    yield plan
+    for child in plan.children():
+        yield from _nodes(child)
+
+
+def _shared(stats):
+    return {
+        name: value
+        for name, value in stats.as_dict().items()
+        if not name.startswith(("vectorized", "plan_cache"))
+    }
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _filter_over_join,
+        _project_over_hash_distinct,
+        _setop_of_two_pipelines,
+        _project_over_index_scan,
+    ],
+)
+def test_rare_plan_shapes_agree_and_open_each_node_once(shape, small_db):
+    plan = shape(small_db)
+    runs = {}
+    for mode in ("tuple", "vectorized"):
+        stats, analysis = Stats(), PlanAnalysis()
+        result = execute_plan(
+            plan, small_db, engine_mode=mode, stats=stats, analysis=analysis,
+            batch_rows=5,
+        )
+        assert result.rows
+        runs[mode] = (result.rows, _shared(stats), analysis)
+    (rows, counters, reference), (vec_rows, vec_counters, vectorized) = (
+        runs["tuple"], runs["vectorized"],
+    )
+    assert vec_rows == rows  # sequence, not just multiset
+    assert vec_counters == counters
+    for node in _nodes(plan):
+        seen, expected = vectorized.for_node(node), reference.for_node(node)
+        # The rows() -> batches() hand-off neither opens nor observes a
+        # node twice; only batch pipelines report batches.
+        assert seen.loops == expected.loops == 1, node.label()
+        assert seen.rows == expected.rows, node.label()
+        assert bool(seen.batches) == node.batch_pipeline, node.label()
+
+
+def test_a_correlated_open_stays_on_rows_under_a_vectorized_root(small_db):
+    """``outer`` needs the evaluator: a batch pipeline opened with
+    correlation bindings reads rows even when the execution batches."""
+    supplier = _scan(small_db, "SUPPLIER", "S")
+    parts = _scan(small_db, "PARTS", "P")
+    inner = Project(
+        Filter(parts, parse_condition("P.SNO = S.SNO AND P.COLOR = 'RED'")),
+        [parts.schema.index_of("P", "PNO")],
+        ["PNO"],
+    )
+    assert inner.batch_pipeline
+    runs = {}
+    for mode in ("tuple", "vectorized"):
+        stats, analysis = Stats(), PlanAnalysis()
+        ctx = ExecContext(small_db, stats=stats, engine_mode=mode, analysis=analysis)
+        analysis.begin(inner)
+        answers = [
+            list(inner.rows(ctx, outer=Scope(supplier.schema, row)))
+            for row in supplier.rows(ctx)
+        ]
+        runs[mode] = (answers, _shared(stats), analysis)
+    (answers, counters, reference), (vec_answers, vec_counters, vectorized) = (
+        runs["tuple"], runs["vectorized"],
+    )
+    assert any(answers) and vec_answers == answers
+    assert vec_counters == counters
+    for node in _nodes(inner):
+        seen, expected = vectorized.for_node(node), reference.for_node(node)
+        assert seen.loops == expected.loops == len(answers)
+        assert seen.rows == expected.rows and not seen.batches
+    # The uncorrelated scan driving it did run as a batch pipeline.
+    assert vectorized.for_node(supplier).batches == 1
+
+
+# ----------------------------------------------------------------------
 # demotion: the verified fallback
 
 
@@ -307,3 +469,37 @@ def test_small_batch_rows_chunk_the_stream(small_db):
     assert stats.vectorized_batches >= len(result.rows) // 7
     assert stats.vectorized_rows >= len(result.rows)
     assert 7 != DEFAULT_BATCH_ROWS  # the knob really overrode the default
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "UPDATE PARTS SET COLOR = 'BLUE' WHERE COLOR = 'RED'",
+        "DELETE FROM PARTS WHERE COLOR = 'RED' AND PNO > 1",
+    ],
+)
+def test_vectorized_dml_fault_demotes_to_the_evaluator(sql):
+    """A mask kernel dying under UPDATE/DELETE finishes through the
+    evaluator like a SELECT's does; it used to reach the client."""
+    db = build_database(generate(SupplierScale(12, 4, 2)))
+    conn = repro.connect(db)
+
+    def affected(**options):
+        conn.begin()
+        try:
+            return conn.execute(sql, **options)
+        finally:
+            conn.rollback()
+
+    expected = affected(engine_mode="tuple").rowcount
+    assert expected > 0
+    # The first batch of eight is judged by the kernel, the second dies.
+    with FAULTS.inject(SITE_VECTORIZED_EVAL, after=1, times=1):
+        cursor = affected(engine_mode="vectorized", batch_rows=8)
+    assert cursor.rowcount == expected
+    assert cursor.executed.stats["vectorized_fallbacks"] >= 1
+    assert cursor.executed.stats["vectorized_rows"] == 8
+    # A budget is not a kernel failure: it still reaches the caller.
+    with FAULTS.inject(SITE_VECTORIZED_EVAL, after=1, times=1):
+        with pytest.raises(RowBudgetExceeded):
+            affected(engine_mode="vectorized", batch_rows=8, row_budget=12)

@@ -19,6 +19,16 @@ semantics) at the three exits of a row loop — exhaustion, a consumer
 that closes the stream at row 10, a seeded ``compiled_eval`` fault that
 demotes mid-stream, and a row budget that trips inside the join while
 its filtered input is suspended.
+
+The vectorized arm (last section) holds ``engine_mode="vectorized"`` to
+the same two standards against the tuple run.  Column batches are the
+format of scan → filter → project pipelines only; the join, DISTINCT
+and set operation above them are the tuple run's own loops reading
+rows, so a vectorized ``key_join`` / ``distinct_needed`` / ``intersect``
+never transposes rows back into a batch (``ColumnBatch.from_rows`` is
+not called) and canonicalises keys exactly as often as the tuple run;
+and at the same four exits its ``Stats`` totals are the tuple run's —
+save that a stream cut short has accounted its open batches whole.
 """
 
 from __future__ import annotations
@@ -30,11 +40,22 @@ from pathlib import Path
 import pytest
 
 from repro import clear_all_caches
-from repro.engine import Planner, execute_planned, set_compilation_enabled
+from repro.engine import (
+    DEFAULT_BATCH_ROWS,
+    ColumnBatch,
+    Planner,
+    execute_planned,
+    set_compilation_enabled,
+)
 from repro.engine.operators import ExecContext
 from repro.engine.stats import Stats
 from repro.errors import RowBudgetExceeded
-from repro.resilience import FAULTS, SITE_COMPILED_EVAL, ResourceBudget
+from repro.resilience import (
+    FAULTS,
+    SITE_COMPILED_EVAL,
+    SITE_VECTORIZED_EVAL,
+    ResourceBudget,
+)
 from repro.types import tristate, values
 from repro.workloads import SupplierScale, build_database, generate
 
@@ -65,10 +86,12 @@ def _statement(cls: str, parts_rows: int) -> tuple[str, dict]:
     range, so the rows that flow grow with the table."""
     suppliers = parts_rows // PARTS_PER_SUPPLIER
     params = {"LO": 1, "HI": suppliers}
-    if cls == "key_join":
+    if cls in ("key_join", "intersect"):
         params["CITY"] = workloads.CITIES[0]
     else:
         params["COLOR"] = workloads.COLORS[0]
+    if cls == "intersect":
+        params["ACITY"] = workloads.AGENT_CITIES[0]
     return workloads.TEMPLATES[cls].sql, params
 
 
@@ -122,8 +145,9 @@ def _consume(
     stop_after: int | None = None,
     row_budget: int | None = None,
     stats: Stats | None = None,
+    engine_mode: str = "tuple",
 ) -> Stats:
-    """Run one text in tuple mode; optionally abandon it at a row, or
+    """Run one text in *engine_mode*; optionally abandon it at a row, or
     under a row budget (which raises out of here: pass *stats* in)."""
     database = _db(SIZES[0])
     sql, params = _statement(cls, SIZES[0])
@@ -133,7 +157,7 @@ def _consume(
     try:
         plan = Planner(database.catalog, database=database).plan(sql)
         ctx = ExecContext(
-            database, params=params, stats=stats, guard=guard, engine_mode="tuple"
+            database, params=params, stats=stats, guard=guard, engine_mode=engine_mode
         )
         stream = plan.rows(ctx)
         if stop_after is None:
@@ -193,3 +217,141 @@ def test_totals_match_the_interpreter_when_a_row_budget_trips(cls):
         totals[compiled] = _totals(stats)
         assert stats.predicate_evals > 0
     assert totals[True] == totals[False]
+
+
+# ----------------------------------------------------------------------
+# the vectorized arm: batches end where the first row loop begins
+
+VECTORIZED_CLASSES = ("key_join", "distinct_needed", "intersect")
+# What a batch kernel accounts a batch at a time (the documented batch
+# granularity): equal to the tuple run over a whole stream, ahead of it
+# by at most the open batches when the stream is cut short.
+BATCH_GRANULAR = {"rows_scanned", "predicate_evals"}
+
+
+def _shared(stats: Stats, *, without: set[str] = frozenset()) -> dict[str, int]:
+    """The engine-independent counters: everything but which path ran."""
+    return {
+        name: value
+        for name, value in _totals(stats).items()
+        if not name.startswith("vectorized") and name not in without
+    }
+
+
+@pytest.fixture()
+def transposed(monkeypatch):
+    """One entry per ``ColumnBatch.from_rows`` call."""
+    original = ColumnBatch.from_rows.__func__
+    seen = []
+
+    def spy(cls, rows, width):
+        seen.append(len(rows))
+        return original(cls, rows, width)
+
+    monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(spy))
+    return seen
+
+
+@pytest.mark.parametrize("cls", VECTORIZED_CLASSES)
+def test_a_vectorized_run_transposes_nothing_and_keys_like_the_tuple_run(
+    calls, transposed, monkeypatch, cls
+):
+    calls["sort_key"] = spy_on(monkeypatch, values, "sort_key")
+    key_helpers = ("sort_key", "row_sort_key")
+    helpers = ("is_null", *key_helpers)
+    seen = {}
+    for size in SIZES:
+        database = _db(size)
+        for name in ("SUPPLIER", "PARTS", "AGENTS"):
+            # The per-table batch cache is storage, filled once per
+            # table version; what is counted below is execution.
+            database.table(name).column_batches(DEFAULT_BATCH_ROWS)
+        sql, params = _statement(cls, size)
+        for mode in ("tuple", "vectorized"):
+            clear_all_caches()
+            del transposed[:]
+            before = {name: len(calls[name]) for name in helpers}
+            stats = Stats()
+            result = execute_planned(
+                sql, database, params=params, engine_mode=mode, stats=stats
+            )
+            seen[size, mode] = (
+                {name: len(calls[name]) - before[name] for name in helpers},
+                len(result.rows),
+            )
+            if mode == "vectorized":
+                assert stats.vectorized_batches > 0 and not stats.vectorized_fallbacks
+                assert transposed == [], (cls, size, transposed)
+        (batch, batch_rows), (row, row_rows) = seen[size, "vectorized"], seen[size, "tuple"]
+        assert batch_rows == row_rows
+        # The batch compiler asks is_null of each constant operand once,
+        # at compile time; nothing else differs from the tuple run.
+        assert 0 <= batch["is_null"] - row["is_null"] <= len(params)
+        assert [batch[name] for name in key_helpers] == [
+            row[name] for name in key_helpers
+        ], (cls, size)
+    (small, small_rows), (large, large_rows) = (
+        seen[size, "vectorized"] for size in SIZES
+    )
+    assert large_rows > small_rows  # the rows that flowed did grow
+    assert small == large, f"{cls}: {small} at {SIZES[0]} rows, {large} at {SIZES[1]}"
+
+
+@pytest.mark.parametrize("cls", VECTORIZED_CLASSES)
+def test_vectorized_totals_match_the_tuple_run_after_full_consumption(cls):
+    vectorized = _consume(cls, compiled=True, engine_mode="vectorized")
+    assert vectorized.vectorized_batches > 0 and not vectorized.vectorized_fallbacks
+    assert _shared(vectorized) == _shared(_consume(cls, compiled=True))
+
+
+@pytest.mark.parametrize(
+    "cls, row",
+    # intersect answers fewer than ten rows at this size
+    [("key_join", 10), ("distinct_needed", 10), ("intersect", 2)],
+)
+def test_vectorized_totals_match_the_tuple_run_when_the_consumer_leaves_early(cls, row):
+    vectorized = _consume(cls, compiled=True, stop_after=row, engine_mode="vectorized")
+    reference = _consume(cls, compiled=True, stop_after=row)
+    full = _consume(cls, compiled=True)
+    # Every row loop did exactly the tuple run's work and stopped there ...
+    assert _shared(vectorized, without=BATCH_GRANULAR) == _shared(
+        reference, without=BATCH_GRANULAR
+    )
+    # ... on input the batch kernels had accounted whole batches of.
+    for name in BATCH_GRANULAR:
+        assert (
+            getattr(reference, name) <= getattr(vectorized, name) <= getattr(full, name)
+        ), name
+    if cls == "key_join":  # the one class whose root streams its probe side
+        assert _shared(reference) != _shared(full)
+
+
+@pytest.mark.parametrize("cls", VECTORIZED_CLASSES)
+def test_vectorized_totals_match_the_tuple_run_across_a_kernel_demotion(cls):
+    reference = _consume(cls, compiled=True)
+    with FAULTS.inject(SITE_VECTORIZED_EVAL, after=0, times=1):
+        demoted = _consume(cls, compiled=True, engine_mode="vectorized")
+    # The first mask kernel to run — the Filter under the join — died on
+    # its first batch and finished through the evaluator.
+    assert demoted.vectorized_fallbacks == 1 and demoted.compile_fallbacks == 1
+    assert demoted.compiled_evals < demoted.predicate_evals
+    assert _shared(demoted) == _shared(reference)
+
+
+@pytest.mark.parametrize("cls", ("key_join", "distinct_needed"))
+def test_vectorized_totals_match_the_tuple_run_when_a_row_budget_trips_in_the_join(cls):
+    # Each mode's budget is what its scans have ticked when the join's
+    # first match arrives, plus five: the 20 build-side suppliers in
+    # tuple mode (PARTS' first chunk is still open), both whole tables
+    # in vectorized mode.  The sixth match trips it, inside the join.
+    totals = {}
+    for mode, scanned in (("tuple", 20), ("vectorized", 20 + SIZES[0])):
+        stats = Stats()
+        with pytest.raises(RowBudgetExceeded) as excinfo:
+            _consume(
+                cls, compiled=True, row_budget=scanned + 5, stats=stats, engine_mode=mode
+            )
+        assert excinfo.traceback
+        assert stats.rows_joined == 5 and stats.rows_scanned == scanned, mode
+        totals[mode] = _shared(stats, without=BATCH_GRANULAR)
+    assert totals["vectorized"] == totals["tuple"]

@@ -7,6 +7,9 @@ randomized schemas, NULL-bearing data, and random SPJ queries:
 * vectorized output matches the interpreter row for row,
 * the shared engine counters agree exactly (only the path-descriptive
   ``vectorized_*`` counters may differ),
+* every plan node is opened as often and yields as many rows in both
+  modes (a batch pipeline handing rows to a row-shaped parent neither
+  opens nor observes a node twice),
 * under seeded ``vectorized_eval`` fault schedules the demotion ladder
   lands back on the interpreter without changing a single row,
 * batch size never affects results, only batch counts.
@@ -18,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import PlannerOptions, execute_planned
 from repro.engine.stats import Stats
+from repro.observe.analyze import PlanAnalysis
 from repro.resilience import FAULTS, SITE_VECTORIZED_EVAL
 from repro.workloads import (
     GeneratorConfig,
@@ -38,6 +42,15 @@ def _world(seed):
     return database, query
 
 
+def _actuals(analysis, node=None):
+    """``(label, loops, rows)`` per plan node, in pre-order."""
+    node = node or analysis.plan
+    seen = analysis.for_node(node)
+    yield node.label(), seen.loops, seen.rows
+    for child in node.children():
+        yield from _actuals(analysis, child)
+
+
 @settings(max_examples=100, **COMMON)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -50,16 +63,18 @@ def test_vectorized_is_byte_identical_to_tuple(
     database, query = _world(seed)
     options = PlannerOptions(join_method, distinct_method)
     tuple_stats, vec_stats = Stats(), Stats()
+    tuple_analysis, vec_analysis = PlanAnalysis(), PlanAnalysis()
     reference = execute_planned(
         query, database, options=options, engine_mode="tuple",
-        stats=tuple_stats,
+        stats=tuple_stats, analysis=tuple_analysis,
     )
     vectorized = execute_planned(
         query, database, options=options, engine_mode="vectorized",
-        stats=vec_stats,
+        stats=vec_stats, analysis=vec_analysis,
     )
     assert vectorized.columns == reference.columns
     assert vectorized.rows == reference.rows  # sequence, not just multiset
+    assert list(_actuals(vec_analysis)) == list(_actuals(tuple_analysis))
     for name, value in tuple_stats.as_dict().items():
         if name.startswith("vectorized") or name.startswith("plan_cache"):
             continue
