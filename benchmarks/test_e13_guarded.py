@@ -24,10 +24,12 @@ machine drift hits both arms equally:
 Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
 """
 
+from statistics import median
+
 from repro import clear_all_caches
 from repro.engine import execute_planned
 from repro.resilience.guarded import run_guarded
-from repro.bench import ExperimentReport, timed
+from repro.bench import ExperimentReport, interleaved, timed
 from repro.engine import PlanCache
 from repro.resilience import FAULTS, ResourceBudget
 from repro.resilience.guarded import reset_safe_mode_sampling
@@ -55,25 +57,6 @@ SAMPLE_EVERY = 25
 SAFE_REPEATS = 15
 BUDGET = ResourceBudget(timeout=120.0, row_budget=500_000_000)
 MAX_OVERHEAD = 1.05
-
-
-def _interleaved(arm_a, arm_b, pairs):
-    """Alternate the two arms batch-by-batch; per-arm sample lists."""
-    times_a, times_b = [], []
-    for _ in range(pairs):
-        _, elapsed = timed(arm_a)
-        times_a.append(elapsed)
-        _, elapsed = timed(arm_b)
-        times_b.append(elapsed)
-    return times_a, times_b
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def test_e13_guard_and_safe_mode_overhead(bench_db):
@@ -113,13 +96,11 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     assert expected > len(BATCH)
     assert ticked_batch() == expected
 
-    bare_times, ticked_times = _interleaved(
-        bare_batch, ticked_batch, TICK_REPEATS
-    )
+    bare_times, ticked_times = interleaved(TICK_REPEATS, bare_batch, ticked_batch)
     t_bare, t_ticked = min(bare_times), min(ticked_times)
     # Each pair ran back-to-back, so the per-pair ratio cancels machine
     # drift; the median ignores pairs hit by a load spike or GC pause.
-    tick_ratio = _median(
+    tick_ratio = median(
         ticked / bare for ticked, bare in zip(ticked_times, bare_times)
     )
 
@@ -134,11 +115,11 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     )
     assert guarded_batch() == expected
     assert guarded_batch(**safe_kwargs) == expected  # consumes sample 0
-    plain_times, safe_times = _interleaved(
-        guarded_batch, lambda: guarded_batch(**safe_kwargs), SAFE_REPEATS
+    plain_times, safe_times = interleaved(
+        SAFE_REPEATS, guarded_batch, lambda: guarded_batch(**safe_kwargs)
     )
-    t_plain = _median(plain_times)
-    bookkeeping_ratio = _median(
+    t_plain = median(plain_times)
+    bookkeeping_ratio = median(
         safe / plain for safe, plain in zip(safe_times, plain_times)
     )
     t_reference = min(

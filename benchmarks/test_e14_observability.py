@@ -19,11 +19,12 @@ analysis caches):
 Lands in ``BENCH_e14.json`` with the batch's engine-counter deltas.
 """
 
+from statistics import median
 from time import perf_counter
 
 from repro import Stats, clear_all_caches
 from repro.engine import execute_planned
-from repro.bench import ExperimentReport, timed
+from repro.bench import ExperimentReport, interleaved
 from repro.engine import PlanCache
 from repro.observe import NULL_SPAN, TRACER, set_tracing
 
@@ -45,25 +46,6 @@ BATCH = (
 REPEATS = 9
 MAX_DISABLED_OVERHEAD = 0.02
 MAX_ENABLED_RATIO = 1.15
-
-
-def _interleaved(arm_a, arm_b, pairs):
-    """Alternate the two arms batch-by-batch; per-arm sample lists."""
-    times_a, times_b = [], []
-    for _ in range(pairs):
-        _, elapsed = timed(arm_a)
-        times_a.append(elapsed)
-        _, elapsed = timed(arm_b)
-        times_b.append(elapsed)
-    return times_a, times_b
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _disabled_hook_cost(iterations=200_000):
@@ -128,15 +110,15 @@ def _run_e14(bench_db):
     assert TRACER.truncated == 0
 
     stats_before = batch_stats.snapshot()
-    disabled_times, enabled_times = _interleaved(
-        disabled_batch, enabled_batch, REPEATS
+    disabled_times, enabled_times = interleaved(
+        REPEATS, disabled_batch, enabled_batch
     )
     batch_delta = batch_stats.snapshot() - stats_before
 
-    t_disabled = _median(disabled_times)
+    t_disabled = median(disabled_times)
     # Each pair ran back-to-back, so the per-pair ratio cancels machine
     # drift; the median ignores pairs hit by a load spike or GC pause.
-    enabled_ratio = _median(
+    enabled_ratio = median(
         enabled / disabled
         for enabled, disabled in zip(enabled_times, disabled_times)
     )

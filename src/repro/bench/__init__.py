@@ -5,6 +5,7 @@ from .harness import (
     REPORTS,
     ExperimentReport,
     geometric_sweep,
+    interleaved,
     speedup,
     timed,
     write_reports,
@@ -15,6 +16,7 @@ __all__ = [
     "RENDERED_REPORTS",
     "REPORTS",
     "geometric_sweep",
+    "interleaved",
     "speedup",
     "timed",
     "write_reports",

@@ -199,6 +199,18 @@ def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
     return result, time.perf_counter() - start
 
 
+def interleaved(rounds: int, *arms: Callable[[], Any]) -> list[list[float]]:
+    """Time the *arms* alternately, *rounds* times each; one list of
+    elapsed seconds per arm.  Samples taken back to back see the same
+    machine speed, so the median of their per-round ratios cancels a
+    drift that timing each arm in a block of its own hands to one arm."""
+    samples: list[list[float]] = [[] for _ in arms]
+    for _ in range(rounds):
+        for times, arm in zip(samples, arms):
+            times.append(timed(arm)[1])
+    return samples
+
+
 def speedup(baseline: float, improved: float) -> float:
     """baseline / improved, guarded against zero."""
     if improved <= 0:

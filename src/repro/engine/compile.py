@@ -1,4 +1,4 @@
-"""Predicate compilation: lowering an ``Expr`` tree into row closures.
+"""Predicate compilation: the one lowering of a search condition.
 
 The interpretive :class:`~repro.engine.evaluator.Evaluator` pays, for
 *every row*, a :class:`~repro.engine.schema.Scope` allocation, a chain
@@ -16,18 +16,27 @@ false") is closed under the connectives::
     ⌊P OR Q⌋  = ⌊P⌋ or ⌊Q⌋         ⌊¬(P OR Q)⌋  = ⌊¬P⌋ and ⌊¬Q⌋
     ⌊NOT P⌋   = ⌊¬P⌋               ⌊¬(NOT P)⌋   = ⌊P⌋
 
-so every condition node lowers to ``(is_true, is_false)`` — two closures
-from the row tuple to a plain ``bool`` — and no node builds the third
-truth value at run time; UNKNOWN is "neither".
+so every condition node lowers to a pair ``(is_true, is_false)`` of
+two-valued tests and no node builds the third truth value at run time;
+UNKNOWN is "neither".
+
+There is one walk over the condition tree (:func:`_lower`) and it owns
+everything that decides what a condition *means*: operand resolution,
+constant folding, the connective identities above and the refusal
+frontier.  What a test *is* comes from the five :class:`Leaves` the walk
+is handed.  The row leaves (this module) are closures from the row tuple
+to a plain ``bool``; the batch leaves
+(:mod:`repro.engine.columnar`) are the same five from a ``ColumnBatch``
+to a lane mask.  Nothing outside these two modules chooses leaves.
 
 * column references are resolved to tuple indices at compile time,
 * host variables and literals are folded to constants (and constant
   subtrees are evaluated during compilation — ``5 = 5`` compiles to the
   constant ``TRUE``, a comparison with a NULL constant to ``UNKNOWN``),
-* a comparison is specialised on its operator and operand shape
-  (column–constant, column–column); ``BETWEEN`` and ``IN`` are the AND
-  and OR of their comparisons, their ``NOT`` forms the swapped pair,
-* ``AND``/``OR`` evaluate their parts left to right and stop at the
+* a comparison reaches its leaf as column–constant or column–column
+  (constant–column is flipped); ``BETWEEN`` and ``IN`` are the AND and
+  OR of their comparisons, their ``NOT`` forms the swapped pair,
+* row ``AND``/``OR`` evaluate their parts left to right and stop at the
   first that decides them, like the evaluator's short-circuit,
 * everything the interpreter would have to defer — subqueries,
   correlated (outer-scope) column references, missing host variables,
@@ -46,7 +55,7 @@ and property tests can A/B the compiled and interpretive paths.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import AmbiguousColumnError
 from ..resilience.faults import FAULTS, SITE_COMPILE, SITE_COMPILED_EVAL
@@ -71,9 +80,28 @@ from .schema import RelSchema
 RowTest = Callable[[Sequence[SqlValue]], bool]
 #: A compiled predicate: row tuple -> three-valued truth value.
 PredicateFn = Callable[[Sequence[SqlValue]], Tristate]
+#: A two-valued test in either format: a :data:`RowTest`, or under the
+#: batch leaves a kernel from a ``ColumnBatch`` to a lane mask.
+Test = Callable[[Any], Any]
 #: A lowered condition node: ``(is_true, is_false, None)``, or
 #: ``(None, None, const)`` when the subtree folded to a constant.
-Lowered = tuple[RowTest | None, RowTest | None, Tristate | None]
+Lowered = tuple[Test | None, Test | None, Tristate | None]
+
+
+class Leaves(NamedTuple):
+    """What :func:`_lower` builds tests from — one set per data format.
+
+    ``is_null`` and ``comparison`` return the node's ``(is_true,
+    is_false)`` pair; ``comparison`` always has a column on the left and
+    either a column (*right*) or a non-NULL constant (*right* ``None``).
+    """
+
+    always: Callable[[bool], Test]
+    is_null: Callable[[int], tuple[Test, Test]]
+    comparison: Callable[[str, int, int | None, SqlValue], tuple[Test, Test]]
+    every: Callable[[Sequence[Test]], Test]
+    some: Callable[[Sequence[Test]], Test]
+
 
 _enabled = True
 
@@ -88,11 +116,6 @@ def set_compilation_enabled(enabled: bool) -> bool:
     return previous
 
 
-def compilation_enabled() -> bool:
-    """Whether operators may use compiled predicates."""
-    return _enabled
-
-
 class CannotCompile(Exception):
     """Internal control flow: the expression needs the interpreter."""
 
@@ -101,8 +124,10 @@ def compile_pair(
     expr: Expr,
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
-) -> tuple[RowTest, RowTest] | None:
-    """Lower a search condition to ``(is_true, is_false)`` = (⌊P⌋, ⌊¬P⌋).
+    leaves: Leaves | None = None,
+) -> tuple[Test, Test] | None:
+    """Lower a search condition to ``(is_true, is_false)`` = (⌊P⌋, ⌊¬P⌋),
+    row tests unless *leaves* says otherwise.
 
     For every row at most one of the two holds; neither means UNKNOWN.
     Returns ``None`` when the expression cannot be compiled (contains a
@@ -116,12 +141,13 @@ def compile_pair(
         # Fault hook: a "compile" fault raises out of here (callers own
         # the fall-back to the interpreter).
         FAULTS.check(SITE_COMPILE)
+    leaves = leaves or ROW_LEAVES
     try:
-        is_true, is_false, const = _lower(expr, schema, params or {})
+        is_true, is_false, const = _lower(expr, schema, params or {}, leaves)
     except CannotCompile:
         return None
     if const is not None:
-        return _always(const is TRUE), _always(const is FALSE)
+        return leaves.always(const is TRUE), leaves.always(const is FALSE)
     return is_true, is_false
 
 
@@ -196,9 +222,11 @@ def _scalar(
 
 
 # ----------------------------------------------------------------------
-# conditions
+# conditions: the one walk
 
-def _lower(expr: Expr, schema: RelSchema, params: dict[str, SqlValue]) -> Lowered:
+def _lower(
+    expr: Expr, schema: RelSchema, params: dict[str, SqlValue], leaves: Leaves
+) -> Lowered:
     """Lower one condition node (see :data:`Lowered`)."""
     if isinstance(expr, Literal):
         if expr.value is NULL:
@@ -207,23 +235,19 @@ def _lower(expr: Expr, schema: RelSchema, params: dict[str, SqlValue]) -> Lowere
             return None, None, (TRUE if expr.value else FALSE)
         raise CannotCompile(f"literal {expr.value!r} is not a condition")
     if isinstance(expr, Comparison):
-        return _comparison(expr, schema, params)
+        return _comparison(expr, schema, params, leaves)
     if isinstance(expr, And):
-        return _connective(expr.operands, schema, params, conjunctive=True)
+        return _connective(expr.operands, schema, params, leaves, conjunctive=True)
     if isinstance(expr, Or):
-        return _connective(expr.operands, schema, params, conjunctive=False)
+        return _connective(expr.operands, schema, params, leaves, conjunctive=False)
     if isinstance(expr, Not):
-        return _negated(_lower(expr.operand, schema, params))
+        return _negated(_lower(expr.operand, schema, params, leaves))
     if isinstance(expr, IsNull):
         index, const = _scalar(expr.operand, schema, params)
         if index is None:
             lowered = None, None, (TRUE if const is NULL else FALSE)
         else:
-            lowered = (
-                lambda row: row[index] is NULL,
-                lambda row: row[index] is not NULL,
-                None,
-            )
+            lowered = *leaves.is_null(index), None
         return _negated(lowered) if expr.negated else lowered
     if isinstance(expr, (Between, InList)):
         # The AND / OR of their comparisons.  Every operand is resolved
@@ -238,7 +262,7 @@ def _lower(expr: Expr, schema: RelSchema, params: dict[str, SqlValue]) -> Lowere
             )
         else:
             parts = tuple(Comparison("=", expr.operand, i) for i in expr.items)
-        lowered = _connective(parts, schema, params, conjunctive)
+        lowered = _connective(parts, schema, params, leaves, conjunctive)
         return _negated(lowered) if expr.negated else lowered
     # Exists / InSubquery / anything exotic: interpreter territory.
     raise CannotCompile(f"cannot compile {type(expr).__name__}")
@@ -252,7 +276,9 @@ def _negated(lowered: Lowered) -> Lowered:
     return is_false, is_true, None
 
 
-_HOLDS = {
+#: Python's verdict on two non-NULL operands, by SQL operator (both
+#: leaf sets read it).
+HOLDS = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -263,15 +289,12 @@ _HOLDS = {
 
 
 def _comparison(
-    expr: Comparison, schema: RelSchema, params: dict[str, SqlValue]
+    expr: Comparison,
+    schema: RelSchema,
+    params: dict[str, SqlValue],
+    leaves: Leaves,
 ) -> Lowered:
-    """Specialise ``compare_where`` on the operator and operand shape.
-
-    Both closures hold only where the operands are non-NULL and (for an
-    ordering) comparable.  ``is_false`` is then ``not (a op b)``, never
-    the complementary operator: ``NaN < 1`` and ``NaN >= 1`` are both
-    FALSE.
-    """
+    """Fold what is constant; hand the leaf a column on the left."""
     left, left_const = _scalar(expr.left, schema, params)
     right, const = _scalar(expr.right, schema, params)
     if left is None and right is None:
@@ -281,10 +304,23 @@ def _comparison(
         expr, left, right, const = expr.flipped(), right, None, left_const
     if right is None and const is NULL:
         return None, None, UNKNOWN
-    holds = _HOLDS[expr.op]
+    return *leaves.comparison(expr.op, left, right, const), None
+
+
+def _row_comparison(
+    op: str, left: int, right: int | None, const: SqlValue
+) -> tuple[RowTest, RowTest]:
+    """Specialise ``compare_where`` on the operator and operand shape.
+
+    Both closures hold only where the operands are non-NULL and (for an
+    ordering) comparable.  ``is_false`` is then ``not (a op b)``, never
+    the complementary operator: ``NaN < 1`` and ``NaN >= 1`` are both
+    FALSE.
+    """
+    holds = HOLDS[op]
     # = and <> never consult comparability; the orderings are UNKNOWN
     # across comparability classes (see compare_where).
-    unordered = expr.op in ("=", "<>")
+    unordered = op in ("=", "<>")
 
     def row_test(verdict: Callable[[SqlValue, SqlValue], bool]) -> RowTest:
         if right is not None:
@@ -317,13 +353,14 @@ def _comparison(
 
         return constant_test
 
-    return row_test(holds), row_test(lambda a, b: not holds(a, b)), None
+    return row_test(holds), row_test(lambda a, b: not holds(a, b))
 
 
 def _connective(
     operands: Sequence[Expr],
     schema: RelSchema,
     params: dict[str, SqlValue],
+    leaves: Leaves,
     conjunctive: bool,
 ) -> Lowered:
     """Shared AND/OR lowering with constant folding.
@@ -335,10 +372,10 @@ def _connective(
     """
     absorbing, identity = (FALSE, TRUE) if conjunctive else (TRUE, FALSE)
     folded = identity
-    trues: list[RowTest] = []
-    falses: list[RowTest] = []
+    trues: list[Test] = []
+    falses: list[Test] = []
     for operand in operands:
-        is_true, is_false, const = _lower(operand, schema, params)
+        is_true, is_false, const = _lower(operand, schema, params, leaves)
         if const is None:
             trues.append(is_true)
             falses.append(is_false)
@@ -351,13 +388,13 @@ def _connective(
     if folded is UNKNOWN:
         # An UNKNOWN constant is one more part that is neither: the AND
         # can no longer be TRUE, the OR no longer FALSE.
-        trues.append(_always(False))
-        falses.append(_always(False))
+        trues.append(leaves.always(False))
+        falses.append(leaves.always(False))
     if len(trues) == 1:
         return trues[0], falses[0], None
     if conjunctive:
-        return _every(trues), _some(falses), None
-    return _some(trues), _every(falses), None
+        return leaves.every(trues), leaves.some(falses), None
+    return leaves.some(trues), leaves.every(falses), None
 
 
 def _every(tests: Sequence[RowTest]) -> RowTest:
@@ -382,3 +419,11 @@ def _some(tests: Sequence[RowTest]) -> RowTest:
         return False
 
     return some
+
+
+def _is_null(index: int) -> tuple[RowTest, RowTest]:
+    return (lambda row: row[index] is NULL), (lambda row: row[index] is not NULL)
+
+
+#: The row format's leaves: closures from the row tuple to a plain bool.
+ROW_LEAVES = Leaves(_always, _is_null, _row_comparison, _every, _some)

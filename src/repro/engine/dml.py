@@ -89,10 +89,11 @@ class DmlNode(PlanNode):
         if ctx.use_batches:
             kernel = compile_batch_filter(where, schema, ctx.evaluator.params)
             if kernel is not None:
+                ctx.stats.predicates_compiled += 1
                 matched, pairs = self._matching_batches(ctx, pairs, kernel)
         for pair in pairs:
             ctx.tick()
-            ctx.stats.predicate_evals += 1
+            # ``qualifies`` counts the row in ``predicate_evals``.
             if ctx.evaluator.qualifies(where, Scope(schema, pair[1])):
                 matched.append(pair)
         return matched
@@ -117,6 +118,8 @@ class DmlNode(PlanNode):
             except Exception:
                 ctx.stats.vectorized_fallbacks += 1
                 return matched, pairs[offset:]
+            ctx.stats.predicate_evals += batch.length
+            ctx.stats.compiled_evals += batch.length
             ctx.stats.vectorized_batches += 1
             ctx.stats.vectorized_rows += batch.length
             ctx.tick(batch.length)

@@ -503,3 +503,46 @@ def test_vectorized_dml_fault_demotes_to_the_evaluator(sql):
     with FAULTS.inject(SITE_VECTORIZED_EVAL, after=1, times=1):
         with pytest.raises(RowBudgetExceeded):
             affected(engine_mode="vectorized", batch_rows=8, row_budget=12)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "UPDATE PARTS SET COLOR = 'BLUE' WHERE COLOR = 'RED'",
+        "DELETE FROM PARTS WHERE COLOR = 'RED'",
+    ],
+)
+def test_dml_counts_each_judged_row_once_in_both_modes(sql):
+    """UPDATE/DELETE's WHERE match is a selection: ``predicate_evals``
+    is the candidate count whoever judged the row.  The evaluator loop
+    used to count every row twice and the batch lane none."""
+    db = build_database(generate(SupplierScale(12, 4, 2)))
+    conn = repro.connect(db)
+    candidates = len(db.table("PARTS").rows)
+
+    def stats(**options):
+        conn.begin()
+        try:
+            return conn.execute(sql, **options).executed.stats
+        finally:
+            conn.rollback()
+
+    select = conn.execute("SELECT PNO FROM PARTS WHERE COLOR = 'RED'")
+    assert select.executed.stats["predicate_evals"] == candidates == 48
+
+    by_tuple = stats(engine_mode="tuple")
+    assert by_tuple["predicate_evals"] == candidates
+    assert by_tuple.get("compiled_evals", 0) == 0  # the evaluator judged them
+
+    by_batch = stats(engine_mode="vectorized", batch_rows=8)
+    assert by_batch["predicate_evals"] == candidates
+    assert by_batch["compiled_evals"] == by_batch["vectorized_rows"] == candidates
+    assert by_batch["predicates_compiled"] == 1
+
+    # Mid-stream demotion: the kernel judged two batches of eight, the
+    # evaluator finished the failed batch and the rest.
+    with FAULTS.inject(SITE_VECTORIZED_EVAL, after=2, times=1):
+        demoted = stats(engine_mode="vectorized", batch_rows=8)
+    assert demoted["vectorized_fallbacks"] == 1
+    assert demoted["compiled_evals"] == demoted["vectorized_rows"] == 16
+    assert demoted["predicate_evals"] == candidates

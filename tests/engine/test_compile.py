@@ -8,14 +8,23 @@ compile returns the same three-valued verdict as
 short-circuit and folding rules are easiest to get wrong.
 """
 
+import ast
 import itertools
 
 import pytest
 
-from repro.engine import compile_filter, compile_predicate, set_compilation_enabled
+from repro.engine import (
+    ColumnBatch,
+    columnar,
+    compile_batch_predicate,
+    compile_filter,
+    compile_predicate,
+    set_compilation_enabled,
+)
 from repro.engine.evaluator import Evaluator
 from repro.engine.schema import RelSchema, Scope
-from repro.sql import parse_condition
+from repro.sql import expressions, parse_condition
+from repro.sql.expressions import ColumnRef, Comparison, Literal
 from repro.types import NULL, FALSE, TRUE, UNKNOWN
 
 SCHEMA = RelSchema.for_table("T", ["A", "B", "C"])
@@ -139,3 +148,94 @@ def test_compilation_toggle_disables_and_restores():
     finally:
         assert set_compilation_enabled(previous) is False
     assert compile_predicate(expr, SCHEMA) is not None
+
+
+# ----------------------------------------------------------------------
+# one comparison rule, every format
+
+NAN = float("nan")
+
+#: What a comparison says across types (ROADMAP 6(f)): the one table.
+#: ``=``/``<>`` are Python's and never consult comparability; the
+#: orderings are UNKNOWN across the bool / numeric / str classes; a
+#: non-NULL ordering is FALSE exactly when Python's is.
+VERDICTS = [
+    (True, "=", 1, TRUE),
+    (True, "<>", 1, FALSE),
+    (True, "<", 1, UNKNOWN),
+    (1, ">=", True, UNKNOWN),
+    (True, ">", False, TRUE),
+    (1, "=", "1", FALSE),
+    (1, "<>", "1", TRUE),
+    (1, "<", "1", UNKNOWN),
+    (1, "=", 1.0, TRUE),
+    (1, "<", 1.5, TRUE),
+    ("X", "<=", "Y", TRUE),
+    (NAN, "<", 1, FALSE),
+    (NAN, ">=", 1, FALSE),
+    (NAN, "=", NAN, FALSE),
+    (NAN, "<>", NAN, TRUE),
+    (NULL, "=", 1, UNKNOWN),
+    (1, "<>", NULL, UNKNOWN),
+    (NULL, "<", "X", UNKNOWN),
+    (NULL, "=", NULL, UNKNOWN),
+]
+
+PAIR = RelSchema.for_table("T", ["A", "B"])
+#: A lane of a type outside every comparability class: the ordering
+#: census cannot prove the native pass right, so the whole batch takes
+#: the exact lane.  (``=``/``<>`` have no census: one lane serves all.)
+EXOTIC = (b"", b"")
+
+
+@pytest.mark.parametrize("left, op, right, verdict", VERDICTS)
+def test_one_comparison_rule_in_every_format(left, op, right, verdict, monkeypatch):
+    exact_calls = []
+    reference = columnar.compare_where
+    monkeypatch.setattr(
+        columnar,
+        "compare_where",
+        lambda *args: exact_calls.append(args) or reference(*args),
+    )
+    a, b = ColumnRef(None, "A"), ColumnRef(None, "B")
+    row = (left, right)
+    folded = Comparison(op, Literal(left), Literal(right))
+    for expr in (
+        Comparison(op, a, b),
+        Comparison(op, a, Literal(right)),
+        Comparison(op, Literal(left), b),
+        folded,
+    ):
+        assert Evaluator().predicate(expr, Scope(PAIR, row)) is verdict
+        assert compile_predicate(expr, PAIR)(row) is verdict
+        kernel = compile_batch_predicate(expr, PAIR)
+        for rows in ([row], [row, EXOTIC]):
+            del exact_calls[:]
+            true_mask, unknown_mask = kernel(ColumnBatch.from_rows(rows, 2))
+            lane = TRUE if true_mask & 1 else UNKNOWN if unknown_mask & 1 else FALSE
+            assert lane is verdict, (expr, rows)
+        # The last batch was the mixed-type one.
+        if op not in ("=", "<>") and NULL not in row and expr is not folded:
+            assert exact_calls, expr
+
+
+def test_columnar_walks_no_condition_tree():
+    """One walk: the batch format supplies leaves, so it has no use for
+    a condition node class — importing one is a second walk growing
+    back."""
+    nodes = {
+        name
+        for name, value in vars(expressions).items()
+        if isinstance(value, type)
+        and issubclass(value, expressions.Expr)
+        and value is not expressions.Expr
+    }
+    assert {"And", "Or", "Not", "Comparison", "IsNull", "Between", "InList"} <= nodes
+    assert not nodes & set(vars(columnar))
+    with open(columnar.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("expressions" in alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and "expressions" in (node.module or ""):
+            assert [alias.name for alias in node.names] == ["Expr"]

@@ -10,6 +10,12 @@ included — the pair must say exactly what the interpretive
 ``compile_predicate`` must return the interpreter's very singleton, and
 everything the ``Tristate``-closure compiler refused is still refused.
 
+The lowering is one walk with two sets of leaves, so the property is
+stated once over both formats: under the batch leaves of
+``repro.engine.columnar`` the pair is ``(true_mask, false_mask)`` over a
+``ColumnBatch``, and lane for lane it is the row pair, the interpreter's
+verdict, and refused exactly where the row pair is.
+
 The same file pins the key kernel of the tuple operators:
 ``key_extractor(indices, null_safe)(row)`` is ``row_sort_key`` of the
 picked values, or ``None`` exactly where a hash join may not use the
@@ -18,6 +24,12 @@ row (a NULL at a position that is not null-safe).
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.columnar import (
+    BATCH_LEAVES,
+    ColumnBatch,
+    compile_batch_filter,
+    compile_batch_predicate,
+)
 from repro.engine.compile import compile_filter, compile_pair, compile_predicate
 from repro.engine.evaluator import Evaluator
 from repro.engine.schema import RelSchema, Scope
@@ -100,6 +112,33 @@ def test_the_pair_is_the_interpreters_verdict(expr, sample):
         assert row_test(row) is (verdict is TRUE), (expr, row)
 
 
+@settings(max_examples=400, **COMMON)
+@given(expr=conditions, sample=st.lists(rows, max_size=9))
+def test_the_batch_pair_is_the_row_pair_lane_for_lane(expr, sample):
+    is_true, is_false = compile_pair(expr, SCHEMA, PARAMS)
+    batch_pair = compile_pair(expr, SCHEMA, PARAMS, BATCH_LEAVES)
+    assert batch_pair is not None
+    batch = ColumnBatch.from_rows(sample, len(COLUMNS))
+    true_mask, false_mask = (test(batch) for test in batch_pair)
+    # Disjoint 0/1 lanes, none at or beyond the batch's length.
+    assert true_mask & false_mask == 0
+    assert (true_mask | false_mask) & ~batch.ones == 0
+    evaluator = Evaluator(params=PARAMS)
+    for lane, row in enumerate(sample):
+        verdict = evaluator.predicate(expr, Scope(SCHEMA, row))
+        true_lane = bool(true_mask >> (8 * lane) & 0xFF)
+        false_lane = bool(false_mask >> (8 * lane) & 0xFF)
+        assert true_lane is is_true(row) is (verdict is TRUE), (expr, row)
+        assert false_lane is is_false(row) is (verdict is FALSE), (expr, row)
+    # The public kernels are derived from the pair, as the row ones are.
+    unknown_mask = batch.ones ^ (true_mask | false_mask)
+    assert compile_batch_predicate(expr, SCHEMA, PARAMS)(batch) == (
+        true_mask,
+        unknown_mask,
+    )
+    assert compile_batch_filter(expr, SCHEMA, PARAMS)(batch) == true_mask
+
+
 # What the compiler must leave to the interpreter, as a leaf: the tree
 # around it may fold, short-circuit or negate, the refusal stands.
 REFUSED = [
@@ -134,6 +173,10 @@ def test_what_needs_the_interpreter_is_still_refused(bad, wrap, tree):
     assert compile_pair(expr, SCHEMA, PARAMS) is None
     assert compile_predicate(expr, SCHEMA, PARAMS) is None
     assert compile_filter(expr, SCHEMA, PARAMS) is None
+    # One walk, one frontier: the leaves cannot move it.
+    assert compile_pair(expr, SCHEMA, PARAMS, BATCH_LEAVES) is None
+    assert compile_batch_predicate(expr, SCHEMA, PARAMS) is None
+    assert compile_batch_filter(expr, SCHEMA, PARAMS) is None
 
 
 def test_ambiguous_reference_is_still_refused():
