@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import threading
 import time
+from statistics import median
 
 import repro
 from repro import QueryService
 from repro.net.server import QueryServer
-from repro.bench import ExperimentReport, speedup, timed
+from repro.bench import ExperimentReport, interleaved, speedup
 from repro.engine.plan_cache import PlanCache
 from repro.engine.stats import Stats
 from repro.errors import ReproError
@@ -295,25 +296,39 @@ def _wire_drive(url, with_resilience):
         raise errors[0]
 
 
+WIRE_ROUNDS = 15
+
+
 def test_e18c_wire_overhead_under_5_percent():
     """E18c: the E16-style drive with full resilience headers on every
-    request stays within 5% of the bare drive."""
+    request stays within 5% of the bare drive.
+
+    Each round drives bare, armed, armed, bare back to back, and the
+    verdict is the median of the per-round ratios.  One drive lasts a
+    fifth of a second; on a machine that changes CPU speed for seconds
+    at a time, drives timed apart (best of three per mode) read anywhere
+    from -10 % to +16 % for one and the same tree."""
     db = build_database(generate(E18A_SCALE))
     with QueryServer(db, workers=2) as server:
         _wire_drive(server.url, False)  # warm plans, indexes, sessions
+        _wire_drive(server.url, True)
 
-        times_bare, times_armed = [], []
-        for _ in range(3):
-            times_bare.append(
-                timed(lambda: _wire_drive(server.url, False))[1]
-            )
-            times_armed.append(
-                timed(lambda: _wire_drive(server.url, True))[1]
-            )
-    t_bare = min(times_bare)
-    t_armed = min(times_armed)
+        def bare():
+            _wire_drive(server.url, False)
 
-    overhead = (t_armed - t_bare) / t_bare * 100.0
+        def armed():
+            _wire_drive(server.url, True)
+
+        bare_1, armed_1, armed_2, bare_2 = interleaved(
+            WIRE_ROUNDS, bare, armed, armed, bare
+        )
+    times_bare = [a + b for a, b in zip(bare_1, bare_2)]
+    times_armed = [a + b for a, b in zip(armed_1, armed_2)]
+    ratio = median(a / b for a, b in zip(times_armed, times_bare))
+    t_bare = median(times_bare) / 2
+    t_armed = t_bare * ratio
+
+    overhead = (ratio - 1.0) * 100.0
     report = ExperimentReport(
         experiment="E18c: concurrent wire drive, resilience headers "
         "off vs on every request",
@@ -334,7 +349,7 @@ def test_e18c_wire_overhead_under_5_percent():
     )
     report.note(
         f"{WIRE_CLIENTS} concurrent connections, 2 service workers; "
-        "best of 3 interleaved drives per mode"
+        f"median paired ratio of {WIRE_ROUNDS} bare/armed/armed/bare rounds"
     )
     report.show()
 

@@ -34,6 +34,10 @@ worker's admission controller sheds with the same priority lattice and
 deadline awareness it has standalone.  Shard connection failures map to
 retryable 503 envelopes (the worker is respawning; a client retry lands
 on the fresh process).
+
+Worker hops reuse kept-alive connections: idle ones wait in a pool per
+shard, keyed on the worker URL they reached, so a respawn — which moves
+the port — strands no request on a dead incarnation's socket.
 """
 
 from __future__ import annotations
@@ -129,6 +133,12 @@ class ClusterFrontend:
         # a session survives its shard's death.
         self._sessions: dict[str, Any] = {}
         self._sessions_lock = threading.Lock()
+        # shard → idle (worker URL, reader, writer); the event loop
+        # thread is the only one that touches it.
+        self._idle: dict[
+            int, list[tuple[str, asyncio.StreamReader, asyncio.StreamWriter]]
+        ] = {}
+        self._clients: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._thread: threading.Thread | None = None
@@ -185,7 +195,7 @@ class ClusterFrontend:
         self._loop = loop
         try:
             server = loop.run_until_complete(
-                asyncio.start_server(self._serve_client, self.host, self.port)
+                asyncio.start_server(self._accept, self.host, self.port)
             )
             self._server = server
             self.port = server.sockets[0].getsockname()[1]
@@ -212,11 +222,26 @@ class ClusterFrontend:
     def _begin_shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+        for pool in self._idle.values():
+            for _url, _reader, writer in pool:
+                writer.close()
+        self._idle.clear()
         loop = self._loop
         if loop is not None:
             loop.stop()
 
     # -- connection handling --------------------------------------------
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one client connection in a task of the front end's own:
+        handed a coroutine, 3.11's stream protocol logs every cancelled
+        handler task as an error, and a kept-alive client leaves its
+        handler idle — to be cancelled — whenever the front end drains."""
+        task = self._loop.create_task(self._serve_client(reader, writer))
+        self._clients.add(task)
+        task.add_done_callback(self._clients.discard)
 
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -353,8 +378,7 @@ class ClusterFrontend:
             payload.get("sql"), str
         ):
             # Malformed request: any shard produces the same 400.
-            reply = await self._forward_to_shard(0, "POST", "/v1/query", headers, body)
-            await self._relay(writer, reply, headers)
+            await self._relay_from(0, headers, body, writer)
             return
 
         sql = payload["sql"]
@@ -371,10 +395,7 @@ class ClusterFrontend:
                 shard = self.coordinator.ring.lookup(key)
                 self.metrics.inc("cluster_single_shard_routes_total")
                 self.metrics.inc("cluster_shard_requests_total", shard=shard)
-                reply = await self._forward_to_shard(
-                    shard, "POST", "/v1/query", headers, body
-                )
-                await self._relay(writer, reply, headers)
+                await self._relay_from(shard, headers, body, writer)
                 return
             # A host variable the key needs is missing: fall through to
             # the forward path (the worker raises the typed error).
@@ -390,7 +411,23 @@ class ClusterFrontend:
         )
         self.metrics.inc("cluster_forward_routes_total")
         self.metrics.inc("cluster_shard_requests_total", shard=shard)
-        reply = await self._forward_to_shard(shard, "POST", "/v1/query", headers, body)
+        await self._relay_from(shard, headers, body, writer)
+
+    async def _relay_from(
+        self,
+        shard: int,
+        headers: dict[str, str],
+        body: bytes,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Send a query to one shard and relay its reply; a shard that
+        cannot be reached answers with the retryable 503."""
+        try:
+            reply = await self._forward_to_shard(
+                shard, "POST", "/v1/query", headers, body
+            )
+        except (OSError, asyncio.IncompleteReadError) as error:
+            raise _Respond(*_unreachable_envelope(shard, error)) from None
         await self._relay(writer, reply, headers)
 
     async def _scatter_query(
@@ -683,30 +720,44 @@ class ClusterFrontend:
         client_headers: dict[str, str],
         body: bytes,
     ) -> _ShardReply:
-        """One HTTP exchange with one worker (fresh connection,
-        ``Connection: close`` — ports move across respawns, so cached
-        connections would pin dead incarnations)."""
+        """One HTTP exchange with one worker, on a kept-alive connection.
+
+        Idle connections wait in a pool per shard, tagged with the
+        worker URL they reached: a respawn moves the port, so one tagged
+        with another URL reached a dead incarnation and is dropped, and
+        so is one whose worker closed it while idle (its reader has seen
+        EOF).  The request is sent once; a failure after that propagates,
+        because the worker may have read and run it.  A reply without a
+        Content-Length, or with ``Connection: close``, ends its
+        connection."""
         try:
             url = self.coordinator.worker_url(shard)
         except KeyError:
             raise ConnectionError(f"unknown shard {shard}") from None
         _scheme, _, rest = url.partition("://")
         host, _, port = rest.partition(":")
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, int(port)), timeout=_CONNECT_TIMEOUT
-        )
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}"]
+        for name, value in self._hop_headers(client_headers).items():
+            lines.append(f"{name}: {value}")
+        lines.append("Content-Type: application/json")
+        lines.append(f"Content-Length: {len(body)}")
+        request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        pool = self._idle.setdefault(shard, [])
+        while pool:
+            pooled_url, reader, writer = pool.pop()
+            if pooled_url == url and not (
+                reader.at_eof() or reader.exception() or writer.is_closing()
+            ):
+                break
+            writer.close()
+        else:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, int(port)),
+                timeout=_CONNECT_TIMEOUT,
+            )
         try:
-            headers = self._hop_headers(client_headers)
-            lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}"]
-            for name, value in headers.items():
-                lines.append(f"{name}: {value}")
-            lines.append("Content-Type: application/json")
-            lines.append(f"Content-Length: {len(body)}")
-            lines.append("Connection: close")
-            head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-            writer.write(head + body)
+            writer.write(request)
             await writer.drain()
-
             raw_head = await reader.readuntil(b"\r\n\r\n")
             head_lines = raw_head.decode("latin-1").split("\r\n")
             status = int(head_lines[0].split(" ", 2)[1])
@@ -720,13 +771,14 @@ class ClusterFrontend:
                 reply_body = await reader.readexactly(int(length))
             else:
                 reply_body = await reader.read()
-            return _ShardReply(status, reply_headers, reply_body)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        except BaseException:
+            writer.close()
+            raise
+        if length is None or reply_headers.get("connection", "").lower() == "close":
+            writer.close()
+        else:
+            pool.append((url, reader, writer))
+        return _ShardReply(status, reply_headers, reply_body)
 
     # -- response plumbing ----------------------------------------------
 

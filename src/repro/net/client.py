@@ -2,7 +2,10 @@
 get back the exact :class:`~repro.api.Connection` facade a local
 database gives you.
 
-Transport is stdlib ``urllib.request``; resilience reuses the library's
+Transport is stdlib ``http.client`` over kept-alive connections: a
+backend keeps its idle sockets in a list (one per calling thread at
+most) and reuses them, so a statement costs a round trip, not a TCP
+connect and teardown.  Resilience reuses the library's
 own :func:`~repro.resilience.retry.call_with_retry` with a bounded,
 jittered :class:`~repro.resilience.retry.RetryPolicy`: a 429 (admission
 queue full), a 503 (drain or injected transient fault), or a socket
@@ -19,9 +22,10 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
 import socket
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import Any
 
 from ..api import Connection, ExecutedQuery
@@ -50,13 +54,18 @@ DEFAULT_HTTP_RETRY = RetryPolicy(
     max_attempts=5, base_delay=0.05, multiplier=2.0, max_delay=1.0
 )
 
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
 
 class HttpBackend:
     """A :class:`~repro.api.Connection` backend speaking the
     :mod:`repro.net.protocol` wire format.
 
     Args:
-        url: server base URL (``http://host:port``).
+        url: server base URL (``http://host:port`` or ``https://…``).
         session: server-side session name queries run under (the
             server's shared default session when None).
         retry_policy: backoff schedule for retryable failures.
@@ -112,6 +121,15 @@ class HttpBackend:
         # sends the budget actually remaining, not a stale snapshot.
         self._deadline: Deadline | None = None
         self._priority: str = PRIORITY_INTERACTIVE
+        parts = urllib.parse.urlsplit(self.url)
+        if parts.scheme not in _CONNECTION_CLASSES:
+            raise ValueError(f"server URL must be http:// or https://, got {url!r}")
+        self._connection_class = _CONNECTION_CLASSES[parts.scheme]
+        self._host, self._port, self._prefix = parts.hostname, parts.port, parts.path
+        # Idle kept-alive connections; a Connection may be shared by
+        # threads, so each call takes its own socket from here.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # -- the Connection backend interface -------------------------------
 
@@ -166,10 +184,6 @@ class HttpBackend:
     def _run_wire(
         self, sql: str, params: dict | None, options: ExecutionOptions
     ) -> ExecutedQuery:
-        if options.deadline is not None:
-            # Fast-fail locally: an expired deadline must not even
-            # touch the network (the server would reject it anyway).
-            options.deadline.check()
         body: dict[str, Any] = {"sql": sql}
         encoded = protocol.encode_params(params)
         if encoded is not None:
@@ -208,7 +222,8 @@ class HttpBackend:
             self.run("ROLLBACK", None, ExecutionOptions())
 
     def close(self) -> None:
-        """Close the server-side session if this backend opened it."""
+        """Close the server-side session if this backend opened it,
+        then the idle sockets."""
         if self.in_transaction:
             try:
                 self.rollback()  # abandoned handle: discard, never publish
@@ -221,6 +236,10 @@ class HttpBackend:
                 pass
             self.session = None
             self._owned_session = False
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def describe(self) -> str:
         where = f"{self.url}"
@@ -379,6 +398,12 @@ class HttpBackend:
         counter, and any response at all — even an error envelope —
         counts as proof of life that closes it.
         """
+        headers = {}
+        if self._deadline is not None:
+            # Fast-fail locally, before every attempt: an expired
+            # deadline must not even touch the network (the server
+            # would reject it anyway).
+            headers[DEADLINE_HEADER] = f"{self._deadline.check() * 1000.0:.3f}"
         try:
             self.breaker.acquire()
         except CircuitOpenError as error:
@@ -386,50 +411,89 @@ class HttpBackend:
             self._pending_retry_after = error.retry_after
             raise
         data = protocol.dumps(body) if body is not None else None
-        request = urllib.request.Request(
-            self.url + path, data=data, method=method
-        )
         if data is not None:
-            request.add_header("Content-Type", "application/json")
-        if self._deadline is not None:
-            request.add_header(
-                DEADLINE_HEADER, f"{self._deadline.to_wire_ms():.3f}"
-            )
+            headers["Content-Type"] = "application/json"
         if self._priority != PRIORITY_INTERACTIVE:
-            request.add_header(PRIORITY_HEADER, self._priority)
+            headers[PRIORITY_HEADER] = self._priority
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                result = response.status, response.headers, response.read()
-            self.breaker.record_success()
-            return result
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            try:
-                payload = self._parse_body(raw)
-                typed = protocol.decode_error(payload)
-            except ProtocolError:
-                typed = self._statusline_error(error.code, raw)
-            if isinstance(typed, TransientNetworkError):
-                self._pending_retry_after = typed.retry_after
-                self.breaker.record_failure()
-            else:
-                # A typed terminal envelope is a *working* server
-                # rejecting this particular request — proof of life.
-                self.breaker.record_success()
-            raise typed from None
-        except (
-            urllib.error.URLError,
-            ConnectionError,
-            socket.timeout,
-            TimeoutError,
-            http.client.HTTPException,
-        ) as error:
+            status, reply_headers, raw = self._exchange(
+                method, self._prefix + path, data, headers
+            )
+        except (OSError, http.client.HTTPException) as error:
             self.breaker.record_failure()
             raise TransientNetworkError(
                 f"{method} {path} failed: {error!r}", status=0
             ) from None
+        if 200 <= status < 300:
+            self.breaker.record_success()
+            return status, reply_headers, raw
+        try:
+            payload = self._parse_body(raw)
+            typed = protocol.decode_error(payload)
+        except ProtocolError:
+            typed = self._statusline_error(status, raw)
+        if isinstance(typed, TransientNetworkError):
+            self._pending_retry_after = typed.retry_after
+            self.breaker.record_failure()
+        else:
+            # A typed terminal envelope is a *working* server
+            # rejecting this particular request — proof of life.
+            self.breaker.record_success()
+        raise typed from None
+
+    def _exchange(
+        self, method: str, path: str, data: bytes | None, headers: dict
+    ) -> tuple[int, Any, bytes]:
+        """One request and its whole reply on a kept-alive connection.
+
+        The request is sent once: any failure, on a reused socket or a
+        fresh one, propagates to the counted retry path, because the
+        server may have read and run it.  The socket goes back to the
+        idle list unless the reply says it will close (an NDJSON stream
+        does).
+        """
+        connection = self._connection()
+        try:
+            connection.request(method, path, body=data, headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response.status, response.headers, raw
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """A live idle connection, else a fresh one.
+
+        A server closes an idle socket when its keep-alive timeout
+        passes or it restarts.  An idle HTTP/1.1 socket has nothing to
+        read, so one that polls readable has seen that EOF or reset (or
+        holds stray bytes) and is dropped before anything is sent on it.
+        """
+        while True:
+            with self._idle_lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self._open()
+            if not select.select([connection.sock], [], [], 0)[0]:
+                return connection
+            connection.close()
+
+    def _open(self) -> http.client.HTTPConnection:
+        connection = self._connection_class(
+            self._host, self._port, timeout=self.timeout
+        )
+        connection.connect()
+        # http.client sends the request head and body in two writes; on
+        # a kept-alive socket Nagle would hold the body back until the
+        # server's delayed ACK of the head.
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection
 
     @staticmethod
     def _statusline_error(code: int, raw: bytes) -> Exception:

@@ -25,12 +25,18 @@ retryable 503, an injected write failure kills the response mid-flight
 Lifecycle: :meth:`QueryServer.drain` (wired to SIGTERM by the CLI)
 stops admitting new queries (503 + Retry-After), lets every in-flight
 query complete and its response flush, then stops the listener.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves one
+client socket until the peer closes it, the socket idles past
+:attr:`_Handler.timeout`, or a response says ``Connection: close``
+(NDJSON streams, and any request whose body was left unread).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import socket
 import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -211,11 +217,12 @@ class QueryServer:
 
         New ``/v1/query`` requests observed after this point get a
         retryable 503.  Queries already *running* complete and their
-        responses flush before the listener closes; queries still
+        responses flush before this returns; queries still
         *queued* fail fast with the same retryable 503
         (``cancel_queued=True``), so a full admission queue cannot
         stretch the drain window — and the service's ledger counters
-        account every one (``service_drained_total``).  Idempotent.
+        account every one (``service_drained_total``).  Idle kept-alive
+        connections are closed, not waited out.  Idempotent.
         """
         if self._draining.is_set():
             self._stopped.wait()
@@ -246,11 +253,52 @@ class QueryServer:
 
 
 class _Listener(ThreadingHTTPServer):
-    """The threaded listener; ``app`` points back to the QueryServer."""
+    """The threaded listener; ``app`` points back to the QueryServer.
 
-    daemon_threads = True
-    block_on_close = True  # server_close() joins in-flight handlers
+    Handler threads are daemons — an idle kept-alive client must not
+    hold the process open — and the stdlib's ``block_on_close`` joins
+    no daemon thread, so the listener tracks each open request socket
+    with its thread and :meth:`server_close` joins them itself.
+    """
+
     app: QueryServer
+
+    def __init__(self, *args: Any) -> None:
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._handlers_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._handlers_lock:
+            self._handlers[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._handlers_lock:
+                self._handlers.pop(request, None)
+
+    def server_close(self) -> None:
+        """Close the listener, then wait for every handler: shutting each
+        open socket for reading makes an idle kept-alive handler read EOF
+        at once, while one still answering writes its response out."""
+        super().server_close()
+        with self._handlers_lock:
+            handlers = list(self._handlers.items())
+        for request, _thread in handlers:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        for _request, thread in handlers:
+            thread.join()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -259,6 +307,9 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Socket read timeout: a stalled client must not pin a thread.
     timeout = 60
+    #: A response is a head write then a body write; on a kept-alive
+    #: socket Nagle would hold the body until the client's delayed ACK.
+    disable_nagle_algorithm = True
     server: _Listener
 
     # -- routing --------------------------------------------------------
@@ -294,6 +345,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.headers.get(REQUEST_ID_HEADER)
         )
         self._responded = False
+        # A body left unread would parse as the peer's next request.
+        self._unread_body = self.headers.get("Content-Length") not in (None, "0")
         span_cm = (
             TRACER.span(
                 "http.request",
@@ -315,6 +368,8 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as error:  # noqa: BLE001 — boundary
             status = self._send_error(error)
         finally:
+            if self._unread_body:
+                self.close_connection = True
             app.metrics.record_http(route, status, perf_counter() - started)
 
     def _read_body(self) -> bytes:
@@ -330,7 +385,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not length:
             return b""
         FAULTS.check(SITE_NET_READ)
-        data = FAULTS.corrupt(SITE_NET_READ, self.rfile.read(length))
+        data = self.rfile.read(length)
+        self._unread_body = False
+        data = FAULTS.corrupt(SITE_NET_READ, data)
         if len(data) < length:
             raise ProtocolError(
                 f"truncated request body: expected {length} bytes, "
@@ -354,6 +411,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header(REQUEST_ID_HEADER, self.request_id)
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self._unread_body:
+            self.send_header("Connection", "close")  # so the client won't reuse it
         self.end_headers()
         self._responded = True
         self.wfile.write(body)
@@ -523,8 +582,6 @@ class _Handler(BaseHTTPRequestHandler):
         milliseconds* and is re-anchored against this process's
         monotonic clock on receipt.
         """
-        import dataclasses
-
         changes: dict[str, Any] = {}
         raw_deadline = self.headers.get(DEADLINE_HEADER)
         if raw_deadline is not None:
@@ -548,7 +605,8 @@ class _Handler(BaseHTTPRequestHandler):
                     + ", ".join(repr(p) for p in PRIORITIES)
                 )
             changes["priority"] = raw_priority
-        return dataclasses.replace(options, **changes) if changes else options
+        # Both values are checked above: no need to validate them again.
+        return options._with(changes) if changes else options
 
     def _stream_result(self, executed: Any) -> int:
         """NDJSON: header, chunked rows with incremental flush, footer."""

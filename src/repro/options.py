@@ -15,8 +15,9 @@ import it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from typing import Any
 
 from .engine.columnar import ENGINE_MODES
 from .errors import ProtocolError
@@ -158,24 +159,33 @@ class ExecutionOptions:
         """
         if not loose:
             return self
-        budget = loose.pop("budget", None)
-        if budget is not None:
-            if not isinstance(budget, ResourceBudget):
-                raise TypeError("budget must be a ResourceBudget")
-            loose.setdefault("timeout", budget.timeout)
-            loose.setdefault("row_budget", budget.row_budget)
+        # Runs per call when a caller passes keywords (a deadline per
+        # request): each shorthand is looked at only when it was passed.
+        if "budget" in loose:
+            budget = loose.pop("budget")
+            if budget is not None:
+                if not isinstance(budget, ResourceBudget):
+                    raise TypeError("budget must be a ResourceBudget")
+                loose.setdefault("timeout", budget.timeout)
+                loose.setdefault("row_budget", budget.row_budget)
         deadline = loose.get("deadline")
         if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
             loose["deadline"] = Deadline.after(float(deadline))
-        scan_ranges = loose.get("scan_ranges")
-        if isinstance(scan_ranges, Mapping):
-            loose["scan_ranges"] = tuple(
-                (table, start, stop)
-                for table, (start, stop) in sorted(scan_ranges.items())
-            )
-        elif scan_ranges is not None:
-            loose["scan_ranges"] = tuple(tuple(entry) for entry in scan_ranges)
-        return replace(self, **loose)
+        if loose.get("scan_ranges") is not None:
+            scan_ranges = loose["scan_ranges"]
+            if isinstance(scan_ranges, Mapping):
+                loose["scan_ranges"] = tuple(
+                    (table, start, stop)
+                    for table, (start, stop) in sorted(scan_ranges.items())
+                )
+            else:
+                loose["scan_ranges"] = tuple(tuple(e) for e in scan_ranges)
+        if not loose.keys() <= _DEFAULTS.keys():
+            unknown = ", ".join(sorted(loose.keys() - _DEFAULTS.keys()))
+            raise TypeError(f"unknown option(s): {unknown}")
+        options = self._with(loose)
+        options.__post_init__()
+        return options
 
     # -- derived views --------------------------------------------------
 
@@ -202,13 +212,24 @@ class ExecutionOptions:
         """
         if override is None:
             return self
-        changes = {}
-        for spec in fields(self):
-            value = getattr(override, spec.name)
-            default = spec.default
-            if value != default:
-                changes[spec.name] = value
-        return replace(self, **changes) if changes else self
+        if self.__dict__ == _DEFAULTS:
+            return override  # the common session: nothing to layer under
+        changes = {
+            name: value
+            for name, value in override.__dict__.items()
+            if value != _DEFAULTS[name]
+        }
+        # Every value comes from a validated ExecutionOptions and every
+        # check in __post_init__ is per field, so the copy skips them.
+        return self._with(changes) if changes else self
+
+    def _with(self, changes: Mapping[str, Any]) -> "ExecutionOptions":
+        """A copy with *changes* set, unchecked.  Not
+        ``dataclasses.replace``, which walks every field again: options
+        are layered per request, on the client and on the server."""
+        options = object.__new__(ExecutionOptions)
+        options.__dict__.update(self.__dict__, **changes)
+        return options
 
     # -- wire round-trip ------------------------------------------------
 
@@ -355,3 +376,4 @@ class ExecutionOptions:
 
 #: The all-defaults value layered under every merge.
 DEFAULT_OPTIONS = ExecutionOptions()
+_DEFAULTS = DEFAULT_OPTIONS.__dict__

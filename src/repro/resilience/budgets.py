@@ -78,6 +78,10 @@ class ExecutionGuard:
             else self._started + self.budget.timeout
         )
         self._row_budget = self.budget.row_budget  # hot-loop local
+        # The tick count at which tick() next reads the clock.
+        self._next_clock_check = (
+            float("inf") if self._deadline is None else CLOCK_CHECK_INTERVAL
+        )
         self.rows_processed = 0
         self.cancelled = False
         self._cancel_reason = ""
@@ -106,12 +110,12 @@ class ExecutionGuard:
         budget = self._row_budget
         if budget is not None and processed > budget:
             raise RowBudgetExceeded(budget, processed)
-        if (
-            self._deadline is not None
-            and processed % CLOCK_CHECK_INTERVAL < rows
-        ):
-            # The interval boundary was crossed somewhere in this batch
-            # of rows (for rows == 1 this is the plain modulo test).
+        if processed >= self._next_clock_check:
+            # An interval boundary was crossed somewhere in this batch
+            # of rows: one comparison per tick, with or without a clock.
+            self._next_clock_check = (
+                processed - processed % CLOCK_CHECK_INTERVAL + CLOCK_CHECK_INTERVAL
+            )
             self.check_deadline()
 
     def check_deadline(self) -> None:

@@ -35,7 +35,7 @@ from ..errors import DeadlineExpiredError
 DEADLINE_HEADER = "X-Deadline-Ms"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deadline:
     """An absolute expiry instant on the local monotonic clock.
 
@@ -58,14 +58,14 @@ class Deadline:
         cls, seconds: float, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
         """A deadline *seconds* from now (negative = already expired)."""
-        return cls(expires_at=clock() + seconds, clock=clock)
+        return cls(clock() + seconds, clock)
 
     @classmethod
     def from_wire_ms(
         cls, ms: float, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
         """Re-anchor a remaining-milliseconds wire value locally."""
-        return cls.after(ms / 1000.0, clock=clock)
+        return cls(clock() + ms / 1000.0, clock)
 
     # -- views ----------------------------------------------------------
 

@@ -328,7 +328,7 @@ class QueryService:
             )
             raise
         ticket = QueryTicket(sql, session.name, request_id)
-        item = (session, ticket, sql, params, options, time.monotonic())
+        item = (session, ticket, sql, params, effective, time.monotonic())
         if wait:
             self._queue.put(item)
         else:
@@ -419,13 +419,12 @@ class QueryService:
             item = self._queue.get()
             if item is None:
                 return
-            session, ticket, sql, params, options, enqueued_at = item
+            session, ticket, sql, params, effective, enqueued_at = item
             # The observed queue wait is the shedding controller's
             # ground truth — and the slice of the client's deadline the
             # queue already spent.
             waited = time.monotonic() - enqueued_at
             self.admission.observe_wait(waited)
-            effective = session.options.merged(options)
             if ticket.cancelled:
                 # The caller abandoned the wait while we were queued:
                 # don't burn a worker on an answer nobody will read.

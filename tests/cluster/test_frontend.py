@@ -1,19 +1,24 @@
 """Front-end behaviours: Theorem 1 point routing (fan-out exactly 1),
-session broadcast and replay onto respawned workers, healthz
-aggregation, and resilience-header forwarding."""
+session broadcast and replay onto respawned workers, kept-alive worker
+connections, healthz aggregation, and resilience-header forwarding."""
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
 
+import repro
 from repro.cluster import (
     ClusterCoordinator,
     ClusterFrontend,
     WorkerConfig,
     WorkerSource,
 )
+from repro.cluster.routing import detect_point_route
+from repro.engine import execute_planned
+from repro.sql.parser import parse_query
 
 from .conftest import FACTORY, get_json, get_text, post_json
 
@@ -207,6 +212,124 @@ class TestSessionReplayAfterRespawn:
         health = get_json(fleet.url, "/healthz")
         fresh = next(s for s in health["shards"] if s["shard"] == 1)
         assert "ephemeral" not in fresh["health"]["sessions"]
+
+
+@pytest.fixture()
+def hop_connects(monkeypatch):
+    """The worker port of every connection the front end opens."""
+    calls: list[int] = []
+    original = asyncio.open_connection
+
+    async def spy(host, port, **kwargs):
+        calls.append(port)
+        return await original(host, port, **kwargs)
+
+    monkeypatch.setattr("repro.cluster.frontend.asyncio.open_connection", spy)
+    return calls
+
+
+def point_sql_on(frontend, shard: int) -> tuple[str, list[dict]]:
+    """A host-variable point query and bindings the ring sends to *shard*."""
+    sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO"
+    route = detect_point_route(
+        parse_query(sql), frontend.coordinator.database.catalog
+    )
+    bindings = [
+        {"SNO": sno}
+        for sno in range(1, 41)
+        if frontend.coordinator.ring.lookup(route.routing_key({"SNO": sno}))
+        == shard
+    ]
+    return sql, bindings
+
+
+def expected_rows(frontend, sql: str, params: dict) -> list[list]:
+    result = execute_planned(sql, frontend.coordinator.database, params=params)
+    return [list(row) for row in result.rows]
+
+
+class TestKeptConnections:
+    def test_point_queries_reuse_one_connection_per_shard(
+        self, cluster, hop_connects
+    ):
+        with repro.connect(cluster.url) as conn:
+            for sno in range(50):
+                conn.execute(
+                    "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO",
+                    {"SNO": sno % 20 + 1},
+                ).fetchall()
+        assert len(hop_connects) <= cluster.coordinator.shards
+
+    def test_a_killed_worker_leaves_no_stale_socket(self, hop_connects):
+        coordinator = ClusterCoordinator(
+            WorkerSource.from_factory(FACTORY),
+            shards=2,
+            config=WorkerConfig(threads=2, queue_depth=16),
+            monitor_interval=0.1,
+        )
+        with ClusterFrontend(coordinator, owns_coordinator=True) as fe:
+            sql, bindings = point_sql_on(fe, 0)
+            for params in bindings[:5]:  # warm the pool to shard 0
+                status, _h, body = post_json(
+                    fe.url, "/v1/query", {"sql": sql, "params": params}
+                )
+                assert status == 200, body
+            killed_pid = coordinator.kill_shard(0)
+            deadline = time.time() + 20.0
+            respawned = False
+            while time.time() < deadline:
+                for params in bindings:
+                    status, _h, body = post_json(
+                        fe.url, "/v1/query", {"sql": sql, "params": params}
+                    )
+                    if status == 200:
+                        assert body["rows"] == expected_rows(fe, sql, params)
+                    else:  # the worker is down: retryable, never terminal
+                        assert status == 503, body
+                        assert body["error"]["retryable"] is True
+                handle = coordinator.handle(0)
+                if handle.alive() and handle.pid != killed_pid:
+                    respawned = True
+                    break
+                time.sleep(0.05)
+            assert respawned
+            opened = len(hop_connects)
+            for params in bindings[:10]:
+                status, _h, body = post_json(
+                    fe.url, "/v1/query", {"sql": sql, "params": params}
+                )
+                assert status == 200, body  # the new incarnation answers
+                assert body["rows"] == expected_rows(fe, sql, params)
+            assert len(hop_connects) - opened <= 1
+
+    def test_a_reply_lost_after_the_worker_ran_the_request_is_not_resent(self):
+        """The worker runs an INSERT on a pooled socket, then a double
+        ``net_write`` fault kills both its replies and it closes.  The
+        front end answers the retryable 503 instead of sending the
+        INSERT again on a fresh socket."""
+        coordinator = ClusterCoordinator(
+            WorkerSource.from_factory(FACTORY),
+            shards=1,
+            config=WorkerConfig(
+                threads=1,
+                faults=(
+                    {"site": "net_write", "kind": "exception", "after": 1, "times": 2},
+                ),
+            ),
+        )
+        probe = {"sql": "SELECT SNO FROM SUPPLIER WHERE SNO = 498"}
+        insert = {
+            "sql": "INSERT INTO SUPPLIER VALUES "
+            "(498, 'Lost Reply', 'Toronto', 10, 'Active')"
+        }
+        with ClusterFrontend(coordinator, owns_coordinator=True) as fe:
+            status, _h, body = post_json(fe.url, "/v1/query", probe)
+            assert (status, body["rows"]) == (200, [])  # warms the pool
+            status, _h, body = post_json(fe.url, "/v1/query", insert)
+            assert status == 503, body  # a resend would read 409
+            assert body["error"]["retryable"] is True
+            status, _h, body = post_json(fe.url, "/v1/query", probe)
+            assert (status, body["rows"]) == (200, [[498]])
 
 
 class TestHealthAggregation:

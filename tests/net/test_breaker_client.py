@@ -103,5 +103,6 @@ def test_breaker_recovers_through_a_half_open_probe(server):
         server.url, retry_policy=FAST_RETRY, timeout=5.0, breaker=breaker
     )
     executed = live.run("SELECT SNO FROM SUPPLIER", None, ExecutionOptions())
+    live.close()
     assert len(executed.rows) > 0
     assert breaker.state == STATE_CLOSED

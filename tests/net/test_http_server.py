@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.net.client import HttpBackend
 from repro.net.server import QueryServer
-from repro.resilience import FAULTS, RetryPolicy, SITE_PLAN_CACHE
+from repro.resilience import FAULTS, RetryPolicy, SITE_NET_WRITE, SITE_PLAN_CACHE
 from repro.types import NULL
 from repro.workloads import SupplierScale, build_database, generate
 
@@ -321,7 +321,9 @@ def test_fresh_session_is_owned_and_closed(server):
     backend = conn._backend
     conn.close()
     assert backend.session is None
-    assert name not in HttpBackend(server.url).healthz()["sessions"]
+    probe = HttpBackend(server.url)
+    assert name not in probe.healthz()["sessions"]
+    probe.close()
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +340,18 @@ def test_drain_completes_in_flight_queries(tiny_db):
                 "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO <= 2"
             ).fetchall()
 
-    with FAULTS.inject(SITE_PLAN_CACHE, kind="slow", delay=0.4, times=1):
+    # The response write also stalls, past the point where drain() used
+    # to return without joining the handler that owed it.
+    with FAULTS.inject(SITE_PLAN_CACHE, kind="slow", delay=0.4, times=1), \
+            FAULTS.inject(SITE_NET_WRITE, kind="slow", delay=2.0, times=1):
         thread = threading.Thread(target=slow_query)
         thread.start()
         # Let the request reach the worker, then drain underneath it.
         deadline = threading.Event()
         deadline.wait(0.15)
         server.drain()
-        thread.join(timeout=10)
+        # drain() returned: the full response is already on the wire.
+        thread.join(timeout=0.5)
     assert not thread.is_alive()
     assert results["rows"] == [(1,), (2,)]  # completed, not cut off
     assert server.draining
