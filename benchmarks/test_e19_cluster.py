@@ -11,10 +11,11 @@ Two claims about :mod:`repro.cluster` on one box:
 * **E19b** — the Theorem 1 fast path has fan-out exactly 1: a
   key-bound point workload increments
   ``cluster_single_shard_routes_total`` once per request and makes
-  exactly one worker hop per request (scatter would make N).
+  exactly one worker hop per request.  Every other query is forwarded
+  whole to one replica, so no request ever makes more than one hop.
 
-Scatter-gather byte-identity (E1–E11) is pinned by the cluster test
-suite; this benchmark pins the *performance* contract.  Results land
+Byte-identity with single-node execution (E1–E11) is pinned by the
+cluster test suite; this benchmark pins the *performance* contract.  Results land
 in ``BENCH_e19.json``.
 """
 
@@ -180,7 +181,7 @@ def test_e19_cluster_throughput_scales_with_shards():
 def test_e19_point_queries_fan_out_to_one_shard():
     """E19b: a key-bound workload routes every request to exactly one
     shard — single-shard-route count == requests, worker hops ==
-    requests (scatter would make 4x the hops)."""
+    requests (one hop per request, on any number of shards)."""
     source = WorkerSource.from_factory(FACTORY)
     shards = 4
     requests = 32
@@ -207,13 +208,13 @@ def test_e19_point_queries_fan_out_to_one_shard():
     report = ExperimentReport(
         experiment="E19b: Theorem 1 key-bound routing",
         claim="a candidate key fully bound by constants routes to "
-        "exactly one shard: fan-out 1, no scatter",
+        "exactly one shard: fan-out 1",
         columns=["workload", "requests", "point routes", "worker hops"],
         slug="e19",
     )
     report.add_row("key-bound lookups", requests, int(point_routes), int(hops))
     report.note(
-        f"{shards}-shard cluster; scatter-gather would have made "
+        f"{shards}-shard cluster; asking every shard would have made "
         f"{requests * shards} hops"
     )
     report.show()

@@ -149,14 +149,6 @@ def run_with_options(
     if transaction is not None:
         # Pin every read to the transaction's snapshot + its own writes.
         database = transaction.view()
-    if options.scan_ranges:
-        # Scatter-gather shard execution: run against a read-only
-        # row-range view.  Everything below (planner, caches, health)
-        # sees the view's own fingerprint, so nothing aliases the full
-        # database.
-        from .engine.sliced import SlicedDatabase
-
-        database = SlicedDatabase.wrap(database, options.scan_ranges)
     # Raises DeadlineExpiredError when nothing is left: queue wait or
     # network transit already spent the client's whole budget.
     budget = options.budget()
@@ -188,7 +180,7 @@ def run_with_options(
             use_stats = adaptive = False
     if use_stats:
         planner_options = _stats_planner_options(
-            planner_options, database, options, adaptive
+            planner_options, database, adaptive
         )
     optimizer = None
     if not optimize:
@@ -268,8 +260,6 @@ def run_dml_with_options(
 
     options = options if options is not None else ExecutionOptions()
     stats = stats if stats is not None else Stats()
-    if options.scan_ranges:
-        raise ProtocolError("writes cannot run against a shard slice")
     budget = options.budget()
     guard = budget.guard() if budget is not None else None
     if sql_text is None:
@@ -360,27 +350,21 @@ def apply_transaction_control(
 def _stats_planner_options(
     planner_options: Any | None,
     database: Database,
-    options: ExecutionOptions,
     adaptive: bool,
 ) -> Any:
     """Planner options carrying the statistics/adaptive flags.
 
     Also makes ``run --stats`` self-serve: a database without fresh
     statistics is ANALYZEd once here (single-flight, skipped for
-    scan-range views — a per-shard slice is a per-execution object, so
-    collecting on it would re-pay the pass every query; the estimator
-    falls back instead and counts ``estimator_fallbacks``).
+    transaction views — a view is a per-transaction object, so
+    collecting on it would re-pay the pass every statement; the
+    estimator falls back instead and counts ``estimator_fallbacks``).
     """
     from dataclasses import replace
 
     from .engine.planner import PlannerOptions
 
-    if options.scan_ranges is None and not getattr(
-        database, "is_transaction_view", False
-    ):
-        # Transaction views are skipped for the same reason as shard
-        # slices: they are per-transaction objects, so collecting on
-        # them would re-pay the ANALYZE pass every statement.
+    if not getattr(database, "is_transaction_view", False):
         try:
             from .stats import ensure_statistics
 

@@ -450,7 +450,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --http: serve a sharded cluster of N worker "
         "processes behind an asyncio front end (key-bound point "
-        "queries route to one shard; partitioned scans scatter-gather)",
+        "queries route by key; everything else goes whole to one shard)",
     )
 
     client = commands.add_parser(

@@ -1,4 +1,4 @@
-"""Multi-process cluster: shard workers, key-aware routing, scatter-gather.
+"""Multi-process cluster: shard workers, key-aware routing, forwarding.
 
 The GIL caps a single worker-thread :class:`~repro.service.QueryService`
 at roughly one core of Python work, so scaling past it means
@@ -15,35 +15,25 @@ shared-nothing *processes*.  This package provides that layer:
   front end speaking the existing :mod:`repro.net.protocol`, so the
   stock client and CLI work unchanged.  It routes uniqueness-bound
   point queries (Theorem 1: a query bound on a candidate key identifies
-  at most one row, hence exactly one shard) to a single worker via the
-  ring, scatter-gathers partitionable scans across every shard with an
-  order-preserving merge, and falls back to hash-routing whole queries
-  otherwise — always correct, because every worker holds a replica.
+  at most one row) to the worker the key's values hash to on the ring,
+  and forwards every other query whole to the replica that hashing
+  (session, SQL) picks — always correct, because every worker holds a
+  replica.  Each query makes exactly one worker hop.
 * :func:`~repro.cluster.frontend.serve_cluster` — one context manager
   building the coordinator + front end pair.
-
-Scatter-gather rides the ``scan_ranges`` execution option: each worker
-executes the *same* SQL over a contiguous row-range slice of the
-driving table (see :mod:`repro.engine.sliced`), and the front end
-merges the shard results into output byte-identical to single-node
-execution.
 """
 
 from .coordinator import ClusterCoordinator, WorkerHandle
 from .frontend import ClusterFrontend, serve_cluster
 from .ring import HashRing
-from .scatter import MergeSpec, classify_scatter, merge_shard_rows
 from .worker import WorkerConfig, WorkerSource
 
 __all__ = [
     "ClusterCoordinator",
     "ClusterFrontend",
     "HashRing",
-    "MergeSpec",
     "WorkerConfig",
     "WorkerHandle",
     "WorkerSource",
-    "classify_scatter",
-    "merge_shard_rows",
     "serve_cluster",
 ]

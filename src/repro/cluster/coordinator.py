@@ -8,10 +8,10 @@ generation.  Routing state (the consistent-hash ring) keys on the
 *shard id*, which is stable across respawns; only the port moves, so
 the front end reads ports through :meth:`worker_url` per request.
 
-The coordinator also rebuilds the same replica in-process
-(:attr:`database`): the front end needs a local catalog and row counts
-to classify queries and compute scatter ranges, and using the identical
-source recipe guarantees it plans exactly what the workers execute.
+The coordinator also keeps the replica's catalog in-process
+(:attr:`catalog`): the front end reads candidate keys from it to detect
+point routes, and building it from the workers' own source recipe
+guarantees it sees exactly the keys the workers enforce.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class ClusterCoordinator:
     """Lifecycle manager for the shard worker fleet.
 
     Args:
-        source: replica recipe shipped to every worker (and rebuilt
-            locally for routing).
+        source: replica recipe shipped to every worker (its catalog is
+            also built locally for routing).
         shards: number of worker processes.
         config: per-worker knobs (threads, queue depth, seeded faults).
         ring_vnodes / ring_seed: consistent-hash ring shape; the seed
@@ -83,8 +83,8 @@ class ClusterCoordinator:
         self.auto_respawn = respawn
         self.monitor_interval = monitor_interval
         self.on_respawn = on_respawn
-        #: Local replica for planning/routing (same recipe as workers).
-        self.database = source.build()
+        #: The replica's catalog, for routing (same recipe as workers).
+        self.catalog = source.build().catalog
         self._ctx = multiprocessing.get_context("spawn")
         self._queue = self._ctx.Queue()
         self._handles: dict[int, WorkerHandle] = {}

@@ -7,31 +7,28 @@ the exact :mod:`repro.net.protocol` HTTP/JSON contract a single
 multiplexes every client connection over one asyncio event loop, so a
 thousand idle keep-alive connections cost one thread, not a thousand.
 
-Per query it picks one of three routes, compiled once per SQL text and
-cached:
+Every query makes exactly one worker hop, on one of two routes (each
+SQL text's route is decided once and cached):
 
 * **point** — the Theorem 1 fast path
   (:func:`~repro.cluster.routing.detect_point_route`): a candidate key
-  fully bound by constants identifies ≤ 1 row, which hash-partitioning
-  places on exactly one shard.  Fan-out 1, counted in
+  fully bound by constants identifies ≤ 1 row, and the key's values
+  hash onto the ring to pick the worker.  Counted in
   ``cluster_single_shard_routes_total``.
-* **scatter** — the classifier
-  (:func:`~repro.cluster.scatter.classify_scatter`) proved per-shard
-  outputs recombine byte-identically: the same SQL fans out to every
-  shard with a per-shard ``scan_ranges`` slice of the driving table,
-  and :func:`~repro.cluster.scatter.merge_shard_rows` reassembles one
-  response.  Any shard failure fails the whole request with that
-  shard's typed envelope — a partial row set is never returned.
 * **forward** — everything else goes whole to one replica shard chosen
-  by ring-hashing the (session, SQL) pair, which spreads unclassified
-  load while keeping a given query text's plan/analysis caches warm on
-  one worker.
+  by ring-hashing the (session, SQL) pair, which spreads load while
+  keeping a given query text's plan/analysis caches warm on one
+  worker.  Counted in ``cluster_forward_routes_total``.
+
+Every worker holds the whole database, so both routes answer exactly
+what a single node would; the worker's reply — JSON or NDJSON stream —
+is relayed verbatim.
 
 Resilience inheritance: the client's ``X-Deadline-Ms`` is re-anchored
-here and re-emitted per shard hop with the budget *actually remaining*
-at fan-out time, and ``X-Priority`` rides through untouched, so each
-worker's admission controller sheds with the same priority lattice and
-deadline awareness it has standalone.  Shard connection failures map to
+here and re-emitted on the shard hop with the budget *actually
+remaining* at that time, and ``X-Priority`` rides through untouched, so
+each worker's admission controller sheds with the same priority lattice
+and deadline awareness it has standalone.  Shard connection failures map to
 retryable 503 envelopes (the worker is respawning; a client retry lands
 on the fresh process).
 
@@ -45,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import uuid
 from typing import Any
 
 from ..observe.metrics import MetricsRegistry
@@ -55,7 +51,6 @@ from ..sql.parser import parse_query
 from .coordinator import ClusterCoordinator, WorkerHandle
 from .ring import canonical_key
 from .routing import PointRoute, detect_point_route
-from .scatter import MergeSpec, classify_scatter, merge_shard_rows, partition_ranges
 from .worker import WorkerConfig, WorkerSource
 
 __all__ = ["ClusterFrontend", "serve_cluster"]
@@ -67,22 +62,6 @@ _ROUTE_CACHE_SIZE = 512
 #: Per-shard-hop connect timeout (seconds).  Workers are local
 #: processes; anything slower than this is a dead or wedged worker.
 _CONNECT_TIMEOUT = 5.0
-
-
-class _Route:
-    """Compiled routing decision for one SQL text."""
-
-    __slots__ = ("kind", "point", "merge")
-
-    def __init__(
-        self,
-        kind: str,
-        point: PointRoute | None = None,
-        merge: MergeSpec | None = None,
-    ) -> None:
-        self.kind = kind  # "point" | "scatter" | "forward"
-        self.point = point
-        self.merge = merge
 
 
 class _ShardReply:
@@ -127,7 +106,8 @@ class ClusterFrontend:
         self.port = port
         self.owns_coordinator = owns_coordinator
         self.metrics = MetricsRegistry()
-        self._routes: dict[str, _Route] = {}
+        # SQL text → its point route, or None for the forward route.
+        self._routes: dict[str, PointRoute | None] = {}
         self._routes_lock = threading.Lock()
         # name → options wire form, replayed onto respawned workers so
         # a session survives its shard's death.
@@ -336,11 +316,10 @@ class ClusterFrontend:
 
     # -- query routing --------------------------------------------------
 
-    def _route_for(self, sql: str) -> _Route:
+    def _route_for(self, sql: str) -> PointRoute | None:
         with self._routes_lock:
-            route = self._routes.get(sql)
-        if route is not None:
-            return route
+            if sql in self._routes:
+                return self._routes[sql]
         route = self._compile_route(sql)
         with self._routes_lock:
             self._routes[sql] = route
@@ -348,21 +327,13 @@ class ClusterFrontend:
                 self._routes.pop(next(iter(self._routes)))
         return route
 
-    def _compile_route(self, sql: str) -> _Route:
-        database = self.coordinator.database
+    def _compile_route(self, sql: str) -> PointRoute | None:
         try:
             query = parse_query(sql)
         except Exception:
             # Forward: the worker produces the real, typed parse error.
-            return _Route("forward")
-        point = detect_point_route(query, database.catalog)
-        if point is not None:
-            return _Route("point", point=point)
-        if self.coordinator.shards > 1:
-            merge = classify_scatter(query, database)
-            if merge is not None:
-                return _Route("scatter", merge=merge)
-        return _Route("forward")
+            return None
+        return detect_point_route(query, self.coordinator.catalog)
 
     async def _handle_query(
         self,
@@ -384,13 +355,10 @@ class ClusterFrontend:
         sql = payload["sql"]
         params = payload.get("params")
         session = payload.get("session")
-        stream = bool(payload.get("stream", False))
         route = self._route_for(sql)
 
-        if route.kind == "point":
-            key = route.point.routing_key(
-                params if isinstance(params, dict) else None
-            )
+        if route is not None:
+            key = route.routing_key(params if isinstance(params, dict) else None)
             if key is not None:
                 shard = self.coordinator.ring.lookup(key)
                 self.metrics.inc("cluster_single_shard_routes_total")
@@ -399,12 +367,6 @@ class ClusterFrontend:
                 return
             # A host variable the key needs is missing: fall through to
             # the forward path (the worker raises the typed error).
-
-        if route.kind == "scatter":
-            await self._scatter_query(
-                route.merge, payload, headers, writer, stream
-            )
-            return
 
         shard = self.coordinator.ring.lookup(
             canonical_key((session or "default", sql))
@@ -429,118 +391,6 @@ class ClusterFrontend:
         except (OSError, asyncio.IncompleteReadError) as error:
             raise _Respond(*_unreachable_envelope(shard, error)) from None
         await self._relay(writer, reply, headers)
-
-    async def _scatter_query(
-        self,
-        merge: MergeSpec,
-        payload: dict,
-        headers: dict[str, str],
-        writer: asyncio.StreamWriter,
-        stream: bool,
-    ) -> None:
-        shards = self.coordinator.shards
-        total = len(self.coordinator.database.table(merge.table).rows)
-        ranges = partition_ranges(total, shards)
-        self.metrics.inc("cluster_scatter_total")
-        self.metrics.inc("cluster_scatter_fanout_total", shards)
-
-        requests = []
-        for shard, (start, stop) in enumerate(ranges):
-            shard_payload = dict(payload)
-            # The front end reassembles the rows; workers always answer
-            # with a plain JSON body, never a stream.
-            shard_payload.pop("stream", None)
-            options = dict(shard_payload.get("options") or {})
-            options["scan_ranges"] = {merge.table: [start, stop]}
-            shard_payload["options"] = options
-            self.metrics.inc("cluster_shard_requests_total", shard=shard)
-            requests.append(
-                self._forward_to_shard(
-                    shard,
-                    "POST",
-                    "/v1/query",
-                    headers,
-                    json.dumps(shard_payload, default=str).encode("utf-8"),
-                )
-            )
-        replies = await asyncio.gather(*requests, return_exceptions=True)
-
-        # All-or-nothing: the first failing shard's envelope (or a
-        # retryable 503 for a dead socket) answers the whole request —
-        # a partial row set must never look like a result.
-        for shard, reply in enumerate(replies):
-            if isinstance(reply, BaseException):
-                raise _Respond(*_unreachable_envelope(shard, reply))
-            if reply.status != 200:
-                await self._relay(writer, reply, headers)
-                return
-
-        decoded = [reply.json() for reply in replies]
-        shard_rows = [body.get("rows", []) for body in decoded]
-        merged = merge_shard_rows(merge, [
-            [tuple(row) for row in rows] for rows in shard_rows
-        ])
-
-        first = decoded[0]
-        response: dict[str, Any] = {
-            "request_id": headers.get("x-request-id")
-            or first.get("request_id")
-            or uuid.uuid4().hex[:12],
-            "columns": first.get("columns", []),
-            "rows": [list(row) for row in merged],
-            "row_count": len(merged),
-            "final_sql": first.get("final_sql", ""),
-            "rewritten": first.get("rewritten", False),
-            "rules": first.get("rules", []),
-            "mismatch": any(body.get("mismatch") for body in decoded),
-            "stats": _sum_stats(decoded),
-        }
-        if first.get("analysis") is not None:
-            analysis = dict(first["analysis"])
-            analysis["scatter"] = {
-                "table": merge.table,
-                "mode": merge.mode,
-                "shards": shards,
-                "ranges": [[start, stop] for start, stop in ranges],
-                "rows_per_shard": [len(rows) for rows in shard_rows],
-            }
-            response["analysis"] = analysis
-        if stream:
-            await self._stream_response(writer, response)
-        else:
-            await self._send_json(writer, 200, response)
-
-    async def _stream_response(
-        self, writer: asyncio.StreamWriter, response: dict
-    ) -> None:
-        """Re-emit a merged result as NDJSON, mirroring the worker's
-        stream shape (header, row chunks, sealing footer)."""
-        rows = response.pop("rows")
-        count = response.pop("row_count")
-        lines = [json.dumps(response, separators=(",", ":"), default=str)]
-        chunk_rows = self.coordinator.config.stream_chunk_rows
-        for start in range(0, len(rows), chunk_rows):
-            chunk = rows[start : start + chunk_rows]
-            lines.append(
-                json.dumps(
-                    {"rows": chunk}, separators=(",", ":"), default=str
-                )
-            )
-        lines.append(
-            json.dumps(
-                {"end": True, "row_count": count}, separators=(",", ":")
-            )
-        )
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
 
     # -- sessions -------------------------------------------------------
 
@@ -869,18 +719,6 @@ def _internal_envelope(error: BaseException) -> dict:
             "retryable": False,
         }
     }
-
-
-def _sum_stats(decoded: list[dict]) -> dict:
-    """Merge per-shard stats: numeric values sum, others keep first."""
-    merged: dict[str, Any] = {}
-    for body in decoded:
-        for name, value in (body.get("stats") or {}).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                merged.setdefault(name, value)
-            else:
-                merged[name] = merged.get(name, 0) + value
-    return merged
 
 
 _REASONS = {

@@ -1,10 +1,12 @@
 """Key-aware routing: the Theorem 1 single-shard fast path.
 
 Theorem 1 of the paper: a query whose WHERE clause binds every column
-of a candidate key to a constant identifies *at most one row*.  Under
-hash partitioning that row lives on exactly one shard — so the front
-end can skip scatter-gather entirely and forward the request to the
-one worker the key hashes to, with per-request fan-out of 1.
+of a candidate key to a constant identifies *at most one row*, so the
+key's values name that row and the front end sends the request to the
+one worker they hash to on the ring.  Every other query is forwarded
+whole to a replica picked by hashing (session, SQL).  Each worker holds
+the whole database, so both routes are correct; the point route spreads
+one query text's keys across workers and keeps each key on one.
 
 Detection is purely structural (and therefore cacheable per SQL text):
 a single-table SELECT whose WHERE is a conjunction containing
@@ -17,32 +19,12 @@ form the routing key hashed onto the ring.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from ..sql.ast import SelectQuery, SetOperation
-from ..sql.expressions import (
-    And,
-    Between,
-    ColumnRef,
-    Comparison,
-    Exists,
-    Expr,
-    HostVar,
-    InList,
-    InSubquery,
-    IsNull,
-    Literal,
-    Not,
-    Or,
-)
+from ..sql.ast import SelectQuery
+from ..sql.expressions import And, ColumnRef, Comparison, Expr, HostVar, Literal
 
-__all__ = [
-    "PointRoute",
-    "detect_point_route",
-    "subquery_reference_counts",
-    "table_reference_counts",
-]
+__all__ = ["PointRoute", "detect_point_route"]
 
 
 @dataclass(frozen=True)
@@ -153,75 +135,3 @@ def _equality_binding(
         if isinstance(value_side, HostVar):
             return column, ("param", value_side.name)
     return None
-
-
-def table_reference_counts(query: object) -> Counter:
-    """How many times each table name is referenced in the whole AST,
-    including every subquery — the scatter classifier requires the
-    driving table to appear exactly once."""
-    counts: Counter = Counter()
-    _count_query(query, counts, Counter(), in_subquery=False)
-    return counts
-
-
-def subquery_reference_counts(query: object) -> Counter:
-    """Table references appearing *inside subqueries only*.
-
-    A scatter driving table must not be referenced from any subquery:
-    subquery predicates evaluate against the shard's sliced database,
-    so a sliced table inside one would silently change its meaning."""
-    inner: Counter = Counter()
-    _count_query(query, Counter(), inner, in_subquery=False)
-    return inner
-
-
-def _count_query(
-    query: object, counts: Counter, inner: Counter, in_subquery: bool
-) -> None:
-    if isinstance(query, SetOperation):
-        _count_query(query.left, counts, inner, in_subquery)
-        _count_query(query.right, counts, inner, in_subquery)
-        return
-    if not isinstance(query, SelectQuery):
-        return
-    for ref in query.tables:
-        counts[ref.name.upper()] += 1
-        if in_subquery:
-            inner[ref.name.upper()] += 1
-    for item in query.select_list:
-        expr = getattr(item, "expr", None)
-        if expr is not None:
-            _count_expr(expr, counts, inner, in_subquery)
-    _count_expr(query.where, counts, inner, in_subquery)
-    for item in query.order_by:
-        _count_expr(item.expr, counts, inner, in_subquery)
-
-
-def _count_expr(
-    expr: Expr | None, counts: Counter, inner: Counter, in_subquery: bool
-) -> None:
-    if expr is None:
-        return
-    if isinstance(expr, (And, Or)):
-        for operand in expr.operands:
-            _count_expr(operand, counts, inner, in_subquery)
-    elif isinstance(expr, Not):
-        _count_expr(expr.operand, counts, inner, in_subquery)
-    elif isinstance(expr, Comparison):
-        _count_expr(expr.left, counts, inner, in_subquery)
-        _count_expr(expr.right, counts, inner, in_subquery)
-    elif isinstance(expr, IsNull):
-        _count_expr(expr.operand, counts, inner, in_subquery)
-    elif isinstance(expr, Between):
-        _count_expr(expr.operand, counts, inner, in_subquery)
-        _count_expr(expr.low, counts, inner, in_subquery)
-        _count_expr(expr.high, counts, inner, in_subquery)
-    elif isinstance(expr, InList):
-        _count_expr(expr.operand, counts, inner, in_subquery)
-        for item in expr.items:
-            _count_expr(item, counts, inner, in_subquery)
-    elif isinstance(expr, Exists):
-        _count_query(expr.query, counts, inner, in_subquery=True)
-    elif isinstance(expr, InSubquery):
-        _count_expr(expr.operand, counts, inner, in_subquery)
-        _count_query(expr.query, counts, inner, in_subquery=True)

@@ -62,13 +62,6 @@ class ExecutionOptions:
         priority: admission priority class — ``"interactive"``
             (default, shed last) or ``"batch"`` (shed first under
             load).
-        scan_ranges: row-range slices applied to named tables for the
-            duration of this execution, as ``(table, start, stop)``
-            triples.  The scatter-gather layer sets one slice of the
-            driving table per shard; execution then runs against a
-            read-only :class:`~repro.engine.sliced.SlicedDatabase`
-            view.  Crosses the wire as ``{"scan_ranges": {table:
-            [start, stop]}}``.
         autocommit: when True (default), each statement outside an
             explicit ``BEGIN`` block commits on its own.  When False,
             the connection opens an implicit MVCC transaction before
@@ -92,7 +85,6 @@ class ExecutionOptions:
     batch_rows: int | None = None
     deadline: Deadline | None = None
     priority: str = PRIORITY_INTERACTIVE
-    scan_ranges: tuple[tuple[str, int, int], ...] | None = None
     autocommit: bool = True
 
     def __post_init__(self) -> None:
@@ -110,32 +102,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"priority must be one of {', '.join(PRIORITIES)}"
             )
-        if self.scan_ranges is not None:
-            seen: set[str] = set()
-            for entry in self.scan_ranges:
-                if len(entry) != 3:
-                    raise ValueError(
-                        "scan_ranges entries must be (table, start, stop)"
-                    )
-                table, start, stop = entry
-                if not isinstance(table, str) or not table:
-                    raise ValueError("scan_ranges table must be a name")
-                if table.upper() in seen:
-                    raise ValueError(
-                        f"duplicate scan range for table {table.upper()}"
-                    )
-                seen.add(table.upper())
-                if (
-                    not isinstance(start, int)
-                    or not isinstance(stop, int)
-                    or isinstance(start, bool)
-                    or isinstance(stop, bool)
-                    or start < 0
-                    or stop < start
-                ):
-                    raise ValueError(
-                        f"invalid scan range [{start}, {stop}) for {table}"
-                    )
 
     # -- construction ---------------------------------------------------
 
@@ -152,8 +118,7 @@ class ExecutionOptions:
         :class:`~repro.resilience.budgets.ResourceBudget`) expands into
         ``timeout``/``row_budget``, an explicitly passed field winning
         over the budget's; ``deadline`` accepts seconds-from-now as
-        shorthand for ``Deadline.after(seconds)``; ``scan_ranges``
-        accepts a ``{table: (start, stop)}`` mapping.  Fields not named
+        shorthand for ``Deadline.after(seconds)``.  Fields not named
         keep this value's setting, no overrides returns this value
         itself, and an unknown keyword raises :class:`TypeError`.
         """
@@ -171,15 +136,6 @@ class ExecutionOptions:
         deadline = loose.get("deadline")
         if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
             loose["deadline"] = Deadline.after(float(deadline))
-        if loose.get("scan_ranges") is not None:
-            scan_ranges = loose["scan_ranges"]
-            if isinstance(scan_ranges, Mapping):
-                loose["scan_ranges"] = tuple(
-                    (table, start, stop)
-                    for table, (start, stop) in sorted(scan_ranges.items())
-                )
-            else:
-                loose["scan_ranges"] = tuple(tuple(e) for e in scan_ranges)
         if not loose.keys() <= _DEFAULTS.keys():
             unknown = ", ".join(sorted(loose.keys() - _DEFAULTS.keys()))
             raise TypeError(f"unknown option(s): {unknown}")
@@ -260,11 +216,6 @@ class ExecutionOptions:
             payload["deadline_ms"] = self.deadline.to_wire_ms()
         if self.priority != PRIORITY_INTERACTIVE:
             payload["priority"] = self.priority
-        if self.scan_ranges is not None:
-            payload["scan_ranges"] = {
-                table: [start, stop]
-                for table, start, stop in self.scan_ranges
-            }
         if not self.autocommit:
             payload["autocommit"] = False
         return payload
@@ -344,30 +295,6 @@ class ExecutionOptions:
                     + ", ".join(repr(p) for p in PRIORITIES)
                 )
             kwargs["priority"] = value
-        if payload.get("scan_ranges") is not None:
-            value = payload["scan_ranges"]
-            if not isinstance(value, Mapping):
-                raise ProtocolError(
-                    "option 'scan_ranges' must map table names to "
-                    "[start, stop] pairs"
-                )
-            entries = []
-            for table, window in sorted(value.items()):
-                if (
-                    not isinstance(table, str)
-                    or not isinstance(window, (list, tuple))
-                    or len(window) != 2
-                    or any(
-                        not isinstance(edge, int) or isinstance(edge, bool)
-                        for edge in window
-                    )
-                ):
-                    raise ProtocolError(
-                        "option 'scan_ranges' must map table names to "
-                        "[start, stop] pairs"
-                    )
-                entries.append((table, int(window[0]), int(window[1])))
-            kwargs["scan_ranges"] = tuple(entries)
         try:
             return DEFAULT_OPTIONS.override(**kwargs)
         except ValueError as error:

@@ -36,7 +36,7 @@ class TestConstruction:
 
     def test_override_is_the_one_normalizer(self):
         base = ExecutionOptions(
-            safe_mode=True, autocommit=False, scan_ranges=(("PARTS", 0, 4),)
+            safe_mode=True, autocommit=False, engine_mode="vectorized"
         )
         assert base.override() is base  # nothing to rebuild or re-validate
         budget = ResourceBudget(timeout=2.0, row_budget=100)
@@ -45,11 +45,11 @@ class TestConstruction:
         assert 0 < layered.deadline.remaining() <= 5
         # Fields an override does not name survive it.
         assert layered.safe_mode and not layered.autocommit
-        assert layered.scan_ranges == (("PARTS", 0, 4),)
+        assert layered.engine_mode == "vectorized"
         assert ExecutionOptions.create(
-            budget=budget, scan_ranges={"PARTS": (0, 4)}
+            budget=budget, engine_mode="vectorized"
         ) == ExecutionOptions().override(
-            timeout=2.0, row_budget=100, scan_ranges=[("PARTS", 0, 4)]
+            timeout=2.0, row_budget=100, engine_mode="vectorized"
         )
         with pytest.raises(TypeError):
             base.override(sample_every=25)
@@ -58,6 +58,9 @@ class TestConstruction:
             base.override(parallel=2)
         with pytest.raises(TypeError):
             ExecutionOptions.create(parallel=2)
+        # The cluster forwards whole queries: no shard-slice option exists.
+        with pytest.raises(TypeError):
+            ExecutionOptions.create(scan_ranges={"PARTS": (0, 4)})
         with pytest.raises(TypeError):
             base.override(budget=2.0)
         with pytest.raises(ValueError):
@@ -119,6 +122,10 @@ class TestWire:
             ExecutionOptions.from_wire({"bogus": 1})
         with pytest.raises(ProtocolError, match=r"unknown option\(s\): parallel"):
             ExecutionOptions.from_wire({"parallel": 2})
+        with pytest.raises(
+            ProtocolError, match=r"unknown option\(s\): scan_ranges"
+        ):
+            ExecutionOptions.from_wire({"scan_ranges": {"PARTS": [0, 4]}})
 
     def test_bad_types_rejected(self):
         with pytest.raises(ProtocolError):

@@ -1,4 +1,4 @@
-"""Byte-identity of cluster execution: the sharded answer IS the
+"""Byte-identity of cluster execution: the cluster's answer IS the
 single-node answer — E1–E11 over real worker processes, serial and
 under seeded worker-side faults, plus the worker-kill guarantee (typed
 error or clean retry, never partial rows)."""
@@ -16,6 +16,7 @@ from repro.cluster import (
     WorkerConfig,
     WorkerSource,
 )
+from repro.cluster.ring import canonical_key
 from repro.workloads.queries import PAPER_QUERIES
 
 from .conftest import FACTORY, get_json, post_json
@@ -49,9 +50,10 @@ class TestByteIdentitySerial:
         assert got == expected, query.example
         assert body["row_count"] == len(expected)
 
-    def test_streamed_scatter_matches(self, cluster, local_db):
-        """NDJSON framing over a scattered result reassembles to the
-        same rows (the front end re-emits header/chunks/footer)."""
+    def test_streamed_forward_matches(self, cluster, local_db):
+        """A streamed query's NDJSON — the worker's header, row chunks
+        and footer, relayed through the front end — carries the same
+        rows."""
         import json
         import urllib.request
 
@@ -86,7 +88,7 @@ class TestByteIdentitySerial:
 class TestByteIdentityUnderFaults:
     """Seeded transient net_read faults *inside* every worker: each
     shard's server occasionally fails a read with a retryable 503, the
-    client retries, and the merged answer never changes."""
+    client retries, and the answer never changes."""
 
     @pytest.fixture(scope="class")
     def faulty_cluster(self):
@@ -141,6 +143,8 @@ class TestWorkerDeath:
         fe = small_cluster
         coordinator = fe.coordinator
         sql = "SELECT ALL S.SNO FROM SUPPLIER S"
+        # The replica the forward route sends this text to.
+        shard = coordinator.ring.lookup(canonical_key(("default", sql)))
 
         status, _h, body = post_json(fe.url, "/v1/query", {"sql": sql})
         assert status == 200
@@ -148,9 +152,9 @@ class TestWorkerDeath:
 
         # Suspend respawn so the dead window is observable.
         coordinator.auto_respawn = False
-        killed_pid = coordinator.kill_shard(1)
+        killed_pid = coordinator.kill_shard(shard)
         deadline = time.time() + 5.0
-        while coordinator.handle(1).alive() and time.time() < deadline:
+        while coordinator.handle(shard).alive() and time.time() < deadline:
             time.sleep(0.05)
 
         saw_error = False
@@ -167,20 +171,20 @@ class TestWorkerDeath:
                 assert "error" in body
                 assert body["error"]["retryable"] is True
                 assert body["error"]["status"] in (502, 503)
-        assert saw_error, "scatter queries must notice a dead shard"
+        assert saw_error, "a forwarded query must notice its dead shard"
 
         # Re-enable respawn: the monitor brings a fresh worker up.
         coordinator.auto_respawn = True
         deadline = time.time() + 15.0
         while time.time() < deadline:
-            handle = coordinator.handle(1)
+            handle = coordinator.handle(shard)
             if handle.alive() and handle.pid != killed_pid:
                 break
             time.sleep(0.1)
-        handle = coordinator.handle(1)
+        handle = coordinator.handle(shard)
         assert handle.alive() and handle.pid != killed_pid
         assert handle.generation >= 1
-        assert coordinator.respawn_count(1) >= 1
+        assert coordinator.respawn_count(shard) >= 1
 
         # Healed: queries succeed again and healthz shows the respawn.
         deadline = time.time() + 10.0
@@ -195,7 +199,7 @@ class TestWorkerDeath:
         assert body["rows"] == full_rows
 
         health = get_json(fe.url, "/healthz")
-        entry = next(s for s in health["shards"] if s["shard"] == 1)
+        entry = next(s for s in health["shards"] if s["shard"] == shard)
         assert entry["respawns"] >= 1
         assert entry["alive"] is True
 

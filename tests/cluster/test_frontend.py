@@ -1,6 +1,7 @@
-"""Front-end behaviours: Theorem 1 point routing (fan-out exactly 1),
-session broadcast and replay onto respawned workers, kept-alive worker
-connections, healthz aggregation, and resilience-header forwarding."""
+"""Front-end behaviours: Theorem 1 point routing and whole-query
+forwarding (fan-out exactly 1 either way), session broadcast and replay
+onto respawned workers, kept-alive worker connections, healthz
+aggregation, and resilience-header forwarding."""
 
 from __future__ import annotations
 
@@ -19,8 +20,16 @@ from repro.cluster import (
 from repro.cluster.routing import detect_point_route
 from repro.engine import execute_planned
 from repro.sql.parser import parse_query
+from repro.workloads.queries import PAPER_QUERIES
 
 from .conftest import FACTORY, get_json, get_text, post_json
+
+#: The ``filter_scan`` template of the end-to-end benchmark
+#: (benchmarks/e2e/workloads.py): a range scan no key binds.
+FILTER_SCAN = (
+    "SELECT P.SNO, P.PNO, P.PNAME FROM PARTS P "
+    "WHERE P.COLOR = :COLOR AND P.SNO BETWEEN :LO AND :HI"
+)
 
 
 def metric(text: str, name: str, labels: str = "") -> float:
@@ -31,49 +40,52 @@ def metric(text: str, name: str, labels: str = "") -> float:
     return 0.0
 
 
-class TestPointRouting:
-    def test_key_bound_queries_fan_out_to_exactly_one_shard(self, cluster):
-        """A workload of key-bound point queries routes every request
-        to a single shard: cluster_single_shard_routes_total equals the
-        request count, and per-shard request counters sum to it (one
-        worker request per client request — fan-out exactly 1)."""
-        before_text = get_text(cluster.url, "/metrics")
-        before_point = metric(before_text, "cluster_single_shard_routes_total")
-        before_shard_reqs = [
-            metric(
-                before_text,
-                "cluster_shard_requests_total",
-                '{shard="%d"}' % s,
-            )
-            for s in range(cluster.coordinator.shards)
-        ]
+def shard_requests(text: str, shards: int) -> float:
+    return sum(
+        metric(text, "cluster_shard_requests_total", '{shard="%d"}' % s)
+        for s in range(shards)
+    )
 
-        requests = 12
-        for sno in range(1, requests + 1):
-            status, _h, body = post_json(
-                cluster.url,
-                "/v1/query",
-                {"sql": f"SELECT SNAME FROM SUPPLIER WHERE SNO = {sno}"},
-            )
+
+class TestPointRouting:
+    def test_key_bound_queries_fan_out_to_exactly_one_shard(
+        self, cluster, local_db
+    ):
+        """Every request makes exactly one worker hop.  Key-bound point
+        queries take the Theorem 1 route (cluster_single_shard_routes_total
+        counts each); reads no key binds — the benchmark's range scan and
+        E1–E11 — go whole to one replica and return single-node rows."""
+        points = [
+            (f"SELECT SNAME FROM SUPPLIER WHERE SNO = {sno}", None)
+            for sno in range(1, 13)
+        ]
+        reads = [(FILTER_SCAN, {"COLOR": "RED", "LO": 2, "HI": 9})]
+        reads += [(query.sql, query.params or None) for query in PAPER_QUERIES]
+        shards = cluster.coordinator.shards
+        before_text = get_text(cluster.url, "/metrics")
+
+        for sql, params in points + reads:
+            payload = {"sql": sql, "params": params} if params else {"sql": sql}
+            status, _h, body = post_json(cluster.url, "/v1/query", payload)
             assert status == 200, body
-            assert len(body["rows"]) <= 1  # Theorem 1: at most one row
+            if (sql, params) in points:
+                assert len(body["rows"]) <= 1  # Theorem 1: at most one row
+            else:
+                expected = execute_planned(sql, local_db, params=params)
+                assert body["rows"] == [list(r) for r in expected.rows], sql
 
         after_text = get_text(cluster.url, "/metrics")
-        after_point = metric(after_text, "cluster_single_shard_routes_total")
-        after_shard_reqs = [
-            metric(
-                after_text,
-                "cluster_shard_requests_total",
-                '{shard="%d"}' % s,
-            )
-            for s in range(cluster.coordinator.shards)
-        ]
-        assert after_point - before_point == requests
-        fanout = sum(after_shard_reqs) - sum(before_shard_reqs)
-        assert fanout == requests  # exactly one worker hop per request
+        point_routes = metric(
+            after_text, "cluster_single_shard_routes_total"
+        ) - metric(before_text, "cluster_single_shard_routes_total")
+        hops = shard_requests(after_text, shards) - shard_requests(
+            before_text, shards
+        )
+        assert point_routes == len(points)
+        assert hops == len(points) + len(reads)  # one hop per request
 
-    def test_point_route_result_matches_scatter(self, cluster):
-        """The fast path returns the same row the scatter path would."""
+    def test_point_route_result_matches_forward(self, cluster):
+        """The fast path returns the same row the forward route does."""
         point = "SELECT SNAME FROM SUPPLIER WHERE SNO = 5"
         scan = "SELECT ALL S.SNAME FROM SUPPLIER S WHERE S.SNO = 5"
         _s1, _h1, body_point = post_json(
@@ -231,9 +243,7 @@ def hop_connects(monkeypatch):
 def point_sql_on(frontend, shard: int) -> tuple[str, list[dict]]:
     """A host-variable point query and bindings the ring sends to *shard*."""
     sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO"
-    route = detect_point_route(
-        parse_query(sql), frontend.coordinator.database.catalog
-    )
+    route = detect_point_route(parse_query(sql), frontend.coordinator.catalog)
     bindings = [
         {"SNO": sno}
         for sno in range(1, 41)
@@ -243,8 +253,8 @@ def point_sql_on(frontend, shard: int) -> tuple[str, list[dict]]:
     return sql, bindings
 
 
-def expected_rows(frontend, sql: str, params: dict) -> list[list]:
-    result = execute_planned(sql, frontend.coordinator.database, params=params)
+def expected_rows(local_db, sql: str, params: dict) -> list[list]:
+    result = execute_planned(sql, local_db, params=params)
     return [list(row) for row in result.rows]
 
 
@@ -260,7 +270,9 @@ class TestKeptConnections:
                 ).fetchall()
         assert len(hop_connects) <= cluster.coordinator.shards
 
-    def test_a_killed_worker_leaves_no_stale_socket(self, hop_connects):
+    def test_a_killed_worker_leaves_no_stale_socket(
+        self, hop_connects, local_db
+    ):
         coordinator = ClusterCoordinator(
             WorkerSource.from_factory(FACTORY),
             shards=2,
@@ -283,7 +295,8 @@ class TestKeptConnections:
                         fe.url, "/v1/query", {"sql": sql, "params": params}
                     )
                     if status == 200:
-                        assert body["rows"] == expected_rows(fe, sql, params)
+                        expected = expected_rows(local_db, sql, params)
+                        assert body["rows"] == expected
                     else:  # the worker is down: retryable, never terminal
                         assert status == 503, body
                         assert body["error"]["retryable"] is True
@@ -299,7 +312,8 @@ class TestKeptConnections:
                     fe.url, "/v1/query", {"sql": sql, "params": params}
                 )
                 assert status == 200, body  # the new incarnation answers
-                assert body["rows"] == expected_rows(fe, sql, params)
+                expected = expected_rows(local_db, sql, params)
+                assert body["rows"] == expected
             assert len(hop_connects) - opened <= 1
 
     def test_a_reply_lost_after_the_worker_ran_the_request_is_not_resent(self):

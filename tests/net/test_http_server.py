@@ -139,15 +139,16 @@ def test_unknown_field_is_400(server):
     assert "bogus" in json.loads(raw)["error"]["message"]
     # The same strictness one level down: an option the server does not
     # have is refused, never accepted and ignored.
-    status, _, raw = raw_post(
-        server.url,
-        "/v1/query",
-        {"sql": "SELECT SNO FROM SUPPLIER", "options": {"parallel": 2}},
-    )
-    envelope = json.loads(raw)["error"]
-    assert status == 400
-    assert envelope["type"] == "ProtocolError"
-    assert envelope["message"] == "unknown option(s): parallel"
+    for name, value in (("parallel", 2), ("scan_ranges", {"PARTS": [0, 4]})):
+        status, _, raw = raw_post(
+            server.url,
+            "/v1/query",
+            {"sql": "SELECT SNO FROM SUPPLIER", "options": {name: value}},
+        )
+        envelope = json.loads(raw)["error"]
+        assert status == 400
+        assert envelope["type"] == "ProtocolError"
+        assert envelope["message"] == f"unknown option(s): {name}"
 
 
 def test_sql_error_is_400_and_typed_client_side(server):
