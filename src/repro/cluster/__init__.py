@@ -11,8 +11,9 @@ shared-nothing *processes*.  This package provides that layer:
   worker processes, each a full :class:`~repro.net.server.QueryServer`
   over a replica of the database, monitors them, and respawns any that
   die.
-* :class:`~repro.cluster.frontend.ClusterFrontend` — an ``asyncio`` HTTP
-  front end speaking the existing :mod:`repro.net.protocol`, so the
+* :class:`~repro.cluster.frontend.ClusterFrontend` — an HTTP front end
+  on the same :mod:`repro.net.serving` loop as a ``QueryServer``,
+  speaking the existing :mod:`repro.net.protocol`, so the
   stock client and CLI work unchanged.  It routes uniqueness-bound
   point queries (Theorem 1: a query bound on a candidate key identifies
   at most one row) to the worker the key's values hash to on the ring,

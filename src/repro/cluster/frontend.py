@@ -1,11 +1,12 @@
-"""The asyncio front end: one listening socket over N shard workers.
+"""The cluster front end: one listening socket over N shard workers.
 
 The front end is the cluster's only client-facing surface.  It speaks
 the exact :mod:`repro.net.protocol` HTTP/JSON contract a single
 :class:`~repro.net.server.QueryServer` speaks — the stock
 :class:`~repro.net.client.HttpBackend` connects to it unchanged — and
-multiplexes every client connection over one asyncio event loop, so a
-thousand idle keep-alive connections cost one thread, not a thousand.
+serves on the same :class:`~repro.net.serving.ServingLoop`, so client
+connections share one asyncio thread, answer malformed framing with the
+same 400, and pass the same ``net_*`` fault sites.
 
 Every query makes exactly one worker hop, on one of two routes (each
 SQL text's route is decided once and cached):
@@ -22,7 +23,8 @@ SQL text's route is decided once and cached):
 
 Every worker holds the whole database, so both routes answer exactly
 what a single node would; the worker's reply — JSON or NDJSON stream —
-is relayed verbatim.
+is passed on with its status, body, content type, ``Retry-After`` and
+request id.
 
 Resilience inheritance: the client's ``X-Deadline-Ms`` is re-anchored
 here and re-emitted on the shard hop with the budget *actually
@@ -32,9 +34,10 @@ and deadline awareness it has standalone.  Shard connection failures map to
 retryable 503 envelopes (the worker is respawning; a client retry lands
 on the fresh process).
 
-Worker hops reuse kept-alive connections: idle ones wait in a pool per
-shard, keyed on the worker URL they reached, so a respawn — which moves
-the port — strands no request on a dead incarnation's socket.
+Worker hops are framed by the :mod:`repro.net.http11` codec and reuse
+kept-alive connections: idle ones wait in a pool per shard, keyed on
+the worker URL they reached, so a respawn — which moves the port —
+strands no request on a dead incarnation's socket.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ import json
 import threading
 from typing import Any
 
+from ..errors import ServiceShutdownError
+from ..net import http11
+from ..net.http11 import Headers
+from ..net.protocol import (
+    CONTENT_JSON,
+    CONTENT_PROMETHEUS,
+    REQUEST_ID_HEADER,
+    dumps,
+)
+from ..net.serving import Exchange, ServingLoop, route
 from ..observe.metrics import MetricsRegistry
 from ..resilience.admission import PRIORITY_HEADER
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
@@ -63,27 +76,19 @@ _ROUTE_CACHE_SIZE = 512
 #: processes; anything slower than this is a dead or wedged worker.
 _CONNECT_TIMEOUT = 5.0
 
+#: Worker reply headers the client sees.
+_PASSED_ON = ("Content-Type", "Retry-After", REQUEST_ID_HEADER)
 
-class _ShardReply:
-    """One worker's HTTP response, undecoded."""
-
-    __slots__ = ("status", "headers", "body")
-
-    def __init__(self, status: int, headers: dict[str, str], body: bytes) -> None:
-        self.status = status
-        self.headers = headers
-        self.body = body
-
-    def json(self) -> Any:
-        return json.loads(self.body.decode("utf-8"))
+#: A worker hop's reply: its head and its whole body.
+_Reply = tuple[http11.Response, bytes]
 
 
 class ClusterFrontend:
-    """Asyncio HTTP front end over a :class:`ClusterCoordinator`.
+    """HTTP front end over a :class:`ClusterCoordinator`.
 
-    The event loop runs on a dedicated thread; :meth:`start` returns
-    once the listening port is bound, :meth:`drain` stops accepting,
-    closes the loop and (when the front end owns it) drains the
+    :meth:`start` returns once the listening port is bound;
+    :meth:`drain` refuses new queries, finishes the responses in flight,
+    stops the loop and (when the front end owns it) drains the
     coordinator.  Usable as a context manager.
 
     Args:
@@ -118,45 +123,52 @@ class ClusterFrontend:
         self._idle: dict[
             int, list[tuple[str, asyncio.StreamReader, asyncio.StreamWriter]]
         ] = {}
-        self._clients: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._stopping = False
+        self._endpoints = {
+            ("POST", "/v1/query"): ("query", self._handle_query),
+            ("POST", "/v1/session"): ("session", self._handle_session_open),
+            ("DELETE", "/v1/session/"): ("session", self._handle_session_close),
+            ("GET", "/healthz"): ("healthz", self._handle_healthz),
+            ("GET", "/metrics"): ("metrics", self._handle_metrics),
+        }
+        self._serving: ServingLoop | None = None
+        self._draining = threading.Event()
+        self._drained = threading.Event()
         coordinator.on_respawn = self._replay_sessions
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ClusterFrontend":
-        if self._thread is not None:
+        if self._serving is not None:
             return self
         self.coordinator.start()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-cluster-frontend", daemon=True
+        self._serving = ServingLoop(
+            self._handle, self.host, self.port, "repro-cluster-frontend"
         )
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise TimeoutError("cluster front end did not start in 30s")
+        self.port = self._serving.port
         return self
 
     def drain(self) -> None:
-        if self._stopping:
+        """Refuse new queries (retryable 503), finish the responses in
+        flight, stop serving; then drain the fleet if this owns it.
+        Idempotent."""
+        if self._draining.is_set():
+            self._drained.wait()
             return
-        self._stopping = True
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._begin_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        if self.owns_coordinator:
-            self.coordinator.drain()
+        self._draining.set()
+        try:
+            if self._serving is not None:
+                self._serving.call(self._drain_connections())
+                self._serving.stop()
+            if self.owns_coordinator:
+                self.coordinator.drain()
+        finally:
+            self._drained.set()
 
     close = drain
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the front end has fully drained."""
+        return self._drained.wait(timeout)
 
     def __enter__(self) -> "ClusterFrontend":
         return self.start()
@@ -169,163 +181,33 @@ class ClusterFrontend:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(self._accept, self.host, self.port)
-            )
-            self._server = server
-            self.port = server.sockets[0].getsockname()[1]
-            self._ready.set()
-            loop.run_forever()
-            # _begin_shutdown stopped the loop; finish closing.
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-        except BaseException as error:  # pragma: no cover - startup race
-            self._startup_error = error
-            self._ready.set()
-        finally:
-            try:
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-            finally:
-                loop.close()
+    @property
+    def draining(self) -> bool:
+        return self._draining.is_set()
 
-    def _begin_shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
+    async def _drain_connections(self) -> None:
+        await self._serving.drain()
         for pool in self._idle.values():
             for _url, _reader, writer in pool:
                 writer.close()
         self._idle.clear()
-        loop = self._loop
-        if loop is not None:
-            loop.stop()
 
-    # -- connection handling --------------------------------------------
+    # -- requests -------------------------------------------------------
 
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection in a task of the front end's own:
-        handed a coroutine, 3.11's stream protocol logs every cancelled
-        handler task as an error, and a kept-alive client leaves its
-        handler idle — to be cancelled — whenever the front end drains."""
-        task = self._loop.create_task(self._serve_client(reader, writer))
-        self._clients.add(task)
-        task.add_done_callback(self._clients.discard)
-
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                close = headers.get("connection", "").lower() == "close"
-                try:
-                    await self._dispatch(method, path, headers, body, writer)
-                except _Respond as respond:
-                    await self._send_json(
-                        writer,
-                        respond.status,
-                        respond.payload,
-                        respond.extra_headers,
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except Exception as error:
-                    await self._send_json(
-                        writer, 500, _internal_envelope(error)
-                    )
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        except asyncio.LimitOverrunError:
-            return None
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, path, _version = lines[0].split(" ", 2)
-        except ValueError:
-            return None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _handle(self, exchange: Exchange) -> None:
         self.metrics.inc("cluster_requests_total")
-        if method == "POST" and path == "/v1/query":
-            await self._handle_query(headers, body, writer)
-        elif method == "POST" and path == "/v1/session":
-            await self._handle_session_open(headers, body)
-        elif method == "DELETE" and path.startswith("/v1/session/"):
-            await self._handle_session_close(path, headers, body)
-        elif method == "GET" and path == "/healthz":
-            await self._handle_healthz()
-        elif method == "GET" and path == "/metrics":
-            await self._send_metrics(writer)
-        else:
-            raise _Respond(
-                404,
-                {
-                    "error": {
-                        "type": "NotFound",
-                        "message": f"no such endpoint: {path}",
-                        "status": 404,
-                        "retryable": False,
-                    }
-                },
-            )
-
-    # -- query routing --------------------------------------------------
+        await exchange.run(route(self._endpoints, exchange.head)[1])
 
     def _route_for(self, sql: str) -> PointRoute | None:
         with self._routes_lock:
             if sql in self._routes:
                 return self._routes[sql]
-        route = self._compile_route(sql)
+        point = self._compile_route(sql)
         with self._routes_lock:
-            self._routes[sql] = route
+            self._routes[sql] = point
             while len(self._routes) > _ROUTE_CACHE_SIZE:
                 self._routes.pop(next(iter(self._routes)))
-        return route
+        return point
 
     def _compile_route(self, sql: str) -> PointRoute | None:
         try:
@@ -335,12 +217,10 @@ class ClusterFrontend:
             return None
         return detect_point_route(query, self.coordinator.catalog)
 
-    async def _handle_query(
-        self,
-        headers: dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _handle_query(self, exchange: Exchange) -> int:
+        if self._draining.is_set():
+            raise ServiceShutdownError()
+        body = exchange.body()
         try:
             payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
@@ -349,22 +229,20 @@ class ClusterFrontend:
             payload.get("sql"), str
         ):
             # Malformed request: any shard produces the same 400.
-            await self._relay_from(0, headers, body, writer)
-            return
+            return await self._forward_query(0, exchange, body)
 
         sql = payload["sql"]
         params = payload.get("params")
         session = payload.get("session")
-        route = self._route_for(sql)
+        point = self._route_for(sql)
 
-        if route is not None:
-            key = route.routing_key(params if isinstance(params, dict) else None)
+        if point is not None:
+            key = point.routing_key(params if isinstance(params, dict) else None)
             if key is not None:
                 shard = self.coordinator.ring.lookup(key)
                 self.metrics.inc("cluster_single_shard_routes_total")
                 self.metrics.inc("cluster_shard_requests_total", shard=shard)
-                await self._relay_from(shard, headers, body, writer)
-                return
+                return await self._forward_query(shard, exchange, body)
             # A host variable the key needs is missing: fall through to
             # the forward path (the worker raises the typed error).
 
@@ -373,129 +251,111 @@ class ClusterFrontend:
         )
         self.metrics.inc("cluster_forward_routes_total")
         self.metrics.inc("cluster_shard_requests_total", shard=shard)
-        await self._relay_from(shard, headers, body, writer)
+        return await self._forward_query(shard, exchange, body)
 
-    async def _relay_from(
-        self,
-        shard: int,
-        headers: dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Send a query to one shard and relay its reply; a shard that
+    async def _forward_query(
+        self, shard: int, exchange: Exchange, body: bytes
+    ) -> int:
+        """Send a query to one shard and pass its reply on; a shard that
         cannot be reached answers with the retryable 503."""
         try:
             reply = await self._forward_to_shard(
-                shard, "POST", "/v1/query", headers, body
+                shard, "POST", "/v1/query", exchange.head.headers, body
             )
         except (OSError, asyncio.IncompleteReadError) as error:
-            raise _Respond(*_unreachable_envelope(shard, error)) from None
-        await self._relay(writer, reply, headers)
+            return await _unreachable(exchange, shard, error)
+        return await _pass_on(exchange, reply)
 
     # -- sessions -------------------------------------------------------
 
-    async def _handle_session_open(
-        self, headers: dict[str, str], body: bytes
-    ) -> None:
+    async def _handle_session_open(self, exchange: Exchange) -> int:
         """Broadcast the open to every shard so any route can use the
         session; remember the spec to replay onto respawned workers."""
-        replies = await asyncio.gather(
-            *[
-                self._forward_to_shard(s, "POST", "/v1/session", headers, body)
-                for s in range(self.coordinator.shards)
-            ],
-            return_exceptions=True,
+        if self._draining.is_set():
+            raise ServiceShutdownError()
+        replies = await self._broadcast(
+            exchange, "POST", "/v1/session", exchange.body()
         )
-        first_ok: _ShardReply | None = None
-        for shard, reply in enumerate(replies):
-            if isinstance(reply, BaseException):
-                raise _Respond(*_unreachable_envelope(shard, reply))
-            if reply.status != 200:
-                raise _Respond(reply.status, reply.json())
-            if first_ok is None:
-                first_ok = reply
-        decoded = first_ok.json()
+        if replies is None:
+            return exchange.status
+        decoded = json.loads(replies[0][1])
         with self._sessions_lock:
             self._sessions[decoded["session"]] = {
                 "name": decoded["session"],
                 "options": decoded.get("options"),
             }
-        raise _Respond(200, decoded)
+        return await _pass_on(exchange, replies[0])
 
-    async def _handle_session_close(
-        self, path: str, headers: dict[str, str], body: bytes
-    ) -> None:
-        name = path[len("/v1/session/") :]
+    async def _handle_session_close(self, exchange: Exchange) -> int:
+        path = exchange.head.target
         with self._sessions_lock:
-            self._sessions.pop(name, None)
+            self._sessions.pop(path[len("/v1/session/") :], None)
+        replies = await self._broadcast(exchange, "DELETE", path, b"")
+        if replies is None:
+            return exchange.status
+        return await _pass_on(exchange, replies[0])
+
+    async def _broadcast(
+        self, exchange: Exchange, method: str, path: str, body: bytes
+    ) -> list[_Reply] | None:
+        """Send one request to every shard.  Returns their replies, or
+        None once the first unreachable shard or non-200 reply has
+        been passed on to the client."""
         replies = await asyncio.gather(
             *[
-                self._forward_to_shard(s, "DELETE", path, headers, body)
-                for s in range(self.coordinator.shards)
+                self._forward_to_shard(
+                    shard, method, path, exchange.head.headers, body
+                )
+                for shard in range(self.coordinator.shards)
             ],
             return_exceptions=True,
         )
         for shard, reply in enumerate(replies):
             if isinstance(reply, BaseException):
-                raise _Respond(*_unreachable_envelope(shard, reply))
-            if reply.status != 200:
-                raise _Respond(reply.status, reply.json())
-        raise _Respond(200, replies[0].json())
+                await _unreachable(exchange, shard, reply)
+                return None
+            if reply[0].status != 200:
+                await _pass_on(exchange, reply)
+                return None
+        return replies
 
     def _replay_sessions(self, handle: WorkerHandle) -> None:
         """Coordinator respawn callback (monitor thread, not the event
-        loop): re-open every tracked session on the fresh worker with
-        blocking I/O so the worker is fully usable before routing
-        resumes sending it traffic."""
+        loop): re-open every tracked session on the fresh worker through
+        the loop's own worker hop, and wait for each, so the worker is
+        fully usable before routing resumes sending it traffic."""
         self.metrics.inc("cluster_worker_respawns_total")
         with self._sessions_lock:
             specs = list(self._sessions.values())
-        if not specs:
-            return
-        import urllib.request
-
-        url = self.coordinator.worker_url(handle.shard_id)
         for spec in specs:
-            payload = {"name": spec["name"]}
-            if spec.get("options"):
-                payload["options"] = spec["options"]
-            request = urllib.request.Request(
-                f"{url}/v1/session",
-                data=json.dumps(payload).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
+            body = dumps({key: value for key, value in spec.items() if value})
             try:
-                with urllib.request.urlopen(request, timeout=10.0):
-                    pass
+                self._serving.call(
+                    self._forward_to_shard(
+                        handle.shard_id, "POST", "/v1/session", Headers(), body
+                    ),
+                    timeout=10.0,
+                )
             except Exception:
                 pass  # the session's first query will surface the gap
 
     # -- health & metrics -----------------------------------------------
 
-    async def _handle_healthz(self) -> None:
+    async def _handle_healthz(self, exchange: Exchange) -> int:
         shards = self.coordinator.snapshot()
         probes = await asyncio.gather(
-            *[
-                self._probe_health(entry["shard"])
-                for entry in shards
-            ],
-            return_exceptions=True,
+            *[self._probe_health(entry["shard"]) for entry in shards]
         )
         for entry, probe in zip(shards, probes):
-            if isinstance(probe, BaseException) or probe is None:
-                entry["health"] = None
-                entry["reachable"] = False
-            else:
-                entry["health"] = probe
-                entry["reachable"] = True
+            entry["health"] = probe
+            entry["reachable"] = probe is not None
             self.metrics.set(
                 "cluster_shard_up",
                 1.0 if entry["reachable"] and entry["alive"] else 0.0,
                 shard=entry["shard"],
             )
         all_up = all(e["alive"] and e["reachable"] for e in shards)
-        raise _Respond(
+        return await exchange.json(
             200,
             {
                 "status": "ok" if all_up else "degraded",
@@ -511,16 +371,14 @@ class ClusterFrontend:
 
     async def _probe_health(self, shard: int) -> dict | None:
         try:
-            reply = await self._forward_to_shard(
-                shard, "GET", "/healthz", {}, b""
+            reply, body = await self._forward_to_shard(
+                shard, "GET", "/healthz", Headers(), b""
             )
-        except Exception:
+            return json.loads(body) if reply.status == 200 else None
+        except Exception:  # noqa: BLE001 — any failure reads as unreachable
             return None
-        if reply.status != 200:
-            return None
-        return reply.json()
 
-    async def _send_metrics(self, writer: asyncio.StreamWriter) -> None:
+    async def _handle_metrics(self, exchange: Exchange) -> int:
         for entry in self.coordinator.snapshot():
             self.metrics.set(
                 "cluster_shard_up",
@@ -532,44 +390,20 @@ class ClusterFrontend:
             float(self.coordinator.respawn_count()),
         )
         body = self.metrics.to_prometheus().encode("utf-8")
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/plain; version=0.0.4\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+        return await exchange.send(
+            200, body, [("Content-Type", CONTENT_PROMETHEUS)]
+        )
 
     # -- shard transport ------------------------------------------------
-
-    def _hop_headers(self, client_headers: dict[str, str]) -> dict[str, str]:
-        """Headers for one worker hop: deadline re-anchored to the
-        budget remaining *now*, priority and request id passed through."""
-        hop: dict[str, str] = {}
-        raw_deadline = client_headers.get(DEADLINE_HEADER.lower())
-        if raw_deadline is not None:
-            try:
-                deadline = Deadline.from_wire_ms(float(raw_deadline))
-                hop[DEADLINE_HEADER] = f"{max(0.0, deadline.to_wire_ms()):.3f}"
-            except ValueError:
-                hop[DEADLINE_HEADER] = raw_deadline
-        priority = client_headers.get(PRIORITY_HEADER.lower())
-        if priority is not None:
-            hop[PRIORITY_HEADER] = priority
-        request_id = client_headers.get("x-request-id")
-        if request_id is not None:
-            hop["X-Request-Id"] = request_id
-        return hop
 
     async def _forward_to_shard(
         self,
         shard: int,
         method: str,
         path: str,
-        client_headers: dict[str, str],
+        client_headers: Headers,
         body: bytes,
-    ) -> _ShardReply:
+    ) -> _Reply:
         """One HTTP exchange with one worker, on a kept-alive connection.
 
         Idle connections wait in a pool per shard, tagged with the
@@ -584,14 +418,20 @@ class ClusterFrontend:
             url = self.coordinator.worker_url(shard)
         except KeyError:
             raise ConnectionError(f"unknown shard {shard}") from None
-        _scheme, _, rest = url.partition("://")
-        host, _, port = rest.partition(":")
-        lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}"]
-        for name, value in self._hop_headers(client_headers).items():
-            lines.append(f"{name}: {value}")
-        lines.append("Content-Type: application/json")
-        lines.append(f"Content-Length: {len(body)}")
-        request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        host, _, port = url.partition("://")[2].partition(":")
+        request = http11.Request(
+            method,
+            path,
+            "HTTP/1.1",
+            Headers(
+                [
+                    ("Host", f"{host}:{port}"),
+                    *_hop_headers(client_headers),
+                    ("Content-Type", CONTENT_JSON),
+                    ("Content-Length", str(len(body))),
+                ]
+            ),
+        )
         pool = self._idle.setdefault(shard, [])
         while pool:
             pooled_url, reader, writer = pool.pop()
@@ -606,92 +446,58 @@ class ClusterFrontend:
                 timeout=_CONNECT_TIMEOUT,
             )
         try:
-            writer.write(request)
+            writer.write(http11.encode_head(request) + body)
             await writer.drain()
-            raw_head = await reader.readuntil(b"\r\n\r\n")
-            head_lines = raw_head.decode("latin-1").split("\r\n")
-            status = int(head_lines[0].split(" ", 2)[1])
-            reply_headers: dict[str, str] = {}
-            for line in head_lines[1:]:
-                if ":" in line:
-                    name, _, value = line.partition(":")
-                    reply_headers[name.strip().lower()] = value.strip()
-            length = reply_headers.get("content-length")
-            if length is not None:
-                reply_body = await reader.readexactly(int(length))
-            else:
+            reply = http11.parse_head(await reader.readuntil(http11.HEAD_END))
+            length = http11.body_length(reply)
+            if length is None:
                 reply_body = await reader.read()
+            else:
+                reply_body = await reader.readexactly(length)
         except BaseException:
             writer.close()
             raise
-        if length is None or reply_headers.get("connection", "").lower() == "close":
-            writer.close()
-        else:
+        if length is not None and http11.keeps_alive(reply):
             pool.append((url, reader, writer))
-        return _ShardReply(status, reply_headers, reply_body)
-
-    # -- response plumbing ----------------------------------------------
-
-    async def _relay(
-        self,
-        writer: asyncio.StreamWriter,
-        reply: _ShardReply,
-        client_headers: dict[str, str],
-    ) -> None:
-        """Pass one worker response through verbatim (body and the
-        headers that matter: content type, retry-after, request id)."""
-        passthrough = {}
-        for name in ("content-type", "retry-after", "x-request-id"):
-            if name in reply.headers:
-                passthrough[name] = reply.headers[name]
-        head_lines = [f"HTTP/1.1 {reply.status} {_reason(reply.status)}"]
-        for name, value in passthrough.items():
-            head_lines.append(f"{name}: {value}")
-        head_lines.append(f"Content-Length: {len(reply.body)}")
-        head = ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + reply.body)
-        await writer.drain()
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, separators=(",", ":"), default=str).encode(
-            "utf-8"
-        )
-        lines = [
-            f"HTTP/1.1 {status} {_reason(status)}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-        ]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+        else:
+            writer.close()
+        return reply, reply_body
 
 
-class _Respond(Exception):
-    """Control-flow: a handler's final (status, payload) response."""
+def _hop_headers(client_headers: Headers) -> list[tuple[str, str]]:
+    """Headers for one worker hop: deadline re-anchored to the budget
+    remaining *now*, priority and request id passed through."""
+    hop = []
+    raw_deadline = client_headers.get(DEADLINE_HEADER)
+    if raw_deadline is not None:
+        try:
+            deadline = Deadline.from_wire_ms(float(raw_deadline))
+            raw_deadline = f"{max(0.0, deadline.to_wire_ms()):.3f}"
+        except ValueError:
+            pass  # the worker answers the malformed value with a 400
+        hop.append((DEADLINE_HEADER, raw_deadline))
+    for name in (PRIORITY_HEADER, REQUEST_ID_HEADER):
+        value = client_headers.get(name)
+        if value is not None:
+            hop.append((name, value))
+    return hop
 
-    def __init__(
-        self,
-        status: int,
-        payload: dict,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        super().__init__(status)
-        self.status = status
-        self.payload = payload
-        self.extra_headers = extra_headers
+
+async def _pass_on(exchange: Exchange, reply: _Reply) -> int:
+    """Answer with one worker reply: its status, body and the headers
+    in :data:`_PASSED_ON`."""
+    head, body = reply
+    headers = [
+        (name, value)
+        for name in _PASSED_ON
+        if (value := head.headers.get(name)) is not None
+    ]
+    return await exchange.send(head.status, body, headers)
 
 
-def _unreachable_envelope(
-    shard: int, error: BaseException
-) -> tuple[int, dict, dict[str, str]]:
+async def _unreachable(
+    exchange: Exchange, shard: int, error: BaseException
+) -> int:
     """A dead/unreachable worker → a retryable 503 with Retry-After:
     the monitor respawns it, so a client retry lands on the fresh
     process.  Never a partial result."""
@@ -707,36 +513,7 @@ def _unreachable_envelope(
             "retry_after": 0.5,
         }
     }
-    return 503, payload, {"Retry-After": "0.5"}
-
-
-def _internal_envelope(error: BaseException) -> dict:
-    return {
-        "error": {
-            "type": type(error).__name__,
-            "message": str(error),
-            "status": 500,
-            "retryable": False,
-        }
-    }
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-def _reason(status: int) -> str:
-    return _REASONS.get(status, "Unknown")
+    return await exchange.json(503, payload, [("Retry-After", "0.5")])
 
 
 def serve_cluster(

@@ -60,6 +60,7 @@ from ..types.values import NULL
 #: Content types both ends agree on.
 CONTENT_JSON = "application/json"
 CONTENT_NDJSON = "application/x-ndjson"
+CONTENT_PROMETHEUS = "text/plain; version=0.0.4"
 
 #: Header carrying the request id end to end.
 REQUEST_ID_HEADER = "X-Request-Id"

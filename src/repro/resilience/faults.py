@@ -19,7 +19,7 @@ Sites (the strings the hooks pass to :meth:`FaultInjector.check`):
 ``fingerprint``           cache fingerprint computation (fail-closed paths)
 ``uniqueness``            Algorithm 1 verdicts (corrupt-verdict faults)
 ``dli_call``              every DL/I ``GU``/``GN``/``GNP`` call
-``net_accept``            HTTP request admission (:mod:`repro.net.server`)
+``net_accept``            HTTP request admission (:mod:`repro.net.serving`)
 ``net_read``              HTTP request-body reads (truncation/socket faults)
 ``net_write``             HTTP response/stream-chunk writes
 ``wal_commit``            transaction commit apply (:mod:`repro.engine.txn`) —

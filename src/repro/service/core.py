@@ -32,6 +32,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from typing import Callable
 
 from ..api import apply_transaction_control, run_with_options
 from ..sql.ast import (
@@ -77,10 +78,11 @@ class QueryTicket:
         "_event",
         "_outcome",
         "_error",
-        "_cancel_lock",
+        "_lock",
         "_guard",
         "_cancelled",
         "_cancel_reason",
+        "_on_done",
     )
 
     def __init__(
@@ -92,10 +94,12 @@ class QueryTicket:
         self._event = threading.Event()
         self._outcome: GuardedOutcome | None = None
         self._error: BaseException | None = None
-        self._cancel_lock = threading.Lock()  # leaf: guard attach vs cancel
+        # leaf: guard attach vs cancel, and callback vs completion
+        self._lock = threading.Lock()
         self._guard: ExecutionGuard | None = None
         self._cancelled = False
         self._cancel_reason = ""
+        self._on_done: Callable[[], None] | None = None
 
     def done(self) -> bool:
         """Whether the query has finished (successfully or not)."""
@@ -119,7 +123,7 @@ class QueryTicket:
         stops an abandoned wait (client gave up, deadline expired) from
         burning a worker on an answer nobody will read.
         """
-        with self._cancel_lock:
+        with self._lock:
             self._cancelled = True
             self._cancel_reason = reason
             guard = self._guard
@@ -129,7 +133,7 @@ class QueryTicket:
     def _attach_guard(self, guard: ExecutionGuard) -> None:
         """Worker-side: connect the live execution's guard, honouring a
         cancellation that raced ahead of the attach."""
-        with self._cancel_lock:
+        with self._lock:
             self._guard = guard
             cancelled, reason = self._cancelled, self._cancel_reason
         if cancelled:
@@ -150,15 +154,32 @@ class QueryTicket:
         assert self._outcome is not None
         return self._outcome
 
+    def on_done(self, callback: Callable[[], None]) -> None:
+        """Call *callback* once the ticket completes: on the completing
+        worker thread, or here at once if it already has.  One callback
+        per ticket; this is how the HTTP server waits without a thread."""
+        with self._lock:
+            if not self._event.is_set():
+                self._on_done = callback
+                return
+        callback()
+
     # -- completion (worker side) ---------------------------------------
 
     def _complete(self, outcome: GuardedOutcome) -> None:
         self._outcome = outcome
-        self._event.set()
+        self._settle()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._settle()
+
+    def _settle(self) -> None:
+        with self._lock:
+            self._event.set()
+            callback = self._on_done
+        if callback is not None:
+            callback()
 
 
 #: Queue items are (session, ticket, sql, params, options, enqueued_at);

@@ -22,6 +22,9 @@ from repro.cluster import (
 )
 from repro.workloads.supplier import build_database
 
+# The front end runs on asyncio: an error it logs fails the test here too.
+from ..net.conftest import asyncio_errors_fail_the_test  # noqa: F401
+
 #: The workers rebuild the replica from this deterministic factory —
 #: the same one the tests build locally for expected results.
 FACTORY = "repro.workloads.supplier:build_database"

@@ -45,12 +45,10 @@ def small_db() -> Database:
     )
 
 
-@pytest.fixture()
-def tiny_db() -> Database:
-    """A hand-written instance with known rows (fresh per test)."""
-    return Database.from_script(
-        PAPER_DDL
-        + """
+#: The ``tiny_db`` instance as a script, for worker processes to rebuild.
+TINY_SCRIPT = (
+    PAPER_DDL
+    + """
 INSERT INTO SUPPLIER VALUES
   (1, 'Acme', 'Toronto', 100, 'Active'),
   (2, 'Baker', 'Chicago', 50, 'Active'),
@@ -68,4 +66,10 @@ INSERT INTO AGENTS VALUES
   (2, 102, 'cid', 'Toronto'),
   (3, 103, 'dot', 'Ottawa');
 """
-    )
+)
+
+
+@pytest.fixture()
+def tiny_db() -> Database:
+    """A hand-written instance with known rows (fresh per test)."""
+    return Database.from_script(TINY_SCRIPT)

@@ -22,7 +22,7 @@ from repro.resilience import FAULTS, RetryPolicy, SITE_NET_WRITE, SITE_PLAN_CACH
 from repro.types import NULL
 from repro.workloads import SupplierScale, build_database, generate
 
-from .conftest import raw_get, raw_post
+from .conftest import SERVERS, raw_get, raw_post
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -331,8 +331,9 @@ def test_fresh_session_is_owned_and_closed(server):
 # graceful drain
 
 
-def test_drain_completes_in_flight_queries(tiny_db):
-    server = QueryServer(tiny_db, workers=1)
+@pytest.mark.parametrize("make_server", SERVERS, indirect=True)
+def test_drain_completes_in_flight_queries(make_server):
+    server = make_server()
     results: dict[str, object] = {}
 
     def slow_query():
@@ -362,8 +363,9 @@ def test_drain_completes_in_flight_queries(tiny_db):
         raw_get(server.url, "/healthz", timeout=2)
 
 
-def test_drain_is_idempotent(tiny_db):
-    server = QueryServer(tiny_db, workers=1)
+@pytest.mark.parametrize("make_server", SERVERS, indirect=True)
+def test_drain_is_idempotent(make_server):
+    server = make_server()
     server.drain()
     server.drain()
     assert server.wait(timeout=1)

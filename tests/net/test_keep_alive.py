@@ -1,13 +1,16 @@
 """Kept-alive connections: the client reuses one socket per calling
-thread, the server keeps a socket open across requests — unless a
-request's body was left unread — and drain neither waits out idle
-sockets nor returns before a response in flight is written."""
+thread; both servers keep a socket open across requests without a
+thread per socket, never let a request body leak into the next
+request, and close after framing they cannot parse; and drain neither
+waits out idle sockets nor returns before a response in flight is
+written."""
 
 from __future__ import annotations
 
 import contextlib
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -17,9 +20,12 @@ import repro
 from repro.engine.database import Database
 from repro.errors import TransientNetworkError
 from repro.net.client import HttpBackend
-from repro.net.server import QueryServer, _Handler
+from repro.net import http11, serving
+from repro.net.server import QueryServer
 from repro.resilience import FAULTS, SITE_NET_READ, SITE_NET_WRITE, RetryPolicy
 from repro.resilience.breaker import STATE_CLOSED
+
+from .conftest import SERVERS
 
 POINT = "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :N"
 
@@ -84,7 +90,7 @@ def test_a_socket_closed_while_idle_is_replaced_without_a_retry(
     reusing it, so the next INSERT goes out once, on a fresh connection,
     and applies exactly once, with no retry counted and the breaker
     still closed."""
-    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    monkeypatch.setattr(serving, "IDLE_TIMEOUT", 0.3)
     db = Database.from_script(
         "CREATE TABLE T (A INT NOT NULL, PRIMARY KEY (A));"
     )
@@ -139,6 +145,7 @@ def test_https_urls_speak_tls(monkeypatch):
         HttpBackend("ftp://127.0.0.1:21")
 
 
+@pytest.mark.parametrize("server", SERVERS, indirect=True)
 @pytest.mark.parametrize(
     "case, path, status",
     [
@@ -180,8 +187,60 @@ def test_an_unread_body_does_not_leak_into_the_next_request(
         connection.close()
 
 
-def test_drain_does_not_wait_out_an_idle_connection(tiny_db):
-    server = QueryServer(tiny_db, workers=1)
+def _until_closed(server, data: bytes) -> bytes:
+    """Send *data* on a fresh socket and read until the server closes
+    it; a server that keeps the socket open fails on the timeout."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("server", SERVERS, indirect=True)
+@pytest.mark.parametrize(
+    "data, status",
+    [
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.0\r\n\r\n", 200),
+    ],
+    ids=["negative length", "non-numeric length", "no version", "HTTP/1.0"],
+)
+def test_both_servers_answer_framing_alike_and_close(server, data, status):
+    """A head that cannot be framed gets the 400 ``ProtocolError``
+    envelope; an HTTP/1.0 request its answer.  Either way the server
+    says ``Connection: close`` and closes."""
+    head, _, body = _until_closed(server, data).partition(http11.HEAD_END)
+    reply = http11.parse_head(head)
+    assert reply.status == status
+    assert reply.headers.get("Connection") == "close"
+    if status == 400:
+        assert json.loads(body)["error"]["type"] == "ProtocolError"
+
+
+def test_idle_kept_alive_connections_hold_no_thread(server):
+    before = threading.active_count()
+    connections = [
+        http.client.HTTPConnection(server.host, server.port, timeout=10)
+        for _ in range(8)
+    ]
+    try:
+        for connection in connections:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            assert connection.sock is not None  # kept alive
+        assert threading.active_count() == before
+    finally:
+        for connection in connections:
+            connection.close()
+
+
+@pytest.mark.parametrize("make_server", SERVERS, indirect=True)
+def test_drain_does_not_wait_out_an_idle_connection(make_server):
+    server = make_server()
     conn = repro.connect(server.url)
     try:
         assert conn.execute(POINT, {"N": 1}).fetchall() == [(1,)]
