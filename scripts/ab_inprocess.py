@@ -13,12 +13,16 @@ what is reported is each side's median and the **median of the paired
 ratios** change ÷ parent: a speed switch lands on both calls of a pair
 or, at worst, on one pair, which a median ignores.
 
-Two tables:
+Three tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
   ``tuple``/``vectorized`` through ``Connection.execute(...).fetchall()``
-  on ``SupplierScale(400, 10, 3)``.  ``big_result`` executes no
-  predicate: its ratio is the noise floor of this table;
+  on ``SupplierScale(400, 10, 3)``.  ``key_lookup.supplier`` is an
+  ``IndexScan`` under a ``Project``: nothing in it has a generated
+  (fused) form, so its ratio is the noise floor of this table;
+* within the change, tuple ÷ vectorized per template, alternated the
+  same way: where the fused row kernels stand against the mask kernels,
+  class by class;
 * a fixed list of mask-kernel cases on one 2 048-row batch, with and
   without NULL lanes (``compile_batch_filter``'s kernel is what is
   timed; ``compile_batch_predicate``'s mask pair is compared too).
@@ -147,6 +151,7 @@ def compare_classes(workloads) -> bool:
     dims = workloads.Dims(SUPPLIERS, PARTS, AGENTS)
     header("statement classes, Connection.execute(...).fetchall()", CLASS_ROUNDS)
     same = True
+    within = {}
     for template_id, template in workloads.TEMPLATES.items():
         if template.kind != workloads.READ:
             continue
@@ -171,6 +176,18 @@ def compare_classes(workloads) -> bool:
                     CLASS_ROUNDS,
                 ),
             )
+        within[template_id] = alternate(
+            lambda: run_change(template.sql, params, "vectorized"),
+            lambda: run_change(template.sql, params, "tuple"),
+            CLASS_ROUNDS,
+        )
+    print(
+        f"\nwithin the change: tuple vs vectorized ({CLASS_ROUNDS} alternated "
+        "pairs; ratio = median of tuple/vectorized)"
+    )
+    print(f"{'template':<34} {'vector ms':>10} {'tuple ms':>10} {'ratio':>7}")
+    for template_id, (vector_times, tuple_times) in within.items():
+        report(template_id, vector_times, tuple_times)
     return same
 
 

@@ -67,14 +67,15 @@ from __future__ import annotations
 import os
 from functools import reduce
 from itertools import chain, compress, islice, repeat
-from operator import and_, or_
+from operator import and_, eq, ge, gt, le, lt, ne, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..resilience.faults import FAULTS, SITE_VECTORIZED_EVAL
 from ..sql.expressions import Expr
 from ..types.tristate import TRUE, UNKNOWN
 from ..types.values import NULL, SqlValue, compare_where, is_null
-from .compile import HOLDS, Leaves, compile_pair
+from .codegen import ChunkedRows
+from .compile import Leaves, compile_pair
 from .schema import RelSchema
 
 #: Rows per batch.  E17c's sweep: 256-row batches run ~15 % slower
@@ -251,7 +252,7 @@ def batches_from_rows(
         yield ColumnBatch.from_rows(chunk, width)
 
 
-class UnbatchedRows:
+class UnbatchedRows(ChunkedRows):
     """The rows of a :class:`ColumnBatch` stream — the columnar→tuple
     adapter, mirror of :func:`batches_from_rows`.
 
@@ -262,20 +263,11 @@ class UnbatchedRows:
     kernels' ``finally`` blocks before anyone reads the totals.
     """
 
-    __slots__ = ("_batches", "_rows")
+    __slots__ = ()
 
     def __init__(self, batches: Iterator[ColumnBatch]) -> None:
-        self._batches = batches
+        self._groups = batches
         self._rows = chain.from_iterable(map(ColumnBatch.iter_rows, batches))
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self._rows
-
-    def __next__(self) -> tuple:
-        return next(self._rows)
-
-    def close(self) -> None:
-        self._batches.close()
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +417,9 @@ _NULL_LANES = {
         ),
     ),
 }
+
+#: Python's verdict on two non-NULL operands, by SQL operator.
+HOLDS = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 #: The comparability classes of ``compare_where``, as exact types
 #: (``bool`` is an ``int`` subclass Python would happily order with

@@ -24,10 +24,13 @@ There is one walk over the condition tree (:func:`_lower`) and it owns
 everything that decides what a condition *means*: operand resolution,
 constant folding, the connective identities above and the refusal
 frontier.  What a test *is* comes from the five :class:`Leaves` the walk
-is handed.  The row leaves (this module) are closures from the row tuple
-to a plain ``bool``; the batch leaves
-(:mod:`repro.engine.columnar`) are the same five from a ``ColumnBatch``
-to a lane mask.  Nothing outside these two modules chooses leaves.
+is handed.  The row leaves (this module, :func:`source_leaves`) are
+Python source fragments over the row ``r`` — ``(r[4] is not NULL and
+r[4] == k0)`` — that :mod:`repro.engine.codegen` compiles into one
+function per test, or splices into a fused pipeline or join; the batch
+leaves (:mod:`repro.engine.columnar`) are the same five from a
+``ColumnBatch`` to a lane mask.  Nothing outside these two modules
+chooses leaves.
 
 * column references are resolved to tuple indices at compile time,
 * host variables and literals are folded to constants (and constant
@@ -48,13 +51,16 @@ the interpreter raise (unknown column, non-scalar operand, missing host
 variable) is rejected at compile time instead, which is what makes
 constant folding across siblings sound.
 
+A constant is never written into source: the row leaves put it in an
+argument slot ``k<n>``, so the text depends on the condition's shape
+alone and one compiled function serves every binding of it.
+
 The global :func:`set_compilation_enabled` switch exists so benchmarks
 and property tests can A/B the compiled and interpretive paths.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import AmbiguousColumnError
@@ -73,16 +79,17 @@ from ..sql.expressions import (
     Or,
 )
 from ..types.tristate import FALSE, TRUE, UNKNOWN, Tristate
-from ..types.values import NULL, SqlValue, comparable, compare_where
+from ..types.values import NULL, SqlValue, compare_where
+from .codegen import assemble, predicate_source
 from .schema import RelSchema
 
 #: A compiled row test: row tuple -> plain bool.
 RowTest = Callable[[Sequence[SqlValue]], bool]
 #: A compiled predicate: row tuple -> three-valued truth value.
 PredicateFn = Callable[[Sequence[SqlValue]], Tristate]
-#: A two-valued test in either format: a :data:`RowTest`, or under the
-#: batch leaves a kernel from a ``ColumnBatch`` to a lane mask.
-Test = Callable[[Any], Any]
+#: A two-valued test in either format: a source fragment over the row,
+#: or under the batch leaves a kernel from a ``ColumnBatch`` to a mask.
+Test = Any
 #: A lowered condition node: ``(is_true, is_false, None)``, or
 #: ``(None, None, const)`` when the subtree folded to a constant.
 Lowered = tuple[Test | None, Test | None, Tristate | None]
@@ -116,6 +123,11 @@ def set_compilation_enabled(enabled: bool) -> bool:
     return previous
 
 
+def compilation_enabled() -> bool:
+    """Whether :func:`set_compilation_enabled` leaves compilation on."""
+    return _enabled
+
+
 class CannotCompile(Exception):
     """Internal control flow: the expression needs the interpreter."""
 
@@ -135,20 +147,10 @@ def compile_pair(
     unbound host variable); callers then fall back to the interpretive
     evaluator, which reproduces the exact error/semantics lazily.
     """
-    if not _enabled:
-        return None
-    if FAULTS.armed:
-        # Fault hook: a "compile" fault raises out of here (callers own
-        # the fall-back to the interpreter).
-        FAULTS.check(SITE_COMPILE)
-    leaves = leaves or ROW_LEAVES
-    try:
-        is_true, is_false, const = _lower(expr, schema, params or {}, leaves)
-    except CannotCompile:
-        return None
-    if const is not None:
-        return leaves.always(const is TRUE), leaves.always(const is FALSE)
-    return is_true, is_false
+    if leaves is None:
+        kernels = _row_kernels(expr, schema, params)
+        return None if kernels is None else kernels[:2]
+    return _lowered(expr, schema, params, leaves)
 
 
 def compile_predicate(
@@ -156,17 +158,10 @@ def compile_predicate(
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
 ) -> PredicateFn | None:
-    """The three-valued verdict, derived from :func:`compile_pair`
-    (``None`` exactly when that is)."""
-    pair = compile_pair(expr, schema, params)
-    if pair is None:
-        return None
-    is_true, is_false = pair
-
-    def predicate(row):
-        return TRUE if is_true(row) else FALSE if is_false(row) else UNKNOWN
-
-    return _instrumented(predicate)
+    """The three-valued verdict, generated from the same pair as
+    :func:`compile_pair` (``None`` exactly when that is)."""
+    kernels = _row_kernels(expr, schema, params)
+    return None if kernels is None else _instrumented(kernels[2])
 
 
 def compile_filter(
@@ -176,24 +171,68 @@ def compile_filter(
 ) -> RowTest | None:
     """Compile a WHERE-clause row test (the false-interpretation ⌊P⌋).
 
-    The returned closure is :func:`compile_pair`'s ``is_true`` itself:
-    keep the row only when the predicate is definitely TRUE.  Returns
+    The returned function is :func:`compile_pair`'s ``is_true``: keep
+    the row only when the predicate is definitely TRUE.  Returns
     ``None`` when *expr* is ``None`` (nothing to test) or uncompilable.
     """
     if expr is None:
         return None
-    pair = compile_pair(expr, schema, params)
-    return None if pair is None else _instrumented(pair[0])
+    kernels = _row_kernels(expr, schema, params)
+    return None if kernels is None else _instrumented(kernels[0])
+
+
+def lower_source(
+    expr: Expr,
+    schema: RelSchema,
+    params: dict[str, SqlValue] | None = None,
+    column: Callable[[int], str] | None = None,
+) -> tuple[str, str, list[SqlValue]] | None:
+    """⌊P⌋ and ⌊¬P⌋ as source fragments, with the values of their slots.
+
+    ``k<n>`` in a fragment reads ``slots[n]``; *column* spells a column
+    position (default ``r[<n>]``).  ``None`` exactly when
+    :func:`compile_pair` is.
+    """
+    slots: list[SqlValue] = []
+    pair = _lowered(expr, schema, params, source_leaves(slots, column or _row))
+    return None if pair is None else (*pair, slots)
+
+
+def _lowered(
+    expr: Expr, schema: RelSchema, params: dict[str, SqlValue] | None, leaves: Leaves
+) -> tuple[Test, Test] | None:
+    """:func:`_lower` from the root: a folded root is the ``always`` pair."""
+    if not _enabled:
+        return None
+    if FAULTS.armed:
+        # Fault hook: a "compile" fault raises out of here (callers own
+        # the fall-back to the interpreter).
+        FAULTS.check(SITE_COMPILE)
+    try:
+        is_true, is_false, const = _lower(expr, schema, params or {}, leaves)
+    except CannotCompile:
+        return None
+    if const is not None:
+        return leaves.always(const is TRUE), leaves.always(const is FALSE)
+    return is_true, is_false
+
+
+def _row_kernels(
+    expr: Expr, schema: RelSchema, params: dict[str, SqlValue] | None
+) -> tuple[RowTest, RowTest, PredicateFn] | None:
+    """``(is_true, is_false, verdict)`` generated from the row leaves."""
+    lowered = lower_source(expr, schema, params)
+    if lowered is None:
+        return None
+    is_true, is_false, slots = lowered
+    make = assemble(predicate_source(is_true, is_false, len(slots)))
+    return None if make is None else make(*slots)
 
 
 def _instrumented(fn):
-    """A "compiled_eval" fault instruments the closure handed to the
+    """A "compiled_eval" fault instruments the function handed to the
     operators so it can fail per row; disarmed, *fn* comes back bare."""
     return FAULTS.wrap_callable(SITE_COMPILED_EVAL, fn) if FAULTS.armed else fn
-
-
-def _always(verdict: bool) -> RowTest:
-    return lambda row: verdict
 
 
 # ----------------------------------------------------------------------
@@ -276,18 +315,6 @@ def _negated(lowered: Lowered) -> Lowered:
     return is_false, is_true, None
 
 
-#: Python's verdict on two non-NULL operands, by SQL operator (both
-#: leaf sets read it).
-HOLDS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 def _comparison(
     expr: Comparison,
     schema: RelSchema,
@@ -305,55 +332,6 @@ def _comparison(
     if right is None and const is NULL:
         return None, None, UNKNOWN
     return *leaves.comparison(expr.op, left, right, const), None
-
-
-def _row_comparison(
-    op: str, left: int, right: int | None, const: SqlValue
-) -> tuple[RowTest, RowTest]:
-    """Specialise ``compare_where`` on the operator and operand shape.
-
-    Both closures hold only where the operands are non-NULL and (for an
-    ordering) comparable.  ``is_false`` is then ``not (a op b)``, never
-    the complementary operator: ``NaN < 1`` and ``NaN >= 1`` are both
-    FALSE.
-    """
-    holds = HOLDS[op]
-    # = and <> never consult comparability; the orderings are UNKNOWN
-    # across comparability classes (see compare_where).
-    unordered = op in ("=", "<>")
-
-    def row_test(verdict: Callable[[SqlValue, SqlValue], bool]) -> RowTest:
-        if right is not None:
-            def columns_test(row):
-                a, b = row[left], row[right]
-                return (
-                    a is not NULL and b is not NULL
-                    and (unordered or type(a) is type(b) or comparable(a, b))
-                    and verdict(a, b)
-                )
-
-            return columns_test
-
-        # The constant's comparability class, resolved once: the exact
-        # value types certainly in it (any other type asks ``comparable``).
-        if isinstance(const, bool):
-            exact = frozenset({bool})
-        elif isinstance(const, (int, float)):
-            exact = frozenset({int, float})
-        else:
-            exact = frozenset({type(const)})
-
-        def constant_test(row):
-            a = row[left]
-            return (
-                a is not NULL
-                and (unordered or type(a) in exact or comparable(a, const))
-                and verdict(a, const)
-            )
-
-        return constant_test
-
-    return row_test(holds), row_test(lambda a, b: not holds(a, b))
 
 
 def _connective(
@@ -397,33 +375,76 @@ def _connective(
     return leaves.some(trues), leaves.every(falses), None
 
 
-def _every(tests: Sequence[RowTest]) -> RowTest:
-    tests = tuple(tests)
+# ----------------------------------------------------------------------
+# the row leaves: source fragments
 
-    def every(row):
-        for test in tests:
-            if not test(row):
-                return False
-        return True
-
-    return every
+#: How each SQL comparison is spelled in Python — the only operator
+#: text a generated row test contains.
+SPELLED = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-def _some(tests: Sequence[RowTest]) -> RowTest:
-    tests = tuple(tests)
-
-    def some(row):
-        for test in tests:
-            if test(row):
-                return True
-        return False
-
-    return some
+def _row(index: int) -> str:
+    return "r[%d]" % index
 
 
-def _is_null(index: int) -> tuple[RowTest, RowTest]:
-    return (lambda row: row[index] is NULL), (lambda row: row[index] is not NULL)
+def _exact_types(const: SqlValue) -> frozenset[type]:
+    """The value types certainly in *const*'s comparability class (any
+    other type asks ``comparable``)."""
+    if isinstance(const, bool):
+        return frozenset({bool})
+    if isinstance(const, (int, float)):
+        return frozenset({int, float})
+    return frozenset({type(const)})
 
 
-#: The row format's leaves: closures from the row tuple to a plain bool.
-ROW_LEAVES = Leaves(_always, _is_null, _row_comparison, _every, _some)
+def source_leaves(
+    slots: list[SqlValue], column: Callable[[int], str] = _row
+) -> Leaves:
+    """The row format's leaves: Python expressions over the row.
+
+    A constant is appended to *slots* and read as ``k<position>``;
+    *column* spells a column position.  A comparison holds (either way)
+    only where its operands are non-NULL and, for an ordering,
+    comparable — ``compare_where``'s rule — and ``is_false`` is ``not
+    (a op b)``, never the complementary operator: ``NaN < 1`` and ``NaN
+    >= 1`` are both FALSE.  ``=`` and ``<>`` never consult
+    comparability.
+    """
+
+    def slot(value: SqlValue) -> str:
+        slots.append(value)
+        return "k%d" % (len(slots) - 1)
+
+    def always(verdict: bool) -> str:
+        return "True" if verdict else "False"
+
+    def is_null(index: int) -> tuple[str, str]:
+        value = column(index)
+        return f"({value} is NULL)", f"({value} is not NULL)"
+
+    def comparison(
+        op: str, left: int, right: int | None, const: SqlValue
+    ) -> tuple[str, str]:
+        a = column(left)
+        ordering = op not in ("=", "<>")
+        if right is None:
+            b = slot(const)
+            decided = f"{a} is not NULL"
+            if ordering:
+                exact = slot(_exact_types(const))
+                decided += f" and (type({a}) in {exact} or comparable({a}, {b}))"
+        else:
+            b = column(right)
+            decided = f"{a} is not NULL and {b} is not NULL"
+            if ordering:
+                decided += f" and (type({a}) is type({b}) or comparable({a}, {b}))"
+        test = f"{a} {SPELLED[op]} {b}"
+        return f"({decided} and {test})", f"({decided} and not {test})"
+
+    def every(tests: Sequence[str]) -> str:
+        return "(" + " and ".join(tests) + ")"
+
+    def some(tests: Sequence[str]) -> str:
+        return "(" + " or ".join(tests) + ")"
+
+    return Leaves(always, is_null, comparison, every, some)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ...errors import ResourceError
 from ...resilience.budgets import ExecutionGuard
@@ -16,7 +16,8 @@ from ..columnar import (
     batches_from_rows,
     resolve_engine_mode,
 )
-from ..compile import RowTest, compile_filter
+from ..codegen import assemble
+from ..compile import RowTest, compilation_enabled, compile_filter, lower_source
 from ..evaluator import Evaluator
 from ..schema import RelSchema, Scope
 from ..stats import Stats
@@ -54,6 +55,11 @@ class ExecContext:
     operations and sorts have one implementation and read rows in
     every mode — see :meth:`PlanNode.rows`.  ``None`` inherits the
     process default (:func:`repro.engine.columnar.default_engine_mode`).
+
+    ``fuse`` says whether the row path may run generated kernels
+    (:mod:`repro.engine.codegen`): a scan pipeline and a hash join
+    become one function each unless faults are armed, an analysis sink
+    watches every node, or compilation is off (the reference).
 
     When an *analysis* sink is supplied (EXPLAIN ANALYZE, the adaptive
     loop), every node this execution opens accounts its loops, rows,
@@ -97,6 +103,9 @@ class ExecContext:
         self.batch_ticks = not FAULTS.armed
         if self.batch_ticks:
             self.tick = guard.tick if guard is not None else _tick_noop
+        self.fuse = (
+            self.batch_ticks and analysis is None and compilation_enabled()
+        )
         mode = resolve_engine_mode(engine_mode)
         self.engine_mode = mode
         self.batch_rows = (
@@ -138,21 +147,69 @@ class PlanNode:
     #: the node is built; only these nodes have a batch kernel.
     batch_pipeline = False
 
+    #: The node's binding-independent kernel (see :meth:`_generated`).
+    _kernel = None
+
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Open the row stream.  *outer* carries correlation bindings.
 
         In batch mode a batch pipeline answers from its own
         :meth:`batches` (that open is the node's one analysis
         observation); a correlated open needs the evaluator and stays on
-        :meth:`_rows`, like every other node.  With an analysis sink on
-        *ctx* the stream is accounted into it; without one this is two
-        tests per open and nothing per row.
+        :meth:`_rows`, like every other node.  When *ctx* may fuse, a
+        node with a generated form answers from :meth:`_fused`, its
+        subtree in one function; otherwise it runs :meth:`_rows` over
+        its children's streams.  With an analysis sink on *ctx* (nothing
+        fuses then) the stream is accounted into it; without one this is
+        a few tests per open and nothing per row.
         """
         if self.batch_pipeline and ctx.use_batches and outer is None:
             return UnbatchedRows(self.batches(ctx))
+        if ctx.fuse and outer is None:
+            fused = self._fused(ctx)
+            if fused is not None:
+                return fused
         if ctx.analysis is None:
             return self._rows(ctx, outer)
         return ctx.analysis.observe(self, self._rows(ctx, outer), False)
+
+    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+        """This subtree's rows from one generated function
+        (:mod:`repro.engine.codegen`), or ``None`` — no generated form,
+        or ``_lower`` refused a predicate — for the per-node path."""
+        return None
+
+    def _generated(
+        self,
+        ctx: ExecContext,
+        source: Callable[[str | None, int], str],
+        predicate: Expr | None = None,
+        schema: RelSchema | None = None,
+        column: Callable[[int], str] | None = None,
+    ) -> Callable[..., Any] | None:
+        """The generated function of this node's fused form, or ``None``
+        when ``_lower`` refuses *predicate* (or CPython the source).
+
+        ``source(test, slots)`` is the kernel's text given ⌊*predicate*⌋
+        — lowered over *schema*, columns spelled by *column* — as *test*
+        reading *slots* argument slots.  Without a predicate the kernel
+        does not depend on bindings: it is built once per node, and
+        cached plans carry it.
+        """
+        if predicate is None:
+            if self._kernel is None:
+                make = assemble(source(None, 0))
+                self._kernel = None if make is None else make()
+            return self._kernel
+        lowered = lower_source(predicate, schema, ctx.evaluator.params, column)
+        if lowered is None:
+            return None
+        test, _, slots = lowered
+        make = assemble(source(test, len(slots)))
+        if make is None:
+            return None
+        ctx.stats.predicates_compiled += 1
+        return make(*slots)
 
     def batches(
         self, ctx: ExecContext, outer: Scope | None = None

@@ -12,13 +12,15 @@ from ...sql.printer import to_sql
 from ..columnar import batches_from_rows, compile_batch_filter
 from ..schema import Scope
 from .base import ExecContext, PlanNode, select_rows
+from .scan import SeqScan, fused_scan
 
 
 class Filter(PlanNode):
     """Keeps rows whose predicate is definitely TRUE (⌊P⌋ semantics).
 
-    Simple predicates are compiled once per execution into a row closure
-    (no per-row Scope allocation or recursive dispatch); predicates the
+    Simple predicates are compiled once per execution into a generated
+    row test (no per-row Scope allocation or recursive dispatch) — over
+    a ``SeqScan``, into the scan's generated pipeline; predicates the
     compiler rejects — subqueries, outer references — run through the
     shared evaluator, which re-executes correlated subqueries per input
     row through the reference interpreter, counting each invocation.
@@ -41,6 +43,11 @@ class Filter(PlanNode):
         return select_rows(
             ctx, self.predicate, self.schema, self.child.rows(ctx, outer), outer
         )
+
+    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+        if isinstance(self.child, SeqScan):
+            return fused_scan(ctx, self, self.child, self.predicate)
+        return None
 
     # ------------------------------------------------------------------
     # vectorized path

@@ -5,13 +5,17 @@ matches anything (``NULL = NULL`` is UNKNOWN).  Hash and sort-merge
 joins therefore drop NULL-keyed rows on both sides, matching what the
 nested-loop join's predicate evaluation would do.
 
-Join predicates and residuals are compiled to row closures when
+Join predicates and residuals are compiled to generated row tests when
 possible (see :mod:`repro.engine.compile`); predicates containing
-subqueries or outer references fall back to the shared evaluator.
+subqueries or outer references fall back to the shared evaluator.  A
+hash join — with the ``Project`` above it, if any — also has a fused
+form: build, probe, residual and projection in one generated function
+(:meth:`HashJoin.joined`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -19,6 +23,7 @@ from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ...types.values import key_extractor
+from ..codegen import join_source, row_source
 from ..compile import RowTest
 from ..schema import Scope
 from .base import ExecContext, PlanNode, compile_row_test
@@ -170,11 +175,8 @@ class HashJoin(PlanNode):
         return self.right, self.left, self.right_keys, self.left_keys
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        build, probe, build_keys, probe_keys = self._sides()
-        # A NULL key participates only at null-safe positions: anywhere
-        # else it can never satisfy '=' and the kernel answers None.
-        build_key = key_extractor(build_keys, self.null_safe)
-        probe_key = key_extractor(probe_keys, self.null_safe)
+        build, probe, _, _ = self._sides()
+        build_key, probe_key = self._key_kernels
         build_left = self.build_left
         tick = ctx.tick
         buckets: dict[tuple, list[tuple]] = {}
@@ -216,6 +218,69 @@ class HashJoin(PlanNode):
             stats.rows_joined += joined
             flush()
             probe_rows.close()
+
+    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+        return self.joined(ctx, self)
+
+    def joined(
+        self, ctx: ExecContext, node: PlanNode, indices: list[int] | None = None
+    ) -> Iterator[tuple] | None:
+        """The join — projected onto *indices* for the ``Project``
+        *node* above it — as one generated generator: the rows, the
+        counters and the per-match ticks of :meth:`_rows`.  ``None``
+        when ``_lower`` refuses the residual."""
+        join = node._generated(
+            ctx,
+            partial(self._join_source, indices),
+            self.residual,
+            self.schema,
+            self._column,
+        )
+        if join is None:
+            return None
+        build, probe, _, _ = self._sides()
+        build_key, probe_key = self._key_kernels
+        probe_rows = probe.rows(ctx)
+        return join(
+            build.rows(ctx), probe_rows, ctx.tick, ctx.stats, build_key, probe_key
+        )
+
+    @cached_property
+    def _key_kernels(self) -> tuple[Callable, Callable]:
+        """``key_extractor`` of the build and the probe side.  A NULL key
+        participates only at null-safe positions: anywhere else it can
+        never satisfy '=' and the kernel answers None."""
+        _, _, build_keys, probe_keys = self._sides()
+        return (
+            key_extractor(build_keys, self.null_safe),
+            key_extractor(probe_keys, self.null_safe),
+        )
+
+    def _column(self, index: int) -> str:
+        """A position of the joined row, spelled over the build row
+        ``b`` or the probe row ``p``."""
+        width = len(self.left.schema)
+        left = index < width
+        side = "b" if left == self.build_left else "p"
+        return "%s[%d]" % (side, index if left else index - width)
+
+    def _join_source(
+        self, indices: list[int] | None, test: str | None, slots: int
+    ) -> str:
+        _, _, build_keys, probe_keys = self._sides()
+        if indices is None:
+            row = "b + p" if self.build_left else "p + b"
+        else:
+            row = row_source(map(self._column, indices))
+        # One strict key column is keyed inline; the rest by the kernels.
+        inline = len(build_keys) == 1 and not self.null_safe[0]
+        return join_source(
+            build_keys[0] if inline else None,
+            probe_keys[0] if inline else None,
+            test,
+            row,
+            slots,
+        )
 
     def label(self) -> str:
         keys = ", ".join(

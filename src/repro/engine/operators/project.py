@@ -11,6 +11,9 @@ from ...types.values import key_extractor
 from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
+from .filter import Filter
+from .joins import HashJoin
+from .scan import SeqScan, fused_scan
 
 
 class Project(PlanNode):
@@ -32,6 +35,18 @@ class Project(PlanNode):
         else:
             pick = lambda row: tuple([row[i] for i in indices])  # noqa: E731
         yield from map(pick, self.child.rows(ctx, outer))
+
+    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+        """The projection inside the kernel of what it reads: a scan
+        pipeline, or a hash join."""
+        child = self.child
+        if isinstance(child, HashJoin):
+            return child.joined(ctx, self, self.indices)
+        if isinstance(child, Filter) and isinstance(child.child, SeqScan):
+            return fused_scan(ctx, self, child.child, child.predicate, self.indices)
+        if isinstance(child, SeqScan):
+            return fused_scan(ctx, self, child, None, self.indices)
+        return None
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized projection: pure column slicing, zero copying."""

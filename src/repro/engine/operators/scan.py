@@ -8,15 +8,9 @@ from ...errors import ExecutionError, MissingHostVariableError, ResourceError
 from ...sql.expressions import Expr, HostVar, Literal
 from ...sql.printer import to_sql
 from ...types.values import is_null, key_extractor, row_sort_key
+from ..codegen import TICK_CHUNK, ChunkedRows, pipeline_source
 from ..schema import RelSchema, Scope
 from .base import ExecContext, PlanNode, select_rows
-
-#: Rows a sequential scan accounts per guard tick when ticks may be
-#: batched (divides CLOCK_CHECK_INTERVAL, so deadline checks stay on
-#: schedule).  Budgets and rows_scanned then have chunk granularity: a
-#: consumer that abandons the scan mid-chunk leaves up to
-#: TICK_CHUNK - 1 pulled rows unaccounted.
-TICK_CHUNK = 64
 
 
 class SeqScan(PlanNode):
@@ -39,6 +33,9 @@ class SeqScan(PlanNode):
                 ctx.stats.rows_scanned += 1
                 yield row
             return
+        # Ticks in chunks: budgets and rows_scanned then have chunk
+        # granularity, and a consumer that abandons the scan mid-chunk
+        # leaves up to TICK_CHUNK - 1 pulled rows unaccounted.
         stats = ctx.stats
         pending = 0
         for row in ctx.database.table(self.table_name).rows:
@@ -51,6 +48,9 @@ class SeqScan(PlanNode):
         if pending:
             tick(pending)
             stats.rows_scanned += pending
+
+    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+        return fused_scan(ctx, self, self)
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized scan: serve the table's cached columnar batches.
@@ -74,6 +74,32 @@ class SeqScan(PlanNode):
         if self.alias != self.table_name:
             return f"SeqScan({self.table_name} AS {self.alias})"
         return f"SeqScan({self.table_name})"
+
+
+def fused_scan(
+    ctx: ExecContext,
+    node: PlanNode,
+    scan: SeqScan,
+    predicate: Expr | None = None,
+    indices: list[int] | None = None,
+) -> Iterator[tuple] | None:
+    """The pipeline *scan* → [``Filter`` *predicate*] → [``Project``
+    *indices*] under *node*, as one generated generator.
+
+    Each pulled chunk is ticked and accounted whole — ``rows_scanned``
+    and, under a filter, ``predicate_evals`` — the way a batch is.
+    ``None`` when ``_lower`` refuses *predicate*.
+    """
+    pipeline = node._generated(
+        ctx,
+        lambda test, slots: pipeline_source(test, indices, slots),
+        predicate,
+        scan.schema,
+    )
+    if pipeline is None:
+        return None
+    rows = ctx.database.table(scan.table_name).rows
+    return ChunkedRows(pipeline(rows, ctx.tick, ctx.stats))
 
 
 class IndexScan(PlanNode):

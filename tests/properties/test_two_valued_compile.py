@@ -11,10 +11,17 @@ included — the pair must say exactly what the interpretive
 everything the ``Tristate``-closure compiler refused is still refused.
 
 The lowering is one walk with two sets of leaves, so the property is
-stated once over both formats: under the batch leaves of
+stated once over both formats.  The row leaves are source fragments:
+the row arm runs functions compiled from generated source
+(``repro.engine.codegen``).  Under the batch leaves of
 ``repro.engine.columnar`` the pair is ``(true_mask, false_mask)`` over a
 ``ColumnBatch``, and lane for lane it is the row pair, the interpreter's
 verdict, and refused exactly where the row pair is.
+
+The same fragments run inside the fused kernels, so the last section
+states the property for whole plans: a fused ``Project(Filter(SeqScan))``
+and a fused ``Project(HashJoin)`` over NULL-heavy rows yield the
+compilation-off run's rows in the same order.
 
 The same file pins the key kernel of the tuple operators:
 ``key_extractor(indices, null_safe)(row)`` is ``row_sort_key`` of the
@@ -24,15 +31,24 @@ row (a NULL at a position that is not null-safe).
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import Database
 from repro.engine.columnar import (
     BATCH_LEAVES,
     ColumnBatch,
     compile_batch_filter,
     compile_batch_predicate,
 )
-from repro.engine.compile import compile_filter, compile_pair, compile_predicate
+from repro.engine.codegen import ChunkedRows
+from repro.engine.compile import (
+    compile_filter,
+    compile_pair,
+    compile_predicate,
+    set_compilation_enabled,
+)
 from repro.engine.evaluator import Evaluator
+from repro.engine.operators import ExecContext, Filter, HashJoin, Project, SeqScan
 from repro.engine.schema import RelSchema, Scope
+from repro.engine.stats import Stats
 from repro.sql import parse_condition
 from repro.sql.expressions import (
     And,
@@ -102,6 +118,7 @@ def test_the_pair_is_the_interpreters_verdict(expr, sample):
     row_test = compile_filter(expr, SCHEMA, PARAMS)
     assert pair is not None and predicate is not None and row_test is not None
     is_true, is_false = pair
+    assert is_true.__code__.co_filename == "<kernel>"  # generated source
     evaluator = Evaluator(params=PARAMS)
     for row in sample:
         verdict = evaluator.predicate(expr, Scope(SCHEMA, row))
@@ -186,6 +203,87 @@ def test_ambiguous_reference_is_still_refused():
     is_true, is_false = compile_pair(parse_condition("R.A < S.A"), joined)
     assert is_true((1, 2)) is True and is_false((1, 2)) is False
     assert is_true((NULL, 2)) is False and is_false((NULL, 2)) is False
+
+
+# ----------------------------------------------------------------------
+# fused kernels: the interpreter's rows, in its order
+
+#: Half of all values NULL; the rest span every comparability class.
+heavy_values = st.one_of(st.just(NULL), values)
+heavy_rows = st.tuples(*[heavy_values] * len(COLUMNS))
+#: Enough rows for several TICK_CHUNK-row chunks.
+tables = st.lists(heavy_rows, max_size=150)
+#: The counters that say which path evaluated a predicate.
+PATH_COUNTERS = {"predicates_compiled", "compiled_evals", "compile_fallbacks"}
+
+
+def _run(plan, left, right, compiled: bool):
+    """*plan* over T = *left*, U = *right*: ``(rows, totals)``."""
+    database = Database.from_script(
+        "CREATE TABLE T (A INT, B INT, C INT, D INT); CREATE TABLE U (E INT, F INT);"
+    )
+    database.load("T", left)
+    database.load("U", right)
+    stats = Stats()
+    previous = set_compilation_enabled(compiled)
+    try:
+        ctx = ExecContext(database, params=PARAMS, stats=stats, engine_mode="tuple")
+        stream = plan.rows(ctx)
+        # The compiled run is the fused one: its rows come from a kernel.
+        generated = isinstance(stream, ChunkedRows) or (
+            stream.gi_code.co_filename == "<kernel>"
+        )
+        assert generated == compiled
+        rows = list(stream)
+    finally:
+        set_compilation_enabled(previous)
+    totals = {k: v for k, v in stats.as_dict().items() if k not in PATH_COUNTERS}
+    return rows, totals
+
+
+@settings(max_examples=150, **COMMON)
+@given(
+    expr=conditions,
+    left=tables,
+    indices=st.lists(st.integers(0, len(COLUMNS) - 1), min_size=1, max_size=5),
+)
+def test_a_fused_pipeline_is_the_interpreter_row_for_row(expr, left, indices):
+    names = [f"X{i}" for i in range(len(indices))]
+    plan = Project(Filter(SeqScan("T", "T", COLUMNS), expr), indices, names)
+    assert _run(plan, left, [], True) == _run(plan, left, [], False)
+
+
+@st.composite
+def _hash_joins(draw):
+    pairs = st.tuples(st.integers(0, 3), st.integers(0, 1))
+    keys = draw(st.lists(pairs, min_size=1, max_size=2))
+    null_safe = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    join = HashJoin(
+        SeqScan("T", "T", COLUMNS),
+        SeqScan("U", "U", ["E", "F"]),
+        [left for left, _ in keys],
+        [right for _, right in keys],
+        residual=draw(st.one_of(st.none(), conditions)),
+        null_safe=null_safe,
+        build_left=draw(st.booleans()),
+    )
+    indices = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    return Project(join, indices, [f"X{i}" for i in range(len(indices))])
+
+
+#: Join keys that collide often, across classes too: ``TRUE = 1`` is
+#: TRUE in WHERE but no hash-key match; ``1 = 1.0`` is both.
+key_values = st.sampled_from([NULL, True, False, 0, 1, 1.0, "1", NAN])
+
+
+@settings(max_examples=150, **COMMON)
+@given(
+    plan=_hash_joins(),
+    left=st.lists(st.tuples(*[key_values] * len(COLUMNS)), max_size=150),
+    right=st.lists(st.tuples(key_values, key_values), max_size=40),
+)
+def test_a_fused_hash_join_is_the_interpreter_row_for_row(plan, left, right):
+    assert _run(plan, left, right, True) == _run(plan, left, right, False)
 
 
 # ----------------------------------------------------------------------
