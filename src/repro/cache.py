@@ -116,11 +116,6 @@ class LRUCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
 
-    def keys(self) -> list[Hashable]:
-        """The cached keys, least recently used first."""
-        with self._lock:
-            return list(self._data)
-
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:

@@ -17,7 +17,8 @@ and compiles each text once.  What fuses is the operators' decision
   ``[<projection> for r in chunk if <⌊P⌋>]``; :class:`ChunkedRows`
   hands the rows out through a C-level ``chain``;
 * a **hash join**, with the ``Project`` above it if there is one: build,
-  then probe, yielding each match's output row directly.
+  then probe, yielding each match's output row directly; on the row
+  path a probe side that is a scan pipeline runs inside the probe loop.
 
 No value or identifier from a statement is ever written into source.
 A constant sits in an argument slot ``k0 … kn`` of the ``make`` factory
@@ -195,27 +196,59 @@ def _key_lines(row: str, index: int | None) -> list[str]:
 def join_source(
     build_key: int | None,
     probe_key: int | None,
-    test: str | None,
     row: str,
+    scan: bool,
+    residual: str | None,
+    where: str | None,
     slots: int,
 ) -> str:
     """Hash join: build over ``b``, probe over ``p``, one tick per match.
 
-    *build_key*/*probe_key* as :func:`_key_lines`; *test* is the
+    *build_key*/*probe_key* as :func:`_key_lines`; *residual* is the
     residual's ⌊P⌋ and *row* the output row, both over ``b`` and ``p``.
+
+    With *scan*, ``probe_rows`` is a table's row list and the scan — and
+    the ``Filter`` above it, *where* over ``p`` — run inside the probe
+    loop with the per-node ``SeqScan`` and ``Filter``'s accounting: a
+    :data:`TICK_CHUNK`-row tick as the chunk's last row is pulled, the
+    rest after the last row, and one evaluation per pulled row.  So
+    whichever way the join is left, its totals are the interpreter's.
+    Otherwise ``probe_rows`` is a stream, closed in ``finally``.
     """
     emit = [f"yield {row}"]
     evals = []
-    if test is not None:
-        emit = [f"if {test}:", f"    yield {row}"]
-        evals = [
-            "        stats.predicate_evals += joined",
-            "        stats.compiled_evals += joined",
+    if residual is not None:
+        emit = [f"if {residual}:", f"    yield {row}"]
+        evals = ["joined"]
+    pull, tail, account = [], [], ["probe_rows.close()"]
+    if scan:
+        pull = [
+            f"if pending == {TICK_CHUNK - 1:d}:",
+            f"    tick({TICK_CHUNK:d})",
+            f"    scanned += {TICK_CHUNK:d}",
+            "    pending = 0",
+            "else:",
+            "    pending += 1",
+        ]
+        if where is not None:
+            pull += [f"if not {where}:", "    continue"]
+            evals.append("scanned + pending")
+        tail = [
+            "if pending:",
+            "    tick(pending)",
+            "    scanned += pending",
+            "    pending = 0",
+        ]
+        account = ["stats.rows_scanned += scanned"]
+    for counted in evals:
+        account += [
+            f"stats.predicate_evals += {counted}",
+            f"stats.compiled_evals += {counted}",
         ]
     return _factory(slots, [
         "def join(build_rows, probe_rows, tick, stats, b_key, p_key):",
         "    buckets = {}",
-        "    builds = probes = joined = 0",
+        "    builds = probes = joined = scanned = pending = 0",
         "    try:",
         "        for b in build_rows:",
         *("            " + line for line in _key_lines("b", build_key)),
@@ -227,17 +260,18 @@ def join_source(
         "                bucket.append(b)",
         "        matching = buckets.get",
         "        for p in probe_rows:",
+        *("            " + line for line in pull),
         *("            " + line for line in _key_lines("p", probe_key)),
         "            probes += 1",
         "            for b in matching(key, ()):",
         "                tick()",
         "                joined += 1",
         *("                " + line for line in emit),
+        *("        " + line for line in tail),
         "    finally:",
         "        stats.hash_builds += builds",
         "        stats.hash_probes += probes",
         "        stats.rows_joined += joined",
-        *evals,
-        "        probe_rows.close()",
+        *("        " + line for line in account),
         "return join",
     ])

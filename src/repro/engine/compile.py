@@ -186,14 +186,16 @@ def lower_source(
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
     column: Callable[[int], str] | None = None,
+    slots: list[SqlValue] | None = None,
 ) -> tuple[str, str, list[SqlValue]] | None:
     """⌊P⌋ and ⌊¬P⌋ as source fragments, with the values of their slots.
 
     ``k<n>`` in a fragment reads ``slots[n]``; *column* spells a column
-    position (default ``r[<n>]``).  ``None`` exactly when
-    :func:`compile_pair` is.
+    position (default ``r[<n>]``).  Constants are appended to *slots*
+    (a new list by default), so several predicates can share one
+    numbering.  ``None`` exactly when :func:`compile_pair` is.
     """
-    slots: list[SqlValue] = []
+    slots = [] if slots is None else slots
     pair = _lowered(expr, schema, params, source_leaves(slots, column or _row))
     return None if pair is None else (*pair, slots)
 

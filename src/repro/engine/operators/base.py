@@ -147,8 +147,9 @@ class PlanNode:
     #: the node is built; only these nodes have a batch kernel.
     batch_pipeline = False
 
-    #: The node's binding-independent kernel (see :meth:`_generated`).
-    _kernel = None
+    #: The ``make`` factories of this node's fused form (see
+    #: :meth:`_generated`), created on first use.
+    _kernels: dict | None = None
 
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Open the row stream.  *outer* carries correlation bindings.
@@ -173,42 +174,63 @@ class PlanNode:
             return self._rows(ctx, outer)
         return ctx.analysis.observe(self, self._rows(ctx, outer), False)
 
-    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: "PlanNode | None" = None,
+        indices: list[int] | None = None,
+    ) -> Iterator[tuple] | None:
         """This subtree's rows from one generated function
         (:mod:`repro.engine.codegen`), or ``None`` — no generated form,
-        or ``_lower`` refused a predicate — for the per-node path."""
+        or ``_lower`` refused a predicate — for the per-node path.
+
+        A ``Project`` *node* above asks with its *indices*: the answer
+        is then the projected rows, and the kernel is kept on *node*.
+        """
         return None
 
     def _generated(
         self,
         ctx: ExecContext,
-        source: Callable[[str | None, int], str],
-        predicate: Expr | None = None,
-        schema: RelSchema | None = None,
-        column: Callable[[int], str] | None = None,
+        source: Callable[..., str],
+        *tests: tuple[Expr | None, RelSchema, Callable[[int], str]],
+        variant: object = None,
     ) -> Callable[..., Any] | None:
         """The generated function of this node's fused form, or ``None``
-        when ``_lower`` refuses *predicate* (or CPython the source).
+        when ``_lower`` refuses a predicate (or CPython the source).
 
-        ``source(test, slots)`` is the kernel's text given ⌊*predicate*⌋
-        — lowered over *schema*, columns spelled by *column* — as *test*
-        reading *slots* argument slots.  Without a predicate the kernel
-        does not depend on bindings: it is built once per node, and
-        cached plans carry it.
+        Each of *tests* is ``(predicate, schema, column)``: ⌊predicate⌋
+        lowered over *schema*, columns spelled by *column*, its
+        constants numbered across all of them (``None``: no such test).
+        ``source(*fragments, slots)`` is the kernel's text given those
+        fragments (``None`` where a test is absent), reading *slots*
+        argument slots.  The factory is kept on the node by *variant*
+        and fragments, so a cached plan builds its text once per
+        predicate shape — a kernel without predicates, once.
         """
-        if predicate is None:
-            if self._kernel is None:
-                make = assemble(source(None, 0))
-                self._kernel = None if make is None else make()
-            return self._kernel
-        lowered = lower_source(predicate, schema, ctx.evaluator.params, column)
-        if lowered is None:
-            return None
-        test, _, slots = lowered
-        make = assemble(source(test, len(slots)))
+        slots: list[SqlValue] = []
+        fragments = []
+        for predicate, schema, column in tests:
+            if predicate is None:
+                fragments.append(None)
+                continue
+            lowered = lower_source(
+                predicate, schema, ctx.evaluator.params, column, slots
+            )
+            if lowered is None:
+                return None
+            fragments.append(lowered[0])
+        key = (variant, len(slots), *fragments)
+        kernels = self._kernels
+        if kernels is None:
+            kernels = self._kernels = {}
+        make = kernels.get(key)
         if make is None:
-            return None
-        ctx.stats.predicates_compiled += 1
+            make = assemble(source(*fragments, len(slots)))
+            if make is None:
+                return None
+            kernels[key] = make
+        ctx.stats.predicates_compiled += len(fragments) - fragments.count(None)
         return make(*slots)
 
     def batches(

@@ -44,9 +44,14 @@ class Filter(PlanNode):
             ctx, self.predicate, self.schema, self.child.rows(ctx, outer), outer
         )
 
-    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None = None,
+        indices: list[int] | None = None,
+    ) -> Iterator[tuple] | None:
         if isinstance(self.child, SeqScan):
-            return fused_scan(ctx, self, self.child, self.predicate)
+            return fused_scan(ctx, node or self, self.child, self.predicate, indices)
         return None
 
     # ------------------------------------------------------------------
@@ -119,3 +124,13 @@ class Filter(PlanNode):
 
     def label(self) -> str:
         return f"Filter({to_sql(self.predicate)})"
+
+
+def scan_pipeline(node: PlanNode) -> tuple[SeqScan, Expr | None] | None:
+    """*node* as a ``SeqScan`` under at most one ``Filter``: the scan and
+    the filter's predicate (``None`` without one); ``None`` otherwise."""
+    if isinstance(node, SeqScan):
+        return node, None
+    if isinstance(node, Filter) and isinstance(node.child, SeqScan):
+        return node.child, node.predicate
+    return None

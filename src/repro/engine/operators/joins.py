@@ -9,8 +9,9 @@ Join predicates and residuals are compiled to generated row tests when
 possible (see :mod:`repro.engine.compile`); predicates containing
 subqueries or outer references fall back to the shared evaluator.  A
 hash join — with the ``Project`` above it, if any — also has a fused
-form: build, probe, residual and projection in one generated function
-(:meth:`HashJoin.joined`).
+form: build, probe, residual and projection in one generated function,
+on the row path with the probe side's scan and filter inside it
+(:meth:`HashJoin._fused`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ..codegen import join_source, row_source
 from ..compile import RowTest
 from ..schema import Scope
 from .base import ExecContext, PlanNode, compile_row_test
+from .filter import scan_pipeline
 
 
 def _no_flush() -> None:
@@ -219,28 +221,38 @@ class HashJoin(PlanNode):
             flush()
             probe_rows.close()
 
-    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
-        return self.joined(ctx, self)
-
-    def joined(
-        self, ctx: ExecContext, node: PlanNode, indices: list[int] | None = None
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None = None,
+        indices: list[int] | None = None,
     ) -> Iterator[tuple] | None:
         """The join — projected onto *indices* for the ``Project``
         *node* above it — as one generated generator: the rows, the
-        counters and the per-match ticks of :meth:`_rows`.  ``None``
-        when ``_lower`` refuses the residual."""
-        join = node._generated(
+        counters and the per-match ticks of :meth:`_rows`.
+
+        On the row path a probe side that is a scan pipeline (a
+        ``SeqScan`` under at most one ``Filter``) runs inside the probe
+        loop, accounted as the per-node scan and filter would be.
+        ``None`` when ``_lower`` refuses the residual or that filter.
+        """
+        build, probe, _, _ = self._sides()
+        scan = None if ctx.use_batches else scan_pipeline(probe)
+        where = None if scan is None else scan[1]
+        join = (node or self)._generated(
             ctx,
-            partial(self._join_source, indices),
-            self.residual,
-            self.schema,
-            self._column,
+            partial(self._join_source, indices, scan is not None),
+            (self.residual, self.schema, self._column),
+            (where, probe.schema, lambda index: "p[%d]" % index),
+            variant=scan is not None,
         )
         if join is None:
             return None
-        build, probe, _, _ = self._sides()
+        if scan is None:
+            probe_rows = probe.rows(ctx)
+        else:
+            probe_rows = ctx.database.table(scan[0].table_name).rows
         build_key, probe_key = self._key_kernels
-        probe_rows = probe.rows(ctx)
         return join(
             build.rows(ctx), probe_rows, ctx.tick, ctx.stats, build_key, probe_key
         )
@@ -265,7 +277,12 @@ class HashJoin(PlanNode):
         return "%s[%d]" % (side, index if left else index - width)
 
     def _join_source(
-        self, indices: list[int] | None, test: str | None, slots: int
+        self,
+        indices: list[int] | None,
+        scan: bool,
+        residual: str | None,
+        where: str | None,
+        slots: int,
     ) -> str:
         _, _, build_keys, probe_keys = self._sides()
         if indices is None:
@@ -277,8 +294,10 @@ class HashJoin(PlanNode):
         return join_source(
             build_keys[0] if inline else None,
             probe_keys[0] if inline else None,
-            test,
             row,
+            scan,
+            residual,
+            where,
             slots,
         )
 

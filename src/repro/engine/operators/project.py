@@ -11,9 +11,6 @@ from ...types.values import key_extractor
 from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
-from .filter import Filter
-from .joins import HashJoin
-from .scan import SeqScan, fused_scan
 
 
 class Project(PlanNode):
@@ -36,17 +33,17 @@ class Project(PlanNode):
             pick = lambda row: tuple([row[i] for i in indices])  # noqa: E731
         yield from map(pick, self.child.rows(ctx, outer))
 
-    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
-        """The projection inside the kernel of what it reads: a scan
-        pipeline, or a hash join."""
-        child = self.child
-        if isinstance(child, HashJoin):
-            return child.joined(ctx, self, self.indices)
-        if isinstance(child, Filter) and isinstance(child.child, SeqScan):
-            return fused_scan(ctx, self, child.child, child.predicate, self.indices)
-        if isinstance(child, SeqScan):
-            return fused_scan(ctx, self, child, None, self.indices)
-        return None
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None = None,
+        indices: list[int] | None = None,
+    ) -> Iterator[tuple] | None:
+        """The projection inside the kernel of what it reads.  Under a
+        second ``Project`` (*node*) this one runs per node."""
+        if node is not None:
+            return None
+        return self.child._fused(ctx, self, self.indices)
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized projection: pure column slicing, zero copying."""

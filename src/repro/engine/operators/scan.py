@@ -49,8 +49,13 @@ class SeqScan(PlanNode):
             tick(pending)
             stats.rows_scanned += pending
 
-    def _fused(self, ctx: ExecContext) -> Iterator[tuple] | None:
-        return fused_scan(ctx, self, self)
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None = None,
+        indices: list[int] | None = None,
+    ) -> Iterator[tuple] | None:
+        return fused_scan(ctx, node or self, self, None, indices)
 
     def _batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Vectorized scan: serve the table's cached columnar batches.
@@ -93,8 +98,7 @@ def fused_scan(
     pipeline = node._generated(
         ctx,
         lambda test, slots: pipeline_source(test, indices, slots),
-        predicate,
-        scan.schema,
+        (predicate, scan.schema, None),
     )
     if pipeline is None:
         return None

@@ -15,16 +15,18 @@ condition node per row, an ``is_null`` and a ``row_sort_key`` per key.
 Taking the counters out of the row loop must not move them: the second
 half compares ``Stats.as_dict()`` of the compiled run against the
 interpreter-only run (``set_compilation_enabled(False)``, the reference
-semantics) at the exits of a row loop — exhaustion, a consumer that
-closes the stream at row 10, a seeded ``compiled_eval`` fault that
+semantics) at the three exits of a row loop — exhaustion, a consumer
+that closes the stream at row 10, a seeded ``compiled_eval`` fault that
 demotes mid-stream, and a row budget that trips inside the join while
-its filtered input is suspended.  The compiled run is the fused one:
-each scan pipeline pulls, ticks and accounts a ``TICK_CHUNK``-row chunk
-as a whole, the way a batch is (``BATCH_GRANULAR``), so a stream cut
-short may be ahead of the interpreter there, and a budget meant to trip
-in the join allows for PARTS' first chunk.  The fused arm (last section)
-checks which path ran: no per-node row loop opens under a generated
-kernel, and every one does while a fault is armed.
+its filtered input is suspended.  The compiled run is the fused one.
+A join's generated probe loop runs PARTS' scan and filter inside it
+with the per-node accounting, so the join classes match the
+interpreter exactly at every exit; ``filter_scan``'s pipeline pulls,
+ticks and accounts a ``TICK_CHUNK``-row chunk as a whole, the way a
+batch is (``BATCH_GRANULAR``), so where its stream is cut short it may
+be ahead of the interpreter.  The fused arm (last section) checks which
+path ran: no per-node row loop opens under a generated kernel, and
+every one does while a fault is armed.
 
 The vectorized arm (last section) holds ``engine_mode="vectorized"`` to
 the same two standards against the tuple run.  Column batches are the
@@ -53,7 +55,6 @@ from repro.engine import (
     execute_planned,
     set_compilation_enabled,
 )
-from repro.engine.codegen import TICK_CHUNK
 from repro.engine.operators import ExecContext, Filter, HashJoin, Project, SeqScan
 from repro.engine.stats import Stats
 from repro.errors import RowBudgetExceeded
@@ -145,21 +146,6 @@ def _totals(stats: Stats) -> dict[str, int]:
     return {k: v for k, v in stats.as_dict().items() if k not in PATH_COUNTERS}
 
 
-# What a batch kernel and a fused pipeline account a batch or chunk at a
-# time: equal to the interpreter's over a whole stream, ahead of it by at
-# most the open batches or chunks when the stream is cut short.
-BATCH_GRANULAR = {"rows_scanned", "predicate_evals"}
-
-
-def _shared(stats: Stats, *, without: set[str] = frozenset()) -> dict[str, int]:
-    """The engine-independent counters: everything but which path ran."""
-    return {
-        name: value
-        for name, value in _totals(stats).items()
-        if not name.startswith("vectorized") and name not in without
-    }
-
-
 def _consume(
     cls: str,
     *,
@@ -208,15 +194,20 @@ def test_totals_match_the_interpreter_when_the_consumer_leaves_at_row_10(cls):
     reference = _consume(cls, compiled=False, stop_after=10)
     full = _consume(cls, compiled=False)
     assert compiled.compiled_evals > 0
-    # Every row loop stopped where the interpreter's did ...
-    assert _shared(compiled, without=BATCH_GRANULAR) == _shared(
-        reference, without=BATCH_GRANULAR
-    )
-    # ... on input the fused pipelines had accounted whole chunks of.
-    for name in BATCH_GRANULAR:
-        assert (
-            getattr(reference, name) <= getattr(compiled, name) <= getattr(full, name)
-        ), name
+    if cls == "filter_scan":
+        # A fused pipeline accounts the chunk it pulled whole: every
+        # other counter stopped where the interpreter's did.
+        assert _shared(compiled, without=BATCH_GRANULAR) == _shared(
+            reference, without=BATCH_GRANULAR
+        )
+        for name in BATCH_GRANULAR:
+            assert (
+                getattr(reference, name)
+                <= getattr(compiled, name)
+                <= getattr(full, name)
+            ), name
+    else:
+        assert _totals(compiled) == _totals(reference)
     # It really was abandoned: a full run does more.
     assert _totals(reference) != _totals(full)
 
@@ -237,20 +228,22 @@ def test_totals_match_the_interpreter_across_a_mid_stream_demotion(cls):
 def test_totals_match_the_interpreter_when_a_row_budget_trips(cls):
     # 20 build-side rows, then the budget trips on an early join match
     # (on the scan's first chunk for filter_scan): PARTS' Filter is
-    # suspended with its evaluations still in a local.  A fused scan
-    # ticks its chunk as it pulls it, so when the first match arrives the
-    # fused run has ticked PARTS' first chunk too: its budget is larger
-    # by that chunk, and the sixth match trips both runs in the join.
+    # suspended with its evaluations still in a local.
     totals = {}
     for compiled in (True, False):
-        budget = 25 + (TICK_CHUNK if compiled and cls != "filter_scan" else 0)
         stats = Stats()
         with pytest.raises(RowBudgetExceeded) as excinfo:
-            _consume(cls, compiled=compiled, row_budget=budget, stats=stats)
+            _consume(cls, compiled=compiled, row_budget=25, stats=stats)
         # Read while the exception, and so every frame, is still alive.
         assert excinfo.traceback
-        totals[compiled] = _shared(stats, without=BATCH_GRANULAR)
-        assert compiled or stats.predicate_evals > 0
+        if cls == "filter_scan":
+            # The fused pipeline ticks its first chunk before testing a
+            # row of it, so it trips with nothing evaluated.
+            totals[compiled] = _shared(stats, without=BATCH_GRANULAR)
+            assert compiled or stats.predicate_evals > 0
+        else:
+            totals[compiled] = _totals(stats)
+            assert stats.predicate_evals > 0
     assert totals[True] == totals[False]
 
 
@@ -258,6 +251,20 @@ def test_totals_match_the_interpreter_when_a_row_budget_trips(cls):
 # the vectorized arm: batches end where the first row loop begins
 
 VECTORIZED_CLASSES = ("key_join", "distinct_needed", "intersect")
+# What a batch kernel accounts a batch at a time (the documented batch
+# granularity): equal to the tuple run over a whole stream, ahead of it
+# by at most the open batches when the stream is cut short.  A fused
+# scan pipeline accounts its chunks the same way.
+BATCH_GRANULAR = {"rows_scanned", "predicate_evals"}
+
+
+def _shared(stats: Stats, *, without: set[str] = frozenset()) -> dict[str, int]:
+    """The engine-independent counters: everything but which path ran."""
+    return {
+        name: value
+        for name, value in _totals(stats).items()
+        if not name.startswith("vectorized") and name not in without
+    }
 
 
 @pytest.fixture()
@@ -363,11 +370,11 @@ def test_vectorized_totals_match_the_tuple_run_across_a_kernel_demotion(cls):
 @pytest.mark.parametrize("cls", ("key_join", "distinct_needed"))
 def test_vectorized_totals_match_the_tuple_run_when_a_row_budget_trips_in_the_join(cls):
     # Each mode's budget is what its scans have ticked when the join's
-    # first match arrives, plus five: the 20 build-side suppliers and
-    # PARTS' first chunk in tuple mode, both whole tables in vectorized
-    # mode.  The sixth match trips it, inside the join.
+    # first match arrives, plus five: the 20 build-side suppliers in
+    # tuple mode (PARTS' first chunk is still open), both whole tables
+    # in vectorized mode.  The sixth match trips it, inside the join.
     totals = {}
-    for mode, scanned in (("tuple", 20 + TICK_CHUNK), ("vectorized", 20 + SIZES[0])):
+    for mode, scanned in (("tuple", 20), ("vectorized", 20 + SIZES[0])):
         stats = Stats()
         with pytest.raises(RowBudgetExceeded) as excinfo:
             _consume(
@@ -416,6 +423,10 @@ def test_fused_kernels_keep_the_interpreters_totals(per_node, cls, exit):
             _consume(cls, compiled=compiled, row_budget=budget, stats=stats)
         return stats, list(per_node)
 
+    # A scan pipeline that is not a join's probe side accounts each chunk
+    # it pulls whole; one inside a join's probe loop, as the per-node
+    # scan and filter do.
+    chunked = cls not in ("key_join", "distinct_needed")
     without: set[str] = set()
     if exit == "exhaustion":
         fused, opened = run(True)
@@ -424,8 +435,9 @@ def test_fused_kernels_keep_the_interpreters_totals(per_node, cls, exit):
         fused, opened = run(True, stop_after=10)
         reference, _ = run(False, stop_after=10)
         full, _ = run(False)
-        without = BATCH_GRANULAR
-        for name in without:
+        if chunked:
+            without = BATCH_GRANULAR
+        for name in BATCH_GRANULAR:
             assert (
                 getattr(reference, name) <= getattr(fused, name) <= getattr(full, name)
             ), name
@@ -434,12 +446,10 @@ def test_fused_kernels_keep_the_interpreters_totals(per_node, cls, exit):
             fused, opened = run(True)
         reference, _ = run(False)
     else:
-        # A fused scan ticks each chunk as it pulls it: where PARTS feeds
-        # a join, its first chunk is ticked before the first match.
-        joined = cls in ("key_join", "distinct_needed")
-        fused, opened = tripped(True, 25 + (TICK_CHUNK if joined else 0))
+        fused, opened = tripped(True, 25)
         reference, _ = tripped(False, 25)
-        without = BATCH_GRANULAR
+        if chunked:
+            without = BATCH_GRANULAR
     if exit == "compiled_eval fault":
         # Armed faults need every row as a trigger: nothing fused.
         assert {"SeqScan", "Project"} <= set(opened), opened

@@ -258,8 +258,11 @@ def _hash_joins(draw):
     pairs = st.tuples(st.integers(0, 3), st.integers(0, 1))
     keys = draw(st.lists(pairs, min_size=1, max_size=2))
     null_safe = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    # T under a Filter: inside the probe loop when T is the probe side.
+    scan = SeqScan("T", "T", COLUMNS)
+    where = draw(st.one_of(st.none(), conditions))
     join = HashJoin(
-        SeqScan("T", "T", COLUMNS),
+        scan if where is None else Filter(scan, where),
         SeqScan("U", "U", ["E", "F"]),
         [left for left, _ in keys],
         [right for _, right in keys],
