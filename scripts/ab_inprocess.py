@@ -13,7 +13,7 @@ what is reported is each side's median and the **median of the paired
 ratios** change ÷ parent: a speed switch lands on both calls of a pair
 or, at worst, on one pair, which a median ignores.
 
-Three tables:
+Four tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
   ``tuple``/``vectorized`` through ``Connection.execute(...).fetchall()``
@@ -23,13 +23,18 @@ Three tables:
 * within the change, tuple ÷ vectorized per template, alternated the
   same way: where the fused row kernels stand against the mask kernels,
   class by class;
+* the wire codec per read template: ``dumps(query_response(executed))``
+  (encode) and ``parse_query_response(parse_json(raw))`` (decode) on each
+  side's own result of the template — the serialize layer of a remote
+  read, without the socket;
 * a fixed list of mask-kernel cases on one 2 048-row batch, with and
   without NULL lanes (``compile_batch_filter``'s kernel is what is
   timed; ``compile_batch_predicate``'s mask pair is compared too).
 
-Both sides must return equal rows / bit-identical masks; a difference is
-printed and makes the exit status 1.  ``benchmarks/e2e`` is read, never
-edited.  End-to-end claims are still ``scripts/bench_pairs.py``'s.
+Both sides must return equal rows / byte-identical response bodies /
+bit-identical masks; a difference is printed and makes the exit status
+1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
+still ``scripts/bench_pairs.py``'s.
 """
 
 from __future__ import annotations
@@ -131,27 +136,21 @@ def header(title: str, rounds: int) -> None:
 # statement classes
 
 
-def class_side(package: str, workloads):
-    """``(sql, params, mode) -> rows`` through one side's ``Connection``."""
+def connect_side(package: str, workloads):
+    """One side's ``Connection`` over the benchmark database."""
     supplier = importlib.import_module(f"{package}.workloads")
     scale = supplier.SupplierScale(SUPPLIERS, PARTS, AGENTS, seed=SEED)
     database = supplier.build_database(supplier.generate(scale))
     ledger = ", ".join(f"({k}, {k})" for k in range(1, LEDGER_ROWS + 1))
     database.run_script(f"{workloads.LEDGER_DDL} INSERT INTO LEDGER VALUES {ledger};")
-    conn = sys.modules[package].connect(database)
-    return lambda sql, params, mode: conn.execute(
-        sql, params, engine_mode=mode
-    ).fetchall()
+    return sys.modules[package].connect(database)
 
 
-def compare_classes(workloads) -> bool:
-    run_parent = class_side("repro_parent", workloads)
-    run_change = class_side("repro_change", workloads)
+def read_templates(workloads):
+    """``(template_id, sql, params)`` for every read template, the same
+    draws on every call."""
     rng = random.Random(SEED)
     dims = workloads.Dims(SUPPLIERS, PARTS, AGENTS)
-    header("statement classes, Connection.execute(...).fetchall()", CLASS_ROUNDS)
-    same = True
-    within = {}
     for template_id, template in workloads.TEMPLATES.items():
         if template.kind != workloads.READ:
             continue
@@ -159,11 +158,25 @@ def compare_classes(workloads) -> bool:
             params = {"K": rng.randint(1, LEDGER_ROWS)}
         else:
             params = workloads._draw(template_id, rng, dims)
+        yield template_id, template.sql, params
+
+
+def compare_classes(workloads, conn_parent, conn_change) -> bool:
+    def run_parent(sql, params, mode):
+        return conn_parent.execute(sql, params, engine_mode=mode).fetchall()
+
+    def run_change(sql, params, mode):
+        return conn_change.execute(sql, params, engine_mode=mode).fetchall()
+
+    header("statement classes, Connection.execute(...).fetchall()", CLASS_ROUNDS)
+    same = True
+    within = {}
+    for template_id, sql, params in read_templates(workloads):
         for mode in ("tuple", "vectorized"):
             label = f"{template_id} [{mode}]"
             # The two packages have a NULL singleton each: compare text.
-            rows_parent = repr(run_parent(template.sql, params, mode))
-            rows_change = repr(run_change(template.sql, params, mode))
+            rows_parent = repr(run_parent(sql, params, mode))
+            rows_change = repr(run_change(sql, params, mode))
             if rows_parent != rows_change:
                 same = False
                 print(f"{label}: ROWS DIFFER")
@@ -171,14 +184,14 @@ def compare_classes(workloads) -> bool:
             report(
                 label,
                 *alternate(
-                    lambda: run_parent(template.sql, params, mode),
-                    lambda: run_change(template.sql, params, mode),
+                    lambda: run_parent(sql, params, mode),
+                    lambda: run_change(sql, params, mode),
                     CLASS_ROUNDS,
                 ),
             )
         within[template_id] = alternate(
-            lambda: run_change(template.sql, params, "vectorized"),
-            lambda: run_change(template.sql, params, "tuple"),
+            lambda: run_change(sql, params, "vectorized"),
+            lambda: run_change(sql, params, "tuple"),
             CLASS_ROUNDS,
         )
     print(
@@ -188,6 +201,58 @@ def compare_classes(workloads) -> bool:
     print(f"{'template':<34} {'vector ms':>10} {'tuple ms':>10} {'ratio':>7}")
     for template_id, (vector_times, tuple_times) in within.items():
         report(template_id, vector_times, tuple_times)
+    return same
+
+
+# ----------------------------------------------------------------------
+# wire codec
+
+
+def codec_side(package: str):
+    """``(encode, decode)``: one side's response body for an executed
+    statement, and the client's reading of that body."""
+    protocol = importlib.import_module(f"{package}.net.protocol")
+
+    def encode(executed):
+        return protocol.dumps(protocol.query_response(executed))
+
+    def decode(raw):
+        return protocol.parse_query_response(protocol.parse_json(raw))
+
+    return encode, decode
+
+
+def compare_codec(workloads, conn_parent, conn_change) -> bool:
+    encode_parent, decode_parent = codec_side("repro_parent")
+    encode_change, decode_change = codec_side("repro_change")
+    header("wire codec, encode = dumps(query_response(executed))", CLASS_ROUNDS)
+    same = True
+    for template_id, sql, params in read_templates(workloads):
+        executed_parent = conn_parent.execute(sql, params).executed
+        executed_change = conn_change.execute(sql, params).executed
+        raw_parent = encode_parent(executed_parent)
+        raw_change = encode_change(executed_change)
+        if raw_parent != raw_change:
+            same = False
+            print(f"{template_id}: BYTES DIFFER")
+            continue
+        rows = len(executed_change.rows)
+        report(
+            f"{template_id} encode [{rows}]",
+            *alternate(
+                lambda: encode_parent(executed_parent),
+                lambda: encode_change(executed_change),
+                CLASS_ROUNDS,
+            ),
+        )
+        report(
+            f"{template_id} decode [{rows}]",
+            *alternate(
+                lambda: decode_parent(raw_parent),
+                lambda: decode_change(raw_change),
+                CLASS_ROUNDS,
+            ),
+        )
     return same
 
 
@@ -264,7 +329,10 @@ def main() -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.change), "benchmarks", "e2e"))
     import workloads  # benchmarks/e2e/workloads.py: pure data, imports no repro
 
-    same = compare_classes(workloads)
+    conn_parent = connect_side("repro_parent", workloads)
+    conn_change = connect_side("repro_change", workloads)
+    same = compare_classes(workloads, conn_parent, conn_change)
+    same = compare_codec(workloads, conn_parent, conn_change) and same
     same = compare_kernels() and same
     print("\nresults: " + ("equal on both sides" if same else "DIFFERENT"))
     return 0 if same else 1

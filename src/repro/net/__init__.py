@@ -5,9 +5,10 @@ paper's rewrite wins (§6's Example 10 gateway argument: halving the
 call count halves the *remote* cost) become end-to-end latency and
 throughput wins measurable at the socket:
 
-* :mod:`~repro.net.protocol` — the request/response schemas, the SQL
-  value codec (NULL ↔ ``null``), and the errors-taxonomy → HTTP status
-  mapping with its retryability contract;
+* :mod:`~repro.net.protocol` — the request/response schemas, the row
+  codec (``json`` writes the engine's tuples, NULL ↔ ``null``; rows
+  must be arrays of arrays, restored to tuples), and the
+  errors-taxonomy → HTTP status mapping with its retryability contract;
 * :mod:`~repro.net.http11` — the sans-IO HTTP/1.1 codec: heads,
   ``Content-Length`` framing and the keep-alive decision, as pure
   functions over bytes;
@@ -32,7 +33,6 @@ from .client import HttpBackend, connect
 from .protocol import (
     ERROR_RETRY_AFTER,
     decode_rows,
-    encode_rows,
     error_envelope,
     status_for_error,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "QueryServer",
     "connect",
     "decode_rows",
-    "encode_rows",
     "error_envelope",
     "status_for_error",
 ]

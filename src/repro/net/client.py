@@ -185,9 +185,8 @@ class HttpBackend:
         self, sql: str, params: dict | None, options: ExecutionOptions
     ) -> ExecutedQuery:
         body: dict[str, Any] = {"sql": sql}
-        encoded = protocol.encode_params(params)
-        if encoded is not None:
-            body["params"] = encoded
+        if params is not None:
+            body["params"] = dict(params)
         if self.session is not None:
             body["session"] = self.session
         wire_options = options.to_wire()
@@ -362,8 +361,7 @@ class HttpBackend:
             raise TransientNetworkError(
                 "result stream truncated before its footer", status=0
             )
-        header["rows"] = protocol.encode_rows(rows)
-        return protocol.parse_query_response(header)
+        return protocol.executed_query(header, rows)
 
     def _parse_body(self, raw: bytes) -> dict[str, Any]:
         try:

@@ -5,7 +5,11 @@ The contract both ends share:
 * **Values.**  SQL values are JSON scalars; the NULL sentinel crosses
   the wire as JSON ``null`` and is restored on receipt, so a row that
   travelled the socket compares ``≐``-identical to one produced
-  in-process.  Rows are JSON arrays, restored to tuples.
+  in-process.  Rows are JSON arrays, restored to tuples; a response
+  whose rows are not an array of arrays is a :class:`ProtocolError`.
+  ``json`` writes the engine's row tuples itself (NULL through
+  :func:`dumps`' fallback), and the decoder rebuilds only the rows that
+  hold a ``null``, so neither end runs a Python frame per value.
 * **Requests.**  ``POST /v1/query`` carries ``{"sql": ..., "params":
   {...}, "session": ..., "options": {...}, "stream": bool,
   "wait_timeout": seconds}`` where ``options`` is the wire form of
@@ -30,7 +34,9 @@ The contract both ends share:
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from itertools import compress, count, repeat
+from operator import contains
+from typing import Any, Mapping
 
 from ..errors import (
     CatalogError,
@@ -155,31 +161,28 @@ def error_envelope(
 # value codec
 
 
-def encode_value(value: Any) -> Any:
-    """One SQL value → its JSON form (NULL → ``null``)."""
-    return None if value is NULL else value
+def _wire_value(value: Any) -> Any:
+    """``json``'s fallback for what it cannot write: NULL is ``null``,
+    any other object its ``str`` text."""
+    return None if value is NULL else str(value)
 
 
-def decode_value(value: Any) -> Any:
-    """One JSON value → its SQL form (``null`` → NULL)."""
-    return NULL if value is None else value
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_wire_value)
 
 
-def encode_rows(rows: Iterable[tuple]) -> list[list[Any]]:
-    """Result rows → JSON arrays."""
-    return [[encode_value(value) for value in row] for row in rows]
+def decode_rows(rows: Any) -> list[tuple]:
+    """JSON arrays → result rows (tuples, NULLs restored).
 
-
-def decode_rows(rows: Iterable[Iterable[Any]]) -> list[tuple]:
-    """JSON arrays → result rows (tuples, NULLs restored)."""
-    return [tuple(decode_value(value) for value in row) for row in rows]
-
-
-def encode_params(params: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    """Host-variable bindings → their JSON form."""
-    if params is None:
-        return None
-    return {name: encode_value(value) for name, value in params.items()}
+    *rows* must be an array of arrays.  Rows become tuples, and the rows
+    holding a ``null`` are found, in C-level passes; only those are
+    rebuilt with NULL.
+    """
+    if not isinstance(rows, list) or not {list}.issuperset(map(type, rows)):
+        raise ProtocolError("response rows must be an array of arrays")
+    decoded = list(map(tuple, rows))
+    for at in compress(count(), map(contains, decoded, repeat(None))):
+        decoded[at] = tuple([NULL if v is None else v for v in decoded[at]])
+    return decoded
 
 
 def decode_params(params: Any) -> dict[str, Any] | None:
@@ -196,7 +199,7 @@ def decode_params(params: Any) -> dict[str, Any] | None:
             raise ProtocolError(
                 f"param {name!r} must be a scalar or null"
             )
-        decoded[name] = decode_value(value)
+        decoded[name] = NULL if value is None else value
     return decoded
 
 
@@ -266,7 +269,7 @@ def query_response(executed: Any) -> dict[str, Any]:
     body: dict[str, Any] = {
         "request_id": executed.request_id,
         "columns": list(executed.columns),
-        "rows": encode_rows(executed.rows),
+        "rows": executed.rows,
         "row_count": len(executed.rows),
         "rowcount": executed.rowcount,
         "final_sql": executed.sql,
@@ -290,7 +293,7 @@ def stream_header(executed: Any) -> dict[str, Any]:
 
 def stream_chunk(rows: list[tuple]) -> dict[str, Any]:
     """One NDJSON rows chunk."""
-    return {"rows": encode_rows(rows)}
+    return {"rows": rows}
 
 
 def stream_footer(executed: Any) -> dict[str, Any]:
@@ -300,23 +303,29 @@ def stream_footer(executed: Any) -> dict[str, Any]:
 
 def parse_query_response(payload: Mapping[str, Any]) -> "Any":
     """A response body → an :class:`~repro.api.ExecutedQuery`."""
-    from ..api import ExecutedQuery
-
     if "error" in payload:
         raise decode_error(payload)
+    return executed_query(payload, decode_rows(payload.get("rows")))
+
+
+def executed_query(header: Mapping[str, Any], rows: list[tuple]) -> "Any":
+    """A response's fields and its decoded *rows* → an
+    :class:`~repro.api.ExecutedQuery` (a stream's rows arrive apart from
+    its header)."""
+    from ..api import ExecutedQuery
+
     try:
-        rows = decode_rows(payload["rows"])
-        rowcount = payload.get("rowcount")
+        rowcount = header.get("rowcount")
         return ExecutedQuery(
-            columns=list(payload["columns"]),
+            columns=list(header["columns"]),
             rows=rows,
-            sql=payload.get("final_sql", ""),
-            rewritten=bool(payload.get("rewritten", False)),
-            rules=list(payload.get("rules", [])),
-            mismatch=bool(payload.get("mismatch", False)),
-            stats=dict(payload.get("stats", {})),
-            analysis=payload.get("analysis"),
-            request_id=payload.get("request_id"),
+            sql=header.get("final_sql", ""),
+            rewritten=bool(header.get("rewritten", False)),
+            rules=list(header.get("rules", [])),
+            mismatch=bool(header.get("mismatch", False)),
+            stats=dict(header.get("stats", {})),
+            analysis=header.get("analysis"),
+            request_id=header.get("request_id"),
             rowcount=(
                 int(rowcount)
                 if isinstance(rowcount, int) and not isinstance(rowcount, bool)
@@ -348,7 +357,6 @@ def decode_error(payload: Mapping[str, Any]) -> ReproError:
 
 
 def dumps(payload: Mapping[str, Any]) -> bytes:
-    """Canonical JSON bytes for one body or NDJSON line."""
-    return json.dumps(payload, separators=(",", ":"), default=str).encode(
-        "utf-8"
-    )
+    """Canonical JSON bytes for one body or NDJSON line (row tuples are
+    arrays, NULL is ``null``)."""
+    return _ENCODER.encode(payload).encode("utf-8")
