@@ -13,26 +13,22 @@ what is reported is each side's median and the **median of the paired
 ratios** change ÷ parent: a speed switch lands on both calls of a pair
 or, at worst, on one pair, which a median ignores.
 
-Four tables:
+Two tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
-  ``tuple``/``vectorized`` through ``Connection.execute(...).fetchall()``
-  on ``SupplierScale(400, 10, 3)``.  ``key_lookup.supplier`` is an
-  ``IndexScan`` under a ``Project``: nothing in it has a generated
-  (fused) form, so its ratio is the noise floor of this table;
-* within the change, tuple ÷ vectorized per template, alternated the
-  same way: where the fused row kernels stand against the mask kernels,
-  class by class;
+  the ``engine_mode`` spellings ``tuple``/``vectorized`` through
+  ``Connection.execute(...).fetchall()`` on ``SupplierScale(400, 10, 3)``
+  (a parent that still has column batches runs them for ``vectorized``).
+  ``key_lookup.supplier`` is an ``IndexScan`` under a ``Project``:
+  nothing in it has a generated (fused) form, so its ratio is the noise
+  floor of this table;
 * the wire codec per read template: ``dumps(query_response(executed))``
   (encode) and ``parse_query_response(parse_json(raw))`` (decode) on each
   side's own result of the template — the serialize layer of a remote
-  read, without the socket;
-* a fixed list of mask-kernel cases on one 2 048-row batch, with and
-  without NULL lanes (``compile_batch_filter``'s kernel is what is
-  timed; ``compile_batch_predicate``'s mask pair is compared too).
+  read, without the socket.
 
-Both sides must return equal rows / byte-identical response bodies /
-bit-identical masks; a difference is printed and makes the exit status
+Both sides must return equal rows / byte-identical response bodies; a
+difference is printed and makes the exit status
 1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
 still ``scripts/bench_pairs.py``'s.
 """
@@ -50,39 +46,10 @@ import sys
 from time import perf_counter
 
 CLASS_ROUNDS = 60
-KERNEL_ROUNDS = 300
 WARMUP = 3
 SEED = 7
 SUPPLIERS, PARTS, AGENTS = 400, 10, 3
 LEDGER_ROWS = 100
-BATCH_ROWS = 2048
-
-#: Columns of the kernel batch: dense ints, a dense string, and the same
-#: three with every seventh lane NULL.
-KERNEL_COLUMNS = ["A", "B", "C", "N", "M", "S"]
-KERNEL_CASES = [
-    # dense lanes
-    "A = 7",
-    "A <> 7",
-    "A < 500",
-    "C >= 'M'",
-    "A < B",
-    "A = B",
-    "A BETWEEN 100 AND 900",
-    "A IN (1, 2, 3)",
-    "NOT A < 500",
-    "A < 100 OR B > 900",
-    # NULL lanes
-    "N = 7",
-    "N < 500",
-    "S >= 'M'",
-    "N < M",
-    "N BETWEEN 100 AND 900",
-    "N NOT IN (1, 2, 3)",
-    "NOT N < 500",
-    "N < 100 OR M > 900",
-    "N IS NULL AND A < 500",
-]
 
 
 def load_package(name: str, checkout: str):
@@ -170,7 +137,6 @@ def compare_classes(workloads, conn_parent, conn_change) -> bool:
 
     header("statement classes, Connection.execute(...).fetchall()", CLASS_ROUNDS)
     same = True
-    within = {}
     for template_id, sql, params in read_templates(workloads):
         for mode in ("tuple", "vectorized"):
             label = f"{template_id} [{mode}]"
@@ -189,18 +155,6 @@ def compare_classes(workloads, conn_parent, conn_change) -> bool:
                     CLASS_ROUNDS,
                 ),
             )
-        within[template_id] = alternate(
-            lambda: run_change(sql, params, "vectorized"),
-            lambda: run_change(sql, params, "tuple"),
-            CLASS_ROUNDS,
-        )
-    print(
-        f"\nwithin the change: tuple vs vectorized ({CLASS_ROUNDS} alternated "
-        "pairs; ratio = median of tuple/vectorized)"
-    )
-    print(f"{'template':<34} {'vector ms':>10} {'tuple ms':>10} {'ratio':>7}")
-    for template_id, (vector_times, tuple_times) in within.items():
-        report(template_id, vector_times, tuple_times)
     return same
 
 
@@ -256,63 +210,6 @@ def compare_codec(workloads, conn_parent, conn_change) -> bool:
     return same
 
 
-# ----------------------------------------------------------------------
-# mask kernels
-
-
-def kernel_side(package: str):
-    """``condition text -> (filter kernel, predicate kernel, batch)``."""
-    columnar = importlib.import_module(f"{package}.engine.columnar")
-    schema_module = importlib.import_module(f"{package}.engine.schema")
-    sql = importlib.import_module(f"{package}.sql")
-    null = importlib.import_module(f"{package}.types").NULL
-    rng = random.Random(SEED)
-    rows = []
-    for lane in range(BATCH_ROWS):
-        a, b = rng.randint(0, 999), rng.randint(0, 999)
-        c = rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ") + str(a)
-        holed = (null, null, null) if lane % 7 == 3 else (a, b, c)
-        rows.append((a, b, c, *holed))
-    batch = columnar.ColumnBatch.from_rows(rows, len(KERNEL_COLUMNS))
-    schema = schema_module.RelSchema.for_table("T", KERNEL_COLUMNS)
-
-    def compiled(text: str):
-        expr = sql.parse_condition(text)
-        return (
-            columnar.compile_batch_filter(expr, schema, {}),
-            columnar.compile_batch_predicate(expr, schema, {}),
-            batch,
-        )
-
-    return compiled
-
-
-def compare_kernels() -> bool:
-    compile_parent = kernel_side("repro_parent")
-    compile_change = kernel_side("repro_change")
-    header(f"mask kernels, one {BATCH_ROWS}-row batch", KERNEL_ROUNDS)
-    same = True
-    for text in KERNEL_CASES:
-        filter_parent, predicate_parent, batch_parent = compile_parent(text)
-        filter_change, predicate_change, batch_change = compile_change(text)
-        if (
-            filter_parent(batch_parent) != filter_change(batch_change)
-            or predicate_parent(batch_parent) != predicate_change(batch_change)
-        ):
-            same = False
-            print(f"{text}: MASKS DIFFER")
-            continue
-        report(
-            text,
-            *alternate(
-                lambda: filter_parent(batch_parent),
-                lambda: filter_change(batch_change),
-                KERNEL_ROUNDS,
-            ),
-        )
-    return same
-
-
 def main() -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(
@@ -333,7 +230,6 @@ def main() -> int:
     conn_change = connect_side("repro_change", workloads)
     same = compare_classes(workloads, conn_parent, conn_change)
     same = compare_codec(workloads, conn_parent, conn_change) and same
-    same = compare_kernels() and same
     print("\nresults: " + ("equal on both sides" if same else "DIFFERENT"))
     return 0 if same else 1
 

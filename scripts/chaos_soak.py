@@ -6,7 +6,7 @@ worker pool, bounded queue, admission controller, degradation ladder),
 drives it with mixed-priority concurrent clients — interactive ones
 carrying deadlines, batch ones carrying none — while a seeded schedule
 arms and disarms fault injections at every chaos site the stack owns
-(vectorized kernels, plan cache, operators, request reads, accepts,
+(compiled predicates, plan cache, operators, request reads, accepts,
 response writes).  When the storm ends it verifies the whole-system
 invariants the resilience layer promises:
 
@@ -66,12 +66,12 @@ from repro.net.server import QueryServer  # noqa: E402
 from repro.options import ExecutionOptions  # noqa: E402
 from repro.resilience import (  # noqa: E402
     FAULTS,
+    SITE_COMPILED_EVAL,
     SITE_NET_ACCEPT,
     SITE_NET_READ,
     SITE_NET_WRITE,
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
-    SITE_VECTORIZED_EVAL,
     SITE_WAL_COMMIT,
 )
 from repro.resilience.admission import SheddingPolicy  # noqa: E402
@@ -117,7 +117,7 @@ SHEDDING = SheddingPolicy(
 #: The fault menu one storm draws from: (site, kwargs) — every shape
 #: the resilience layer claims to absorb.
 FAULT_MENU = [
-    (SITE_VECTORIZED_EVAL, {"kind": "exception", "times": 40}),
+    (SITE_COMPILED_EVAL, {"kind": "exception", "times": 40}),
     (SITE_PLAN_CACHE, {"kind": "exception", "times": 10}),
     (SITE_PLAN_CACHE, {"kind": "slow", "delay": 0.05, "times": 20}),
     (SITE_OPERATOR, {"kind": "slow", "delay": 0.002, "times": 500}),
@@ -375,7 +375,7 @@ def soak_round(seed: int, seconds: float, clients: int, writers: int = 2) -> dic
         queue_depth=16,
         shedding=SHEDDING,
         health_policy=HEALTH,
-        options=ExecutionOptions.create(engine_mode="auto", timeout=10.0),
+        options=ExecutionOptions.create(timeout=10.0),
     ) as server:
         service = server.service
         stop = threading.Event()

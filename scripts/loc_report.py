@@ -12,13 +12,10 @@ value a caller, an operator or the ladder can choose — keyword
 parameters of the four execution entry points, fields of the two
 options dataclasses, CLI flags per subcommand, degradation rungs and
 ``Stats`` counters — read off the imported package itself, so a knob
-cannot be added or removed without this number moving.  Its last two
-rows name plan operators under ``repro.engine``: ``batch_kernels`` those
-that override ``_batches`` — each one a second implementation of its
-own row loop, so the row says how much of the engine exists twice — and
-``fused_kernels`` those with a generated form (``_fused``: the row loop
-emitted as source, ``repro.engine.codegen``), so later changes can watch
-both sets shrink.
+cannot be added or removed without this number moving.  Its last row,
+``fused_kernels``, names the plan operators under ``repro.engine`` with
+a generated form (``_fused``: the row loop emitted as source,
+``repro.engine.codegen``).
 
 Usage::
 
@@ -146,9 +143,6 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
         },
         "ladder_rungs": len(LADDER),
         "stats_counters": len(dataclasses.fields(Stats)),
-        "batch_kernels": sorted(
-            cls.__name__ for cls in _subclasses(PlanNode) if "_batches" in vars(cls)
-        ),
         "fused_kernels": sorted(
             cls.__name__ for cls in _subclasses(PlanNode) if "_fused" in vars(cls)
         ),

@@ -55,7 +55,6 @@ from .resilience.health import (
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PLAN_CACHE,
-    SUBSYSTEM_VECTORIZED,
 )
 from .sql.ast import (
     BeginTransaction,
@@ -153,21 +152,17 @@ def run_with_options(
     # network transit already spent the client's whole budget.
     budget = options.budget()
     optimize = options.optimize
-    engine_mode = options.engine_mode
     use_stats = options.stats or options.adaptive
     adaptive = options.adaptive
     decision = None
     if health is not None:
         decision = health.decide(
             {
-                SUBSYSTEM_VECTORIZED: engine_mode != "tuple",
                 SUBSYSTEM_OPTIMIZER: optimize,
                 SUBSYSTEM_PLAN_CACHE: True,
                 SUBSYSTEM_ESTIMATOR: use_stats,
             }
         )
-        if not decision.granted(SUBSYSTEM_VECTORIZED) and engine_mode != "tuple":
-            engine_mode = "tuple"
         if not decision.granted(SUBSYSTEM_OPTIMIZER):
             optimize = False
         if not decision.granted(SUBSYSTEM_PLAN_CACHE):
@@ -202,8 +197,6 @@ def run_with_options(
             stats=stats,
             plan_cache=plan_cache,
             planner_options=planner_options,
-            engine_mode=engine_mode,
-            batch_rows=options.batch_rows,
             on_guard=on_guard,
             original_text=sql_text,
             analysis=sink,
@@ -279,8 +272,6 @@ def run_dml_with_options(
                 params=params,
                 stats=stats,
                 guard=guard,
-                engine_mode=options.engine_mode,
-                batch_rows=options.batch_rows,
             )
             if own:
                 txn.commit()
@@ -547,7 +538,7 @@ class Cursor:
         connection defaults wholesale; individual keyword arguments —
         ``timeout``, ``row_budget``, ``budget``, ``safe_mode``,
         ``analyze``, ``optimize``, ``stats``, ``adaptive``,
-        ``engine_mode``, ``batch_rows``, ``deadline``, ``priority`` —
+        ``engine_mode``, ``deadline``, ``priority`` —
         are then layered on top of whichever base applies, with the
         shorthands of :meth:`ExecutionOptions.override
         <repro.options.ExecutionOptions.override>`.

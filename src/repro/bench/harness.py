@@ -55,21 +55,6 @@ class ExperimentReport:
         counters = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
         self.stats[label] = dict(counters)
 
-    def record_engine(
-        self, engine_mode: str, batch_rows: int | None = None
-    ) -> None:
-        """Record which execution engine produced the measured numbers.
-
-        Stamps ``engine_mode`` (and the column-batch size, when
-        vectorized) into the report's metadata so a serialized
-        ``BENCH_*.json`` baseline says which engine it measured —
-        comparing a vectorized run against a tuple-interpreter baseline
-        without noticing is exactly the mistake this prevents.
-        """
-        self.meta["engine_mode"] = engine_mode
-        if batch_rows is not None:
-            self.meta["batch_rows"] = batch_rows
-
     def render(self) -> str:
         """The report as an aligned ASCII table."""
         cells = [[_fmt(value) for value in row] for row in self.rows]
@@ -144,12 +129,8 @@ def write_reports(directory: str = ".") -> list[str]:
     """Serialize every shown report to ``BENCH_<slug>.json`` files.
 
     Reports sharing a slug land in the same file (a benchmark module may
-    print several tables).  Every file records the process's engine
-    configuration (default engine mode and column-batch size) so a
-    baseline is never compared against a run from a different engine
-    without the difference being visible.  Returns the written paths.
+    print several tables).  Returns the written paths.
     """
-    from ..engine.columnar import DEFAULT_BATCH_ROWS, default_engine_mode
     from ..observe.metrics import MetricsRegistry  # deferred: optional dep
 
     registry = MetricsRegistry()
@@ -158,10 +139,6 @@ def write_reports(directory: str = ".") -> list[str]:
     except Exception:
         pass  # a metrics snapshot must never block report writing
     metrics = registry.as_dict()
-    engine = {
-        "engine_mode": default_engine_mode(),
-        "batch_rows": DEFAULT_BATCH_ROWS,
-    }
 
     grouped: dict[str, list[dict[str, Any]]] = {}
     for report in REPORTS:
@@ -175,7 +152,6 @@ def write_reports(directory: str = ".") -> list[str]:
                     "slug": slug,
                     "tables": tables,
                     "metrics": metrics,
-                    "engine": engine,
                 },
                 handle,
                 indent=2,

@@ -288,19 +288,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit rows, stats, audit, plan, and trace as one JSON object",
     )
-    run.add_argument(
-        "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
-        help="execution style: tuple (row-at-a-time interpreter), "
-        "vectorized (columnar batches), or auto (vectorize when safe); "
-        "default: the REPRO_ENGINE_MODE environment variable, else tuple",
-    )
-    run.add_argument(
-        "--batch-rows",
-        type=_positive(int),
-        metavar="N",
-        help="rows per column batch in vectorized mode",
-    )
     run.add_argument("sql", help="the query to execute")
 
     explain = commands.add_parser(
@@ -410,11 +397,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="cross-check rewrites against the unrewritten plan",
     )
     serve.add_argument(
-        "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
-        help="execution style for every served query (default: tuple)",
-    )
-    serve.add_argument(
         "--stats",
         action="store_true",
         help="cost-based planning from table statistics for every "
@@ -509,11 +491,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--no-optimize",
         action="store_true",
         help="execute the query as written, skipping the rewrite rules",
-    )
-    client.add_argument(
-        "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
-        help="execution style, enforced server-side (default: tuple)",
     )
     client.add_argument(
         "--stats",
@@ -698,8 +675,6 @@ def _run_query(
         optimize=not args.no_optimize,
         stats=args.stats,
         adaptive=args.adaptive,
-        engine_mode=args.engine_mode,
-        batch_rows=args.batch_rows,
     )
     with Connection.local(database, options=options) as connection:
         cursor = connection.execute(args.sql, params or None)
@@ -906,11 +881,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     timeout=args.timeout,
                     row_budget=args.row_budget,
                     safe_mode=args.safe_mode,
-                    engine_mode=args.engine_mode,
                     stats=args.stats,
                     adaptive=args.adaptive,
                 )
-                if args.engine_mode or args.stats or args.adaptive
+                if args.stats or args.adaptive
                 else None
             ),
         )
@@ -977,7 +951,6 @@ def _serve_http(args: argparse.Namespace, database: Database) -> int:
         timeout=args.timeout,
         row_budget=args.row_budget,
         safe_mode=args.safe_mode,
-        engine_mode=args.engine_mode,
         stats=args.stats,
         adaptive=args.adaptive,
     )
@@ -1031,7 +1004,6 @@ def _serve_cluster_http(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         row_budget=args.row_budget,
         safe_mode=args.safe_mode,
-        engine_mode=args.engine_mode,
         stats=args.stats,
         adaptive=args.adaptive,
     )
@@ -1093,7 +1065,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         optimize=not args.no_optimize,
         stats=args.stats,
         adaptive=args.adaptive,
-        engine_mode=args.engine_mode,
     )
     params = _parse_params(args.param)
     with api_connect(

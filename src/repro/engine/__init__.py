@@ -1,15 +1,5 @@
 """Multiset execution engine with three-valued logic."""
 
-from .columnar import (
-    DEFAULT_BATCH_ROWS,
-    ENGINE_MODES,
-    ColumnBatch,
-    compile_batch_filter,
-    compile_batch_predicate,
-    default_engine_mode,
-    resolve_engine_mode,
-    set_default_engine_mode,
-)
 from .compile import compile_filter, compile_predicate, set_compilation_enabled
 from .cost import CostModel, PlanEstimate
 from .database import Database
@@ -23,11 +13,8 @@ from .stats import Stats
 from .table_data import TableData
 
 __all__ = [
-    "ColumnBatch",
     "ColumnInfo",
     "CostModel",
-    "DEFAULT_BATCH_ROWS",
-    "ENGINE_MODES",
     "GLOBAL_PLAN_CACHE",
     "PlanCache",
     "PlanEstimate",
@@ -41,15 +28,10 @@ __all__ = [
     "Scope",
     "Stats",
     "TableData",
-    "compile_batch_filter",
-    "compile_batch_predicate",
     "compile_filter",
     "compile_predicate",
-    "default_engine_mode",
     "execute",
     "execute_plan",
     "execute_planned",
-    "resolve_engine_mode",
     "set_compilation_enabled",
-    "set_default_engine_mode",
 ]

@@ -23,14 +23,10 @@ UNKNOWN is "neither".
 There is one walk over the condition tree (:func:`_lower`) and it owns
 everything that decides what a condition *means*: operand resolution,
 constant folding, the connective identities above and the refusal
-frontier.  What a test *is* comes from the five :class:`Leaves` the walk
-is handed.  The row leaves (this module, :func:`source_leaves`) are
-Python source fragments over the row ``r`` — ``(r[4] is not NULL and
-r[4] == k0)`` — that :mod:`repro.engine.codegen` compiles into one
-function per test, or splices into a fused pipeline or join; the batch
-leaves (:mod:`repro.engine.columnar`) are the same five from a
-``ColumnBatch`` to a lane mask.  Nothing outside these two modules
-chooses leaves.
+frontier.  Its tests are Python source fragments over the row ``r`` —
+``(r[4] is not NULL and r[4] == k0)`` — that :mod:`repro.engine.codegen`
+compiles into one function per test, or splices into a fused pipeline
+or join.
 
 * column references are resolved to tuple indices at compile time,
 * host variables and literals are folded to constants (and constant
@@ -61,7 +57,7 @@ and property tests can A/B the compiled and interpretive paths.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from ..errors import AmbiguousColumnError
 from ..resilience.faults import FAULTS, SITE_COMPILE, SITE_COMPILED_EVAL
@@ -87,27 +83,12 @@ from .schema import RelSchema
 RowTest = Callable[[Sequence[SqlValue]], bool]
 #: A compiled predicate: row tuple -> three-valued truth value.
 PredicateFn = Callable[[Sequence[SqlValue]], Tristate]
-#: A two-valued test in either format: a source fragment over the row,
-#: or under the batch leaves a kernel from a ``ColumnBatch`` to a mask.
-Test = Any
-#: A lowered condition node: ``(is_true, is_false, None)``, or
-#: ``(None, None, const)`` when the subtree folded to a constant.
-Lowered = tuple[Test | None, Test | None, Tristate | None]
-
-
-class Leaves(NamedTuple):
-    """What :func:`_lower` builds tests from — one set per data format.
-
-    ``is_null`` and ``comparison`` return the node's ``(is_true,
-    is_false)`` pair; ``comparison`` always has a column on the left and
-    either a column (*right*) or a non-NULL constant (*right* ``None``).
-    """
-
-    always: Callable[[bool], Test]
-    is_null: Callable[[int], tuple[Test, Test]]
-    comparison: Callable[[str, int, int | None, SqlValue], tuple[Test, Test]]
-    every: Callable[[Sequence[Test]], Test]
-    some: Callable[[Sequence[Test]], Test]
+#: A lowered condition node: ``(is_true, is_false, None)`` as source
+#: fragments over the row, or ``(None, None, const)`` when the subtree
+#: folded to a constant.
+Lowered = tuple[str | None, str | None, Tristate | None]
+#: Spells a column position of the row in a fragment (``r[<n>]``).
+Column = Callable[[int], str]
 
 
 _enabled = True
@@ -136,10 +117,9 @@ def compile_pair(
     expr: Expr,
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
-    leaves: Leaves | None = None,
-) -> tuple[Test, Test] | None:
-    """Lower a search condition to ``(is_true, is_false)`` = (⌊P⌋, ⌊¬P⌋),
-    row tests unless *leaves* says otherwise.
+) -> tuple[RowTest, RowTest] | None:
+    """Lower a search condition to the row tests ``(is_true, is_false)``
+    = (⌊P⌋, ⌊¬P⌋).
 
     For every row at most one of the two holds; neither means UNKNOWN.
     Returns ``None`` when the expression cannot be compiled (contains a
@@ -147,10 +127,8 @@ def compile_pair(
     unbound host variable); callers then fall back to the interpretive
     evaluator, which reproduces the exact error/semantics lazily.
     """
-    if leaves is None:
-        kernels = _row_kernels(expr, schema, params)
-        return None if kernels is None else kernels[:2]
-    return _lowered(expr, schema, params, leaves)
+    kernels = _row_kernels(expr, schema, params)
+    return None if kernels is None else kernels[:2]
 
 
 def compile_predicate(
@@ -185,7 +163,7 @@ def lower_source(
     expr: Expr,
     schema: RelSchema,
     params: dict[str, SqlValue] | None = None,
-    column: Callable[[int], str] | None = None,
+    column: Column | None = None,
     slots: list[SqlValue] | None = None,
 ) -> tuple[str, str, list[SqlValue]] | None:
     """⌊P⌋ and ⌊¬P⌋ as source fragments, with the values of their slots.
@@ -193,30 +171,25 @@ def lower_source(
     ``k<n>`` in a fragment reads ``slots[n]``; *column* spells a column
     position (default ``r[<n>]``).  Constants are appended to *slots*
     (a new list by default), so several predicates can share one
-    numbering.  ``None`` exactly when :func:`compile_pair` is.
+    numbering.  ``None`` exactly when :func:`compile_pair` is; a root
+    that folds to a constant is the pair of constant tests.
     """
-    slots = [] if slots is None else slots
-    pair = _lowered(expr, schema, params, source_leaves(slots, column or _row))
-    return None if pair is None else (*pair, slots)
-
-
-def _lowered(
-    expr: Expr, schema: RelSchema, params: dict[str, SqlValue] | None, leaves: Leaves
-) -> tuple[Test, Test] | None:
-    """:func:`_lower` from the root: a folded root is the ``always`` pair."""
     if not _enabled:
         return None
     if FAULTS.armed:
         # Fault hook: a "compile" fault raises out of here (callers own
         # the fall-back to the interpreter).
         FAULTS.check(SITE_COMPILE)
+    slots = [] if slots is None else slots
     try:
-        is_true, is_false, const = _lower(expr, schema, params or {}, leaves)
+        is_true, is_false, const = _lower(
+            expr, schema, params or {}, column or _row, slots
+        )
     except CannotCompile:
         return None
     if const is not None:
-        return leaves.always(const is TRUE), leaves.always(const is FALSE)
-    return is_true, is_false
+        is_true, is_false = _always(const is TRUE), _always(const is FALSE)
+    return is_true, is_false, slots
 
 
 def _row_kernels(
@@ -264,9 +237,17 @@ def _scalar(
 
 # ----------------------------------------------------------------------
 # conditions: the one walk
+#
+# Every node is spelled as Python source over the row.  A constant is
+# appended to *slots* and read as ``k<position>``; *column* spells a
+# column position.
 
 def _lower(
-    expr: Expr, schema: RelSchema, params: dict[str, SqlValue], leaves: Leaves
+    expr: Expr,
+    schema: RelSchema,
+    params: dict[str, SqlValue],
+    column: Column,
+    slots: list[SqlValue],
 ) -> Lowered:
     """Lower one condition node (see :data:`Lowered`)."""
     if isinstance(expr, Literal):
@@ -276,19 +257,20 @@ def _lower(
             return None, None, (TRUE if expr.value else FALSE)
         raise CannotCompile(f"literal {expr.value!r} is not a condition")
     if isinstance(expr, Comparison):
-        return _comparison(expr, schema, params, leaves)
+        return _comparison(expr, schema, params, column, slots)
     if isinstance(expr, And):
-        return _connective(expr.operands, schema, params, leaves, conjunctive=True)
+        return _connective(expr.operands, schema, params, column, slots, True)
     if isinstance(expr, Or):
-        return _connective(expr.operands, schema, params, leaves, conjunctive=False)
+        return _connective(expr.operands, schema, params, column, slots, False)
     if isinstance(expr, Not):
-        return _negated(_lower(expr.operand, schema, params, leaves))
+        return _negated(_lower(expr.operand, schema, params, column, slots))
     if isinstance(expr, IsNull):
         index, const = _scalar(expr.operand, schema, params)
         if index is None:
             lowered = None, None, (TRUE if const is NULL else FALSE)
         else:
-            lowered = *leaves.is_null(index), None
+            value = column(index)
+            lowered = f"({value} is NULL)", f"({value} is not NULL)", None
         return _negated(lowered) if expr.negated else lowered
     if isinstance(expr, (Between, InList)):
         # The AND / OR of their comparisons.  Every operand is resolved
@@ -303,7 +285,7 @@ def _lower(
             )
         else:
             parts = tuple(Comparison("=", expr.operand, i) for i in expr.items)
-        lowered = _connective(parts, schema, params, leaves, conjunctive)
+        lowered = _connective(parts, schema, params, column, slots, conjunctive)
         return _negated(lowered) if expr.negated else lowered
     # Exists / InSubquery / anything exotic: interpreter territory.
     raise CannotCompile(f"cannot compile {type(expr).__name__}")
@@ -317,13 +299,27 @@ def _negated(lowered: Lowered) -> Lowered:
     return is_false, is_true, None
 
 
+#: How each SQL comparison is spelled in Python — the only operator
+#: text a generated row test contains.
+SPELLED = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
 def _comparison(
     expr: Comparison,
     schema: RelSchema,
     params: dict[str, SqlValue],
-    leaves: Leaves,
+    column: Column,
+    slots: list[SqlValue],
 ) -> Lowered:
-    """Fold what is constant; hand the leaf a column on the left."""
+    """Fold what is constant; otherwise a column on the left against a
+    column or a non-NULL constant.
+
+    A comparison holds (either way) only where its operands are
+    non-NULL and, for an ordering, comparable — ``compare_where``'s
+    rule — and ``is_false`` is ``not (a op b)``, never the complementary
+    operator: ``NaN < 1`` and ``NaN >= 1`` are both FALSE.  ``=`` and
+    ``<>`` never consult comparability.
+    """
     left, left_const = _scalar(expr.left, schema, params)
     right, const = _scalar(expr.right, schema, params)
     if left is None and right is None:
@@ -333,14 +329,29 @@ def _comparison(
         expr, left, right, const = expr.flipped(), right, None, left_const
     if right is None and const is NULL:
         return None, None, UNKNOWN
-    return *leaves.comparison(expr.op, left, right, const), None
+    a = column(left)
+    ordering = expr.op not in ("=", "<>")
+    if right is None:
+        b = _slot(slots, const)
+        decided = f"{a} is not NULL"
+        if ordering:
+            exact = _slot(slots, _exact_types(const))
+            decided += f" and (type({a}) in {exact} or comparable({a}, {b}))"
+    else:
+        b = column(right)
+        decided = f"{a} is not NULL and {b} is not NULL"
+        if ordering:
+            decided += f" and (type({a}) is type({b}) or comparable({a}, {b}))"
+    test = f"{a} {SPELLED[expr.op]} {b}"
+    return f"({decided} and {test})", f"({decided} and not {test})", None
 
 
 def _connective(
     operands: Sequence[Expr],
     schema: RelSchema,
     params: dict[str, SqlValue],
-    leaves: Leaves,
+    column: Column,
+    slots: list[SqlValue],
     conjunctive: bool,
 ) -> Lowered:
     """Shared AND/OR lowering with constant folding.
@@ -352,10 +363,10 @@ def _connective(
     """
     absorbing, identity = (FALSE, TRUE) if conjunctive else (TRUE, FALSE)
     folded = identity
-    trues: list[Test] = []
-    falses: list[Test] = []
+    trues: list[str] = []
+    falses: list[str] = []
     for operand in operands:
-        is_true, is_false, const = _lower(operand, schema, params, leaves)
+        is_true, is_false, const = _lower(operand, schema, params, column, slots)
         if const is None:
             trues.append(is_true)
             falses.append(is_false)
@@ -368,25 +379,37 @@ def _connective(
     if folded is UNKNOWN:
         # An UNKNOWN constant is one more part that is neither: the AND
         # can no longer be TRUE, the OR no longer FALSE.
-        trues.append(leaves.always(False))
-        falses.append(leaves.always(False))
+        trues.append(_always(False))
+        falses.append(_always(False))
     if len(trues) == 1:
         return trues[0], falses[0], None
     if conjunctive:
-        return leaves.every(trues), leaves.some(falses), None
-    return leaves.some(trues), leaves.every(falses), None
+        return _every(trues), _some(falses), None
+    return _some(trues), _every(falses), None
 
 
 # ----------------------------------------------------------------------
-# the row leaves: source fragments
-
-#: How each SQL comparison is spelled in Python — the only operator
-#: text a generated row test contains.
-SPELLED = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
+# fragments
 
 def _row(index: int) -> str:
     return "r[%d]" % index
+
+
+def _slot(slots: list[SqlValue], value: SqlValue) -> str:
+    slots.append(value)
+    return "k%d" % (len(slots) - 1)
+
+
+def _always(verdict: bool) -> str:
+    return "True" if verdict else "False"
+
+
+def _every(tests: Sequence[str]) -> str:
+    return "(" + " and ".join(tests) + ")"
+
+
+def _some(tests: Sequence[str]) -> str:
+    return "(" + " or ".join(tests) + ")"
 
 
 def _exact_types(const: SqlValue) -> frozenset[type]:
@@ -397,56 +420,3 @@ def _exact_types(const: SqlValue) -> frozenset[type]:
     if isinstance(const, (int, float)):
         return frozenset({int, float})
     return frozenset({type(const)})
-
-
-def source_leaves(
-    slots: list[SqlValue], column: Callable[[int], str] = _row
-) -> Leaves:
-    """The row format's leaves: Python expressions over the row.
-
-    A constant is appended to *slots* and read as ``k<position>``;
-    *column* spells a column position.  A comparison holds (either way)
-    only where its operands are non-NULL and, for an ordering,
-    comparable — ``compare_where``'s rule — and ``is_false`` is ``not
-    (a op b)``, never the complementary operator: ``NaN < 1`` and ``NaN
-    >= 1`` are both FALSE.  ``=`` and ``<>`` never consult
-    comparability.
-    """
-
-    def slot(value: SqlValue) -> str:
-        slots.append(value)
-        return "k%d" % (len(slots) - 1)
-
-    def always(verdict: bool) -> str:
-        return "True" if verdict else "False"
-
-    def is_null(index: int) -> tuple[str, str]:
-        value = column(index)
-        return f"({value} is NULL)", f"({value} is not NULL)"
-
-    def comparison(
-        op: str, left: int, right: int | None, const: SqlValue
-    ) -> tuple[str, str]:
-        a = column(left)
-        ordering = op not in ("=", "<>")
-        if right is None:
-            b = slot(const)
-            decided = f"{a} is not NULL"
-            if ordering:
-                exact = slot(_exact_types(const))
-                decided += f" and (type({a}) in {exact} or comparable({a}, {b}))"
-        else:
-            b = column(right)
-            decided = f"{a} is not NULL and {b} is not NULL"
-            if ordering:
-                decided += f" and (type({a}) is type({b}) or comparable({a}, {b}))"
-        test = f"{a} {SPELLED[op]} {b}"
-        return f"({decided} and {test})", f"({decided} and not {test})"
-
-    def every(tests: Sequence[str]) -> str:
-        return "(" + " and ".join(tests) + ")"
-
-    def some(tests: Sequence[str]) -> str:
-        return "(" + " or ".join(tests) + ")"
-
-    return Leaves(always, is_null, comparison, every, some)

@@ -6,37 +6,24 @@ subclasses that produce no output rows but buffer their writes into a
 :class:`~repro.engine.txn.Transaction`.  UPDATE and DELETE evaluate
 their WHERE clause over the *transactional view* of the target table
 (snapshot-visible versions plus the transaction's own pending writes)
-under both engines:
+through the reference interpreter: the shared
+:class:`~repro.engine.evaluator.Evaluator` judges each candidate row
+(three-valued ⌊P⌋ semantics, correlated subqueries included).
 
-* **tuple** — the reference interpreter evaluates the predicate per
-  row through the shared :class:`~repro.engine.evaluator.Evaluator`
-  (three-valued ⌊P⌋ semantics, correlated subqueries included);
-* **vectorized** — the WHERE clause compiles to a batch mask kernel
-  (:func:`~repro.engine.columnar.compile_batch_filter`) applied over
-  morsel-sized column batches of the candidate rows, falling back to
-  the tuple path when the predicate is outside the kernel frontier.
-
-Either way the *matching phase completes before any write is
-buffered*, so a statement never observes its own effects — and a
-constraint failure mid-statement restores the transaction to its
-pre-statement state (statement atomicity) via
-:meth:`Transaction.savepoint`.
+The *matching phase completes before any write is buffered*, so a
+statement never observes its own effects — and a constraint failure
+mid-statement restores the transaction to its pre-statement state
+(statement atomicity) via :meth:`Transaction.savepoint`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from ..errors import (
-    ConstraintViolation,
-    ExecutionError,
-    MissingHostVariableError,
-    ResourceError,
-)
+from ..errors import ConstraintViolation, ExecutionError, MissingHostVariableError
 from ..sql.ast import Assignment, Delete, Dml, Insert, Update
 from ..sql.expressions import HostVar
 from ..types.values import NULL
-from .columnar import batches_from_rows, compile_batch_filter
 from .operators.base import ExecContext, PlanNode
 from .schema import RelSchema, Scope
 
@@ -86,50 +73,12 @@ class DmlNode(PlanNode):
         data = txn.database.table(self.table)
         schema = RelSchema.for_table(self.table, data.schema.column_names)
         matched = []
-        if ctx.use_batches:
-            kernel = compile_batch_filter(where, schema, ctx.evaluator.params)
-            if kernel is not None:
-                ctx.stats.predicates_compiled += 1
-                matched, pairs = self._matching_batches(ctx, pairs, kernel)
         for pair in pairs:
             ctx.tick()
             # ``qualifies`` counts the row in ``predicate_evals``.
             if ctx.evaluator.qualifies(where, Scope(schema, pair[1])):
                 matched.append(pair)
         return matched
-
-    def _matching_batches(self, ctx: ExecContext, pairs, kernel):
-        """Vectorized matching: mask kernels over candidate batches.
-
-        Returns ``(matched, unjudged)``; *unjudged* is empty unless a
-        kernel died mid-stream — then it is the failed batch and the
-        rest, which the caller's evaluator loop finishes."""
-        matched = []
-        offset = 0
-        for batch in batches_from_rows(
-            (pair[1] for pair in pairs),
-            len(ctx.database.table(self.table).schema.columns),
-            ctx.batch_rows,
-        ):
-            try:
-                mask = kernel(batch)
-            except ResourceError:
-                raise
-            except Exception:
-                ctx.stats.vectorized_fallbacks += 1
-                return matched, pairs[offset:]
-            ctx.stats.predicate_evals += batch.length
-            ctx.stats.compiled_evals += batch.length
-            ctx.stats.vectorized_batches += 1
-            ctx.stats.vectorized_rows += batch.length
-            ctx.tick(batch.length)
-            if mask:
-                selector = mask.to_bytes(batch.length, "little")
-                matched.extend(
-                    pairs[offset + i] for i, lane in enumerate(selector) if lane
-                )
-            offset += batch.length
-        return matched, []
 
 
 class InsertNode(DmlNode):
@@ -292,8 +241,6 @@ def execute_dml(
     params=None,
     stats=None,
     guard=None,
-    engine_mode: str | None = None,
-    batch_rows: int | None = None,
 ) -> int:
     """Execute one DML statement inside *txn*; returns rows affected.
 
@@ -308,8 +255,6 @@ def execute_dml(
         params=params,
         stats=stats,
         guard=guard,
-        engine_mode=engine_mode,
-        batch_rows=batch_rows,
     )
     state = txn.savepoint()
     try:

@@ -9,13 +9,6 @@ from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
 from ...sql.expressions import Expr
 from ...types.values import SqlValue
-from ..columnar import (
-    DEFAULT_BATCH_ROWS,
-    ColumnBatch,
-    UnbatchedRows,
-    batches_from_rows,
-    resolve_engine_mode,
-)
 from ..codegen import assemble
 from ..compile import RowTest, compilation_enabled, compile_filter, lower_source
 from ..evaluator import Evaluator
@@ -44,26 +37,14 @@ class ExecContext:
     row budget, cancellation) and the fault injector its
     ``operator_next`` trigger opportunities.
 
-    *engine_mode* selects the format of the scan → filter → project
-    pipelines at the leaves of the plan (see
-    :mod:`repro.engine.columnar`): under ``"tuple"`` they stream rows,
-    under ``"vectorized"`` they run on column batches (mask kernels,
-    column slicing) and hand rows to whatever consumes them, and
-    ``"auto"`` batches unless the fault injector is armed (chaos runs
-    exercise the per-row trigger schedule unless a test forces the
-    batch path explicitly).  Joins, duplicate elimination, set
-    operations and sorts have one implementation and read rows in
-    every mode — see :meth:`PlanNode.rows`.  ``None`` inherits the
-    process default (:func:`repro.engine.columnar.default_engine_mode`).
-
     ``fuse`` says whether the row path may run generated kernels
     (:mod:`repro.engine.codegen`): a scan pipeline and a hash join
     become one function each unless faults are armed, an analysis sink
     watches every node, or compilation is off (the reference).
 
     When an *analysis* sink is supplied (EXPLAIN ANALYZE, the adaptive
-    loop), every node this execution opens accounts its loops, rows,
-    batches and inclusive time into it — see :meth:`PlanNode.rows`.
+    loop), every node this execution opens accounts its loops, rows
+    and inclusive time into it — see :meth:`PlanNode.rows`.
     The sink belongs to this one execution; the plan nodes themselves
     stay untouched, so a cached plan can serve analyzed and plain
     executions concurrently.
@@ -76,8 +57,6 @@ class ExecContext:
         stats: Stats | None = None,
         use_indexes: bool = True,
         guard: ExecutionGuard | None = None,
-        engine_mode: str | None = None,
-        batch_rows: int | None = None,
         analysis: "PlanAnalysis | None" = None,
     ) -> None:
         from ..executor import Executor  # deferred to break the cycle
@@ -106,17 +85,6 @@ class ExecContext:
         self.fuse = (
             self.batch_ticks and analysis is None and compilation_enabled()
         )
-        mode = resolve_engine_mode(engine_mode)
-        self.engine_mode = mode
-        self.batch_rows = (
-            batch_rows if batch_rows and batch_rows > 0 else DEFAULT_BATCH_ROWS
-        )
-        # "vectorized" is an explicit opt-in and wins even with faults
-        # armed (the vectorized_eval site needs the batch path live);
-        # "auto" defers to the chaos suite's per-row schedules.
-        self.use_batches = mode == "vectorized" or (
-            mode == "auto" and not FAULTS.armed
-        )
 
     def tick(self, rows: int = 1) -> None:
         """One cooperative checkpoint, called per row by operator loops.
@@ -135,17 +103,11 @@ class PlanNode:
 
     Subclasses define ``schema`` (a :class:`RelSchema` for the rows they
     produce) and implement :meth:`_rows`; every parent reads its inputs
-    through :meth:`rows`, in both engine modes.  :meth:`rows` and
-    :meth:`batches` are the one place an execution's analysis sink
+    through :meth:`rows`, the one place an execution's analysis sink
     hooks in.
     """
 
     schema: RelSchema
-
-    #: Whether this subtree is a *batch pipeline*: a ``SeqScan``, or a
-    #: ``Filter``/``Project`` over one.  Fixed from the plan shape when
-    #: the node is built; only these nodes have a batch kernel.
-    batch_pipeline = False
 
     #: The ``make`` factories of this node's fused form (see
     #: :meth:`_generated`), created on first use.
@@ -154,25 +116,20 @@ class PlanNode:
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Open the row stream.  *outer* carries correlation bindings.
 
-        In batch mode a batch pipeline answers from its own
-        :meth:`batches` (that open is the node's one analysis
-        observation); a correlated open needs the evaluator and stays on
-        :meth:`_rows`, like every other node.  When *ctx* may fuse, a
-        node with a generated form answers from :meth:`_fused`, its
-        subtree in one function; otherwise it runs :meth:`_rows` over
-        its children's streams.  With an analysis sink on *ctx* (nothing
-        fuses then) the stream is accounted into it; without one this is
-        a few tests per open and nothing per row.
+        When *ctx* may fuse and the open is uncorrelated, a node with a
+        generated form answers from :meth:`_fused`, its subtree in one
+        function; otherwise it runs :meth:`_rows` over its children's
+        streams.  With an analysis sink on *ctx* (nothing fuses then)
+        the stream is accounted into it; without one this is a few
+        tests per open and nothing per row.
         """
-        if self.batch_pipeline and ctx.use_batches and outer is None:
-            return UnbatchedRows(self.batches(ctx))
         if ctx.fuse and outer is None:
             fused = self._fused(ctx)
             if fused is not None:
                 return fused
         if ctx.analysis is None:
             return self._rows(ctx, outer)
-        return ctx.analysis.observe(self, self._rows(ctx, outer), False)
+        return ctx.analysis.observe(self, self._rows(ctx, outer))
 
     def _fused(
         self,
@@ -233,35 +190,9 @@ class PlanNode:
         ctx.stats.predicates_compiled += len(fragments) - fragments.count(None)
         return make(*slots)
 
-    def batches(
-        self, ctx: ExecContext, outer: Scope | None = None
-    ) -> Iterator[ColumnBatch]:
-        """Open the :class:`~repro.engine.columnar.ColumnBatch` stream."""
-        if ctx.analysis is None:
-            return self._batches(ctx, outer)
-        return ctx.analysis.observe(self, self._batches(ctx, outer), True)
-
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Yield output rows."""
         raise NotImplementedError
-
-    def _batches(
-        self, ctx: ExecContext, outer: Scope | None = None
-    ) -> Iterator[ColumnBatch]:
-        """Yield output as column batches.
-
-        The default re-batches :meth:`_rows` — a ``Filter`` whose
-        predicate the batch compiler declines keeps its exact tuple
-        semantics, including ticks and counters, while a batch parent
-        consumes it uniformly.  Overrides (the batch pipeline:
-        ``SeqScan``, ``Filter``, ``Project``) produce batches natively
-        and must preserve the row sequence byte for byte.  Falling back
-        through ``_rows`` (not ``rows``) keeps the node's own open
-        counted once.
-        """
-        yield from batches_from_rows(
-            self._rows(ctx, outer), len(self.schema), ctx.batch_rows
-        )
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()

@@ -231,13 +231,13 @@ class HashJoin(PlanNode):
         *node* above it — as one generated generator: the rows, the
         counters and the per-match ticks of :meth:`_rows`.
 
-        On the row path a probe side that is a scan pipeline (a
-        ``SeqScan`` under at most one ``Filter``) runs inside the probe
-        loop, accounted as the per-node scan and filter would be.
+        A probe side that is a scan pipeline (a ``SeqScan`` under at
+        most one ``Filter``) runs inside the probe loop, accounted as
+        the per-node scan and filter would be.
         ``None`` when ``_lower`` refuses the residual or that filter.
         """
         build, probe, _, _ = self._sides()
-        scan = None if ctx.use_batches else scan_pipeline(probe)
+        scan = scan_pipeline(probe)
         where = None if scan is None else scan[1]
         join = (node or self)._generated(
             ctx,

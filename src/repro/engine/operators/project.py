@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
-from ...errors import ResourceError
 from ...types.values import key_extractor
-from ..columnar import batch_fault_check, batches_from_rows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
 
@@ -20,7 +17,6 @@ class Project(PlanNode):
         self.child = child
         self.indices = indices
         self.schema = RelSchema(ColumnInfo(None, name) for name in names)
-        self.batch_pipeline = child.batch_pipeline
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -44,33 +40,6 @@ class Project(PlanNode):
         if node is not None:
             return None
         return self.child._fused(ctx, self, self.indices)
-
-    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
-        """Vectorized projection: pure column slicing, zero copying."""
-        stats = ctx.stats
-        source = self.child.batches(ctx, outer)
-        for batch in source:
-            try:
-                batch_fault_check()
-                out = batch.project(self.indices)
-            except ResourceError:
-                raise
-            except Exception:
-                # Demote this batch and the rest to per-row projection.
-                stats.vectorized_fallbacks += 1
-                indices = self.indices
-                remaining = (
-                    tuple(row[i] for i in indices)
-                    for b in chain((batch,), source)
-                    for row in b.iter_rows()
-                )
-                yield from batches_from_rows(
-                    remaining, len(self.schema), ctx.batch_rows
-                )
-                return
-            stats.vectorized_batches += 1
-            stats.vectorized_rows += out.length
-            yield out
 
     def label(self) -> str:
         names = ", ".join(column.name for column in self.schema.columns)

@@ -16,8 +16,6 @@ from .base import ExecContext, PlanNode, select_rows
 class SeqScan(PlanNode):
     """Sequential scan of a stored table under a correlation name."""
 
-    batch_pipeline = True
-
     def __init__(self, table_name: str, alias: str, column_names: list[str]) -> None:
         self.table_name = table_name
         self.alias = alias
@@ -57,24 +55,6 @@ class SeqScan(PlanNode):
     ) -> Iterator[tuple] | None:
         return fused_scan(ctx, node or self, self, None, indices)
 
-    def _batches(self, ctx: ExecContext, outer: Scope | None = None):
-        """Vectorized scan: serve the table's cached columnar batches.
-
-        One guard tick per batch (the documented vectorized
-        granularity: totals are identical to the tuple path, the
-        checkpoints are just morsel-sized apart).
-        """
-        tick = ctx.tick
-        stats = ctx.stats
-        for batch in ctx.database.table(self.table_name).column_batches(
-            ctx.batch_rows
-        ):
-            tick(batch.length)
-            stats.rows_scanned += batch.length
-            stats.vectorized_batches += 1
-            stats.vectorized_rows += batch.length
-            yield batch
-
     def label(self) -> str:
         if self.alias != self.table_name:
             return f"SeqScan({self.table_name} AS {self.alias})"
@@ -92,7 +72,7 @@ def fused_scan(
     *indices*] under *node*, as one generated generator.
 
     Each pulled chunk is ticked and accounted whole — ``rows_scanned``
-    and, under a filter, ``predicate_evals`` — the way a batch is.
+    and, under a filter, ``predicate_evals``.
     ``None`` when ``_lower`` refuses *predicate*.
     """
     pipeline = node._generated(

@@ -24,6 +24,7 @@ from ..catalog.schema import Catalog
 from ..catalog.table import TableSchema
 from ..errors import ExecutionError, ReproError, ResourceError
 from ..observe.trace import NULL_SPAN, TRACER
+from ..options import check_engine_mode
 from ..resilience.budgets import ExecutionGuard
 from ..resilience.faults import FAULTS, SITE_FINGERPRINT
 from ..sql.ast import Query, SelectQuery, SetOperation, referenced_tables
@@ -608,7 +609,6 @@ def execute_plan(
     use_indexes: bool = True,
     guard: ExecutionGuard | None = None,
     engine_mode: str | None = None,
-    batch_rows: int | None = None,
     analysis=None,
 ) -> Result:
     """Run a physical plan to completion.
@@ -619,27 +619,22 @@ def execute_plan(
     tick per processed row; budget violations abort the execution with
     a :class:`~repro.errors.ResourceError` subclass.
 
-    *engine_mode* picks the format of the plan's scan → filter →
-    project pipelines: ``"tuple"`` streams rows through the compiled
-    closures, ``"vectorized"`` runs those pipelines on column batches
-    (every other operator reads their rows, as in tuple mode), and
-    ``"auto"`` batches exactly when faults are disarmed.  The mode is
-    execution-time only — same plan, same output sequence.
-    *batch_rows* sizes the column batches.
+    *engine_mode* is checked against
+    :data:`~repro.options.ENGINE_MODES` and selects nothing: there is
+    one row engine.  ROADMAP 1(b) removes the keyword.
 
     *analysis* (a :class:`~repro.observe.analyze.PlanAnalysis`) turns
     this same execution into EXPLAIN ANALYZE: the operators account
     their actuals into it as they run.  *plan* — cached or not — is
     never modified.
     """
+    check_engine_mode(engine_mode)
     ctx = ExecContext(
         database,
         params=params,
         stats=stats,
         use_indexes=use_indexes,
         guard=guard,
-        engine_mode=engine_mode,
-        batch_rows=batch_rows,
         analysis=analysis,
     )
     if analysis is not None:
@@ -657,7 +652,6 @@ def execute_plan(
         ctx.stats.rows_output += len(rows)
         if span:
             span.attributes["rows"] = len(rows)
-            span.attributes["engine_mode"] = ctx.engine_mode
             if guard is not None:
                 span.attributes["guard_rows"] = guard.rows_processed
     return Result(plan.schema.output_names(), rows)
@@ -714,7 +708,6 @@ def execute_planned(
     plan_cache: PlanCache | None = None,
     guard: ExecutionGuard | None = None,
     engine_mode: str | None = None,
-    batch_rows: int | None = None,
     sql_text: str | None = None,
     analysis=None,
 ) -> Result:
@@ -733,9 +726,7 @@ def execute_planned(
     nothing is cached — a stale plan is never served in exchange for a
     broken fingerprint.
 
-    *engine_mode* and *batch_rows* are execution-time only and stay out
-    of the cache key: the vectorized engine runs the identical plan,
-    just batched.
+    *engine_mode* is :func:`execute_plan`'s: checked, then unused.
 
     *sql_text* is ``to_sql(query)`` when the caller already printed the
     parsed *query* (the cache keys on it); omitted, it is printed here.
@@ -745,6 +736,7 @@ def execute_planned(
     receives the estimates of the cost model the plan was chosen with.
     A cached plan serves an analyzed execution like any other.
     """
+    check_engine_mode(engine_mode)
     options = options or PlannerOptions()
     if not use_indexes and options.index_scans:
         options = replace(options, index_scans=False)
@@ -818,8 +810,6 @@ def execute_planned(
             stats=stats,
             use_indexes=use_indexes,
             guard=guard,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
             analysis=analysis,
         )
         if analysis is not None:

@@ -56,13 +56,6 @@ class Stats:
             the base table instead.
         cache_skips: cache lookups skipped fail-closed because the
             fingerprint (or the lookup itself) failed.
-        vectorized_batches: column batches produced by the batch
-            kernels (scan, mask-select, slice) — a join, DISTINCT or set
-            operation reads rows in every mode and adds nothing here.
-        vectorized_rows: rows flowing through those batches — compare
-            with ``predicate_evals`` to see the per-row dispatch avoided.
-        vectorized_fallbacks: batch-kernel failures recovered by
-            demoting (possibly mid-stream) to the tuple interpreter.
         stats_estimates: cardinality estimates produced by the
             statistics-driven estimator (one per plan estimated).
         adaptive_corrections: plan nodes whose observed cardinality
@@ -94,9 +87,6 @@ class Stats:
     compile_fallbacks: int = 0
     index_fallbacks: int = 0
     cache_skips: int = 0
-    vectorized_batches: int = 0
-    vectorized_rows: int = 0
-    vectorized_fallbacks: int = 0
     stats_estimates: int = 0
     adaptive_corrections: int = 0
     estimator_fallbacks: int = 0

@@ -16,7 +16,6 @@ from ..catalog.table import TableSchema
 from ..errors import ConstraintViolation, UniquenessViolationError
 from ..resilience.faults import FAULTS, SITE_INDEX_BUILD
 from ..types.values import NULL, SqlValue, format_value, is_null, row_sort_key
-from .columnar import ColumnBatch
 from .schema import RelSchema, Scope
 from .txn import RowVersion
 
@@ -67,13 +66,6 @@ class TableData:
         #: Monotonic data version; bumped by every mutation so cached
         #: artifacts keyed on a database fingerprint go stale correctly.
         self.version = 0
-        # Columnar projections, cached per batch size alongside the hash
-        # indexes: batch_rows -> (version stamp, batches).  Entries are
-        # validated against ``version`` on every read, so any mutation
-        # invalidates them without extra bookkeeping in the write paths.
-        self._columnar: dict[int, tuple[int, list[ColumnBatch]]] = {}
-        #: Columnar materializations actually performed (cache efficacy).
-        self.columnar_builds = 0
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -166,36 +158,6 @@ class TableData:
         return columns in self._hash_indexes
 
     # ------------------------------------------------------------------
-    # columnar projections (vectorized scans)
-
-    def column_batches(self, batch_rows: int) -> list[ColumnBatch]:
-        """The table transposed into morsel-sized column batches.
-
-        Materialized lazily on the first vectorized scan and cached per
-        batch size; the cache entry carries the data version it was
-        built from and is discarded when any mutation has bumped
-        ``version`` since.  Racing builders may transpose concurrently
-        (the result is identical either way); only the cache dictionary
-        itself is touched under the leaf ``_index_lock``.
-        """
-        with self._index_lock:
-            cached = self._columnar.get(batch_rows)
-            if cached is not None and cached[0] == self.version:
-                return cached[1]
-        version = self.version
-        rows = self.rows
-        width = len(self.schema.columns)
-        batches = [
-            ColumnBatch.from_rows(rows[start:start + batch_rows], width)
-            for start in range(0, len(rows), batch_rows)
-        ]
-        with self._index_lock:
-            if version == self.version:
-                self._columnar[batch_rows] = (version, batches)
-                self.columnar_builds += 1
-        return batches
-
-    # ------------------------------------------------------------------
     # loading
 
     def insert(
@@ -267,7 +229,6 @@ class TableData:
         with self._index_lock:
             for hash_index in self._hash_indexes.values():
                 hash_index.clear()
-            self._columnar.clear()
         self.version += 1
 
     def has_key_value(

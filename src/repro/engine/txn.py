@@ -62,7 +62,6 @@ from ..observe.metrics import PROCESS_METRICS
 from ..observe.trace import TRACER
 from ..resilience.faults import FAULTS, SITE_WAL_COMMIT
 from ..types.values import SqlValue, is_null, row_sort_key
-from .columnar import batches_from_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
@@ -476,7 +475,7 @@ class _TxnTable:
     """One table as a transaction sees it.
 
     Duck-types the read surface of :class:`TableData` (``rows``,
-    ``hash_index``/``index_lookup``, ``column_batches``, ``__len__``)
+    ``hash_index``/``index_lookup``, ``__len__``)
     over the snapshot-visible versions plus the transaction's own
     buffered writes.  Materializations are cached against the pair
     (base data version, transaction change count) and rebuilt when
@@ -493,7 +492,6 @@ class _TxnTable:
         self._lock = threading.Lock()
         self.index_builds = 0
         self.single_flight_waits = 0
-        self.columnar_builds = 0
 
     @property
     def version(self) -> tuple[int, int]:
@@ -560,12 +558,6 @@ class _TxnTable:
         if slot is None:
             return None
         return self._txn.holds_key(self.base, slot, row_sort_key(values))
-
-    def column_batches(self, batch_rows: int):
-        self.columnar_builds += 1
-        return batches_from_rows(
-            self.rows, len(self.schema.columns), batch_rows
-        )
 
 
 class TransactionView:

@@ -2,12 +2,12 @@
 
 An analyzed execution is the ordinary one with a sink attached: the
 execution context carries a :class:`PlanAnalysis`, and every plan node
-opened through :meth:`~repro.engine.operators.base.PlanNode.rows` /
-``batches`` accounts its loops, output rows, column batches and
-inclusive wall time into it.  Afterwards each node is annotated with
-those actuals plus the cost model's estimate and the resulting q-error
-(``max(est/actual, actual/est)``, both floored at one row — the
-standard cardinality-quality measure).
+opened through :meth:`~repro.engine.operators.base.PlanNode.rows`
+accounts its loops, output rows and inclusive wall time into it.
+Afterwards each node is annotated with those actuals plus the cost
+model's estimate and the resulting q-error (``max(est/actual,
+actual/est)``, both floored at one row — the standard
+cardinality-quality measure).
 
 The sink belongs to one execution and is keyed by node identity, so
 the plan itself — usually the plan cache's shared instance — is never
@@ -35,7 +35,6 @@ class NodeStats:
 
     loops: int = 0
     rows: int = 0
-    batches: int = 0  # column batches emitted (vectorized mode only)
     seconds: float = 0.0  # inclusive of children, like EXPLAIN ANALYZE
     est_rows: float | None = None
 
@@ -82,9 +81,7 @@ class PlanAnalysis:
         if TRACER.enabled:
             TRACER.attach(self.to_spans(self.plan))
 
-    def observe(
-        self, node: Any, source: Iterable[Any], batched: bool
-    ) -> Iterator[Any]:
+    def observe(self, node: Any, source: Iterable[Any]) -> Iterator[Any]:
         """Pass *source* (one open of *node*) through, accounting it.
 
         Time is inclusive of the node's inputs and exclusive of its
@@ -98,11 +95,7 @@ class PlanAnalysis:
         try:
             for item in source:
                 stats.seconds += perf_counter() - start
-                if batched:
-                    stats.rows += item.length
-                    stats.batches += 1
-                else:
-                    stats.rows += 1
+                stats.rows += 1
                 yield item
                 start = perf_counter()
             stats.seconds += perf_counter() - start
@@ -125,8 +118,6 @@ class PlanAnalysis:
             f"loops={stats.loops}",
             f"time={stats.seconds * 1000:.3f} ms",
         ]
-        if stats.batches:
-            parts.append(f"batches={stats.batches}")
         if stats.est_rows is not None:
             parts.append(f"est rows={stats.est_rows:.0f}")
             parts.append(f"q-error={stats.q_error:.2f}")
@@ -170,8 +161,6 @@ class PlanAnalysis:
                 loops=stats.loops,
                 time_ms=stats.seconds * 1000,
             )
-            if stats.batches:
-                payload["batches"] = stats.batches
             if stats.est_rows is not None:
                 payload["est_rows"] = stats.est_rows
                 payload["q_error"] = stats.q_error
@@ -249,17 +238,14 @@ def execute_analyzed(
     options: Any | None = None,
     use_indexes: bool = True,
     guard: Any | None = None,
-    engine_mode: str | None = None,
-    batch_rows: int | None = None,
 ) -> AnalyzedExecution:
     """:func:`~repro.engine.planner.execute_planned` with an analysis sink.
 
     The engine-level spelling of ``Connection.execute(..., analyze=True)``
     without rewrites or budgets: one planned execution (plan cache
-    included) whose per-node loops/rows/time, the cost model's estimates
-    and — under a vectorized *engine_mode* — emitted column batches come
-    back beside the result.  When tracing is enabled the per-operator
-    actuals also hang under the ``plan.execute`` span.
+    included) whose per-node loops/rows/time and the cost model's
+    estimates come back beside the result.  When tracing is enabled the
+    per-operator actuals also hang under the ``plan.execute`` span.
     """
     from ..engine.planner import execute_planned
     from ..engine.stats import Stats
@@ -274,8 +260,6 @@ def execute_analyzed(
         options=options,
         use_indexes=use_indexes,
         guard=guard,
-        engine_mode=engine_mode,
-        batch_rows=batch_rows,
         analysis=analysis,
     )
     return AnalyzedExecution(result=result, analysis=analysis, stats=stats)

@@ -97,25 +97,6 @@ class MetricsRegistry:
                 "ims_post_filter_evals_total", gateway_stats.post_filter_evals
             )
 
-    def record_vectorized(self, stats: Any) -> None:
-        """Fold one execution's columnar-engine counters.
-
-        Emits the dedicated ``vectorized_*_total`` series (batches and
-        rows processed through column kernels, and demotions to the
-        tuple interpreter), independent of the ``engine_*_total``
-        counters :meth:`record_stats` produces.
-        """
-        if stats is None:
-            return
-        if stats.vectorized_batches:
-            self.inc("vectorized_batches_total", stats.vectorized_batches)
-        if stats.vectorized_rows:
-            self.inc("vectorized_rows_total", stats.vectorized_rows)
-        if stats.vectorized_fallbacks:
-            self.inc(
-                "vectorized_fallbacks_total", stats.vectorized_fallbacks
-            )
-
     def record_estimator(self, stats: Any) -> None:
         """Fold one execution's cardinality-estimator counters.
 
@@ -141,7 +122,6 @@ class MetricsRegistry:
     def record_outcome(self, outcome: Any) -> None:
         """Fold one guarded execution's resilience events."""
         self.inc("queries_total")
-        self.record_vectorized(getattr(outcome, "stats", None))
         self.record_estimator(getattr(outcome, "stats", None))
         analyzed = getattr(outcome, "analysis", None)
         if analyzed is not None:

@@ -1,6 +1,6 @@
 """One frozen options object for every execution surface.
 
-Budgets, safe mode, engine mode, deadlines: every per-query knob
+Budgets, safe mode, deadlines: every per-query knob
 lives in :class:`ExecutionOptions`.  The :mod:`repro.api` facade,
 :meth:`repro.service.QueryService.submit`, and the HTTP request schema
 (:mod:`repro.net.protocol`) all carry this one immutable value, and :meth:`ExecutionOptions.to_wire` /
@@ -19,11 +19,22 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .engine.columnar import ENGINE_MODES
 from .errors import ProtocolError
 from .resilience.admission import PRIORITIES, PRIORITY_INTERACTIVE
 from .resilience.budgets import ResourceBudget
 from .resilience.deadline import Deadline
+
+#: The spellings ``engine_mode`` accepts.  Every one selects the same
+#: row engine; the keyword survives only where callers outside the
+#: package still pass it (ROADMAP 1(b) removes it).
+ENGINE_MODES = ("tuple", "vectorized", "auto")
+
+
+def check_engine_mode(mode: str | None) -> None:
+    """Refuse an ``engine_mode`` outside :data:`ENGINE_MODES` (``None``
+    passes).  The value itself selects nothing."""
+    if mode is not None and mode not in ENGINE_MODES:
+        raise ValueError(f"unknown engine mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -47,12 +58,9 @@ class ExecutionOptions:
             back into the adaptive correction store, and consult prior
             corrections while planning; implies statistics-driven
             planning and forces an instrumented execution.
-        engine_mode: ``"tuple"`` (row-at-a-time interpreter/compiled
-            closures), ``"vectorized"`` (columnar batches), ``"auto"``
-            (vectorize exactly when faults are disarmed), or None to
-            defer to :func:`repro.engine.columnar.default_engine_mode`.
-        batch_rows: rows per column batch in vectorized mode (None =
-            the engine default).
+        engine_mode: one of :data:`ENGINE_MODES` or None, checked and
+            carried on the wire but selecting nothing — there is one
+            row engine.  ROADMAP 1(b) removes the spelling.
         deadline: end-to-end :class:`~repro.resilience.deadline.Deadline`
             — the instant the *client* stops caring.  Queue wait spends
             it, the effective execution timeout is clamped to what is
@@ -82,7 +90,6 @@ class ExecutionOptions:
     stats: bool = False
     adaptive: bool = False
     engine_mode: str | None = None
-    batch_rows: int | None = None
     deadline: Deadline | None = None
     priority: str = PRIORITY_INTERACTIVE
     autocommit: bool = True
@@ -92,12 +99,7 @@ class ExecutionOptions:
             raise ValueError("timeout must be positive")
         if self.row_budget is not None and self.row_budget <= 0:
             raise ValueError("row budget must be positive")
-        if self.engine_mode is not None and self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"engine_mode must be one of {', '.join(ENGINE_MODES)}"
-            )
-        if self.batch_rows is not None and self.batch_rows <= 0:
-            raise ValueError("batch_rows must be positive")
+        check_engine_mode(self.engine_mode)
         if self.priority not in PRIORITIES:
             raise ValueError(
                 f"priority must be one of {', '.join(PRIORITIES)}"
@@ -208,8 +210,6 @@ class ExecutionOptions:
             payload["adaptive"] = True
         if self.engine_mode is not None:
             payload["engine_mode"] = self.engine_mode
-        if self.batch_rows is not None:
-            payload["batch_rows"] = self.batch_rows
         if self.deadline is not None:
             # Remaining milliseconds, re-anchored by the receiving hop:
             # the two processes share no clock, monotonic or otherwise.
@@ -271,11 +271,6 @@ class ExecutionOptions:
                     + ", ".join(repr(mode) for mode in ENGINE_MODES)
                 )
             kwargs["engine_mode"] = value
-        if payload.get("batch_rows") is not None:
-            value = payload["batch_rows"]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ProtocolError("option 'batch_rows' must be an integer")
-            kwargs["batch_rows"] = value
         if payload.get("deadline_ms") is not None:
             value = payload["deadline_ms"]
             if (

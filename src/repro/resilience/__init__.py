@@ -63,7 +63,6 @@ from .faults import (
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
     SITE_UNIQUENESS,
-    SITE_VECTORIZED_EVAL,
     SITE_WAL_COMMIT,
 )
 from .health import (
@@ -74,7 +73,6 @@ from .health import (
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PLAN_CACHE,
-    SUBSYSTEM_VECTORIZED,
 )
 from .retry import RetryPolicy, call_with_retry
 
@@ -112,13 +110,11 @@ __all__ = [
     "SITE_OPERATOR",
     "SITE_PLAN_CACHE",
     "SITE_UNIQUENESS",
-    "SITE_VECTORIZED_EVAL",
     "SITE_WAL_COMMIT",
     "SUBSYSTEMS",
     "SUBSYSTEM_ESTIMATOR",
     "SUBSYSTEM_OPTIMIZER",
     "SUBSYSTEM_PLAN_CACHE",
-    "SUBSYSTEM_VECTORIZED",
     "SheddingPolicy",
     "call_with_retry",
     "reset_safe_mode_sampling",

@@ -12,7 +12,6 @@ Sites (the strings the hooks pass to :meth:`FaultInjector.check`):
 ========================  ====================================================
 ``compile``               predicate compilation (:mod:`repro.engine.compile`)
 ``compiled_eval``         a compiled predicate closure, per evaluation
-``vectorized_eval``       a batch kernel (:mod:`repro.engine.columnar`), per batch
 ``plan_cache``            plan-cache lookup/store
 ``index_build``           lazy hash-index construction
 ``operator_next``         physical operator row loops (via ``ExecContext.tick``)
@@ -55,7 +54,6 @@ from ..errors import InjectedFaultError, TransientImsError
 # Canonical site names (hooks and tests share these constants).
 SITE_COMPILE = "compile"
 SITE_COMPILED_EVAL = "compiled_eval"
-SITE_VECTORIZED_EVAL = "vectorized_eval"
 SITE_PLAN_CACHE = "plan_cache"
 SITE_INDEX_BUILD = "index_build"
 SITE_OPERATOR = "operator_next"
@@ -70,7 +68,6 @@ SITE_WAL_COMMIT = "wal_commit"
 ALL_SITES = (
     SITE_COMPILE,
     SITE_COMPILED_EVAL,
-    SITE_VECTORIZED_EVAL,
     SITE_PLAN_CACHE,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,

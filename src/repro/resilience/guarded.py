@@ -36,6 +36,7 @@ from ..engine.stats import Stats
 from ..errors import RewriteMismatchError
 from ..observe.audit import AuditTrail
 from ..observe.trace import NULL_SPAN, TRACER
+from ..options import check_engine_mode
 from ..sql.ast import Query
 from ..sql.parser import parse_query
 from ..sql.printer import to_sql
@@ -138,7 +139,6 @@ def run_guarded(
     plan_cache: PlanCache | None = None,
     use_indexes: bool = True,
     engine_mode: str | None = None,
-    batch_rows: int | None = None,
     on_guard: Callable[[ExecutionGuard], None] | None = None,
     original_text: str | None = None,
     analysis=None,
@@ -162,14 +162,9 @@ def run_guarded(
         stats: counter sink for the primary execution.
         planner_options / plan_cache / use_indexes: forwarded to
             :func:`~repro.engine.planner.execute_planned`.
-        engine_mode / batch_rows: format of the primary run's scan →
-            filter → project pipelines (see
-            :func:`~repro.engine.planner.execute_plan`).  The safe-mode
-            reference is pinned to tuple mode on purpose: the verified
-            answer comes from the row-at-a-time selection.  The pair is
-            diverse in its selections and projections only — joins,
-            DISTINCT and set operations are the same code in every
-            mode; what differs between the two runs is the rewrite.
+        engine_mode: checked against
+            :data:`~repro.options.ENGINE_MODES` and otherwise unused —
+            there is one row engine; ROADMAP 1(b) removes the keyword.
         on_guard: called with the primary execution's
             :class:`~repro.resilience.budgets.ExecutionGuard` before the
             first operator runs, so an external owner (a service ticket
@@ -191,6 +186,7 @@ def run_guarded(
     """
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    check_engine_mode(engine_mode)
     stats = stats if stats is not None else Stats()
     if isinstance(query, str):
         original_text = query
@@ -226,8 +222,6 @@ def run_guarded(
             use_indexes=use_indexes,
             plan_cache=plan_cache,
             guard=guard,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
             sql_text=outcome.sql,
             analysis=analysis,
         )
@@ -268,7 +262,6 @@ def run_guarded(
                 use_indexes=use_indexes,
                 plan_cache=plan_cache,
                 guard=budget.guard() if budget is not None else None,
-                engine_mode="tuple",
             )
         if reference.same_rows(result):
             return out

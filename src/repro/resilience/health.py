@@ -1,22 +1,20 @@
 """The self-healing degradation ladder: error budgets per subsystem.
 
-PR 2 and PR 6 gave every fast path a verified fallback — compiled
-predicate → interpreter, cached plan → replan, vectorized batch →
-tuple — but each query re-trips the same fallback from scratch: a sick
-subsystem fails, falls back, and is tried again on the very next query,
-forever.  This module converts *repeated* fallback events into
-**sticky demotions** with timed probation, the way the QueryTorque
-exemplar routes an observed failure symptom to a concrete remediation
-tier instead of retrying blindly.
+Every fast path has a verified fallback — compiled predicate →
+interpreter, cached plan → replan — but each query re-trips the same
+fallback from scratch: a sick subsystem fails, falls back, and is tried
+again on the very next query, forever.  This module converts
+*repeated* fallback events into **sticky demotions** with timed
+probation, the way the QueryTorque exemplar routes an observed failure
+symptom to a concrete remediation tier instead of retrying blindly.
 
-Four rungs, one per accelerating subsystem (each demotion lands on the
+Three rungs, one per accelerating subsystem (each demotion lands on the
 verified slow-but-correct tier, so a demotion can never change an
 answer, only a latency):
 
 ==============  ===============  ==============
 subsystem       healthy tier     degraded tier
 ==============  ===============  ==============
-``vectorized``  ``vectorized``   ``tuple``
 ``optimizer``   ``on``           ``off``
 ``plan_cache``  ``cache``        ``bypass``
 ``estimator``   ``stats``        ``heuristic``
@@ -49,13 +47,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 # Subsystem names (the ladder's rungs).
-SUBSYSTEM_VECTORIZED = "vectorized"
 SUBSYSTEM_OPTIMIZER = "optimizer"
 SUBSYSTEM_PLAN_CACHE = "plan_cache"
 SUBSYSTEM_ESTIMATOR = "estimator"
 
 SUBSYSTEMS = (
-    SUBSYSTEM_VECTORIZED,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PLAN_CACHE,
     SUBSYSTEM_ESTIMATOR,
@@ -63,7 +59,6 @@ SUBSYSTEMS = (
 
 #: subsystem → (healthy tier label, degraded tier label).
 LADDER: dict[str, tuple[str, str]] = {
-    SUBSYSTEM_VECTORIZED: ("vectorized", "tuple"),
     SUBSYSTEM_OPTIMIZER: ("on", "off"),
     SUBSYSTEM_PLAN_CACHE: ("cache", "bypass"),
     SUBSYSTEM_ESTIMATOR: ("stats", "heuristic"),
@@ -321,7 +316,7 @@ class HealthTracker:
     ) -> None:
         """Fold a batch of ``(subsystem, faults, ok, probe)`` evidence
         under one lock acquisition — the healthy path records up to
-        four subsystems per query, and taking the lock once keeps that
+        three subsystems per query, and taking the lock once keeps that
         cost off the hot statement mix (benchmark E18a)."""
         demoted: list[str] = []
         promoted: list[str] = []
@@ -364,11 +359,9 @@ class HealthTracker:
     ) -> None:
         """Attribute one finished execution to the subsystems it used.
 
-        The fault signals are exactly the fallback counters PR 2 and
-        PR 6 already emit, plus safe-mode mismatch events:
+        The fault signals are exactly the fallback counters the engine
+        already emits, plus safe-mode mismatch events:
 
-        * ``vectorized`` — ``stats.vectorized_fallbacks`` (mid-stream
-          demotions to the tuple interpreter).
         * ``optimizer`` — a safe-mode mismatch (a rewrite changed the
           result and was quarantined).
         * ``plan_cache`` — ``stats.cache_skips`` (fail-closed
@@ -383,8 +376,7 @@ class HealthTracker:
             and (
                 stats is None
                 or not (
-                    getattr(stats, "vectorized_fallbacks", 0)
-                    or getattr(stats, "cache_skips", 0)
+                    getattr(stats, "cache_skips", 0)
                     or getattr(stats, "estimator_fallbacks", 0)
                 )
             )
@@ -393,13 +385,6 @@ class HealthTracker:
             # be an ok on a healthy subsystem — a no-op.  Skip the lock.
             return
         evidence: list[tuple[str, int, bool, bool]] = []
-        if decision.granted(SUBSYSTEM_VECTORIZED) and stats is not None:
-            faults = getattr(stats, "vectorized_fallbacks", 0)
-            probe = SUBSYSTEM_VECTORIZED in decision.probes
-            if faults:
-                evidence.append((SUBSYSTEM_VECTORIZED, faults, False, probe))
-            elif getattr(stats, "vectorized_batches", 0) and error is None:
-                evidence.append((SUBSYSTEM_VECTORIZED, 0, True, probe))
         if decision.granted(SUBSYSTEM_OPTIMIZER):
             probe = SUBSYSTEM_OPTIMIZER in decision.probes
             if outcome is not None and getattr(outcome, "mismatch", False):

@@ -122,6 +122,8 @@ class TestCursor:
             with pytest.raises(TypeError):
                 conn.execute("SELECT S.SNO FROM SUPPLIER S", parallel=2)
             with pytest.raises(TypeError):
+                conn.execute("SELECT S.SNO FROM SUPPLIER S", batch_rows=8)
+            with pytest.raises(TypeError):
                 cursor.executemany(
                     "DELETE FROM AGENTS WHERE ANO = :A", [{"A": 101}], bogus=1
                 )

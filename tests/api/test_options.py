@@ -58,6 +58,9 @@ class TestConstruction:
             base.override(parallel=2)
         with pytest.raises(TypeError):
             ExecutionOptions.create(parallel=2)
+        # One row engine: there is no batch size to choose.
+        with pytest.raises(TypeError):
+            ExecutionOptions.create(batch_rows=8)
         # The cluster forwards whole queries: no shard-slice option exists.
         with pytest.raises(TypeError):
             ExecutionOptions.create(scan_ranges={"PARTS": (0, 4)})
@@ -81,6 +84,8 @@ class TestConstruction:
             ExecutionOptions(timeout=0)
         with pytest.raises(ValueError):
             ExecutionOptions(row_budget=-1)
+        with pytest.raises(ValueError):
+            ExecutionOptions(engine_mode="fast")
 
 
 class TestMerging:
@@ -126,6 +131,8 @@ class TestWire:
             ProtocolError, match=r"unknown option\(s\): scan_ranges"
         ):
             ExecutionOptions.from_wire({"scan_ranges": {"PARTS": [0, 4]}})
+        with pytest.raises(ProtocolError, match=r"unknown option\(s\): batch_rows"):
+            ExecutionOptions.from_wire({"batch_rows": 8})
 
     def test_bad_types_rejected(self):
         with pytest.raises(ProtocolError):

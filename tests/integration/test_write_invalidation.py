@@ -8,8 +8,8 @@ Two regression families for the scoped-invalidation tentpole:
   the whole-database fingerprint, so any write anywhere evicted
   everything).
 * **Read-path identity** — E1–E11 answers are byte-identical before
-  and after a write storm that rolls back, under both the tuple and
-  vectorized engines: MVCC buffering means an aborted transaction is
+  and after a write storm that rolls back, under each ``engine_mode``
+  spelling: MVCC buffering means an aborted transaction is
   observationally free.
 """
 

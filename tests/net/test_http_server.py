@@ -139,7 +139,11 @@ def test_unknown_field_is_400(server):
     assert "bogus" in json.loads(raw)["error"]["message"]
     # The same strictness one level down: an option the server does not
     # have is refused, never accepted and ignored.
-    for name, value in (("parallel", 2), ("scan_ranges", {"PARTS": [0, 4]})):
+    for name, value in (
+        ("parallel", 2),
+        ("scan_ranges", {"PARTS": [0, 4]}),
+        ("batch_rows", 8),
+    ):
         status, _, raw = raw_post(
             server.url,
             "/v1/query",

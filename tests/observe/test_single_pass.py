@@ -106,8 +106,7 @@ def test_analysis_describes_the_served_rows(small_db, engine_mode):
     outcome = cursor.outcome
     assert outcome.analysis.result is outcome.result
     assert outcome.analysis.stats is outcome.stats
-    # Operators without a vectorized kernel re-batch their own row
-    # stream; that inner stream must not count as a second open.
+    # Whatever the engine_mode spelling, each node is opened once.
     for node in _walk(outcome.analysis.plan):
         assert outcome.analysis.analysis.for_node(node).loops == 1
     assert cursor.analysis["plan"]["actual_rows"] == len(rows) > 0

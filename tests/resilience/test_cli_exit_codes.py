@@ -71,7 +71,6 @@ class TestCliIntegration:
             # Out-of-range numbers are usage errors, not tracebacks.
             ("run", "--timeout", "0"),
             ("run", "--row-budget", "0"),
-            ("run", "--batch-rows", "0"),
             ("run", "--timeout", "nan"),
             ("serve", "--timeout", "0"),
             ("serve", "--row-budget", "-1"),
@@ -84,6 +83,12 @@ class TestCliIntegration:
             ("run", "--workers", "2"),
             ("run", "--parallel-scan", None),
             ("serve", "--parallel-scan", None),
+            # One row engine: nothing to choose, no batch to size.
+            ("run", "--engine-mode", "tuple"),
+            ("serve", "--engine-mode", "tuple"),
+            ("client", "--engine-mode", "tuple"),
+            ("run", "--batch-rows", "0"),
+            ("run", "--batch-rows", "8"),
         ],
     )
     def test_bad_flag_is_a_usage_error(self, command, flag, value, capsys):

@@ -25,9 +25,9 @@ JOIN_SQL = (
 )
 
 
-def _clean(sql, db, **kwargs):
+def _clean(sql, db):
     stats = Stats()
-    return execute_planned(sql, db, stats=stats, **kwargs), stats
+    return execute_planned(sql, db, stats=stats), stats
 
 
 def test_compile_fault_falls_back_to_interpreter(tiny_db):
@@ -45,18 +45,13 @@ def test_compile_fault_falls_back_to_interpreter(tiny_db):
 
 
 def test_compiled_predicate_fails_mid_stream(tiny_db):
-    # Pinned to the tuple interpreter: this test verifies the per-row
-    # demotion arithmetic of the row-at-a-time path.  The vectorized
-    # path's demotion has its own site (vectorized_eval) and coverage.
-    expected, clean = _clean(FILTER_SQL, tiny_db, engine_mode="tuple")
+    expected, clean = _clean(FILTER_SQL, tiny_db)
 
     stats = Stats()
     # Let the closure evaluate two rows, then blow up once: the operator
     # must re-evaluate THAT row interpretively and finish the stream.
     with FAULTS.inject(SITE_COMPILED_EVAL, after=2, times=1):
-        result = execute_planned(
-            FILTER_SQL, tiny_db, stats=stats, engine_mode="tuple"
-        )
+        result = execute_planned(FILTER_SQL, tiny_db, stats=stats)
 
     assert result.same_rows(expected)
     assert stats.compile_fallbacks >= 1
@@ -99,10 +94,10 @@ def test_plan_cache_fault_replans(tiny_db):
 
 
 def test_operator_fault_is_typed_not_a_wrong_answer(tiny_db):
-    # Tuple-pinned: the after=3 trigger schedule counts per-row ticks.
+    # The after=3 trigger schedule counts per-row ticks.
     with FAULTS.inject(SITE_OPERATOR, after=3):
         with pytest.raises(InjectedFaultError) as info:
-            execute_planned(FILTER_SQL, tiny_db, engine_mode="tuple")
+            execute_planned(FILTER_SQL, tiny_db)
     assert info.value.site == "operator_next"
 
 

@@ -12,9 +12,9 @@ from repro.resilience.health import (
     STATE_DEGRADED,
     STATE_HEALTHY,
     STATE_PROBATION,
+    SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PLAN_CACHE,
-    SUBSYSTEM_VECTORIZED,
     SUBSYSTEMS,
     HealthPolicy,
     HealthTracker,
@@ -74,11 +74,11 @@ def test_all_rungs_start_healthy():
 def test_budget_exhaustion_demotes():
     tracker, _ = make_tracker()
     for _ in range(POLICY.budget - 1):
-        tracker.record(SUBSYSTEM_VECTORIZED, faults=1)
-        assert tracker.state(SUBSYSTEM_VECTORIZED) == STATE_HEALTHY
-    tracker.record(SUBSYSTEM_VECTORIZED, faults=1)
-    assert tracker.state(SUBSYSTEM_VECTORIZED) == STATE_DEGRADED
-    assert tracker.tier(SUBSYSTEM_VECTORIZED) == "tuple"
+        tracker.record(SUBSYSTEM_ESTIMATOR, faults=1)
+        assert tracker.state(SUBSYSTEM_ESTIMATOR) == STATE_HEALTHY
+    tracker.record(SUBSYSTEM_ESTIMATOR, faults=1)
+    assert tracker.state(SUBSYSTEM_ESTIMATOR) == STATE_DEGRADED
+    assert tracker.tier(SUBSYSTEM_ESTIMATOR) == "heuristic"
     assert not tracker.healthy()
 
 
@@ -122,19 +122,19 @@ def test_probe_cadence_follows_probe_every():
 
 def test_clean_probes_repromote_and_reset():
     tracker, clock = make_tracker()
-    tracker.record(SUBSYSTEM_VECTORIZED, faults=POLICY.budget)
+    tracker.record(SUBSYSTEM_ESTIMATOR, faults=POLICY.budget)
     clock.advance(POLICY.probation_delay)
     promoted = 0
-    while tracker.state(SUBSYSTEM_VECTORIZED) != STATE_HEALTHY:
-        decision = grant(tracker, SUBSYSTEM_VECTORIZED)
-        if decision.use.get(SUBSYSTEM_VECTORIZED):
-            tracker.record(SUBSYSTEM_VECTORIZED, ok=True, probe=True)
+    while tracker.state(SUBSYSTEM_ESTIMATOR) != STATE_HEALTHY:
+        decision = grant(tracker, SUBSYSTEM_ESTIMATOR)
+        if decision.use.get(SUBSYSTEM_ESTIMATOR):
+            tracker.record(SUBSYSTEM_ESTIMATOR, ok=True, probe=True)
             promoted += 1
     assert promoted == POLICY.promote_after
-    assert tracker.tier(SUBSYSTEM_VECTORIZED) == "vectorized"
+    assert tracker.tier(SUBSYSTEM_ESTIMATOR) == "stats"
     # Promotion cleared the budget: one new fault must not re-demote.
-    tracker.record(SUBSYSTEM_VECTORIZED, faults=1)
-    assert tracker.state(SUBSYSTEM_VECTORIZED) == STATE_HEALTHY
+    tracker.record(SUBSYSTEM_ESTIMATOR, faults=1)
+    assert tracker.state(SUBSYSTEM_ESTIMATOR) == STATE_HEALTHY
 
 
 def test_dirty_probe_redemotes_with_doubled_delay():
@@ -173,20 +173,20 @@ def test_backoff_is_capped():
 
 def test_irrelevant_subsystems_never_advance_probation():
     """Traffic that cannot exercise a subsystem must not consume its
-    probe slots — otherwise tuple-only queries would 'probe' the
-    vectorized engine without ever running it."""
+    probe slots — otherwise queries planned without statistics would
+    'probe' the estimator without ever running it."""
     tracker, clock = make_tracker()
-    tracker.record(SUBSYSTEM_VECTORIZED, faults=POLICY.budget)
+    tracker.record(SUBSYSTEM_ESTIMATOR, faults=POLICY.budget)
     clock.advance(POLICY.probation_delay)
     for _ in range(20):
-        decision = tracker.decide({SUBSYSTEM_VECTORIZED: False})
-        assert SUBSYSTEM_VECTORIZED not in decision.use
+        decision = tracker.decide({SUBSYSTEM_ESTIMATOR: False})
+        assert SUBSYSTEM_ESTIMATOR not in decision.use
     # The probe counter never moved: the next relevant query is still
     # the first probation decision.
-    first = grant(tracker, SUBSYSTEM_VECTORIZED)
-    second = grant(tracker, SUBSYSTEM_VECTORIZED)
-    assert [first.use[SUBSYSTEM_VECTORIZED],
-            second.use[SUBSYSTEM_VECTORIZED]] == [False, True]
+    first = grant(tracker, SUBSYSTEM_ESTIMATOR)
+    second = grant(tracker, SUBSYSTEM_ESTIMATOR)
+    assert [first.use[SUBSYSTEM_ESTIMATOR],
+            second.use[SUBSYSTEM_ESTIMATOR]] == [False, True]
 
 
 # -- attribution via observe() ------------------------------------------
@@ -194,8 +194,8 @@ def test_irrelevant_subsystems_never_advance_probation():
 
 class FakeStats:
     def __init__(self, **kwargs):
-        self.vectorized_fallbacks = 0
-        self.vectorized_batches = 0
+        self.estimator_fallbacks = 0
+        self.stats_estimates = 0
         self.cache_skips = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -207,11 +207,11 @@ class FakeOutcome:
         self.mismatch = mismatch
 
 
-def test_observe_attributes_vectorized_fallbacks():
+def test_observe_attributes_estimator_fallbacks():
     tracker, _ = make_tracker()
-    decision = grant(tracker, SUBSYSTEM_VECTORIZED)
-    tracker.observe(decision, stats=FakeStats(vectorized_fallbacks=POLICY.budget))
-    assert tracker.state(SUBSYSTEM_VECTORIZED) == STATE_DEGRADED
+    decision = grant(tracker, SUBSYSTEM_ESTIMATOR)
+    tracker.observe(decision, stats=FakeStats(estimator_fallbacks=POLICY.budget))
+    assert tracker.state(SUBSYSTEM_ESTIMATOR) == STATE_DEGRADED
 
 
 def test_observe_attributes_mismatch_to_the_optimizer():
@@ -236,7 +236,6 @@ def test_observe_never_blames_a_rung_that_was_not_granted():
     fault — and a bare engine error carries no rung's fault signal."""
     everything_wrong = dict(
         stats=FakeStats(
-            vectorized_fallbacks=POLICY.budget,
             cache_skips=POLICY.budget,
             estimator_fallbacks=POLICY.budget,
         ),
@@ -256,23 +255,23 @@ def test_observe_never_blames_a_rung_that_was_not_granted():
 def test_metrics_counters_and_gauges():
     metrics = MetricsRegistry()
     tracker, clock = make_tracker(metrics)
-    tracker.record(SUBSYSTEM_VECTORIZED, faults=POLICY.budget)
+    tracker.record(SUBSYSTEM_ESTIMATOR, faults=POLICY.budget)
     assert metrics.value(
-        "health_demotions_total", subsystem=SUBSYSTEM_VECTORIZED
+        "health_demotions_total", subsystem=SUBSYSTEM_ESTIMATOR
     ) == 1
     assert metrics.value(
-        "health_degraded", subsystem=SUBSYSTEM_VECTORIZED
+        "health_degraded", subsystem=SUBSYSTEM_ESTIMATOR
     ) == 1.0
     clock.advance(POLICY.probation_delay)
-    while tracker.state(SUBSYSTEM_VECTORIZED) != STATE_HEALTHY:
-        decision = grant(tracker, SUBSYSTEM_VECTORIZED)
-        if decision.use.get(SUBSYSTEM_VECTORIZED):
-            tracker.record(SUBSYSTEM_VECTORIZED, ok=True, probe=True)
+    while tracker.state(SUBSYSTEM_ESTIMATOR) != STATE_HEALTHY:
+        decision = grant(tracker, SUBSYSTEM_ESTIMATOR)
+        if decision.use.get(SUBSYSTEM_ESTIMATOR):
+            tracker.record(SUBSYSTEM_ESTIMATOR, ok=True, probe=True)
     assert metrics.value(
-        "health_promotions_total", subsystem=SUBSYSTEM_VECTORIZED
+        "health_promotions_total", subsystem=SUBSYSTEM_ESTIMATOR
     ) == 1
     assert metrics.value(
-        "health_degraded", subsystem=SUBSYSTEM_VECTORIZED
+        "health_degraded", subsystem=SUBSYSTEM_ESTIMATOR
     ) == 0.0
 
 
