@@ -1,14 +1,14 @@
 """E18 — the price and the payoff of the resilience layer.
 
-Two claims about PR 7's machinery (deadlines, the admission controller,
-the degradation ladder, the client breaker):
+Three claims about the resilience machinery (deadlines, the admission
+controller, the client breaker):
 
-* **E18a — the healthy path is nearly free.**  Every query now pays
-  for a deadline clamp, a ladder decision over four subsystems, and a
-  post-execution attribution pass.  Replaying a hot statement mix
-  through the same execution core with the machinery off vs fully on
-  must show under 5% overhead — resilience that taxes the common case
-  would never stay enabled.
+* **E18a — the healthy path is nearly free.**  A query carrying a
+  deadline and a priority pays for a deadline clamp and the priority
+  option on every execution.  Timing a hot statement through the same
+  execution core bare vs with both attached must show under 5%
+  overhead — resilience that taxes the common case would never stay
+  enabled.
 * **E18b — shedding caps batch latency under a storm.**  With the
   single worker stalled behind simulated I/O, batch clients against an
   adaptive-shedding service see a bounded p99 (rejections are instant
@@ -40,7 +40,6 @@ from repro.options import ExecutionOptions
 from repro.resilience import FAULTS, SITE_PLAN_CACHE
 from repro.resilience.admission import SheddingPolicy
 from repro.resilience.deadline import Deadline
-from repro.resilience.health import HealthTracker
 from repro.workloads import SupplierScale, build_database, generate
 
 #: Hot-path statements: small answers, so per-query fixed costs (the
@@ -58,19 +57,14 @@ STORM_REQUESTS = 24
 E18A_SCALE = SupplierScale(suppliers=40, parts_per_supplier=5)
 
 
-def _replay(db, cache, options, health):
+def _replay(db, cache, options):
     """One pass of the hot mix through the shared execution core."""
     from repro.api import run_with_options
 
     for _ in range(ROUNDS):
         for sql in HOT_STATEMENTS:
             run_with_options(
-                sql,
-                db,
-                options=options,
-                stats=Stats(),
-                plan_cache=cache,
-                health=health,
+                sql, db, options=options, stats=Stats(), plan_cache=cache
             )
 
 
@@ -84,12 +78,11 @@ def test_e18a_healthy_path_overhead_under_5_percent():
     armed = ExecutionOptions.create(
         timeout=30.0, deadline=Deadline.after(3600.0), priority="batch"
     )
-    health = HealthTracker()
 
     # Warm plans and lazy indexes once, off the clock.
-    _replay(db, cache, bare, None)
+    _replay(db, cache, bare)
 
-    def one(options, tracker):
+    def one(options):
         start = time.perf_counter()
         run_with_options(
             HOT_STATEMENTS[0],
@@ -97,7 +90,6 @@ def test_e18a_healthy_path_overhead_under_5_percent():
             options=options,
             stats=Stats(),
             plan_cache=cache,
-            health=tracker,
         )
         return time.perf_counter() - start
 
@@ -120,19 +112,18 @@ def test_e18a_healthy_path_overhead_under_5_percent():
             sum_bare = sum_armed = 0.0
             if round_index % 2 == 0:
                 for _ in range(per_round):
-                    sum_bare += one(bare, None)
-                    sum_armed += one(armed, health)
+                    sum_bare += one(bare)
+                    sum_armed += one(armed)
             else:
                 for _ in range(per_round):
-                    sum_armed += one(armed, health)
-                    sum_bare += one(bare, None)
+                    sum_armed += one(armed)
+                    sum_bare += one(bare)
             gc.enable()
             rounds_bare.append(sum_bare)
             rounds_armed.append(sum_armed)
     finally:
         if gc_was_enabled:
             gc.enable()
-    assert health.healthy()
     ratios = sorted(
         armed_sum / bare_sum
         for bare_sum, armed_sum in zip(rounds_bare, rounds_armed)
@@ -144,8 +135,7 @@ def test_e18a_healthy_path_overhead_under_5_percent():
     n = per_round
     report = ExperimentReport(
         experiment="E18a: hot statement mix, resilience machinery off vs on",
-        claim="deadline clamp + ladder decision + attribution cost "
-        "under 5% on the healthy path",
+        claim="deadline clamp + priority cost under 5% on the healthy path",
         columns=["mode", "statements", "t(s)", "per-stmt(us)", "overhead"],
         slug="e18",
     )
@@ -154,10 +144,9 @@ def test_e18a_healthy_path_overhead_under_5_percent():
         "machinery on", n, t_armed, t_armed / n * 1e6, f"{overhead:+.1f}%"
     )
     report.note(
-        "per statement: one Deadline.clamp_timeout, one HealthTracker "
-        "decision over four subsystems, one attribution pass; "
-        "statement-level ABBA pairing, median paired overhead of 9 "
-        "rounds, gc parked during rounds"
+        "per statement: one Deadline.clamp_timeout and the priority "
+        "option; statement-level ABBA pairing, median paired overhead "
+        "of 9 rounds, gc parked during rounds"
     )
     report.show()
 

@@ -2,7 +2,7 @@
 """Chaos soak: a live HTTP query server under seeded fault storms.
 
 The harness boots a real :class:`~repro.net.server.QueryServer` (own
-worker pool, bounded queue, admission controller, degradation ladder),
+worker pool, bounded queue, admission controller),
 drives it with mixed-priority concurrent clients — interactive ones
 carrying deadlines, batch ones carrying none — while a seeded schedule
 arms and disarms fault injections at every chaos site the stack owns
@@ -18,11 +18,9 @@ invariants the resilience layer promises:
    anything else is a soak failure.
 3. **No stranded work** — at quiescence the service ledger balances:
    ``submitted == completed + failed + abandoned + drained``.
-4. **Self-healing** — every subsystem the storm demoted is re-promoted
-   once probes run clean; the soak fails if any rung stays degraded.
-5. **No poisoned caches** — after recovery the full statement set
+4. **No poisoned caches** — after the storm the full statement set
    replays byte-identical against the same (shared) plan cache.
-6. **Balanced ledger** — writer clients run random transfers between
+5. **Balanced ledger** — writer clients run random transfers between
    ledger accounts in real MVCC transactions throughout the storm
    (including injected ``wal_commit`` failures and lost write-write
    races); at quiescence the total balance is exactly the opening
@@ -75,7 +73,6 @@ from repro.resilience import (  # noqa: E402
     SITE_WAL_COMMIT,
 )
 from repro.resilience.admission import SheddingPolicy  # noqa: E402
-from repro.resilience.health import HealthPolicy  # noqa: E402
 from repro.workloads import (  # noqa: E402
     PAPER_QUERIES,
     SupplierScale,
@@ -97,17 +94,6 @@ LEDGER_DDL = "\n".join(
         f"INSERT INTO LEDGER VALUES ({account}, {LEDGER_OPENING});"
         for account in range(LEDGER_ACCOUNTS)
     ]
-)
-
-#: Tight ladder so storms demote (and recovery re-promotes) within one
-#: soak round rather than one business day.
-HEALTH = HealthPolicy(
-    budget=3,
-    window=20.0,
-    probation_delay=0.2,
-    max_probation_delay=2.0,
-    probe_every=1,
-    promote_after=2,
 )
 
 SHEDDING = SheddingPolicy(
@@ -374,7 +360,6 @@ def soak_round(seed: int, seconds: float, clients: int, writers: int = 2) -> dic
         workers=2,
         queue_depth=16,
         shedding=SHEDDING,
-        health_policy=HEALTH,
         options=ExecutionOptions.create(timeout=10.0),
     ) as server:
         service = server.service
@@ -417,36 +402,16 @@ def soak_round(seed: int, seconds: float, clients: int, writers: int = 2) -> dic
             if thread.is_alive():
                 raise SoakFailure(f"{thread.name} failed to stop")
 
-        # -- recovery: the storm is over; every demotion must heal.
+        # -- poisoned-cache check: the storm is over, and the replay
+        # must be byte-identical through the same shared plan cache.
         FAULTS.reset()
         FAULTS.seed(seed)
-        recovery_deadline = time.monotonic() + 30.0
         with repro.connect(server.url) as conn:
-            while (
-                not service.health.healthy()
-                and time.monotonic() < recovery_deadline
-            ):
-                for sql, params, _ in items:
-                    try:
-                        conn.execute(sql, params or None).fetchall()
-                    except ReproError:
-                        pass
-                time.sleep(0.05)
-            if not service.health.healthy():
-                raise SoakFailure(
-                    "subsystems still degraded after recovery window: "
-                    f"{service.health.snapshot()}"
-                )
-            # -- poisoned-cache check: the post-storm replay must be
-            # byte-identical through the same shared plan cache.
             for sql, params, baseline in items:
                 rows = conn.execute(sql, params or None).fetchall()
                 if rows != baseline:
-                    raise SoakFailure(
-                        f"post-recovery divergence on {sql[:60]!r}"
-                    )
+                    raise SoakFailure(f"post-storm divergence on {sql[:60]!r}")
 
-        health_snapshot = service.health.snapshot()
         admission_snapshot = service.admission.snapshot()
         server.drain()
         metrics = service.metrics
@@ -507,9 +472,6 @@ def soak_round(seed: int, seconds: float, clients: int, writers: int = 2) -> dic
             "deadline_rejected": _metric_sum(
                 metrics, "service_deadline_rejected_total"
             ),
-            "demotions": _metric_sum(metrics, "health_demotions_total"),
-            "promotions": _metric_sum(metrics, "health_promotions_total"),
-            "health": health_snapshot,
             "admission": admission_snapshot,
         }
     )
@@ -577,8 +539,6 @@ def main(argv=None) -> int:
         print(
             f"   ok={report['succeeded']} failed={report['failed']} "
             f"storms={report['storms']} shed={report['shed']:.0f} "
-            f"demotions={report['demotions']:.0f} "
-            f"promotions={report['promotions']:.0f} "
             f"transfers={report['transfers']} "
             f"conflicts={report['write_conflicts']}"
         )

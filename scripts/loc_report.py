@@ -8,11 +8,11 @@ only code does.  This is the figure ROADMAP item 3 ("``src/`` shrinks")
 is tracked with.
 
 Below the lines comes the knob census: every independently settable
-value a caller, an operator or the ladder can choose — keyword
-parameters of the four execution entry points, fields of the two
-options dataclasses, CLI flags per subcommand, degradation rungs and
-``Stats`` counters — read off the imported package itself, so a knob
-cannot be added or removed without this number moving.  Its last row,
+value a caller or an operator can choose — keyword parameters of the
+four execution entry points, fields of the two options dataclasses,
+CLI flags per subcommand and ``Stats`` counters — read off the imported
+package itself, so a knob cannot be added or removed without this
+number moving.  Its last row,
 ``fused_kernels``, names the plan operators under ``repro.engine`` with
 a generated form (``_fused``: the row loop emitted as source,
 ``repro.engine.codegen``).
@@ -113,7 +113,6 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
     from repro.engine.stats import Stats
     from repro.options import ExecutionOptions
     from repro.resilience.guarded import run_guarded
-    from repro.resilience.health import LADDER
 
     for module in pkgutil.walk_packages(repro.engine.__path__, "repro.engine."):
         importlib.import_module(module.name)
@@ -141,7 +140,6 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
             )
             for name, subparser in subcommands.choices.items()
         },
-        "ladder_rungs": len(LADDER),
         "stats_counters": len(dataclasses.fields(Stats)),
         "fused_kernels": sorted(
             cls.__name__ for cls in _subclasses(PlanNode) if "_fused" in vars(cls)

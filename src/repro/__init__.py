@@ -72,7 +72,7 @@ from .errors import (
     ServiceOverloadedError,
     ServiceShutdownError,
     TicketWaitTimeout,
-    TransientImsError,
+    TransientError,
     TransientNetworkError,
 )
 from .resilience import (
@@ -163,7 +163,7 @@ __all__ = [
     "TRACER",
     "TableSchema",
     "TicketWaitTimeout",
-    "TransientImsError",
+    "TransientError",
     "TransientNetworkError",
     "UniquenessOptions",
     "UniquenessResult",

@@ -39,23 +39,11 @@ from .engine.database import Database
 from .engine.plan_cache import PlanCache
 from .engine.result import Result
 from .engine.stats import Stats
-from .errors import (
-    CatalogError,
-    ProtocolError,
-    ReproError,
-    ResourceError,
-    SqlError,
-    TransactionError,
-)
+from .errors import ProtocolError, ReproError, TransactionError
 from .observe.analyze import AnalyzedExecution, PlanAnalysis
 from .observe.trace import NULL_SPAN, TRACER
 from .options import ExecutionOptions
 from .resilience.guarded import GuardedOutcome, run_guarded
-from .resilience.health import (
-    SUBSYSTEM_ESTIMATOR,
-    SUBSYSTEM_OPTIMIZER,
-    SUBSYSTEM_PLAN_CACHE,
-)
 from .sql.ast import (
     BeginTransaction,
     CommitTransaction,
@@ -77,7 +65,6 @@ def run_with_options(
     stats: Stats | None = None,
     plan_cache: PlanCache | None = None,
     planner_options: Any | None = None,
-    health: Any | None = None,
     on_guard: Any | None = None,
     transaction: Any | None = None,
     sql_text: str | None = None,
@@ -100,12 +87,8 @@ def run_with_options(
     :class:`~repro.errors.DeadlineExpiredError` here — before parsing,
     planning, or touching a single operator.
 
-    *health* (a :class:`~repro.resilience.health.HealthTracker`) clamps
-    the execution to the ladder's current tiers — a demoted subsystem's
-    fast path is simply not requested — and is fed the outcome's fault
-    and success signals afterwards.  *on_guard* is forwarded to
-    :func:`~repro.resilience.guarded.run_guarded` so the caller can
-    cooperatively cancel mid-flight.
+    *on_guard* is forwarded to :func:`~repro.resilience.guarded.run_guarded`
+    so the caller can cooperatively cancel mid-flight.
 
     *transaction* (an open :class:`~repro.engine.txn.Transaction`) runs
     the statement inside that transaction: reads go through its pinned
@@ -151,34 +134,13 @@ def run_with_options(
     # Raises DeadlineExpiredError when nothing is left: queue wait or
     # network transit already spent the client's whole budget.
     budget = options.budget()
-    optimize = options.optimize
-    use_stats = options.stats or options.adaptive
     adaptive = options.adaptive
-    decision = None
-    if health is not None:
-        decision = health.decide(
-            {
-                SUBSYSTEM_OPTIMIZER: optimize,
-                SUBSYSTEM_PLAN_CACHE: True,
-                SUBSYSTEM_ESTIMATOR: use_stats,
-            }
-        )
-        if not decision.granted(SUBSYSTEM_OPTIMIZER):
-            optimize = False
-        if not decision.granted(SUBSYSTEM_PLAN_CACHE):
-            # Bypass tier: a throwaway cache keeps the execution path
-            # identical while never reading or writing the shared one.
-            plan_cache = PlanCache()
-        if not decision.granted(SUBSYSTEM_ESTIMATOR):
-            # Heuristic tier: a misbehaving estimator plans like PR 1
-            # again — rule join order, fixed selectivities.
-            use_stats = adaptive = False
-    if use_stats:
+    if options.stats or adaptive:
         planner_options = _stats_planner_options(
             planner_options, database, adaptive
         )
     optimizer = None
-    if not optimize:
+    if not options.optimize:
         # An empty rule list turns run_guarded into plain planned
         # execution: no rewrite can fire, so safe mode has nothing to
         # cross-check and the audit trail stays empty.
@@ -186,33 +148,20 @@ def run_with_options(
     # Adaptive mode always analyzes: observed actuals are the feedback
     # the correction store folds.
     sink = PlanAnalysis() if options.analyze or adaptive else None
-    try:
-        outcome = run_guarded(
-            require_query(statement),
-            database,
-            params=params,
-            budget=budget,
-            optimizer=optimizer,
-            safe_mode=options.safe_mode,
-            stats=stats,
-            plan_cache=plan_cache,
-            planner_options=planner_options,
-            on_guard=on_guard,
-            original_text=sql_text,
-            analysis=sink,
-        )
-    except ReproError as error:
-        # Budget violations and user errors (bad SQL, unknown tables)
-        # say nothing about subsystem health; engine-level failures do.
-        if (
-            health is not None
-            and decision is not None
-            and not isinstance(error, (ResourceError, SqlError, CatalogError))
-        ):
-            health.observe(decision, stats=stats, error=error)
-        raise
-    if health is not None and decision is not None:
-        health.observe(decision, stats=outcome.stats, outcome=outcome)
+    outcome = run_guarded(
+        require_query(statement),
+        database,
+        params=params,
+        budget=budget,
+        optimizer=optimizer,
+        safe_mode=options.safe_mode,
+        stats=stats,
+        plan_cache=plan_cache,
+        planner_options=planner_options,
+        on_guard=on_guard,
+        original_text=sql_text,
+        analysis=sink,
+    )
     if sink is not None and not outcome.mismatch:
         # After a mismatch the served rows are the reference run's, which
         # the sink did not observe — so no analysis rides along.
@@ -220,7 +169,6 @@ def run_with_options(
             result=outcome.result,
             analysis=sink,
             stats=outcome.stats,
-            health=health.tiers() if health is not None else None,
         )
         if adaptive:
             from .stats.adaptive import fold_analysis

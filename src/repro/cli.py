@@ -72,7 +72,7 @@ Usage::
 
 Exit codes: 0 success (for ``check``: verdict YES), 1 ``check`` verdict
 NO, 2 generic library error, 3 other resource-budget error, 4 query
-timeout, 5 row budget exceeded, 6 query cancelled, 7 transient IMS
+timeout, 5 row budget exceeded, 6 query cancelled, 7 transient
 failure with retries exhausted, 8 safe-mode rewrite mismatch, 9 service
 admission queue overloaded, 10 ticket wait timed out, 11 network
 failure with retries exhausted, 12 deadline expired before execution

@@ -9,8 +9,7 @@ and reports its dynamically-bound port back through a spawn-context
 queue.
 
 Each worker is shard-scoped by construction: it owns its own
-:class:`~repro.service.QueryService`, and therefore its own
-:class:`~repro.resilience.health.HealthTracker` ladder, admission
+:class:`~repro.service.QueryService`, and therefore its own admission
 controller (per-shard priority shedding), caches, and metrics registry.
 The front end aggregates those over HTTP; nothing is shared between
 processes.

@@ -62,7 +62,7 @@ class Stats:
             was folded into the adaptive correction store.
         estimator_fallbacks: statistics estimations that fell back to
             the heuristic cost model (stale/missing statistics or an
-            estimation error) — the degradation ladder's evidence.
+            estimation error).
         rows_inserted: rows buffered by INSERT execution.
         rows_updated: rows rewritten by UPDATE execution.
         rows_deleted: rows removed by DELETE execution.

@@ -234,6 +234,22 @@ class RewriteMismatchError(ReproError):
         self.sql = sql
 
 
+class TransientError(ReproError):
+    """A retryable failure: the same request may succeed if sent again.
+
+    The ``transient`` fault kind raises it at any site, and the IMS
+    gateway retries it with bounded exponential backoff.  ``status`` is
+    the transient status code the failure carries (a DL/I lock timeout
+    is ``"GG"``, a buffer shortage ``"GL"``).
+    """
+
+    def __init__(self, status: str = "GG", detail: str = "") -> None:
+        extra = f" ({detail})" if detail else ""
+        super().__init__(f"transient failure, status {status!r}{extra}")
+        self.status = status
+        self.detail = detail
+
+
 class InjectedFaultError(ReproError):
     """The typed error raised by the fault injector's default faults."""
 
@@ -248,20 +264,6 @@ class UnsupportedQueryError(ReproError):
 
 class ImsError(ReproError):
     """Base class for errors raised by the IMS/DL-I simulator."""
-
-
-class TransientImsError(ImsError):
-    """A retryable DL/I failure (lock timeout, buffer shortage, ...).
-
-    Models the transient status codes a real IMS region returns under
-    load; the gateway retries these with bounded exponential backoff.
-    """
-
-    def __init__(self, status: str = "GG", detail: str = "") -> None:
-        extra = f" ({detail})" if detail else ""
-        super().__init__(f"transient DL/I failure, status {status!r}{extra}")
-        self.status = status
-        self.detail = detail
 
 
 class OodbError(ReproError):
@@ -417,7 +419,7 @@ CLI_EXIT_CODES: list[tuple[type[ReproError], int]] = [
     (QueryCancelled, 6),
     (DeadlineExpiredError, 12),
     (ResourceError, 3),
-    (TransientImsError, 7),
+    (TransientError, 7),
     (RewriteMismatchError, 8),
     (ServiceOverloadedError, 9),
     (TicketWaitTimeout, 10),

@@ -146,7 +146,7 @@ class ImsGateway:
     ) -> Result:
         """Run *query* through the gateway.
 
-        Transient DL/I failures (:class:`~repro.errors.TransientImsError`)
+        Transient DL/I failures (:class:`~repro.errors.TransientError`)
         are retried with bounded, jittered exponential backoff.  DL/I
         reads have no side effects here, so a retry replays the whole
         iterative program from scratch; per-attempt counters are reset so
@@ -155,7 +155,7 @@ class ImsGateway:
 
         Raises:
             UnsupportedQueryError: when no DL/I translation exists.
-            TransientImsError: when every retry attempt is exhausted.
+            TransientError: when every retry attempt is exhausted.
         """
         if isinstance(query, str):
             query = parse_query(query)

@@ -54,7 +54,7 @@ from ..errors import (
     ServiceShutdownError,
     SqlError,
     TicketWaitTimeout,
-    TransientImsError,
+    TransientError,
     UniquenessViolationError,
     UnsupportedQueryError,
     WriteConflictError,
@@ -82,7 +82,7 @@ ERROR_STATUS: list[tuple[type[BaseException], int]] = [
     (QueryTimeout, 504),
     (RowBudgetExceeded, 413),
     (QueryCancelled, 503),
-    (TransientImsError, 503),
+    (TransientError, 503),
     (InjectedFaultError, 503),
     (RewriteMismatchError, 500),
     # Write conflicts: the request was well-formed but lost to a

@@ -61,7 +61,6 @@ from ..resilience.admission import (
     SheddingPolicy,
 )
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
-from ..resilience.health import HealthPolicy
 from ..resilience.faults import FAULTS, SITE_NET_WRITE
 from ..service import QueryService, Session
 from ..service.core import QueryTicket
@@ -110,7 +109,6 @@ class QueryServer:
         metrics: MetricsRegistry | None = None,
         stream_chunk_rows: int = 1000,
         shedding: SheddingPolicy | None = None,
-        health_policy: HealthPolicy | None = None,
     ) -> None:
         if stream_chunk_rows < 1:
             raise ValueError("stream_chunk_rows must be at least 1")
@@ -126,7 +124,6 @@ class QueryServer:
             plan_cache=plan_cache,
             metrics=self.metrics,
             shedding=shedding,
-            health_policy=health_policy,
         )
         self._sessions: dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
@@ -276,17 +273,12 @@ class QueryServer:
                 "workers": self.service.workers,
                 "queue_depth": self.service.queue_depth,
                 "sessions": self.session_names(),
-                # The degradation ladder: current tier per subsystem,
-                # plus the full error-budget detail for operators.
-                "health": self.service.health.tiers(),
-                "subsystems": self.service.health.snapshot(),
                 "admission": self.service.admission.snapshot(),
             },
         )
 
     async def _handle_metrics(self, exchange: Exchange) -> int:
         self.metrics.record_caches()
-        self.service.health.export()  # publish the degraded gauges
         body = self.metrics.to_prometheus().encode("utf-8")
         return await exchange.send(
             200, body, [("Content-Type", CONTENT_PROMETHEUS)]

@@ -199,9 +199,6 @@ class AnalyzedExecution:
     result: Any
     analysis: PlanAnalysis
     stats: Any
-    #: subsystem → degradation-ladder tier when the execution ran under
-    #: a health tracker (see :mod:`repro.resilience.health`), else None.
-    health: dict[str, str] | None = None
 
     @property
     def plan(self) -> Any:
@@ -225,8 +222,6 @@ class AnalyzedExecution:
         max_q_error = self.analysis.max_q_error()
         if max_q_error is not None:
             payload["max_q_error"] = max_q_error
-        if self.health is not None:
-            payload["health"] = dict(self.health)
         return payload
 
 

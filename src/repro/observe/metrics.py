@@ -103,8 +103,8 @@ class MetricsRegistry:
         Emits ``stats_estimates_total`` (plans costed with table
         statistics), ``adaptive_corrections_total`` (observed-row
         corrections folded by the adaptive feedback loop), and
-        ``estimator_fallbacks_total`` (demotions to the heuristic cost
-        model — the degradation ladder's evidence stream).
+        ``estimator_fallbacks_total`` (per-query fallbacks to the
+        heuristic cost model).
         """
         if stats is None:
             return

@@ -17,15 +17,15 @@ plus the self-protection layer PR 7 added:
   mismatch.
 * :mod:`~repro.resilience.deadline` /
   :mod:`~repro.resilience.admission` /
-  :mod:`~repro.resilience.breaker` /
-  :mod:`~repro.resilience.health` — end-to-end :class:`Deadline`
-  propagation, priority-aware adaptive load shedding, the client-side
-  :class:`CircuitBreaker`, and the :class:`HealthTracker` degradation
-  ladder converting repeated fallbacks into sticky, self-healing
-  demotions.
+  :mod:`~repro.resilience.breaker` — end-to-end :class:`Deadline`
+  propagation, priority-aware adaptive load shedding, and the
+  client-side :class:`CircuitBreaker`.  A fallback handles its fault
+  per query: safe mode quarantines a mismatching rewrite, the plan
+  cache skips itself fail-closed, and the estimator falls back to the
+  heuristic model.
 
 Import discipline: this ``__init__`` pulls in only the leaf modules
-(faults/budgets/retry/deadline/admission/breaker/health), which depend
+(faults/budgets/retry/deadline/admission/breaker), which depend
 on nothing but :mod:`repro.errors`.  :mod:`~repro.resilience.guarded`
 imports the engine — which imports :mod:`repro.cache`, which imports
 :mod:`repro.resilience.faults` — so it is exposed lazily (PEP 562) to
@@ -65,15 +65,6 @@ from .faults import (
     SITE_UNIQUENESS,
     SITE_WAL_COMMIT,
 )
-from .health import (
-    HealthPolicy,
-    HealthTracker,
-    LADDER,
-    SUBSYSTEMS,
-    SUBSYSTEM_ESTIMATOR,
-    SUBSYSTEM_OPTIMIZER,
-    SUBSYSTEM_PLAN_CACHE,
-)
 from .retry import RetryPolicy, call_with_retry
 
 _LAZY = ("run_guarded", "GuardedOutcome", "reset_safe_mode_sampling")
@@ -90,9 +81,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "GuardedOutcome",
-    "HealthPolicy",
-    "HealthTracker",
-    "LADDER",
     "PRIORITIES",
     "PRIORITY_BATCH",
     "PRIORITY_HEADER",
@@ -111,10 +99,6 @@ __all__ = [
     "SITE_PLAN_CACHE",
     "SITE_UNIQUENESS",
     "SITE_WAL_COMMIT",
-    "SUBSYSTEMS",
-    "SUBSYSTEM_ESTIMATOR",
-    "SUBSYSTEM_OPTIMIZER",
-    "SUBSYSTEM_PLAN_CACHE",
     "SheddingPolicy",
     "call_with_retry",
     "reset_safe_mode_sampling",

@@ -30,7 +30,7 @@ Fault kinds:
 
 * ``"exception"`` — raise (default :class:`InjectedFaultError`, or any
   exception factory via ``error=``),
-* ``"transient"`` — raise :class:`TransientImsError` with a status code,
+* ``"transient"`` — raise :class:`TransientError` with a status code,
 * ``"slow"`` — sleep ``delay`` seconds before continuing,
 * ``"corrupt"`` — leave :meth:`check` alone; sites that produce values
   route them through :meth:`corrupt`, which applies the spec's
@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..errors import InjectedFaultError, TransientImsError
+from ..errors import InjectedFaultError, TransientError
 
 # Canonical site names (hooks and tests share these constants).
 SITE_COMPILE = "compile"
@@ -224,7 +224,7 @@ class FaultInjector:
                         stall += spec.delay
                         continue
                     if spec.kind == KIND_TRANSIENT:
-                        raise TransientImsError(
+                        raise TransientError(
                             spec.status, f"injected at {site}"
                         )
                     if spec.error is not None:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Tuple, Type, TypeVar
 
-from ..errors import TransientImsError
+from ..errors import TransientError
 
 T = TypeVar("T")
 
@@ -60,7 +60,7 @@ class RetryPolicy:
 def call_with_retry(
     fn: Callable[[], T],
     policy: RetryPolicy | None = None,
-    retryable: Tuple[Type[BaseException], ...] = (TransientImsError,),
+    retryable: Tuple[Type[BaseException], ...] = (TransientError,),
     rng: random.Random | None = None,
     sleep: Callable[[float], None] = time.sleep,
     on_retry: Callable[[int, BaseException], None] | None = None,

@@ -57,7 +57,6 @@ from ..options import ExecutionOptions
 from ..resilience.admission import AdmissionController, SheddingPolicy
 from ..resilience.budgets import ExecutionGuard, ResourceBudget
 from ..resilience.guarded import GuardedOutcome
-from ..resilience.health import HealthPolicy, HealthTracker
 from .session import Session
 
 
@@ -213,10 +212,6 @@ class QueryService:
             :class:`~repro.resilience.admission.SheddingPolicy`); batch
             queries are shed once predicted queue wait approaches
             typical deadlines, long before the hard queue bound.
-        health_policy: error-budget tuning for the service's private
-            :class:`~repro.resilience.health.HealthTracker` — the
-            degradation ladder that converts repeated subsystem
-            fallbacks into sticky demotions with timed probation.
     """
 
     def __init__(
@@ -227,7 +222,6 @@ class QueryService:
         plan_cache: PlanCache | None = None,
         metrics: MetricsRegistry | None = None,
         shedding: SheddingPolicy | None = None,
-        health_policy: HealthPolicy | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -239,11 +233,7 @@ class QueryService:
         self._plan_cache = (
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         )
-        # Service-scoped on purpose: a chaos test demoting subsystems on
-        # one service must never poison another service (or the tests
-        # that run after it), so neither tracker is a process global.
         self.admission = AdmissionController(shedding)
-        self.health = HealthTracker(health_policy, metrics=self.metrics)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
         self._shutdown = threading.Event()
         self._state_lock = threading.Lock()  # leaf: session naming, shutdown
@@ -518,7 +508,6 @@ class QueryService:
                             stats=stats,
                             planner_options=session.planner_options,
                             plan_cache=self._plan_cache,
-                            health=self.health,
                             on_guard=ticket._attach_guard,
                             transaction=session.transaction,
                         )

@@ -22,9 +22,8 @@ order of confidence:
    has seen over what it has modeled.
 
 Every layer is fail-soft: any estimation error falls back to the
-heuristic model (``estimator_fallbacks`` counts these, and the
-degradation ladder demotes a misbehaving estimator to heuristic costs
-entirely).
+heuristic model for that subtree, per query (``estimator_fallbacks``
+counts these).
 """
 
 from __future__ import annotations
@@ -403,8 +402,7 @@ def estimator_for(
     Statistics-driven when the planner options ask for it
     (``use_stats``/``adaptive``) and the database carries *fresh*
     collected statistics; the heuristic model otherwise.  A stale or
-    missing catalog counts one ``estimator_fallbacks`` — the signal
-    the degradation ladder watches.
+    missing catalog counts one ``estimator_fallbacks``.
     """
     from .adaptive import GLOBAL_CORRECTIONS
 

@@ -357,7 +357,7 @@ class TestHealthAggregation:
             assert entry["reachable"] is True
             # The embedded per-shard healthz is the worker's own body.
             assert entry["health"]["status"] == "ok"
-            assert "subsystems" in entry["health"]
+            assert "admission" in entry["health"]
 
     def test_metrics_exports_shard_gauges(self, cluster):
         text = get_text(cluster.url, "/metrics")

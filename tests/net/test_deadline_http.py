@@ -1,6 +1,6 @@
 """Deadline and priority over the wire: the ``X-Deadline-Ms`` /
 ``X-Priority`` headers, the 504 rejection for spent budgets, and the
-health/admission views ``/healthz`` exposes."""
+liveness/admission views ``/healthz`` exposes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import json
 import repro
 from repro.resilience.admission import PRIORITY_HEADER
 from repro.resilience.deadline import DEADLINE_HEADER
-from repro.resilience.health import LADDER
 
 from .conftest import raw_get, raw_post
 
@@ -92,16 +91,13 @@ def test_client_deadline_round_trip(server):
     assert len(rows) > 0
 
 
-def test_healthz_exposes_ladder_and_admission_views(server):
+def test_healthz_exposes_liveness_and_admission_views(server):
     status, _headers, body = raw_get(server.url, "/healthz")
     assert status == 200
     payload = json.loads(body)
-    assert payload["health"] == {
-        rung: healthy for rung, (healthy, _degraded) in LADDER.items()
+    assert set(payload) == {
+        "status", "workers", "queue_depth", "sessions", "admission",
     }
-    assert set(payload["subsystems"]) == set(payload["health"])
-    for view in payload["subsystems"].values():
-        assert view["state"] == "healthy"
     admission = payload["admission"]
     assert "predicted_wait_ms" in admission
     assert "shed_total" in admission

@@ -85,7 +85,7 @@ def test_analyze_over_the_wire(server):
         )
         assert cursor.fetchall() == [(1,)]
         assert set(cursor.analysis) == {
-            "wall_ms", "plan", "stats", "max_q_error", "health",
+            "wall_ms", "plan", "stats", "max_q_error",
         }
         assert cursor.analysis["plan"]["actual_rows"] == 1
 

@@ -15,7 +15,7 @@ from repro.errors import (
     RewriteMismatchError,
     RowBudgetExceeded,
     TicketWaitTimeout,
-    TransientImsError,
+    TransientError,
     TransientNetworkError,
 )
 
@@ -28,7 +28,7 @@ class TestExitCodeMap:
             (RowBudgetExceeded(10, 11), 5),
             (QueryCancelled("operator"), 6),
             (ResourceError("generic budget failure"), 3),
-            (TransientImsError("GL"), 7),
+            (TransientError("GL"), 7),
             (RewriteMismatchError(["distinct-elimination"], "SELECT 1"), 8),
             (ReproError("anything else"), 2),
             (ParseError("bad token"), 2),

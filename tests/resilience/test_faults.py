@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InjectedFaultError, TransientImsError
+from repro.errors import InjectedFaultError, TransientError
 from repro.resilience import FAULTS, FaultInjector, FaultSpec
 from repro.resilience.faults import ALL_SITES, iter_sites
 
@@ -65,7 +65,7 @@ class TestFaultInjector:
     def test_transient_kind_raises_typed_ims_error(self):
         injector = FaultInjector()
         injector.arm(FaultSpec("dli_call", kind="transient", status="GL"))
-        with pytest.raises(TransientImsError) as info:
+        with pytest.raises(TransientError) as info:
             injector.check("dli_call")
         assert info.value.status == "GL"
 

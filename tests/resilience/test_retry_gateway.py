@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TransientImsError
+from repro.errors import TransientError
 from repro.ims import GatewayStats, ImsGateway
 from repro.resilience import FAULTS, SITE_DLI, RetryPolicy, call_with_retry
 from repro.workloads import SupplierScale, build_ims_database, generate
@@ -32,7 +32,7 @@ class TestCallWithRetry:
         def flaky():
             calls.append(1)
             if len(calls) < 3:
-                raise TransientImsError("GL")
+                raise TransientError("GL")
             return "ok"
 
         retries = []
@@ -57,9 +57,9 @@ class TestCallWithRetry:
 
     def test_exhausted_attempts_propagate_the_error(self):
         def always_fails():
-            raise TransientImsError("GG")
+            raise TransientError("GG")
 
-        with pytest.raises(TransientImsError):
+        with pytest.raises(TransientError):
             call_with_retry(always_fails, policy=FAST, sleep=lambda s: None)
 
     def test_non_retryable_errors_propagate_immediately(self):
@@ -113,7 +113,7 @@ class TestGatewayRetry:
     def test_persistent_transient_fault_surfaces_typed(self, ims_db):
         gateway = ImsGateway(ims_db, retry_policy=FAST)
         with FAULTS.inject(SITE_DLI, kind="transient", status="GL"):
-            with pytest.raises(TransientImsError):
+            with pytest.raises(TransientError):
                 gateway.execute(JOIN_SQL, params=PARAMS)
 
     def test_default_policy_applies_when_none_given(self, ims_db):

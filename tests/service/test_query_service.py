@@ -4,18 +4,24 @@ Covers the service contract end to end: results match serial execution,
 sessions against different databases stay isolated, the bounded
 admission queue applies backpressure (typed overload with ``wait=False``),
 shutdown drains and then rejects, and the whole chaos matrix discipline
-holds when queries run on service workers.
+holds when queries run on service workers.  A fault is handled by its
+per-query fallback, so one session's faults never change how another
+session's queries run.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import (
+    Connection,
     ExecutionOptions,
     QueryService,
     ResourceBudget,
     clear_all_caches,
 )
 from repro.engine import execute_planned
+from repro.engine.plan_cache import PlanCache
 from repro.cli import exit_code_for
 from repro.errors import (
     ReproError,
@@ -29,6 +35,7 @@ from repro.resilience import (
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
 )
+from repro.types.values import row_sort_key
 from repro.workloads import (
     PAPER_QUERIES,
     SupplierScale,
@@ -208,3 +215,54 @@ def test_chaos_matrix_under_service(db, baselines, seed):
                         f"E{example} wrong under {site!r} fault "
                         f"(seed {seed}) on a service worker"
                     )
+
+
+def test_a_plan_cache_storm_is_handled_per_query(db):
+    """Every statement inside a plan-cache fault storm replans (one
+    fail-closed skip each) and returns the local answer; the first
+    statement after the storm is a shared-cache hit again."""
+    sql = "SELECT P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED'"
+    with Connection.local(db) as conn:
+        expected = Counter(map(row_sort_key, conn.execute(sql).fetchall()))
+    with QueryService(workers=1, plan_cache=PlanCache()) as service:
+        session = service.session(db)
+        service.submit(session, sql).result(30)  # warm the shared cache
+        with FAULTS.inject(SITE_PLAN_CACHE, times=1000):
+            for _ in range(8):
+                outcome = service.submit(session, sql).result(30)
+                assert outcome.result.multiset() == expected
+                assert outcome.stats.cache_skips == 1
+        outcome = service.submit(session, sql).result(30)
+        assert outcome.stats.plan_cache_hits == 1
+        assert outcome.result.multiset() == expected
+
+
+def test_transaction_reads_leave_other_sessions_statistics_alone():
+    """Reads inside a transaction plan without statistics (a view is
+    never ANALYZEd, so each counts an ``estimator_fallbacks``).  That is
+    that session's business: an autocommit session asking for
+    ``stats=True`` on the same service still plans from statistics."""
+    database = build_database(
+        generate(SupplierScale(suppliers=12, parts_per_supplier=4))
+    )
+    stats_on = ExecutionOptions.create(stats=True)
+    with QueryService(workers=1, plan_cache=PlanCache()) as service:
+        in_txn = service.session(database, name="a")
+        for _ in range(3):
+            service.submit(in_txn, "BEGIN").result(30)
+            service.submit(
+                in_txn,
+                "SELECT S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P "
+                "WHERE S.SNO = P.SNO",
+                options=stats_on,
+            ).result(30)
+            service.submit(in_txn, "COMMIT").result(30)
+        autocommit = service.session(database, name="b")
+        outcome = service.submit(
+            autocommit,
+            "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P "
+            "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
+            options=stats_on,
+        ).result(30)
+        assert outcome.stats.estimator_fallbacks == 0
+        assert outcome.stats.stats_estimates > 0
