@@ -45,7 +45,7 @@ from ..sql.expressions import (
     conjuncts,
 )
 from ..sql.parser import parse_query
-from ..types.values import SqlValue, row_sort_key, sort_key
+from ..types.values import Descending, SqlValue, row_sort_key, sort_key
 from .database import Database
 from .evaluator import Evaluator
 from .projection import resolve_projection
@@ -350,7 +350,7 @@ class Executor:
             parts = []
             for position, ascending in key_specs:
                 key = sort_key(row[position])
-                parts.append(key if ascending else _Reversed(key))
+                parts.append(key if ascending else Descending(key))
             return tuple(parts)
 
         return sorted(rows, key=key_fn)
@@ -368,52 +368,30 @@ class Executor:
                 "set operation operands are not union-compatible"
             )
 
-        # Charge the classic sort-both-operands cost model the paper
-        # assumes for Intersect (§5.3).
-        self.stats.sorts += 2
-        self.stats.sort_rows += len(left_rows) + len(right_rows)
-
-        left_counts, left_repr = _count_rows(left_rows)
-        right_counts, _ = _count_rows(right_rows)
-
-        output: list[tuple] = []
         kind, all_rows = operation.kind, operation.all
-        if kind is SetOpKind.INTERSECT:
+        if kind is SetOpKind.UNION:
+            # Concatenation, deduplicated by one sort unless ALL.
+            output = list(left_rows) + list(right_rows)
+            if not all_rows:
+                output = self._sort_distinct(output)
+        else:
+            # Charge the classic sort-both-operands cost model the paper
+            # assumes for Intersect (§5.3).
+            self.stats.sorts += 2
+            self.stats.sort_rows += len(left_rows) + len(right_rows)
+            left_counts, left_repr = _count_rows(left_rows)
+            right_counts, _ = _count_rows(right_rows)
+            output = []
             for key, j in left_counts.items():
                 k = right_counts.get(key, 0)
-                copies = min(j, k) if all_rows else (1 if min(j, k) > 0 else 0)
+                if kind is SetOpKind.INTERSECT:
+                    copies = min(j, k) if all_rows else (1 if min(j, k) > 0 else 0)
+                else:  # EXCEPT
+                    copies = max(j - k, 0) if all_rows else (1 if k == 0 else 0)
                 output.extend([left_repr[key]] * copies)
-        elif kind is SetOpKind.EXCEPT:
-            for key, j in left_counts.items():
-                k = right_counts.get(key, 0)
-                copies = max(j - k, 0) if all_rows else (1 if k == 0 else 0)
-                output.extend([left_repr[key]] * copies)
-        elif kind is SetOpKind.UNION:
-            if all_rows:
-                output = list(left_rows) + list(right_rows)
-            else:
-                merged_rows = list(left_rows) + list(right_rows)
-                output = self._sort_distinct(merged_rows)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unsupported set operation {kind}")
 
         out_schema = RelSchema(ColumnInfo(None, name) for name in left_names)
         return left_names, out_schema, output
-
-
-class _Reversed:
-    """Inverts comparison order for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.key == self.key
 
 
 def _count_rows(rows: Sequence[tuple]) -> tuple[Counter, dict]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from ...types.values import key_extractor
+from ...types.values import order_key, row_keys
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
 
@@ -61,30 +61,34 @@ class SortDistinct(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        rows = list(self.child.rows(ctx, outer))
-        ctx.stats.sorts += 1
-        ctx.stats.sort_rows += len(rows)
-        # Each row is canonicalised once; the stable sort on the key
-        # alone keeps equal-key rows in input order.
-        keyed = sorted(zip(map(key_extractor(), rows), rows), key=itemgetter(0))
-        previous_key = None
-        duplicates = 0
-        try:
-            for key, row in keyed:
-                if key != previous_key:
-                    previous_key = key
-                    yield row
-                else:
-                    duplicates += 1
-        finally:
-            ctx.stats.duplicates_removed += duplicates
+        yield from sort_distinct(ctx, list(self.child.rows(ctx, outer)))
 
     def label(self) -> str:
         return "Distinct(sort)"
 
 
+def sort_distinct(ctx: ExecContext, rows: list[tuple]) -> Iterator[tuple]:
+    """Sort-based duplicate elimination of *rows*, charging one sort.
+    The stable sort on the ≐ key alone keeps equal rows in input order,
+    so the first of each survives."""
+    ctx.stats.sorts += 1
+    ctx.stats.sort_rows += len(rows)
+    (keys,) = row_keys(rows)
+    previous_key = None
+    duplicates = 0
+    try:
+        for key, row in sorted(zip(keys, rows), key=itemgetter(0)):
+            if key != previous_key:
+                previous_key = key
+                yield row
+            else:
+                duplicates += 1
+    finally:
+        ctx.stats.duplicates_removed += duplicates
+
+
 class HashDistinct(PlanNode):
-    """Duplicate elimination by hashing (streams, no sort)."""
+    """Duplicate elimination by hashing: no sort, first-seen order."""
 
     def __init__(self, child: PlanNode) -> None:
         self.child = child
@@ -94,22 +98,17 @@ class HashDistinct(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        row_key = key_extractor()
-        seen: set[tuple] = set()
-        probes = 0
-        try:
-            for row in self.child.rows(ctx, outer):
-                key = row_key(row)
-                probes += 1
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-        finally:
-            # Every probe either built an entry or removed a duplicate.
-            stats = ctx.stats
-            stats.hash_probes += probes
-            stats.hash_builds += len(seen)
-            stats.duplicates_removed += probes - len(seen)
+        rows = list(self.child.rows(ctx, outer))
+        (keys,) = row_keys(rows)
+        first: dict = {}
+        for key, row in zip(keys, rows):
+            first.setdefault(key, row)
+        # Every probe either built an entry or removed a duplicate.
+        stats = ctx.stats
+        stats.hash_probes += len(rows)
+        stats.hash_builds += len(first)
+        stats.duplicates_removed += len(rows) - len(first)
+        yield from first.values()
 
     def label(self) -> str:
         return "Distinct(hash)"
@@ -130,21 +129,10 @@ class Sort(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        from ..executor import _Reversed  # shared DESC-order helper
-        from ...types.values import sort_key
-
         rows = list(self.child.rows(ctx, outer))
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
-
-        def key_fn(row: tuple):
-            parts = []
-            for position, asc in zip(self.key_positions, self.ascending):
-                key = sort_key(row[position])
-                parts.append(key if asc else _Reversed(key))
-            return tuple(parts)
-
-        rows.sort(key=key_fn)
+        rows.sort(key=order_key(rows, self.key_positions, self.ascending))
         yield from rows
 
     def label(self) -> str:

@@ -3,8 +3,9 @@
 Implements the classic strategy the paper describes for Intersect
 (§5.3): materialize and sort both operands, then merge counting
 occurrences — INTERSECT ALL keeps ``min(j, k)`` copies of each row,
-EXCEPT ALL ``max(j - k, 0)``.  Rows compare under ≐ semantics (NULLs
-equal), as required for set operations.
+EXCEPT ALL ``max(j - k, 0)``.  UNION ALL concatenates its operands and
+UNION deduplicates the concatenation with one sort.  Rows compare under
+≐ semantics (NULLs equal), as required for set operations.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from collections import Counter
 from typing import Iterator
 
 from ...sql.ast import SetOpKind
-from ...types.values import key_extractor
+from ...types.values import row_keys
 from ..schema import Scope
 from .base import ExecContext, PlanNode
+from .project import sort_distinct
 
 
 class SortSetOp(PlanNode):
@@ -36,37 +38,19 @@ class SortSetOp(PlanNode):
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         left_rows = list(self.left.rows(ctx, outer))
         right_rows = list(self.right.rows(ctx, outer))
-        ctx.stats.sorts += 2
-        ctx.stats.sort_rows += len(left_rows) + len(right_rows)
-
-        row_key = key_extractor()
-        left_counts: Counter = Counter()
-        representatives: dict = {}
-        for row in left_rows:
-            key = row_key(row)
-            left_counts[key] += 1
-            representatives.setdefault(key, row)
-        right_counts: Counter = Counter(map(row_key, right_rows))
-
         if self.kind is SetOpKind.UNION:
-            if self.all_rows:
-                yield from left_rows
-                yield from right_rows
-                return
-            emitted: set = set()
-            duplicates = 0
-            try:
-                for row in left_rows + right_rows:
-                    key = row_key(row)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield row
-                    else:
-                        duplicates += 1
-            finally:
-                ctx.stats.duplicates_removed += duplicates
+            # Concatenation, deduplicated by one sort unless ALL.
+            rows = left_rows + right_rows
+            yield from rows if self.all_rows else sort_distinct(ctx, rows)
             return
 
+        ctx.stats.sorts += 2
+        ctx.stats.sort_rows += len(left_rows) + len(right_rows)
+        left_keys, right_keys = row_keys(left_rows, right_rows)
+        left_counts = Counter(left_keys)
+        right_counts = Counter(right_keys)
+        # Written back to front, so each key keeps its first row.
+        representatives = dict(zip(left_keys[::-1], left_rows[::-1]))
         for key in sorted(left_counts):
             j = left_counts[key]
             k = right_counts.get(key, 0)

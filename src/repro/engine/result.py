@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from ..types.values import SqlValue, format_value, row_sort_key
+from ..types.values import SqlValue, format_value, row_keys, row_sort_key
 
 
 class Result:
@@ -31,26 +32,30 @@ class Result:
         """Multiset equality under ≐ (column names must also match)."""
         if not isinstance(other, Result):
             return NotImplemented
-        return self.columns == other.columns and self.multiset() == other.multiset()
+        return self.columns == other.columns and self.same_rows(other)
 
     def __hash__(self):  # Results are mutable containers
         raise TypeError("Result is unhashable")
 
     def multiset(self) -> Counter:
-        """Row multiset keyed by the canonical (≐-respecting) sort key."""
+        """Row multiset keyed by the canonical (≐-respecting) sort key,
+        comparable with any other ``row_sort_key`` multiset."""
         return Counter(row_sort_key(row) for row in self.rows)
 
     def sorted_rows(self) -> list[tuple]:
         """Rows in canonical order (NULLs first), for deterministic output."""
-        return sorted(self.rows, key=row_sort_key)
+        (keys,) = row_keys(self.rows)
+        return [row for _, row in sorted(zip(keys, self.rows), key=itemgetter(0))]
 
     def has_duplicates(self) -> bool:
         """Whether any row appears more than once (under ≐)."""
-        return any(count > 1 for count in self.multiset().values())
+        (keys,) = row_keys(self.rows)
+        return len(set(keys)) < len(keys)
 
     def same_rows(self, other: "Result") -> bool:
-        """Multiset equality ignoring column names."""
-        return self.multiset() == other.multiset()
+        """Multiset equality under ≐, ignoring column names."""
+        mine, theirs = row_keys(self.rows, other.rows)
+        return Counter(mine) == Counter(theirs)
 
     def column_values(self, name: str) -> list[SqlValue]:
         """All values of the named output column."""

@@ -6,13 +6,11 @@ from .values import (
     NULL,
     SqlValue,
     compare_where,
-    distinct_rows,
     eq_equivalent,
     eq_where,
     format_value,
     is_null,
     row_sort_key,
-    rows_equivalent,
     sort_key,
 )
 
@@ -28,12 +26,10 @@ __all__ = [
     "all3",
     "any3",
     "compare_where",
-    "distinct_rows",
     "eq_equivalent",
     "eq_where",
     "format_value",
     "is_null",
     "row_sort_key",
-    "rows_equivalent",
     "sort_key",
 ]

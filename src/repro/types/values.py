@@ -16,7 +16,7 @@ Values themselves are ordinary Python objects (``int``, ``float``,
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -203,23 +203,66 @@ def key_extractor(
     return extract
 
 
-def rows_equivalent(left: Sequence[SqlValue], right: Sequence[SqlValue]) -> bool:
-    """Row equality under the ≐ operator (the paper's equation (1))."""
-    if len(left) != len(right):
-        return False
-    return all(eq_equivalent(a, b) for a, b in zip(left, right))
+def _one_rank(columns: Iterable[Sequence[SqlValue]]) -> bool:
+    """Whether every column holds values of a single type rank and no
+    NULL — where a value compares and hashes as its ``(rank, value)``."""
+    rank = _TYPE_RANK.get
+    for column in columns:
+        ranks = set(map(rank, map(type, column)))
+        if len(ranks) > 1 or None in ranks:
+            return False
+    return True
 
 
-def distinct_rows(rows: Iterable[Sequence[SqlValue]]) -> list[tuple]:
-    """Duplicate-eliminate rows under ≐ semantics, preserving first-seen order."""
-    seen: set[tuple] = set()
-    result: list[tuple] = []
-    for row in rows:
-        key = row_sort_key(row)
-        if key not in seen:
-            seen.add(key)
-            result.append(tuple(row))
-    return result
+def row_keys(*operands: Sequence[tuple]) -> list[Sequence]:
+    """The ≐ comparison key of every row, one key list per operand.
+
+    DISTINCT and the set operations sort, compare and hash these keys.
+    When every column, across all *operands*, holds one type rank and no
+    NULL, a row is its own key: within a rank raw comparison and hashing
+    agree with :func:`row_sort_key`, and ``bool`` ranks apart from
+    numbers, so ``TRUE`` never meets ``1``.  Otherwise each row's key is
+    :func:`key_extractor`'s canonical whole-row key.
+    """
+    if _one_rank(zip(*chain.from_iterable(operands))):
+        return list(operands)
+    extract = key_extractor()
+    return [list(map(extract, rows)) for rows in operands]
+
+
+class Descending:
+    """Inverts comparison order for a DESC sort key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key) -> None:
+        self.key = key
+
+    def __lt__(self, other: "Descending") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        # ``is`` first, as a tuple compares its items: a NaN equals itself.
+        return isinstance(other, Descending) and (
+            other.key is self.key or other.key == self.key
+        )
+
+
+def order_key(
+    rows: Sequence[tuple], positions: Sequence[int], ascending: Sequence[bool]
+) -> Callable[[tuple], Any]:
+    """ORDER BY's sort key over *rows*: raw values where the key columns
+    pass :func:`row_keys`' test, else :func:`sort_key`'s; either way the
+    same comparisons, so the same order."""
+    wanted = set(positions)
+    raw = _one_rank(c for i, c in enumerate(zip(*rows)) if i in wanted)
+    if raw and all(ascending):
+        return itemgetter(*positions)
+    value = (lambda v: v) if raw else sort_key  # noqa: E731
+    specs = list(zip(positions, ascending))
+    return lambda row: tuple([
+        value(row[p]) if asc else Descending(value(row[p])) for p, asc in specs
+    ])
 
 
 def format_value(value: SqlValue) -> str:

@@ -6,13 +6,11 @@ from repro.types import (
     TRUE,
     UNKNOWN,
     compare_where,
-    distinct_rows,
     eq_equivalent,
     eq_where,
     format_value,
     is_null,
     row_sort_key,
-    rows_equivalent,
     sort_key,
 )
 
@@ -77,11 +75,6 @@ class TestEquivalentEquality:
         assert eq_equivalent(3, 3)
         assert not eq_equivalent(3, 4)
 
-    def test_rows_equivalent(self):
-        assert rows_equivalent((1, NULL), (1, NULL))
-        assert not rows_equivalent((1, NULL), (1, 2))
-        assert not rows_equivalent((1,), (1, 2))
-
 
 class TestOrdering:
     def test_null_sorts_first(self):
@@ -101,16 +94,6 @@ class TestOrdering:
     def test_row_sort_key_is_lexicographic(self):
         assert row_sort_key((1, 2)) < row_sort_key((1, 3))
         assert row_sort_key((NULL, 9)) < row_sort_key((0, 0))
-
-
-class TestDistinctRows:
-    def test_nulls_collapse(self):
-        rows = [(1, NULL), (1, NULL), (1, 2)]
-        assert distinct_rows(rows) == [(1, NULL), (1, 2)]
-
-    def test_first_seen_order_preserved(self):
-        rows = [(2,), (1,), (2,), (3,)]
-        assert distinct_rows(rows) == [(2,), (1,), (3,)]
 
 
 class TestFormatting:
