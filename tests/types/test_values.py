@@ -13,6 +13,7 @@ from repro.types import (
     row_sort_key,
     sort_key,
 )
+from repro.types.values import row_keys
 
 
 class TestNull:
@@ -94,6 +95,26 @@ class TestOrdering:
     def test_row_sort_key_is_lexicographic(self):
         assert row_sort_key((1, 2)) < row_sort_key((1, 3))
         assert row_sort_key((NULL, 9)) < row_sort_key((0, 0))
+
+
+def _distinct(rows):
+    """The first row of each ``row_keys`` key, in first-seen order, as
+    DISTINCT keeps them."""
+    (keys,) = row_keys(rows)
+    first = {}
+    for key, row in zip(keys, rows):
+        first.setdefault(key, row)
+    return list(first.values())
+
+
+class TestDistinctRows:
+    def test_nulls_collapse(self):
+        rows = [(1, NULL), (1, NULL), (1, 2)]
+        assert _distinct(rows) == [(1, NULL), (1, 2)]
+
+    def test_first_seen_order_preserved(self):
+        rows = [(2,), (1,), (2,), (3,)]
+        assert _distinct(rows) == [(2,), (1,), (3,)]
 
 
 class TestFormatting:
