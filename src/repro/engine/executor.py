@@ -45,7 +45,7 @@ from ..sql.expressions import (
     conjuncts,
 )
 from ..sql.parser import parse_query
-from ..types.values import Descending, SqlValue, row_sort_key, sort_key
+from ..types.values import SqlValue, order_key, row_sort_key
 from .database import Database
 from .evaluator import Evaluator
 from .projection import resolve_projection
@@ -345,15 +345,7 @@ class Executor:
             key_specs.append((position, item.ascending))
         self.stats.sorts += 1
         self.stats.sort_rows += len(rows)
-
-        def key_fn(row: tuple):
-            parts = []
-            for position, ascending in key_specs:
-                key = sort_key(row[position])
-                parts.append(key if ascending else Descending(key))
-            return tuple(parts)
-
-        return sorted(rows, key=key_fn)
+        return sorted(rows, key=order_key(key_specs))
 
     # ------------------------------------------------------------------
     # set operations

@@ -132,7 +132,7 @@ class Sort(PlanNode):
         rows = list(self.child.rows(ctx, outer))
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
-        rows.sort(key=order_key(rows, self.key_positions, self.ascending))
+        rows.sort(key=order_key(zip(self.key_positions, self.ascending)))
         yield from rows
 
     def label(self) -> str:

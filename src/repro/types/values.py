@@ -203,17 +203,6 @@ def key_extractor(
     return extract
 
 
-def _one_rank(columns: Iterable[Sequence[SqlValue]]) -> bool:
-    """Whether every column holds values of a single type rank and no
-    NULL — where a value compares and hashes as its ``(rank, value)``."""
-    rank = _TYPE_RANK.get
-    for column in columns:
-        ranks = set(map(rank, map(type, column)))
-        if len(ranks) > 1 or None in ranks:
-            return False
-    return True
-
-
 def row_keys(*operands: Sequence[tuple]) -> list[Sequence]:
     """The ≐ comparison key of every row, one key list per operand.
 
@@ -224,7 +213,12 @@ def row_keys(*operands: Sequence[tuple]) -> list[Sequence]:
     numbers, so ``TRUE`` never meets ``1``.  Otherwise each row's key is
     :func:`key_extractor`'s canonical whole-row key.
     """
-    if _one_rank(zip(*chain.from_iterable(operands))):
+    rank = _TYPE_RANK.get
+    for column in zip(*chain.from_iterable(operands)):
+        ranks = set(map(rank, map(type, column)))
+        if len(ranks) > 1 or None in ranks:
+            break
+    else:
         return list(operands)
     extract = key_extractor()
     return [list(map(extract, rows)) for rows in operands]
@@ -242,27 +236,21 @@ class Descending:
         return other.key < self.key
 
     def __eq__(self, other: object) -> bool:
-        # ``is`` first, as a tuple compares its items: a NaN equals itself.
-        return isinstance(other, Descending) and (
-            other.key is self.key or other.key == self.key
-        )
+        return isinstance(other, Descending) and other.key == self.key
 
 
-def order_key(
-    rows: Sequence[tuple], positions: Sequence[int], ascending: Sequence[bool]
-) -> Callable[[tuple], Any]:
-    """ORDER BY's sort key over *rows*: raw values where the key columns
-    pass :func:`row_keys`' test, else :func:`sort_key`'s; either way the
-    same comparisons, so the same order."""
-    wanted = set(positions)
-    raw = _one_rank(c for i, c in enumerate(zip(*rows)) if i in wanted)
-    if raw and all(ascending):
-        return itemgetter(*positions)
-    value = (lambda v: v) if raw else sort_key  # noqa: E731
-    specs = list(zip(positions, ascending))
-    return lambda row: tuple([
-        value(row[p]) if asc else Descending(value(row[p])) for p, asc in specs
-    ])
+def order_key(specs: Iterable[tuple[int, bool]]) -> Callable[[tuple], tuple]:
+    """ORDER BY's sort key: :func:`sort_key` of each ``(position,
+    ascending)`` key column, wrapped in :class:`Descending` for DESC."""
+    specs = list(specs)
+
+    def key_fn(row: tuple) -> tuple:
+        return tuple([
+            sort_key(row[p]) if asc else Descending(sort_key(row[p]))
+            for p, asc in specs
+        ])
+
+    return key_fn
 
 
 def format_value(value: SqlValue) -> str:

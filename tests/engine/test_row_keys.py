@@ -129,16 +129,6 @@ def test_order_by_matches_the_canonical_key(relation, data):
     )
 
 
-def test_a_nan_in_a_desc_key_ties_with_itself():
-    """Equal objects tie under DESC too, so the next key decides — as a
-    ``(rank, value)`` pair holding the same NaN equals itself."""
-    rows = [(NAN, 2), (NAN, 1)]
-    _same(
-        _run(Sort(Rows(rows, 2), [0, 1], [False, True])),
-        _oracle(reference.order, rows, [0, 1], [False, True]),
-    )
-
-
 SPELLINGS = [(kind, all_rows) for kind in SetOpKind for all_rows in (False, True)]
 
 
