@@ -1,18 +1,17 @@
-"""E19 — the sharded cluster: process scaling and Theorem 1 routing.
+"""E19 — the sharded cluster: process scaling and one hop per request.
 
 Two claims about :mod:`repro.cluster` on one box:
 
 * **E19a** — worker *processes* scale throughput past the GIL.  A
-  fan-out-1 mixed workload (key-bound point lookups plus forward-routed
-  self-joins, stalled at the plan-cache site inside every worker to
-  model per-query I/O waits) is replayed through the front end from
-  concurrent HTTP clients; a 4-shard cluster clears >= 2.5x the
-  1-shard cluster's qps, identical rows at every shard count.
-* **E19b** — the Theorem 1 fast path has fan-out exactly 1: a
-  key-bound point workload increments
-  ``cluster_single_shard_routes_total`` once per request and makes
-  exactly one worker hop per request.  Every other query is forwarded
-  whole to one replica, so no request ever makes more than one hop.
+  fan-out-1 mixed workload (key-bound point lookups plus self-joins,
+  each forwarded whole to one worker, stalled at the plan-cache site
+  inside every worker to model per-query I/O waits) is replayed
+  through the front end from concurrent HTTP clients; a 4-shard
+  cluster clears >= 2.5x the 1-shard cluster's qps, identical rows at
+  every shard count.
+* **E19b** — fan-out is exactly 1: the front end forwards each request
+  whole to one worker, so ``cluster_shard_requests_total`` summed over
+  the shards moves by the request count.
 
 Byte-identity with single-node execution (E1–E11) is pinned by the
 cluster test suite; this benchmark pins the *performance* contract.  Results land
@@ -52,8 +51,8 @@ WORKER_CONFIG = WorkerConfig(
 
 def _mixed_workload() -> list[tuple[str, dict | None]]:
     """48 fan-out-1 statements: 36 key-bound point lookups (24 literal,
-    12 host-var) and 12 forward-routed self-joins.  Every statement
-    routes to exactly one shard, so shard processes can overlap."""
+    12 host-var) and 12 self-joins.  Every statement goes to exactly
+    one shard, so shard processes can overlap."""
     items: list[tuple[str, dict | None]] = []
     for sno in range(1, 25):
         items.append(
@@ -179,9 +178,9 @@ def test_e19_cluster_throughput_scales_with_shards():
 
 
 def test_e19_point_queries_fan_out_to_one_shard():
-    """E19b: a key-bound workload routes every request to exactly one
-    shard — single-shard-route count == requests, worker hops ==
-    requests (one hop per request, on any number of shards)."""
+    """E19b: every request makes exactly one worker hop — the per-shard
+    request counters sum to the request count, on any number of
+    shards."""
     source = WorkerSource.from_factory(FACTORY)
     shards = 4
     requests = 32
@@ -197,27 +196,23 @@ def test_e19_point_queries_fan_out_to_one_shard():
                 )
         after = _metrics_text(frontend.url)
 
-    point_routes = _metric(
-        after, "cluster_single_shard_routes_total"
-    ) - _metric(before, "cluster_single_shard_routes_total")
     hops = sum(
         _metric(after, "cluster_shard_requests_total", '{shard="%d"}' % s)
         - _metric(before, "cluster_shard_requests_total", '{shard="%d"}' % s)
         for s in range(shards)
     )
     report = ExperimentReport(
-        experiment="E19b: Theorem 1 key-bound routing",
-        claim="a candidate key fully bound by constants routes to "
-        "exactly one shard: fan-out 1",
-        columns=["workload", "requests", "point routes", "worker hops"],
+        experiment="E19b: one worker hop per request",
+        claim="the front end forwards each request whole to one shard: "
+        "fan-out 1",
+        columns=["workload", "requests", "worker hops"],
         slug="e19",
     )
-    report.add_row("key-bound lookups", requests, int(point_routes), int(hops))
+    report.add_row("key-bound lookups", requests, int(hops))
     report.note(
         f"{shards}-shard cluster; asking every shard would have made "
         f"{requests * shards} hops"
     )
     report.show()
 
-    assert point_routes == requests
     assert hops == requests

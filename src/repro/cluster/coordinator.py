@@ -4,14 +4,11 @@ The coordinator owns cluster membership: it spawns N workers (spawn
 context — see :mod:`repro.cluster.worker`), performs the ready
 handshake that learns each worker's dynamically-bound port, and runs a
 monitor thread that respawns any worker that dies, bumping that shard's
-generation.  Routing state (the consistent-hash ring) keys on the
-*shard id*, which is stable across respawns; only the port moves, so
-the front end reads ports through :meth:`worker_url` per request.
-
-The coordinator also keeps the replica's catalog in-process
-(:attr:`catalog`): the front end reads candidate keys from it to detect
-point routes, and building it from the workers' own source recipe
-guarantees it sees exactly the keys the workers enforce.
+generation.  The front end addresses workers by *shard id*, which is
+stable across respawns; only the port moves, so the front end reads
+ports through :meth:`worker_url` per request.
+A worker that fails to start reports its :class:`~repro.errors.ReproError`
+through the handshake, and :meth:`start` raises it as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .ring import HashRing
+from ..errors import ReproError
 from .worker import WorkerConfig, WorkerSource, worker_main
 
 __all__ = ["ClusterCoordinator", "WorkerHandle"]
@@ -49,12 +46,9 @@ class ClusterCoordinator:
     """Lifecycle manager for the shard worker fleet.
 
     Args:
-        source: replica recipe shipped to every worker (its catalog is
-            also built locally for routing).
+        source: replica recipe shipped to every worker.
         shards: number of worker processes.
         config: per-worker knobs (threads, queue depth, seeded faults).
-        ring_vnodes / ring_seed: consistent-hash ring shape; the seed
-            makes routing stable across coordinator restarts.
         respawn: automatically restart workers that die.
         monitor_interval: seconds between liveness sweeps.
         on_respawn: callback ``(handle)`` after a worker is respawned —
@@ -68,8 +62,6 @@ class ClusterCoordinator:
         shards: int,
         *,
         config: WorkerConfig | None = None,
-        ring_vnodes: int = 64,
-        ring_seed: int = 0,
         respawn: bool = True,
         monitor_interval: float = 0.2,
         on_respawn: Callable[[WorkerHandle], None] | None = None,
@@ -79,12 +71,9 @@ class ClusterCoordinator:
         self.source = source
         self.shards = int(shards)
         self.config = config if config is not None else WorkerConfig()
-        self.ring = HashRing(range(self.shards), vnodes=ring_vnodes, seed=ring_seed)
         self.auto_respawn = respawn
         self.monitor_interval = monitor_interval
         self.on_respawn = on_respawn
-        #: The replica's catalog, for routing (same recipe as workers).
-        self.catalog = source.build().catalog
         self._ctx = multiprocessing.get_context("spawn")
         self._queue = self._ctx.Queue()
         self._handles: dict[int, WorkerHandle] = {}
@@ -183,6 +172,8 @@ class ClusterCoordinator:
                 continue
             if status == "error":
                 process.join(timeout=5.0)
+                if isinstance(detail, ReproError):
+                    raise detail
                 raise RuntimeError(
                     f"shard {shard_id} failed to start: {detail}"
                 )
@@ -227,8 +218,8 @@ class ClusterCoordinator:
     def restart_shard(self, shard_id: int, timeout: float = 10.0) -> WorkerHandle:
         """Gracefully drain and restart one worker (rolling restart).
 
-        The rest of the cluster keeps serving; routing is unaffected
-        because shard identity survives the restart.
+        The rest of the cluster keeps serving; shard identity survives
+        the restart.
         """
         with self._lock:
             handle = self._require(shard_id)

@@ -8,23 +8,12 @@ serves on the same :class:`~repro.net.serving.ServingLoop`, so client
 connections share one asyncio thread, answer malformed framing with the
 same 400, and pass the same ``net_*`` fault sites.
 
-Every query makes exactly one worker hop, on one of two routes (each
-SQL text's route is decided once and cached):
-
-* **point** — the Theorem 1 fast path
-  (:func:`~repro.cluster.routing.detect_point_route`): a candidate key
-  fully bound by constants identifies ≤ 1 row, and the key's values
-  hash onto the ring to pick the worker.  Counted in
-  ``cluster_single_shard_routes_total``.
-* **forward** — everything else goes whole to one replica shard chosen
-  by ring-hashing the (session, SQL) pair, which spreads load while
-  keeping a given query text's plan/analysis caches warm on one
-  worker.  Counted in ``cluster_forward_routes_total``.
-
-Every worker holds the whole database, so both routes answer exactly
-what a single node would; the worker's reply — JSON or NDJSON stream —
-is passed on with its status, body, content type, ``Retry-After`` and
-request id.
+Every query makes exactly one worker hop: its body goes untouched to
+the next shard in rotation.  Every worker holds the whole database, so
+any worker answers exactly what a single node would — a malformed body
+included, which the worker refuses with its own 400.  The worker's
+reply — JSON or NDJSON stream — is passed on with its status, body,
+content type, ``Retry-After`` and request id.
 
 Resilience inheritance: the client's ``X-Deadline-Ms`` is re-anchored
 here and re-emitted on the shard hop with the budget *actually
@@ -60,17 +49,10 @@ from ..net.serving import Exchange, ServingLoop, route
 from ..observe.metrics import MetricsRegistry
 from ..resilience.admission import PRIORITY_HEADER
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
-from ..sql.parser import parse_query
 from .coordinator import ClusterCoordinator, WorkerHandle
-from .ring import canonical_key
-from .routing import PointRoute, detect_point_route
 from .worker import WorkerConfig, WorkerSource
 
 __all__ = ["ClusterFrontend", "serve_cluster"]
-
-#: Upper bound on compiled route templates kept per front end; SQL
-#: texts are typically few (applications template their queries).
-_ROUTE_CACHE_SIZE = 512
 
 #: Per-shard-hop connect timeout (seconds).  Workers are local
 #: processes; anything slower than this is a dead or wedged worker.
@@ -111,9 +93,9 @@ class ClusterFrontend:
         self.port = port
         self.owns_coordinator = owns_coordinator
         self.metrics = MetricsRegistry()
-        # SQL text → its point route, or None for the forward route.
-        self._routes: dict[str, PointRoute | None] = {}
-        self._routes_lock = threading.Lock()
+        # The next query's shard is this modulo the shard count; the
+        # event loop thread is the only one that touches it.
+        self._turn = 0
         # name → options wire form, replayed onto respawned workers so
         # a session survives its shard's death.
         self._sessions: dict[str, Any] = {}
@@ -198,66 +180,16 @@ class ClusterFrontend:
         self.metrics.inc("cluster_requests_total")
         await exchange.run(route(self._endpoints, exchange.head)[1])
 
-    def _route_for(self, sql: str) -> PointRoute | None:
-        with self._routes_lock:
-            if sql in self._routes:
-                return self._routes[sql]
-        point = self._compile_route(sql)
-        with self._routes_lock:
-            self._routes[sql] = point
-            while len(self._routes) > _ROUTE_CACHE_SIZE:
-                self._routes.pop(next(iter(self._routes)))
-        return point
-
-    def _compile_route(self, sql: str) -> PointRoute | None:
-        try:
-            query = parse_query(sql)
-        except Exception:
-            # Forward: the worker produces the real, typed parse error.
-            return None
-        return detect_point_route(query, self.coordinator.catalog)
-
     async def _handle_query(self, exchange: Exchange) -> int:
+        """Forward the body untouched to the next shard in rotation and
+        pass its reply on; a shard that cannot be reached answers with
+        the retryable 503."""
         if self._draining.is_set():
             raise ServiceShutdownError()
-        body = exchange.body()
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            payload = None
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("sql"), str
-        ):
-            # Malformed request: any shard produces the same 400.
-            return await self._forward_query(0, exchange, body)
-
-        sql = payload["sql"]
-        params = payload.get("params")
-        session = payload.get("session")
-        point = self._route_for(sql)
-
-        if point is not None:
-            key = point.routing_key(params if isinstance(params, dict) else None)
-            if key is not None:
-                shard = self.coordinator.ring.lookup(key)
-                self.metrics.inc("cluster_single_shard_routes_total")
-                self.metrics.inc("cluster_shard_requests_total", shard=shard)
-                return await self._forward_query(shard, exchange, body)
-            # A host variable the key needs is missing: fall through to
-            # the forward path (the worker raises the typed error).
-
-        shard = self.coordinator.ring.lookup(
-            canonical_key((session or "default", sql))
-        )
-        self.metrics.inc("cluster_forward_routes_total")
+        shard = self._turn % self.coordinator.shards
+        self._turn += 1
         self.metrics.inc("cluster_shard_requests_total", shard=shard)
-        return await self._forward_query(shard, exchange, body)
-
-    async def _forward_query(
-        self, shard: int, exchange: Exchange, body: bytes
-    ) -> int:
-        """Send a query to one shard and pass its reply on; a shard that
-        cannot be reached answers with the retryable 503."""
+        body = exchange.body()
         try:
             reply = await self._forward_to_shard(
                 shard, "POST", "/v1/query", exchange.head.headers, body
@@ -269,8 +201,9 @@ class ClusterFrontend:
     # -- sessions -------------------------------------------------------
 
     async def _handle_session_open(self, exchange: Exchange) -> int:
-        """Broadcast the open to every shard so any route can use the
-        session; remember the spec to replay onto respawned workers."""
+        """Broadcast the open to every shard so whichever shard a query
+        reaches knows the session; remember the spec to replay onto
+        respawned workers."""
         if self._draining.is_set():
             raise ServiceShutdownError()
         replies = await self._broadcast(
@@ -323,7 +256,7 @@ class ClusterFrontend:
         """Coordinator respawn callback (monitor thread, not the event
         loop): re-open every tracked session on the fresh worker through
         the loop's own worker hop, and wait for each, so the worker is
-        fully usable before routing resumes sending it traffic."""
+        fully usable before the rotation sends it traffic again."""
         self.metrics.inc("cluster_worker_respawns_total")
         with self._sessions_lock:
             specs = list(self._sessions.values())
@@ -362,10 +295,6 @@ class ClusterFrontend:
                 "shards": shards,
                 "shard_count": self.coordinator.shards,
                 "respawns": self.coordinator.respawn_count(),
-                "ring": {
-                    "vnodes": self.coordinator.ring.vnodes,
-                    "seed": self.coordinator.ring.seed,
-                },
             },
         )
 
@@ -523,7 +452,6 @@ def serve_cluster(
     host: str = "127.0.0.1",
     port: int = 0,
     config: WorkerConfig | None = None,
-    ring_seed: int = 0,
     respawn: bool = True,
 ) -> ClusterFrontend:
     """Build and start a whole cluster: N workers plus the front end.
@@ -536,11 +464,7 @@ def serve_cluster(
             conn = repro.connect(fe.url)
     """
     coordinator = ClusterCoordinator(
-        source,
-        shards,
-        config=config,
-        ring_seed=ring_seed,
-        respawn=respawn,
+        source, shards, config=config, respawn=respawn
     )
     frontend = ClusterFrontend(
         coordinator, host=host, port=port, owns_coordinator=True

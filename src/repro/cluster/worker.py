@@ -113,10 +113,11 @@ def worker_main(
     """Spawn entry point: build the replica, serve, wait for SIGTERM.
 
     Reports ``("ready", shard_id, pid, port)`` on *ready_queue* once
-    the HTTP listener is bound, or ``("error", shard_id, pid, message)``
-    if startup fails.  On SIGTERM/SIGINT the worker drains gracefully
-    (in-flight queries finish, queued ones fail fast with a retryable
-    503) and exits 0.
+    the HTTP listener is bound, or ``("error", shard_id, pid, detail)``
+    if startup fails — *detail* is the :class:`~repro.errors.ReproError`
+    itself (a bad script's ``ParseError``), anything else its repr.  On
+    SIGTERM/SIGINT the worker drains gracefully (in-flight queries
+    finish, queued ones fail fast with a retryable 503) and exits 0.
     """
 
     stop = threading.Event()
@@ -142,7 +143,10 @@ def worker_main(
             stream_chunk_rows=config.stream_chunk_rows,
         )
     except Exception as error:  # startup failure: report, don't hang
-        ready_queue.put(("error", shard_id, os.getpid(), repr(error)))
+        from ..errors import ReproError
+
+        detail = error if isinstance(error, ReproError) else repr(error)
+        ready_queue.put(("error", shard_id, os.getpid(), detail))
         raise SystemExit(1)
 
     server.metrics.set("cluster_shard_id", float(shard_id))

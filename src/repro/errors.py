@@ -11,6 +11,20 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the library."""
 
+    def __reduce__(self):
+        # Subclass constructors take other arguments than the ``args``
+        # they store, so rebuild without calling them: every error
+        # pickles, and a cluster worker can hand its startup error to
+        # the coordinator.
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls: type, args: tuple, state: dict) -> ReproError:
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class SqlError(ReproError):
     """Base class for errors raised while processing SQL text."""

@@ -1,11 +1,12 @@
-"""Front-end behaviours: Theorem 1 point routing and whole-query
-forwarding (fan-out exactly 1 either way), session broadcast and replay
-onto respawned workers, kept-alive worker connections, healthz
-aggregation, and resilience-header forwarding."""
+"""Front-end behaviours: whole-query forwarding in rotation (fan-out
+exactly 1), malformed bodies answered by the worker, session broadcast
+and replay onto respawned workers, kept-alive worker connections,
+healthz aggregation, and resilience-header forwarding."""
 
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -17,11 +18,11 @@ from repro.cluster import (
     WorkerConfig,
     WorkerSource,
 )
-from repro.cluster.routing import detect_point_route
 from repro.engine import execute_planned
-from repro.sql.parser import parse_query
+from repro.net.server import QueryServer
 from repro.workloads.queries import PAPER_QUERIES
 
+from ..net.conftest import raw_post
 from .conftest import FACTORY, get_json, get_text, post_json
 
 #: The ``filter_scan`` template of the end-to-end benchmark
@@ -47,14 +48,13 @@ def shard_requests(text: str, shards: int) -> float:
     )
 
 
-class TestPointRouting:
+class TestForwarding:
     def test_key_bound_queries_fan_out_to_exactly_one_shard(
         self, cluster, local_db
     ):
-        """Every request makes exactly one worker hop.  Key-bound point
-        queries take the Theorem 1 route (cluster_single_shard_routes_total
-        counts each); reads no key binds — the benchmark's range scan and
-        E1–E11 — go whole to one replica and return single-node rows."""
+        """Every request makes exactly one worker hop: key-bound point
+        queries, the benchmark's range scan and E1–E11 alike, each
+        returning single-node rows."""
         points = [
             (f"SELECT SNAME FROM SUPPLIER WHERE SNO = {sno}", None)
             for sno in range(1, 13)
@@ -75,17 +75,12 @@ class TestPointRouting:
                 assert body["rows"] == [list(r) for r in expected.rows], sql
 
         after_text = get_text(cluster.url, "/metrics")
-        point_routes = metric(
-            after_text, "cluster_single_shard_routes_total"
-        ) - metric(before_text, "cluster_single_shard_routes_total")
         hops = shard_requests(after_text, shards) - shard_requests(
             before_text, shards
         )
-        assert point_routes == len(points)
         assert hops == len(points) + len(reads)  # one hop per request
 
-    def test_point_route_result_matches_forward(self, cluster):
-        """The fast path returns the same row the forward route does."""
+    def test_key_bound_and_scan_texts_return_the_same_row(self, cluster):
         point = "SELECT SNAME FROM SUPPLIER WHERE SNO = 5"
         scan = "SELECT ALL S.SNAME FROM SUPPLIER S WHERE S.SNO = 5"
         _s1, _h1, body_point = post_json(
@@ -96,25 +91,38 @@ class TestPointRouting:
         )
         assert body_point["rows"] == body_scan["rows"]
 
-    def test_host_var_point_query_routes_by_param(self, cluster):
-        before = metric(
-            get_text(cluster.url, "/metrics"),
-            "cluster_single_shard_routes_total",
-        )
-        status, _h, body = post_json(
-            cluster.url,
-            "/v1/query",
-            {
-                "sql": "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO",
-                "params": {"SNO": 3},
-            },
-        )
-        assert status == 200, body
-        after = metric(
-            get_text(cluster.url, "/metrics"),
-            "cluster_single_shard_routes_total",
-        )
-        assert after - before == 1
+    def test_one_text_in_one_session_reaches_every_shard(self, cluster):
+        """Requests go to the shards in turn, whatever their text and
+        session: 2 × shards requests of one text reach each shard twice."""
+        shards = cluster.coordinator.shards
+        payload = {"sql": "SELECT SNAME FROM SUPPLIER WHERE SNO = 3"}
+        before = get_text(cluster.url, "/metrics")
+        for _ in range(2 * shards):
+            status, _h, body = post_json(cluster.url, "/v1/query", payload)
+            assert status == 200, body
+        after = get_text(cluster.url, "/metrics")
+        for shard in range(shards):
+            label = '{shard="%d"}' % shard
+            reached = metric(
+                after, "cluster_shard_requests_total", label
+            ) - metric(before, "cluster_shard_requests_total", label)
+            assert reached == 2, shard
+
+    @pytest.mark.parametrize("body", [b"not json", b'{"sql": 5}', b"{}"])
+    def test_a_malformed_body_gets_the_query_servers_400(
+        self, cluster, local_db, body
+    ):
+        """The front end forwards the body unread; the worker refuses it
+        with the bytes a single ``QueryServer`` sends."""
+        request_id = {"X-Request-Id": "malformed-body"}
+        with QueryServer(local_db, workers=1) as single:
+            status, _h, expected = raw_post(
+                single.url, "/v1/query", body, headers=request_id
+            )
+        assert status == 400
+        assert json.loads(expected)["error"]["type"] == "ProtocolError"
+        got = raw_post(cluster.url, "/v1/query", body, headers=request_id)
+        assert (got[0], got[2]) == (status, expected)
 
 
 class TestResilienceHeaders:
@@ -240,17 +248,9 @@ def hop_connects(monkeypatch):
     return calls
 
 
-def point_sql_on(frontend, shard: int) -> tuple[str, list[dict]]:
-    """A host-variable point query and bindings the ring sends to *shard*."""
-    sql = "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO"
-    route = detect_point_route(parse_query(sql), frontend.coordinator.catalog)
-    bindings = [
-        {"SNO": sno}
-        for sno in range(1, 41)
-        if frontend.coordinator.ring.lookup(route.routing_key({"SNO": sno}))
-        == shard
-    ]
-    return sql, bindings
+#: A host-variable point query and bindings for it.
+POINT_SQL = "SELECT SNAME FROM SUPPLIER WHERE SNO = :SNO"
+BINDINGS = [{"SNO": sno} for sno in range(1, 21)]
 
 
 def expected_rows(local_db, sql: str, params: dict) -> list[list]:
@@ -280,22 +280,21 @@ class TestKeptConnections:
             monitor_interval=0.1,
         )
         with ClusterFrontend(coordinator, owns_coordinator=True) as fe:
-            sql, bindings = point_sql_on(fe, 0)
-            for params in bindings[:5]:  # warm the pool to shard 0
+            for params in BINDINGS[:5]:  # warm the pool to both shards
                 status, _h, body = post_json(
-                    fe.url, "/v1/query", {"sql": sql, "params": params}
+                    fe.url, "/v1/query", {"sql": POINT_SQL, "params": params}
                 )
                 assert status == 200, body
             killed_pid = coordinator.kill_shard(0)
             deadline = time.time() + 20.0
             respawned = False
             while time.time() < deadline:
-                for params in bindings:
+                for params in BINDINGS:
                     status, _h, body = post_json(
-                        fe.url, "/v1/query", {"sql": sql, "params": params}
+                        fe.url, "/v1/query", {"sql": POINT_SQL, "params": params}
                     )
                     if status == 200:
-                        expected = expected_rows(local_db, sql, params)
+                        expected = expected_rows(local_db, POINT_SQL, params)
                         assert body["rows"] == expected
                     else:  # the worker is down: retryable, never terminal
                         assert status == 503, body
@@ -307,12 +306,12 @@ class TestKeptConnections:
                 time.sleep(0.05)
             assert respawned
             opened = len(hop_connects)
-            for params in bindings[:10]:
+            for params in BINDINGS[:10]:
                 status, _h, body = post_json(
-                    fe.url, "/v1/query", {"sql": sql, "params": params}
+                    fe.url, "/v1/query", {"sql": POINT_SQL, "params": params}
                 )
                 assert status == 200, body  # the new incarnation answers
-                expected = expected_rows(local_db, sql, params)
+                expected = expected_rows(local_db, POINT_SQL, params)
                 assert body["rows"] == expected
             assert len(hop_connects) - opened <= 1
 

@@ -103,6 +103,40 @@ class TestCliIntegration:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "script,code,message",
+        [
+            (
+                "CREATE TABLE T (A INT NOT NULL, PRIMARY KEY (A);",
+                2,
+                "expected ')', found ';' (line 1, column 48)",
+            ),
+            (
+                "CREATE TABLE T (A INT NOT NULL @);",
+                2,
+                "unexpected character '@' (line 1, column 32)",
+            ),
+            (
+                "CREATE TABLE T (A INT NOT NULL, PRIMARY KEY (A));"
+                " INSERT INTO T VALUES (1); INSERT INTO T VALUES (1);",
+                13,
+                "constraint 'T' violated: duplicate value for PRIMARY KEY (A)",
+            ),
+        ],
+        ids=["parse", "lex", "duplicate-key"],
+    )
+    def test_cluster_script_error_exit_code(
+        self, script, code, message, tmp_path, capfd
+    ):
+        """A bad ``--script`` fails in the shard workers; their typed
+        error reaches the CLI as one line with its own exit code
+        (``capfd`` also sees what the worker processes write)."""
+        path = tmp_path / "bad.sql"
+        path.write_text(script + "\n")
+        argv = ["serve", "--http", "0", "--shards", "2", "--script", str(path)]
+        assert main(argv) == code
+        assert capfd.readouterr().err == f"error: {message}\n"
+
     def test_budgeted_run_succeeds_within_limits(self, capsys):
         code = main(
             [
