@@ -13,7 +13,7 @@ what is reported is each side's median and the **median of the paired
 ratios** change ÷ parent: a speed switch lands on both calls of a pair
 or, at worst, on one pair, which a median ignores.
 
-Two tables:
+Three tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
   the ``engine_mode`` spellings ``tuple``/``vectorized`` through
@@ -25,11 +25,17 @@ Two tables:
 * the wire codec per read template: ``dumps(query_response(executed))``
   (encode) and ``parse_query_response(parse_json(raw))`` (decode) on each
   side's own result of the template — the serialize layer of a remote
-  read, without the socket.
+  read, without the socket;
+* the front end: ``parse(text)`` and ``Optimizer.optimize(ast)`` (the
+  relational profile) per read template, warm, then over the 2 048
+  ``adhoc_local`` texts at seed 7, cold: every cache but the compiled
+  kernels is cleared first, and each text is optimized once per side,
+  as the workload does.  Outside the timed calls, both sides' ASTs,
+  rewritten SQL and full audit trails are compared on every text.
 
-Both sides must return equal rows / byte-identical response bodies; a
-difference is printed and makes the exit status
-1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
+Both sides must return equal rows / byte-identical response bodies /
+equal front-end output; a difference is printed and makes the exit
+status 1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
 still ``scripts/bench_pairs.py``'s.
 """
 
@@ -103,14 +109,14 @@ def header(title: str, rounds: int) -> None:
 # statement classes
 
 
-def connect_side(package: str, workloads):
-    """One side's ``Connection`` over the benchmark database."""
+def database_side(package: str, workloads):
+    """One side's benchmark database."""
     supplier = importlib.import_module(f"{package}.workloads")
     scale = supplier.SupplierScale(SUPPLIERS, PARTS, AGENTS, seed=SEED)
     database = supplier.build_database(supplier.generate(scale))
     ledger = ", ".join(f"({k}, {k})" for k in range(1, LEDGER_ROWS + 1))
     database.run_script(f"{workloads.LEDGER_DDL} INSERT INTO LEDGER VALUES {ledger};")
-    return sys.modules[package].connect(database)
+    return database
 
 
 def read_templates(workloads):
@@ -210,6 +216,112 @@ def compare_codec(workloads, conn_parent, conn_change) -> bool:
     return same
 
 
+# ----------------------------------------------------------------------
+# front end
+
+
+def front_end_side(package: str, database):
+    """``(parse, optimize, clear)``: one side's parser, its relational
+    optimizer over *database*'s catalog, and a reset of every cache but
+    the compiled kernels."""
+    parse = importlib.import_module(f"{package}.sql").parse
+    rewrite = importlib.import_module(f"{package}.core.rewrite")
+    optimizer = rewrite.Optimizer.for_relational(database.catalog)
+    registry = importlib.import_module(f"{package}.cache")._registry
+
+    def clear():
+        for cache in registry:
+            if cache.name != "kernels":
+                cache.clear()
+
+    return parse, optimizer.optimize, clear
+
+
+def front_end_output(parse, optimize, text: str) -> tuple:
+    """What the front end produced for *text*, as comparable strings."""
+    ast = parse(text)
+    result = optimize(ast)
+    return repr(ast), result.sql, repr(result.audit.to_dicts())
+
+
+def report_by_class(label: str, classes, parent_times, change_times) -> None:
+    """One row over every item, then one row per statement class."""
+    report(f"{label} [{len(classes)}]", parent_times, change_times)
+    for cls in dict.fromkeys(classes):
+        picked = [i for i, name in enumerate(classes) if name == cls]
+        report(
+            f"  {cls} [{len(picked)}]",
+            [parent_times[i] for i in picked],
+            [change_times[i] for i in picked],
+        )
+
+
+def alternate_cold(parent_call, change_call, items):
+    """Per-side samples of one call per item, alternating which side goes
+    first, with no warm-up: each item is seen once per side."""
+    parent_times, change_times = [], []
+    for index, item in enumerate(items):
+        order = ((parent_call, parent_times), (change_call, change_times))
+        for call, times in order if index % 2 == 0 else reversed(order):
+            start = perf_counter()
+            call(item)
+            times.append(perf_counter() - start)
+    return parent_times, change_times
+
+
+def compare_front_end(workloads, db_parent, db_change) -> bool:
+    parse_p, optimize_p, clear_p = front_end_side("repro_parent", db_parent)
+    parse_c, optimize_c, clear_c = front_end_side("repro_change", db_change)
+    header("front end, parse(text) / Optimizer.optimize(ast), warm", CLASS_ROUNDS)
+    same = True
+    for template_id, sql, _ in read_templates(workloads):
+        ast_p, ast_c = parse_p(sql), parse_c(sql)
+        if repr(ast_p) != repr(ast_c):
+            same = False
+            print(f"{template_id}: ASTS DIFFER")
+            continue
+        report(
+            f"{template_id} parse",
+            *alternate(lambda: parse_p(sql), lambda: parse_c(sql), CLASS_ROUNDS),
+        )
+        report(
+            f"{template_id} optimize",
+            *alternate(
+                lambda: optimize_p(ast_p), lambda: optimize_c(ast_c), CLASS_ROUNDS
+            ),
+        )
+
+    (ops,) = workloads.build_ops(workloads.WORKLOADS["adhoc_local"], SEED)
+    texts, classes = [op.sql for op in ops], [op.cls for op in ops]
+    header("front end over adhoc_local texts, cold", len(texts))
+    clear_p()
+    clear_c()
+    report_by_class(
+        "adhoc_local parse", classes, *alternate_cold(parse_p, parse_c, texts)
+    )
+    asts = [(parse_p(text), parse_c(text)) for text in texts]
+    clear_p()
+    clear_c()
+    report_by_class(
+        "adhoc_local optimize",
+        classes,
+        *alternate_cold(
+            lambda pair: optimize_p(pair[0]), lambda pair: optimize_c(pair[1]), asts
+        ),
+    )
+    differing = [
+        text
+        for text in texts
+        if front_end_output(parse_p, optimize_p, text)
+        != front_end_output(parse_c, optimize_c, text)
+    ]
+    if differing:
+        same = False
+        print(f"adhoc_local: FRONT-END OUTPUT DIFFERS on {len(differing)} texts, "
+              f"e.g. {differing[0]!r}")
+    return same
+
+
 def main() -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(
@@ -226,10 +338,13 @@ def main() -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.change), "benchmarks", "e2e"))
     import workloads  # benchmarks/e2e/workloads.py: pure data, imports no repro
 
-    conn_parent = connect_side("repro_parent", workloads)
-    conn_change = connect_side("repro_change", workloads)
+    db_parent = database_side("repro_parent", workloads)
+    db_change = database_side("repro_change", workloads)
+    conn_parent = sys.modules["repro_parent"].connect(db_parent)
+    conn_change = sys.modules["repro_change"].connect(db_change)
     same = compare_classes(workloads, conn_parent, conn_change)
     same = compare_codec(workloads, conn_parent, conn_change) and same
+    same = compare_front_end(workloads, db_parent, db_change) and same
     print("\nresults: " + ("equal on both sides" if same else "DIFFERENT"))
     return 0 if same else 1
 

@@ -143,7 +143,8 @@ def run_with_options(
     if not options.optimize:
         # An empty rule list turns run_guarded into plain planned
         # execution: no rewrite can fire, so safe mode has nothing to
-        # cross-check and the audit trail stays empty.
+        # cross-check.  The audit trail holds one record, Algorithm 1's
+        # standalone verdict, which runs only if the trail is read.
         optimizer = Optimizer(database.catalog, rules=[])
     # Adaptive mode always analyzes: observed actuals are the feedback
     # the correction store folds.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ...catalog.schema import Catalog
 from ...sql.ast import Query, SelectQuery, SetOperation, TableRef
@@ -48,18 +49,18 @@ class RewriteContext:
         decision: str,
         target: Query | str,
         note: str,
-        witness: dict | None = None,
+        witness: dict | Callable[[], dict] | None = None,
     ) -> None:
-        """Record one theorem decision when an audit trail is attached.
+        """File one theorem decision when an audit trail is attached.
 
-        No-op otherwise, so rules stay usable outside the optimizer
-        without paying for evidence they have no trail to put in.
-        *target* is the query the decision is about, or its printed
-        form when the rule already has one.
+        No-op otherwise, so rules stay usable outside the optimizer.
+        *target* is the query the decision is about, or its printed form
+        when the rule already has one; *witness* is the evidence, or a
+        callable building it from verdicts the rule already computed.
+        The trail prints the target and builds the witness only when it
+        is read (:class:`~repro.observe.audit.AuditTrail`).
         """
         if self.audit is not None:
-            if not isinstance(target, str):
-                target = to_sql(target)
             self.audit.record(rule, theorem, decision, target, note, witness)
 
     def fresh_alias(self, base: str, taken: set[str]) -> str:

@@ -34,7 +34,7 @@ class DistinctElimination(Rule):
                 "rejected",
                 text,
                 f"Algorithm 1 answers NO: {result.reason}",
-                result.witness(),
+                result.witness,
             )
             return None
         rewritten = query.with_quantifier(Quantifier.ALL)
@@ -44,7 +44,7 @@ class DistinctElimination(Rule):
             "fired",
             text,
             f"Algorithm 1 answers YES: {result.reason}; DISTINCT removed",
-            result.witness(),
+            result.witness,
         )
         return rewritten, (
             "Theorem 1 holds (Algorithm 1: "

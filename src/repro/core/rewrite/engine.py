@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ...catalog.schema import Catalog
 from ...observe.audit import VERDICT, AuditTrail
@@ -59,9 +60,8 @@ class OptimizeResult:
         """The rewritten query as SQL text.
 
         Printed on first use and kept beside the AST it was printed
-        from, so the audit record, the Algorithm 1 memo key, the
-        plan-cache key and the served ``sql`` of one request all share
-        one rendering.
+        from, so the plan-cache key and the served ``sql`` of one request
+        share one rendering.
         """
         printed = self._printed
         if printed is None or printed[0] is not self.query:
@@ -137,7 +137,9 @@ class Optimizer:
         theorem decision (fired or rejected, with the witness) via the
         shared context, and queries no rule needed to touch still get a
         standalone Algorithm 1 verdict — so every optimized query has a
-        documented uniqueness decision.
+        documented uniqueness decision.  The trail is filed on read: the
+        standalone verdict, like every printed target and witness, is
+        computed the first time someone reads the trail.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -169,34 +171,29 @@ class Optimizer:
 
     def _record_fallback_verdict(self, result: OptimizeResult) -> None:
         """Ensure the trail is never empty: when no rule recorded a
-        decision, run Algorithm 1 on the final form and file the
-        verdict (set operations get a structural note instead)."""
-        if result.audit.records:
+        decision, file Algorithm 1's verdict on the final form, to be
+        run when the trail is read (set operations get a structural note
+        instead)."""
+        if result.audit:
             return
         query = result.query
         if isinstance(query, SelectQuery):
-            verdict = test_uniqueness(
-                query, self.ctx.catalog, self.ctx.options, text=result.sql
-            )
-            note = (
-                "projection is provably duplicate-free as written"
-                if verdict.unique
-                else f"projection may contain duplicates ({verdict.reason})"
-            )
-            result.audit.record(
-                "optimizer",
-                "Algorithm 1",
-                VERDICT,
-                result.sql,
-                note,
-                verdict.witness(),
+            catalog = self.ctx.catalog
+            result.audit.defer(
+                partial(
+                    _fallback_verdict,
+                    query,
+                    catalog,
+                    self.ctx.options,
+                    catalog.fingerprint(),
+                )
             )
         else:
             result.audit.record(
                 "optimizer",
                 "Algorithm 1",
                 VERDICT,
-                result.sql,
+                query,
                 "set operation left as written; no operand examined by "
                 "any rule",
             )
@@ -231,6 +228,39 @@ class Optimizer:
             changed = True
 
         return query if changed else None
+
+
+def _fallback_verdict(
+    query: SelectQuery,
+    catalog: Catalog,
+    options: UniquenessOptions,
+    fingerprint: tuple,
+) -> tuple:
+    """The standalone Algorithm 1 record of a query no rule touched.
+
+    Runs when the trail is first read, against the catalog version the
+    optimizer saw (*fingerprint*).  After DDL moved the catalog on, the
+    verdict is not computed at all — evidence drawn from a schema the
+    decision never saw would be no evidence for it.
+    """
+    text = to_sql(query)
+    if catalog.fingerprint() != fingerprint:
+        return (
+            "optimizer",
+            "Algorithm 1",
+            VERDICT,
+            text,
+            "verdict not computed: the catalog changed (DDL) between "
+            "optimization and this reading of the trail",
+            None,
+        )
+    verdict = test_uniqueness(query, catalog, options, text=text)
+    note = (
+        "projection is provably duplicate-free as written"
+        if verdict.unique
+        else f"projection may contain duplicates ({verdict.reason})"
+    )
+    return ("optimizer", "Algorithm 1", VERDICT, text, note, verdict.witness())
 
 
 def relational_rules() -> list[Rule]:

@@ -110,10 +110,6 @@ class JoinElimination(Rule):
         )
         other_schema = ctx.catalog.table(other_ref.name)
 
-        pairing = [
-            f"{other.qualifier}.{other.column} = {alias}.{target.column}"
-            for other, target in join_pairs
-        ]
         fk = self._matching_foreign_key(
             other_schema, target_schema, candidate.name, join_pairs
         )
@@ -127,7 +123,7 @@ class JoinElimination(Rule):
                 "declared FOREIGN KEY covers the join pairing exactly "
                 "onto a candidate key, so a matching row is not "
                 "guaranteed",
-                {"join_pairing": pairing},
+                lambda: {"join_pairing": _pairing(join_pairs, alias)},
             )
             return None
 
@@ -157,9 +153,9 @@ class JoinElimination(Rule):
             f"{other_alias}({', '.join(fk)}) references a candidate key "
             f"of {candidate.name}: every row matches exactly one {alias} "
             "tuple, so the join is eliminated (King's join elimination)",
-            {
+            lambda: {
                 "foreign_key": list(fk),
-                "join_pairing": pairing,
+                "join_pairing": _pairing(join_pairs, alias),
                 "compensations": [
                     f"{other_alias}.{column} IS NOT NULL"
                     for column in fk
@@ -224,3 +220,11 @@ class JoinElimination(Rule):
             if is_key:
                 return fk.columns
         return None
+
+
+def _pairing(join_pairs: list[tuple[ColumnRef, ColumnRef]], alias: str) -> list[str]:
+    """The join pairs as audit text, ``other.col = alias.col``."""
+    return [
+        f"{other.qualifier}.{other.column} = {alias}.{target.column}"
+        for other, target in join_pairs
+    ]

@@ -115,7 +115,7 @@ class JoinToSubquery(Rule):
                 "fired",
                 query,
                 note,
-                uniqueness.witness(),
+                uniqueness.witness,
             )
         elif query.distinct:
             note = (
@@ -140,7 +140,7 @@ class JoinToSubquery(Rule):
                 f"({uniqueness.reason}) and the projection keeps "
                 "duplicates, so folding the join would change the "
                 "multiset",
-                uniqueness.witness(),
+                uniqueness.witness,
             )
             return None
 

@@ -12,7 +12,7 @@ from ...errors import UnsupportedQueryError
 from ...sql.ast import Quantifier, Query, SelectQuery, SetOperation, SetOpKind, Star
 from ...sql.expressions import Exists, conjoin, conjuncts
 from ..theorem3 import correlation_predicate, projection_columns
-from ..uniqueness import is_duplicate_free
+from ..uniqueness import UniquenessResult, test_uniqueness
 from .base import RewriteContext, Rule, query_aliases, rename_alias
 
 
@@ -42,18 +42,19 @@ class IntersectToExists(Rule):
             return None
 
         kind = "Corollary 2 (INTERSECT ALL)" if query.all else "Theorem 3"
-        if is_duplicate_free(left, ctx.catalog, ctx.options):
+        left_verdict = _operand_verdict(left, ctx)
+        if _duplicate_free(left_verdict):
             rewritten = _build_exists(left, right, ctx, negated=False)
             if rewritten is None:
                 return None
             side = "left"
-            chosen = left
-        elif is_duplicate_free(right, ctx.catalog, ctx.options):
+            chosen = left_verdict
+        elif _duplicate_free(right_verdict := _operand_verdict(right, ctx)):
             rewritten = _build_exists(right, left, ctx, negated=False)
             if rewritten is None:
                 return None
             side = "right"
-            chosen = right
+            chosen = right_verdict
         else:
             ctx.record(
                 self.name,
@@ -62,9 +63,9 @@ class IntersectToExists(Rule):
                 query,
                 "neither operand is provably duplicate-free, so the "
                 "intersection keeps its sort-based evaluation",
-                {
-                    "left": _operand_witness(left, ctx),
-                    "right": _operand_witness(right, ctx),
+                lambda: {
+                    "left": _operand_witness(left_verdict),
+                    "right": _operand_witness(right_verdict),
                 },
             )
             return None
@@ -75,7 +76,7 @@ class IntersectToExists(Rule):
             query,
             f"the {side} operand is duplicate-free, so the intersection "
             "becomes an existential subquery with null-safe matching",
-            _operand_witness(chosen, ctx),
+            lambda: _operand_witness(chosen),
         )
         return rewritten, (
             f"{kind}: the {side} operand is duplicate-free, so the "
@@ -108,7 +109,8 @@ class ExceptToNotExists(Rule):
             right, SelectQuery
         ):
             return None
-        if not is_duplicate_free(left, ctx.catalog, ctx.options):
+        left_verdict = _operand_verdict(left, ctx)
+        if not _duplicate_free(left_verdict):
             ctx.record(
                 self.name,
                 "Theorem 3 (EXCEPT analogue)",
@@ -117,7 +119,7 @@ class ExceptToNotExists(Rule):
                 "the left operand is not provably duplicate-free (EXCEPT "
                 "is not commutative, so only the left side can justify "
                 "the rewrite)",
-                {"left": _operand_witness(left, ctx)},
+                lambda: {"left": _operand_witness(left_verdict)},
             )
             return None
         rewritten = _build_exists(left, right, ctx, negated=True)
@@ -130,7 +132,7 @@ class ExceptToNotExists(Rule):
             query,
             "the left operand is duplicate-free, so the difference "
             "becomes a NOT EXISTS filter with null-safe matching",
-            _operand_witness(left, ctx),
+            lambda: _operand_witness(left_verdict),
         )
         return rewritten, (
             "the left operand is duplicate-free, so the difference becomes "
@@ -138,16 +140,27 @@ class ExceptToNotExists(Rule):
         )
 
 
-def _operand_witness(operand: SelectQuery, ctx: RewriteContext) -> dict:
-    """Audit evidence for one set-operation operand's uniqueness."""
+def _operand_verdict(
+    operand: SelectQuery, ctx: RewriteContext
+) -> UniquenessResult | None:
+    """Algorithm 1's verdict on one set-operation operand, or None for a
+    DISTINCT block (which never produces duplicates)."""
     if operand.distinct:
+        return None
+    return test_uniqueness(operand, ctx.catalog, ctx.options)
+
+
+def _duplicate_free(verdict: UniquenessResult | None) -> bool:
+    return verdict is None or verdict.unique
+
+
+def _operand_witness(verdict: UniquenessResult | None) -> dict:
+    """Audit evidence for one set-operation operand's uniqueness."""
+    if verdict is None:
         return {
             "duplicate_free": True,
             "reason": "DISTINCT block never produces duplicates",
         }
-    from ..uniqueness import test_uniqueness
-
-    verdict = test_uniqueness(operand, ctx.catalog, ctx.options)
     payload = verdict.witness()
     payload["duplicate_free"] = verdict.unique
     payload["reason"] = verdict.reason

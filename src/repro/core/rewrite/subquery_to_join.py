@@ -88,7 +88,7 @@ class SubqueryToJoin(Rule):
                 outer,
                 "the subquery matches at most one inner tuple per outer "
                 f"row ({uniqueness.reason}); flattened to a join",
-                uniqueness.witness(),
+                uniqueness.witness,
             )
             return flattened, (
                 "Theorem 2: the subquery matches at most one inner tuple "
@@ -121,7 +121,7 @@ class SubqueryToJoin(Rule):
                 outer,
                 "the outer block is duplicate-free, so the subquery "
                 "converts to a DISTINCT join",
-                outer_unique.witness(),
+                outer_unique.witness,
             )
             return distinct_join, (
                 "Corollary 1: the outer block is duplicate-free, so the "
@@ -136,7 +136,7 @@ class SubqueryToJoin(Rule):
             f"several inner tuples ({uniqueness.reason}), the outer block "
             "is not DISTINCT, and the outer block alone is not "
             f"duplicate-free ({outer_unique.reason})",
-            {
+            lambda: {
                 "theorem2": uniqueness.witness(),
                 "corollary1": outer_unique.witness(),
             },

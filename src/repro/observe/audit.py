@@ -11,12 +11,22 @@ tooling can assert which theorem justified each rewrite.
 
 Records are plain data (strings, dicts, lists) — no AST references —
 so trails serialize directly and survive the queries they describe.
+
+The trail is filed on read.  Rules make their decisions, and compute the
+verdicts those rest on, while they run; what only a *reader* of the
+trail needs — the printed target query, the witness dict, a standalone
+verdict — is filed unbuilt and built the first time the trail is read
+(``records``, ``len``, iteration, ``to_dicts``, ``proof_sketch``).
+Nothing on the request path reads a trail, so a request pays for the
+decisions and not for their write-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+from ..sql.printer import to_sql
 
 #: Decision kinds: a rule applied, a rule examined-and-declined, or a
 #: standalone verdict recorded for completeness (e.g. Algorithm 1 on a
@@ -67,9 +77,6 @@ class AuditRecord:
             "witness": self.witness,
         }
 
-    def _identity(self) -> tuple:
-        return (self.rule, self.theorem, self.decision, self.target, self.note)
-
 
 class AuditTrail:
     """An ordered, deduplicated list of :class:`AuditRecord`.
@@ -78,35 +85,67 @@ class AuditTrail:
     decisions recur across passes; the trail keeps the first occurrence
     only (identity ignores the witness, which is derived from the same
     inputs and therefore equal too).
+
+    Decisions are filed with :meth:`record` or :meth:`defer` and turned
+    into records — printed, witnessed, deduplicated — when the trail is
+    first read.  A trail belongs to the one request that filed it.
     """
 
     def __init__(self) -> None:
-        self.records: list[AuditRecord] = []
+        self._records: list[AuditRecord] = []
         self._seen: set[tuple] = set()
+        self._filed: list = []  # record() argument tuples and defer() builders
 
     def record(
         self,
         rule: str,
         theorem: str,
         decision: str,
-        target: str,
+        target: Any,
         note: str,
-        witness: dict[str, Any] | None = None,
-    ) -> AuditRecord:
-        """Append a decision (deduplicated); returns the record."""
-        entry = AuditRecord(
-            rule=rule,
-            theorem=theorem,
-            decision=decision,
-            target=target,
-            note=note,
-            witness=witness or {},
-        )
-        identity = entry._identity()
-        if identity not in self._seen:
+        witness: dict[str, Any] | Callable[[], dict[str, Any]] | None = None,
+    ) -> None:
+        """File a decision.
+
+        *target* is the SQL text, or the query AST, printed on read;
+        *witness* is the evidence dict, or a callable that builds it on
+        read.  Both must depend only on what the decision already saw.
+        """
+        self._filed.append((rule, theorem, decision, target, note, witness))
+
+    def defer(self, build: Callable[[], tuple]) -> None:
+        """File a decision whose fields are computed on read: *build*
+        returns :meth:`record`'s arguments as a tuple."""
+        self._filed.append(build)
+
+    @property
+    def records(self) -> list[AuditRecord]:
+        """The records, built from what was filed on first read."""
+        if self._filed:
+            self._materialize()
+        return self._records
+
+    def _materialize(self) -> None:
+        filed, self._filed = self._filed, []
+        for entry in filed:
+            if callable(entry):
+                entry = entry()
+            rule, theorem, decision, target, note, witness = entry
+            if not isinstance(target, str):
+                target = to_sql(target)
+            identity = (rule, theorem, decision, target, note)
+            if identity in self._seen:
+                continue
             self._seen.add(identity)
-            self.records.append(entry)
-        return entry
+            if callable(witness):
+                witness = witness()
+            self._records.append(
+                AuditRecord(rule, theorem, decision, target, note, witness or {})
+            )
+
+    def __bool__(self) -> bool:
+        # Filing never yields an empty trail, so this reads nothing.
+        return bool(self._filed or self._records)
 
     def __len__(self) -> int:
         return len(self.records)

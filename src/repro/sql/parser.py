@@ -68,6 +68,18 @@ from .expressions import (
 from .lexer import tokenize
 from .tokens import Token, TokenType
 
+_EOF = TokenType.EOF
+_HOST_VAR = TokenType.HOST_VAR
+_IDENTIFIER = TokenType.IDENTIFIER
+_KEYWORD = TokenType.KEYWORD
+_NUMBER = TokenType.NUMBER
+_OPERATOR = TokenType.OPERATOR
+_PUNCT = TokenType.PUNCT
+_STRING = TokenType.STRING
+
+#: The keywords an operand may be, with the literal value each spells.
+_KEYWORD_LITERALS = {"NULL": NULL, "TRUE": True, "FALSE": False}
+
 
 class Parser:
     """Parses a token stream into statements."""
@@ -78,51 +90,64 @@ class Parser:
 
     # ------------------------------------------------------------------
     # token-stream helpers
+    #
+    # The token list always ends in EOF, and nothing advances past it:
+    # ``_advance`` stops there and the keyword/punct/identifier helpers
+    # never accept it.  So ``self._tokens[self._pos]`` is always in range
+    # and so is ``self._pos + 1`` when the current token is not EOF.  The
+    # helpers compare ``token[0]`` (type) and ``token[1]`` (value) inline:
+    # they run once or more per token of every statement parsed.
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.type is not TokenType.EOF:
+        if token[0] is not _EOF:
             self._pos += 1
         return token
 
     def _at_keyword(self, *names: str) -> bool:
-        return self._peek().is_keyword(*names)
+        token = self._tokens[self._pos]
+        return token[0] is _KEYWORD and token[1] in names
 
     def _accept_keyword(self, *names: str) -> Token | None:
-        if self._at_keyword(*names):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is _KEYWORD and token[1] in names:
+            self._pos += 1
+            return token
         return None
 
     def _expect_keyword(self, name: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(name):
+        token = self._tokens[self._pos]
+        if token[0] is not _KEYWORD or token[1] != name:
             raise self._error(f"expected {name}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _at_punct(self, value: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.PUNCT and token.value == value
+        token = self._tokens[self._pos]
+        return token[0] is _PUNCT and token[1] == value
 
     def _accept_punct(self, value: str) -> bool:
-        if self._at_punct(value):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token[0] is _PUNCT and token[1] == value:
+            self._pos += 1
             return True
         return False
 
     def _expect_punct(self, value: str) -> Token:
-        if not self._at_punct(value):
+        token = self._tokens[self._pos]
+        if token[0] is not _PUNCT or token[1] != value:
             raise self._error(f"expected {value!r}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_identifier(self, what: str = "identifier") -> str:
-        token = self._peek()
-        if token.type is TokenType.IDENTIFIER:
-            self._advance()
-            return str(token.value)
+        token = self._tokens[self._pos]
+        if token[0] is _IDENTIFIER:
+            self._pos += 1
+            return token[1]  # the lexer spells every identifier as a str
         # Non-reserved use of type keywords as names is not needed for the
         # paper's schema, so identifiers must be plain.
         raise self._error(f"expected {what}")
@@ -153,16 +178,19 @@ class Parser:
         return statements
 
     def _statement(self) -> Statement:
-        if self._at_keyword("CREATE"):
-            return self._create_table()
-        if self._at_keyword("INSERT"):
-            return self._insert()
-        if self._at_keyword("UPDATE"):
-            return self._update()
-        if self._at_keyword("DELETE"):
-            return self._delete()
-        if self._at_keyword("BEGIN", "COMMIT", "ROLLBACK"):
-            return self._transaction_control()
+        token = self._tokens[self._pos]
+        if token[0] is _KEYWORD:
+            verb = token[1]
+            if verb == "CREATE":
+                return self._create_table()
+            if verb == "INSERT":
+                return self._insert()
+            if verb == "UPDATE":
+                return self._update()
+            if verb == "DELETE":
+                return self._delete()
+            if verb in ("BEGIN", "COMMIT", "ROLLBACK"):
+                return self._transaction_control()
         return self._query_expr()
 
     # ------------------------------------------------------------------
@@ -231,23 +259,21 @@ class Parser:
     def _select_item(self) -> SelectItem | Star:
         if self._accept_punct("*"):
             return Star()
-        token = self._peek()
-        if (
-            token.type is TokenType.IDENTIFIER
-            and self._peek(1).type is TokenType.PUNCT
-            and self._peek(1).value == "."
-            and self._peek(2).type is TokenType.PUNCT
-            and self._peek(2).value == "*"
-        ):
-            qualifier = self._expect_identifier()
-            self._expect_punct(".")
-            self._expect_punct("*")
-            return Star(qualifier)
+        tokens, pos = self._tokens, self._pos
+        token = tokens[pos]
+        if token[0] is _IDENTIFIER:
+            # Neither lookahead can pass EOF: each follows a non-EOF token.
+            dot, star = tokens[pos + 1], None
+            if dot[0] is _PUNCT and dot[1] == ".":
+                star = tokens[pos + 2]
+            if star is not None and star[0] is _PUNCT and star[1] == "*":
+                self._pos = pos + 3
+                return Star(token[1])
         expr = self._column_ref()
         alias = None
         if self._accept_keyword("AS"):
             alias = self._expect_identifier("alias")
-        elif self._peek().type is TokenType.IDENTIFIER:
+        elif self._tokens[self._pos][0] is _IDENTIFIER:
             alias = self._expect_identifier("alias")
         return SelectItem(expr, alias)
 
@@ -265,7 +291,7 @@ class Parser:
         alias = None
         if self._accept_keyword("AS"):
             alias = self._expect_identifier("alias")
-        elif self._peek().type is TokenType.IDENTIFIER:
+        elif self._tokens[self._pos][0] is _IDENTIFIER:
             alias = self._expect_identifier("alias")
         return TableRef(name, alias)
 
@@ -310,11 +336,11 @@ class Parser:
         return self._predicate_tail(operand)
 
     def _predicate_tail(self, operand: Expr) -> Expr:
-        token = self._peek()
-        if token.type is TokenType.OPERATOR:
-            op = str(self._advance().value)
+        token = self._tokens[self._pos]
+        if token[0] is _OPERATOR:
+            self._pos += 1
             right = self._operand()
-            return Comparison(op, operand, right)
+            return Comparison(token[1], operand, right)
         if self._accept_keyword("IS"):
             negated = self._accept_keyword("NOT") is not None
             self._expect_keyword("NULL")
@@ -341,35 +367,28 @@ class Parser:
         raise self._error("expected a comparison, IS NULL, BETWEEN or IN")
 
     def _operand(self) -> Expr:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            return Literal(token.value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Literal(token.value)
-        if token.type is TokenType.HOST_VAR:
-            self._advance()
-            return HostVar(str(token.value))
-        if token.is_keyword("NULL"):
-            self._advance()
-            return Literal(NULL)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return Literal(False)
-        if token.type is TokenType.IDENTIFIER:
+        token = self._tokens[self._pos]
+        kind = token[0]
+        if kind is _IDENTIFIER:
             return self._column_ref()
+        if kind is _NUMBER or kind is _STRING:
+            self._pos += 1
+            return Literal(token[1])
+        if kind is _HOST_VAR:
+            self._pos += 1
+            return HostVar(token[1])
+        if kind is _KEYWORD and token[1] in _KEYWORD_LITERALS:
+            self._pos += 1
+            return Literal(_KEYWORD_LITERALS[token[1]])
         raise self._error("expected a value or column reference")
 
     def _column_ref(self) -> ColumnRef:
         first = self._expect_identifier("column reference")
-        if self._at_punct(".") and self._peek(1).type is TokenType.IDENTIFIER:
-            self._advance()
-            column = self._expect_identifier("column name")
-            return ColumnRef(first, column)
+        tokens, pos = self._tokens, self._pos
+        dot = tokens[pos]
+        if dot[0] is _PUNCT and dot[1] == "." and tokens[pos + 1][0] is _IDENTIFIER:
+            self._pos = pos + 2
+            return ColumnRef(first, tokens[pos + 1][1])
         return ColumnRef(None, first)
 
     # ------------------------------------------------------------------
@@ -529,10 +548,10 @@ class Parser:
 
     def _assignment(self) -> Assignment:
         column = self._expect_identifier("column name")
-        token = self._peek()
-        if token.type is not TokenType.OPERATOR or token.value != "=":
+        token = self._tokens[self._pos]
+        if token[0] is not _OPERATOR or token[1] != "=":
             raise self._error("expected '=' in SET assignment")
-        self._advance()
+        self._pos += 1
         return Assignment(column, self._operand())
 
     def _delete(self) -> Delete:
@@ -563,25 +582,20 @@ class Parser:
         return tuple(values)
 
     def _literal_value(self):
-        token = self._peek()
-        if token.type in (TokenType.NUMBER, TokenType.STRING):
-            self._advance()
-            return token.value
-        if token.type is TokenType.HOST_VAR:
+        token = self._tokens[self._pos]
+        kind = token[0]
+        if kind is _NUMBER or kind is _STRING:
+            self._pos += 1
+            return token[1]
+        if kind is _HOST_VAR:
             # Host variables in VALUES make INSERT parameterizable
             # (``executemany`` batches); the DML executor resolves them
             # against the statement's bindings.
-            self._advance()
-            return HostVar(str(token.value))
-        if token.is_keyword("NULL"):
-            self._advance()
-            return NULL
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return True
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return False
+            self._pos += 1
+            return HostVar(token[1])
+        if kind is _KEYWORD and token[1] in _KEYWORD_LITERALS:
+            self._pos += 1
+            return _KEYWORD_LITERALS[token[1]]
         raise self._error("expected a literal value")
 
 
