@@ -178,19 +178,16 @@ class Parser:
         return statements
 
     def _statement(self) -> Statement:
-        token = self._tokens[self._pos]
-        if token[0] is _KEYWORD:
-            verb = token[1]
-            if verb == "CREATE":
-                return self._create_table()
-            if verb == "INSERT":
-                return self._insert()
-            if verb == "UPDATE":
-                return self._update()
-            if verb == "DELETE":
-                return self._delete()
-            if verb in ("BEGIN", "COMMIT", "ROLLBACK"):
-                return self._transaction_control()
+        if self._at_keyword("CREATE"):
+            return self._create_table()
+        if self._at_keyword("INSERT"):
+            return self._insert()
+        if self._at_keyword("UPDATE"):
+            return self._update()
+        if self._at_keyword("DELETE"):
+            return self._delete()
+        if self._at_keyword("BEGIN", "COMMIT", "ROLLBACK"):
+            return self._transaction_control()
         return self._query_expr()
 
     # ------------------------------------------------------------------
@@ -263,12 +260,12 @@ class Parser:
         token = tokens[pos]
         if token[0] is _IDENTIFIER:
             # Neither lookahead can pass EOF: each follows a non-EOF token.
-            dot, star = tokens[pos + 1], None
+            dot = tokens[pos + 1]
             if dot[0] is _PUNCT and dot[1] == ".":
                 star = tokens[pos + 2]
-            if star is not None and star[0] is _PUNCT and star[1] == "*":
-                self._pos = pos + 3
-                return Star(token[1])
+                if star[0] is _PUNCT and star[1] == "*":
+                    self._pos = pos + 3
+                    return Star(token[1])
         expr = self._column_ref()
         alias = None
         if self._accept_keyword("AS"):
