@@ -33,9 +33,10 @@ Three tables:
   as the workload does.  Outside the timed calls, both sides' ASTs,
   rewritten SQL and full audit trails are compared on every text.
 
-Both sides must return equal rows / byte-identical response bodies /
-equal front-end output; a difference is printed and makes the exit
-status 1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
+Both sides must return equal rows (as multisets: a join may enumerate
+them in another order) / equal response bodies (up to row order and the
+``stats`` counters) / equal front-end output; a difference is printed
+and makes the exit status 1.  ``benchmarks/e2e`` is read, never edited.  End-to-end claims are
 still ``scripts/bench_pairs.py``'s.
 """
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import json
 import importlib.util
 import os
 import random
@@ -147,8 +149,9 @@ def compare_classes(workloads, conn_parent, conn_change) -> bool:
         for mode in ("tuple", "vectorized"):
             label = f"{template_id} [{mode}]"
             # The two packages have a NULL singleton each: compare text.
-            rows_parent = repr(run_parent(sql, params, mode))
-            rows_change = repr(run_change(sql, params, mode))
+            # A join may enumerate its rows in another order: multisets.
+            rows_parent = sorted(map(repr, run_parent(sql, params, mode)))
+            rows_change = sorted(map(repr, run_change(sql, params, mode)))
             if rows_parent != rows_change:
                 same = False
                 print(f"{label}: ROWS DIFFER")
@@ -182,6 +185,15 @@ def codec_side(package: str):
     return encode, decode
 
 
+def _body(raw: bytes) -> dict:
+    """A response body up to row order, without the ``stats`` counters
+    (an engine change moves those; the codec only carries them)."""
+    body = json.loads(raw)
+    body.pop("stats")
+    body["rows"].sort(key=repr)
+    return body
+
+
 def compare_codec(workloads, conn_parent, conn_change) -> bool:
     encode_parent, decode_parent = codec_side("repro_parent")
     encode_change, decode_change = codec_side("repro_change")
@@ -192,9 +204,9 @@ def compare_codec(workloads, conn_parent, conn_change) -> bool:
         executed_change = conn_change.execute(sql, params).executed
         raw_parent = encode_parent(executed_parent)
         raw_change = encode_change(executed_change)
-        if raw_parent != raw_change:
+        if _body(raw_parent) != _body(raw_change):
             same = False
-            print(f"{template_id}: BYTES DIFFER")
+            print(f"{template_id}: BODIES DIFFER")
             continue
         rows = len(executed_change.rows)
         report(

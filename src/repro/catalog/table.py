@@ -86,6 +86,21 @@ class TableSchema:
         """Column sets of every candidate key."""
         return [key.column_set for key in self.candidate_keys]
 
+    def indexable_columns(self) -> frozenset[str]:
+        """Columns the engine auto-indexes: key and FOREIGN KEY columns.
+
+        These are the probe targets the paper's workloads hit — key
+        lookups from ``col = const`` predicates, FK correlation probes
+        from ``EXISTS`` / ``IN`` subqueries, and the build side of a
+        hash join served from the table's own index.
+        """
+        columns: set[str] = set()
+        for key in self.keys:
+            columns.update(key.columns)
+        for fk in self.foreign_keys:
+            columns.update(fk.columns)
+        return frozenset(columns)
+
     # ------------------------------------------------------------------
 
     def describe(self) -> str:

@@ -18,7 +18,9 @@ and compiles each text once.  What fuses is the operators' decision
   hands the rows out through a C-level ``chain``;
 * a **hash join**, with the ``Project`` above it if there is one: build,
   then probe, yielding each match's output row directly; on the row
-  path a probe side that is a scan pipeline runs inside the probe loop.
+  path a probe side that is a scan pipeline runs inside the probe loop,
+  and a build side served from its table's hash index runs no build
+  loop at all.
 
 No value or identifier from a statement is ever written into source.
 A constant sits in an argument slot ``k0 … kn`` of the ``make`` factory
@@ -171,14 +173,15 @@ def pipeline_source(
     ])
 
 
-def _key_lines(row: str, index: int | None) -> list[str]:
+def _key_lines(row: str, index: int | None, wrap: bool = False) -> list[str]:
     """Set ``key`` for the row named *row*, or ``continue`` past it.
 
     *index* is the one strict key column, whose key is ``(rank,
-    value)`` when the type has a rank — a NULL (never a match) and an
-    unranked value take the key kernel ``<row>_key``, whose keys are
-    1-tuples and so never equal a 2-tuple.  ``None``: the kernel keys
-    every row (several columns, or a null-safe one).
+    value)`` when the type has a rank — ``((rank, value),)`` with
+    *wrap*, the shape of a hash index's keys.  A NULL (never a match)
+    and an unranked value take the key kernel ``<row>_key``, whose keys
+    are 1-tuples and so never equal an inline 2-tuple.  ``None``: the
+    kernel keys every row (several columns, or a null-safe one).
     """
     fallback = [f"key = {row}_key({row})", "if key is None:", "    continue"]
     if index is None:
@@ -189,7 +192,7 @@ def _key_lines(row: str, index: int | None) -> list[str]:
         "if t is None:",
         *("    " + line for line in fallback),
         "else:",
-        "    key = (t, v)",
+        "    key = ((t, v),)" if wrap else "    key = (t, v)",
     ]
 
 
@@ -201,6 +204,8 @@ def join_source(
     residual: str | None,
     where: str | None,
     slots: int,
+    index: bool = False,
+    kept: str | None = None,
 ) -> str:
     """Hash join: build over ``b``, probe over ``p``, one tick per match.
 
@@ -214,6 +219,13 @@ def join_source(
     rest after the last row, and one evaluation per pulled row.  So
     whichever way the join is left, its totals are the interpreter's.
     Otherwise ``probe_rows`` is a stream, closed in ``finally``.
+
+    With *index*, no build loop runs: ``build_rows`` is the build
+    table's hash index (canonical key → rows), probed once per probe
+    row.  Each fetched row is the one checkpoint of its match, and a
+    scanned row and an index row, as ``IndexScan`` counts it; *kept*
+    is the build side's ``Filter`` over ``b``, tested once per fetched
+    row.
     """
     emit = [f"yield {row}"]
     evals = []
@@ -240,6 +252,31 @@ def join_source(
             "    pending = 0",
         ]
         account = ["stats.rows_scanned += scanned"]
+    build = [
+        "buckets = {}",
+        "for b in build_rows:",
+        *("    " + line for line in _key_lines("b", build_key)),
+        "    builds += 1",
+        "    bucket = buckets.get(key)",
+        "    if bucket is None:",
+        "        buckets[key] = [b]",
+        "    else:",
+        "        bucket.append(b)",
+        "matching = buckets.get",
+    ]
+    match = ["joined += 1"]
+    if index:
+        build = ["matching = build_rows.get"]
+        match = ["fetched += 1"]
+        if kept is not None:
+            match += [f"if not {kept}:", "    continue"]
+            evals.append("fetched")
+        match.append("joined += 1")
+        account += [
+            "stats.index_probes += probes",
+            "stats.index_rows += fetched",
+            "stats.rows_scanned += fetched",
+        ]
     for counted in evals:
         account += [
             f"stats.predicate_evals += {counted}",
@@ -247,25 +284,16 @@ def join_source(
         ]
     return _factory(slots, [
         "def join(build_rows, probe_rows, tick, stats, b_key, p_key):",
-        "    buckets = {}",
-        "    builds = probes = joined = scanned = pending = 0",
+        "    builds = probes = joined = scanned = pending = fetched = 0",
         "    try:",
-        "        for b in build_rows:",
-        *("            " + line for line in _key_lines("b", build_key)),
-        "            builds += 1",
-        "            bucket = buckets.get(key)",
-        "            if bucket is None:",
-        "                buckets[key] = [b]",
-        "            else:",
-        "                bucket.append(b)",
-        "        matching = buckets.get",
+        *("        " + line for line in build),
         "        for p in probe_rows:",
         *("            " + line for line in pull),
-        *("            " + line for line in _key_lines("p", probe_key)),
+        *("            " + line for line in _key_lines("p", probe_key, index)),
         "            probes += 1",
         "            for b in matching(key, ()):",
         "                tick()",
-        "                joined += 1",
+        *("                " + line for line in match),
         *("                " + line for line in emit),
         *("        " + line for line in tail),
         "    finally:",

@@ -49,6 +49,7 @@ from .operators import (
     SortMergeJoin,
     SortSetOp,
 )
+from .operators.filter import scan_pipeline
 
 EQUALITY_SELECTIVITY = 0.1
 RANGE_SELECTIVITY = 0.3
@@ -114,7 +115,7 @@ class CostModel:
             right = self.estimate(plan.right)
             rows = _equi_join_rows(left.rows, right.rows)
             if isinstance(plan, HashJoin):
-                cost = left.cost + right.cost + left.rows + right.rows
+                cost = self.hash_join_cost(plan, left, right)
             else:
                 cost = (
                     left.cost
@@ -155,6 +156,23 @@ class CostModel:
         rows = max((c.rows for c in children), default=1.0)
         cost = sum(c.cost for c in children) + rows
         return PlanEstimate(rows, cost)
+
+    def hash_join_cost(
+        self, plan: HashJoin, left: PlanEstimate, right: PlanEstimate
+    ) -> float:
+        """Both inputs, one touch per build row and per probe row.
+
+        A build side served from its table's hash index reads no table:
+        the join costs the probe side, one index probe per probe row and
+        the rows those probes fetch, estimated as the equi-join of the
+        probe side with the whole (unfiltered) build table.
+        """
+        if plan.index is None:
+            return left.cost + right.cost + left.rows + right.rows
+        build, probe = (plan.left, right) if plan.build_left else (plan.right, left)
+        table = self.estimate(scan_pipeline(build)[0]).rows
+        fetched = _equi_join_rows(probe.rows, table)
+        return probe.cost + probe.rows + fetched
 
     # ------------------------------------------------------------------
 

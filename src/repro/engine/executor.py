@@ -215,7 +215,7 @@ class Executor:
         table_ref = query.tables[0]
         alias = table_ref.effective_name
         data = self.database.table(table_ref.name)
-        indexable = data.indexable_columns()
+        indexable = data.schema.indexable_columns()
         if not indexable:
             return None
         inner_columns = set(data.schema.column_names)

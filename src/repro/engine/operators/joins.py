@@ -11,7 +11,9 @@ subqueries or outer references fall back to the shared evaluator.  A
 hash join — with the ``Project`` above it, if any — also has a fused
 form: build, probe, residual and projection in one generated function,
 on the row path with the probe side's scan and filter inside it
-(:meth:`HashJoin._fused`).
+(:meth:`HashJoin._fused`).  A hash join whose build side is a table
+with a hash index over its keys probes that index instead of building
+a table of its own.
 """
 
 from __future__ import annotations
@@ -142,6 +144,17 @@ class HashJoin(PlanNode):
     (``build_left=True``) when the cost model estimates the left input
     is smaller, so the hash table is built on the cheaper side.  Output
     is a multiset either way — only enumeration order changes.
+
+    With *index* — the build table's columns, in build-key order — the
+    build side is a scan pipeline (a ``SeqScan`` under at most one
+    ``Filter``) and the table's own hash index over those columns *is*
+    the hash table: no build loop runs, each probe fetches its bucket
+    (a scanned row and an index row per fetched row, as ``IndexScan``
+    counts them) and the build side's filter is tested on each fetched
+    row.  A fetched row is one checkpoint, whether or not it matches.
+    Output is then in probe order, each probe's matches in table order.
+    Should the index fail to build, the per-node path hashes the build
+    input instead (``index_fallbacks``).
     """
 
     def __init__(
@@ -153,6 +166,7 @@ class HashJoin(PlanNode):
         residual: Expr | None = None,
         null_safe: list[bool] | None = None,
         build_left: bool = False,
+        index: tuple[str, ...] | None = None,
     ) -> None:
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ValueError("hash join requires matching, non-empty key lists")
@@ -165,6 +179,11 @@ class HashJoin(PlanNode):
         if len(self.null_safe) != len(left_keys):
             raise ValueError("null_safe flags must match the key lists")
         self.build_left = build_left
+        self.index = index
+        if index is not None and (
+            scan_pipeline(self._sides()[0]) is None or len(index) != len(left_keys)
+        ):
+            raise ValueError("an index join needs a scanned build side keyed by it")
         self.schema = left.schema.concat(right.schema)
 
     def children(self) -> tuple[PlanNode, ...]:
@@ -176,26 +195,46 @@ class HashJoin(PlanNode):
             return self.left, self.right, self.left_keys, self.right_keys
         return self.right, self.left, self.right_keys, self.left_keys
 
+    def _index(self, ctx: ExecContext) -> dict[tuple, list[tuple]] | None:
+        """The build table's hash index over :attr:`index`, or ``None``
+        when building it fails with anything but a ``ResourceError``."""
+        scan, _ = scan_pipeline(self._sides()[0])
+        try:
+            return ctx.database.table(scan.table_name).hash_index(self.index)
+        except ResourceError:
+            raise
+        except Exception:
+            return None
+
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         build, probe, _, _ = self._sides()
         build_key, probe_key = self._key_kernels
         build_left = self.build_left
         tick = ctx.tick
-        buckets: dict[tuple, list[tuple]] = {}
-        builds = probes = joined = 0
-        flush = _no_flush
+        buckets = None if self.index is None else self._index(ctx)
+        indexed = buckets is not None
+        if self.index is not None and not indexed:
+            ctx.stats.index_fallbacks += 1
+        builds = probes = joined = fetched = 0
+        flush = flush_kept = _no_flush
+        kept = None
         probe_rows = probe.rows(ctx, outer)
         try:
-            for build_row in build.rows(ctx, outer):
-                key = build_key(build_row)
-                if key is None:
-                    continue
-                builds += 1
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [build_row]
-                else:
-                    bucket.append(build_row)
+            if indexed:
+                where = scan_pipeline(build)[1]
+                kept, flush_kept = _residual_test(build, where, ctx, outer)
+            else:
+                buckets = {}
+                for build_row in build.rows(ctx, outer):
+                    key = build_key(build_row)
+                    if key is None:
+                        continue
+                    builds += 1
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = [build_row]
+                    else:
+                        bucket.append(build_row)
 
             qualifies, flush = _residual_test(self, self.residual, ctx, outer)
             matching = buckets.get
@@ -206,6 +245,10 @@ class HashJoin(PlanNode):
                 probes += 1
                 for build_row in matching(key, ()):
                     tick()
+                    if indexed:
+                        fetched += 1
+                        if kept is not None and not kept(build_row):
+                            continue
                     joined += 1
                     if build_left:
                         combined = build_row + probe_row
@@ -218,6 +261,11 @@ class HashJoin(PlanNode):
             stats.hash_builds += builds
             stats.hash_probes += probes
             stats.rows_joined += joined
+            if indexed:
+                stats.index_probes += probes
+                stats.index_rows += fetched
+                stats.rows_scanned += fetched
+            flush_kept()
             flush()
             probe_rows.close()
 
@@ -233,35 +281,46 @@ class HashJoin(PlanNode):
 
         A probe side that is a scan pipeline (a ``SeqScan`` under at
         most one ``Filter``) runs inside the probe loop, accounted as
-        the per-node scan and filter would be.
-        ``None`` when ``_lower`` refuses the residual or that filter.
+        the per-node scan and filter would be; an :attr:`index` join
+        probes the build table's index and tests the build side's
+        filter on each fetched row.
+        ``None`` when ``_lower`` refuses the residual or a filter, or
+        the index fails to build (the per-node path falls back).
         """
         build, probe, _, _ = self._sides()
         scan = scan_pipeline(probe)
         where = None if scan is None else scan[1]
+        indexed = self.index is not None
+        kept = scan_pipeline(build)[1] if indexed else None
         join = (node or self)._generated(
             ctx,
-            partial(self._join_source, indices, scan is not None),
+            partial(self._join_source, indices, scan is not None, indexed),
             (self.residual, self.schema, self._column),
             (where, probe.schema, lambda index: "p[%d]" % index),
+            (kept, build.schema, lambda index: "b[%d]" % index),
             variant=scan is not None,
         )
         if join is None:
             return None
+        if indexed:
+            build_rows = self._index(ctx)
+            if build_rows is None:
+                return None
+        else:
+            build_rows = build.rows(ctx)
         if scan is None:
             probe_rows = probe.rows(ctx)
         else:
             probe_rows = ctx.database.table(scan[0].table_name).rows
         build_key, probe_key = self._key_kernels
-        return join(
-            build.rows(ctx), probe_rows, ctx.tick, ctx.stats, build_key, probe_key
-        )
+        return join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
 
     @cached_property
     def _key_kernels(self) -> tuple[Callable, Callable]:
         """``key_extractor`` of the build and the probe side.  A NULL key
         participates only at null-safe positions: anywhere else it can
-        never satisfy '=' and the kernel answers None."""
+        never satisfy '=' and the kernel answers None.  The probe keys
+        are the canonical keys a table's hash index is keyed by."""
         _, _, build_keys, probe_keys = self._sides()
         return (
             key_extractor(build_keys, self.null_safe),
@@ -280,8 +339,10 @@ class HashJoin(PlanNode):
         self,
         indices: list[int] | None,
         scan: bool,
+        indexed: bool,
         residual: str | None,
         where: str | None,
+        kept: str | None,
         slots: int,
     ) -> str:
         _, _, build_keys, probe_keys = self._sides()
@@ -299,6 +360,8 @@ class HashJoin(PlanNode):
             residual,
             where,
             slots,
+            indexed,
+            kept,
         )
 
     def label(self) -> str:
@@ -307,6 +370,9 @@ class HashJoin(PlanNode):
             for l, r in zip(self.left_keys, self.right_keys)
         )
         side = ", build=left" if self.build_left else ""
+        if self.index is not None:
+            table = scan_pipeline(self._sides()[0])[0].table_name
+            side += f", index={table}({', '.join(self.index)})"
         return f"HashJoin({keys}{side})"
 
 

@@ -61,6 +61,7 @@ from .operators import (
     SortMergeJoin,
     SortSetOp,
 )
+from .operators.filter import scan_pipeline
 from .plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from .projection import resolve_projection
 from .result import Result
@@ -474,6 +475,7 @@ class Planner:
             return SortMergeJoin(
                 left, right, left_keys, right_keys, residual_pred, null_safe
             )
+        build_left, index = self._build_side(left, right, left_keys, right_keys)
         return HashJoin(
             left,
             right,
@@ -481,18 +483,34 @@ class Planner:
             right_keys,
             residual_pred,
             null_safe,
-            build_left=self._build_left(left, right),
+            build_left=build_left,
+            index=index,
         )
 
-    def _build_left(self, left: PlanNode, right: PlanNode) -> bool:
-        """Build the hash table on the left when it is estimated smaller.
+    def _build_side(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        left_keys: list[int],
+        right_keys: list[int],
+    ) -> tuple[bool, tuple[str, ...] | None]:
+        """``(build_left, index)`` of a hash join.
+
+        A side is served from its table's hash index (*index*, its join
+        columns) when it is a scan pipeline whose join columns are all
+        auto-indexed and the other side is estimated at no more than
+        half the table's rows: each probe then fetches its matches
+        instead of every row being hashed (the paper's §6, Example 11:
+        go from the selective side and reach the other by its key).  If
+        both sides qualify, the one with the smaller ratio is.  Else the
+        hash table is built on the left when it is estimated smaller.
 
         Requires a database (for cardinalities); without one — or when
         the cost model cannot estimate an input — keep the default
         build-on-right, which matches direct operator construction.
         """
         if self.database is None:
-            return False
+            return False, None
         if self._cost_based():
             from ..stats.estimator import estimator_for
 
@@ -502,9 +520,31 @@ class Planner:
 
             model = CostModel(self.database)
         try:
-            return model.estimate(left).rows < model.estimate(right).rows
+            left_rows = model.estimate(left).rows
+            right_rows = model.estimate(right).rows
         except ReproError:
-            return False
+            return False, None
+        indexed = []  # (ratio, build_left, columns); a tie keeps the right
+        if self.options.index_scans:
+            for build_left, side, keys, other_rows in (
+                (False, right, right_keys, left_rows),
+                (True, left, left_keys, right_rows),
+            ):
+                scan = scan_pipeline(side)
+                if scan is None:
+                    continue
+                columns = tuple(side.schema.columns[key].name for key in keys)
+                table = self.catalog.table(scan[0].table_name)
+                if not set(columns) <= table.indexable_columns():
+                    continue
+                cardinality = len(self.database.table(table.name))
+                if other_rows <= cardinality / 2:
+                    ratio = other_rows / cardinality if cardinality else 0.0
+                    indexed.append((ratio, build_left, columns))
+        if indexed:
+            _, build_left, columns = min(indexed)
+            return build_left, columns
+        return left_rows < right_rows, None
 
     def _equi_keys(
         self,

@@ -15,7 +15,14 @@ from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 from ..catalog.table import TableSchema
 from ..errors import ConstraintViolation, UniquenessViolationError
 from ..resilience.faults import FAULTS, SITE_INDEX_BUILD
-from ..types.values import NULL, SqlValue, format_value, is_null, row_sort_key
+from ..types.values import (
+    NULL,
+    SqlValue,
+    format_value,
+    is_null,
+    key_extractor,
+    row_sort_key,
+)
 from .schema import RelSchema, Scope
 from .txn import RowVersion
 
@@ -73,20 +80,6 @@ class TableData:
     # ------------------------------------------------------------------
     # hash indexes (equality access paths)
 
-    def indexable_columns(self) -> set[str]:
-        """Columns the engine auto-indexes: key and FOREIGN KEY columns.
-
-        These are the probe targets the paper's workloads hit — key
-        lookups from ``col = const`` predicates and FK correlation
-        probes from ``EXISTS`` / ``IN`` subqueries.
-        """
-        columns: set[str] = set()
-        for key in self.keys:
-            columns.update(key.columns)
-        for fk in self.schema.foreign_keys:
-            columns.update(fk.columns)
-        return columns
-
     def hash_index(self, columns: tuple[str, ...]) -> dict[tuple, list[tuple]]:
         """The hash index over *columns*, built on first use.
 
@@ -125,13 +118,7 @@ class TableData:
             try:
                 if FAULTS.armed:
                     FAULTS.check(SITE_INDEX_BUILD)
-                positions = [
-                    self.schema.column_index(name) for name in columns
-                ]
-                index = {}
-                for row in self.rows:
-                    key = row_sort_key(tuple(row[p] for p in positions))
-                    index.setdefault(key, []).append(row)
+                index = self.build_index(columns, self.rows)
                 with self._index_lock:
                     self._hash_indexes[columns] = index
                     self.index_builds += 1
@@ -140,6 +127,27 @@ class TableData:
                 with self._index_lock:
                     self._builds_in_flight.pop(columns, None)
                 event.set()
+
+    def build_index(
+        self, columns: tuple[str, ...], rows: Iterable[tuple]
+    ) -> dict[tuple, list[tuple]]:
+        """*rows* by their canonical key over *columns* (``row_sort_key``
+        of those values, NULL included), each bucket in row order — the
+        one build loop of every hash index, this table's and a
+        transaction's view of it."""
+        key = key_extractor(
+            [self.schema.column_index(name) for name in columns],
+            [True] * len(columns),
+        )
+        index: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            k = key(row)
+            bucket = index.get(k)
+            if bucket is None:
+                index[k] = [row]
+            else:
+                bucket.append(row)
+        return index
 
     def index_lookup(
         self, columns: tuple[str, ...], values: tuple
@@ -306,13 +314,17 @@ class TableData:
                 for version in deletes:
                     key = self._key_tuple(columns, version.row)
                     bucket = hash_index.get(key)
+                    if not bucket or version.row not in bucket:
+                        continue  # pragma: no cover - defensive
+                    # A new bucket, not an edit of the old one: a reader
+                    # still iterating it (an index join's probe) must
+                    # not skip a row shifted into the removed slot.
+                    bucket = list(bucket)
+                    bucket.remove(version.row)
                     if bucket:
-                        try:
-                            bucket.remove(version.row)
-                        except ValueError:  # pragma: no cover - defensive
-                            pass
-                        if not bucket:
-                            del hash_index[key]
+                        hash_index[key] = bucket
+                    else:
+                        del hash_index[key]
                 for version in fresh:
                     hash_index.setdefault(
                         self._key_tuple(columns, version.row), []

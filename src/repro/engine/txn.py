@@ -519,21 +519,12 @@ class _TxnTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def indexable_columns(self) -> set[str]:
-        return self.base.indexable_columns()
-
     def hash_index(self, columns: tuple[str, ...]) -> dict[tuple, list[tuple]]:
         rows = self.rows
         with self._lock:
             index = self._hash_indexes.get(columns)
             if index is None:
-                positions = [
-                    self.schema.column_index(name) for name in columns
-                ]
-                index = {}
-                for row in rows:
-                    key = row_sort_key(tuple(row[p] for p in positions))
-                    index.setdefault(key, []).append(row)
+                index = self.base.build_index(columns, rows)
                 self._hash_indexes[columns] = index
                 self.index_builds += 1
         return index

@@ -176,7 +176,7 @@ class StatisticsCostModel(CostModel):
         if self._keys_cover_candidate_key(plan.left, plan.left_keys):
             rows = min(rows, right.rows)
         if isinstance(plan, HashJoin):
-            cost = left.cost + right.cost + left.rows + right.rows
+            cost = self.hash_join_cost(plan, left, right)
         else:
             cost = (
                 left.cost

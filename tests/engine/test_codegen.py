@@ -66,10 +66,13 @@ def test_adhoc_literal_texts_share_one_kernel_per_shape(database):
     conn = connect(database)
     for text in texts:
         conn.execute(text).fetchall()
-    # filter_scan: its pipeline; key_join: SUPPLIER's pipeline and the
-    # projected join, PARTS' scan inside it.
+    # filter_scan: its pipeline; key_join: the projected join, SUPPLIER's
+    # scan inside it and PARTS probed through its index.  Every text
+    # after the first of its shape compiled nothing.
     assert len(KERNELS) <= 4, _sources()
-    assert KERNELS.stats()["hits"] > len(texts)
+    counts = KERNELS.stats()
+    assert counts["misses"] == len(KERNELS)
+    assert counts["hits"] >= len(texts) - counts["misses"]
 
 
 HOSTILE = 'x"); __import__("os") #'
@@ -86,10 +89,10 @@ NAMES = {
     # locals and arguments
     "r", "b", "p", "v", "t", "key", "rows", "chunk", "start", "scanned", "pending",
     "tick", "stats", "build_rows", "probe_rows", "b_key", "p_key",
-    "buckets", "bucket", "builds", "probes", "joined", "matching",
+    "buckets", "bucket", "builds", "probes", "joined", "matching", "fetched",
     # the Stats counters a kernel credits
     "rows_scanned", "predicate_evals", "compiled_evals", "hash_builds",
-    "hash_probes", "rows_joined",
+    "hash_probes", "rows_joined", "index_probes", "index_rows",
 }
 TOKEN = r"\s|k\d+\b|\d+\b|[-+*<>=!()\[\]{},:.]|(?:%s)\b" % "|".join(sorted(NAMES))
 

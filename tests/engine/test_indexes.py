@@ -46,10 +46,10 @@ def db():
 
 
 def test_indexable_columns_are_key_and_fk_columns(db):
-    assert db.table("S").indexable_columns() == {"SNO"}
-    assert db.table("P").indexable_columns() == {"PNO", "SNO"}
+    assert db.table("S").schema.indexable_columns() == {"SNO"}
+    assert db.table("P").schema.indexable_columns() == {"PNO", "SNO"}
     # COLOR is neither a key nor a foreign key — never auto-indexed.
-    assert "COLOR" not in db.table("P").indexable_columns()
+    assert "COLOR" not in db.table("P").schema.indexable_columns()
 
 
 def test_index_is_built_lazily_then_reused(db):
