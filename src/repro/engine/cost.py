@@ -165,7 +165,8 @@ class CostModel:
         A build side served from its table's hash index reads no table:
         the join costs the probe side, one index probe per probe row and
         the rows those probes fetch, estimated as the equi-join of the
-        probe side with the whole (unfiltered) build table.
+        probe side with the whole (unfiltered) build table.  The planner
+        picks among a join's hashed and indexed forms by this cost.
         """
         if plan.index is None:
             return left.cost + right.cost + left.rows + right.rows

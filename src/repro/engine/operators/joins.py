@@ -283,37 +283,52 @@ class HashJoin(PlanNode):
         most one ``Filter``) runs inside the probe loop, accounted as
         the per-node scan and filter would be; an :attr:`index` join
         probes the build table's index and tests the build side's
-        filter on each fetched row.
-        ``None`` when ``_lower`` refuses the residual or a filter, or
-        the index fails to build (the per-node path falls back).
+        filter on each fetched row.  Should the index fail to build,
+        the hashing kernel runs instead, as :meth:`_rows` hashes: one
+        build attempt per execution.
+        ``None`` when ``_lower`` refuses the residual or a filter.
         """
         build, probe, _, _ = self._sides()
         scan = scan_pipeline(probe)
-        where = None if scan is None else scan[1]
-        indexed = self.index is not None
-        kept = scan_pipeline(build)[1] if indexed else None
-        join = (node or self)._generated(
-            ctx,
-            partial(self._join_source, indices, scan is not None, indexed),
-            (self.residual, self.schema, self._column),
-            (where, probe.schema, lambda index: "p[%d]" % index),
-            (kept, build.schema, lambda index: "b[%d]" % index),
-            variant=scan is not None,
-        )
+        join = self._kernel(ctx, node, indices, self.index is not None)
         if join is None:
             return None
-        if indexed:
+        if self.index is None:
+            build_rows = build.rows(ctx)
+        else:
             build_rows = self._index(ctx)
             if build_rows is None:
-                return None
-        else:
-            build_rows = build.rows(ctx)
+                ctx.stats.index_fallbacks += 1
+                join = self._kernel(ctx, node, indices, False)
+                build_rows = build.rows(ctx)
         if scan is None:
             probe_rows = probe.rows(ctx)
         else:
             probe_rows = ctx.database.table(scan[0].table_name).rows
         build_key, probe_key = self._key_kernels
         return join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
+
+    def _kernel(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None,
+        indices: list[int] | None,
+        indexed: bool,
+    ) -> Callable[..., Iterator[tuple]] | None:
+        """The generated join of :meth:`_fused`, probing the build
+        table's index if *indexed*, else hashing the build input."""
+        build, probe, _, _ = self._sides()
+        scan = scan_pipeline(probe)
+        where = None if scan is None else scan[1]
+        kept = scan_pipeline(build)[1] if indexed else None
+        return (node or self)._generated(
+            ctx,
+            partial(self._join_source, indices, scan is not None, indexed),
+            (self.residual, self.schema, self._column),
+            (where, probe.schema, lambda index: "p[%d]" % index),
+            (kept, build.schema, lambda index: "b[%d]" % index),
+            variant=(scan is not None, indexed),
+        )
 
     @cached_property
     def _key_kernels(self) -> tuple[Callable, Callable]:

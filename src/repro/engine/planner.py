@@ -338,11 +338,7 @@ class Planner:
         if not self.options.index_scans or not local:
             return None
         schema = self.catalog.table(scan.table_name)
-        indexable: set[str] = set()
-        for key in schema.candidate_keys:
-            indexable.update(key.columns)
-        for fk in schema.foreign_keys:
-            indexable.update(fk.columns)
+        indexable = schema.indexable_columns()
         if not indexable:
             return None
 
@@ -475,42 +471,46 @@ class Planner:
             return SortMergeJoin(
                 left, right, left_keys, right_keys, residual_pred, null_safe
             )
-        build_left, index = self._build_side(left, right, left_keys, right_keys)
-        return HashJoin(
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual_pred,
-            null_safe,
-            build_left=build_left,
-            index=index,
+        return self._hash_join(
+            left, right, left_keys, right_keys, residual_pred, null_safe
         )
 
-    def _build_side(
+    def _hash_join(
         self,
         left: PlanNode,
         right: PlanNode,
         left_keys: list[int],
         right_keys: list[int],
-    ) -> tuple[bool, tuple[str, ...] | None]:
-        """``(build_left, index)`` of a hash join.
+        residual: Expr | None,
+        null_safe: list[bool],
+    ) -> HashJoin:
+        """The cheapest hash join of *left* and *right*.
 
-        A side is served from its table's hash index (*index*, its join
-        columns) when it is a scan pipeline whose join columns are all
-        auto-indexed and the other side is estimated at no more than
-        half the table's rows: each probe then fetches its matches
-        instead of every row being hashed (the paper's §6, Example 11:
-        go from the selective side and reach the other by its key).  If
-        both sides qualify, the one with the smaller ratio is.  Else the
-        hash table is built on the left when it is estimated smaller.
+        The candidates are: the hash table built on the side estimated
+        smaller, and each side whose table's own hash index can serve
+        as the hash table (:meth:`_index_order`) — each probe then
+        fetches its matches instead of every row being hashed (the
+        paper's §6, Example 11: go from the selective side and reach
+        the other by its key).  ``CostModel.hash_join_cost`` prices
+        them; a tie keeps the hashed join.
 
         Requires a database (for cardinalities); without one — or when
         the cost model cannot estimate an input — keep the default
         build-on-right, which matches direct operator construction.
         """
+
+        def join(order: list[int], **how) -> HashJoin:
+            def pick(keys):
+                return [keys[i] for i in order]
+
+            return HashJoin(
+                left, right, pick(left_keys), pick(right_keys), residual,
+                pick(null_safe), **how,
+            )
+
+        as_written = list(range(len(left_keys)))
         if self.database is None:
-            return False, None
+            return join(as_written)
         if self._cost_based():
             from ..stats.estimator import estimator_for
 
@@ -520,31 +520,46 @@ class Planner:
 
             model = CostModel(self.database)
         try:
-            left_rows = model.estimate(left).rows
-            right_rows = model.estimate(right).rows
-        except ReproError:
-            return False, None
-        indexed = []  # (ratio, build_left, columns); a tie keeps the right
-        if self.options.index_scans:
-            for build_left, side, keys, other_rows in (
-                (False, right, right_keys, left_rows),
-                (True, left, left_keys, right_rows),
+            left_est = model.estimate(left)
+            right_est = model.estimate(right)
+            candidates = [join(as_written, build_left=left_est.rows < right_est.rows)]
+            for build_left, side, keys in (
+                (False, right, right_keys),
+                (True, left, left_keys),
             ):
-                scan = scan_pipeline(side)
-                if scan is None:
-                    continue
-                columns = tuple(side.schema.columns[key].name for key in keys)
-                table = self.catalog.table(scan[0].table_name)
-                if not set(columns) <= table.indexable_columns():
-                    continue
-                cardinality = len(self.database.table(table.name))
-                if other_rows <= cardinality / 2:
-                    ratio = other_rows / cardinality if cardinality else 0.0
-                    indexed.append((ratio, build_left, columns))
-        if indexed:
-            _, build_left, columns = min(indexed)
-            return build_left, columns
-        return left_rows < right_rows, None
+                order = self._index_order(side, keys)
+                if order is not None:
+                    index = tuple(side.schema.columns[keys[i]].name for i in order)
+                    candidates.append(join(order, build_left=build_left, index=index))
+            return min(
+                candidates,
+                key=lambda candidate: model.hash_join_cost(candidate, left_est, right_est),
+            )
+        except ReproError:
+            return join(as_written)
+
+    def _index_order(self, side: PlanNode, keys: list[int]) -> list[int] | None:
+        """The order of *keys* in which *side*'s table keeps a hash index
+        over its join columns, or ``None``.
+
+        *side* must be a scan pipeline, and its join columns one key or
+        FOREIGN KEY column, or exactly one candidate key's columns (put
+        in the key's order): the indexes ``IndexScan`` probes too, not
+        a composite index per join shape.
+        """
+        if not self.options.index_scans:
+            return None
+        scan = scan_pipeline(side)
+        if scan is None:
+            return None
+        schema = self.catalog.table(scan[0].table_name)
+        columns = [side.schema.columns[key].name for key in keys]
+        if len(columns) == 1:
+            return [0] if columns[0] in schema.indexable_columns() else None
+        for key in schema.candidate_keys:
+            if sorted(key.columns) == sorted(columns):
+                return [columns.index(column) for column in key.columns]
+        return None
 
     def _equi_keys(
         self,

@@ -56,7 +56,9 @@ class TableData:
         self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
         # General hash indexes, built lazily per column tuple and then
         # maintained incrementally: canonical key -> rows in insertion
-        # order (non-unique columns map to multi-row buckets).
+        # order (non-unique columns map to multi-row buckets).  Loading
+        # (insert/remove_last/clear) edits them in place; a commit
+        # replaces each with a patched copy (``_patched``).
         self._hash_indexes: dict[tuple[str, ...], dict[tuple, list[tuple]]] = {}
         # Single-flight build coordination: the lock guards the index
         # and in-flight dictionaries (bookkeeping only — the O(n) build
@@ -84,7 +86,7 @@ class TableData:
         """The hash index over *columns*, built on first use.
 
         The build is a single O(n) pass; afterwards the index is
-        maintained incrementally by insert/remove/clear, so repeated
+        maintained incrementally by loading and commits, so repeated
         probes (a correlated subquery per outer row, a templated query
         per batch item) amortize it away.
 
@@ -118,11 +120,16 @@ class TableData:
             try:
                 if FAULTS.armed:
                     FAULTS.check(SITE_INDEX_BUILD)
-                index = self.build_index(columns, self.rows)
-                with self._index_lock:
-                    self._hash_indexes[columns] = index
-                    self.index_builds += 1
-                return index
+                while True:
+                    rows = self.rows
+                    index = self.build_index(columns, rows)
+                    with self._index_lock:
+                        # A commit publishes its rows under this lock: an
+                        # index built from replaced rows is built again.
+                        if rows is self.rows:
+                            self._hash_indexes[columns] = index
+                            self.index_builds += 1
+                            return index
             finally:
                 with self._index_lock:
                     self._builds_in_flight.pop(columns, None)
@@ -289,12 +296,13 @@ class TableData:
         versions get their ``xmax`` stamp, inserted rows become live
         versions stamped ``xmin=xid``, and the committed row list is
         rebuilt and swapped in one reference assignment — a concurrent
-        reader sees the whole commit or none of it.  Key and hash
-        indexes are maintained as one deferred batch (never touched at
-        statement time; a deleted version stays in its key chain, its
-        ``xmax`` stamp is what says the key is free), and the data
-        version bumps exactly once, which is what keeps invalidation
-        scoped to touched tables.
+        reader sees the whole commit or none of it.  Each hash index is
+        replaced by a patched copy the same way, published with the rows
+        under the index lock.  Key and hash indexes are maintained as one
+        deferred batch (never touched at statement time; a deleted
+        version stays in its key chain, its ``xmax`` stamp is what says
+        the key is free), and the data version bumps exactly once, which
+        is what keeps invalidation scoped to touched tables.
         """
         for version in deletes:
             version.xmax = xid
@@ -305,31 +313,53 @@ class TableData:
         fresh = [RowVersion(tuple(row), xmin=xid) for row in inserts]
         self.versions.extend(fresh)
         new_rows.extend(version.row for version in fresh)
-        self.rows = new_rows
         # Batched index maintenance: one pass over the write set.
         for version in fresh:
             self._chain_version(version)
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
-                for version in deletes:
-                    key = self._key_tuple(columns, version.row)
-                    bucket = hash_index.get(key)
-                    if not bucket or version.row not in bucket:
-                        continue  # pragma: no cover - defensive
-                    # A new bucket, not an edit of the old one: a reader
-                    # still iterating it (an index join's probe) must
-                    # not skip a row shifted into the removed slot.
-                    bucket = list(bucket)
-                    bucket.remove(version.row)
-                    if bucket:
-                        hash_index[key] = bucket
-                    else:
-                        del hash_index[key]
-                for version in fresh:
-                    hash_index.setdefault(
-                        self._key_tuple(columns, version.row), []
-                    ).append(version.row)
+                self._hash_indexes[columns] = self._patched(
+                    columns, hash_index, deletes, fresh
+                )
+            self.rows = new_rows
         self.version += 1
+
+    def _patched(
+        self,
+        columns: tuple[str, ...],
+        index: dict[tuple, list[tuple]],
+        deletes: Collection[RowVersion],
+        fresh: Sequence[RowVersion],
+    ) -> dict[tuple, list[tuple]]:
+        """A copy of *index* with one commit's writes applied.
+
+        A published index and its buckets are never edited by a commit,
+        so a reader holding them (an index join's probes, an
+        ``IndexScan``) sees one commit throughout, as it does holding
+        :attr:`rows`.  The copy is O(keys), the order of the row list
+        rebuilt beside it.
+        """
+        changed: dict[tuple, list[tuple]] = {}
+
+        def bucket(row: tuple) -> list[tuple]:
+            key = self._key_tuple(columns, row)
+            found = changed.get(key)
+            if found is None:
+                found = changed[key] = list(index.get(key, ()))
+            return found
+
+        for version in deletes:
+            rows = bucket(version.row)
+            if version.row in rows:
+                rows.remove(version.row)
+        for version in fresh:
+            bucket(version.row).append(version.row)
+        index = index.copy()
+        index.update(changed)
+        for key, rows in changed.items():
+            if not rows:
+                del index[key]
+        return index
 
     # ------------------------------------------------------------------
     # validation

@@ -1,13 +1,14 @@
 """A hash join's build side comes from its table's own hash index —
 counted, not timed.
 
-When one side of a hash join is a scan of a table whose join columns are
-auto-indexed (key or FOREIGN KEY columns), and the other side is
-estimated at no more than half that table's rows, the planner serves the
-build side from the table's hash index: no build loop runs, and a probe
-fetches only its bucket.  So the rows a join reads are bounded by the
-probe side's rows times the bucket size — one per probe where the probed
-columns are a key — and not by the indexed table's size.
+When one side of a hash join is a scan of a table whose join columns
+are one auto-indexed column (a key or FOREIGN KEY column) or one
+candidate key, and the cost model prices probing that table's hash
+index below hashing, the planner serves the build side from the index:
+no build loop runs, and a probe fetches only its bucket.  So the rows a
+join reads are bounded by the probe side's rows times the bucket size —
+one per probe where the probed columns are a key — and not by the
+indexed table's size.
 
 The texts are those of ``benchmarks/e2e/workloads.py``.
 """
@@ -20,7 +21,9 @@ import repro
 from repro import Stats, clear_all_caches
 from repro.engine import Planner, PlannerOptions, execute_planned
 from repro.engine.cost import CostModel
-from repro.engine.operators import HashJoin
+from repro.engine.compile import set_compilation_enabled
+from repro.engine.operators import ExecContext, HashJoin
+from repro.engine.table_data import TableData
 from repro.observe import execute_analyzed
 from repro.resilience import FAULTS, SITE_INDEX_BUILD
 from repro.workloads import SupplierScale, build_database, generate
@@ -103,25 +106,58 @@ def test_the_plan_names_the_index_and_probes_from_the_small_side(db):
 
 
 @pytest.mark.parametrize(
-    "parts_filter, build_left",
+    "where",
     [
-        # PARTS(SNO): 12 suppliers probe 48 rows, 0.25; SUPPLIER(SNO):
-        # ~4.8 red parts probe 12 rows, 0.4 — PARTS, the right side.
-        ("P.COLOR = 'RED'", False),
-        # ~0.48 parts probe SUPPLIER's 12 rows, 0.04 < 0.25 — SUPPLIER.
-        ("P.COLOR = 'RED' AND P.PNAME = 'Bolt'", True),
+        "S.SCITY = 'Chicago'",
+        "P.COLOR = 'RED'",
+        "P.COLOR = 'RED' AND P.PNAME = 'Bolt'",
+        "S.SNO BETWEEN 1 AND 50 AND P.COLOR = 'RED'",
     ],
 )
-def test_when_both_sides_qualify_the_smaller_ratio_is_indexed(
-    parts_filter, build_left
-):
-    small = build_database(generate(SupplierScale(12, 4, 2)))
+def test_the_cheapest_of_hashing_and_each_index_is_chosen(db, where):
     sql = (
         "SELECT S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P "
-        f"WHERE S.SNO = P.SNO AND {parts_filter}"
+        f"WHERE S.SNO = P.SNO AND {where}"
     )
-    (join,) = _joins(Planner(small.catalog, database=small).plan(sql))
-    assert join.index == ("SNO",) and join.build_left == build_left
+    (join,) = _joins(Planner(db.catalog, database=db).plan(sql))
+    model = CostModel(db)
+    left, right = model.estimate(join.left), model.estimate(join.right)
+    shape = (
+        join.left, join.right, join.left_keys, join.right_keys,
+        join.residual, join.null_safe,
+    )
+    candidates = [
+        HashJoin(*shape, build_left=left.rows < right.rows),
+        HashJoin(*shape, build_left=False, index=("SNO",)),
+        HashJoin(*shape, build_left=True, index=("SNO",)),
+    ]
+    costs = [model.hash_join_cost(c, left, right) for c in candidates]
+    assert model.hash_join_cost(join, left, right) == min(costs)
+    assert join.index == ("SNO",)
+
+
+def test_a_composite_join_is_served_only_by_a_declared_key():
+    database = _db(60)
+    # PARTS' key is (SNO, PNO): the join's columns, put in key order.
+    keyed = (
+        "SELECT A.ANAME, P.PNAME FROM AGENTS A, PARTS P "
+        "WHERE A.ANO = P.PNO AND A.SNO = P.SNO"
+    )
+    (join,) = _joins(Planner(database.catalog, database=database).plan(keyed))
+    assert join.index == ("SNO", "PNO")
+    assert "HashJoin(SNO=SNO, ANO=PNO, index=PARTS(SNO, PNO))" in join.explain()
+    indexed, _ = _run(keyed, database, {})
+    hashed, _ = _run(keyed, database, {}, PlannerOptions(index_scans=False))
+    assert indexed.rows and indexed.same_rows(hashed)
+    # AGENTS(SNO, ANO) is two indexed columns but no key: no new index.
+    unkeyed = (
+        "SELECT A.ANAME, S.SNAME FROM AGENTS A, SUPPLIER S "
+        "WHERE A.SNO = S.SNO AND A.ANO = S.BUDGET"
+    )
+    (join,) = _joins(Planner(database.catalog, database=database).plan(unkeyed))
+    assert join.index is None
+    _run(unkeyed, database, {})
+    assert not database.table("AGENTS").has_hash_index(("SNO", "ANO"))
 
 
 def test_without_a_database_or_with_index_scans_off_nothing_is_indexed(db):
@@ -226,21 +262,54 @@ def test_a_transaction_sees_its_writes_through_the_index_join():
         assert answers(conn) == before
 
 
-def test_a_commit_never_shifts_a_bucket_a_join_is_reading():
+BY_SUPPLIER = (
+    "SELECT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+    "WHERE S.SNO = P.SNO AND S.SNO BETWEEN :LO AND :HI"
+)
+RANGE = {"LO": 1, "HI": 10}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["fused", "per-node"])
+def test_a_join_reads_one_commit_while_an_update_lands_mid_probe(compiled):
     database = _db(60)
-    index = database.table("PARTS").hash_index(("SNO",))
-    (key,) = [key for key in index if key == ((1, 5),)]
-    bucket = index[key]
-    reading = iter(bucket)
-    first = next(reading)
-    txn = database.begin()
-    txn.delete_version(
-        "PARTS", next(v for v in txn.visible_versions("PARTS") if v.row is first)
+    plan = Planner(database.catalog, database=database).plan(BY_SUPPLIER)
+    assert _joins(plan)[0].index == ("SNO",)
+    before = list(plan.rows(ExecContext(database, params=RANGE)))
+    previous = set_compilation_enabled(compiled)
+    try:
+        stream = plan.rows(ExecContext(database, params=RANGE))
+        seen = [next(stream)]
+        assert seen[0][0] == 1
+        # One UPDATE (a delete and an insert per row) of a bucket being
+        # read and of one not probed yet, committed between two rows.
+        with repro.connect(database) as conn:
+            conn.execute("UPDATE PARTS SET PNAME = 'Moved' WHERE SNO = 1 OR SNO = 9")
+        seen += stream
+    finally:
+        set_compilation_enabled(previous)
+    assert seen == before
+    after = list(plan.rows(ExecContext(database, params=RANGE)))
+    assert sorted(row for row in after if row[2] == "Moved") == sorted(
+        (sno, pno, "Moved") for sno, pno, _ in before if sno in (1, 9)
     )
-    txn.commit()
-    # The join that was mid-bucket still sees every row that was live.
-    assert [first, *reading] == bucket
-    assert first not in index[key] and len(index[key]) == len(bucket) - 1
+
+
+def test_an_index_built_while_a_commit_lands_holds_the_commit(monkeypatch):
+    database = _db(60)
+    build = TableData.build_index
+    calls = []
+
+    def racing(self, columns, rows):
+        calls.append(columns)
+        if len(calls) == 1:  # a commit lands while the first build runs
+            with repro.connect(database) as conn:
+                conn.execute("INSERT INTO PARTS VALUES (5, 99, 'Extra', 99999, 'RED')")
+        return build(self, columns, rows)
+
+    monkeypatch.setattr(TableData, "build_index", racing)
+    index = database.table("PARTS").hash_index(("SNO",))
+    assert len(calls) == 2
+    assert (5, 99, "Extra", 99999, "RED") in index[((1, 5),)]
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +335,32 @@ def test_an_index_build_fault_falls_back_to_hashing_the_build_side():
         if getattr(clean, name) != value
     }
     assert differ <= ACCESS_PATH, differ
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["fused", "per-node"])
+def test_one_failed_index_build_per_execution_hashes_the_build_side(
+    monkeypatch, compiled
+):
+    params = {"CITY": "Chicago", "LO": 1, "HI": 60}
+    database = _db(60)
+    expected, _ = _run(KEY_JOIN, database, params, PlannerOptions(index_scans=False))
+    attempts = []
+
+    def failing(self, columns):
+        attempts.append(columns)
+        raise RuntimeError("index build failed")
+
+    monkeypatch.setattr(TableData, "hash_index", failing)
+    previous = set_compilation_enabled(compiled)
+    try:
+        clear_all_caches()
+        result, stats = _run(KEY_JOIN, database, params)
+    finally:
+        set_compilation_enabled(previous)
+    assert result.same_rows(expected)
+    assert attempts == [("SNO",)]
+    assert stats.index_fallbacks == 1 and stats.index_rows == 0
+    assert stats.hash_builds == len(database.table("PARTS"))
 
 
 # ----------------------------------------------------------------------
