@@ -4,16 +4,17 @@
   conservative (Ceri–Widom) variant, the verbatim `paper_strict` empty-
   condition rule, and the IS NULL binding extension.  Measured as
   detection counts over a fixed query battery.
-* **A2** — DISTINCT via sort vs hash in the engine.
-* **A3** — join strategy (hash / merge / nested) on the flattened
-  Example 7 join.
+* **A2** — DISTINCT as the sort the paper's cost model prices.
+* **A3** — join strategy on the flattened Example 7 join: the planned
+  hash join vs a nested loop over the hash join's own inputs.
 """
 
 from repro import Stats, optimize
-from repro.engine import execute_planned
+from repro.engine import Planner, execute_plan, execute_planned
 from repro.bench import ExperimentReport, timed
 from repro.core import UniquenessOptions, test_uniqueness
-from repro.engine import PlannerOptions
+from repro.engine.operators import HashJoin, NestedLoopJoin, Project
+from repro.sql import parse_condition
 
 
 A1_BATTERY = [
@@ -79,51 +80,8 @@ A2_QUERY = (
 )
 
 
-def test_a2_distinct_sort_vs_hash(benchmark, bench_db):
-    report = ExperimentReport(
-        experiment="A2: DISTINCT via sort vs hash",
-        claim="hash dedup streams without sorting; both agree",
-        columns=["method", "t(s)", "sort_rows", "hash_builds"],
-    )
-    results = {}
-    for method in ("sort", "hash"):
-        stats = Stats()
-        result, elapsed = timed(
-            lambda: execute_planned(
-                A2_QUERY,
-                bench_db,
-                stats=stats,
-                options=PlannerOptions(distinct_method=method),
-            )
-        )
-        results[method] = result
-        report.add_row(method, elapsed, stats.sort_rows, stats.hash_builds)
-    report.show()
-    assert results["sort"].same_rows(results["hash"])
-
-    result = benchmark(
-        lambda: execute_planned(
-            A2_QUERY, bench_db, options=PlannerOptions(distinct_method="hash")
-        )
-    )
-    assert not result.has_duplicates()
-
-
 def test_a2_sort_distinct(benchmark, bench_db):
-    result = benchmark(
-        lambda: execute_planned(
-            A2_QUERY, bench_db, options=PlannerOptions(distinct_method="sort")
-        )
-    )
-    assert not result.has_duplicates()
-
-
-def test_a2_hash_distinct(benchmark, bench_db):
-    result = benchmark(
-        lambda: execute_planned(
-            A2_QUERY, bench_db, options=PlannerOptions(distinct_method="hash")
-        )
-    )
+    result = benchmark(lambda: execute_planned(A2_QUERY, bench_db))
     assert not result.has_duplicates()
 
 
@@ -139,33 +97,31 @@ def test_a3_join_strategies(benchmark, bench_db):
     flattened = optimize(A3_QUERY, bench_db.catalog).query
     report = ExperimentReport(
         experiment="A3: join strategy for the flattened Example 7",
-        claim="hash/merge joins beat the nested-loop product; all agree",
+        claim="the hash join beats the nested-loop product over the same "
+        "inputs; both agree",
         columns=["strategy", "t(s)", "rows_joined"],
     )
-    results = {}
-    for method in ("hash", "merge", "nested"):
+    hashed = Planner(bench_db.catalog, database=bench_db).plan(flattened)
+    join = hashed.child
+    assert isinstance(hashed, Project) and isinstance(join, HashJoin)
+    nested = Project(
+        NestedLoopJoin(join.left, join.right, parse_condition("S.SNO = P.SNO")),
+        hashed.indices,
+        hashed.schema.output_names(),
+    )
+    results, joined = {}, {}
+    for strategy, plan in (("hash", hashed), ("nested", nested)):
         stats = Stats()
         result, elapsed = timed(
-            lambda: execute_planned(
-                flattened,
-                bench_db,
-                params=A3_PARAMS,
-                stats=stats,
-                options=PlannerOptions(join_method=method),
-            )
+            lambda: execute_plan(plan, bench_db, params=A3_PARAMS, stats=stats)
         )
-        results[method] = result
-        report.add_row(method, elapsed, stats.rows_joined)
+        results[strategy], joined[strategy] = result, stats.rows_joined
+        report.add_row(strategy, elapsed, stats.rows_joined)
     report.show()
-    assert results["hash"].same_rows(results["merge"])
     assert results["hash"].same_rows(results["nested"])
+    assert joined["hash"] < joined["nested"]
 
     result = benchmark(
-        lambda: execute_planned(
-            flattened,
-            bench_db,
-            params=A3_PARAMS,
-            options=PlannerOptions(join_method="hash"),
-        )
+        lambda: execute_planned(flattened, bench_db, params=A3_PARAMS)
     )
     assert len(result) > 0

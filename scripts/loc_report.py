@@ -73,13 +73,18 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Lines of *source* that carry code (see the module docstring)."""
+def code_line_numbers(source: str) -> set[int]:
+    """Numbers of the lines of *source* that carry code."""
     counted: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             counted.update(range(token.start[0], token.end[0] + 1))
-    return len(counted - docstring_lines(ast.parse(source)))
+    return counted - docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """Lines of *source* that carry code (see the module docstring)."""
+    return len(code_line_numbers(source))
 
 
 def report(root: Path) -> dict[str, dict[str, int]]:

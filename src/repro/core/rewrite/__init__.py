@@ -2,7 +2,6 @@
 
 from .base import RewriteContext, RewriteStep, Rule, rename_alias
 from .distinct_elimination import DistinctElimination
-from .exists_to_intersect import ExistsToIntersect
 from .engine import (
     OptimizeResult,
     Optimizer,
@@ -21,7 +20,6 @@ from .subquery_to_join import InToExists, SubqueryToJoin
 __all__ = [
     "DistinctElimination",
     "ExceptToNotExists",
-    "ExistsToIntersect",
     "InToExists",
     "IntersectToExists",
     "JoinElimination",

@@ -36,9 +36,7 @@ from ..sql.expressions import (
 from .database import Database
 from .operators import (
     Filter,
-    HashDistinct,
     HashJoin,
-    HashSemiJoin,
     IndexScan,
     NestedLoopJoin,
     PlanNode,
@@ -46,7 +44,6 @@ from .operators import (
     SeqScan,
     Sort,
     SortDistinct,
-    SortMergeJoin,
     SortSetOp,
 )
 from .operators.filter import scan_pipeline
@@ -99,30 +96,19 @@ class CostModel:
         if isinstance(plan, Project):
             child = self.estimate(plan.child)
             return PlanEstimate(child.rows, child.cost + child.rows)
-        if isinstance(plan, (SortDistinct, HashDistinct)):
+        if isinstance(plan, SortDistinct):
             child = self.estimate(plan.child)
-            rows = child.rows * DISTINCT_RETENTION
-            if isinstance(plan, SortDistinct):
-                cost = child.cost + _sort_cost(child.rows)
-            else:
-                cost = child.cost + child.rows
-            return PlanEstimate(rows, cost)
+            return PlanEstimate(
+                child.rows * DISTINCT_RETENTION, child.cost + _sort_cost(child.rows)
+            )
         if isinstance(plan, Sort):
             child = self.estimate(plan.child)
             return PlanEstimate(child.rows, child.cost + _sort_cost(child.rows))
-        if isinstance(plan, (HashJoin, SortMergeJoin)):
+        if isinstance(plan, HashJoin):
             left = self.estimate(plan.left)
             right = self.estimate(plan.right)
             rows = _equi_join_rows(left.rows, right.rows)
-            if isinstance(plan, HashJoin):
-                cost = self.hash_join_cost(plan, left, right)
-            else:
-                cost = (
-                    left.cost
-                    + right.cost
-                    + _sort_cost(left.rows)
-                    + _sort_cost(right.rows)
-                )
+            cost = self.hash_join_cost(plan, left, right)
             if plan.residual is not None:
                 rows *= self.predicate_selectivity(plan.residual)
             return PlanEstimate(rows, cost + rows)
@@ -135,11 +121,6 @@ class CostModel:
                 return PlanEstimate(product, cost)
             rows = product * self.predicate_selectivity(plan.predicate)
             return PlanEstimate(rows, cost)
-        if isinstance(plan, HashSemiJoin):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
-            rows = left.rows * DEFAULT_SELECTIVITY
-            return PlanEstimate(rows, left.cost + right.cost + left.rows + right.rows)
         if isinstance(plan, SortSetOp):
             left = self.estimate(plan.left)
             right = self.estimate(plan.right)

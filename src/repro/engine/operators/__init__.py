@@ -2,17 +2,15 @@
 
 from .base import ExecContext, PlanNode
 from .filter import Filter
-from .joins import HashJoin, HashSemiJoin, NestedLoopJoin, SortMergeJoin
-from .project import HashDistinct, Project, Sort, SortDistinct
+from .joins import HashJoin, NestedLoopJoin
+from .project import Project, Sort, SortDistinct
 from .scan import IndexScan, SeqScan
 from .setops import SortSetOp
 
 __all__ = [
     "ExecContext",
     "Filter",
-    "HashDistinct",
     "HashJoin",
-    "HashSemiJoin",
     "IndexScan",
     "NestedLoopJoin",
     "PlanNode",
@@ -20,6 +18,5 @@ __all__ = [
     "SeqScan",
     "Sort",
     "SortDistinct",
-    "SortMergeJoin",
     "SortSetOp",
 ]

@@ -1,9 +1,9 @@
-"""Join operators: nested-loop, hash, and sort-merge.
+"""Join operators: nested-loop and hash.
 
 All joins use WHERE-clause equality for their keys: a NULL key never
-matches anything (``NULL = NULL`` is UNKNOWN).  Hash and sort-merge
-joins therefore drop NULL-keyed rows on both sides, matching what the
-nested-loop join's predicate evaluation would do.
+matches anything (``NULL = NULL`` is UNKNOWN).  A hash join therefore
+drops NULL-keyed rows on both sides, matching what the nested-loop
+join's predicate evaluation would do.
 
 Join predicates and residuals are compiled to generated row tests when
 possible (see :mod:`repro.engine.compile`); predicates containing
@@ -19,7 +19,6 @@ a table of its own.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from ...errors import ResourceError
@@ -389,157 +388,3 @@ class HashJoin(PlanNode):
             table = scan_pipeline(self._sides()[0])[0].table_name
             side += f", index={table}({', '.join(self.index)})"
         return f"HashJoin({keys}{side})"
-
-
-class SortMergeJoin(PlanNode):
-    """Equi-join by sorting both inputs on the join keys and merging."""
-
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        left_keys: list[int],
-        right_keys: list[int],
-        residual: Expr | None = None,
-        null_safe: list[bool] | None = None,
-    ) -> None:
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise ValueError("merge join requires matching, non-empty key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.residual = residual
-        self.null_safe = null_safe or [False] * len(left_keys)
-        if len(self.null_safe) != len(left_keys):
-            raise ValueError("null_safe flags must match the key lists")
-        self.schema = left.schema.concat(right.schema)
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        left_rows = self._sorted_input(ctx, self.left, self.left_keys, outer)
-        right_rows = self._sorted_input(ctx, self.right, self.right_keys, outer)
-        qualifies, flush = _residual_test(self, self.residual, ctx, outer)
-        tick = ctx.tick
-        joined = 0
-
-        i = j = 0
-        try:
-            while i < len(left_rows) and j < len(right_rows):
-                left_key, left_row = left_rows[i]
-                right_key, right_row = right_rows[j]
-                if left_key < right_key:
-                    i += 1
-                elif left_key > right_key:
-                    j += 1
-                else:
-                    # Gather the group of equal keys on the right, join
-                    # with every equal-keyed left row.
-                    j_end = j
-                    while j_end < len(right_rows) and right_rows[j_end][0] == left_key:
-                        j_end += 1
-                    while i < len(left_rows) and left_rows[i][0] == left_key:
-                        _, current_left = left_rows[i]
-                        for _, match in right_rows[j:j_end]:
-                            tick()
-                            joined += 1
-                            combined = current_left + match
-                            if qualifies is None or qualifies(combined):
-                                yield combined
-                        i += 1
-                    j = j_end
-        finally:
-            ctx.stats.rows_joined += joined
-            flush()
-
-    def _sorted_input(
-        self,
-        ctx: ExecContext,
-        child: PlanNode,
-        keys: list[int],
-        outer: Scope | None,
-    ) -> list[tuple]:
-        """``(key, row)`` pairs in key order, NULL-keyed rows dropped
-        (except at null-safe positions)."""
-        extract = key_extractor(keys, self.null_safe)
-        rows = [
-            (key, row)
-            for row in child.rows(ctx, outer)
-            if (key := extract(row)) is not None
-        ]
-        ctx.stats.sorts += 1
-        ctx.stats.sort_rows += len(rows)
-        rows.sort(key=itemgetter(0))
-        return rows
-
-    def label(self) -> str:
-        keys = ", ".join(
-            f"{self.left.schema.columns[l].name}={self.right.schema.columns[r].name}"
-            for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"SortMergeJoin({keys})"
-
-
-class HashSemiJoin(PlanNode):
-    """Left semi-join: emit each left row with at least one key match.
-
-    This is the engine-feature ablation for flattening EXISTS: instead of
-    re-executing a correlated subquery per outer row, the inner input is
-    hashed once.  Produces the *left* schema only.
-    """
-
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        left_keys: list[int],
-        right_keys: list[int],
-        negated: bool = False,
-    ) -> None:
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise ValueError("semi join requires matching, non-empty key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
-        self.negated = negated
-        self.schema = left.schema
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        right_key = key_extractor(self.right_keys)
-        left_key = key_extractor(self.left_keys)
-        negated = self.negated
-        tick = ctx.tick
-        keys: set[tuple] = set()
-        builds = probes = 0
-        left_rows = self.left.rows(ctx, outer)
-        try:
-            for right_row in self.right.rows(ctx, outer):
-                key = right_key(right_row)
-                if key is not None:
-                    builds += 1
-                    keys.add(key)
-
-            for left_row in left_rows:
-                tick()
-                key = left_key(left_row)
-                if key is None:
-                    matched = False
-                else:
-                    probes += 1
-                    matched = key in keys
-                if matched != negated:
-                    yield left_row
-        finally:
-            ctx.stats.hash_builds += builds
-            ctx.stats.hash_probes += probes
-            left_rows.close()
-
-    def label(self) -> str:
-        kind = "HashAntiJoin" if self.negated else "HashSemiJoin"
-        return f"{kind}({len(self.left_keys)} keys)"

@@ -87,33 +87,6 @@ def sort_distinct(ctx: ExecContext, rows: list[tuple]) -> Iterator[tuple]:
         ctx.stats.duplicates_removed += duplicates
 
 
-class HashDistinct(PlanNode):
-    """Duplicate elimination by hashing: no sort, first-seen order."""
-
-    def __init__(self, child: PlanNode) -> None:
-        self.child = child
-        self.schema = child.schema
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        rows = list(self.child.rows(ctx, outer))
-        (keys,) = row_keys(rows)
-        first: dict = {}
-        for key, row in zip(keys, rows):
-            first.setdefault(key, row)
-        # Every probe either built an entry or removed a duplicate.
-        stats = ctx.stats
-        stats.hash_probes += len(rows)
-        stats.hash_builds += len(first)
-        stats.duplicates_removed += len(rows) - len(first)
-        yield from first.values()
-
-    def label(self) -> str:
-        return "Distinct(hash)"
-
-
 class Sort(PlanNode):
     """ORDER BY operator over projected rows."""
 

@@ -5,11 +5,11 @@ rule-based and deliberately simple — its job is to make execution
 *strategy* a measurable variable:
 
 * single-table conjuncts are pushed down below joins,
-* equality conjuncts between two tables become hash- or sort-merge-join
-  keys (configurable; nested-loop is the fallback and can be forced),
+* equality conjuncts between two tables become hash-join keys (a join
+  with none is a nested loop),
 * conjuncts containing subqueries stay in a final Filter, where the
   evaluator re-executes them per row — the naive nested-loop strategy,
-* DISTINCT becomes a sort- or hash-based duplicate-elimination operator.
+* DISTINCT becomes a sort, the form the paper's cost model prices.
 
 The semantic rewrites of the paper (distinct elimination, subquery
 flattening, ...) happen *before* planning, in :mod:`repro.core.rewrite`.
@@ -49,7 +49,6 @@ from .database import Database
 from .operators import (
     ExecContext,
     Filter,
-    HashDistinct,
     HashJoin,
     IndexScan,
     NestedLoopJoin,
@@ -58,7 +57,6 @@ from .operators import (
     SeqScan,
     Sort,
     SortDistinct,
-    SortMergeJoin,
     SortSetOp,
 )
 from .operators.filter import scan_pipeline
@@ -72,9 +70,12 @@ from .stats import Stats
 class PlannerOptions:
     """Strategy knobs for physical planning.
 
+    No knob picks an operator: an equi-join is a :class:`HashJoin`, any
+    other join a :class:`NestedLoopJoin`, and DISTINCT a
+    :class:`SortDistinct` (the sort the paper's cost model prices).
+    The knobs choose access paths and the join order.
+
     Attributes:
-        join_method: 'hash', 'merge', or 'nested' for equi-joins.
-        distinct_method: 'sort' (the paper's cost model) or 'hash'.
         index_scans: turn ``col = constant`` predicates on key/FK
             columns into hash-index probes instead of SeqScan+Filter.
         use_stats: enumerate join orders by cost over collected
@@ -86,17 +87,9 @@ class PlannerOptions:
             estimation; implies cost-based join ordering.
     """
 
-    join_method: str = "hash"
-    distinct_method: str = "sort"
     index_scans: bool = True
     use_stats: bool = False
     adaptive: bool = False
-
-    def __post_init__(self) -> None:
-        if self.join_method not in ("hash", "merge", "nested"):
-            raise ValueError(f"unknown join method {self.join_method!r}")
-        if self.distinct_method not in ("sort", "hash"):
-            raise ValueError(f"unknown distinct method {self.distinct_method!r}")
 
 
 class Planner:
@@ -190,10 +183,7 @@ class Planner:
         current = Project(current, indices, names)
 
         if query.distinct:
-            if self.options.distinct_method == "sort":
-                current = SortDistinct(current)
-            else:
-                current = HashDistinct(current)
+            current = SortDistinct(current)
 
         if query.order_by:
             current = self._order(query, current, names, indices)
@@ -446,9 +436,8 @@ class Planner:
         qualifier_columns: dict[str, set[str]],
         right_alias: str,
     ) -> PlanNode:
-        if self.options.join_method == "nested" or not applicable:
-            predicate = conjoin(applicable) if applicable else None
-            return NestedLoopJoin(left, right, predicate)
+        if not applicable:
+            return NestedLoopJoin(left, right, None)
 
         left_keys: list[int] = []
         right_keys: list[int] = []
@@ -466,13 +455,9 @@ class Planner:
         if not left_keys:
             return NestedLoopJoin(left, right, conjoin(applicable))
 
-        residual_pred = conjoin(residual) if residual else None
-        if self.options.join_method == "merge":
-            return SortMergeJoin(
-                left, right, left_keys, right_keys, residual_pred, null_safe
-            )
         return self._hash_join(
-            left, right, left_keys, right_keys, residual_pred, null_safe
+            left, right, left_keys, right_keys,
+            conjoin(residual) if residual else None, null_safe,
         )
 
     def _hash_join(

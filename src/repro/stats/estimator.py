@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..engine.cost import (
+    DISTINCT_RETENTION,
     CostModel,
     PlanEstimate,
     _equi_join_rows,
@@ -38,14 +39,12 @@ from ..engine.cost import (
 )
 from ..engine.operators import (
     Filter,
-    HashDistinct,
     HashJoin,
     IndexScan,
     PlanNode,
     Project,
     SeqScan,
     SortDistinct,
-    SortMergeJoin,
 )
 from ..sql.expressions import (
     Between,
@@ -117,11 +116,11 @@ class StatisticsCostModel(CostModel):
             return PlanEstimate(rows, rows)
         if isinstance(plan, IndexScan):
             return self._index_scan(plan)
-        if isinstance(plan, (HashJoin, SortMergeJoin)):
+        if isinstance(plan, HashJoin):
             return self._equi_join(plan)
-        if isinstance(plan, (SortDistinct, HashDistinct)):
+        if isinstance(plan, SortDistinct):
             return self._distinct(plan)
-        # Filter/Project/Sort/NestedLoop/semi-joins/set ops: the base
+        # Filter/Project/Sort/NestedLoop/set ops: the base
         # recipe already routes selectivities through our overridden
         # ``_atom_selectivity``, so the heuristic structure is reused
         # with statistics-backed numbers.
@@ -159,7 +158,7 @@ class StatisticsCostModel(CostModel):
 
     # -- joins ----------------------------------------------------------
 
-    def _equi_join(self, plan: HashJoin | SortMergeJoin) -> PlanEstimate:
+    def _equi_join(self, plan: HashJoin) -> PlanEstimate:
         left = self.estimate(plan.left)
         right = self.estimate(plan.right)
         left_ndv = self._keys_ndv(plan.left, plan.left_keys)
@@ -175,15 +174,7 @@ class StatisticsCostModel(CostModel):
             rows = min(rows, left.rows)
         if self._keys_cover_candidate_key(plan.left, plan.left_keys):
             rows = min(rows, right.rows)
-        if isinstance(plan, HashJoin):
-            cost = self.hash_join_cost(plan, left, right)
-        else:
-            cost = (
-                left.cost
-                + right.cost
-                + _sort_cost(left.rows)
-                + _sort_cost(right.rows)
-            )
+        cost = self.hash_join_cost(plan, left, right)
         if plan.residual is not None:
             rows *= self.predicate_selectivity(plan.residual)
         return PlanEstimate(rows, cost + rows)
@@ -232,7 +223,7 @@ class StatisticsCostModel(CostModel):
 
     # -- distinct -------------------------------------------------------
 
-    def _distinct(self, plan: SortDistinct | HashDistinct) -> PlanEstimate:
+    def _distinct(self, plan: SortDistinct) -> PlanEstimate:
         child = self.estimate(plan.child)
         rows = None
         inner = plan.child
@@ -249,12 +240,8 @@ class StatisticsCostModel(CostModel):
             if ndv is not None:
                 rows = min(child.rows, ndv)
         if rows is None:
-            rows = child.rows * 0.6  # heuristic DISTINCT_RETENTION
-        if isinstance(plan, SortDistinct):
-            cost = child.cost + _sort_cost(child.rows)
-        else:
-            cost = child.cost + child.rows
-        return PlanEstimate(rows, cost)
+            rows = child.rows * DISTINCT_RETENTION
+        return PlanEstimate(rows, child.cost + _sort_cost(child.rows))
 
     # -- selectivities --------------------------------------------------
 

@@ -48,14 +48,15 @@ class TestCostModel:
         assert nested.cost > flat.cost
 
     def test_nested_loop_costs_more_than_hash_join(self, db):
-        from repro.engine import PlannerOptions
+        from repro.engine.operators import HashJoin, NestedLoopJoin
+        from repro.sql import parse_condition
 
         sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO"
-        hash_est = CostModel(db).estimate(Planner(db.catalog).plan(sql))
-        nested_est = CostModel(db).estimate(
-            Planner(db.catalog, PlannerOptions(join_method="nested")).plan(sql)
-        )
-        assert nested_est.cost > hash_est.cost
+        join = Planner(db.catalog).plan(sql).child
+        assert isinstance(join, HashJoin)
+        nested = NestedLoopJoin(join.left, join.right, parse_condition("S.SNO = P.SNO"))
+        model = CostModel(db)
+        assert model.estimate(nested).cost > model.estimate(join).cost
 
     def test_disjunction_selectivity_below_one(self, db):
         estimate = self.plan_estimate(

@@ -51,20 +51,6 @@ def sort_distinct(rows: list[tuple], stats: Stats) -> list[tuple]:
     return output
 
 
-def hash_distinct(rows: list[tuple], stats: Stats) -> list[tuple]:
-    seen: set = set()
-    output = []
-    for row in rows:
-        key = row_sort_key(row)
-        stats.hash_probes += 1
-        if key not in seen:
-            seen.add(key)
-            output.append(row)
-    stats.hash_builds += len(seen)
-    stats.duplicates_removed += len(rows) - len(seen)
-    return output
-
-
 def order(
     rows: list[tuple], positions: list[int], ascending: list[bool], stats: Stats
 ) -> list[tuple]:

@@ -6,14 +6,11 @@ from repro.engine import Database, Stats
 from repro.engine.operators import (
     ExecContext,
     Filter,
-    HashDistinct,
     HashJoin,
-    HashSemiJoin,
     NestedLoopJoin,
     Project,
     SeqScan,
     SortDistinct,
-    SortMergeJoin,
 )
 from repro.sql import parse_condition
 from repro.types import NULL
@@ -75,12 +72,6 @@ class TestJoins:
         assert stats.hash_builds == 3  # NULL key not built
         assert stats.hash_probes == 3  # NULL key not probed
 
-    def test_merge_join_equals_hash_join(self, db):
-        hash_rows, _ = self.equi_rows(db, HashJoin)
-        merge_rows, merge_stats = self.equi_rows(db, SortMergeJoin)
-        assert hash_rows == merge_rows
-        assert merge_stats.sorts == 2
-
     def test_nested_loop_join_with_predicate(self, db):
         ctx = ctx_for(db)
         node = NestedLoopJoin(
@@ -113,47 +104,10 @@ class TestJoins:
         with pytest.raises(ValueError):
             HashJoin(scan(db, "L"), scan(db, "R"), [], [])
         with pytest.raises(ValueError):
-            SortMergeJoin(scan(db, "L"), scan(db, "R"), [0], [0, 1])
-
-
-class TestSemiJoin:
-    def test_semi_join_emits_left_once(self, db):
-        ctx = ctx_for(db)
-        left, right = scan(db, "L"), scan(db, "R")
-        node = HashSemiJoin(
-            left,
-            right,
-            [left.schema.index_of("L", "V")],
-            [right.schema.index_of("R", "W")],
-        )
-        rows = run(node, ctx)
-        assert sorted(row[0] for row in rows) == [1, 2, 4]
-
-    def test_anti_join(self, db):
-        ctx = ctx_for(db)
-        left, right = scan(db, "L"), scan(db, "R")
-        node = HashSemiJoin(
-            left,
-            right,
-            [left.schema.index_of("L", "V")],
-            [right.schema.index_of("R", "W")],
-            negated=True,
-        )
-        rows = run(node, ctx)
-        # NULL-keyed left row never matches, so it *is* emitted by anti-join
-        assert sorted(row[0] for row in rows) == [3]
+            HashJoin(scan(db, "L"), scan(db, "R"), [0], [0, 1])
 
 
 class TestDistinct:
-    def test_sort_and_hash_distinct_agree(self, db):
-        ctx1, ctx2 = ctx_for(db), ctx_for(db)
-        base1 = Project(scan(db, "L"), [1], ["V"])
-        base2 = Project(scan(db, "L"), [1], ["V"])
-        sorted_rows = run(SortDistinct(base1), ctx1)
-        hashed_rows = run(HashDistinct(base2), ctx2)
-        assert sorted(map(repr, sorted_rows)) == sorted(map(repr, hashed_rows))
-        assert ctx1.stats.sorts == 1 and ctx2.stats.sorts == 0
-
     def test_distinct_counts_duplicates_removed(self, db):
         ctx = ctx_for(db)
         node = SortDistinct(Project(scan(db, "L"), [1], ["V"]))

@@ -57,7 +57,7 @@ def test_planner_options_are_part_of_the_key(db):
     sql = "SELECT SNO FROM S"
     execute_planned(sql, db, plan_cache=cache)
     execute_planned(
-        sql, db, plan_cache=cache, options=PlannerOptions(join_method="nested")
+        sql, db, plan_cache=cache, options=PlannerOptions(index_scans=False)
     )
     assert cache.misses == 2  # different options, different plans
 

@@ -1,7 +1,7 @@
 """Plan shapes the planner rarely emits, against the interpreter.
 
 Hand-built plans put a fused kernel's boundary where the planner never
-does: a cross-table residual above a join, a projection over a hash
+does: a cross-table residual above a join, a projection over a
 DISTINCT, a set operation of two scan pipelines, a projection over an
 index probe, and a scan pipeline opened once per outer row.  Each runs
 with compilation on (fused where it can be) and off (the reference
@@ -17,11 +17,11 @@ from repro.engine import execute_plan, set_compilation_enabled
 from repro.engine.operators import (
     ExecContext,
     Filter,
-    HashDistinct,
     HashJoin,
     IndexScan,
     Project,
     SeqScan,
+    SortDistinct,
     SortSetOp,
 )
 from repro.engine.schema import Scope
@@ -59,14 +59,14 @@ def _filter_over_join(db):
     return Filter(join, parse_condition("S.SNO <= P.PNO AND P.COLOR <> 'RED'"))
 
 
-def _project_over_hash_distinct(db):
+def _project_over_distinct(db):
     parts = _scan(db, "PARTS", "P")
     pipeline = Project(
         Filter(parts, parse_condition("P.PNO > 1")),
         [parts.schema.index_of("P", "COLOR"), parts.schema.index_of("P", "PNAME")],
         ["COLOR", "PNAME"],
     )
-    return Project(HashDistinct(pipeline), [0], ["COLOR"])
+    return Project(SortDistinct(pipeline), [0], ["COLOR"])
 
 
 def _setop_of_two_pipelines(db):
@@ -108,7 +108,7 @@ def _run(plan, db, compiled: bool, analysis: PlanAnalysis | None = None):
     "shape",
     [
         _filter_over_join,
-        _project_over_hash_distinct,
+        _project_over_distinct,
         _setop_of_two_pipelines,
         _project_over_index_scan,
     ],

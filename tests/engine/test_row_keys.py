@@ -29,7 +29,6 @@ from repro import clear_all_caches
 from repro.engine import Database, Stats
 from repro.engine.operators import (
     ExecContext,
-    HashDistinct,
     PlanNode,
     Sort,
     SortDistinct,
@@ -113,7 +112,6 @@ def _same(actual, expected) -> None:
 def test_distinct_matches_the_canonical_key(relation):
     width, (rows,) = relation
     _same(_run(SortDistinct(Rows(rows, width))), _oracle(reference.sort_distinct, rows))
-    _same(_run(HashDistinct(Rows(rows, width))), _oracle(reference.hash_distinct, rows))
 
 
 @settings(**SETTINGS)

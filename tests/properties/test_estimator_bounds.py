@@ -10,7 +10,7 @@ honour the same bound the execution provably does.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Database, Planner, PlannerOptions, execute_planned
-from repro.engine.operators import HashJoin, SortMergeJoin
+from repro.engine.operators import HashJoin
 from repro.sql import parse_query
 from repro.stats import StatisticsCostModel
 from repro.stats.histogram import Histogram
@@ -38,7 +38,7 @@ def _join_nodes(plan):
     found = []
 
     def visit(node):
-        if isinstance(node, (HashJoin, SortMergeJoin)):
+        if isinstance(node, HashJoin):
             found.append(node)
         for child in node.children():
             visit(child)

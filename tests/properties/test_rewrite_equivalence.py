@@ -239,23 +239,6 @@ def test_join_elimination_preserves_results(seed):
     ), optimized.explain()
 
 
-@settings(max_examples=100, **COMMON)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_exists_to_intersect_preserves_results(seed):
-    """The §5.3 inverse rule must also be semantics-preserving."""
-    from repro.core.rewrite import ExistsToIntersect, RewriteContext
-
-    rng = random.Random(seed)
-    catalog = random_catalog(rng, CONFIG)
-    database = random_database(rng, catalog, CONFIG)
-    query = random_exists_query(rng, catalog)
-    outcome = ExistsToIntersect().apply(query, RewriteContext(catalog))
-    if outcome is None:
-        return
-    rewritten, _ = outcome
-    assert execute(query, database).same_rows(execute(rewritten, database))
-
-
 @settings(max_examples=80, **COMMON)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_strategy_selector_preserves_results(seed):
