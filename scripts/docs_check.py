@@ -105,17 +105,20 @@ def check_cli_drift() -> list[str]:
     Introspects ``repro.cli.build_arg_parser()`` — every subcommand
     must be named in ``docs/cli.md`` (as a section) and in
     ``README.md``, and every long flag must appear in its subcommand's
-    ``docs/cli.md`` section.  The exit-code table in both files must
-    list every entry of ``repro.errors.CLI_EXIT_CODES``.  Returns a
-    list of human-readable problems (empty = no drift).
+    ``docs/cli.md`` section.  Both read ``repro.errors.ERROR_TABLE``:
+    the exit-code tables of ``docs/cli.md`` and ``README.md`` must list
+    every class with its own exit code, and ``docs/http_api.md``'s
+    status table must name every class with its status and retryable
+    flag.  Returns a list of human-readable problems (empty = no drift).
     """
     import argparse as _argparse
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.cli import build_arg_parser
-    from repro.errors import CLI_EXIT_CODES
+    from repro.errors import CLI_EXIT_CODES, ERROR_TABLE, RETRYABLE_STATUSES
 
     cli_doc = (REPO_ROOT / "docs" / "cli.md").read_text()
+    http_doc = (REPO_ROOT / "docs" / "http_api.md").read_text()
     readme = (REPO_ROOT / "README.md").read_text()
     problems: list[str] = []
 
@@ -153,6 +156,21 @@ def check_cli_drift() -> list[str]:
             problems.append(
                 f"README.md: exit code {code} ({error_type.__name__}) "
                 "missing from the exit-code table"
+            )
+
+    rows = [line for line in http_doc.splitlines() if line.startswith("| `")]
+    for error_type, _code, status in ERROR_TABLE:
+        name = error_type.__name__
+        retryable = "yes" if status in RETRYABLE_STATUSES else "no"
+        if not any(
+            f"`{name}`" in row
+            and f"| {status}" in row
+            and row.endswith(f"| {retryable} |")
+            for row in rows
+        ):
+            problems.append(
+                f"docs/http_api.md: {name} not listed with status {status}, "
+                f"retryable {retryable}"
             )
     return problems
 

@@ -64,7 +64,6 @@ def run_with_options(
     options: ExecutionOptions | None = None,
     stats: Stats | None = None,
     plan_cache: PlanCache | None = None,
-    planner_options: Any | None = None,
     on_guard: Any | None = None,
     transaction: Any | None = None,
     sql_text: str | None = None,
@@ -135,10 +134,11 @@ def run_with_options(
     # network transit already spent the client's whole budget.
     budget = options.budget()
     adaptive = options.adaptive
-    if options.stats or adaptive:
-        planner_options = _stats_planner_options(
-            planner_options, database, adaptive
-        )
+    planner_options = (
+        _stats_planner_options(database, adaptive)
+        if options.stats or adaptive
+        else None
+    )
     optimizer = None
     if not options.optimize:
         # An empty rule list turns run_guarded into plain planned
@@ -287,11 +287,7 @@ def apply_transaction_control(
     )
 
 
-def _stats_planner_options(
-    planner_options: Any | None,
-    database: Database,
-    adaptive: bool,
-) -> Any:
+def _stats_planner_options(database: Database, adaptive: bool) -> Any:
     """Planner options carrying the statistics/adaptive flags.
 
     Also makes ``run --stats`` self-serve: a database without fresh
@@ -300,8 +296,6 @@ def _stats_planner_options(
     collecting on it would re-pay the pass every statement; the
     estimator falls back instead and counts ``estimator_fallbacks``).
     """
-    from dataclasses import replace
-
     from .engine.planner import PlannerOptions
 
     if not getattr(database, "is_transaction_view", False):
@@ -311,9 +305,7 @@ def _stats_planner_options(
             ensure_statistics(database)
         except Exception:
             pass  # fail-soft: estimator_for falls back and counts it
-    if planner_options is None:
-        return PlannerOptions(use_stats=True, adaptive=adaptive)
-    return replace(planner_options, use_stats=True, adaptive=adaptive)
+    return PlannerOptions(use_stats=True, adaptive=adaptive)
 
 
 @dataclass

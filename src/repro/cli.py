@@ -2,34 +2,13 @@
 
 Usage::
 
-    python -m repro check    [--schema DDL.sql | --paper] [--json]
-                             "SELECT DISTINCT ..."
-    python -m repro optimize [--schema DDL.sql | --paper]
-                             [--profile relational|navigational] "SELECT ..."
-    python -m repro run      [--script DB.sql | --demo] [--plan]
-                             [--timeout SECONDS] [--row-budget N]
-                             [--safe-mode] [--param NAME=VALUE ...]
-                             [--trace] [--analyze] [--json]
-                             [--stats] [--adaptive]
-                             [--metrics-out FILE]
-                             "SELECT ..."
-    python -m repro analyze-stats [--script DB.sql | --demo] [--json]
-    python -m repro explain  [--script DB.sql | --demo]
-                             [--profile relational|navigational]
-                             [--no-optimize] [--analyze] [--json]
-                             [--param NAME=VALUE ...] "SELECT ..."
-    python -m repro serve    [--script DB.sql | --demo] [--file FILE]
-                             [--workers N] [--queue-depth N]
-                             [--timeout SECONDS] [--row-budget N]
-                             [--safe-mode] [--json]
-                             [--stats] [--adaptive]
-                             [--http PORT] [--host ADDR] [--shards N]
-    python -m repro client   URL [--session NAME] [--stream]
-                             [--timeout SECONDS] [--row-budget N]
-                             [--safe-mode] [--analyze] [--no-optimize]
-                             [--stats] [--adaptive]
-                             [--param NAME=VALUE ...] [--json] "SELECT ..."
-    python -m repro demo
+    python -m repro {check,optimize,run,explain,analyze-stats,serve,client,demo} ...
+    python -m repro SUBCOMMAND --help
+
+``docs/cli.md`` documents every flag.  The per-query option flags
+(budgets, deadline, priority, safe mode, ANALYZE, rewrites, statistics)
+are the fields of :class:`~repro.options.ExecutionOptions`, and
+:data:`OPTION_FLAGS` states each once.
 
 * ``check`` runs Algorithm 1 and prints the paper-style trace
   (``--json`` emits the verdict plus the bound-attribute witness).
@@ -71,14 +50,10 @@ Usage::
 * ``demo`` walks through the paper's worked examples.
 
 Exit codes: 0 success (for ``check``: verdict YES), 1 ``check`` verdict
-NO, 2 generic library error, 3 other resource-budget error, 4 query
-timeout, 5 row budget exceeded, 6 query cancelled, 7 transient
-failure with retries exhausted, 8 safe-mode rewrite mismatch, 9 service
-admission queue overloaded, 10 ticket wait timed out, 11 network
-failure with retries exhausted, 12 deadline expired before execution
-began.  A :class:`~repro.errors.
-RemoteQueryError` relayed from a server maps by its *original* error
-type — a remote row-budget violation still exits 5.
+NO, 2 a usage or generic library error; every typed error's own code
+is in :data:`repro.errors.ERROR_TABLE`.  A
+:class:`~repro.errors.RemoteQueryError` relayed from a server maps by
+its *original* error type — a remote row-budget violation still exits 5.
 """
 
 from __future__ import annotations
@@ -98,11 +73,7 @@ from .engine import (
 )
 from .api import Connection
 from .api import connect as api_connect
-from .errors import (
-    ReproError,
-    exit_code_for as _exit_code_for,
-    exit_code_summary,
-)
+from .errors import ReproError, exit_code_for, exit_code_summary
 from .options import ExecutionOptions
 from .observe import (
     AuditTrail,
@@ -111,7 +82,7 @@ from .observe import (
     execute_analyzed,
     set_tracing,
 )
-from .resilience import ResourceBudget
+from .resilience.admission import PRIORITIES
 from .service import QueryService
 from .sql import parse_query
 from .types import NULL, SqlValue
@@ -142,6 +113,110 @@ def _positive(kind: type) -> Any:
     # argparse names the type in its "invalid int value" message.
     parse.__name__ = kind.__name__
     return parse
+
+
+#: The per-query option flags: :class:`~repro.options.ExecutionOptions`
+#: field → its flag and argparse keywords.  ``run``, ``serve``,
+#: ``client`` and ``explain`` add theirs from here, and
+#: :func:`_execution_options` reads the parsed values back.
+OPTION_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "timeout": (
+        "--timeout",
+        {
+            "type": _positive(float),
+            "metavar": "SECONDS",
+            "help": "per-query wall-clock budget (exit code 4)",
+        },
+    ),
+    "row_budget": (
+        "--row-budget",
+        {
+            "type": _positive(int),
+            "metavar": "N",
+            "help": "per-query row-processing budget (exit code 5)",
+        },
+    ),
+    "deadline": (
+        "--deadline-ms",
+        {
+            "type": float,
+            "metavar": "MS",
+            "help": "end-to-end deadline in milliseconds; a query whose "
+            "budget is already spent is rejected before any work (exit "
+            "code 12)",
+        },
+    ),
+    "priority": (
+        "--priority",
+        {
+            "choices": PRIORITIES,
+            "help": "admission priority class (default interactive; batch "
+            "is shed first under load)",
+        },
+    ),
+    "safe_mode": (
+        "--safe-mode",
+        {
+            "action": "store_true",
+            "help": "cross-check rewrites against the unrewritten plan; on "
+            "a mismatch quarantine the rules and serve the verified result",
+        },
+    ),
+    "analyze": (
+        "--analyze",
+        {
+            "action": "store_true",
+            "help": "EXPLAIN ANALYZE: execute once and report each "
+            "operator's actual rows, loops, timing, and q-error",
+        },
+    ),
+    "optimize": (
+        "--no-optimize",
+        {
+            "action": "store_true",
+            "help": "take the query as written, skipping the rewrite rules",
+        },
+    ),
+    "stats": (
+        "--stats",
+        {
+            "action": "store_true",
+            "help": "cost-based planning from table statistics (the ANALYZE "
+            "pass runs automatically when the catalog is missing or stale)",
+        },
+    ),
+    "adaptive": (
+        "--adaptive",
+        {
+            "action": "store_true",
+            "help": "statistics-driven planning plus the adaptive feedback "
+            "loop: fold actual row counts into per-plan-node corrections "
+            "(implies --stats)",
+        },
+    ),
+}
+
+
+def _add_option_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flag, spec = OPTION_FLAGS[name]
+        sub.add_argument(flag, **spec)
+
+
+def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
+    """The :class:`ExecutionOptions` the parsed option flags ask for;
+    a value the options refuse raises :class:`ValueError`."""
+    loose: dict[str, Any] = {}
+    for name, (flag, _spec) in OPTION_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or value is False:
+            continue  # not given, or not one of this subcommand's flags
+        if name == "optimize":
+            value = False  # --no-optimize
+        elif name == "deadline":
+            value /= 1000.0  # seconds from now
+        loose[name] = value
+    return ExecutionOptions.create(**loose)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -219,65 +294,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--plan", action="store_true", help="also print the physical plan"
     )
     run.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="execute the query as written, skipping the rewrite rules",
-    )
-    run.add_argument(
-        "--timeout",
-        type=_positive(float),
-        metavar="SECONDS",
-        help="abort the query after this many seconds (exit code 4)",
-    )
-    run.add_argument(
-        "--row-budget",
-        type=_positive(int),
-        metavar="N",
-        help="abort after processing this many rows (exit code 5)",
-    )
-    run.add_argument(
-        "--deadline-ms",
-        type=float,
-        metavar="MS",
-        help="end-to-end deadline in milliseconds; a query whose budget "
-        "is already spent is rejected before any work (exit code 12)",
-    )
-    run.add_argument(
-        "--priority",
-        choices=("interactive", "batch"),
-        help="admission priority class (default interactive; batch is "
-        "shed first under load)",
-    )
-    run.add_argument(
-        "--safe-mode",
-        action="store_true",
-        help="cross-check rewrites against the unrewritten plan; on a "
-        "mismatch quarantine the rules and serve the verified result",
-    )
-    run.add_argument(
         "--trace",
         action="store_true",
         help="record and print the hierarchical trace spans",
     )
-    run.add_argument(
-        "--analyze",
-        action="store_true",
-        help="EXPLAIN ANALYZE: also print the execution's per-operator "
-        "actual rows, loops, timing, and q-error plus the rewrite audit",
-    )
-    run.add_argument(
-        "--stats",
-        action="store_true",
-        help="cost-based planning from table statistics (the ANALYZE "
-        "pass runs automatically when the catalog is missing or stale)",
-    )
-    run.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="statistics-driven planning plus the adaptive feedback "
-        "loop: analyze the execution and fold actual row counts into "
-        "per-plan-node corrections (implies --stats)",
-    )
+    _add_option_flags(run, *OPTION_FLAGS)
     run.add_argument(
         "--metrics-out",
         metavar="FILE",
@@ -301,16 +322,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="relational",
         help="rule profile (default: relational)",
     )
-    explain.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="explain the query as written, skipping the rewrite rules",
-    )
-    explain.add_argument(
-        "--analyze",
-        action="store_true",
-        help="execute once and annotate the plan with that run's actuals",
-    )
+    _add_option_flags(explain, "optimize", "analyze")
     explain.add_argument(
         "--json",
         action="store_true",
@@ -379,34 +391,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="admission queue bound; a full queue blocks submission "
         "(default 64)",
     )
-    serve.add_argument(
-        "--timeout",
-        type=_positive(float),
-        metavar="SECONDS",
-        help="per-query wall-clock budget",
-    )
-    serve.add_argument(
-        "--row-budget",
-        type=_positive(int),
-        metavar="N",
-        help="per-query row-processing budget",
-    )
-    serve.add_argument(
-        "--safe-mode",
-        action="store_true",
-        help="cross-check rewrites against the unrewritten plan",
-    )
-    serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="cost-based planning from table statistics for every "
-        "served query",
-    )
-    serve.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="statistics-driven planning plus the adaptive correction "
-        "loop for every served query (implies --stats)",
+    _add_option_flags(
+        serve, "timeout", "row_budget", "safe_mode", "stats", "adaptive"
     )
     serve.add_argument(
         "--json",
@@ -431,8 +417,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         metavar="N",
         help="with --http: serve a sharded cluster of N worker "
-        "processes behind an asyncio front end (key-bound point "
-        "queries route by key; everything else goes whole to one shard)",
+        "processes behind an asyncio front end, which forwards each "
+        "statement whole to the next worker in rotation",
     )
 
     client = commands.add_parser(
@@ -452,57 +438,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="request an NDJSON streaming response",
     )
-    client.add_argument(
-        "--timeout",
-        type=_positive(float),
-        metavar="SECONDS",
-        help="per-query wall-clock budget (enforced server-side)",
-    )
-    client.add_argument(
-        "--row-budget",
-        type=_positive(int),
-        metavar="N",
-        help="per-query row-processing budget (enforced server-side)",
-    )
-    client.add_argument(
-        "--deadline-ms",
-        type=float,
-        metavar="MS",
-        help="end-to-end deadline in milliseconds, propagated via the "
-        "X-Deadline-Ms header (exit code 12 when already spent)",
-    )
-    client.add_argument(
-        "--priority",
-        choices=("interactive", "batch"),
-        help="admission priority class sent as X-Priority (default "
-        "interactive; batch is shed first under load)",
-    )
-    client.add_argument(
-        "--safe-mode",
-        action="store_true",
-        help="cross-check rewrites against the unrewritten plan",
-    )
-    client.add_argument(
-        "--analyze",
-        action="store_true",
-        help="also fetch the EXPLAIN ANALYZE plan",
-    )
-    client.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="execute the query as written, skipping the rewrite rules",
-    )
-    client.add_argument(
-        "--stats",
-        action="store_true",
-        help="cost-based planning from table statistics (server-side)",
-    )
-    client.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="statistics-driven planning plus the adaptive correction "
-        "loop (server-side; implies --stats)",
-    )
+    _add_option_flags(client, *OPTION_FLAGS)
     client.add_argument(
         "--param",
         action="append",
@@ -572,9 +508,10 @@ def _plan(database: Database, query: Any, args: Any) -> Any:
     invocation executes it — cost-based when ``--stats``/``--adaptive``
     was given (the run already collected the statistics), rule order
     otherwise."""
+    adaptive = args.options.adaptive
     options = None
-    if getattr(args, "stats", False) or getattr(args, "adaptive", False):
-        options = PlannerOptions(use_stats=True, adaptive=args.adaptive)
+    if args.options.stats or adaptive:
+        options = PlannerOptions(use_stats=True, adaptive=adaptive)
     return Planner(database.catalog, options, database=database).plan(query)
 
 
@@ -661,22 +598,7 @@ def _run_query(
     database: Database,
     params: dict[str, SqlValue],
 ) -> int:
-    options = ExecutionOptions.create(
-        timeout=args.timeout,
-        row_budget=args.row_budget,
-        deadline=(
-            args.deadline_ms / 1000.0
-            if args.deadline_ms is not None
-            else None
-        ),
-        priority=args.priority or "interactive",
-        safe_mode=args.safe_mode,
-        analyze=args.analyze,
-        optimize=not args.no_optimize,
-        stats=args.stats,
-        adaptive=args.adaptive,
-    )
-    with Connection.local(database, options=options) as connection:
+    with Connection.local(database, options=args.options) as connection:
         cursor = connection.execute(args.sql, params or None)
         executed = cursor.executed
     outcome = executed.outcome
@@ -861,33 +783,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("no queries to serve", file=sys.stderr)
         return 0
 
-    budget = None
-    if args.timeout is not None or args.row_budget is not None:
-        budget = ResourceBudget(
-            timeout=args.timeout, row_budget=args.row_budget
-        )
-
     failures: list[tuple[str, ReproError]] = []
     records: list[dict[str, Any]] = []
     with QueryService(
         workers=args.workers, queue_depth=args.queue_depth
     ) as service:
-        session = service.session(
-            database,
-            budget=budget,
-            safe_mode=args.safe_mode,
-            options=(
-                ExecutionOptions.create(
-                    timeout=args.timeout,
-                    row_budget=args.row_budget,
-                    safe_mode=args.safe_mode,
-                    stats=args.stats,
-                    adaptive=args.adaptive,
-                )
-                if args.stats or args.adaptive
-                else None
-            ),
-        )
+        session = service.session(database, options=args.options)
         tickets = service.submit_many(session, queries)
         for ticket in tickets:
             record: dict[str, Any] = {"sql": ticket.sql}
@@ -947,13 +848,6 @@ def _serve_http(args: argparse.Namespace, database: Database) -> int:
 
     from .net.server import QueryServer
 
-    options = ExecutionOptions.create(
-        timeout=args.timeout,
-        row_budget=args.row_budget,
-        safe_mode=args.safe_mode,
-        stats=args.stats,
-        adaptive=args.adaptive,
-    )
     stop = threading.Event()
 
     def _request_stop(signum: int, _frame: Any) -> None:
@@ -974,7 +868,7 @@ def _serve_http(args: argparse.Namespace, database: Database) -> int:
             port=args.http,
             workers=args.workers,
             queue_depth=args.queue_depth,
-            options=options,
+            options=args.options,
         ) as server:
             print(f"-- serving on {server.url}", file=sys.stderr, flush=True)
             stop.wait()
@@ -1000,18 +894,11 @@ def _serve_cluster_http(args: argparse.Namespace) -> int:
         source = WorkerSource.from_factory(
             "repro.workloads.supplier:build_database"
         )
-    options = ExecutionOptions.create(
-        timeout=args.timeout,
-        row_budget=args.row_budget,
-        safe_mode=args.safe_mode,
-        stats=args.stats,
-        adaptive=args.adaptive,
-    )
     config = WorkerConfig(
         host="127.0.0.1",
         threads=args.workers,
         queue_depth=args.queue_depth,
-        options_wire=options.to_wire() or None,
+        options_wire=args.options.to_wire() or None,
     )
     stop = threading.Event()
 
@@ -1051,25 +938,10 @@ def _serve_cluster_http(args: argparse.Namespace) -> int:
 
 def cmd_client(args: argparse.Namespace) -> int:
     """``repro client``: one query over the wire via the facade."""
-    options = ExecutionOptions.create(
-        timeout=args.timeout,
-        row_budget=args.row_budget,
-        deadline=(
-            args.deadline_ms / 1000.0
-            if args.deadline_ms is not None
-            else None
-        ),
-        priority=args.priority or "interactive",
-        safe_mode=args.safe_mode,
-        analyze=args.analyze,
-        optimize=not args.no_optimize,
-        stats=args.stats,
-        adaptive=args.adaptive,
-    )
     params = _parse_params(args.param)
     with api_connect(
         args.url,
-        options=options,
+        options=args.options,
         session=args.session,
         stream=args.stream,
     ) as connection:
@@ -1162,16 +1034,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-# The exit-code taxonomy lives in repro.errors (single source of
-# truth, shared with the --help epilogs and docs/cli.md); re-exported
-# here for backward compatibility with callers of cli.exit_code_for.
-exit_code_for = _exit_code_for
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    try:
+        args.options = _execution_options(args)
+    except ValueError as error:
+        parser.error(str(error))  # a usage error: exit 2
     handlers = {
         "check": cmd_check,
         "optimize": cmd_optimize,

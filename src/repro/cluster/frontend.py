@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from typing import Any
 
@@ -400,10 +401,13 @@ def _hop_headers(client_headers: Headers) -> list[tuple[str, str]]:
     raw_deadline = client_headers.get(DEADLINE_HEADER)
     if raw_deadline is not None:
         try:
-            deadline = Deadline.from_wire_ms(float(raw_deadline))
-            raw_deadline = f"{max(0.0, deadline.to_wire_ms()):.3f}"
+            ms = float(raw_deadline)
         except ValueError:
-            pass  # the worker answers the malformed value with a 400
+            ms = math.nan
+        # The worker answers a malformed or non-finite value with a 400.
+        if math.isfinite(ms):
+            deadline = Deadline.from_wire_ms(ms)
+            raw_deadline = f"{max(0.0, deadline.to_wire_ms()):.3f}"
         hop.append((DEADLINE_HEADER, raw_deadline))
     for name in (PRIORITY_HEADER, REQUEST_ID_HEADER):
         value = client_headers.get(name)

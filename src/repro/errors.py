@@ -421,51 +421,73 @@ class RemoteQueryError(NetworkError):
 
 
 # ---------------------------------------------------------------------------
-# CLI exit codes
+# The error taxonomy: CLI exit codes and HTTP statuses
 
-#: The CLI's exit-code taxonomy, matched subclass-first — the single
-#: source of truth shared by :mod:`repro.cli`, its ``--help`` epilogs,
-#: and ``docs/cli.md``.  Codes 0–2 are structural (success, a ``check``
-#: NO verdict, and the generic :class:`ReproError` fallback).
-CLI_EXIT_CODES: list[tuple[type[ReproError], int]] = [
-    (QueryTimeout, 4),
-    (RowBudgetExceeded, 5),
-    (QueryCancelled, 6),
-    (DeadlineExpiredError, 12),
-    (ResourceError, 3),
-    (TransientError, 7),
-    (RewriteMismatchError, 8),
-    (ServiceOverloadedError, 9),
-    (TicketWaitTimeout, 10),
-    (NetworkError, 11),
-    (UniquenessViolationError, 13),
-    (WriteConflictError, 13),
+#: Each typed outcome's CLI exit code and HTTP status, matched
+#: subclass-first — the one table the CLI, its ``--help`` epilogs, the
+#: HTTP envelope, the client and ``docs/`` all read.  An exit code of
+#: None means the class has none of its own: locally it takes the next
+#: matching row's, and relayed by name it exits 2.  Any other library
+#: error exits 2 with status 400, and anything else is a 500.  Codes
+#: 0–2 are structural (success, a ``check`` NO verdict, the fallback).
+ERROR_TABLE: list[tuple[type[ReproError], int | None, int]] = [
+    (ServiceOverloadedError, 9, 429),  # includes LoadShedError
+    (ServiceShutdownError, None, 503),
+    (TicketWaitTimeout, 10, 408),
+    (DeadlineExpiredError, 12, 504),  # budget gone before execution began
+    (QueryTimeout, 4, 504),
+    (RowBudgetExceeded, 5, 413),
+    (QueryCancelled, 6, 503),
+    (ResourceError, 3, 400),
+    (TransientError, 7, 503),
+    (InjectedFaultError, None, 503),
+    (RewriteMismatchError, 8, 500),
+    # A write lost to a concurrent committer is never retried by the
+    # transport: replaying it is a decision only the application can make.
+    (UniquenessViolationError, 13, 409),
+    (WriteConflictError, 13, 409),
+    (ProtocolError, None, 400),
+    (NetworkError, 11, 502),
 ]
 
-#: Error-type name → exit code, for errors relayed over the wire: a
-#: remote row-budget violation arrives as a RemoteQueryError carrying
-#: the original type name and still exits 5.
-_NAME_EXIT_CODES: dict[str, int] = {
-    cls.__name__: code for cls, code in CLI_EXIT_CODES
-}
+#: The statuses a client may retry: backpressure and drain/transient
+#: infrastructure.  An error is retryable exactly when its status is.
+RETRYABLE_STATUSES = frozenset({429, 503})
+
+#: The classes with an exit code of their own, and that code.
+CLI_EXIT_CODES: list[tuple[type[ReproError], int]] = [
+    (cls, code) for cls, code, _status in ERROR_TABLE if code is not None
+]
 
 
-def exit_code_for(error: ReproError) -> int:
-    """Map a typed error to its CLI exit code (2 for the base class)."""
+def exit_code_for(error: BaseException) -> int:
+    """The CLI exit code for *error* (2 when no row matches).  An error
+    relayed over the wire maps by its original type name: a remote
+    row-budget violation still exits 5."""
     if isinstance(error, RemoteQueryError):
-        return _NAME_EXIT_CODES.get(error.error_type, 2)
+        for cls, code in CLI_EXIT_CODES:
+            if cls.__name__ == error.error_type:
+                return code
+        return 2
     for cls, code in CLI_EXIT_CODES:
         if isinstance(error, cls):
             return code
     return 2
 
 
+def status_for_error(error: BaseException) -> int:
+    """The HTTP status for *error*: its table row's, 400 for other
+    library errors (the request was unprocessable), 500 otherwise."""
+    for cls, _code, status in ERROR_TABLE:
+        if isinstance(error, cls):
+            return status
+    return 400 if isinstance(error, ReproError) else 500
+
+
 def exit_code_summary() -> str:
-    """One-line-per-code text for CLI ``--help`` epilogs, kept in sync
-    with :data:`CLI_EXIT_CODES` by construction."""
+    """One-line-per-code text for CLI ``--help`` epilogs."""
     lines = ["exit codes:"]
-    ordered = sorted(CLI_EXIT_CODES, key=lambda pair: pair[1])
-    for cls, code in ordered:
+    for cls, code in sorted(CLI_EXIT_CODES, key=lambda pair: pair[1]):
         lines.append(f"  {code:>2}  {cls.__name__}")
     lines.append("   2  any other ReproError")
     return "\n".join(lines)

@@ -30,8 +30,10 @@ from typing import Any
 
 from ..api import Connection, ExecutedQuery
 from ..errors import (
+    RETRYABLE_STATUSES,
     CircuitOpenError,
     ProtocolError,
+    RemoteQueryError,
     TransientNetworkError,
 )
 from ..options import ExecutionOptions
@@ -495,9 +497,7 @@ class HttpBackend:
 
     @staticmethod
     def _statusline_error(code: int, raw: bytes) -> Exception:
-        from ..errors import RemoteQueryError
-
-        if code in protocol.RETRYABLE_STATUSES:
+        if code in RETRYABLE_STATUSES:
             return TransientNetworkError(
                 f"HTTP {code}", status=code, retry_after=None
             )

@@ -17,12 +17,12 @@ The contract both ends share:
   local facade and the service use.
 * **Errors.**  Failures travel as an *envelope* ``{"error": {"type",
   "message", "status", "retryable", "retry_after"?}}``; the status code
-  comes from the errors-taxonomy table below (subclass-first, like the
-  CLI exit codes).  A client must retry only when ``retryable`` is true
-  (429 backpressure, 503 drain/transient faults) and must honour
-  ``Retry-After``.  Write conflicts — a candidate key taken or a
-  write-write race lost to a concurrent committer — are ``409
-  Conflict`` and never transport-retryable.
+  comes from :data:`repro.errors.ERROR_TABLE`, the table that also
+  holds the CLI exit codes.  A client must retry only when
+  ``retryable`` is true (429 backpressure, 503 drain/transient faults)
+  and must honour ``Retry-After``.  Write conflicts — a candidate key
+  taken or a write-write race lost to a concurrent committer — are
+  ``409 Conflict`` and never transport-retryable.
 * **Streaming.**  With ``"stream": true`` the response is NDJSON
   (``application/x-ndjson``): a header object, ``{"rows": [...]}``
   chunk objects flushed incrementally, and a final
@@ -39,25 +39,10 @@ from operator import contains
 from typing import Any, Mapping
 
 from ..errors import (
-    CatalogError,
-    DeadlineExpiredError,
-    ExecutionError,
-    InjectedFaultError,
-    NetworkError,
+    RETRYABLE_STATUSES,
     ProtocolError,
-    QueryCancelled,
-    QueryTimeout,
     ReproError,
-    RewriteMismatchError,
-    RowBudgetExceeded,
-    ServiceOverloadedError,
-    ServiceShutdownError,
-    SqlError,
-    TicketWaitTimeout,
-    TransientError,
-    UniquenessViolationError,
-    UnsupportedQueryError,
-    WriteConflictError,
+    status_for_error,
 )
 from ..resilience.admission import PRIORITY_HEADER
 from ..resilience.deadline import DEADLINE_HEADER
@@ -71,34 +56,6 @@ CONTENT_PROMETHEUS = "text/plain; version=0.0.4"
 #: Header carrying the request id end to end.
 REQUEST_ID_HEADER = "X-Request-Id"
 
-#: Errors taxonomy → HTTP status, matched subclass-first (mirrors the
-#: CLI exit-code table in :mod:`repro.cli`).  429/503 are the two
-#: retryable families: backpressure and drain/transient infrastructure.
-ERROR_STATUS: list[tuple[type[BaseException], int]] = [
-    (ServiceOverloadedError, 429),  # includes LoadShedError (shedding)
-    (ServiceShutdownError, 503),
-    (TicketWaitTimeout, 408),
-    (DeadlineExpiredError, 504),  # budget gone before execution began
-    (QueryTimeout, 504),
-    (RowBudgetExceeded, 413),
-    (QueryCancelled, 503),
-    (TransientError, 503),
-    (InjectedFaultError, 503),
-    (RewriteMismatchError, 500),
-    # Write conflicts: the request was well-formed but lost to a
-    # concurrent committer.  409 is deliberately NOT retryable at the
-    # transport level — blindly replaying a conflicting write is a
-    # correctness decision only the application can make.
-    (UniquenessViolationError, 409),
-    (WriteConflictError, 409),
-    (ProtocolError, 400),
-    (NetworkError, 502),
-    (SqlError, 400),
-    (CatalogError, 400),
-    (UnsupportedQueryError, 400),
-    (ExecutionError, 400),
-]
-
 #: Default Retry-After (seconds) attached to retryable statuses.
 ERROR_RETRY_AFTER = 1.0
 
@@ -106,21 +63,6 @@ ERROR_RETRY_AFTER = 1.0
 #: A shedding controller under a pathological spike can predict queue
 #: waits far beyond anything a client should sleep on one attempt.
 ERROR_RETRY_AFTER_CAP = 5.0
-
-#: Statuses a client may retry (with the envelope's ``retryable`` flag
-#: as the authoritative signal when an envelope is present).
-RETRYABLE_STATUSES = frozenset({429, 503})
-
-
-def status_for_error(error: BaseException) -> int:
-    """The HTTP status for *error*: taxonomy first, 400 for other
-    library errors (the request was unprocessable), 500 otherwise."""
-    for cls, status in ERROR_STATUS:
-        if isinstance(error, cls):
-            return status
-    if isinstance(error, ReproError):
-        return 400
-    return 500
 
 
 def retry_after_for_error(error: BaseException) -> float:
@@ -144,13 +86,14 @@ def error_envelope(
 ) -> tuple[int, dict[str, Any]]:
     """``(status, envelope_dict)`` for one failure."""
     status = status_for_error(error)
+    retryable = status in RETRYABLE_STATUSES
     body: dict[str, Any] = {
         "type": type(error).__name__,
         "message": str(error),
         "status": status,
-        "retryable": status in RETRYABLE_STATUSES,
+        "retryable": retryable,
     }
-    if status in RETRYABLE_STATUSES:
+    if retryable:
         body["retry_after"] = retry_after_for_error(error)
     if request_id:
         body["request_id"] = request_id

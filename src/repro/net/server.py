@@ -422,5 +422,9 @@ def _apply_resilience_headers(
                 + ", ".join(repr(p) for p in PRIORITIES)
             )
         changes["priority"] = raw_priority
-    # Both values are checked above: no need to validate them again.
-    return options._with(changes) if changes else options
+    if not changes:
+        return options
+    try:
+        return options.override(**changes)
+    except ValueError as error:  # a deadline that is not finite
+        raise ProtocolError(f"header {DEADLINE_HEADER}: {error}") from None

@@ -15,6 +15,7 @@ import it without cycles.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any
@@ -95,10 +96,22 @@ class ExecutionOptions:
     autocommit: bool = True
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.row_budget is not None and self.row_budget <= 0:
-            raise ValueError("row budget must be positive")
+        # NaN passes every comparison's negation, and an infinite budget
+        # never fires: each door refuses them here, once.
+        if self.timeout is not None:
+            if not math.isfinite(self.timeout):
+                raise ValueError("timeout must be finite")
+            if self.timeout <= 0:
+                raise ValueError("timeout must be positive")
+        if self.row_budget is not None:
+            if not math.isfinite(self.row_budget):
+                raise ValueError("row budget must be finite")
+            if self.row_budget <= 0:
+                raise ValueError("row budget must be positive")
+        if self.deadline is not None and not math.isfinite(
+            self.deadline.expires_at
+        ):
+            raise ValueError("deadline must be finite")
         check_engine_mode(self.engine_mode)
         if self.priority not in PRIORITIES:
             raise ValueError(
@@ -192,32 +205,18 @@ class ExecutionOptions:
     # -- wire round-trip ------------------------------------------------
 
     def to_wire(self) -> dict[str, Any]:
-        """A JSON-ready dict, omitting fields at their defaults."""
+        """A JSON-ready dict in field order, omitting fields at their
+        defaults.  The deadline travels as remaining milliseconds
+        (``deadline_ms``), re-anchored by the receiving hop: the two
+        processes share no clock, monotonic or otherwise."""
         payload: dict[str, Any] = {}
-        if self.timeout is not None:
-            payload["timeout"] = self.timeout
-        if self.row_budget is not None:
-            payload["row_budget"] = self.row_budget
-        if self.safe_mode:
-            payload["safe_mode"] = True
-        if self.analyze:
-            payload["analyze"] = True
-        if not self.optimize:
-            payload["optimize"] = False
-        if self.stats:
-            payload["stats"] = True
-        if self.adaptive:
-            payload["adaptive"] = True
-        if self.engine_mode is not None:
-            payload["engine_mode"] = self.engine_mode
-        if self.deadline is not None:
-            # Remaining milliseconds, re-anchored by the receiving hop:
-            # the two processes share no clock, monotonic or otherwise.
-            payload["deadline_ms"] = self.deadline.to_wire_ms()
-        if self.priority != PRIORITY_INTERACTIVE:
-            payload["priority"] = self.priority
-        if not self.autocommit:
-            payload["autocommit"] = False
+        values = self.__dict__
+        for wire, name, _kind in _WIRE:
+            value = values[name]
+            if value != _DEFAULTS[name]:
+                if name == "deadline":
+                    value = value.to_wire_ms()
+                payload[wire] = value
         return payload
 
     @classmethod
@@ -227,74 +226,75 @@ class ExecutionOptions:
         The strictness is deliberate: a typo'd option silently ignored
         on the server would make local and remote execution diverge,
         which is exactly what the unified facade exists to prevent.
+        Booleans must be booleans; a ``null`` number or choice means
+        the default.
         """
         if payload is None:
-            return cls()
+            return DEFAULT_OPTIONS
         if not isinstance(payload, Mapping):
             raise ProtocolError("options must be a JSON object")
-        # The deadline travels as remaining milliseconds, not as the
-        # local Deadline object, so the wire name differs from the field.
-        known = {spec.name for spec in fields(cls)} - {"deadline"}
-        known.add("deadline_ms")
-        unknown = set(payload) - known
+        unknown = payload.keys() - _WIRE_NAMES
         if unknown:
             raise ProtocolError(
                 f"unknown option(s): {', '.join(sorted(unknown))}"
             )
         kwargs: dict[str, Any] = {}
-        for name in ("timeout", "row_budget"):
-            if payload.get(name) is not None:
-                value = payload[name]
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    raise ProtocolError(f"option {name!r} must be a number")
-                kwargs[name] = int(value) if name == "row_budget" else float(value)
-        for name in (
-            "safe_mode",
-            "analyze",
-            "optimize",
-            "stats",
-            "adaptive",
-            "autocommit",
-        ):
-            if name in payload:
-                value = payload[name]
+        for wire, name, kind in _WIRE:
+            if wire not in payload:
+                continue
+            value = payload[wire]
+            if kind is bool:
                 if not isinstance(value, bool):
-                    raise ProtocolError(f"option {name!r} must be a boolean")
-                kwargs[name] = value
-        if payload.get("engine_mode") is not None:
-            value = payload["engine_mode"]
-            if not isinstance(value, str) or value not in ENGINE_MODES:
-                raise ProtocolError(
-                    "option 'engine_mode' must be one of "
-                    + ", ".join(repr(mode) for mode in ENGINE_MODES)
-                )
-            kwargs["engine_mode"] = value
-        if payload.get("deadline_ms") is not None:
-            value = payload["deadline_ms"]
-            if (
+                    raise ProtocolError(f"option {wire!r} must be a boolean")
+            elif value is None:
+                continue  # a null number or choice is the default
+            elif isinstance(kind, tuple):
+                if not isinstance(value, str) or value not in kind:
+                    raise ProtocolError(
+                        f"option {wire!r} must be one of "
+                        + ", ".join(map(repr, kind))
+                    )
+            elif (
                 not isinstance(value, (int, float))
                 or isinstance(value, bool)
-                or value < 0
+                or (name == "deadline" and value < 0)
             ):
-                raise ProtocolError(
-                    "option 'deadline_ms' must be a non-negative number"
-                )
-            kwargs["deadline"] = Deadline.from_wire_ms(float(value))
-        if payload.get("priority") is not None:
-            value = payload["priority"]
-            if not isinstance(value, str) or value not in PRIORITIES:
-                raise ProtocolError(
-                    "option 'priority' must be one of "
-                    + ", ".join(repr(p) for p in PRIORITIES)
-                )
-            kwargs["priority"] = value
+                floor = "non-negative " if name == "deadline" else ""
+                raise ProtocolError(f"option {wire!r} must be a {floor}number")
+            else:
+                value = kind(value)
+            kwargs[name] = value
         try:
             return DEFAULT_OPTIONS.override(**kwargs)
         except ValueError as error:
             raise ProtocolError(f"invalid options: {error}") from None
 
+
+def _whole(value: float) -> float:
+    """A wire row budget as an int; a non-finite one stays as it is,
+    for ``__post_init__`` to refuse."""
+    return int(value) if math.isfinite(value) else value
+
+
+#: How each field crosses the wire, in field order: ``(wire name, field,
+#: kind)``.  A kind is ``bool``, a tuple of choices, or the converter of
+#: a number.  ``deadline`` ↔ ``deadline_ms`` is the one renamed field.
+_WIRE_KINDS: dict[str, Any] = {
+    "timeout": float,
+    "row_budget": _whole,
+    "engine_mode": ENGINE_MODES,
+    "deadline": Deadline.from_wire_ms,
+    "priority": PRIORITIES,
+}
+_WIRE = tuple(
+    (
+        "deadline_ms" if spec.name == "deadline" else spec.name,
+        spec.name,
+        _WIRE_KINDS.get(spec.name, bool),
+    )
+    for spec in fields(ExecutionOptions)
+)
+_WIRE_NAMES = frozenset(wire for wire, _name, _kind in _WIRE)
 
 #: The all-defaults value layered under every merge.
 DEFAULT_OPTIONS = ExecutionOptions()

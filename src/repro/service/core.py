@@ -43,7 +43,6 @@ from ..sql.ast import (
 from ..sql.parser import parse
 from ..engine.database import Database
 from ..engine.plan_cache import GLOBAL_PLAN_CACHE, PlanCache
-from ..engine.planner import PlannerOptions
 from ..engine.stats import Stats
 from ..errors import (
     QueryCancelled,
@@ -55,7 +54,7 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.trace import NULL_SPAN, TRACER
 from ..options import ExecutionOptions
 from ..resilience.admission import AdmissionController, SheddingPolicy
-from ..resilience.budgets import ExecutionGuard, ResourceBudget
+from ..resilience.budgets import ExecutionGuard
 from ..resilience.guarded import GuardedOutcome
 from .session import Session
 
@@ -256,33 +255,17 @@ class QueryService:
         database: Database,
         *,
         name: str | None = None,
-        budget: ResourceBudget | None = None,
-        planner_options: PlannerOptions | None = None,
-        safe_mode: bool = False,
         options: ExecutionOptions | None = None,
     ) -> Session:
-        """Open a session binding *database* and its execution settings.
-
-        *options* sets the session's default
-        :class:`~repro.options.ExecutionOptions` directly; the legacy
-        ``budget``/``safe_mode`` arguments remain as shorthand and are
-        folded into an options value when *options* is not given.
-        """
+        """Open a session binding *database* and its default
+        :class:`~repro.options.ExecutionOptions`."""
         if self._shutdown.is_set():
             raise ServiceShutdownError()
         with self._state_lock:
             self._session_count += 1
             if name is None:
                 name = f"session-{self._session_count}"
-        return Session(
-            self,
-            database,
-            name,
-            budget=budget,
-            planner_options=planner_options,
-            safe_mode=safe_mode,
-            options=options,
-        )
+        return Session(self, database, name, options=options)
 
     # -- submission -----------------------------------------------------
 
@@ -506,7 +489,6 @@ class QueryService:
                             params=params,
                             options=effective,
                             stats=stats,
-                            planner_options=session.planner_options,
                             plan_cache=self._plan_cache,
                             on_guard=ticket._attach_guard,
                             transaction=session.transaction,

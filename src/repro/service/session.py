@@ -1,10 +1,10 @@
 """Per-session state for the embedded query service.
 
-A :class:`Session` binds one database handle to the execution settings
-its queries run under — budget, planner options, safe mode — plus the
-accumulation sinks that must stay isolated between tenants: a private
-:class:`~repro.engine.stats.Stats` total and a per-session metrics
-label.  Two sessions of the same service can point at *different*
+A :class:`Session` binds one database handle to the
+:class:`~repro.options.ExecutionOptions` its queries run under, plus
+the accumulation sinks that must stay isolated between tenants: a
+private :class:`~repro.engine.stats.Stats` total and a per-session
+metrics label.  Two sessions of the same service can point at *different*
 databases; the plan cache keys on the database fingerprint, so their
 entries can never be confused, and their counters never mix because
 each query executes with a fresh ``Stats`` folded into its session's
@@ -17,10 +17,8 @@ import threading
 from typing import TYPE_CHECKING
 
 from ..engine.database import Database
-from ..engine.planner import PlannerOptions
 from ..engine.stats import Stats
-from ..options import ExecutionOptions
-from ..resilience.budgets import ResourceBudget
+from ..options import DEFAULT_OPTIONS, ExecutionOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import QueryService, QueryTicket
@@ -41,12 +39,8 @@ class Session:
         options: the session's default
             :class:`~repro.options.ExecutionOptions`; per-query options
             passed to ``submit`` layer on top of these.
-        planner_options: physical-planning knobs for this session.
         stats: accumulated counters over every completed query.
         queries_completed / queries_failed: session-scoped outcomes.
-
-    ``budget`` and ``safe_mode`` remain readable as properties derived
-    from :attr:`options`, so pre-facade callers keep working.
     """
 
     def __init__(
@@ -54,20 +48,12 @@ class Session:
         service: "QueryService",
         database: Database,
         name: str,
-        budget: ResourceBudget | None = None,
-        planner_options: PlannerOptions | None = None,
-        safe_mode: bool = False,
         options: ExecutionOptions | None = None,
     ) -> None:
         self._service = service
         self.database = database
         self.name = name
-        self.options = (
-            options
-            if options is not None
-            else ExecutionOptions.create(budget=budget, safe_mode=safe_mode)
-        )
-        self.planner_options = planner_options
+        self.options = options if options is not None else DEFAULT_OPTIONS
         self.stats = Stats()
         self.queries_completed = 0
         self.queries_failed = 0
@@ -83,18 +69,6 @@ class Session:
         # Leaf lock: guards the accumulators only; never held while
         # executing a query or touching the service.
         self._lock = threading.Lock()
-
-    # -- legacy views over the options value ----------------------------
-
-    @property
-    def budget(self) -> ResourceBudget | None:
-        """The per-query budget the session's options imply."""
-        return self.options.budget()
-
-    @property
-    def safe_mode(self) -> bool:
-        """Whether queries default to safe-mode cross-checking."""
-        return self.options.safe_mode
 
     # -- submission convenience ----------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import exit_code_for, main
+from repro.cli import main
 from repro.errors import (
     ExecutionError,
     ImsError,
@@ -17,6 +17,7 @@ from repro.errors import (
     TicketWaitTimeout,
     TransientError,
     TransientNetworkError,
+    exit_code_for,
 )
 
 
@@ -180,10 +181,6 @@ class TestExitCodeSingleSourceOfTruth:
 
         codes = dict(CLI_EXIT_CODES)
         assert codes[DeadlineExpiredError] == 12
-        # cli.exit_code_for is the same function, re-exported.
-        from repro import cli, errors
-
-        assert cli.exit_code_for is errors.exit_code_for
 
     def test_deadline_expired_maps_to_12(self):
         from repro.errors import DeadlineExpiredError

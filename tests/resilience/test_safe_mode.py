@@ -12,10 +12,9 @@ import pytest
 
 from repro import Stats, UniquenessResult
 from repro.resilience.guarded import run_guarded
-from repro.cli import exit_code_for
 from repro.core.rewrite import quarantined_rules
 from repro.engine import Database
-from repro.errors import RewriteMismatchError
+from repro.errors import RewriteMismatchError, exit_code_for
 from repro.resilience import FAULTS, SITE_UNIQUENESS
 
 SCRIPT = """

@@ -17,17 +17,16 @@ from repro import (
     Connection,
     ExecutionOptions,
     QueryService,
-    ResourceBudget,
     clear_all_caches,
 )
 from repro.engine import execute_planned
 from repro.engine.plan_cache import PlanCache
-from repro.cli import exit_code_for
 from repro.errors import (
     ReproError,
     RowBudgetExceeded,
     ServiceOverloadedError,
     ServiceShutdownError,
+    exit_code_for,
 )
 from repro.resilience import (
     FAULTS,
@@ -166,7 +165,7 @@ def test_shutdown_drains_then_rejects(db):
 def test_query_errors_propagate_typed(db):
     with QueryService(workers=2) as service:
         session = service.session(
-            db, budget=ResourceBudget(row_budget=1)
+            db, options=ExecutionOptions(row_budget=1)
         )
         ticket = service.submit(
             session, "SELECT S.SNO FROM SUPPLIER S, PARTS P"
