@@ -68,6 +68,13 @@ class OptimizeResult:
             printed = self._printed = (self.query, to_sql(self.query))
         return printed[1]
 
+    def copy(self) -> "OptimizeResult":
+        """The same outcome, printed once for both, with its own copy of
+        the audit trail: the copy's reader builds its own records."""
+        return OptimizeResult(
+            self.query, self.steps, self.audit.copy(), (self.query, self.sql)
+        )
+
     @property
     def changed(self) -> bool:
         """Whether any rule fired."""

@@ -253,18 +253,6 @@ def _cached_test_uniqueness(
     return result
 
 
-def evict_uniqueness_entries(text: str) -> int:
-    """Drop cached Algorithm 1 verdicts for *text*, across fingerprints.
-
-    Safe mode's cleanup path: a poisoned verdict is keyed on the query
-    text it was computed for, so evicting by text removes it no matter
-    which catalog version cached it.
-    """
-    return _uniqueness_cache.evict_where(
-        lambda key: isinstance(key, tuple) and len(key) >= 2 and key[1] == text
-    )
-
-
 def _test_uniqueness(
     query: SelectQuery,
     catalog: Catalog,

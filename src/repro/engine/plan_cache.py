@@ -25,10 +25,15 @@ from ..resilience.faults import FAULTS, SITE_PLAN_CACHE
 from .operators import PlanNode
 
 
+#: Entries of the process-wide plan cache (and of the rewrite memo in
+#: front of it, which keeps one outcome per planned text).
+PLAN_CACHE_SIZE = 256
+
+
 class PlanCache:
     """LRU cache of physical plans, shared by ``execute_planned``."""
 
-    def __init__(self, maxsize: int = 256) -> None:
+    def __init__(self, maxsize: int = PLAN_CACHE_SIZE) -> None:
         self._cache = LRUCache("plans", maxsize=maxsize)
 
     def lookup(self, key: tuple) -> PlanNode | None:
@@ -47,18 +52,6 @@ class PlanCache:
 
     def clear(self) -> None:
         self._cache.clear()
-
-    def evict_sql(self, sql_text: str) -> int:
-        """Drop every cached plan for *sql_text*, across fingerprints.
-
-        Safe mode calls this when a cross-check implicates a query, so a
-        plan built from a poisoned rewrite cannot be served again.
-        """
-        return self._cache.evict_where(
-            lambda key: isinstance(key, tuple)
-            and len(key) >= 2
-            and key[1] == sql_text
-        )
 
     @property
     def hits(self) -> int:

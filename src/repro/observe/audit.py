@@ -88,7 +88,8 @@ class AuditTrail:
 
     Decisions are filed with :meth:`record` or :meth:`defer` and turned
     into records — printed, witnessed, deduplicated — when the trail is
-    first read.  A trail belongs to the one request that filed it.
+    first read.  A trail belongs to one request: a request served from
+    a remembered rewrite reads its own :meth:`copy`.
     """
 
     def __init__(self) -> None:
@@ -117,6 +118,15 @@ class AuditTrail:
         """File a decision whose fields are computed on read: *build*
         returns :meth:`record`'s arguments as a tuple."""
         self._filed.append(build)
+
+    def copy(self) -> "AuditTrail":
+        """A trail holding the same decisions, read independently: what
+        is still unread stays unread, to be built by the copy's reader."""
+        trail = AuditTrail()
+        trail._records = list(self._records)
+        trail._seen = set(self._seen)
+        trail._filed = list(self._filed)
+        return trail
 
     @property
     def records(self) -> list[AuditRecord]:

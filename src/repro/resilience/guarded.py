@@ -19,6 +19,15 @@ With ``strict=True`` the mismatch raises
 The cross-check is sound because the physical planner never consults the
 uniqueness analysis: an unsound verdict can only enter through the
 rewrite layer, which the reference execution bypasses entirely.
+
+The default relational rewrite is remembered per statement.  Its
+outcome depends on the statement text, the declared keys and
+constraints, and which rules are live — never on the rows or the
+bindings (Algorithm 1 treats a host variable as a constant, whatever
+its value) — so the ``rewrites`` memo keys it on (catalog fingerprint,
+text, quarantined rules).  DDL moves the fingerprint, a quarantine
+moves the rule set, and a safe-mode mismatch evicts by text like every
+other memo.  The statement is still parsed on every request.
 """
 
 from __future__ import annotations
@@ -26,10 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..cache import evict_by_text
-from ..core.rewrite.engine import Optimizer, quarantine_rule
+from ..catalog.schema import Catalog
+from ..cache import MISSING, LRUCache, evict_by_text, safe_fingerprint
+from ..core.rewrite.engine import (
+    OptimizeResult,
+    Optimizer,
+    quarantine_rule,
+    quarantined_rules,
+)
 from ..engine.database import Database
-from ..engine.plan_cache import PlanCache
+from ..engine.plan_cache import PLAN_CACHE_SIZE, PlanCache
 from ..engine.planner import PlannerOptions, execute_planned
 from ..engine.result import Result
 from ..engine.stats import Stats
@@ -61,6 +76,41 @@ def _take_sample(text: str, every: int) -> bool:
     count = _sample_counters.get(text, 0)
     _sample_counters[text] = count + 1
     return count % every == 0
+
+
+#: Default relational rewrites, keyed (catalog fingerprint, statement
+#: text, quarantined rules).  An entry's audit trail is never read: each
+#: request served from it reads its own copy.  One entry per planned
+#: text, so as large as the plan cache.
+_rewrites = LRUCache("rewrites", maxsize=PLAN_CACHE_SIZE)
+
+
+def _relational_rewrite(parsed: Query, text: str, catalog: Catalog) -> OptimizeResult:
+    """The relational optimizer's outcome for *parsed*, the statement
+    *text* — from the memo when it holds one.
+
+    Fail-closed like every fingerprint-keyed memo: without a catalog
+    fingerprint nothing is served or stored.  An outcome is stored only
+    if no quarantine was placed or lifted while it was computed.
+    """
+    key = None
+    fingerprint = safe_fingerprint(catalog)
+    if fingerprint is not None:
+        quarantined = tuple(quarantined_rules())
+        key = (fingerprint, text, quarantined)
+        cached = _rewrites.get(key)
+        if cached is not MISSING:
+            return cached.copy()
+    outcome = Optimizer.for_relational(catalog).optimize(parsed)
+    if key is not None:
+        entry = outcome.copy()
+        # Checked under the memo's lock: a mismatch quarantines before it
+        # evicts, so its eviction either follows this store or the check
+        # sees its quarantine.
+        with _rewrites._lock:
+            if tuple(quarantined_rules()) == quarantined:
+                _rewrites.put(key, entry)
+    return outcome
 
 
 @dataclass
@@ -152,7 +202,9 @@ def run_guarded(
         budget: per-query limits; a fresh guard is started per execution
             (the safe-mode reference gets its own, so the cross-check is
             granted the same allowance as the primary run).
-        optimizer: rewrite pipeline; defaults to the relational profile.
+        optimizer: rewrite pipeline.  Omitted, the relational profile's
+            outcome is taken from the ``rewrites`` memo when it holds the
+            text under the current catalog and quarantines.
         safe_mode: cross-check rewritten results against the unrewritten
             plan on sampled executions.
         sample_every: check the first execution of each query text, then
@@ -195,8 +247,6 @@ def run_guarded(
         parsed = query
         if original_text is None:
             original_text = to_sql(query)
-    if optimizer is None:
-        optimizer = Optimizer.for_relational(database.catalog)
     traced = TRACER.enabled  # one test when tracing is off
     guarded_cm = (
         TRACER.span(
@@ -206,7 +256,10 @@ def run_guarded(
         else NULL_SPAN
     )
     with guarded_cm as guarded_span:
-        outcome = optimizer.optimize(parsed)
+        if optimizer is None:
+            outcome = _relational_rewrite(parsed, original_text, database.catalog)
+        else:
+            outcome = optimizer.optimize(parsed)
 
         guard = budget.guard() if budget is not None else None
         if on_guard is not None:
@@ -268,16 +321,17 @@ def run_guarded(
 
         # The rewrite changed the result multiset.  Quarantine the rules,
         # purge every cache entry keyed on an involved query text (the
-        # poisoned verdict/plan/strategy entries all key on text), and
-        # serve the verified reference result.
+        # poisoned verdict/rewrite/plan/strategy entries all key on
+        # text), and serve the verified reference result.  Quarantine
+        # first: see _relational_rewrite.
+        for rule in rules:
+            quarantine_rule(rule, f"safe-mode mismatch on {original_text!r}")
         texts = {original_text, out.sql}
         for step in outcome.steps:
             texts.add(to_sql(step.before))
             texts.add(to_sql(step.after))
         for text in texts:
             out.evicted += evict_by_text(text)
-        for rule in rules:
-            quarantine_rule(rule, f"safe-mode mismatch on {original_text!r}")
         out.mismatch = True
         out.quarantined = list(rules)
         if guarded_span is not None:

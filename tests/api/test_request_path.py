@@ -1,12 +1,14 @@
-"""The request path's contract: one lex, one parse, one print per request.
+"""The request path's contract: one lex and one parse per request, one
+print per form.
 
 The doors (``Connection``, the ``QueryService`` worker, the HTTP server
 above it) parse; below a door the AST travels with the caller's
 original text, and the printed form of the rewritten AST travels with
 that AST.  Counting spies on ``tokenize`` and ``to_sql`` pin it: every
-request lexes exactly once, and a warm read prints each distinct AST at
-most once.  A malformed statement must still surface as the same typed
-error, with the same message, at every door.
+request lexes exactly once, the first read of a statement prints each
+distinct AST at most once, and a warm read prints none.  A malformed
+statement must still surface as the same typed error, with the same
+message, at every door.
 """
 
 import functools
@@ -165,16 +167,22 @@ PRINT_ONCE = ["1", "3", "4", "6", "7", "10", "11"]
     ids=["key_lookup"] + [f"E{e}" for e in PRINT_ONCE],
 )
 def test_warm_read_prints_each_form_once(small_db, printed, sql, params, mode):
+    """A statement's forms are printed once over its reads: the first
+    read prints each at most once, and a warm read, served from the
+    rewrite memo and the plan cache, prints none."""
+    repro.clear_all_caches()
     with repro.connect(small_db) as conn:
-        conn.execute(sql, params, engine_mode=mode).fetchall()  # warm
+        conn.execute(sql, params, engine_mode=mode).fetchall()  # first read
+        first = list(printed)
         del printed[:]
         cursor = conn.execute(sql, params, engine_mode=mode)
         cursor.fetchall()
-    nodes = list(printed)  # the spy keeps recording while we describe them
-    per_ast = Counter(id(node) for node in nodes)
+    warm = list(printed)  # the spy keeps recording while we describe them
+    per_ast = Counter(id(node) for node in first)
     assert per_ast and max(per_ast.values()) == 1, [
-        (repro.to_sql(node), per_ast[id(node)]) for node in nodes
+        (repro.to_sql(node), per_ast[id(node)]) for node in first
     ]
+    assert warm == [], [repro.to_sql(node) for node in warm]
     # The one rendering of the served form is the served text.
     assert cursor.executed.sql == repro.to_sql(cursor.outcome.query)
     assert cursor.executed.stats.get("plan_cache_hits") == 1
