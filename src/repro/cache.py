@@ -35,6 +35,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator
 
+from .errors import ResourceError
 from .resilience.faults import FAULTS, SITE_FINGERPRINT
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
@@ -194,8 +195,6 @@ def safe_fingerprint(source: Any) -> Hashable | None:
     would be keyed on a lie).  Guard errors must not be swallowed into a
     cache skip, so resource errors propagate.
     """
-    from .errors import ResourceError
-
     try:
         FAULTS.check(SITE_FINGERPRINT)
         return source.fingerprint()
