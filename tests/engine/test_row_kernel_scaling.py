@@ -32,16 +32,19 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from repro import clear_all_caches
+from repro.core import Optimizer
 from repro.engine import Planner, execute_planned, set_compilation_enabled
 from repro.engine.operators import ExecContext, Filter, HashJoin, Project, SeqScan
 from repro.engine.stats import Stats
 from repro.errors import RowBudgetExceeded
 from repro.resilience import FAULTS, SITE_COMPILED_EVAL, ResourceBudget
+from repro.sql.parser import parse_query
 from repro.types import tristate, values
 from repro.workloads import SupplierScale, build_database, generate
 
@@ -307,3 +310,85 @@ def test_fused_kernels_keep_the_interpreters_totals(per_node, cls, exit):
     else:
         assert opened == [], opened
     assert _shared(fused, without=without) == _shared(reference, without=without)
+
+
+# ----------------------------------------------------------------------
+# guarded or not: the join kernel a context gets keeps the same rows and
+# totals as the other one and as the interpreter
+
+GUARD_TEMPLATES = (
+    "key_join",
+    "distinct_needed",
+    "exists_probe",
+    "intersect",
+    "key_join_point.part",
+    "key_join_point.agent",
+)
+GUARD_EXITS = ("exhaustion", "early close")
+
+
+def _rewritten(template: str, parts_rows: int):
+    """The template as the front door runs it — rewritten by the
+    relational optimizer — with bindings that keep rows flowing."""
+    database = _db(parts_rows)
+    suppliers = parts_rows // PARTS_PER_SUPPLIER
+    params = {
+        "key_join": {"CITY": workloads.CITIES[0]},
+        "distinct_needed": {"COLOR": workloads.COLORS[0]},
+        "exists_probe": {"CITY": workloads.CITIES[0], "PNO": 1},
+        "intersect": {
+            "CITY": workloads.CITIES[0],
+            "ACITY": workloads.AGENT_CITIES[0],
+        },
+        "key_join_point.part": {"SNO": 3, "PNO": 2},
+        "key_join_point.agent": {"ANO": 5},
+    }[template]
+    if not template.startswith("key_join_point"):
+        params.update(LO=1, HI=suppliers)
+    query = parse_query(workloads.TEMPLATES[template].sql)
+    rewritten = Optimizer.for_relational(database.catalog).optimize(query).query
+    return database, rewritten, params
+
+
+def _run_context(
+    statement, *, compiled: bool, guarded: bool, stop_after: int | None
+) -> tuple[list[tuple], Stats]:
+    database, query, params = statement
+    stats = Stats()
+    guard = ResourceBudget(timeout=60).guard() if guarded else None
+    previous = set_compilation_enabled(compiled)
+    try:
+        plan = Planner(database.catalog, database=database).plan(query)
+        ctx = ExecContext(database, params=params, stats=stats, guard=guard)
+        stream = plan.rows(ctx)
+        rows = list(islice(stream, stop_after))
+        stream.close()
+    finally:
+        set_compilation_enabled(previous)
+    return rows, stats
+
+
+@pytest.mark.parametrize("exit", GUARD_EXITS)
+@pytest.mark.parametrize("template", GUARD_TEMPLATES)
+def test_guarded_and_unguarded_kernels_keep_the_interpreters_rows_and_totals(
+    per_node, template, exit
+):
+    # At 2 000 PARTS rows every analytic template returns over 10 rows.
+    statement = _rewritten(template, SIZES[1])
+    stop_after = 10 if exit == "early close" else None
+    runs = {}
+    for name, compiled, guarded in (
+        ("unguarded", True, False),
+        ("guarded", True, True),
+        ("interpreter", False, False),
+    ):
+        del per_node[:]
+        rows, stats = _run_context(
+            statement, compiled=compiled, guarded=guarded, stop_after=stop_after
+        )
+        if compiled:
+            # Both contexts ran the generated join, not the node loops.
+            assert per_node == [], (name, per_node)
+        runs[name] = (rows, _totals(stats))
+    assert runs["unguarded"][0], "the bindings select no rows"
+    assert runs["unguarded"] == runs["guarded"] == runs["interpreter"]

@@ -215,3 +215,23 @@ def test_benchmark_distinct_texts_build_no_canonical_key(canonical_keys, cls):
     assert len(rows) > 1
     assert cursor.executed.stats["sort_rows"] > len(rows)
     assert canonical_keys == []
+
+
+# ----------------------------------------------------------------------
+# a known hole: NaN breaks the sort adjacency DISTINCT relies on
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="NaN has no place in the ≐ order yet (ROADMAP 6f): sorting "
+    "leaves it between equal values, so sort_distinct keeps both",
+)
+def test_distinct_over_a_nan_returns_each_row_once():
+    database = Database.from_script(
+        "CREATE TABLE T (K INT NOT NULL, X FLOAT, PRIMARY KEY (K));"
+    )
+    with repro.connect(database) as conn:
+        for key, x in enumerate([0.0, NAN, 0.0]):
+            conn.execute("INSERT INTO T VALUES (:K, :X)", {"K": key, "X": x})
+        rows = conn.execute("SELECT DISTINCT T.X FROM T").fetchall()
+    assert sorted(map(repr, rows)) == ["(0.0,)", "(nan,)"]
