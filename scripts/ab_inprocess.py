@@ -16,9 +16,11 @@ or, at worst, on one pair, which a median ignores.
 Three tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
-  the ``engine_mode`` spellings ``tuple``/``vectorized`` through
-  ``Connection.execute(...).fetchall()`` on ``SupplierScale(400, 10, 3)``
-  (a parent that still has column batches runs them for ``vectorized``).
+  the two execution contexts a generated kernel is shaped for —
+  ``unguarded`` (the connection's default options: no guard) and
+  ``guarded`` (``options=ExecutionOptions(timeout=60)``: the execution
+  carries a guard, so its kernels tick) — through
+  ``Connection.execute(...).fetchall()`` on ``SupplierScale(400, 10, 3)``.
   ``key_lookup.supplier`` is an ``IndexScan`` under a ``Project``:
   nothing in it has a generated (fused) form, so its ratio is the noise
   floor of this table;
@@ -137,22 +139,35 @@ def read_templates(workloads):
         yield template_id, template.sql, params
 
 
-def compare_classes(workloads, conn_parent, conn_change) -> bool:
-    def run_parent(sql, params, mode):
-        return conn_parent.execute(sql, params, engine_mode=mode).fetchall()
+def context_options(package: str) -> dict:
+    """One side's ``options=`` per execution context: ``None`` keeps the
+    connection's defaults (no guard); a timeout gives every execution
+    a guard."""
+    guarded = sys.modules[package].ExecutionOptions(timeout=60)
+    return {"unguarded": None, "guarded": guarded}
 
-    def run_change(sql, params, mode):
-        return conn_change.execute(sql, params, engine_mode=mode).fetchall()
+
+def compare_classes(workloads, conn_parent, conn_change) -> bool:
+    contexts_parent = context_options("repro_parent")
+    contexts_change = context_options("repro_change")
+
+    def run_parent(sql, params, context):
+        options = contexts_parent[context]
+        return conn_parent.execute(sql, params, options=options).fetchall()
+
+    def run_change(sql, params, context):
+        options = contexts_change[context]
+        return conn_change.execute(sql, params, options=options).fetchall()
 
     header("statement classes, Connection.execute(...).fetchall()", CLASS_ROUNDS)
     same = True
     for template_id, sql, params in read_templates(workloads):
-        for mode in ("tuple", "vectorized"):
-            label = f"{template_id} [{mode}]"
+        for context in contexts_change:
+            label = f"{template_id} [{context}]"
             # The two packages have a NULL singleton each: compare text.
             # A join may enumerate its rows in another order: multisets.
-            rows_parent = sorted(map(repr, run_parent(sql, params, mode)))
-            rows_change = sorted(map(repr, run_change(sql, params, mode)))
+            rows_parent = sorted(map(repr, run_parent(sql, params, context)))
+            rows_change = sorted(map(repr, run_change(sql, params, context)))
             if rows_parent != rows_change:
                 same = False
                 print(f"{label}: ROWS DIFFER")
@@ -160,8 +175,8 @@ def compare_classes(workloads, conn_parent, conn_change) -> bool:
             report(
                 label,
                 *alternate(
-                    lambda: run_parent(sql, params, mode),
-                    lambda: run_change(sql, params, mode),
+                    lambda: run_parent(sql, params, context),
+                    lambda: run_change(sql, params, context),
                     CLASS_ROUNDS,
                 ),
             )

@@ -13,7 +13,7 @@ and compiles each text once.  What fuses is the operators' decision
   frame per test;
 * a **pipeline**: a ``SeqScan``, under at most one ``Filter`` and one
   ``Project``, as one generator that pulls a chunk of
-  :data:`TICK_CHUNK` rows, ticks it, and yields
+  :data:`TICK_CHUNK` rows, ticks it (under a guard), and yields
   ``[<projection> for r in chunk if <⌊P⌋>]``; :class:`ChunkedRows`
   hands the rows out through a C-level ``chain``;
 * a **hash join**, with the ``Project`` above it if there is one: build,
@@ -21,6 +21,14 @@ and compiles each text once.  What fuses is the operators' decision
   path a probe side that is a scan pipeline runs inside the probe loop,
   and a build side served from its table's hash index runs no build
   loop at all.
+
+Checkpoints are part of the shape.  A kernel calls ``tick`` only when
+it is *guarded* — its execution has an
+:class:`~repro.resilience.budgets.ExecutionGuard`.  Without one the
+context's ``tick`` does nothing (nothing fuses while faults are armed),
+so the unguarded kernel leaves the calls out; every ``Stats`` counter
+is still counted as before.  A guarded kernel's text does not depend on
+this rule.
 
 No value or identifier from a statement is ever written into source.
 A constant sits in an argument slot ``k0 … kn`` of the ``make`` factory
@@ -136,13 +144,17 @@ def predicate_source(is_true: str, is_false: str, slots: int) -> str:
 
 
 def pipeline_source(
-    test: str | None, indices: Sequence[int] | None, slots: int
+    test: str | None,
+    indices: Sequence[int] | None,
+    slots: int,
+    guarded: bool = True,
 ) -> str:
     """scan → filter → project over the table's row list.
 
     *test* is ⌊P⌋ over ``r`` (``None``: no ``Filter``), *indices* the
     projected positions (``None``: no ``Project``).  Every pulled row is
-    one scanned row and, under a ``Filter``, one evaluation.
+    one scanned row and, under a ``Filter``, one evaluation; a chunk is
+    ticked only when *guarded*.
     """
     if test is None and indices is None:
         kept = "chunk"
@@ -163,7 +175,7 @@ def pipeline_source(
         "            if not chunk:",
         "                return",
         f"            start += {TICK_CHUNK:d}",
-        "            tick(len(chunk))",
+        *(["            tick(len(chunk))"] if guarded else []),
         "            scanned += len(chunk)",
         f"            yield {kept}",
         "    finally:",
@@ -206,8 +218,10 @@ def join_source(
     slots: int,
     index: bool = False,
     kept: str | None = None,
+    guarded: bool = True,
 ) -> str:
-    """Hash join: build over ``b``, probe over ``p``, one tick per match.
+    """Hash join: build over ``b``, probe over ``p``, one tick per match
+    when *guarded* (none otherwise: see the module's checkpoint rule).
 
     *build_key*/*probe_key* as :func:`_key_lines`; *residual* is the
     residual's ⌊P⌋ and *row* the output row, both over ``b`` and ``p``.
@@ -236,7 +250,7 @@ def join_source(
     if scan:
         pull = [
             f"if pending == {TICK_CHUNK - 1:d}:",
-            f"    tick({TICK_CHUNK:d})",
+            *([f"    tick({TICK_CHUNK:d})"] if guarded else []),
             f"    scanned += {TICK_CHUNK:d}",
             "    pending = 0",
             "else:",
@@ -247,7 +261,7 @@ def join_source(
             evals.append("scanned + pending")
         tail = [
             "if pending:",
-            "    tick(pending)",
+            *(["    tick(pending)"] if guarded else []),
             "    scanned += pending",
             "    pending = 0",
         ]
@@ -292,7 +306,7 @@ def join_source(
         *("            " + line for line in _key_lines("p", probe_key, index)),
         "            probes += 1",
         "            for b in matching(key, ()):",
-        "                tick()",
+        *(["                tick()"] if guarded else []),
         *("                " + line for line in match),
         *("                " + line for line in emit),
         *("        " + line for line in tail),

@@ -315,18 +315,20 @@ class HashJoin(PlanNode):
         indexed: bool,
     ) -> Callable[..., Iterator[tuple]] | None:
         """The generated join of :meth:`_fused`, probing the build
-        table's index if *indexed*, else hashing the build input."""
+        table's index if *indexed*, else hashing the build input; it
+        ticks only if *ctx* has a guard."""
         build, probe, _, _ = self._sides()
         scan = scan_pipeline(probe)
         where = None if scan is None else scan[1]
         kept = scan_pipeline(build)[1] if indexed else None
+        variant = (scan is not None, indexed, ctx.guard is not None)
         return (node or self)._generated(
             ctx,
-            partial(self._join_source, indices, scan is not None, indexed),
+            partial(self._join_source, indices, *variant),
             (self.residual, self.schema, self._column),
             (where, probe.schema, lambda index: "p[%d]" % index),
             (kept, build.schema, lambda index: "b[%d]" % index),
-            variant=(scan is not None, indexed),
+            variant=variant,
         )
 
     @cached_property
@@ -354,6 +356,7 @@ class HashJoin(PlanNode):
         indices: list[int] | None,
         scan: bool,
         indexed: bool,
+        guarded: bool,
         residual: str | None,
         where: str | None,
         kept: str | None,
@@ -376,6 +379,7 @@ class HashJoin(PlanNode):
             slots,
             indexed,
             kept,
+            guarded,
         )
 
     def label(self) -> str:

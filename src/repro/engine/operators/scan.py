@@ -71,14 +71,16 @@ def fused_scan(
     """The pipeline *scan* → [``Filter`` *predicate*] → [``Project``
     *indices*] under *node*, as one generated generator.
 
-    Each pulled chunk is ticked and accounted whole — ``rows_scanned``
-    and, under a filter, ``predicate_evals``.
+    Each pulled chunk is ticked (under a guard) and accounted whole —
+    ``rows_scanned`` and, under a filter, ``predicate_evals``.
     ``None`` when ``_lower`` refuses *predicate*.
     """
+    guarded = ctx.guard is not None
     pipeline = node._generated(
         ctx,
-        lambda test, slots: pipeline_source(test, indices, slots),
+        lambda test, slots: pipeline_source(test, indices, slots, guarded),
         (predicate, scan.schema, None),
+        variant=guarded,
     )
     if pipeline is None:
         return None

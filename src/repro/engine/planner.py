@@ -27,7 +27,7 @@ from ..observe.trace import NULL_SPAN, TRACER
 from ..options import check_engine_mode
 from ..resilience.budgets import ExecutionGuard
 from ..resilience.faults import FAULTS, SITE_FINGERPRINT
-from ..sql.ast import Query, SelectQuery, SetOperation, referenced_tables
+from ..sql.ast import Query, SelectQuery, SetOperation
 from ..sql.expressions import (
     And,
     ColumnRef,
@@ -706,7 +706,9 @@ def plan_cache_fingerprint(query: "Query | str", database) -> tuple | None:
     commit bumps exactly its touched tables, so plans (and anything
     else keyed this way) for *other* tables survive the write; this is
     the incremental-invalidation contract the
-    ``invalidation_scoped_total`` counter measures.
+    ``invalidation_scoped_total`` counter measures.  The tables are the
+    query node's :attr:`~repro.sql.ast.SelectQuery.table_scope`, walked
+    once per node, so a memoized rewrite's warm reads walk nothing.
 
     Wrapped databases (shard slices, transaction views), unparsable
     SQL, and any extraction failure fall back to the whole-database
@@ -720,7 +722,7 @@ def plan_cache_fingerprint(query: "Query | str", database) -> tuple | None:
     if type(database) is Database:
         try:
             ast = parse_query(query) if isinstance(query, str) else query
-            tables = referenced_tables(ast)
+            tables = ast.table_scope
         except Exception:
             tables = None  # unparsable / malformed: fall back to full scope
         if tables:

@@ -14,13 +14,15 @@ class Result:
 
     Row identity for comparisons follows the paper's ≐ semantics: two
     rows are the same when corresponding values are equal or both NULL.
+
+    *rows* are tuples.  A list is kept as given — the caller hands over
+    a list it built for this result, so no row is copied again — and
+    any other iterable is listed.
     """
 
-    def __init__(
-        self, columns: Sequence[str], rows: Iterable[Sequence[SqlValue]]
-    ) -> None:
+    def __init__(self, columns: Sequence[str], rows: Iterable[tuple]) -> None:
         self.columns: list[str] = list(columns)
-        self.rows: list[tuple] = [tuple(row) for row in rows]
+        self.rows: list[tuple] = rows if type(rows) is list else list(rows)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .expressions import ColumnRef, Expr
@@ -86,8 +87,19 @@ class OrderItem:
     ascending: bool = True
 
 
+class _TableScoped:
+    """A query whose base tables scope the cache entries keyed on it."""
+
+    @cached_property
+    def table_scope(self) -> frozenset[str]:
+        """:func:`referenced_tables`, walked on first read and kept on
+        the node: a frozen node's tables never change, and a memoized
+        rewrite hands the same node to every warm read of its text."""
+        return frozenset(referenced_tables(self))
+
+
 @dataclass(frozen=True)
-class SelectQuery:
+class SelectQuery(_TableScoped):
     """A query specification (SELECT-FROM-WHERE block).
 
     Attributes:
@@ -144,7 +156,7 @@ class SetOpKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SetOperation:
+class SetOperation(_TableScoped):
     """A query expression: two operands joined by a set operator.
 
     ``all`` selects the multiset (``... ALL``) semantics: INTERSECT ALL

@@ -10,9 +10,16 @@ resolve bindings at execution time.
 
 import pytest
 
+import repro
 from repro import Database, Stats, clear_all_caches, set_caches_enabled
+from repro.core import Optimizer
 from repro.engine import execute_planned
 from repro.engine import GLOBAL_PLAN_CACHE, PlanCache, PlannerOptions
+from repro.sql import ast
+from repro.sql.parser import parse_query
+from repro.workloads.queries import PAPER_QUERIES
+
+from .test_row_kernel_scaling import _db, workloads
 
 DDL = """
 CREATE TABLE S (
@@ -112,3 +119,67 @@ def test_cached_plans_are_reexecutable_and_stateless(db):
     assert all(run.same_rows(runs[0]) for run in runs)
     assert [row[0] for row in runs[0].rows] == [1]
     assert cache.hits == 2
+
+
+# ----------------------------------------------------------------------
+# the plan key's tables are walked once per query node
+
+ANALYTIC = (
+    "filter_scan",
+    "key_join",
+    "distinct_removable",
+    "distinct_needed",
+    "exists_probe",
+    "intersect",
+)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """One entry per node the table walk visits."""
+    visited = []
+    original = ast._collect_tables
+
+    def spy(node, names):
+        visited.append(node)
+        return original(node, names)
+
+    monkeypatch.setattr(ast, "_collect_tables", spy)
+    return visited
+
+
+@pytest.mark.parametrize("template", ANALYTIC)
+def test_a_warm_read_keys_its_plan_without_walking_the_ast(walks, template):
+    database = _db(200)
+    params = {
+        "COLOR": workloads.COLORS[0],
+        "CITY": workloads.CITIES[0],
+        "ACITY": workloads.AGENT_CITIES[0],
+        "PNO": 1,
+        "LO": 1,
+        "HI": 20,
+    }
+    clear_all_caches()
+    counts = []
+    with repro.connect(database) as conn:
+        for _ in range(2):
+            del walks[:]
+            assert conn.execute(workloads.TEMPLATES[template].sql, params).fetchall()
+            counts.append(len(walks))
+    # The rewrites memo serves the first read's node, which kept its tables.
+    assert counts[0] >= 1 and counts[1] == 0, counts
+
+
+SCOPED_TEXTS = [(f"E{q.example}", q.sql) for q in PAPER_QUERIES] + [
+    (name, workloads.TEMPLATES[name].sql) for name in ANALYTIC
+]
+
+
+@pytest.mark.parametrize("name, sql", SCOPED_TEXTS)
+def test_table_scope_is_the_referenced_tables(name, sql):
+    catalog = _db(200).catalog
+    parsed = parse_query(sql)
+    rewritten = Optimizer.for_relational(catalog).optimize(parsed).query
+    for query in (parsed, rewritten):
+        assert query.table_scope == ast.referenced_tables(query), name
+        assert isinstance(query.table_scope, frozenset)

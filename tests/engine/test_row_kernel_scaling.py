@@ -39,7 +39,8 @@ import pytest
 
 from repro import clear_all_caches
 from repro.core import Optimizer
-from repro.engine import Planner, execute_planned, set_compilation_enabled
+from repro.engine import Planner, codegen, execute_planned, set_compilation_enabled
+from repro.engine.operators import base as operators_base
 from repro.engine.operators import ExecContext, Filter, HashJoin, Project, SeqScan
 from repro.engine.stats import Stats
 from repro.errors import RowBudgetExceeded
@@ -392,3 +393,29 @@ def test_guarded_and_unguarded_kernels_keep_the_interpreters_rows_and_totals(
         runs[name] = (rows, _totals(stats))
     assert runs["unguarded"][0], "the bindings select no rows"
     assert runs["unguarded"] == runs["guarded"] == runs["interpreter"]
+
+
+@pytest.mark.parametrize("template", GUARD_TEMPLATES)
+def test_only_a_guarded_kernel_ticks(monkeypatch, template):
+    # No guard: the context's tick does nothing, so its kernel calls none.
+    statement = _rewritten(template, SIZES[0])
+    sources = {}
+    for guarded in (False, True):
+        assembled = sources[guarded] = []
+
+        def spy(source, _assembled=assembled):
+            _assembled.append(source)
+            return codegen.assemble(source)
+
+        monkeypatch.setattr(operators_base, "assemble", spy)
+        _run_context(statement, compiled=True, guarded=guarded, stop_after=None)
+    joins = {
+        guarded: [text for text in texts if "def join(" in text]
+        for guarded, texts in sources.items()
+    }
+    assert joins[False] and joins[True]
+    assert not any("tick(" in text for text in sources[False])
+    # Guarded: one checkpoint per match, as before.
+    for text in joins[True]:
+        lines = [line.strip() for line in text.splitlines()]
+        assert lines[lines.index("for b in matching(key, ()):") + 1] == "tick()"
