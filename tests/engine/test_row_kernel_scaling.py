@@ -23,9 +23,12 @@ with the per-node accounting, so the join classes match the
 interpreter exactly at every exit; ``filter_scan``'s pipeline pulls,
 ticks and accounts a ``TICK_CHUNK``-row chunk as a whole
 (``BATCH_GRANULAR``), so where its stream is cut short it may be ahead
-of the interpreter.  The fused arm (last section) checks which path
+of the interpreter.  The fused arm checks which path
 ran: no per-node row loop opens under a generated kernel, and every one
-does while a fault is armed.
+does while a fault is armed.  The last section runs the join templates
+as the front door rewrites them in both kernel contexts — no guard, and
+a guard under a timeout — against the interpreter, and reads the
+kernels' sources: only the guarded one ticks.
 """
 
 from __future__ import annotations
