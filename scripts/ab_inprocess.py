@@ -21,9 +21,9 @@ Three tables:
   ``guarded`` (``options=ExecutionOptions(timeout=60)``: the execution
   carries a guard, so its kernels tick) — through
   ``Connection.execute(...).fetchall()`` on ``SupplierScale(400, 10, 3)``.
-  ``key_lookup.supplier`` is an ``IndexScan`` under a ``Project``:
-  nothing in it has a generated (fused) form, so its ratio is the noise
-  floor of this table;
+  Every template runs a generated kernel (a key lookup's ``IndexScan``
+  under its ``Project`` is one scan pipeline), so no class of this
+  table is a noise floor;
 * the wire codec per read template: ``dumps(query_response(executed))``
   (encode) and ``parse_query_response(parse_json(raw))`` (decode) on each
   side's own result of the template — the serialize layer of a remote

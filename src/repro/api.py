@@ -32,8 +32,10 @@ Quickstart::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Iterator, Sequence
 
+from .cache import BuiltOnRead
 from .core.rewrite.engine import Optimizer
 from .engine.database import Database
 from .engine.plan_cache import PlanCache
@@ -322,7 +324,8 @@ class ExecutedQuery:
         sql: the SQL that produced the rows (rewritten form if a rule
             fired; the original after a safe-mode mismatch).
         rewritten / rules / mismatch: the rewrite trail.
-        stats: non-zero execution counters.
+        stats: non-zero execution counters (given, or built from
+            *outcome* on first read).
         analysis: EXPLAIN ANALYZE plan dict when requested, else None.
         request_id: the server-assigned request id (remote only).
         outcome: the full :class:`GuardedOutcome` (local only).
@@ -336,11 +339,15 @@ class ExecutedQuery:
     rewritten: bool = False
     rules: list[str] = field(default_factory=list)
     mismatch: bool = False
-    stats: dict[str, Any] = field(default_factory=dict)
+    stats: dict[str, Any] = BuiltOnRead(dict)
     analysis: dict[str, Any] | None = None
     request_id: str | None = None
     outcome: GuardedOutcome | None = None
     rowcount: int = -1
+
+
+def _nonzero(stats: Stats) -> dict[str, int]:
+    return {name: value for name, value in stats.as_dict().items() if value}
 
 
 def executed_from_outcome(
@@ -354,11 +361,7 @@ def executed_from_outcome(
         rewritten=outcome.rewritten,
         rules=list(outcome.rules),
         mismatch=outcome.mismatch,
-        stats={
-            name: value
-            for name, value in outcome.stats.as_dict().items()
-            if value
-        },
+        stats=partial(_nonzero, outcome.stats),
         analysis=(
             outcome.analysis.to_dict() if outcome.analysis is not None else None
         ),

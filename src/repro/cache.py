@@ -41,6 +41,33 @@ from .resilience.faults import FAULTS, SITE_FINGERPRINT
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 MISSING = object()
 
+
+class BuiltOnRead:
+    """A dataclass field that may be given a zero-argument builder in
+    place of its value: the first read calls the builder and keeps what
+    it returns.  The field's default is ``None``, read as *default()*.
+
+    For per-request records whose costlier fields most requests never
+    read.  Two threads reading one record at once may both build.
+    """
+
+    def __init__(self, default: Callable[[], Any]) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, record: Any, owner: type | None = None) -> Any:
+        if record is None:
+            return None  # the dataclass default
+        value = record.__dict__[self.slot]
+        if value is None or callable(value):
+            value = record.__dict__[self.slot] = (value or self.default)()
+        return value
+
+    def __set__(self, record: Any, value: Any) -> None:
+        record.__dict__[self.slot] = value
+
 _enabled = True
 _registry: "list[LRUCache]" = []
 

@@ -11,16 +11,17 @@ and compiles each text once.  What fuses is the operators' decision
 * the predicate of :mod:`repro.engine.compile` — ``is_true``,
   ``is_false`` and the three-valued ``verdict`` over a row ``r``, one
   frame per test;
-* a **pipeline**: a ``SeqScan``, under at most one ``Filter`` and one
-  ``Project``, as one generator that pulls a chunk of
+* a **pipeline**: a ``SeqScan`` under at most one ``Filter``, or an
+  ``IndexScan`` with its residual, under at most one ``Project``, as
+  one generator over the scan's row list that pulls a chunk of
   :data:`TICK_CHUNK` rows, ticks it (under a guard), and yields
   ``[<projection> for r in chunk if <⌊P⌋>]``; :class:`ChunkedRows`
   hands the rows out through a C-level ``chain``;
 * a **hash join**, with the ``Project`` above it if there is one: build,
   then probe, yielding each match's output row directly; on the row
-  path a probe side that is a scan pipeline runs inside the probe loop,
-  and a build side served from its table's hash index runs no build
-  loop at all.
+  path a probe side that is a scan pipeline (an ``IndexScan`` too)
+  runs inside the probe loop, and a build side served from its table's
+  hash index runs no build loop at all.
 
 Checkpoints are part of the shape.  A kernel calls ``tick`` only when
 it is *guarded* — its execution has an
@@ -220,23 +221,28 @@ def join_source(
     kept: str | None = None,
     guarded: bool = True,
 ) -> str:
-    """Hash join: build over ``b``, probe over ``p``, one tick per match
-    when *guarded* (none otherwise: see the module's checkpoint rule).
+    """Hash join: build over ``b``, probe over ``p``.
 
     *build_key*/*probe_key* as :func:`_key_lines`; *residual* is the
     residual's ⌊P⌋ and *row* the output row, both over ``b`` and ``p``.
 
-    With *scan*, ``probe_rows`` is a table's row list and the scan — and
-    the ``Filter`` above it, *where* over ``p`` — run inside the probe
-    loop with the per-node ``SeqScan`` and ``Filter``'s accounting: a
-    :data:`TICK_CHUNK`-row tick as the chunk's last row is pulled, the
-    rest after the last row, and one evaluation per pulled row.  So
-    whichever way the join is left, its totals are the interpreter's.
-    Otherwise ``probe_rows`` is a stream, closed in ``finally``.
+    Every match is a checkpoint.  When *guarded* (see the module's
+    checkpoint rule) the kernel counts them in ``unticked`` and ticks
+    :data:`TICK_CHUNK` at a time, the rest after the last probe row —
+    ``HashJoin``'s per-node schedule.
+
+    With *scan*, ``probe_rows`` is a scan's row list (a table's, or an
+    ``IndexScan``'s bucket) and the scan — and its filter, *where* over
+    ``p`` — run inside the probe loop with the per-node scan and
+    ``Filter``'s accounting: a :data:`TICK_CHUNK`-row tick as the
+    chunk's last row is pulled, the rest after the last row, and one
+    evaluation per pulled row.  So whichever way the join is left, its
+    totals are the interpreter's.  Otherwise ``probe_rows`` is a
+    stream, closed in ``finally``.
 
     With *index*, no build loop runs: ``build_rows`` is the build
     table's hash index (canonical key → rows), probed once per probe
-    row.  Each fetched row is the one checkpoint of its match, and a
+    row.  Each fetched row is the checkpoint of its match, and a
     scanned row and an index row, as ``IndexScan`` counts it; *kept*
     is the build side's ``Filter`` over ``b``, tested once per fetched
     row.
@@ -266,6 +272,14 @@ def join_source(
             "    pending = 0",
         ]
         account = ["stats.rows_scanned += scanned"]
+    if guarded:
+        tail += ["if unticked:", "    tick(unticked)"]
+    checkpoint = [
+        "unticked += 1",
+        f"if unticked == {TICK_CHUNK:d}:",
+        f"    tick({TICK_CHUNK:d})",
+        "    unticked = 0",
+    ] if guarded else []
     build = [
         "buckets = {}",
         "for b in build_rows:",
@@ -299,6 +313,7 @@ def join_source(
     return _factory(slots, [
         "def join(build_rows, probe_rows, tick, stats, b_key, p_key):",
         "    builds = probes = joined = scanned = pending = fetched = 0",
+        *(["    unticked = 0"] if guarded else []),
         "    try:",
         *("        " + line for line in build),
         "        for p in probe_rows:",
@@ -306,7 +321,7 @@ def join_source(
         *("            " + line for line in _key_lines("p", probe_key, index)),
         "            probes += 1",
         "            for b in matching(key, ()):",
-        *(["                tick()"] if guarded else []),
+        *("                " + line for line in checkpoint),
         *("                " + line for line in match),
         *("                " + line for line in emit),
         *("        " + line for line in tail),

@@ -49,7 +49,10 @@ constant folding across siblings sound.
 
 A constant is never written into source: the row leaves put it in an
 argument slot ``k<n>``, so the text depends on the condition's shape
-alone and one compiled function serves every binding of it.
+alone and one compiled function serves every binding of it.  Lowered
+into a :class:`Refill`, the slots also remember where each value came
+from, so a plan node can keep the fragments and refill the slots from
+the next execution's bindings without walking the condition again.
 
 The global :func:`set_compilation_enabled` switch exists so benchmarks
 and property tests can A/B the compiled and interpretive paths.
@@ -113,6 +116,26 @@ class CannotCompile(Exception):
     """Internal control flow: the expression needs the interpreter."""
 
 
+class Refill(list):
+    """Slot values that remember their sources, so a lowering can be
+    replayed under other bindings.
+
+    :attr:`recipe` holds ``(host variable, transform, value)`` per slot:
+    the variable's name (``None`` for a literal, whose *value* it is)
+    and ``None`` or the function applied to the variable's value.  The
+    fragments a lowering spells depend on which host variables are NULL
+    (or unbound) and on nothing else about their values — except where a
+    comparison of two constants folded on a host variable's value: that
+    marks the lowering :attr:`volatile`.
+    """
+
+    volatile = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recipe: list[tuple] = []
+
+
 def compile_pair(
     expr: Expr,
     schema: RelSchema,
@@ -170,9 +193,10 @@ def lower_source(
 
     ``k<n>`` in a fragment reads ``slots[n]``; *column* spells a column
     position (default ``r[<n>]``).  Constants are appended to *slots*
-    (a new list by default), so several predicates can share one
-    numbering.  ``None`` exactly when :func:`compile_pair` is; a root
-    that folds to a constant is the pair of constant tests.
+    (a new list by default; a :class:`Refill` also records their
+    sources), so several predicates can share one numbering.  ``None``
+    exactly when :func:`compile_pair` is; a root that folds to a
+    constant is the pair of constant tests.
     """
     if not _enabled:
         return None
@@ -323,6 +347,8 @@ def _comparison(
     left, left_const = _scalar(expr.left, schema, params)
     right, const = _scalar(expr.right, schema, params)
     if left is None and right is None:
+        if isinstance(slots, Refill) and HostVar in (type(expr.left), type(expr.right)):
+            slots.volatile = True
         return None, None, compare_where(expr.op, left_const, const)
     if left is None:
         # constant ⋈ column: the same test with the column first.
@@ -332,10 +358,11 @@ def _comparison(
     a = column(left)
     ordering = expr.op not in ("=", "<>")
     if right is None:
-        b = _slot(slots, const)
+        operand = expr.right
+        b = _slot(slots, const, operand)
         decided = f"{a} is not NULL"
         if ordering:
-            exact = _slot(slots, _exact_types(const))
+            exact = _slot(slots, _exact_types(const), operand, _exact_types)
             decided += f" and (type({a}) in {exact} or comparable({a}, {b}))"
     else:
         b = column(right)
@@ -395,8 +422,12 @@ def _row(index: int) -> str:
     return "r[%d]" % index
 
 
-def _slot(slots: list[SqlValue], value: SqlValue) -> str:
+def _slot(slots: list, value: SqlValue, operand: Expr, transform=None) -> str:
+    """Append *value*, taken from *operand* (through *transform*)."""
     slots.append(value)
+    if isinstance(slots, Refill):
+        name = operand.name if isinstance(operand, HostVar) else None
+        slots.recipe.append((name, transform, value))
     return "k%d" % (len(slots) - 1)
 
 

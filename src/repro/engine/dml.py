@@ -130,7 +130,7 @@ class InsertNode(DmlNode):
     def _resolve(ctx: ExecContext, value):
         """A VALUES entry: a literal as-is, a host variable bound."""
         if isinstance(value, HostVar):
-            params = ctx.evaluator.params
+            params = ctx.params
             if value.name not in params:
                 raise MissingHostVariableError(value.name)
             return params[value.name]

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ...errors import ResourceError
 from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
-from ...sql.expressions import Expr
-from ...types.values import SqlValue
+from ...sql.expressions import Expr, host_vars
+from ...types.values import NULL, SqlValue
 from ..codegen import assemble
-from ..compile import RowTest, compilation_enabled, compile_filter, lower_source
+from ..compile import Refill, RowTest, compilation_enabled, compile_filter
+from ..compile import lower_source
 from ..evaluator import Evaluator
 from ..schema import RelSchema, Scope
 from ..stats import Stats
@@ -27,10 +30,12 @@ def _tick_noop(rows: int = 1) -> None:
 class ExecContext:
     """Shared state for one plan execution.
 
-    Holds the database, the host-variable bindings, the counter sink, and
-    a single :class:`Evaluator` wired so correlated subqueries fall back
-    to the reference interpreter (the naive nested-loop strategy — the
-    cost the paper's rewrites are designed to avoid).
+    Holds the database, the host-variable bindings (:attr:`params`,
+    names upper-cased) and the counter sink.  Its :attr:`evaluator`
+    is built on first use, wired so correlated subqueries fall back to
+    the reference interpreter (the naive nested-loop strategy — the
+    cost the paper's rewrites are designed to avoid): an execution that
+    runs only generated kernels never builds one.
 
     When a *guard* is supplied, operators report every processed row via
     :meth:`tick`, giving the guard its cooperative checkpoints (timeout,
@@ -59,20 +64,12 @@ class ExecContext:
         guard: ExecutionGuard | None = None,
         analysis: "PlanAnalysis | None" = None,
     ) -> None:
-        from ..executor import Executor  # deferred to break the cycle
-
         self.database = database
+        self.params = {key.upper(): value for key, value in (params or {}).items()}
         self.stats = stats or Stats()
+        self.use_indexes = use_indexes
         self.guard = guard
         self.analysis = analysis
-        self._interpreter = Executor(
-            database,
-            params=params,
-            stats=self.stats,
-            use_indexes=use_indexes,
-            guard=guard,
-        )
-        self.evaluator = self._interpreter.evaluator
         # Per-row cost matters here: bind the cheapest tick variant for
         # this execution up front (executions complete within one
         # execute_plan call, so the armed state cannot change mid-run).
@@ -85,6 +82,16 @@ class ExecContext:
         self.fuse = (
             self.batch_ticks and analysis is None and compilation_enabled()
         )
+
+    @cached_property
+    def evaluator(self) -> Evaluator:
+        """The reference interpreter's evaluator, over these bindings."""
+        from ..executor import Executor  # deferred to break the cycle
+
+        interpreter = Executor(
+            self.database, self.params, self.stats, self.use_indexes, self.guard
+        )
+        return interpreter.evaluator
 
     def tick(self, rows: int = 1) -> None:
         """One cooperative checkpoint, called per row by operator loops.
@@ -108,10 +115,6 @@ class PlanNode:
     """
 
     schema: RelSchema
-
-    #: The ``make`` factories of this node's fused form (see
-    #: :meth:`_generated`), created on first use.
-    _kernels: dict | None = None
 
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
         """Open the row stream.  *outer* carries correlation bindings.
@@ -161,33 +164,42 @@ class PlanNode:
         constants numbered across all of them (``None``: no such test).
         ``source(*fragments, slots)`` is the kernel's text given those
         fragments (``None`` where a test is absent), reading *slots*
-        argument slots.  The factory is kept on the node by *variant*
-        and fragments, so a cached plan builds its text once per
-        predicate shape — a kernel without predicates, once.
+        argument slots.
+
+        The node keeps one lowering table, ``_lowered``: per *variant*,
+        the host variables its tests read and, per which of them are
+        NULL (or unbound), the compiled factory and the recipe of its
+        slots (:class:`~repro.engine.compile.Refill`).  A warm execution
+        of a cached plan refills the slots from its bindings and walks
+        no predicate; a lowering that folded two constants on a host
+        variable's value is redone every execution.
         """
-        slots: list[SqlValue] = []
-        fragments = []
-        for predicate, schema, column in tests:
-            if predicate is None:
-                fragments.append(None)
-                continue
-            lowered = lower_source(
-                predicate, schema, ctx.evaluator.params, column, slots
-            )
-            if lowered is None:
-                return None
-            fragments.append(lowered[0])
-        key = (variant, len(slots), *fragments)
-        kernels = self._kernels
-        if kernels is None:
-            kernels = self._kernels = {}
-        make = kernels.get(key)
+        table = self.__dict__.setdefault("_lowered", {})
+        names, forms = table.get(variant) or table.setdefault(
+            variant, (tuple({v.name for t in tests for v in host_vars(t[0])}), {})
+        )
+        params = ctx.params
+        state = tuple([
+            value if value is NULL or value is _UNBOUND else None
+            for value in map(params.get, names, repeat(_UNBOUND))
+        ])
+        entry = forms.get(state)
+        if entry is None:
+            slots = Refill()
+            entry = _lower_form(source, tests, params, slots)
+            if not slots.volatile:
+                forms[state] = entry
+        else:
+            slots = [
+                value if name is None
+                else params[name] if transform is None
+                else transform(params[name])
+                for name, transform, value in entry[2]
+            ]
+        make, compiled, _ = entry
         if make is None:
-            make = assemble(source(*fragments, len(slots)))
-            if make is None:
-                return None
-            kernels[key] = make
-        ctx.stats.predicates_compiled += len(fragments) - fragments.count(None)
+            return None
+        ctx.stats.predicates_compiled += compiled
         return make(*slots)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
@@ -218,6 +230,29 @@ class PlanNode:
         return "\n".join(lines)
 
 
+#: A host variable the bindings lack (``_lower`` refuses it).
+_UNBOUND = object()
+
+
+def _lower_form(
+    source: Callable[..., str], tests: tuple, params: dict, slots: Refill
+) -> tuple[Callable[..., Any] | None, int, tuple]:
+    """``(make, predicates, recipe)`` of one fused form: the compiled
+    factory (``None``: refused), how many predicates it compiles and
+    its slots' recipe; *slots* holds this lowering's values."""
+    fragments = []
+    for predicate, schema, column in tests:
+        if predicate is None:
+            fragments.append(None)
+            continue
+        lowered = lower_source(predicate, schema, params, column, slots)
+        if lowered is None:
+            return None, 0, ()
+        fragments.append(lowered[0])
+    make = assemble(source(*fragments, len(slots)))
+    return make, len(fragments) - fragments.count(None), tuple(slots.recipe)
+
+
 # ----------------------------------------------------------------------
 # the tuple path's row test
 #
@@ -240,7 +275,7 @@ def compile_row_test(
     if outer is not None:
         return None
     try:
-        compiled = compile_filter(predicate, schema, ctx.evaluator.params)
+        compiled = compile_filter(predicate, schema, ctx.params)
     except ResourceError:
         raise
     except Exception:
@@ -268,7 +303,6 @@ def select_rows(
     """
     compiled = compile_row_test(ctx, predicate, schema, outer)
     stats = ctx.stats
-    qualifies = ctx.evaluator.qualifies
     evals = 0
     try:
         for row in rows:
@@ -288,7 +322,7 @@ def select_rows(
                     if keep:
                         yield row
                     continue
-            if qualifies(predicate, Scope(schema, row, outer=outer)):
+            if ctx.evaluator.qualifies(predicate, Scope(schema, row, outer=outer)):
                 yield row
     finally:
         stats.predicate_evals += evals

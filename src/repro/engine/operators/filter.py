@@ -8,7 +8,7 @@ from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ..schema import Scope
 from .base import ExecContext, PlanNode, select_rows
-from .scan import SeqScan, fused_scan
+from .scan import IndexScan, SeqScan, fused_scan
 
 
 class Filter(PlanNode):
@@ -53,11 +53,17 @@ class Filter(PlanNode):
         return f"Filter({to_sql(self.predicate)})"
 
 
-def scan_pipeline(node: PlanNode) -> tuple[SeqScan, Expr | None] | None:
-    """*node* as a ``SeqScan`` under at most one ``Filter``: the scan and
-    the filter's predicate (``None`` without one); ``None`` otherwise."""
+def scan_pipeline(node: PlanNode, indexed: bool = False) -> tuple | None:
+    """*node* as a ``SeqScan`` under at most one ``Filter`` — or, if
+    *indexed*, an ``IndexScan``, its residual the filter: ``(scan,
+    predicate)``, the predicate ``None`` without one; ``None`` otherwise.
+
+    Only the first is a whole table, so only it can stand for its
+    table's hash index (an index join's build side)."""
     if isinstance(node, SeqScan):
         return node, None
     if isinstance(node, Filter) and isinstance(node.child, SeqScan):
         return node.child, node.predicate
+    if indexed and isinstance(node, IndexScan):
+        return node, node.residual
     return None

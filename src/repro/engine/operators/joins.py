@@ -25,7 +25,7 @@ from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ...types.values import key_extractor
-from ..codegen import join_source, row_source
+from ..codegen import TICK_CHUNK, join_source, row_source
 from ..compile import RowTest
 from ..schema import Scope
 from .base import ExecContext, PlanNode, compile_row_test
@@ -152,6 +152,10 @@ class HashJoin(PlanNode):
     counts them) and the build side's filter is tested on each fetched
     row.  A fetched row is one checkpoint, whether or not it matches.
     Output is then in probe order, each probe's matches in table order.
+
+    Checkpoints (a match, or a fetched row) are ticked
+    :data:`~repro.engine.codegen.TICK_CHUNK` at a time, the rest after
+    the last probe row; while faults are armed, one by one.
     Should the index fail to build, the per-node path hashes the build
     input instead (``index_fallbacks``).
     """
@@ -214,7 +218,7 @@ class HashJoin(PlanNode):
         indexed = buckets is not None
         if self.index is not None and not indexed:
             ctx.stats.index_fallbacks += 1
-        builds = probes = joined = fetched = 0
+        builds = probes = joined = fetched = unticked = 0
         flush = flush_kept = _no_flush
         kept = None
         probe_rows = probe.rows(ctx, outer)
@@ -243,7 +247,10 @@ class HashJoin(PlanNode):
                     continue
                 probes += 1
                 for build_row in matching(key, ()):
-                    tick()
+                    unticked += 1
+                    if unticked == TICK_CHUNK or not ctx.batch_ticks:
+                        tick(unticked)
+                        unticked = 0
                     if indexed:
                         fetched += 1
                         if kept is not None and not kept(build_row):
@@ -255,6 +262,8 @@ class HashJoin(PlanNode):
                         combined = probe_row + build_row
                     if qualifies is None or qualifies(combined):
                         yield combined
+            if unticked:
+                tick(unticked)
         finally:
             stats = ctx.stats
             stats.hash_builds += builds
@@ -276,10 +285,11 @@ class HashJoin(PlanNode):
     ) -> Iterator[tuple] | None:
         """The join — projected onto *indices* for the ``Project``
         *node* above it — as one generated generator: the rows, the
-        counters and the per-match ticks of :meth:`_rows`.
+        counters and the checkpoints of :meth:`_rows`.
 
         A probe side that is a scan pipeline (a ``SeqScan`` under at
-        most one ``Filter``) runs inside the probe loop, accounted as
+        most one ``Filter``, or an ``IndexScan`` with its residual)
+        runs inside the probe loop over its row list, accounted as
         the per-node scan and filter would be; an :attr:`index` join
         probes the build table's index and tests the build side's
         filter on each fetched row.  Should the index fail to build,
@@ -288,8 +298,8 @@ class HashJoin(PlanNode):
         ``None`` when ``_lower`` refuses the residual or a filter.
         """
         build, probe, _, _ = self._sides()
-        scan = scan_pipeline(probe)
-        join = self._kernel(ctx, node, indices, self.index is not None)
+        scan = scan_pipeline(probe, indexed=True)
+        join = self._kernel(ctx, node, indices, scan, self.index is not None)
         if join is None:
             return None
         if self.index is None:
@@ -298,12 +308,12 @@ class HashJoin(PlanNode):
             build_rows = self._index(ctx)
             if build_rows is None:
                 ctx.stats.index_fallbacks += 1
-                join = self._kernel(ctx, node, indices, False)
+                join = self._kernel(ctx, node, indices, scan, False)
                 build_rows = build.rows(ctx)
         if scan is None:
             probe_rows = probe.rows(ctx)
         else:
-            probe_rows = ctx.database.table(scan[0].table_name).rows
+            probe_rows = scan[0]._source(ctx)
         build_key, probe_key = self._key_kernels
         return join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
 
@@ -312,13 +322,14 @@ class HashJoin(PlanNode):
         ctx: ExecContext,
         node: PlanNode | None,
         indices: list[int] | None,
+        scan: tuple | None,
         indexed: bool,
     ) -> Callable[..., Iterator[tuple]] | None:
-        """The generated join of :meth:`_fused`, probing the build
+        """The generated join of :meth:`_fused` over the probe side's
+        *scan* pipeline (``None``: a stream), probing the build
         table's index if *indexed*, else hashing the build input; it
         ticks only if *ctx* has a guard."""
         build, probe, _, _ = self._sides()
-        scan = scan_pipeline(probe)
         where = None if scan is None else scan[1]
         kept = scan_pipeline(build)[1] if indexed else None
         variant = (scan is not None, indexed, ctx.guard is not None)

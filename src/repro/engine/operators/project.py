@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterator
+from itertools import groupby, islice
+from operator import itemgetter, length_hint
+from typing import Callable, Iterator
 
 from ...types.values import order_key, row_keys
+from ..codegen import ChunkedRows
 from ..schema import ColumnInfo, RelSchema, Scope
 from .base import ExecContext, PlanNode
 
@@ -51,6 +53,8 @@ class SortDistinct(PlanNode):
 
     This materializes and sorts its entire input; its ``sort_rows``
     charge is exactly the work the distinct-elimination rewrite avoids.
+    Its rows are one list (:func:`sort_distinct`), handed out without a
+    Python frame per row.
     """
 
     def __init__(self, child: PlanNode) -> None:
@@ -61,30 +65,45 @@ class SortDistinct(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        yield from sort_distinct(ctx, list(self.child.rows(ctx, outer)))
+        return sort_distinct(ctx, lambda: list(self.child.rows(ctx, outer)))
 
     def label(self) -> str:
         return "Distinct(sort)"
 
 
-def sort_distinct(ctx: ExecContext, rows: list[tuple]) -> Iterator[tuple]:
-    """Sort-based duplicate elimination of *rows*, charging one sort.
-    The stable sort on the ≐ key alone keeps equal rows in input order,
-    so the first of each survives."""
-    ctx.stats.sorts += 1
-    ctx.stats.sort_rows += len(rows)
+def sort_distinct(ctx: ExecContext, read: Callable[[], list[tuple]]) -> ChunkedRows:
+    """Sort-based duplicate elimination of the list *read* returns,
+    charging one sort; the input is read when the first row is asked
+    for.  The stable sort on the ≐ key alone keeps equal rows in input
+    order, so the first of each survives.
+
+    The distinct rows are one list, handed out through
+    :class:`~repro.engine.codegen.ChunkedRows`.  ``duplicates_removed``
+    counts only what the consumer passed, as a row-at-a-time loop
+    would: a consumer that leaves after its n-th row has passed the
+    duplicates of the n - 1 groups before it.
+    """
+    return ChunkedRows(_distinct(ctx, read))
+
+
+def _distinct(ctx: ExecContext, read: Callable) -> Iterator[Iterator[tuple]]:
+    """The one row group of :func:`sort_distinct`."""
+    rows = read()
+    stats = ctx.stats
+    stats.sorts += 1
+    stats.sort_rows += len(rows)
     (keys,) = row_keys(rows)
-    previous_key = None
-    duplicates = 0
+    key = itemgetter(0)
+    ordered = sorted(zip(keys, rows), key=key)
+    distinct = [next(group)[1] for _, group in groupby(ordered, key)]
+    handed = iter(distinct)
     try:
-        for key, row in sorted(zip(keys, rows), key=itemgetter(0)):
-            if key != previous_key:
-                previous_key = key
-                yield row
-            else:
-                duplicates += 1
-    finally:
-        ctx.stats.duplicates_removed += duplicates
+        yield handed
+    except GeneratorExit:
+        passed = islice(groupby(ordered, key), len(distinct) - length_hint(handed) - 1)
+        stats.duplicates_removed += sum(len(list(group)) - 1 for _, group in passed)
+        raise
+    stats.duplicates_removed += len(rows) - len(distinct)
 
 
 class Sort(PlanNode):

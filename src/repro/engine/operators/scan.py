@@ -1,4 +1,9 @@
-"""Base-table access paths: sequential scan and hash-index scan."""
+"""Base-table access paths: sequential scan and hash-index scan.
+
+Both are scans of a row list — the table's, or the bucket an index
+probe returns — with one per-node loop (:func:`scan_rows`) and one
+fused form (:func:`fused_scan`).
+"""
 
 from __future__ import annotations
 
@@ -22,30 +27,11 @@ class SeqScan(PlanNode):
         self.schema = RelSchema.for_table(alias, column_names)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        tick = ctx.tick
-        if not ctx.batch_ticks:
-            # Faults armed: every row is a checkpoint (and an
-            # ``operator_next`` trigger opportunity).
-            for row in ctx.database.table(self.table_name).rows:
-                tick()
-                ctx.stats.rows_scanned += 1
-                yield row
-            return
-        # Ticks in chunks: budgets and rows_scanned then have chunk
-        # granularity, and a consumer that abandons the scan mid-chunk
-        # leaves up to TICK_CHUNK - 1 pulled rows unaccounted.
-        stats = ctx.stats
-        pending = 0
-        for row in ctx.database.table(self.table_name).rows:
-            pending += 1
-            if pending == TICK_CHUNK:
-                tick(TICK_CHUNK)
-                stats.rows_scanned += TICK_CHUNK
-                pending = 0
-            yield row
-        if pending:
-            tick(pending)
-            stats.rows_scanned += pending
+        return scan_rows(ctx, self)
+
+    def _source(self, ctx: ExecContext) -> list[tuple]:
+        """The row list this scan reads: the whole table."""
+        return ctx.database.table(self.table_name).rows
 
     def _fused(
         self,
@@ -61,15 +47,49 @@ class SeqScan(PlanNode):
         return f"SeqScan({self.table_name})"
 
 
+def scan_rows(ctx: ExecContext, scan: "SeqScan | IndexScan") -> Iterator[tuple]:
+    """The per-node loop of a scan: the rows of ``scan._source(ctx)``,
+    each one a scanned row and a checkpoint.
+
+    Ticks in chunks: budgets and rows_scanned then have chunk
+    granularity, and a consumer that abandons the scan mid-chunk leaves
+    up to TICK_CHUNK - 1 pulled rows unaccounted.  With faults armed
+    every row is a checkpoint (and an ``operator_next`` trigger
+    opportunity).
+    """
+    tick = ctx.tick
+    stats = ctx.stats
+    rows = scan._source(ctx)
+    if not ctx.batch_ticks:
+        for row in rows:
+            tick()
+            stats.rows_scanned += 1
+            yield row
+        return
+    pending = 0
+    for row in rows:
+        pending += 1
+        if pending == TICK_CHUNK:
+            tick(TICK_CHUNK)
+            stats.rows_scanned += TICK_CHUNK
+            pending = 0
+        yield row
+    if pending:
+        tick(pending)
+        stats.rows_scanned += pending
+
+
 def fused_scan(
     ctx: ExecContext,
     node: PlanNode,
-    scan: SeqScan,
+    scan: "SeqScan | IndexScan",
     predicate: Expr | None = None,
     indices: list[int] | None = None,
 ) -> Iterator[tuple] | None:
     """The pipeline *scan* → [``Filter`` *predicate*] → [``Project``
-    *indices*] under *node*, as one generated generator.
+    *indices*] under *node*, as one generated generator over the scan's
+    row list (an ``IndexScan``'s is its index bucket, its residual the
+    filter).
 
     Each pulled chunk is ticked (under a guard) and accounted whole —
     ``rows_scanned`` and, under a filter, ``predicate_evals``.
@@ -84,8 +104,7 @@ def fused_scan(
     )
     if pipeline is None:
         return None
-    rows = ctx.database.table(scan.table_name).rows
-    return ChunkedRows(pipeline(rows, ctx.tick, ctx.stats))
+    return ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
 
 
 class IndexScan(PlanNode):
@@ -99,6 +118,11 @@ class IndexScan(PlanNode):
     A NULL probe value yields no rows — the replaced WHERE equality is
     never TRUE against NULL, so the plans are equivalent.  Matched rows
     come back in insertion order, the order SeqScan would emit them in.
+
+    The bucket is this scan's row list (:meth:`_source`): the per-node
+    loop is ``SeqScan``'s, and the fused form the scan pipeline's with
+    the residual as its filter — or, on a join's probe side, the join
+    kernel's in-loop scan.
     """
 
     def __init__(
@@ -125,9 +149,9 @@ class IndexScan(PlanNode):
             if isinstance(expr, Literal):
                 values.append(expr.value)
             elif isinstance(expr, HostVar):
-                if expr.name not in ctx.evaluator.params:
+                if expr.name not in ctx.params:
                     raise MissingHostVariableError(expr.name)
-                values.append(ctx.evaluator.params[expr.name])
+                values.append(ctx.params[expr.name])
             else:
                 raise ExecutionError(
                     f"index key {type(expr).__name__} is not a constant operand"
@@ -145,7 +169,9 @@ class IndexScan(PlanNode):
         target = row_sort_key(values)
         return [row for row in data.rows if row_key(row) == target]
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _source(self, ctx: ExecContext) -> list[tuple]:
+        """The row list this scan reads: the probed bucket, one index
+        probe and its rows as index rows."""
         data = ctx.database.table(self.table_name)
         values = self._probe_values(ctx)
         stats = ctx.stats
@@ -158,25 +184,21 @@ class IndexScan(PlanNode):
             stats.index_fallbacks += 1
             matches = self._scan_matches(data, values)
         stats.index_rows += len(matches)
-        scanned = self._scanned(ctx, matches)
-        if self.residual is None:
-            yield from scanned
-        else:
-            yield from select_rows(
-                ctx, self.residual, self.schema, scanned, outer
-            )
+        return matches
 
-    def _scanned(self, ctx: ExecContext, matches: list[tuple]) -> Iterator[tuple]:
-        """The matched rows, each one a checkpoint and a scanned row."""
-        tick = ctx.tick
-        scanned = 0
-        try:
-            for row in matches:
-                tick()
-                scanned += 1
-                yield row
-        finally:
-            ctx.stats.rows_scanned += scanned
+    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+        rows = scan_rows(ctx, self)
+        if self.residual is None:
+            return rows
+        return select_rows(ctx, self.residual, self.schema, rows, outer)
+
+    def _fused(
+        self,
+        ctx: ExecContext,
+        node: PlanNode | None = None,
+        indices: list[int] | None = None,
+    ) -> Iterator[tuple] | None:
+        return fused_scan(ctx, node or self, self, self.residual, indices)
 
     def label(self) -> str:
         keys = ", ".join(

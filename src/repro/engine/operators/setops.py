@@ -36,12 +36,17 @@ class SortSetOp(PlanNode):
         return (self.left, self.right)
 
     def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+        if self.kind is SetOpKind.UNION and not self.all_rows:
+            # The concatenation, deduplicated by one sort.
+            return sort_distinct(ctx, lambda: list(self._merged(ctx, outer)))
+        return self._merged(ctx, outer)
+
+    def _merged(self, ctx: ExecContext, outer: Scope | None) -> Iterator[tuple]:
+        """UNION's concatenation, or INTERSECT / EXCEPT's merge."""
         left_rows = list(self.left.rows(ctx, outer))
         right_rows = list(self.right.rows(ctx, outer))
         if self.kind is SetOpKind.UNION:
-            # Concatenation, deduplicated by one sort unless ALL.
-            rows = left_rows + right_rows
-            yield from rows if self.all_rows else sort_distinct(ctx, rows)
+            yield from left_rows + right_rows
             return
 
         ctx.stats.sorts += 2

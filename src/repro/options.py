@@ -134,8 +134,9 @@ class ExecutionOptions:
         ``timeout``/``row_budget``, an explicitly passed field winning
         over the budget's; ``deadline`` accepts seconds-from-now as
         shorthand for ``Deadline.after(seconds)``.  Fields not named
-        keep this value's setting, no overrides returns this value
-        itself, and an unknown keyword raises :class:`TypeError`.
+        keep this value's setting, overrides that change no field
+        return this value itself, and an unknown keyword raises
+        :class:`TypeError`.
         """
         if not loose:
             return self
@@ -154,6 +155,8 @@ class ExecutionOptions:
         if not loose.keys() <= _DEFAULTS.keys():
             unknown = ", ".join(sorted(loose.keys() - _DEFAULTS.keys()))
             raise TypeError(f"unknown option(s): {unknown}")
+        if all(getattr(self, name) == value for name, value in loose.items()):
+            return self
         options = self._with(loose)
         options.__post_init__()
         return options

@@ -36,13 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..catalog.schema import Catalog
-from ..cache import MISSING, LRUCache, evict_by_text, safe_fingerprint
-from ..core.rewrite.engine import (
-    OptimizeResult,
-    Optimizer,
-    quarantine_rule,
-    quarantined_rules,
-)
+from ..cache import MISSING, BuiltOnRead, LRUCache, evict_by_text
+from ..cache import safe_fingerprint
+from ..core.rewrite.engine import Optimizer, quarantine_rule, quarantined_rules
 from ..engine.database import Database
 from ..engine.plan_cache import PLAN_CACHE_SIZE, PlanCache
 from ..engine.planner import PlannerOptions, execute_planned
@@ -79,15 +75,17 @@ def _take_sample(text: str, every: int) -> bool:
 
 
 #: Default relational rewrites, keyed (catalog fingerprint, statement
-#: text, quarantined rules).  An entry's audit trail is never read: each
-#: request served from it reads its own copy.  One entry per planned
-#: text, so as large as the plan cache.
+#: text, quarantined rules).  An entry is never changed and its audit
+#: trail never read: each request served from it reads its own copy,
+#: made on first read.  One entry per planned text, so as large as the
+#: plan cache.
 _rewrites = LRUCache("rewrites", maxsize=PLAN_CACHE_SIZE)
 
 
-def _relational_rewrite(parsed: Query, text: str, catalog: Catalog) -> OptimizeResult:
-    """The relational optimizer's outcome for *parsed*, the statement
-    *text* — from the memo when it holds one.
+def _relational_rewrite(parsed: Query, text: str, catalog: Catalog) -> tuple:
+    """``(outcome, shared)``: the relational optimizer's outcome for
+    *parsed*, the statement *text*, and whether it is the memo's shared
+    entry (whose audit trail a request copies before reading it).
 
     Fail-closed like every fingerprint-keyed memo: without a catalog
     fingerprint nothing is served or stored.  An outcome is stored only
@@ -100,7 +98,7 @@ def _relational_rewrite(parsed: Query, text: str, catalog: Catalog) -> OptimizeR
         key = (fingerprint, text, quarantined)
         cached = _rewrites.get(key)
         if cached is not MISSING:
-            return cached.copy()
+            return cached, True
     outcome = Optimizer.for_relational(catalog).optimize(parsed)
     if key is not None:
         entry = outcome.copy()
@@ -110,7 +108,7 @@ def _relational_rewrite(parsed: Query, text: str, catalog: Catalog) -> OptimizeR
         with _rewrites._lock:
             if tuple(quarantined_rules()) == quarantined:
                 _rewrites.put(key, entry)
-    return outcome
+    return outcome, False
 
 
 @dataclass
@@ -132,7 +130,8 @@ class GuardedOutcome:
         quarantined: rule names quarantined by this execution.
         evicted: cache entries evicted after a mismatch.
         audit: the optimizer's audit trail — every theorem decision
-            (fired or rejected, with witness) behind the rewrite.
+            (fired or rejected, with witness) behind the rewrite; a
+            remembered rewrite's copy is made on first read.
         analysis: the :class:`~repro.observe.analyze.AnalyzedExecution`
             (per-operator actuals of the execution that produced
             *result*) when ``analyze`` was requested (see
@@ -151,7 +150,7 @@ class GuardedOutcome:
     mismatch: bool = False
     quarantined: list[str] = field(default_factory=list)
     evicted: int = 0
-    audit: AuditTrail = field(default_factory=AuditTrail)
+    audit: AuditTrail = BuiltOnRead(AuditTrail)
     analysis: object | None = None
     rowcount: int = -1
     query: Query | None = None
@@ -256,8 +255,11 @@ def run_guarded(
         else NULL_SPAN
     )
     with guarded_cm as guarded_span:
+        shared = False
         if optimizer is None:
-            outcome = _relational_rewrite(parsed, original_text, database.catalog)
+            outcome, shared = _relational_rewrite(
+                parsed, original_text, database.catalog
+            )
         else:
             outcome = optimizer.optimize(parsed)
 
@@ -290,7 +292,7 @@ def run_guarded(
             rewritten=outcome.changed,
             rules=rules,
             stats=stats,
-            audit=outcome.audit,
+            audit=outcome.audit.copy if shared else outcome.audit,
             query=outcome.query,
         )
 

@@ -214,13 +214,19 @@ def row_keys(*operands: Sequence[tuple]) -> list[Sequence]:
     :func:`key_extractor`'s canonical whole-row key.
     """
     rank = _TYPE_RANK.get
-    for column in zip(*chain.from_iterable(operands)):
-        # Rank the column's types, not its values: the same set, fewer calls.
-        ranks = set(map(rank, set(map(type, column))))
-        if len(ranks) > 1 or None in ranks:
-            break
-    else:
-        return list(operands)
+    # One pass over every value's type settles the common case (one
+    # rank in every column); a NULL or an unranked value anywhere needs
+    # the canonical key.  Only several ranks need a look per column.
+    values = chain.from_iterable(chain.from_iterable(operands))
+    ranks = set(map(rank, set(map(type, values))))
+    if None not in ranks:
+        if len(ranks) <= 1:
+            return list(operands)
+        for column in zip(*chain.from_iterable(operands)):
+            if len(set(map(rank, set(map(type, column))))) > 1:
+                break
+        else:
+            return list(operands)
     extract = key_extractor()
     return [list(map(extract, rows)) for rows in operands]
 

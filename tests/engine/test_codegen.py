@@ -88,7 +88,7 @@ NAMES = {
     "NULL", "TRUE", "FALSE", "UNKNOWN", "rank",
     # locals and arguments
     "r", "b", "p", "v", "t", "key", "rows", "chunk", "start", "scanned", "pending",
-    "tick", "stats", "build_rows", "probe_rows", "b_key", "p_key",
+    "tick", "unticked", "stats", "build_rows", "probe_rows", "b_key", "p_key",
     "buckets", "bucket", "builds", "probes", "joined", "matching", "fetched",
     # the Stats counters a kernel credits
     "rows_scanned", "predicate_evals", "compiled_evals", "hash_builds",

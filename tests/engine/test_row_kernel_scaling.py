@@ -418,7 +418,12 @@ def test_only_a_guarded_kernel_ticks(monkeypatch, template):
     }
     assert joins[False] and joins[True]
     assert not any("tick(" in text for text in sources[False])
-    # Guarded: one checkpoint per match, as before.
+    # Guarded: a checkpoint per match, ticked TICK_CHUNK at a time.
     for text in joins[True]:
         lines = [line.strip() for line in text.splitlines()]
-        assert lines[lines.index("for b in matching(key, ()):") + 1] == "tick()"
+        at = lines.index("for b in matching(key, ()):")
+        assert lines[at + 1 : at + 4] == [
+            "unticked += 1",
+            f"if unticked == {codegen.TICK_CHUNK}:",
+            f"tick({codegen.TICK_CHUNK})",
+        ]
