@@ -10,8 +10,8 @@ join and a DISTINCT keep per-row Python work in their probe loops and
 folds).
 
 Every table lands in ``BENCH_e17.json``.  The baseline is the *pure*
-tuple interpreter (predicate compilation off), the same reference the
-verified fallback demotes to.
+tuple interpreter (predicate compilation off), the same reference a
+refused predicate runs on.
 
 The arms of a table are timed *interleaved*, one execution each per
 round, and every asserted speedup is the median of the per-round ratios:
@@ -131,7 +131,6 @@ def test_e17_selection_scan_compiled(benchmark, bench_db):
     assert ratio >= 10.0, f"compiled selection only {ratio:.1f}x faster"
     # Every row the interpreter judged, the compiled test judged.
     assert compiled_stats.compiled_evals == compiled_stats.predicate_evals > 0
-    assert compiled_stats.compile_fallbacks == 0
 
     result = benchmark(
         lambda: execute_planned(

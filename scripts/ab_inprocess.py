@@ -16,11 +16,13 @@ or, at worst, on one pair, which a median ignores.
 Three tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
-  the two execution contexts a generated kernel is shaped for —
+  three execution contexts — the two a generated kernel is shaped for,
   ``unguarded`` (the connection's default options: no guard) and
   ``guarded`` (``options=ExecutionOptions(timeout=60)``: the execution
-  carries a guard, so its kernels tick) — through
-  ``Connection.execute(...).fetchall()`` on ``SupplierScale(400, 10, 3)``.
+  carries a guard, so its kernels tick), and ``analyzed``
+  (``options=ExecutionOptions(analyze=True)``: EXPLAIN ANALYZE's sink
+  rides along) — through ``Connection.execute(...).fetchall()`` on
+  ``SupplierScale(400, 10, 3)``.
   Every template runs a generated kernel (a key lookup's ``IndexScan``
   under its ``Project`` is one scan pipeline), so no class of this
   table is a noise floor;
@@ -142,9 +144,13 @@ def read_templates(workloads):
 def context_options(package: str) -> dict:
     """One side's ``options=`` per execution context: ``None`` keeps the
     connection's defaults (no guard); a timeout gives every execution
-    a guard."""
-    guarded = sys.modules[package].ExecutionOptions(timeout=60)
-    return {"unguarded": None, "guarded": guarded}
+    a guard; ``analyze`` attaches an EXPLAIN ANALYZE sink."""
+    options = sys.modules[package].ExecutionOptions
+    return {
+        "unguarded": None,
+        "guarded": options(timeout=60),
+        "analyzed": options(analyze=True),
+    }
 
 
 def compare_classes(workloads, conn_parent, conn_change) -> bool:

@@ -64,7 +64,6 @@ from repro.net.server import QueryServer  # noqa: E402
 from repro.options import ExecutionOptions  # noqa: E402
 from repro.resilience import (  # noqa: E402
     FAULTS,
-    SITE_COMPILED_EVAL,
     SITE_NET_ACCEPT,
     SITE_NET_READ,
     SITE_NET_WRITE,
@@ -103,7 +102,6 @@ SHEDDING = SheddingPolicy(
 #: The fault menu one storm draws from: (site, kwargs) — every shape
 #: the resilience layer claims to absorb.
 FAULT_MENU = [
-    (SITE_COMPILED_EVAL, {"kind": "exception", "times": 40}),
     (SITE_PLAN_CACHE, {"kind": "exception", "times": 10}),
     (SITE_PLAN_CACHE, {"kind": "slow", "delay": 0.05, "times": 20}),
     (SITE_OPERATOR, {"kind": "slow", "delay": 0.002, "times": 500}),

@@ -10,9 +10,9 @@ is tracked with.
 Below the lines comes the knob census: every independently settable
 value a caller or an operator can choose — keyword parameters of the
 four execution entry points, fields of the two options dataclasses,
-CLI flags per subcommand and ``Stats`` counters — read off the imported
-package itself, so a knob cannot be added or removed without this
-number moving.  Its last row,
+CLI flags per subcommand, ``Stats`` counters and fault sites — read off
+the imported package itself, so a knob cannot be added or removed
+without this number moving.  Its last row,
 ``fused_kernels``, names the plan operators under ``repro.engine`` with
 a generated form (``_fused``: the row loop emitted as source,
 ``repro.engine.codegen``).
@@ -117,6 +117,7 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
     from repro.engine.planner import PlannerOptions, execute_plan, execute_planned
     from repro.engine.stats import Stats
     from repro.options import ExecutionOptions
+    from repro.resilience.faults import ALL_SITES
     from repro.resilience.guarded import run_guarded
 
     for module in pkgutil.walk_packages(repro.engine.__path__, "repro.engine."):
@@ -146,6 +147,7 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
             for name, subparser in subcommands.choices.items()
         },
         "stats_counters": len(dataclasses.fields(Stats)),
+        "fault_sites": len(ALL_SITES),
         "fused_kernels": sorted(
             cls.__name__ for cls in _subclasses(PlanNode) if "_fused" in vars(cls)
         ),

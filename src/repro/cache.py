@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable
 
 from .errors import ResourceError
 from .resilience.faults import FAULTS, SITE_FINGERPRINT
@@ -178,11 +178,6 @@ class LRUCache:
                 "entries": len(self._data),
                 "maxsize": self.maxsize,
             }
-
-
-def iter_caches() -> Iterator[LRUCache]:
-    """Every registered cache, in registration order."""
-    return iter(_registry)
 
 
 def clear_all_caches(reset_counters: bool = False) -> None:

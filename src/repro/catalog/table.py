@@ -82,10 +82,6 @@ class TableSchema:
         """Whether any candidate key is declared (Theorem 1 precondition)."""
         return bool(self.keys)
 
-    def key_column_sets(self) -> list[frozenset[str]]:
-        """Column sets of every candidate key."""
-        return [key.column_set for key in self.candidate_keys]
-
     def indexable_columns(self) -> frozenset[str]:
         """Columns the engine auto-indexes: key and FOREIGN KEY columns.
 

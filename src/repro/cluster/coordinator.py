@@ -215,28 +215,6 @@ class ClusterCoordinator:
 
     # -- membership operations ------------------------------------------
 
-    def restart_shard(self, shard_id: int, timeout: float = 10.0) -> WorkerHandle:
-        """Gracefully drain and restart one worker (rolling restart).
-
-        The rest of the cluster keeps serving; shard identity survives
-        the restart.
-        """
-        with self._lock:
-            handle = self._require(shard_id)
-            if handle.alive():
-                handle.process.terminate()
-                handle.process.join(timeout=timeout)
-                if handle.alive():
-                    handle.process.kill()
-                    handle.process.join(timeout=5.0)
-            fresh = self._spawn(shard_id, generation=handle.generation + 1)
-        if self.on_respawn is not None:
-            try:
-                self.on_respawn(fresh)
-            except Exception:
-                pass
-        return fresh
-
     def kill_shard(self, shard_id: int) -> int:
         """SIGKILL one worker mid-flight (chaos harness helper).
 

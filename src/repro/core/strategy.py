@@ -131,10 +131,3 @@ class StrategySelector:
         if cache_key is not None:
             _strategy_cache.put(cache_key, choice)
         return choice
-
-
-def evict_strategy_entries(text: str) -> int:
-    """Drop cached strategy verdicts for *text*, across fingerprints."""
-    return _strategy_cache.evict_where(
-        lambda key: isinstance(key, tuple) and len(key) >= 2 and key[1] == text
-    )

@@ -1,6 +1,6 @@
 """Multiset execution engine with three-valued logic."""
 
-from .compile import compile_filter, compile_predicate, set_compilation_enabled
+from .compile import compile_predicate, set_compilation_enabled
 from .cost import CostModel, PlanEstimate
 from .database import Database
 from .evaluator import Evaluator
@@ -28,7 +28,6 @@ __all__ = [
     "Scope",
     "Stats",
     "TableData",
-    "compile_filter",
     "compile_predicate",
     "execute",
     "execute_plan",

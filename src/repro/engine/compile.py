@@ -63,7 +63,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..errors import AmbiguousColumnError
-from ..resilience.faults import FAULTS, SITE_COMPILE, SITE_COMPILED_EVAL
 from ..sql.expressions import (
     And,
     Between,
@@ -162,24 +161,7 @@ def compile_predicate(
     """The three-valued verdict, generated from the same pair as
     :func:`compile_pair` (``None`` exactly when that is)."""
     kernels = _row_kernels(expr, schema, params)
-    return None if kernels is None else _instrumented(kernels[2])
-
-
-def compile_filter(
-    expr: Expr | None,
-    schema: RelSchema,
-    params: dict[str, SqlValue] | None = None,
-) -> RowTest | None:
-    """Compile a WHERE-clause row test (the false-interpretation ⌊P⌋).
-
-    The returned function is :func:`compile_pair`'s ``is_true``: keep
-    the row only when the predicate is definitely TRUE.  Returns
-    ``None`` when *expr* is ``None`` (nothing to test) or uncompilable.
-    """
-    if expr is None:
-        return None
-    kernels = _row_kernels(expr, schema, params)
-    return None if kernels is None else _instrumented(kernels[0])
+    return None if kernels is None else kernels[2]
 
 
 def lower_source(
@@ -200,10 +182,6 @@ def lower_source(
     """
     if not _enabled:
         return None
-    if FAULTS.armed:
-        # Fault hook: a "compile" fault raises out of here (callers own
-        # the fall-back to the interpreter).
-        FAULTS.check(SITE_COMPILE)
     slots = [] if slots is None else slots
     try:
         is_true, is_false, const = _lower(
@@ -226,12 +204,6 @@ def _row_kernels(
     is_true, is_false, slots = lowered
     make = assemble(predicate_source(is_true, is_false, len(slots)))
     return None if make is None else make(*slots)
-
-
-def _instrumented(fn):
-    """A "compiled_eval" fault instruments the function handed to the
-    operators so it can fail per row; disarmed, *fn* comes back bare."""
-    return FAULTS.wrap_callable(SITE_COMPILED_EVAL, fn) if FAULTS.armed else fn
 
 
 # ----------------------------------------------------------------------

@@ -197,10 +197,12 @@ class Database:
         Raises:
             UnknownTableError: when any name is not stored.
         """
-        return tuple(
-            (name, self.table(name).version)
-            for name in sorted({name.upper() for name in names})
-        )
+        data = self._data
+        names = sorted(set(map(str.upper, names)))
+        try:
+            return tuple([(name, data[name].version) for name in names])
+        except KeyError as missing:
+            raise UnknownTableError(missing.args[0]) from None
 
     def row_counts(self) -> dict[str, int]:
         """Stored row count per table."""

@@ -6,14 +6,12 @@ from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from ...errors import ResourceError
 from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
 from ...sql.expressions import Expr, host_vars
 from ...types.values import NULL, SqlValue
 from ..codegen import assemble
-from ..compile import Refill, RowTest, compilation_enabled, compile_filter
-from ..compile import lower_source
+from ..compile import Refill, compilation_enabled, lower_source
 from ..evaluator import Evaluator
 from ..schema import RelSchema, Scope
 from ..stats import Stats
@@ -44,15 +42,17 @@ class ExecContext:
 
     ``fuse`` says whether the row path may run generated kernels
     (:mod:`repro.engine.codegen`): a scan pipeline and a hash join
-    become one function each unless faults are armed, an analysis sink
-    watches every node, or compilation is off (the reference).
+    become one function each unless faults are armed (every row must
+    then be a trigger opportunity) or compilation is off.  What does
+    not fuse runs node by node on the evaluator — the reference.
 
     When an *analysis* sink is supplied (EXPLAIN ANALYZE, the adaptive
     loop), every node this execution opens accounts its loops, rows
-    and inclusive time into it — see :meth:`PlanNode.rows`.
-    The sink belongs to this one execution; the plan nodes themselves
-    stay untouched, so a cached plan can serve analyzed and plain
-    executions concurrently.
+    and inclusive time into it — see :meth:`PlanNode.rows`.  A fused
+    unit is observed as one, so the actuals come from the kernels a
+    plain execution runs.  The sink belongs to this one execution; the
+    plan nodes themselves stay untouched, so a cached plan can serve
+    analyzed and plain executions concurrently.
     """
 
     def __init__(
@@ -79,9 +79,7 @@ class ExecContext:
         self.batch_ticks = not FAULTS.armed
         if self.batch_ticks:
             self.tick = guard.tick if guard is not None else _tick_noop
-        self.fuse = (
-            self.batch_ticks and analysis is None and compilation_enabled()
-        )
+        self.fuse = self.batch_ticks and compilation_enabled()
 
     @cached_property
     def evaluator(self) -> Evaluator:
@@ -116,23 +114,23 @@ class PlanNode:
 
     schema: RelSchema
 
-    def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        """Open the row stream.  *outer* carries correlation bindings.
+    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        """Open the row stream.
 
-        When *ctx* may fuse and the open is uncorrelated, a node with a
-        generated form answers from :meth:`_fused`, its subtree in one
-        function; otherwise it runs :meth:`_rows` over its children's
-        streams.  With an analysis sink on *ctx* (nothing fuses then)
-        the stream is accounted into it; without one this is a few
-        tests per open and nothing per row.
+        When *ctx* may fuse, a node with a generated form answers from
+        :meth:`_fused`, its subtree in one function; otherwise it runs
+        :meth:`_rows` over its children's streams.  With an analysis
+        sink on *ctx* either stream is accounted into it (a fused one by
+        :meth:`_fused`, as one unit); without one this is a few tests
+        per open and nothing per row.
         """
-        if ctx.fuse and outer is None:
+        if ctx.fuse:
             fused = self._fused(ctx)
             if fused is not None:
                 return fused
         if ctx.analysis is None:
-            return self._rows(ctx, outer)
-        return ctx.analysis.observe(self, self._rows(ctx, outer))
+            return self._rows(ctx)
+        return ctx.analysis.observe(self, self._rows(ctx))
 
     def _fused(
         self,
@@ -146,6 +144,8 @@ class PlanNode:
 
         A ``Project`` *node* above asks with its *indices*: the answer
         is then the projected rows, and the kernel is kept on *node*.
+        Under an analysis sink the answer is observed as one unit
+        (:meth:`~repro.observe.analyze.PlanAnalysis.observe`).
         """
         return None
 
@@ -179,7 +179,9 @@ class PlanNode:
             variant, (tuple({v.name for t in tests for v in host_vars(t[0])}), {})
         )
         params = ctx.params
-        state = tuple([
+        # A kernel without host variables (or slots) skips the
+        # comprehensions: a key lookup's pipeline, say.
+        state = names and tuple([
             value if value is NULL or value is _UNBOUND else None
             for value in map(params.get, names, repeat(_UNBOUND))
         ])
@@ -190,7 +192,7 @@ class PlanNode:
             if not slots.volatile:
                 forms[state] = entry
         else:
-            slots = [
+            slots = entry[2] and [
                 value if name is None
                 else params[name] if transform is None
                 else transform(params[name])
@@ -202,7 +204,7 @@ class PlanNode:
         ctx.stats.predicates_compiled += compiled
         return make(*slots)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         """Yield output rows."""
         raise NotImplementedError
 
@@ -254,77 +256,26 @@ def _lower_form(
 
 
 # ----------------------------------------------------------------------
-# the tuple path's row test
+# the per-node path's selection
 #
-# Counter rule for every tuple row loop: count in locals, credit
+# Counter rule for every per-node row loop: count in locals, credit
 # ``ctx.stats`` in ``finally`` — totals are then the same at every exit
-# (exhaustion, a consumer that abandons the stream, a ResourceError, a
-# mid-stream demotion).  A loop that can raise while its input is
-# suspended also closes that input there, so the input's own ``finally``
-# has run before anyone reads the totals.
-
-def compile_row_test(
-    ctx: ExecContext, predicate: Expr, schema: RelSchema, outer: Scope | None
-) -> RowTest | None:
-    """``compile_filter`` with the fallback ladder's accounting.
-
-    ``None`` sends the caller to the evaluator: a correlated execution
-    (*outer* bindings need it), a predicate the compiler refuses, or a
-    compilation that blew up (counted in ``compile_fallbacks``).
-    """
-    if outer is not None:
-        return None
-    try:
-        compiled = compile_filter(predicate, schema, ctx.params)
-    except ResourceError:
-        raise
-    except Exception:
-        ctx.stats.compile_fallbacks += 1
-        return None
-    if compiled is not None:
-        ctx.stats.predicates_compiled += 1
-    return compiled
-
+# (exhaustion, a consumer that abandons the stream, a ResourceError).
+# A loop that can raise while its input is suspended also closes that
+# input there, so the input's own ``finally`` has run before anyone
+# reads the totals.
 
 def select_rows(
-    ctx: ExecContext,
-    predicate: Expr,
-    schema: RelSchema,
-    rows: Iterator[tuple],
-    outer: Scope | None,
+    ctx: ExecContext, predicate: Expr, schema: RelSchema, rows: Iterator[tuple]
 ) -> Iterator[tuple]:
     """Keep the rows of the generator *rows* whose *predicate* is
     definitely TRUE (⌊P⌋) — the selection loop of ``Filter`` and of
-    ``IndexScan``'s residual.
-
-    The compiled test runs bare in the loop; if it dies mid-stream the
-    failing row and every remaining one go through the evaluator, which
-    is the verified fallback with identical semantics.
-    """
-    compiled = compile_row_test(ctx, predicate, schema, outer)
-    stats = ctx.stats
-    evals = 0
+    ``IndexScan``'s residual, judged by the evaluator (which counts
+    each evaluation)."""
+    qualifies = ctx.evaluator.qualifies
     try:
         for row in rows:
-            if compiled is not None:
-                evals += 1
-                try:
-                    keep = compiled(row)
-                except ResourceError:
-                    raise
-                except Exception:
-                    # Back out this row's compiled count and degrade to
-                    # the evaluator for it and every remaining row.
-                    evals -= 1
-                    stats.compile_fallbacks += 1
-                    compiled = None
-                else:
-                    if keep:
-                        yield row
-                    continue
-            if ctx.evaluator.qualifies(predicate, Scope(schema, row, outer=outer)):
+            if qualifies(predicate, Scope(schema, row)):
                 yield row
     finally:
-        stats.predicate_evals += evals
-        stats.compiled_evals += evals
         rows.close()

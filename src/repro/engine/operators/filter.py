@@ -6,7 +6,6 @@ from typing import Iterator
 
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
-from ..schema import Scope
 from .base import ExecContext, PlanNode, select_rows
 from .scan import IndexScan, SeqScan, fused_scan
 
@@ -14,16 +13,13 @@ from .scan import IndexScan, SeqScan, fused_scan
 class Filter(PlanNode):
     """Keeps rows whose predicate is definitely TRUE (⌊P⌋ semantics).
 
-    Simple predicates are compiled once per execution into a generated
-    row test (no per-row Scope allocation or recursive dispatch) — over
-    a ``SeqScan``, into the scan's generated pipeline; predicates the
-    compiler rejects — subqueries, outer references — run through the
-    shared evaluator, which re-executes correlated subqueries per input
-    row through the reference interpreter, counting each invocation.
-
-    The interpretive path doubles as the verified fallback: a failure in
-    compilation, or in a compiled closure mid-stream, degrades to the
-    evaluator for the remaining rows with identical semantics.
+    Over a ``SeqScan`` the predicate is lowered into the scan's
+    generated pipeline (no per-row Scope allocation or recursive
+    dispatch).  Node by node — over any other input, a predicate the
+    lowering refuses (a subquery), armed faults or compilation off —
+    the shared evaluator judges each row, re-executing correlated
+    subqueries per input row through the reference interpreter and
+    counting each invocation.
     """
 
     def __init__(self, child: PlanNode, predicate: Expr) -> None:
@@ -34,10 +30,8 @@ class Filter(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        return select_rows(
-            ctx, self.predicate, self.schema, self.child.rows(ctx, outer), outer
-        )
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        return select_rows(ctx, self.predicate, self.schema, self.child.rows(ctx))
 
     def _fused(
         self,

@@ -5,12 +5,10 @@ matches anything (``NULL = NULL`` is UNKNOWN).  A hash join therefore
 drops NULL-keyed rows on both sides, matching what the nested-loop
 join's predicate evaluation would do.
 
-Join predicates and residuals are compiled to generated row tests when
-possible (see :mod:`repro.engine.compile`); predicates containing
-subqueries or outer references fall back to the shared evaluator.  A
-hash join — with the ``Project`` above it, if any — also has a fused
-form: build, probe, residual and projection in one generated function,
-on the row path with the probe side's scan and filter inside it
+Node by node, join predicates and residuals are judged by the shared
+evaluator.  A hash join — with the ``Project`` above it, if any — also
+has a fused form: build, probe, residual and projection in one
+generated function, with the probe side's scan and filter inside it
 (:meth:`HashJoin._fused`).  A hash join whose build side is a table
 with a hash index over its keys probes that index instead of building
 a table of its own.
@@ -26,66 +24,20 @@ from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ...types.values import key_extractor
 from ..codegen import TICK_CHUNK, join_source, row_source
-from ..compile import RowTest
 from ..schema import Scope
-from .base import ExecContext, PlanNode, compile_row_test
+from .base import ExecContext, PlanNode
 from .filter import scan_pipeline
 
 
-def _no_flush() -> None:
-    """Nothing counted, nothing to credit."""
-
-
 def _residual_test(
-    node: PlanNode,
-    predicate: Expr | None,
-    ctx: ExecContext,
-    outer: Scope | None,
-) -> tuple[RowTest | None, Callable[[], None]]:
-    """A per-row test for a join residual, with its counter flush.
-
-    Returns ``(test, flush)``; *test* is None when there is no residual.
-    Compiles the predicate when possible (counting the compilation);
-    otherwise *test* is an evaluator-backed closure with identical
-    semantics.  The evaluator closure is also the verified fallback: a
-    compilation failure, or a compiled closure dying mid-stream, swaps
-    in the interpreter for the remaining rows.  Compiled evaluations
-    are counted in the closure; the join credits them by calling
-    *flush* once, in the ``finally`` of its row loop.
-    """
+    node: PlanNode, predicate: Expr | None, ctx: ExecContext
+) -> Callable[[tuple], bool] | None:
+    """The evaluator's test of *predicate* over a row of *node* (it
+    counts each evaluation), or ``None`` when there is no predicate."""
     if predicate is None:
-        return None, _no_flush
-    stats = ctx.stats
-
-    def interpret(row):
-        scope = Scope(node.schema, row, outer=outer)
-        return ctx.evaluator.qualifies(predicate, scope)
-
-    compiled = compile_row_test(ctx, predicate, node.schema, outer)
-    if compiled is None:
-        return interpret, _no_flush
-    evals = 0
-
-    def test(row):
-        nonlocal compiled, evals
-        if compiled is None:
-            return interpret(row)
-        evals += 1
-        try:
-            return compiled(row)
-        except ResourceError:
-            raise
-        except Exception:
-            evals -= 1
-            stats.compile_fallbacks += 1
-            compiled = None
-            return interpret(row)
-
-    def flush():
-        stats.predicate_evals += evals
-        stats.compiled_evals += evals
-
-    return test, flush
+        return None
+    schema, qualifies = node.schema, ctx.evaluator.qualifies
+    return lambda row: qualifies(predicate, Scope(schema, row))
 
 
 class NestedLoopJoin(PlanNode):
@@ -106,12 +58,12 @@ class NestedLoopJoin(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        inner = list(self.right.rows(ctx, outer))
-        qualifies, flush = _residual_test(self, self.predicate, ctx, outer)
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        inner = list(self.right.rows(ctx))
+        qualifies = _residual_test(self, self.predicate, ctx)
         tick = ctx.tick
         joined = 0
-        left_rows = self.left.rows(ctx, outer)
+        left_rows = self.left.rows(ctx)
         try:
             for left_row in left_rows:
                 for right_row in inner:
@@ -122,7 +74,6 @@ class NestedLoopJoin(PlanNode):
                         yield combined
         finally:
             ctx.stats.rows_joined += joined
-            flush()
             left_rows.close()
 
     def label(self) -> str:
@@ -209,7 +160,7 @@ class HashJoin(PlanNode):
         except Exception:
             return None
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         build, probe, _, _ = self._sides()
         build_key, probe_key = self._key_kernels
         build_left = self.build_left
@@ -219,16 +170,14 @@ class HashJoin(PlanNode):
         if self.index is not None and not indexed:
             ctx.stats.index_fallbacks += 1
         builds = probes = joined = fetched = unticked = 0
-        flush = flush_kept = _no_flush
         kept = None
-        probe_rows = probe.rows(ctx, outer)
+        probe_rows = probe.rows(ctx)
         try:
             if indexed:
-                where = scan_pipeline(build)[1]
-                kept, flush_kept = _residual_test(build, where, ctx, outer)
+                kept = _residual_test(build, scan_pipeline(build)[1], ctx)
             else:
                 buckets = {}
-                for build_row in build.rows(ctx, outer):
+                for build_row in build.rows(ctx):
                     key = build_key(build_row)
                     if key is None:
                         continue
@@ -239,7 +188,7 @@ class HashJoin(PlanNode):
                     else:
                         bucket.append(build_row)
 
-            qualifies, flush = _residual_test(self, self.residual, ctx, outer)
+            qualifies = _residual_test(self, self.residual, ctx)
             matching = buckets.get
             for probe_row in probe_rows:
                 key = probe_key(probe_row)
@@ -273,8 +222,6 @@ class HashJoin(PlanNode):
                 stats.index_probes += probes
                 stats.index_rows += fetched
                 stats.rows_scanned += fetched
-            flush_kept()
-            flush()
             probe_rows.close()
 
     def _fused(
@@ -296,9 +243,14 @@ class HashJoin(PlanNode):
         the hashing kernel runs instead, as :meth:`_rows` hashes: one
         build attempt per execution.
         ``None`` when ``_lower`` refuses the residual or a filter.
+
+        Under an analysis sink the probe side is a stream, opened (and
+        observed) through ``rows``, and the join with its ``Project``
+        is one observed unit.
         """
         build, probe, _, _ = self._sides()
-        scan = scan_pipeline(probe, indexed=True)
+        analysis = ctx.analysis
+        scan = None if analysis is not None else scan_pipeline(probe, indexed=True)
         join = self._kernel(ctx, node, indices, scan, self.index is not None)
         if join is None:
             return None
@@ -315,7 +267,10 @@ class HashJoin(PlanNode):
         else:
             probe_rows = scan[0]._source(ctx)
         build_key, probe_key = self._key_kernels
-        return join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
+        rows = join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
+        if analysis is None:
+            return rows
+        return analysis.observe(node or self, rows, () if node is None else (self,))
 
     def _kernel(
         self,

@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 
 from ...types.values import order_key, row_keys
 from ..codegen import ChunkedRows
-from ..schema import ColumnInfo, RelSchema, Scope
+from ..schema import ColumnInfo, RelSchema
 from .base import ExecContext, PlanNode
 
 
@@ -23,13 +23,13 @@ class Project(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         indices = self.indices
         if len(indices) > 1:
             pick = itemgetter(*indices)  # a tuple, built in C
         else:
             pick = lambda row: tuple([row[i] for i in indices])  # noqa: E731
-        yield from map(pick, self.child.rows(ctx, outer))
+        yield from map(pick, self.child.rows(ctx))
 
     def _fused(
         self,
@@ -64,8 +64,8 @@ class SortDistinct(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        return sort_distinct(ctx, lambda: list(self.child.rows(ctx, outer)))
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        return sort_distinct(ctx, lambda: list(self.child.rows(ctx)))
 
     def label(self) -> str:
         return "Distinct(sort)"
@@ -120,8 +120,8 @@ class Sort(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        rows = list(self.child.rows(ctx, outer))
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        rows = list(self.child.rows(ctx))
         ctx.stats.sorts += 1
         ctx.stats.sort_rows += len(rows)
         rows.sort(key=order_key(zip(self.key_positions, self.ascending)))

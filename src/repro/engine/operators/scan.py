@@ -14,7 +14,8 @@ from ...sql.expressions import Expr, HostVar, Literal
 from ...sql.printer import to_sql
 from ...types.values import is_null, key_extractor, row_sort_key
 from ..codegen import TICK_CHUNK, ChunkedRows, pipeline_source
-from ..schema import RelSchema, Scope
+from ..schema import RelSchema
+from ..stats import Stats
 from .base import ExecContext, PlanNode, select_rows
 
 
@@ -26,7 +27,7 @@ class SeqScan(PlanNode):
         self.alias = alias
         self.schema = RelSchema.for_table(alias, column_names)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         return scan_rows(ctx, self)
 
     def _source(self, ctx: ExecContext) -> list[tuple]:
@@ -94,6 +95,11 @@ def fused_scan(
     Each pulled chunk is ticked (under a guard) and accounted whole —
     ``rows_scanned`` and, under a filter, ``predicate_evals``.
     ``None`` when ``_lower`` refuses *predicate*.
+
+    Under an analysis sink the pipeline is one observed unit: the nodes
+    under *node* down to *scan* are credited with it, and an absorbed
+    ``SeqScan`` the rows the kernel scanned, counted in the unit's own
+    ``Stats``.
     """
     guarded = ctx.guard is not None
     pipeline = node._generated(
@@ -104,7 +110,18 @@ def fused_scan(
     )
     if pipeline is None:
         return None
-    return ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
+    analysis = ctx.analysis
+    if analysis is None:
+        return ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
+    absorbed = ()
+    if node is not scan:
+        absorbed = (scan,) if node.child is scan else (node.child, scan)
+        if isinstance(scan, SeqScan):
+            unit = Stats()
+            rows = ChunkedRows(pipeline(scan._source(ctx), ctx.tick, unit))
+            return analysis.observe(node, rows, absorbed, scan, unit, ctx.stats)
+    rows = ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
+    return analysis.observe(node, rows, absorbed)
 
 
 class IndexScan(PlanNode):
@@ -186,11 +203,11 @@ class IndexScan(PlanNode):
         stats.index_rows += len(matches)
         return matches
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         rows = scan_rows(ctx, self)
         if self.residual is None:
             return rows
-        return select_rows(ctx, self.residual, self.schema, rows, outer)
+        return select_rows(ctx, self.residual, self.schema, rows)
 
     def _fused(
         self,

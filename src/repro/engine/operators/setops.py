@@ -15,7 +15,6 @@ from typing import Iterator
 
 from ...sql.ast import SetOpKind
 from ...types.values import row_keys
-from ..schema import Scope
 from .base import ExecContext, PlanNode
 from .project import sort_distinct
 
@@ -35,16 +34,16 @@ class SortSetOp(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         if self.kind is SetOpKind.UNION and not self.all_rows:
             # The concatenation, deduplicated by one sort.
-            return sort_distinct(ctx, lambda: list(self._merged(ctx, outer)))
-        return self._merged(ctx, outer)
+            return sort_distinct(ctx, lambda: list(self._merged(ctx)))
+        return self._merged(ctx)
 
-    def _merged(self, ctx: ExecContext, outer: Scope | None) -> Iterator[tuple]:
+    def _merged(self, ctx: ExecContext) -> Iterator[tuple]:
         """UNION's concatenation, or INTERSECT / EXCEPT's merge."""
-        left_rows = list(self.left.rows(ctx, outer))
-        right_rows = list(self.right.rows(ctx, outer))
+        left_rows = list(self.left.rows(ctx))
+        right_rows = list(self.right.rows(ctx))
         if self.kind is SetOpKind.UNION:
             yield from left_rows + right_rows
             return

@@ -49,9 +49,6 @@ class Stats:
             ``rows_scanned`` to see the scan work avoided.
         plan_cache_hits: physical plans served from the plan cache.
         plan_cache_misses: plans built because the cache had no entry.
-        compile_fallbacks: compiled-predicate failures recovered by
-            switching (possibly mid-stream) to the interpretive
-            evaluator.
         index_fallbacks: hash-index probe failures recovered by scanning
             the base table instead.
         cache_skips: cache lookups skipped fail-closed because the
@@ -84,7 +81,6 @@ class Stats:
     index_rows: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    compile_fallbacks: int = 0
     index_fallbacks: int = 0
     cache_skips: int = 0
     stats_estimates: int = 0

@@ -115,10 +115,6 @@ class Hierarchy:
         except KeyError:
             raise ImsError(f"unknown segment {name!r}") from None
 
-    def segment_names(self) -> list[str]:
-        """All segment type names, root first (hierarchic order)."""
-        return list(self._by_name)
-
 
 def define_hierarchy(
     root_name: str,

@@ -276,11 +276,6 @@ class HttpBackend:
         """The server's ``/healthz`` document."""
         return self._request("GET", "/healthz", None)
 
-    def metrics_text(self) -> str:
-        """The server's raw Prometheus ``/metrics`` exposition."""
-        status, headers, raw = self._raw_request("GET", "/metrics", None)
-        return raw.decode("utf-8")
-
     # -- transport -------------------------------------------------------
 
     def _call_retrying(self, path: str, body: dict, once: Any) -> Any:

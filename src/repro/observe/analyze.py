@@ -3,7 +3,10 @@
 An analyzed execution is the ordinary one with a sink attached: the
 execution context carries a :class:`PlanAnalysis`, and every plan node
 opened through :meth:`~repro.engine.operators.base.PlanNode.rows`
-accounts its loops, output rows and inclusive wall time into it.
+accounts its loops, output rows and inclusive wall time into it.  It
+runs the generated kernels a plain execution runs: a fused unit (a scan
+pipeline or a hash join, with the ``Project`` above it) is observed as
+one, and each node it absorbed reports the unit's loops and time.
 Afterwards each node is annotated with those actuals plus the cost
 model's estimate and the resulting q-error (``max(est/actual,
 actual/est)``, both floored at one row — the standard
@@ -81,27 +84,59 @@ class PlanAnalysis:
         if TRACER.enabled:
             TRACER.attach(self.to_spans(self.plan))
 
-    def observe(self, node: Any, source: Iterable[Any]) -> Iterator[Any]:
+    def observe(
+        self,
+        node: Any,
+        source: Iterable[Any],
+        absorbed: Iterable[Any] = (),
+        scan: Any = None,
+        unit: Any = None,
+        stats: Any = None,
+    ) -> Iterator[Any]:
         """Pass *source* (one open of *node*) through, accounting it.
 
         Time is inclusive of the node's inputs and exclusive of its
         consumer: the clock stops while a yielded item is away.
+
+        A fused unit — *node*'s generated kernel — is observed as one.
+        When the open ends, each node it *absorbed* (ran under *node*)
+        is credited this open's loop and time, and *node*'s rows — but
+        *scan* the rows the kernel scanned, which it counted in *unit*,
+        its own ``Stats``: *source* is closed and *unit* folded into
+        the execution's *stats* first.
         """
-        stats = self._stats.get(id(node))
-        if stats is None:
-            stats = self.register(node)
-        stats.loops += 1
+        counted = self._stats.get(id(node))
+        if counted is None:
+            counted = self.register(node)
+        counted.loops += 1
+        rows, seconds = counted.rows, counted.seconds
         start = perf_counter()
         try:
             for item in source:
-                stats.seconds += perf_counter() - start
-                stats.rows += 1
+                counted.seconds += perf_counter() - start
+                counted.rows += 1
                 yield item
                 start = perf_counter()
-            stats.seconds += perf_counter() - start
+            counted.seconds += perf_counter() - start
+        except GeneratorExit:
+            raise  # closed at a yield, while the clock was stopped
         except BaseException:
-            stats.seconds += perf_counter() - start
+            counted.seconds += perf_counter() - start
             raise
+        finally:
+            if unit is not None:
+                source.close()
+                for name, value in vars(unit).items():
+                    if value:
+                        setattr(stats, name, getattr(stats, name) + value)
+            for inner in absorbed:
+                credited = self._stats.get(id(inner)) or self.register(inner)
+                credited.loops += 1
+                credited.seconds += counted.seconds - seconds
+                if inner is scan:
+                    credited.rows += unit.rows_scanned
+                else:
+                    credited.rows += counted.rows - rows
 
     def for_node(self, node: Any) -> NodeStats | None:
         return self._stats.get(id(node))

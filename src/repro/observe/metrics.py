@@ -1,10 +1,10 @@
-"""Metrics registry: engine counters, cache rates, resilience events,
-and DL/I call counts, exportable as JSON or Prometheus-style text.
+"""Metrics registry: engine counters, cache rates and resilience events,
+exportable as JSON or Prometheus-style text.
 
 Naming follows the Prometheus conventions: every metric is prefixed
 with the ``repro_`` namespace, cumulative counters end in ``_total``,
 point-in-time values are gauges, and dimensions ride in labels —
-``repro_ims_dli_calls_total{call="GNP",segment="PARTS"} 42``.  A
+``repro_cache_hits_total{cache="plans"} 42``.  A
 registry can scope one query (``for_query``-style throwaway instances)
 or the whole process (:data:`PROCESS_METRICS`).
 """
@@ -82,20 +82,6 @@ class MetricsRegistry:
             self.set("cache_hits_total", counters["hits"], cache=cache_name)
             self.set("cache_misses_total", counters["misses"], cache=cache_name)
             self.set("cache_entries", counters["entries"], cache=cache_name)
-
-    def record_gateway(self, gateway_stats: Any) -> None:
-        """Fold one IMS gateway execution's :class:`GatewayStats`."""
-        for (call, segment), count in gateway_stats.dli.calls.items():
-            self.inc("ims_dli_calls_total", count, call=call, segment=segment)
-        if gateway_stats.retries:
-            self.inc("ims_retries_total", gateway_stats.retries)
-        if gateway_stats.strategy:
-            self.inc("ims_executions_total", 1, strategy=gateway_stats.strategy)
-        if gateway_stats.used_post_processing:
-            self.inc("ims_post_processed_total")
-            self.inc(
-                "ims_post_filter_evals_total", gateway_stats.post_filter_evals
-            )
 
     def record_estimator(self, stats: Any) -> None:
         """Fold one execution's cardinality-estimator counters.

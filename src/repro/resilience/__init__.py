@@ -4,9 +4,9 @@ This package hardens the fast paths PR 1 introduced.  Three pillars,
 plus the self-protection layer PR 7 added:
 
 * :mod:`~repro.resilience.faults` — a deterministic, seedable
-  :class:`FaultInjector` with named hook sites inside the predicate
-  compiler, plan cache, hash-index build, operator loops, DL/I, and the
-  HTTP accept/read/write paths.
+  :class:`FaultInjector` with named hook sites inside the plan cache,
+  hash-index build, operator loops, fingerprints, Algorithm 1 verdicts,
+  DL/I, the HTTP accept/read/write paths and the commit apply.
 * :mod:`~repro.resilience.budgets` — per-query
   :class:`ResourceBudget`/:class:`ExecutionGuard` (wall-clock timeout,
   row budgets, cooperative cancellation) checked from operator loops.
@@ -52,8 +52,6 @@ from .faults import (
     FAULTS,
     FaultInjector,
     FaultSpec,
-    SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_DLI,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
@@ -87,8 +85,6 @@ __all__ = [
     "PRIORITY_INTERACTIVE",
     "ResourceBudget",
     "RetryPolicy",
-    "SITE_COMPILE",
-    "SITE_COMPILED_EVAL",
     "SITE_DLI",
     "SITE_FINGERPRINT",
     "SITE_INDEX_BUILD",

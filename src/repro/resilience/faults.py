@@ -1,7 +1,8 @@
 """Deterministic, seedable fault injection for the engine's fast paths.
 
-Every fast path PR 1 added (compiled predicates, plan/uniqueness caches,
-hash indexes) and every external call (DL/I) has a *hook*: a named site
+Every cache and index fast path (plan/uniqueness caches, hash
+indexes), the operator row loops and every external call (DL/I, the
+HTTP tier, the commit apply) has a *hook*: a named site
 that consults the process-wide :data:`FAULTS` injector.  Tests and the
 chaos benchmark arm typed faults at a site through a context-manager
 API and the hooked code either degrades through its fallback ladder or
@@ -10,8 +11,6 @@ raises a typed :class:`~repro.errors.ReproError` — never a wrong answer.
 Sites (the strings the hooks pass to :meth:`FaultInjector.check`):
 
 ========================  ====================================================
-``compile``               predicate compilation (:mod:`repro.engine.compile`)
-``compiled_eval``         a compiled predicate closure, per evaluation
 ``plan_cache``            plan-cache lookup/store
 ``index_build``           lazy hash-index construction
 ``operator_next``         physical operator row loops (via ``ExecContext.tick``)
@@ -52,8 +51,6 @@ from typing import Any, Callable, Iterator
 from ..errors import InjectedFaultError, TransientError
 
 # Canonical site names (hooks and tests share these constants).
-SITE_COMPILE = "compile"
-SITE_COMPILED_EVAL = "compiled_eval"
 SITE_PLAN_CACHE = "plan_cache"
 SITE_INDEX_BUILD = "index_build"
 SITE_OPERATOR = "operator_next"
@@ -66,8 +63,6 @@ SITE_NET_WRITE = "net_write"
 SITE_WAL_COMMIT = "wal_commit"
 
 ALL_SITES = (
-    SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_PLAN_CACHE,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,
@@ -252,23 +247,6 @@ class FaultInjector:
                     )
                 value = spec.corruptor(value)
         return value
-
-    def wrap_callable(self, site: str, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Instrument *fn* so every call is a trigger opportunity.
-
-        Used by the predicate compiler: when a ``compiled_eval`` fault is
-        armed, the returned closure consults the injector per row, so a
-        compiled predicate can be made to blow up mid-stream.  With no
-        matching spec armed, *fn* is returned untouched — zero overhead.
-        """
-        if not any(spec.site == site for spec in self.specs()):
-            return fn
-
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            self.check(site)
-            return fn(*args, **kwargs)
-
-        return wrapped
 
 
 class _Injection:

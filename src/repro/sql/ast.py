@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .expressions import ColumnRef, Expr
 
@@ -131,16 +131,6 @@ class SelectQuery(_TableScoped):
     def with_where(self, where: Expr | None) -> "SelectQuery":
         """A copy of this query with a different WHERE predicate."""
         return replace(self, where=where)
-
-    def with_tables(self, tables: Sequence[TableRef]) -> "SelectQuery":
-        """A copy of this query with a different FROM clause."""
-        return replace(self, tables=tuple(tables))
-
-    def with_select_list(
-        self, select_list: Sequence[SelectItem | Star]
-    ) -> "SelectQuery":
-        """A copy of this query with a different projection list."""
-        return replace(self, select_list=tuple(select_list))
 
     def table_names(self) -> list[str]:
         """Effective (alias-resolved) names of the FROM-clause tables."""

@@ -56,16 +56,6 @@ class Expr:
         """Rebuild this node with children mapped through *fn*."""
         return self
 
-    # Convenience constructors -----------------------------------------
-
-    def and_(self, other: "Expr") -> "Expr":
-        """``self AND other`` (flattened)."""
-        return conjoin([self, other])
-
-    def or_(self, other: "Expr") -> "Expr":
-        """``self OR other`` (flattened)."""
-        return disjoin([self, other])
-
     def negate(self) -> "Expr":
         """Logical negation, pushed onto the node when exact."""
         return Not(self)

@@ -146,7 +146,7 @@ def sort_key(value: SqlValue) -> tuple:
 
 def row_sort_key(row: Sequence[SqlValue]) -> tuple:
     """Sort key for an entire row (lexicographic over :func:`sort_key`)."""
-    return tuple(sort_key(value) for value in row)
+    return tuple(map(sort_key, row))
 
 
 _NULL_KEY = (-1, 0)

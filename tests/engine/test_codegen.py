@@ -26,7 +26,7 @@ from repro import clear_all_caches, connect, set_caches_enabled
 from repro.api import run_with_options
 from repro.engine import set_compilation_enabled
 from repro.engine.codegen import KERNELS, ChunkedRows
-from repro.engine.compile import compile_filter, lower_source
+from repro.engine.compile import compile_pair, lower_source
 from repro.engine.operators import ExecContext, Filter, SeqScan
 from repro.sql import parse_condition
 from repro.sql.expressions import And, Or
@@ -137,7 +137,7 @@ def test_a_condition_nested_past_cpythons_parser_is_interpreted(database):
     columns = database.catalog.table("PARTS").column_names
     plan = Filter(SeqScan("PARTS", "P", columns), expr)
     assert lower_source(expr, plan.schema) is not None
-    assert compile_filter(expr, plan.schema) is None
+    assert compile_pair(expr, plan.schema) is None
     stream = plan.rows(ExecContext(database))
     assert not isinstance(stream, ChunkedRows)
     rows = list(stream)

@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from repro.engine import compile_filter, compile_predicate, set_compilation_enabled
+from repro.engine import compile_predicate, set_compilation_enabled
 from repro.engine.compile import compile_pair
 from repro.engine.evaluator import Evaluator
 from repro.engine.schema import RelSchema, Scope
@@ -67,14 +67,14 @@ def test_compiled_verdicts_match_interpreter_on_null_heavy_rows(text):
     expr = parse_condition(text)
     evaluator = Evaluator(params=PARAMS)
     predicate = compile_predicate(expr, SCHEMA, PARAMS)
-    row_test = compile_filter(expr, SCHEMA, PARAMS)
-    assert predicate is not None and row_test is not None
+    pair = compile_pair(expr, SCHEMA, PARAMS)
+    assert predicate is not None and pair is not None
     for row in ROWS:
         scope = Scope(SCHEMA, row)
         expected = evaluator.predicate(expr, scope)
         assert predicate(row) is expected, f"{text} on {row}"
-        # compile_filter applies the false-interpretation ⌊P⌋.
-        assert row_test(row) == evaluator.qualifies(expr, scope)
+        # is_true applies the false-interpretation ⌊P⌋.
+        assert pair[0](row) == evaluator.qualifies(expr, scope)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def test_constant_subtrees_fold_at_compile_time(text, verdict):
 def test_uncompilable_expressions_fall_back(text):
     expr = parse_condition(text)
     assert compile_predicate(expr, SCHEMA, PARAMS) is None
-    assert compile_filter(expr, SCHEMA, PARAMS) is None
+    assert compile_pair(expr, SCHEMA, PARAMS) is None
 
 
 def test_ambiguous_unqualified_column_falls_back():
@@ -128,16 +128,12 @@ def test_ambiguous_unqualified_column_falls_back():
     assert qualified((1, 2)) is TRUE
 
 
-def test_compile_filter_none_expr_means_no_test():
-    assert compile_filter(None, SCHEMA) is None
-
-
 def test_compilation_toggle_disables_and_restores():
     expr = parse_condition("A = 1")
     previous = set_compilation_enabled(False)
     try:
         assert compile_predicate(expr, SCHEMA) is None
-        assert compile_filter(expr, SCHEMA) is None
+        assert compile_pair(expr, SCHEMA) is None
     finally:
         assert set_compilation_enabled(previous) is False
     assert compile_predicate(expr, SCHEMA) is not None
@@ -193,4 +189,3 @@ def test_one_comparison_rule_in_every_format(left, op, right, verdict):
         assert compile_predicate(expr, PAIR)(row) is verdict
         is_true, is_false = compile_pair(expr, PAIR)
         assert (is_true(row), is_false(row)) == (verdict is TRUE, verdict is FALSE)
-        assert compile_filter(expr, PAIR)(row) is (verdict is TRUE)

@@ -328,13 +328,14 @@ def test_an_index_build_fault_falls_back_to_hashing_the_build_side():
     assert faulted.index_fallbacks == 1 and clean.index_fallbacks == 0
     assert faulted.hash_builds == len(database.table("PARTS"))
     assert clean.hash_builds == 0 and clean.index_rows == len(expected.rows)
-    # Only the counters of the access path differ.
+    # Only the counters of the access path differ — and, the faulted run
+    # going node by node, which judge evaluated the predicates.
     differ = {
         name
         for name, value in _counters(faulted).items()
         if getattr(clean, name) != value
     }
-    assert differ <= ACCESS_PATH, differ
+    assert differ <= ACCESS_PATH | {"compiled_evals"}, differ
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["fused", "per-node"])

@@ -2,8 +2,8 @@
 
 Hand-built plans put a fused kernel's boundary where the planner never
 does: a cross-table residual above a join, a projection over a
-DISTINCT, a set operation of two scan pipelines, a projection over an
-index probe, and a scan pipeline opened once per outer row.  Each runs
+DISTINCT, a set operation of two scan pipelines and a projection over an
+index probe.  Each runs
 with compilation on (fused where it can be) and off (the reference
 interpreter): the rows are the same sequence, the work counters are the
 same, and an analyzed execution opens and observes every node once.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine import execute_plan, set_compilation_enabled
 from repro.engine.operators import (
-    ExecContext,
     Filter,
     HashJoin,
     IndexScan,
@@ -24,7 +23,6 @@ from repro.engine.operators import (
     SortDistinct,
     SortSetOp,
 )
-from repro.engine.schema import Scope
 from repro.engine.stats import Stats
 from repro.observe.analyze import PlanAnalysis
 from repro.sql import parse_condition
@@ -128,37 +126,3 @@ def test_rare_plan_shapes_agree_and_open_each_node_once(shape, small_db):
         assert seen.loops == expected.loops == 1, node.label()
         assert seen.rows == expected.rows, node.label()
 
-
-def test_a_correlated_open_stays_on_the_per_node_path(small_db):
-    """``outer`` needs the evaluator: a scan pipeline opened with
-    correlation bindings runs per node even when compilation is on."""
-    supplier = _scan(small_db, "SUPPLIER", "S")
-    parts = _scan(small_db, "PARTS", "P")
-    inner = Project(
-        Filter(parts, parse_condition("P.SNO = S.SNO AND P.COLOR = 'RED'")),
-        [parts.schema.index_of("P", "PNO")],
-        ["PNO"],
-    )
-    runs = {}
-    for compiled in (True, False):
-        stats, analysis = Stats(), PlanAnalysis()
-        previous = set_compilation_enabled(compiled)
-        try:
-            ctx = ExecContext(small_db, stats=stats, analysis=analysis)
-            analysis.begin(inner)
-            answers = [
-                list(inner.rows(ctx, outer=Scope(supplier.schema, row)))
-                for row in supplier.rows(ctx)
-            ]
-        finally:
-            set_compilation_enabled(previous)
-        runs[compiled] = (answers, _work(stats), analysis)
-    (answers, work, reference), (fused_answers, fused_work, observed) = (
-        runs[False], runs[True],
-    )
-    assert any(answers) and fused_answers == answers
-    assert fused_work == work
-    for node in _nodes(inner):
-        seen, expected = observed.for_node(node), reference.for_node(node)
-        assert seen.loops == expected.loops == len(answers)
-        assert seen.rows == expected.rows

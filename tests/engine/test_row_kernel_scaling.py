@@ -14,18 +14,16 @@ condition node per row, an ``is_null`` and a ``row_sort_key`` per key.
 Taking the counters out of the row loop must not move them: the second
 half compares ``Stats.as_dict()`` of the compiled run against the
 interpreter-only run (``set_compilation_enabled(False)``, the reference
-semantics) at the three exits of a row loop — exhaustion, a consumer
-that closes the stream at row 10, a seeded ``compiled_eval`` fault that
-demotes mid-stream, and a row budget that trips inside the join while
-its filtered input is suspended.  The compiled run is the fused one.
+semantics) at the exits of a row loop — exhaustion, a consumer that
+closes the stream at row 10, and a row budget that trips inside the
+join while its filtered input is suspended.  The compiled run is the fused one.
 A join's generated probe loop runs PARTS' scan and filter inside it
 with the per-node accounting, so the join classes match the
 interpreter exactly at every exit; ``filter_scan``'s pipeline pulls,
 ticks and accounts a ``TICK_CHUNK``-row chunk as a whole
 (``BATCH_GRANULAR``), so where its stream is cut short it may be ahead
 of the interpreter.  The fused arm checks which path
-ran: no per-node row loop opens under a generated kernel, and every one
-does while a fault is armed.  The last section runs the join templates
+ran: no per-node row loop opens under a generated kernel.  The last section runs the join templates
 as the front door rewrites them in both kernel contexts — no guard, and
 a guard under a timeout — against the interpreter, and reads the
 kernels' sources: only the guarded one ticks.
@@ -47,7 +45,7 @@ from repro.engine.operators import base as operators_base
 from repro.engine.operators import ExecContext, Filter, HashJoin, Project, SeqScan
 from repro.engine.stats import Stats
 from repro.errors import RowBudgetExceeded
-from repro.resilience import FAULTS, SITE_COMPILED_EVAL, ResourceBudget
+from repro.resilience import ResourceBudget
 from repro.sql.parser import parse_query
 from repro.types import tristate, values
 from repro.workloads import SupplierScale, build_database, generate
@@ -165,7 +163,7 @@ def _consume(
 @pytest.mark.parametrize("cls", CLASSES)
 def test_totals_match_the_interpreter_after_full_consumption(cls):
     compiled = _consume(cls, compiled=True)
-    assert compiled.compiled_evals > 0 and compiled.compile_fallbacks == 0
+    assert compiled.compiled_evals > 0
     assert compiled.compiled_evals == compiled.predicate_evals
     assert _totals(compiled) == _totals(_consume(cls, compiled=False))
 
@@ -192,18 +190,6 @@ def test_totals_match_the_interpreter_when_the_consumer_leaves_at_row_10(cls):
         assert _totals(compiled) == _totals(reference)
     # It really was abandoned: a full run does more.
     assert _totals(reference) != _totals(full)
-
-
-@pytest.mark.parametrize("cls", CLASSES)
-def test_totals_match_the_interpreter_across_a_mid_stream_demotion(cls):
-    reference = _consume(cls, compiled=False)
-    with FAULTS.inject(SITE_COMPILED_EVAL, after=7, times=1):
-        demoted = _consume(cls, compiled=True)
-    # One predicate ran seven rows compiled, then the failing row and
-    # the rest interpreted (a second predicate of the plan stays compiled).
-    assert demoted.compile_fallbacks == 1
-    assert 7 <= demoted.compiled_evals < demoted.predicate_evals
-    assert _totals(demoted) == _totals(reference)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -248,7 +234,7 @@ def _shared(stats: Stats, *, without: set[str] = frozenset()) -> dict[str, int]:
 # the fused arm: generated kernels run the rows, and leave the totals alone
 
 FUSED_CLASSES = ("filter_scan", "key_join", "distinct_needed", "big_result")
-EXITS = ("exhaustion", "early close", "compiled_eval fault", "row budget")
+EXITS = ("exhaustion", "early close", "row budget")
 
 
 @pytest.fixture()
@@ -259,9 +245,9 @@ def per_node(monkeypatch):
     for node in (SeqScan, Filter, Project, HashJoin):
         original = node._rows
 
-        def spy(self, ctx, outer=None, _original=original, _name=node.__name__):
+        def spy(self, ctx, _original=original, _name=node.__name__):
             opened.append(_name)
-            return _original(self, ctx, outer)
+            return _original(self, ctx)
 
         monkeypatch.setattr(node, "_rows", spy)
     return opened
@@ -299,20 +285,12 @@ def test_fused_kernels_keep_the_interpreters_totals(per_node, cls, exit):
             assert (
                 getattr(reference, name) <= getattr(fused, name) <= getattr(full, name)
             ), name
-    elif exit == "compiled_eval fault":
-        with FAULTS.inject(SITE_COMPILED_EVAL, after=7, times=1):
-            fused, opened = run(True)
-        reference, _ = run(False)
     else:
         fused, opened = tripped(True, 25)
         reference, _ = tripped(False, 25)
         if chunked:
             without = BATCH_GRANULAR
-    if exit == "compiled_eval fault":
-        # Armed faults need every row as a trigger: nothing fused.
-        assert {"SeqScan", "Project"} <= set(opened), opened
-    else:
-        assert opened == [], opened
+    assert opened == [], opened
     assert _shared(fused, without=without) == _shared(reference, without=without)
 
 

@@ -72,7 +72,7 @@ class Rows(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return ()
 
-    def _rows(self, ctx, outer=None):
+    def _rows(self, ctx):
         yield from self.given
 
 

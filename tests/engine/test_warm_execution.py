@@ -183,7 +183,9 @@ def test_a_binding_seen_before_refills_and_a_new_null_state_lowers(
 def test_a_comparison_of_two_host_variables_lowers_every_time(
     monkeypatch, database
 ):
-    sql = "SELECT P.PNO FROM PARTS P WHERE P.SNO = :SNO AND :A = :B"
+    # Inside a column's conjunct, so the scan pipeline's lowering sees
+    # it (alone, the conjunct is a Filter the evaluator judges).
+    sql = "SELECT P.PNO FROM PARTS P WHERE P.SNO = :SNO AND (P.PNO < 0 OR :A = :B)"
     lowered = spy_on(monkeypatch, compile_module, "lower_source")
     clear_all_caches()
     with repro.connect(database) as conn:

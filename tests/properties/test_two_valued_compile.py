@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Database
 from repro.engine.codegen import ChunkedRows
 from repro.engine.compile import (
-    compile_filter,
     compile_pair,
     compile_predicate,
     set_compilation_enabled,
@@ -105,8 +104,7 @@ conditions = st.recursive(
 def test_the_pair_is_the_interpreters_verdict(expr, sample):
     pair = compile_pair(expr, SCHEMA, PARAMS)
     predicate = compile_predicate(expr, SCHEMA, PARAMS)
-    row_test = compile_filter(expr, SCHEMA, PARAMS)
-    assert pair is not None and predicate is not None and row_test is not None
+    assert pair is not None and predicate is not None
     is_true, is_false = pair
     assert is_true.__code__.co_filename == "<kernel>"  # generated source
     evaluator = Evaluator(params=PARAMS)
@@ -116,7 +114,6 @@ def test_the_pair_is_the_interpreters_verdict(expr, sample):
         assert is_true(row) is (verdict is TRUE), (expr, row)
         assert is_false(row) is (verdict is FALSE), (expr, row)
         assert predicate(row) is verdict, (expr, row)
-        assert row_test(row) is (verdict is TRUE), (expr, row)
 
 
 # What the compiler must leave to the interpreter, as a leaf: the tree
@@ -152,7 +149,6 @@ def test_what_needs_the_interpreter_is_still_refused(bad, wrap, tree):
     expr = wrap(bad, tree)
     assert compile_pair(expr, SCHEMA, PARAMS) is None
     assert compile_predicate(expr, SCHEMA, PARAMS) is None
-    assert compile_filter(expr, SCHEMA, PARAMS) is None
 
 
 def test_ambiguous_reference_is_still_refused():

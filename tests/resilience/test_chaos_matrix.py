@@ -26,8 +26,6 @@ from repro.errors import ReproError
 from repro.ims import ImsGateway
 from repro.resilience import (
     FAULTS,
-    SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_DLI,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
@@ -48,9 +46,6 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: Engine-side fault scenarios: (site, kwargs) applied one at a time.
 ENGINE_SCENARIOS = [
-    (SITE_COMPILE, {}),
-    (SITE_COMPILED_EVAL, {"after": 1, "times": 1}),
-    (SITE_COMPILED_EVAL, {"probability": 0.3}),
     (SITE_PLAN_CACHE, {}),
     (SITE_INDEX_BUILD, {}),
     (SITE_FINGERPRINT, {}),
@@ -114,7 +109,7 @@ def test_chaos_engine_matrix(db, baselines, site, kwargs):
         )
 
 
-@pytest.mark.parametrize("site,kwargs", ENGINE_SCENARIOS[:6], ids=str)
+@pytest.mark.parametrize("site,kwargs", ENGINE_SCENARIOS[:3], ids=str)
 def test_chaos_guarded_matrix(db, baselines, site, kwargs):
     """run_guarded under the same faults: safe mode may not lie either."""
     FAULTS.seed(CHAOS_SEED)

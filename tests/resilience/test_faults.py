@@ -10,34 +10,34 @@ from repro.resilience.faults import ALL_SITES, iter_sites
 class TestFaultSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            FaultSpec("compile", kind="meltdown")
+            FaultSpec("index_build", kind="meltdown")
 
     def test_after_skips_opportunities(self):
         injector = FaultInjector()
-        spec = injector.arm(FaultSpec("compile", after=2))
-        injector.check("compile")
-        injector.check("compile")
+        spec = injector.arm(FaultSpec("index_build", after=2))
+        injector.check("index_build")
+        injector.check("index_build")
         with pytest.raises(InjectedFaultError):
-            injector.check("compile")
+            injector.check("index_build")
         assert spec.triggered == 3 and spec.fired == 1
 
     def test_times_bounds_firings(self):
         injector = FaultInjector()
-        spec = injector.arm(FaultSpec("compile", times=2))
+        spec = injector.arm(FaultSpec("index_build", times=2))
         for _ in range(2):
             with pytest.raises(InjectedFaultError):
-                injector.check("compile")
-        injector.check("compile")  # exhausted: no longer fires
+                injector.check("index_build")
+        injector.check("index_build")  # exhausted: no longer fires
         assert spec.fired == 2 and spec.triggered == 3
 
     def test_probability_is_seed_deterministic(self):
         def firing_pattern(seed):
             injector = FaultInjector(seed=seed)
-            injector.arm(FaultSpec("compile", probability=0.5))
+            injector.arm(FaultSpec("index_build", probability=0.5))
             pattern = []
             for _ in range(20):
                 try:
-                    injector.check("compile")
+                    injector.check("index_build")
                     pattern.append(False)
                 except InjectedFaultError:
                     pattern.append(True)
@@ -51,16 +51,16 @@ class TestFaultInjector:
     def test_unarmed_is_a_noop(self):
         injector = FaultInjector()
         assert not injector.armed
-        injector.check("compile")  # no spec: nothing raised
+        injector.check("index_build")  # no spec: nothing raised
         assert injector.corrupt("uniqueness", 42) == 42
 
     def test_sites_are_independent(self):
         injector = FaultInjector()
-        injector.arm(FaultSpec("compile"))
+        injector.arm(FaultSpec("index_build"))
         injector.check("plan_cache")  # different site: untouched
         with pytest.raises(InjectedFaultError) as info:
-            injector.check("compile")
-        assert info.value.site == "compile"
+            injector.check("index_build")
+        assert info.value.site == "index_build"
 
     def test_transient_kind_raises_typed_ims_error(self):
         injector = FaultInjector()
@@ -71,9 +71,9 @@ class TestFaultInjector:
 
     def test_custom_error_factory(self):
         injector = FaultInjector()
-        injector.arm(FaultSpec("compile", error=lambda: KeyError("boom")))
+        injector.arm(FaultSpec("index_build", error=lambda: KeyError("boom")))
         with pytest.raises(KeyError):
-            injector.check("compile")
+            injector.check("index_build")
 
     def test_corrupt_routes_values_and_check_ignores_it(self):
         injector = FaultInjector()
@@ -91,35 +91,21 @@ class TestFaultInjector:
 
     def test_inject_context_manager_disarms(self):
         injector = FaultInjector()
-        with injector.inject("compile") as spec:
-            assert injector.armed and injector.specs("compile") == [spec]
+        with injector.inject("index_build") as spec:
+            assert injector.armed and injector.specs("index_build") == [spec]
             with pytest.raises(InjectedFaultError):
-                injector.check("compile")
+                injector.check("index_build")
         assert not injector.armed
-        injector.check("compile")
+        injector.check("index_build")
 
     def test_disarm_restores_armed_flag_with_other_specs(self):
         injector = FaultInjector()
-        first = injector.arm(FaultSpec("compile"))
+        first = injector.arm(FaultSpec("index_build"))
         injector.arm(FaultSpec("plan_cache"))
         injector.disarm(first)
         assert injector.armed
         injector.reset()
         assert not injector.armed and injector.specs() == []
-
-    def test_wrap_callable_passthrough_when_site_unarmed(self):
-        injector = FaultInjector()
-        fn = lambda row: True  # noqa: E731
-        assert injector.wrap_callable("compiled_eval", fn) is fn
-
-    def test_wrap_callable_fires_per_call(self):
-        injector = FaultInjector()
-        injector.arm(FaultSpec("compiled_eval", after=1, times=1))
-        wrapped = injector.wrap_callable("compiled_eval", lambda x: x + 1)
-        assert wrapped is not None and wrapped(1) == 2
-        with pytest.raises(InjectedFaultError):
-            wrapped(1)
-        assert wrapped(1) == 2  # exhausted
 
     def test_global_injector_and_site_constants(self):
         assert isinstance(FAULTS, FaultInjector)

@@ -17,8 +17,6 @@ from repro.engine import execute_planned
 from repro.errors import ReproError
 from repro.resilience import (
     FAULTS,
-    SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,
@@ -35,8 +33,6 @@ CONFIG = GeneratorConfig(max_tables=2, max_columns=3, max_rows=6)
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 FAULT_SITES = [
-    SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_PLAN_CACHE,
     SITE_INDEX_BUILD,
     SITE_FINGERPRINT,

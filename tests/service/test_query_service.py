@@ -30,7 +30,6 @@ from repro.errors import (
 )
 from repro.resilience import (
     FAULTS,
-    SITE_COMPILE,
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
 )
@@ -89,7 +88,6 @@ def test_service_results_match_serial(db, baselines):
             options=ExecutionOptions(engine_mode="vectorized"),
         ).result(timeout=30)
         assert joined.stats.rows_joined > 0
-        assert joined.stats.compile_fallbacks == 0
     snapshot = session.snapshot()
     assert snapshot["completed"] == len(PAPER_QUERIES) + 1
     assert snapshot["failed"] == 0
@@ -176,11 +174,10 @@ def test_query_errors_propagate_typed(db):
 
 
 #: Chaos scenarios exercised on service workers (subset of the engine
-#: matrix: one cache site, one compile site, one probabilistic operator
-#: fault — the shapes with distinct fallback ladders).
+#: matrix: one cache site and one probabilistic operator fault — the
+#: shapes with distinct fallback ladders).
 SERVICE_CHAOS = [
     (SITE_PLAN_CACHE, {}),
-    (SITE_COMPILE, {}),
     (SITE_OPERATOR, {"probability": 0.05}),
 ]
 
