@@ -6,8 +6,8 @@ worker pool, bounded queue, admission controller),
 drives it with mixed-priority concurrent clients — interactive ones
 carrying deadlines, batch ones carrying none — while a seeded schedule
 arms and disarms fault injections at every chaos site the stack owns
-(compiled predicates, plan cache, operators, request reads, accepts,
-response writes).  When the storm ends it verifies the whole-system
+(plan cache, operators, request reads, accepts, response writes,
+commit apply).  When the storm ends it verifies the whole-system
 invariants the resilience layer promises:
 
 1. **Correctness** — every successful response is byte-identical to

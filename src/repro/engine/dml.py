@@ -44,7 +44,7 @@ class DmlNode(PlanNode):
         self.schema = RelSchema.for_table(self.table, [])
         self.affected = 0
 
-    def _rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
+    def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         return iter(())
 
     def execute(self, ctx: ExecContext, txn: "Transaction") -> int:
