@@ -145,7 +145,7 @@ def test_e12_correlated_subquery_index_probes(benchmark):
         "seq rescan",
         scan_stats.subquery_executions,
         scan_stats.index_probes,
-        scan_stats.rows_joined,
+        scan_stats.rows_scanned,
         t_scan,
         1.0,
     )
@@ -165,7 +165,7 @@ def test_e12_correlated_subquery_index_probes(benchmark):
     # ... but each execution touches a bucket, not the table.
     assert scan_stats.index_probes == 0
     assert probe_stats.index_probes >= probe_stats.subquery_executions
-    assert probe_stats.index_rows < scan_stats.rows_joined / 10
+    assert probe_stats.index_rows < scan_stats.rows_scanned / 10
     assert probe_stats.predicate_evals < scan_stats.predicate_evals / 10
 
     result = benchmark(

@@ -11,7 +11,7 @@ Run:  python examples/case_tool_audit.py
 """
 
 from repro import Stats, optimize, test_uniqueness
-from repro.engine import execute
+from repro.engine import execute_planned
 from repro.workloads import SupplierScale, build_database, generate
 
 # What a code generator might emit: every query gets DISTINCT "to be safe".
@@ -51,8 +51,8 @@ def main() -> None:
         if verdict.unique:
             optimized = optimize(sql, db.catalog)
             before, after = Stats(), Stats()
-            execute(sql, db, params=PARAMS, stats=before)
-            execute(optimized.query, db, params=PARAMS, stats=after)
+            execute_planned(sql, db, params=PARAMS, stats=before)
+            execute_planned(optimized.query, db, params=PARAMS, stats=after)
             saved = before.sort_rows - after.sort_rows
             total_saved += saved
             print(f"{label:<28}{'DISTINCT removable':<22}{saved:>18}")

@@ -11,7 +11,7 @@ Run:  python examples/cost_based_selection.py
 """
 
 from repro import Stats
-from repro.engine import execute, execute_planned
+from repro.engine import execute_planned
 from repro.core import StrategySelector
 from repro.workloads import SupplierScale, build_database, generate
 
@@ -46,7 +46,7 @@ def main() -> None:
         print(choice.explain())
         print()
 
-        baseline = execute(sql, db, params=PARAMS)
+        baseline = execute_planned(sql, db, params=PARAMS)
         stats = Stats()
         chosen = execute_planned(choice.query, db, params=PARAMS, stats=stats)
         assert baseline.same_rows(chosen)

@@ -9,8 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Stats, optimize, test_uniqueness
-from repro.engine import execute
-from repro.engine import Database
+from repro.engine import Database, execute_planned
 
 SCHEMA_AND_DATA = """
 CREATE TABLE SUPPLIER (
@@ -62,8 +61,8 @@ def main() -> None:
 
     # 3. Execute both and compare.
     stats_before, stats_after = Stats(), Stats()
-    before = execute(QUERY, db, stats=stats_before)
-    after = execute(optimized.query, db, stats=stats_after)
+    before = execute_planned(QUERY, db, stats=stats_before)
+    after = execute_planned(optimized.query, db, stats=stats_after)
 
     print("Result (identical for both):")
     print(after.to_table(), "\n")

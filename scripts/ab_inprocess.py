@@ -16,12 +16,15 @@ or, at worst, on one pair, which a median ignores.
 Three tables:
 
 * every read template of ``benchmarks/e2e/workloads.py::TEMPLATES`` ×
-  three execution contexts — the two a generated kernel is shaped for,
+  four execution contexts — the two a generated kernel is shaped for,
   ``unguarded`` (the connection's default options: no guard) and
   ``guarded`` (``options=ExecutionOptions(timeout=60)``: the execution
-  carries a guard, so its kernels tick), and ``analyzed``
+  carries a guard, so its kernels tick), ``analyzed``
   (``options=ExecutionOptions(analyze=True)``: EXPLAIN ANALYZE's sink
-  rides along) — through ``Connection.execute(...).fetchall()`` on
+  rides along) and ``as_written``
+  (``options=ExecutionOptions(optimize=False)``: no rewrite, so a
+  subquery the rules would flatten runs its body once per outer row)
+  — through ``Connection.execute(...).fetchall()`` on
   ``SupplierScale(400, 10, 3)``.
   Every template runs a generated kernel (a key lookup's ``IndexScan``
   under its ``Project`` is one scan pipeline), so no class of this
@@ -144,12 +147,14 @@ def read_templates(workloads):
 def context_options(package: str) -> dict:
     """One side's ``options=`` per execution context: ``None`` keeps the
     connection's defaults (no guard); a timeout gives every execution
-    a guard; ``analyze`` attaches an EXPLAIN ANALYZE sink."""
+    a guard; ``analyze`` attaches an EXPLAIN ANALYZE sink; ``optimize``
+    off runs the statement as written."""
     options = sys.modules[package].ExecutionOptions
     return {
         "unguarded": None,
         "guarded": options(timeout=60),
         "analyzed": options(analyze=True),
+        "as_written": options(optimize=False),
     }
 
 

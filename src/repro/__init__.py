@@ -51,7 +51,6 @@ from .core import (
 )
 from .engine import (
     Database,
-    Executor,
     Planner,
     PlannerOptions,
     Result,
@@ -127,7 +126,6 @@ __all__ = [
     "ExactOptions",
     "ExecutionError",
     "ExecutionGuard",
-    "Executor",
     "FAULTS",
     "FaultInjector",
     "FaultSpec",

@@ -4,7 +4,6 @@ from .compile import compile_predicate, set_compilation_enabled
 from .cost import CostModel, PlanEstimate
 from .database import Database
 from .evaluator import Evaluator
-from .executor import Executor, execute
 from .plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from .planner import Planner, PlannerOptions, execute_plan, execute_planned
 from .result import Result
@@ -20,7 +19,6 @@ __all__ = [
     "PlanEstimate",
     "Database",
     "Evaluator",
-    "Executor",
     "Planner",
     "PlannerOptions",
     "RelSchema",
@@ -29,7 +27,6 @@ __all__ = [
     "Stats",
     "TableData",
     "compile_predicate",
-    "execute",
     "execute_plan",
     "execute_planned",
     "set_compilation_enabled",

@@ -190,8 +190,11 @@ class CostModel:
     def _subquery_cost(self, predicate: Expr) -> float:
         """Estimated cost of one evaluation of embedded subqueries.
 
-        The interpreter re-runs a correlated subquery per candidate row;
-        we approximate one run as a product scan of the inner tables.
+        A subquery's body runs once per candidate row; one run is
+        priced as a product scan of the inner tables — the cost of the
+        interpreter that used to run bodies.  A planned body probes an
+        index where its correlation binds one, so this overstates
+        those; pricing the body's own plan is ROADMAP item 3's.
         """
         total = 0.0
         for node in predicate.walk():

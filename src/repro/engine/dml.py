@@ -5,10 +5,10 @@ DML statements plan into :class:`InsertNode` / :class:`UpdateNode` /
 subclasses that produce no output rows but buffer their writes into a
 :class:`~repro.engine.txn.Transaction`.  UPDATE and DELETE evaluate
 their WHERE clause over the *transactional view* of the target table
-(snapshot-visible versions plus the transaction's own pending writes)
-through the reference interpreter: the shared
-:class:`~repro.engine.evaluator.Evaluator` judges each candidate row
-(three-valued ⌊P⌋ semantics, correlated subqueries included).
+(snapshot-visible versions plus the transaction's own pending writes):
+the shared :class:`~repro.engine.evaluator.Evaluator` judges each
+candidate row (three-valued ⌊P⌋ semantics, correlated subqueries
+included, their bodies planned like any statement).
 
 The *matching phase completes before any write is buffered*, so a
 statement never observes its own effects — and a constraint failure
@@ -255,6 +255,7 @@ def execute_dml(
         params=params,
         stats=stats,
         guard=guard,
+        root=node,
     )
     state = txn.savepoint()
     try:

@@ -7,9 +7,10 @@ UNKNOWN, and the executor keeps a row only when the whole predicate is
 definitely TRUE (the false-interpretation ⌊P⌋).
 
 Correlated subqueries (EXISTS / IN) are evaluated through a
-``subquery_runner`` callback installed by the executor; each invocation
-is counted in ``stats.subquery_executions``, making the cost of naive
-nested-loop strategies visible to benchmarks.
+``subquery_runner`` callback — the execution context's, which runs the
+body's plan (:meth:`~repro.engine.operators.base.ExecContext.run_subquery`);
+each invocation is counted in ``stats.subquery_executions``, making the
+cost of naive nested-loop strategies visible to benchmarks.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class Evaluator:
 
     Attributes:
         params: host-variable bindings (name -> value).
-        stats: counter sink; shared with the executor.
-        subquery_runner: callback that executes a subquery AST under an
-            outer scope, yielding result rows.  Unset evaluators reject
+        stats: counter sink; shared with the execution.
+        subquery_runner: callback that executes a subquery AST for the
+            enclosing row's scope, yielding result rows (an
+            execution's runs the body's plan).  Unset evaluators reject
             subqueries.
     """
 

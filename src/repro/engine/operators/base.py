@@ -30,10 +30,10 @@ class ExecContext:
 
     Holds the database, the host-variable bindings (:attr:`params`,
     names upper-cased) and the counter sink.  Its :attr:`evaluator`
-    is built on first use, wired so correlated subqueries fall back to
-    the reference interpreter (the naive nested-loop strategy — the
-    cost the paper's rewrites are designed to avoid): an execution that
-    runs only generated kernels never builds one.
+    is built on first use, wired so a subquery runs its body's plan
+    once per call (:meth:`run_subquery`) — the naive nested-loop
+    strategy, the cost the paper's rewrites are designed to avoid: an
+    execution that runs only generated kernels never builds one.
 
     When a *guard* is supplied, operators report every processed row via
     :meth:`tick`, giving the guard its cooperative checkpoints (timeout,
@@ -53,6 +53,9 @@ class ExecContext:
     plain execution runs.  The sink belongs to this one execution; the
     plan nodes themselves stay untouched, so a cached plan can serve
     analyzed and plain executions concurrently.
+
+    *root* is the plan this execution runs: the subquery bodies it
+    plans are kept on it, so a cached plan plans each body once.
     """
 
     def __init__(
@@ -63,6 +66,7 @@ class ExecContext:
         use_indexes: bool = True,
         guard: ExecutionGuard | None = None,
         analysis: "PlanAnalysis | None" = None,
+        root: "PlanNode | None" = None,
     ) -> None:
         self.database = database
         self.params = {key.upper(): value for key, value in (params or {}).items()}
@@ -70,6 +74,7 @@ class ExecContext:
         self.use_indexes = use_indexes
         self.guard = guard
         self.analysis = analysis
+        self.root = root
         # Per-row cost matters here: bind the cheapest tick variant for
         # this execution up front (executions complete within one
         # execute_plan call, so the armed state cannot change mid-run).
@@ -83,13 +88,39 @@ class ExecContext:
 
     @cached_property
     def evaluator(self) -> Evaluator:
-        """The reference interpreter's evaluator, over these bindings."""
-        from ..executor import Executor  # deferred to break the cycle
+        """The evaluator over these bindings, running subqueries."""
+        return Evaluator(self.params, self.stats, subquery_runner=self.run_subquery)
 
-        interpreter = Executor(
-            self.database, self.params, self.stats, self.use_indexes, self.guard
+    def run_subquery(self, query: object, scope: Scope) -> Iterator[tuple]:
+        """The rows of subquery *query* for the enclosing row *scope*.
+
+        The body is planned on first call
+        (:func:`~repro.engine.planner.plan_subquery`) and kept on
+        :attr:`root`, keyed by the subquery node and ``use_indexes``.
+        Each call binds the body's slots from *scope* on top of these
+        bindings and runs its plan in a child context — its root that
+        plan, so a nested body is kept on its parent's — which shares
+        the stats and the guard and runs node by node: a chunked kernel
+        would read a chunk of rows for an EXISTS that wants one.
+        """
+        holder = self if self.root is None else self.root
+        bodies = holder.__dict__.setdefault("_bodies", {})
+        key = (id(query), self.use_indexes)
+        body = bodies.get(key)
+        if body is None:
+            from ..planner import plan_subquery  # deferred to break the cycle
+
+            body = bodies[key] = plan_subquery(query, self.database, self.use_indexes)
+        plan, slots = body
+        params = dict(self.params)
+        for name, ref in slots:
+            params[name] = scope.resolve(ref)
+        child = ExecContext(
+            self.database, params, self.stats, self.use_indexes, self.guard,
+            root=plan,
         )
-        return interpreter.evaluator
+        child.fuse = False
+        return plan.rows(child)
 
     def tick(self, rows: int = 1) -> None:
         """One cooperative checkpoint, called per row by operator loops.

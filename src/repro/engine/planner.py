@@ -8,7 +8,10 @@ rule-based and deliberately simple — its job is to make execution
 * equality conjuncts between two tables become hash-join keys (a join
   with none is a nested loop),
 * conjuncts containing subqueries stay in a final Filter, where the
-  evaluator re-executes them per row — the naive nested-loop strategy,
+  evaluator re-executes them per row — the naive nested-loop strategy;
+  each subquery body is itself planned here (:func:`plan_subquery`),
+  its outer references turned into host variables, so a correlated
+  equality on a key becomes an ``IndexScan`` probe,
 * DISTINCT becomes a sort, the form the paper's cost model prices.
 
 The semantic rewrites of the paper (distinct elimination, subquery
@@ -18,6 +21,7 @@ flattening, ...) happen *before* planning, in :mod:`repro.core.rewrite`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from ..cache import safe_fingerprint
 from ..catalog.schema import Catalog
@@ -32,8 +36,10 @@ from ..sql.expressions import (
     And,
     ColumnRef,
     Comparison,
+    Exists,
     Expr,
     HostVar,
+    InSubquery,
     IsNull,
     Literal,
     Or,
@@ -63,6 +69,7 @@ from .operators.filter import scan_pipeline
 from .plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from .projection import resolve_projection
 from .result import Result
+from .schema import RelSchema
 from .stats import Stats
 
 
@@ -641,6 +648,79 @@ class Planner:
         return Sort(current, positions, ascending)
 
 
+#: Numbers the host-variable slots of subquery bodies.  A slot is named
+#: ``#<n>``: the lexer starts a host variable with a letter, so no
+#: statement can name one, and the numbers are never reused, so a
+#: nested body's slots cannot collide with those of the bodies around it.
+_SLOT_NUMBERS = count()
+
+
+def plan_subquery(
+    query: Query, database: Database, index_scans: bool = True
+) -> tuple[PlanNode, tuple[tuple[str, ColumnRef], ...]]:
+    """The plan of a subquery body, and the slots that bind it.
+
+    Each column reference of *query* that no FROM clause of the body
+    (or of a block nested in it) answers to — an outer reference — is
+    rewritten into a host-variable slot.  A reference is answered by
+    the innermost block whose FROM has a column matching it, the rule
+    :meth:`~repro.engine.schema.Scope.resolve` applies at run time.
+    The body is then planned like a statement, so ``P.SNO = S.SNO``
+    against the outer ``S`` is ``P.SNO = :slot``: an ``IndexScan``
+    probe when ``P.SNO`` is indexed.
+
+    Returns ``(plan, slots)``; each slot is ``(name, reference)``, the
+    reference resolved against the enclosing row's scope and bound
+    under *name* before each execution of *plan*.
+    """
+    slots: dict[ColumnRef, str] = {}
+    body = _bind_outer(query, (), slots, database.catalog)
+    options = PlannerOptions(index_scans=index_scans)
+    plan = Planner(database.catalog, options, database=database).plan(body)
+    return plan, tuple((name, ref) for ref, name in slots.items())
+
+
+def _bind_outer(
+    query: Query,
+    frames: tuple[RelSchema, ...],
+    slots: dict[ColumnRef, str],
+    catalog: Catalog,
+) -> Query:
+    """*query* with its outer references turned into slots (innermost
+    FROM first in *frames*)."""
+    if isinstance(query, SetOperation):
+        return replace(
+            query,
+            left=_bind_outer(query.left, frames, slots, catalog),
+            right=_bind_outer(query.right, frames, slots, catalog),
+        )
+    schema = RelSchema(())
+    for table_ref in query.tables:
+        columns = catalog.table(table_ref.name).column_names
+        schema = schema.concat(RelSchema.for_table(table_ref.effective_name, columns))
+    frames = (schema, *frames)
+
+    def bind(node: Expr) -> Expr | None:
+        if isinstance(node, Exists):
+            return Exists(_bind_outer(node.query, frames, slots, catalog), node.negated)
+        if isinstance(node, InSubquery):
+            nested = _bind_outer(node.query, frames, slots, catalog)
+            return InSubquery(node.operand, nested, node.negated)
+        if isinstance(node, ColumnRef) and not any(
+            column.matches(node.qualifier, node.column)
+            for frame in frames
+            for column in frame
+        ):
+            if node not in slots:
+                slots[node] = f"#{next(_SLOT_NUMBERS)}"
+            return HostVar(slots[node])
+        return None
+
+    if query.where is None:
+        return query
+    return query.with_where(query.where.transform(bind))
+
+
 def execute_plan(
     plan: PlanNode,
     database: Database,
@@ -653,9 +733,9 @@ def execute_plan(
 ) -> Result:
     """Run a physical plan to completion.
 
-    *use_indexes* governs the correlated-subquery index probes of the
-    embedded reference interpreter (plan-level IndexScan choices were
-    already fixed at planning time).  *guard* receives a cooperative
+    *use_indexes* is the ``index_scans`` of the subquery bodies this
+    execution plans (:func:`plan_subquery`); the IndexScan choices of
+    *plan* itself were fixed when it was planned.  *guard* receives a cooperative
     tick per processed row; budget violations abort the execution with
     a :class:`~repro.errors.ResourceError` subclass.
 
@@ -676,6 +756,7 @@ def execute_plan(
         use_indexes=use_indexes,
         guard=guard,
         analysis=analysis,
+        root=plan,
     )
     if analysis is not None:
         analysis.begin(plan)

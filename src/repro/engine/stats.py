@@ -100,8 +100,14 @@ class Stats:
         return {name: getattr(self, name) for name in _counter_names(type(self))}
 
     def snapshot(self) -> "Stats":
-        """An independent copy of the current counter values."""
-        return type(self)(**self.as_dict())
+        """An independent copy of the current counter values.
+
+        Copies the instance dictionary — the counters — without going
+        through the constructor: a traced span takes two per section.
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        return copy
 
     # Arithmetic iterates type(self)'s counters and constructs
     # type(self), so a counter added later — including in a subclass —

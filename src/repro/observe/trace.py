@@ -2,7 +2,8 @@
 
 A :class:`Span` is a context manager recording wall time, free-form
 attributes, and — when a stats sink is supplied — the delta of its
-counters over the span's lifetime.  Spans nest: entering a span while
+counters over the span's lifetime (snapshots at enter and exit, the
+difference taken when read).  Spans nest: entering a span while
 another is open attaches it as a child, so one traced query produces a
 tree mirroring the layers it passed through (guard → rewrite →
 plan cache → planner → execution).
@@ -36,11 +37,11 @@ class Span:
         "attributes",
         "started",
         "ended",
-        "stats_delta",
         "children",
         "_tracer",
         "_stats",
         "_before",
+        "_after",
     )
 
     def __init__(
@@ -54,11 +55,11 @@ class Span:
         self.attributes: dict[str, Any] = attributes or {}
         self.started = 0.0
         self.ended = 0.0
-        self.stats_delta: Any | None = None
         self.children: list[Span] = []
         self._tracer = tracer
         self._stats = stats
         self._before = None
+        self._after = None
 
     # -- context manager ------------------------------------------------
 
@@ -73,7 +74,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.ended = time.perf_counter()
         if self._stats is not None and self._before is not None:
-            self.stats_delta = self._stats.snapshot() - self._before
+            self._after = self._stats.snapshot()
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
         if self._tracer is not None:
@@ -81,6 +82,15 @@ class Span:
         return False  # never suppress
 
     # -- reporting ------------------------------------------------------
+
+    @property
+    def stats_delta(self) -> Any | None:
+        """The counters' change over the span, or ``None`` without a
+        stats sink (or before the span closed).  Computed on read from
+        the two snapshots: closing a span only copies the counters."""
+        if self._after is None:
+            return None
+        return self._after - self._before
 
     @property
     def elapsed(self) -> float:
@@ -96,8 +106,9 @@ class Span:
                 f"{key}={value}" for key, value in self.attributes.items()
             )
             line += f" [{rendered}]"
-        if self.stats_delta is not None:
-            described = self.stats_delta.describe()
+        delta = self.stats_delta
+        if delta is not None:
+            described = delta.describe()
             if described and described != "(no work recorded)":
                 line += f" {{{described}}}"
         lines = [line]
@@ -113,10 +124,11 @@ class Span:
         }
         if self.attributes:
             payload["attributes"] = dict(self.attributes)
-        if self.stats_delta is not None:
+        delta = self.stats_delta
+        if delta is not None:
             payload["stats"] = {
                 name: value
-                for name, value in self.stats_delta.as_dict().items()
+                for name, value in delta.as_dict().items()
                 if value
             }
         if self.children:

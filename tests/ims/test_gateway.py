@@ -10,7 +10,7 @@ from repro.workloads import (
     build_ims_database,
     generate,
 )
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 
 
 @pytest.fixture(scope="module")

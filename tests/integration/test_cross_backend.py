@@ -4,7 +4,8 @@ gateway, and — for the navigation strategies — the object store."""
 
 import pytest
 
-from repro.engine import execute, execute_planned
+from repro.engine import execute_planned
+from tests.engine.reference_executor import execute
 from repro.ims import GatewayStats, ImsGateway
 from repro.oodb import ObjectStats, forward_join, selective_exists
 from repro.workloads import (

@@ -8,7 +8,7 @@ expected rule fired with the paper's stated outcome.
 import pytest
 
 from repro import Stats, optimize
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 from repro.core import Optimizer
 from repro.workloads import PAPER_QUERIES, paper_query
 

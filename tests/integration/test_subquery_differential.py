@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro import Database
-from repro.engine import execute, execute_planned
+from repro.engine import execute_planned
+from tests.engine.reference_executor import execute
 from repro.types import NULL
 
 DDL = """

@@ -17,7 +17,8 @@ from repro import (
     set_caches_enabled,
     test_uniqueness,
 )
-from repro.engine import execute, execute_planned
+from repro.engine import execute_planned
+from tests.engine.reference_executor import execute
 from repro.engine import set_compilation_enabled
 from repro.errors import ReproError
 from repro.workloads import (

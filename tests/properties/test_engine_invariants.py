@@ -12,7 +12,8 @@ from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine import Database, execute, execute_planned
+from repro.engine import Database, execute_planned
+from tests.engine.reference_executor import execute
 from repro.catalog import CatalogBuilder
 from repro.types import NULL, row_sort_key, sort_key
 from repro.workloads import (

@@ -10,7 +10,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Optimizer
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 from repro.sql.ast import (
     Quantifier,
     SelectItem,

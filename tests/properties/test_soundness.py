@@ -16,7 +16,7 @@ from repro.core import (
     check_theorem1,
     test_uniqueness,
 )
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 from repro.fd import is_duplicate_free_fd
 from repro.sql.ast import Quantifier
 from repro.workloads import (

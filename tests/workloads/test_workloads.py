@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import test_uniqueness
-from repro.engine import execute
+from tests.engine.reference_executor import execute
 from repro.workloads import (
     PAPER_QUERIES,
     GeneratorConfig,
