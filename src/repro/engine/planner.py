@@ -735,9 +735,9 @@ def execute_plan(
 
     *use_indexes* is the ``index_scans`` of the subquery bodies this
     execution plans (:func:`plan_subquery`); the IndexScan choices of
-    *plan* itself were fixed when it was planned.  *guard* receives a cooperative
-    tick per processed row; budget violations abort the execution with
-    a :class:`~repro.errors.ResourceError` subclass.
+    *plan* itself were fixed when it was planned.  *guard* receives a
+    cooperative tick per processed row; budget violations abort the
+    execution with a :class:`~repro.errors.ResourceError` subclass.
 
     *engine_mode* is checked against
     :data:`~repro.options.ENGINE_MODES` and selects nothing: there is
