@@ -106,7 +106,7 @@ class Stats:
         through the constructor: a traced span takes two per section.
         """
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__)
+        copy.__dict__ = self.__dict__.copy()
         return copy
 
     # Arithmetic iterates type(self)'s counters and constructs
