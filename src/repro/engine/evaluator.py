@@ -48,8 +48,8 @@ class Evaluator:
         params: host-variable bindings (name -> value).
         stats: counter sink; shared with the execution.
         subquery_runner: callback that executes a subquery AST for the
-            enclosing row's scope, yielding result rows (an
-            execution's runs the body's plan).  Unset evaluators reject
+            enclosing row's scope, yielding result rows (an execution
+            context's runs the body's plan).  Unset evaluators reject
             subqueries.
     """
 

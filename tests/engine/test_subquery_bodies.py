@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro import Stats, clear_all_caches
-from repro.engine import Database, Planner, execute_planned
+from repro.engine import Database, Planner, execute_plan
 from repro.engine.operators import IndexScan
 from repro.engine.planner import plan_subquery
 from repro.sql import parse_query
@@ -88,17 +88,24 @@ def test_outer_references_become_slots_and_inner_ones_stay():
     assert [scan.key_columns for scan in scans] == [("A", "D")]
 
 
-def test_nested_slots_are_distinct_and_bodies_run_per_row():
+def test_a_nested_body_is_kept_on_its_parent_and_its_slots_are_new():
     database = Database.from_script(DDL)
-    sql = (
+    plan = Planner(database.catalog, database=database).plan(
         "SELECT R.A FROM R WHERE EXISTS (SELECT * FROM S WHERE S.A = R.A "
         "AND EXISTS (SELECT * FROM T WHERE T.B = S.B AND T.E = R.A))"
     )
     stats = Stats()
-    rows = execute_planned(sql, database, stats=stats).rows
-    assert rows == [(1,)]
-    # Every R row runs the outer body; each S row it reaches runs the
-    # inner one.
+    assert execute_plan(plan, database, stats=stats).rows == [(1,)]
+    ((outer_plan, outer_slots),) = plan._bodies.values()
+    ((_, inner_slots),) = outer_plan._bodies.values()
+    # R.A is the outer body's slot, which the inner body reads as a host
+    # variable; S.B is the inner body's own, under a name not in use.
+    assert [(ref.qualifier, ref.column) for _, ref in outer_slots] == [("R", "A")]
+    assert [(ref.qualifier, ref.column) for _, ref in inner_slots] == [("S", "B")]
+    assert {name for name, _ in outer_slots}.isdisjoint(
+        name for name, _ in inner_slots
+    )
+    # Every R row runs the outer body; each S row it reaches, the inner.
     assert stats.subquery_executions > len(database.table("R").rows)
 
 
