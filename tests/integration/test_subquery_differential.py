@@ -89,6 +89,15 @@ SHARED = {
         "SELECT R.A FROM R WHERE NOT EXISTS "
         "(SELECT * FROM T WHERE T.A = R.A AND B = C)"
     ),
+    # Flattened, the body's B must stay T's: R has a B too.
+    "unqualified_flattened": (
+        "SELECT R.A FROM R WHERE EXISTS "
+        "(SELECT * FROM T WHERE T.A = R.A AND B = C)"
+    ),
+    "unqualified_flattened_literal": (
+        "SELECT R.A, R.C FROM R WHERE EXISTS "
+        "(SELECT * FROM T WHERE T.A = R.A AND B > 1)"
+    ),
     "set_operation_inside": (
         "SELECT R.A FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A "
         "UNION SELECT T.B FROM T WHERE T.A = R.A)"
