@@ -17,7 +17,11 @@ conjuncts into correlated EXISTS so the flattening rule can handle them.
 
 from __future__ import annotations
 
-from ...sql.ast import Quantifier, Query, SelectItem, SelectQuery, Star
+from dataclasses import replace
+
+from ...analysis.binding import table_columns
+from ...catalog.schema import Catalog
+from ...sql.ast import Quantifier, Query, SelectItem, SelectQuery, SetOperation, Star
 from ...sql.expressions import (
     ColumnRef,
     Comparison,
@@ -67,6 +71,9 @@ class SubqueryToJoin(Rule):
         ctx: RewriteContext,
     ) -> tuple[Query, str] | None:
         inner = _rename_conflicts(inner, query_aliases(outer), ctx)
+        # Merged into the outer FROM, an unqualified name the outer
+        # block also has would turn ambiguous: qualify the body first.
+        inner = _qualified(inner, (), ctx.catalog)
 
         flattened_where = conjoin(rest + conjuncts(inner.where))
         flattened = SelectQuery(
@@ -200,6 +207,40 @@ def _single_output_column(inner: SelectQuery) -> ColumnRef | None:
     if isinstance(item, SelectItem) and isinstance(item.expr, ColumnRef):
         return item.expr
     return None
+
+
+def _qualified(
+    query: Query, frames: tuple[dict[str, list[str]], ...], catalog: Catalog
+) -> Query:
+    """*query* with each unqualified name its FROM, or a block nested in
+    it, answers to qualified — innermost FROM first, the rule
+    :meth:`~repro.engine.schema.Scope.resolve` applies at run time.  A
+    name no frame answers to (an outer reference), or that one FROM
+    answers to twice (ambiguous), stays as written."""
+    if isinstance(query, SetOperation):
+        return replace(
+            query,
+            left=_qualified(query.left, frames, catalog),
+            right=_qualified(query.right, frames, catalog),
+        )
+    frames = (table_columns(query, catalog), *frames)
+
+    def qualify(node: Expr) -> Expr | None:
+        if isinstance(node, Exists):
+            return Exists(_qualified(node.query, frames, catalog), node.negated)
+        if isinstance(node, InSubquery):
+            nested = _qualified(node.query, frames, catalog)
+            return InSubquery(node.operand, nested, node.negated)
+        if isinstance(node, ColumnRef) and node.qualifier is None:
+            for columns in frames:
+                owners = [alias for alias, names in columns.items() if node.column in names]
+                if owners:
+                    return ColumnRef(owners[0], node.column) if len(owners) == 1 else None
+        return None
+
+    if query.where is None:
+        return query
+    return query.with_where(query.where.transform(qualify))
 
 
 def _rename_conflicts(
