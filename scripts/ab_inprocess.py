@@ -25,7 +25,10 @@ Three tables:
   (``options=ExecutionOptions(optimize=False)``: no rewrite, so a
   subquery the rules would flatten runs its body once per outer row)
   — through ``Connection.execute(...).fetchall()`` on
-  ``SupplierScale(400, 10, 3)``.
+  ``SupplierScale(400, 10, 3)`` — and ``literal``: the template with
+  fresh bindings inlined as literals, a text never run before on every
+  call, as ``adhoc_local`` runs it (each side runs the same texts; their
+  rows, served SQL and audit trails are compared text by text).
   Every template runs a generated kernel (a key lookup's ``IndexScan``
   under its ``Project`` is one scan pipeline), so no class of this
   table is a noise floor;
@@ -158,6 +161,56 @@ def context_options(package: str) -> dict:
     }
 
 
+def literal_texts(workloads, template_id: str, sql: str, count: int) -> list[str]:
+    """*count* distinct texts of the template, each with fresh bindings
+    written as literals."""
+    rng = random.Random(f"{SEED}-{template_id}")
+    dims = workloads.Dims(SUPPLIERS, PARTS, AGENTS)
+    texts: dict[str, None] = {}
+    for _ in range(100 * count):
+        if template_id == "key_lookup.ledger":
+            params = {"K": rng.randint(1, LEDGER_ROWS)}
+        else:
+            params = workloads._draw(template_id, rng, dims)
+        texts[workloads.inline_literals(sql, params)] = None
+        if len(texts) == count:
+            break
+    return list(texts)
+
+
+def compare_literal(workloads, template_id, sql, conn_parent, conn_change) -> bool:
+    """The ``literal`` context of one template: a fresh text per call on
+    both sides, then rows, served SQL and audit trails compared."""
+    texts = literal_texts(workloads, template_id, sql, WARMUP + CLASS_ROUNDS)
+    label = f"{template_id} [literal]"
+    if len(texts) < WARMUP + CLASS_ROUNDS:
+        print(f"{label}: only {len(texts)} distinct texts, skipped")
+        return True
+    served = {"parent": [], "change": []}
+
+    def runner(conn, side):
+        pending = iter(texts)
+
+        def run():
+            cursor = conn.execute(next(pending))
+            cursor.fetchall()
+            served[side].append(cursor.executed)
+
+        return run
+
+    times = alternate(runner(conn_parent, "parent"), runner(conn_change, "change"), CLASS_ROUNDS)
+    for text, parent, change in zip(texts, served["parent"], served["change"]):
+        if (
+            sorted(map(repr, parent.rows)) != sorted(map(repr, change.rows))
+            or parent.sql != change.sql
+            or repr(parent.outcome.audit.to_dicts()) != repr(change.outcome.audit.to_dicts())
+        ):
+            print(f"{label}: OUTPUT DIFFERS on {text!r}")
+            return False
+    report(label, *times)
+    return True
+
+
 def compare_classes(workloads, conn_parent, conn_change) -> bool:
     contexts_parent = context_options("repro_parent")
     contexts_change = context_options("repro_change")
@@ -191,6 +244,7 @@ def compare_classes(workloads, conn_parent, conn_change) -> bool:
                     CLASS_ROUNDS,
                 ),
             )
+        same = compare_literal(workloads, template_id, sql, conn_parent, conn_change) and same
     return same
 
 

@@ -15,6 +15,9 @@ A DB-API-flavored facade over the engine's layered functions
   and the :class:`~repro.service.QueryService` workers call: guarded
   execution (budgets, safe-mode verification) plus optional EXPLAIN
   ANALYZE, driven entirely by an options value.
+* :func:`parse_at_door` — the one parse of a request: a query's
+  literals become slots, so every literal text of one statement shape
+  shares its rewrite, plan and kernels.
 
 Quickstart::
 
@@ -55,7 +58,39 @@ from .sql.ast import (
     Statement,
     Update,
 )
-from .sql.parser import parse, require_query
+from .sql.parser import Shape, parse, parse_shape, require_query
+from .sql.printer import bind_slots
+
+
+def parse_at_door(sql: str, options: ExecutionOptions | None = None) -> Statement | Shape:
+    """The one parse of a request's *sql*.
+
+    A query's NUMBER and STRING literals become slots
+    (:func:`~repro.sql.parser.parse_shape`): the rewrite, Algorithm 1,
+    the heuristic cost model and the lowering read of a literal only
+    that it is a non-NULL constant, so every literal text of one shape
+    shares their memo entries.  Not when *options* ask for ``stats`` or
+    ``adaptive``: the statistics estimator reads literal values, so
+    those plans stay per literal.
+    """
+    if options is not None and (options.stats or options.adaptive):
+        return parse(sql)
+    return parse_shape(sql)
+
+
+def _show_literals(outcome: GuardedOutcome, shape: Shape, text: str | None) -> None:
+    """Point what a reader of *outcome* sees back at the literals the
+    statement was written with: its SQL, query and audit trail are each
+    built on first read from the shape's and the slots' values."""
+    values = shape.values
+    if outcome.mismatch:
+        # The reference result was served: the statement as written.
+        outcome.sql = text if text is not None else bind_slots(shape.text, values)
+    else:
+        outcome.sql = partial(bind_slots, outcome.sql, values)
+    outcome.query = partial(shape.bind, outcome.query)
+    audit = BuiltOnRead.pending(outcome, "audit")
+    outcome.audit = lambda: (audit() if callable(audit) else audit).bind(values)
 
 
 def run_with_options(
@@ -101,17 +136,28 @@ def run_with_options(
     handle (a :class:`Connection` or a service session), so control
     statements must go through :func:`apply_transaction_control`.
 
-    *query* is SQL text — parsed once, here — or a statement a front
-    door already parsed, in which case *sql_text* carries the caller's
-    original text down beside it (``GuardedOutcome.sql`` of a DML
-    statement, the safe-mode sampling key, span attributes).  Nothing
-    below this function lexes or parses again.
+    *query* is SQL text — parsed once, here, by :func:`parse_at_door` —
+    or a statement a front door already parsed, in which case *sql_text*
+    carries the caller's original text down beside it
+    (``GuardedOutcome.sql`` of a DML statement, the safe-mode sampling
+    key, span attributes).  Nothing below this function lexes or parses
+    again.  A :class:`~repro.sql.parser.Shape` runs as its query, its
+    slots bound beside *params* and its text the key of every memo; the
+    outcome reads as the literal text's would.
     """
     options = options if options is not None else ExecutionOptions()
     if isinstance(query, str):
-        sql_text, statement = query, parse(query)
+        sql_text, statement = query, parse_at_door(query, options)
     else:
         statement = query
+    shape = None
+    if type(statement) is Shape:
+        if options.stats or options.adaptive:
+            # Parsed for a cost model that does not read literals.
+            statement = statement.bind(statement.query)
+        else:
+            shape, statement = statement, statement.query
+            params = {**params, **shape.values} if params else shape.values
     if isinstance(statement, (Insert, Update, Delete)):
         return run_dml_with_options(
             statement,
@@ -162,9 +208,11 @@ def run_with_options(
         plan_cache=plan_cache,
         planner_options=planner_options,
         on_guard=on_guard,
-        original_text=sql_text,
+        original_text=sql_text if shape is None else shape.text,
         analysis=sink,
     )
+    if shape is not None:
+        _show_literals(outcome, shape, sql_text)
     if sink is not None and not outcome.mismatch:
         # After a mismatch the served rows are the reference run's, which
         # the sink did not observe — so no analysis rides along.
@@ -172,6 +220,7 @@ def run_with_options(
             result=outcome.result,
             analysis=sink,
             stats=outcome.stats,
+            slots=shape.values if shape is not None else None,
         )
         if adaptive:
             from .stats.adaptive import fold_analysis
@@ -322,7 +371,8 @@ class ExecutedQuery:
         rows: the result rows as tuples (NULLs as the library's NULL
             sentinel, identical local and remote).
         sql: the SQL that produced the rows (rewritten form if a rule
-            fired; the original after a safe-mode mismatch).
+            fired; the original after a safe-mode mismatch), given or
+            built from *outcome* on first read.
         rewritten / rules / mismatch: the rewrite trail.
         stats: non-zero execution counters (given, or built from
             *outcome* on first read).
@@ -335,7 +385,7 @@ class ExecutedQuery:
 
     columns: list[str]
     rows: list[tuple]
-    sql: str
+    sql: str = BuiltOnRead()
     rewritten: bool = False
     rules: list[str] = field(default_factory=list)
     mismatch: bool = False
@@ -357,7 +407,7 @@ def executed_from_outcome(
     return ExecutedQuery(
         columns=list(outcome.result.columns),
         rows=list(outcome.result.rows),
-        sql=outcome.sql,
+        sql=partial(getattr, outcome, "sql"),
         rewritten=outcome.rewritten,
         rules=list(outcome.rules),
         mismatch=outcome.mismatch,
@@ -394,9 +444,10 @@ class _LocalBackend:
         self.transaction = None
 
     @staticmethod
-    def parse_statement(sql: Any) -> Statement:
-        """The door's one parse; an already-parsed statement passes."""
-        return parse(sql) if isinstance(sql, str) else sql
+    def parse_statement(sql: Any, options: ExecutionOptions | None = None) -> Statement | Shape:
+        """The door's one parse (:func:`parse_at_door`); an
+        already-parsed statement passes."""
+        return parse_at_door(sql, options) if isinstance(sql, str) else sql
 
     def run(
         self,
@@ -408,7 +459,7 @@ class _LocalBackend:
         """Execute *sql*; *statement* is :meth:`parse_statement` of it when the
         caller already holds one (``executemany`` parses once per batch)."""
         if statement is None:
-            statement = self.parse_statement(sql)
+            statement = self.parse_statement(sql, options)
         if isinstance(
             statement,
             (BeginTransaction, CommitTransaction, RollbackTransaction),
@@ -544,10 +595,11 @@ class Cursor:
         total = 0
         last: ExecutedQuery | None = None
         for params in seq_of_params:
+            options = self._resolve(**kwargs)
             if parse_once is not None and not parsed:
                 # Inside the loop: an empty batch parses nothing.
-                parsed = (parse_once(sql),)
-            last = backend.run(sql, params, self._resolve(**kwargs), *parsed)
+                parsed = (parse_once(sql, options),)
+            last = backend.run(sql, params, options, *parsed)
             self._executed = last
             total += max(last.rowcount, 0)
         if last is None:  # zero parameter sets: a completed empty batch
@@ -829,6 +881,7 @@ __all__ = [
     "apply_transaction_control",
     "connect",
     "executed_from_outcome",
+    "parse_at_door",
     "run_dml_with_options",
     "run_with_options",
 ]

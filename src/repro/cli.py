@@ -76,6 +76,7 @@ from .api import connect as api_connect
 from .errors import ReproError, exit_code_for, exit_code_summary
 from .options import ExecutionOptions
 from .observe import (
+    AnalyzedExecution,
     AuditTrail,
     MetricsRegistry,
     TRACER,
@@ -515,9 +516,11 @@ def _plan(database: Database, query: Any, args: Any) -> Any:
     return Planner(database.catalog, options, database=database).plan(query)
 
 
-def _print_plan(plan: Any, analysis: Any = None) -> None:
-    print("physical plan:" if analysis is None else "EXPLAIN ANALYZE:")
-    print(plan.explain(indent=1, analysis=analysis))
+def _print_plan(plan: Any) -> None:
+    """Print a physical plan, or an analyzed execution's annotated one."""
+    analyzed = isinstance(plan, AnalyzedExecution)
+    print("EXPLAIN ANALYZE:" if analyzed else "physical plan:")
+    print(plan.explain(indent=1))
     print()
 
 
@@ -646,7 +649,7 @@ def _run_query(
         print(f"-- {final_sql}")
         print()
     if analyzed is not None:
-        _print_plan(analyzed.plan, analyzed.analysis)
+        _print_plan(analyzed)
     elif args.plan:
         _print_plan(_plan(database, outcome.query, args))
     if outcome.rowcount >= 0:
@@ -717,7 +720,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"-- rewritten via {', '.join(rules)}")
         print(f"-- {final_sql}")
         print()
-    _print_plan(plan, analyzed.analysis if analyzed is not None else None)
+    _print_plan(analyzed if analyzed is not None else plan)
     if audit is not None and len(audit):
         print("rewrite audit:")
         print(audit.proof_sketch())

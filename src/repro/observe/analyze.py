@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable, Iterator
 
+from ..sql.printer import bind_slots
 from .trace import TRACER, Span
 
 
@@ -229,25 +230,35 @@ def _walk(node: Any):
 
 @dataclass
 class AnalyzedExecution:
-    """One execution together with the per-operator actuals it recorded."""
+    """One execution together with the per-operator actuals it recorded.
+
+    *slots* binds the slots of a plan planned for a statement shape
+    (:class:`~repro.sql.parser.Shape`): its operators are labelled with
+    the literals the statement was written with.
+    """
 
     result: Any
     analysis: PlanAnalysis
     stats: Any
+    slots: dict | None = None
 
     @property
     def plan(self) -> Any:
         """The plan that ran — the tree :attr:`analysis` is keyed on."""
         return self.analysis.plan
 
-    def explain(self) -> str:
+    def explain(self, indent: int = 0) -> str:
         """The plan tree annotated with actuals (and estimates)."""
-        return self.plan.explain(analysis=self.analysis)
+        text = self.plan.explain(indent, analysis=self.analysis)
+        return text if self.slots is None else bind_slots(text, self.slots)
 
     def to_dict(self) -> dict[str, Any]:
+        plan = self.analysis.to_dict(self.plan)
+        if self.slots is not None:
+            _bind_labels(plan, self.slots)
         payload = {
             "wall_ms": self.analysis.wall_seconds * 1000,
-            "plan": self.analysis.to_dict(self.plan),
+            "plan": plan,
             "stats": {
                 name: value
                 for name, value in self.stats.as_dict().items()
@@ -258,6 +269,12 @@ class AnalyzedExecution:
         if max_q_error is not None:
             payload["max_q_error"] = max_q_error
         return payload
+
+
+def _bind_labels(node: dict[str, Any], slots: dict) -> None:
+    node["operator"] = bind_slots(node["operator"], slots)
+    for child in node.get("children", ()):
+        _bind_labels(child, slots)
 
 
 def execute_analyzed(

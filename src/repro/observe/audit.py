@@ -19,6 +19,10 @@ verdict — is filed unbuilt and built the first time the trail is read
 (``records``, ``len``, iteration, ``to_dicts``, ``proof_sketch``).
 Nothing on the request path reads a trail, so a request pays for the
 decisions and not for their write-up.
+
+A trail of a statement whose literals were lifted into slots is bound
+to the slots' values (:meth:`AuditTrail.bind`): its records read as the
+literal text's would.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..sql.printer import to_sql
+from ..sql.printer import bind_slots, to_sql
 
 #: Decision kinds: a rule applied, a rule examined-and-declined, or a
 #: standalone verdict recorded for completeness (e.g. Algorithm 1 on a
@@ -67,6 +71,13 @@ class AuditRecord:
             lines.append(f"  {key}: {_render(value)}")
         return "\n".join(lines)
 
+    def bound(self, values: dict) -> "AuditRecord":
+        """This record with each slot *values* binds written as its literal."""
+        return AuditRecord(
+            *(_bound(getattr(self, name), values) for name in
+              ("rule", "theorem", "decision", "target", "note", "witness"))
+        )
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
@@ -96,6 +107,7 @@ class AuditTrail:
         self._records: list[AuditRecord] = []
         self._seen: set[tuple] = set()
         self._filed: list = []  # record() argument tuples and defer() builders
+        self._values: dict | None = None  # slot bindings, see bind()
 
     def record(
         self,
@@ -126,7 +138,16 @@ class AuditTrail:
         trail._records = list(self._records)
         trail._seen = set(self._seen)
         trail._filed = list(self._filed)
+        trail._values = self._values
         return trail
+
+    def bind(self, values: dict) -> "AuditTrail":
+        """Have this trail's records read with each slot *values* binds
+        written as its literal, as a trail of the literal text would;
+        returns the trail.  Bind only a trail no other request reads."""
+        self._values = values
+        self._records = [record.bound(values) for record in self._records]
+        return self
 
     @property
     def records(self) -> list[AuditRecord]:
@@ -149,9 +170,10 @@ class AuditTrail:
             self._seen.add(identity)
             if callable(witness):
                 witness = witness()
-            self._records.append(
-                AuditRecord(rule, theorem, decision, target, note, witness or {})
-            )
+            record = AuditRecord(rule, theorem, decision, target, note, witness or {})
+            if self._values is not None:
+                record = record.bound(self._values)
+            self._records.append(record)
 
     def __bool__(self) -> bool:
         # Filing never yields an empty trail, so this reads nothing.
@@ -188,6 +210,17 @@ class AuditTrail:
     def to_dicts(self) -> list[dict[str, Any]]:
         """JSON-ready list of the records."""
         return [record.to_dict() for record in self.records]
+
+
+def _bound(value: Any, values: dict) -> Any:
+    """*value* — a record field — with its SQL strings' slots bound."""
+    if isinstance(value, str):
+        return bind_slots(value, values)
+    if isinstance(value, dict):
+        return {key: _bound(item, values) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bound(item, values) for item in value)
+    return value
 
 
 def _render(value: Any) -> str:

@@ -27,7 +27,11 @@ bindings (Algorithm 1 treats a host variable as a constant, whatever
 its value) — so the ``rewrites`` memo keys it on (catalog fingerprint,
 text, quarantined rules).  DDL moves the fingerprint, a quarantine
 moves the rule set, and a safe-mode mismatch evicts by text like every
-other memo.  The statement is still parsed on every request.
+other memo.  The statement is still parsed on every request.  The
+request doors hand down a query's statement *shape* — its literals
+lifted into slots bound in *params* (:func:`~repro.sql.parser.parse_shape`)
+— so the text every memo keys on is the shape's, shared by all its
+literals; a mismatch's quarantine reason prints the slots' values.
 """
 
 from __future__ import annotations
@@ -50,12 +54,15 @@ from ..observe.trace import NULL_SPAN, TRACER
 from ..options import check_engine_mode
 from ..sql.ast import Query
 from ..sql.parser import parse_query
-from ..sql.printer import to_sql
+from ..sql.printer import bind_slots, to_sql
 from ..types.values import SqlValue
 from .budgets import ExecutionGuard, ResourceBudget
 
-#: Per-query-text execution counters driving safe-mode sampling.
-_sample_counters: dict[str, int] = {}
+#: Per-query-text execution counters driving safe-mode sampling, as
+#: many texts as the plan cache holds plans: a text forgotten is
+#: checked again on its next execution, so the bound errs toward
+#: checking more.
+_sample_counters = LRUCache("safe_mode_samples", maxsize=PLAN_CACHE_SIZE)
 
 
 def reset_safe_mode_sampling() -> None:
@@ -69,8 +76,10 @@ def _take_sample(text: str, every: int) -> bool:
     execution needs no count, so it keeps none."""
     if every <= 1:
         return True
-    count = _sample_counters.get(text, 0)
-    _sample_counters[text] = count + 1
+    with _sample_counters._lock:
+        count = _sample_counters.get(text)
+        count = 0 if count is MISSING else count
+        _sample_counters.put(text, count + 1)
     return count % every == 0
 
 
@@ -139,10 +148,14 @@ class GuardedOutcome:
         rowcount: rows affected by a DML statement, or -1 for reads
             (DB-API convention; the facade reports ``len(result)`` for
             reads instead).
+
+    A door that lifted the statement's literals into slots hands *sql*,
+    *query* and *audit* a builder that writes the literals back on first
+    read (:func:`repro.api.run_with_options`).
     """
 
     result: Result
-    sql: str
+    sql: str = BuiltOnRead()
     rewritten: bool
     rules: list[str]
     stats: Stats
@@ -153,7 +166,7 @@ class GuardedOutcome:
     audit: AuditTrail = BuiltOnRead(AuditTrail)
     analysis: object | None = None
     rowcount: int = -1
-    query: Query | None = None
+    query: Query | None = BuiltOnRead(lambda: None)
 
     def describe(self) -> str:
         """One line: rewrite trail, verification status, row count."""
@@ -326,8 +339,9 @@ def run_guarded(
         # poisoned verdict/rewrite/plan/strategy entries all key on
         # text), and serve the verified reference result.  Quarantine
         # first: see _relational_rewrite.
+        written = bind_slots(original_text, params) if params else original_text
         for rule in rules:
-            quarantine_rule(rule, f"safe-mode mismatch on {original_text!r}")
+            quarantine_rule(rule, f"safe-mode mismatch on {written!r}")
         texts = {original_text, out.sql}
         for step in outcome.steps:
             texts.add(to_sql(step.before))
@@ -342,5 +356,5 @@ def run_guarded(
         out.sql = original_text
         out.query = parsed
         if strict:
-            raise RewriteMismatchError(rules, original_text)
+            raise RewriteMismatchError(rules, written)
         return out

@@ -34,13 +34,12 @@ import threading
 import time
 from typing import Callable
 
-from ..api import apply_transaction_control, run_with_options
+from ..api import apply_transaction_control, parse_at_door, run_with_options
 from ..sql.ast import (
     BeginTransaction,
     CommitTransaction,
     RollbackTransaction,
 )
-from ..sql.parser import parse
 from ..engine.database import Database
 from ..engine.plan_cache import GLOBAL_PLAN_CACHE, PlanCache
 from ..engine.stats import Stats
@@ -469,7 +468,7 @@ class QueryService:
             # everything else travels down as the AST plus its text.
             try:
                 with span_cm:
-                    statement = parse(sql)
+                    statement = parse_at_door(sql, effective)
                     if isinstance(
                         statement,
                         (

@@ -60,8 +60,12 @@ _TOKEN = re.compile(
 _SKIP, _WORD, _NUMBER, _STRING, _DELIMITED, _HOST_VAR, _OPERATOR, _PUNCT = range(1, 9)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize *text*, returning a token list terminated by EOF."""
+def tokenize(text: str, spans: dict[int, tuple[int, int]] | None = None) -> list[Token]:
+    """Tokenize *text*, returning a token list terminated by EOF.
+
+    With *spans*, each NUMBER or STRING token's ``(start, end)`` offsets
+    in *text* — quotes included — are filed under its index in the list.
+    """
     match = _TOKEN.match
     new = tuple.__new__  # skips the generated Token.__new__ frame
     keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
@@ -84,6 +88,8 @@ def tokenize(text: str) -> list[Token]:
         elif kind == _OPERATOR:
             append(new(Token, (TokenType.OPERATOR, "<>" if value == "!=" else value, line, column)))
         elif kind == _NUMBER:
+            if spans is not None:
+                spans[len(tokens)] = (pos, found.end(kind))
             number = float(value) if "." in value else int(value)
             append(new(Token, (TokenType.NUMBER, number, line, column)))
         elif kind == _HOST_VAR:
@@ -91,6 +97,8 @@ def tokenize(text: str) -> list[Token]:
         else:
             # The three kinds that can span lines.
             if kind == _STRING:
+                if spans is not None:
+                    spans[len(tokens)] = (pos, found.end(kind) + 1)
                 append(new(Token, (TokenType.STRING, value.replace("''", "'"), line, column)))
             elif kind == _DELIMITED:
                 append(new(Token, (identifier, value.upper(), line, column)))

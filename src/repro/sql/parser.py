@@ -19,12 +19,20 @@ Grammar (informal)::
     txn_control  := (BEGIN | COMMIT | ROLLBACK) [TRANSACTION | WORK]
 
 INTERSECT binds tighter than UNION/EXCEPT, matching the SQL standard.
+
+:func:`parse_shape` is the request doors' parse: a query's NUMBER and
+STRING literals become *slots* — host variables named ``$<n>``, a name
+the lexer cannot produce — so every literal text of one statement shape
+parses to one AST, keyed by one text (see :class:`Shape`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import NamedTuple
+
 from ..errors import ParseError
-from ..types.values import NULL
+from ..types.values import NULL, SqlValue
 from .ast import (
     Assignment,
     BeginTransaction,
@@ -80,13 +88,27 @@ _STRING = TokenType.STRING
 #: The keywords an operand may be, with the literal value each spells.
 _KEYWORD_LITERALS = {"NULL": NULL, "TRUE": True, "FALSE": False}
 
+#: The first character of a slot's name.  A host variable the lexer
+#: reads starts with a letter or ``_``, and a subquery body's outer
+#: references are bound under ``#<n>``, so no other name starts so.
+SLOT = "$"
+
 
 class Parser:
-    """Parses a token stream into statements."""
+    """Parses a token stream into statements.
 
-    def __init__(self, text: str) -> None:
-        self._tokens = tokenize(text)
+    With *lift*, a query's NUMBER and STRING operands parse to slots
+    (:func:`parse_shape`); every other statement keeps its literals.
+    """
+
+    def __init__(self, text: str, lift: bool = False) -> None:
+        self._spans: dict[int, tuple[int, int]] | None = {} if lift else None
+        self._tokens = tokenize(text, self._spans)
         self._pos = 0
+        # While lifting a query: (type, value) -> slot name, and the
+        # (token index, slot name) of each literal lifted.
+        self._slots: dict[tuple, str] | None = None
+        self._lifted: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
     # token-stream helpers
@@ -188,6 +210,8 @@ class Parser:
             return self._delete()
         if self._at_keyword("BEGIN", "COMMIT", "ROLLBACK"):
             return self._transaction_control()
+        if self._spans is not None:
+            self._slots = {}
         return self._query_expr()
 
     # ------------------------------------------------------------------
@@ -370,6 +394,8 @@ class Parser:
             return self._column_ref()
         if kind is _NUMBER or kind is _STRING:
             self._pos += 1
+            if self._slots is not None:
+                return self._lift(token[1])
             return Literal(token[1])
         if kind is _HOST_VAR:
             self._pos += 1
@@ -378,6 +404,17 @@ class Parser:
             self._pos += 1
             return Literal(_KEYWORD_LITERALS[token[1]])
         raise self._error("expected a value or column reference")
+
+    def _lift(self, value: SqlValue) -> HostVar:
+        """The slot of the literal just read: equal values of one type
+        share a slot, so equal literals stay equal operands."""
+        slots = self._slots
+        key = (type(value), value)
+        name = slots.get(key)
+        if name is None:
+            name = slots[key] = f"{SLOT}{len(slots)}"
+        self._lifted.append((self._pos - 1, name))
+        return HostVar(name)
 
     def _column_ref(self) -> ColumnRef:
         first = self._expect_identifier("column reference")
@@ -599,6 +636,73 @@ class Parser:
 def parse(text: str) -> Statement:
     """Parse a single SQL statement."""
     return Parser(text).parse_statement()
+
+
+class Shape(NamedTuple):
+    """A query parsed with its literals lifted into slots.
+
+    Everything the rewrites, Algorithm 1, the cost model and the
+    lowering read of a literal — that it is a non-NULL constant — holds
+    of a slot, so the statement's rewrite, plan and kernels serve every
+    literal text of its shape.
+
+    Attributes:
+        query: the parsed query, each NUMBER or STRING operand a slot
+            :class:`~repro.sql.expressions.HostVar`.
+        text: the statement text with each literal written as its slot
+            (``:$0``) — the key every memo files the statement under.
+        values: slot name → the literal's value: the slots' bindings.
+    """
+
+    query: Query
+    text: str
+    values: dict[str, SqlValue]
+
+    def bind(self, query: Query) -> Query:
+        """*query* — this shape's, or a rewrite of it — with each slot
+        back as its literal."""
+        return _bound(query, self.values)
+
+
+def _bound(query: Query, values: dict[str, SqlValue]) -> Query:
+    if isinstance(query, SetOperation):
+        return replace(query, left=_bound(query.left, values), right=_bound(query.right, values))
+
+    def bind(node: Expr) -> Expr | None:
+        if isinstance(node, HostVar) and node.name in values:
+            return Literal(values[node.name])
+        if isinstance(node, Exists):
+            return Exists(_bound(node.query, values), node.negated)
+        if isinstance(node, InSubquery):
+            return InSubquery(node.operand, _bound(node.query, values), node.negated)
+        return None
+
+    if query.where is None:
+        return query
+    return query.with_where(query.where.transform(bind))
+
+
+def parse_shape(text: str) -> Statement | Shape:
+    """Parse one statement as :func:`parse` does, but return a query
+    holding NUMBER or STRING literals as its :class:`Shape`.
+
+    Only a query is lifted: DDL, INSERT, UPDATE and DELETE keep their
+    literals, and so does any statement the keywords NULL, TRUE and
+    FALSE are the only constants of.
+    """
+    parser = Parser(text, lift=True)
+    statement = parser.parse_statement()
+    lifted = parser._lifted
+    if not lifted:
+        return statement
+    spans, pieces, end = parser._spans, [], 0
+    for index, name in lifted:
+        start, stop = spans[index]
+        pieces += (text[end:start], ":", name)
+        end = stop
+    pieces.append(text[end:])
+    values = {name: value for (_, value), name in parser._slots.items()}
+    return Shape(statement, "".join(pieces), values)
 
 
 def parse_query(text: str) -> Query:

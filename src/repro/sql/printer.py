@@ -4,9 +4,15 @@ The printer produces canonical, re-parseable SQL.  Rewrite rules return
 ASTs; :func:`to_sql` is how examples and benchmarks display the rewritten
 query, and the round-trip property (`parse(to_sql(q)) == q` up to
 normalization) is enforced by the test suite.
+
+A query parsed as a :class:`~repro.sql.parser.Shape` prints its slots
+as ``:$<n>``; :func:`bind_slots` writes them back as the literals, the
+bytes :func:`to_sql` prints for the literal query.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..types.values import format_value
 from .ast import (
@@ -63,6 +69,20 @@ def to_sql(node: Statement | Expr) -> str:
     if isinstance(node, Expr):
         return _expr_sql(node, _PREC_OR)
     raise TypeError(f"cannot print {type(node).__name__}")
+
+
+_SLOT = re.compile(r":(\$[0-9]+)")
+
+
+def bind_slots(text: str, values: dict) -> str:
+    """*text*, printed from a shape's query, with each slot *values*
+    binds written as its literal."""
+
+    def literal(match: re.Match) -> str:
+        name = match.group(1)
+        return format_value(values[name]) if name in values else match.group(0)
+
+    return _SLOT.sub(literal, text)
 
 
 def _select_sql(query: SelectQuery) -> str:

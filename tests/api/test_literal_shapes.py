@@ -305,7 +305,7 @@ def test_drawn_literals_match_as_written_and_sqlite(instance):
 
 @pytest.fixture()
 def db():
-    clear_all_caches()
+    clear_all_caches(reset_counters=True)
     return _database()
 
 
@@ -479,3 +479,141 @@ if __name__ == "__main__":
         sys.exit("usage: python -m tests.api.test_literal_shapes --write")
     GOLDEN_PATH.write_text(json.dumps(_golden(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+
+
+# ----------------------------------------------------------------------
+# one shape, one entry: what the literals of a shape share
+
+
+FILTER_SCAN = (
+    "SELECT P.SNO, P.PNO, P.PNAME FROM PARTS P "
+    "WHERE P.COLOR = {} AND P.SNO BETWEEN {} AND {}"
+)
+LITERALS = [("'RED'", 1, 9), ("'BLUE'", 2, 12), ("'GREEN'", 3, 10), ("'RED'", 4, 11)]
+
+
+def test_the_literals_of_one_shape_share_each_memo_entry(db):
+    with repro.connect(db) as conn:
+        for literals in LITERALS:
+            conn.execute(FILTER_SCAN.format(*literals)).fetchall()
+    stats = repro.cache_stats()
+    for memo in ("rewrites", "plans"):
+        assert stats[memo]["entries"] == 1, memo
+        assert stats[memo]["hits"] == len(LITERALS) - 1, memo
+
+
+def test_a_warm_shape_lowers_nothing(db, monkeypatch):
+    from repro.engine import compile as compile_module
+
+    lowered = []
+    original = compile_module.lower_source
+
+    def counted(*args, **kwargs):
+        lowered.append(args)
+        return original(*args, **kwargs)
+
+    with repro.connect(db) as conn:
+        conn.execute(FILTER_SCAN.format(*LITERALS[0])).fetchall()
+        monkeypatch.setattr(compile_module, "lower_source", counted)
+        rows = conn.execute(FILTER_SCAN.format(*LITERALS[1])).fetchall()
+    assert rows and lowered == []
+
+
+def test_a_text_without_literals_builds_no_shape(db, monkeypatch):
+    from repro import api
+    from repro.sql.parser import Shape, parse_shape
+
+    shown = []
+    monkeypatch.setattr(api, "_show_literals", lambda *args: shown.append(args))
+    text = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = :SNO"
+    assert type(parse_shape(text)) is not Shape
+    assert type(parse_shape("INSERT INTO T VALUES (1, 'a')")) is not Shape
+    with repro.connect(db) as conn:
+        assert [row[0] for row in conn.execute(text, {"SNO": 2})] == [2]
+    assert shown == []
+
+
+def test_statistics_requests_keep_one_entry_per_literal(db):
+    from repro.api import parse_at_door
+    from repro.options import ExecutionOptions
+    from repro.sql.parser import Shape
+
+    text = FILTER_SCAN.format(*LITERALS[0])
+    assert type(parse_at_door(text)) is Shape
+    assert type(parse_at_door(text, ExecutionOptions(stats=True))) is not Shape
+    assert type(parse_at_door(text, ExecutionOptions(adaptive=True))) is not Shape
+    with repro.connect(db) as conn:
+        for literals in LITERALS[:2]:
+            conn.execute(FILTER_SCAN.format(*literals), stats=True).fetchall()
+    assert repro.cache_stats()["rewrites"]["entries"] == 2
+
+
+def test_a_shape_handed_to_a_statistics_request_runs_as_written(db):
+    from repro.api import run_with_options
+    from repro.options import ExecutionOptions
+    from repro.sql.parser import parse_shape
+
+    text = FILTER_SCAN.format(*LITERALS[1])
+    outcome = run_with_options(
+        parse_shape(text), db, options=ExecutionOptions(stats=True), sql_text=text
+    )
+    with repro.connect(db) as conn:
+        expected = conn.execute(text, optimize=False).fetchall()
+    assert sorted(outcome.result.rows) == sorted(expected)
+    assert outcome.sql == text
+
+
+def test_a_mismatch_evicts_the_shapes_entries(monkeypatch):
+    from repro.resilience import guarded
+    from repro.sql.parser import parse_shape
+
+    clear_all_caches()
+    database = Database.from_script(DUPLICATES)
+    text = DUPLICATE_SQL.format(1)
+    shape = parse_shape(text).text
+    try:
+        with FAULTS.inject(
+            SITE_UNIQUENESS,
+            kind="corrupt",
+            corruptor=lambda _: UniquenessResult(True, "corrupted verdict"),
+        ):
+            with repro.connect(database) as conn:
+                caught = conn.execute(text, safe_mode=True).executed
+        assert caught.mismatch
+        assert not [key for key in guarded._rewrites._data if key[1] == shape]
+        reasons = list(repro.core.rewrite.quarantined_rules().values())
+        assert reasons == [f"safe-mode mismatch on {text!r}"]
+    finally:
+        unquarantine_all()
+
+
+def test_executemany_parses_one_shape_for_the_batch(db, monkeypatch):
+    from repro.sql import parser
+
+    parsed = []
+    original = parser.parse_shape
+
+    def counted(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(repro.api, "parse_shape", counted)
+    text = "SELECT P.PNO FROM PARTS P WHERE P.SNO = :SNO AND P.PNO > 2"
+    with repro.connect(db) as conn:
+        cursor = conn.cursor().executemany(text, [{"SNO": 1}, {"SNO": 2}])
+    assert parsed == [text]
+    assert sorted(cursor.fetchall()) == [(3,), (4,)]
+
+
+def test_the_service_door_serves_the_literals(db):
+    from repro.service import QueryService
+
+    texts = [FILTER_SCAN.format(*literals) for literals in LITERALS]
+    with QueryService(workers=2) as service:
+        session = service.session(db)
+        outcomes = [ticket.result(30) for ticket in session.submit_many(texts)]
+    with repro.connect(db) as conn:
+        for text, outcome in zip(texts, outcomes):
+            assert outcome.sql == text
+            assert sorted(outcome.result.rows) == sorted(conn.execute(text).fetchall())
+    assert repro.cache_stats()["rewrites"]["entries"] == 1

@@ -6,8 +6,9 @@ keeps it in the ``kernels`` cache.  A constant travels in an argument
 slot ``k<n>``, never in the text, so:
 
 * the literal texts ``adhoc_local`` sends (``benchmarks/e2e``: every
-  binding inlined, so every plan and memo cache misses) share a handful
-  of kernels — one per plan shape, not one per text;
+  binding inlined, which the door lifts back into slots) share a
+  handful of kernels — one per plan shape, not one per text — and
+  after the first text of a shape look none up;
 * a string literal written to break out of generated code runs as data,
   and after the paper's examples E1–E11 every cached source is made of
   a fixed set of identifiers, integers and operators only;
@@ -22,13 +23,14 @@ import re
 
 import pytest
 
-from repro import clear_all_caches, connect, set_caches_enabled
+from repro import cache_stats, clear_all_caches, connect, set_caches_enabled
 from repro.api import run_with_options
 from repro.engine import set_compilation_enabled
 from repro.engine.codegen import KERNELS, ChunkedRows
 from repro.engine.compile import compile_pair, lower_source
 from repro.engine.operators import ExecContext, Filter, SeqScan
 from repro.sql import parse_condition
+from repro.sql.parser import parse_shape
 from repro.sql.expressions import And, Or
 from repro.workloads import PAPER_QUERIES, SupplierScale, build_database, generate
 
@@ -68,11 +70,15 @@ def test_adhoc_literal_texts_share_one_kernel_per_shape(database):
         conn.execute(text).fetchall()
     # filter_scan: its pipeline; key_join: the projected join, SUPPLIER's
     # scan inside it and PARTS probed through its index.  Every text
-    # after the first of its shape compiled nothing.
+    # after the first of its shape compiled nothing: the door lifts the
+    # literals, so the shape's cached plan and its nodes' lowering
+    # tables serve it without a kernel lookup.
     assert len(KERNELS) <= 4, _sources()
     counts = KERNELS.stats()
     assert counts["misses"] == len(KERNELS)
-    assert counts["hits"] >= len(texts) - counts["misses"]
+    shapes = {parse_shape(text).text for text in texts}
+    assert cache_stats()["plans"]["entries"] == len(shapes) < 10
+    assert counts["hits"] + counts["misses"] <= 2 * len(shapes)
 
 
 HOSTILE = 'x"); __import__("os") #'
