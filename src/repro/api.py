@@ -62,7 +62,9 @@ from .sql.parser import Shape, parse, parse_shape, require_query
 from .sql.printer import bind_slots
 
 
-def parse_at_door(sql: str, options: ExecutionOptions | None = None) -> Statement | Shape:
+def parse_at_door(
+    sql: str, options: ExecutionOptions | None = None
+) -> Statement | Shape:
     """The one parse of a request's *sql*.
 
     A query's NUMBER and STRING literals become slots
@@ -444,7 +446,9 @@ class _LocalBackend:
         self.transaction = None
 
     @staticmethod
-    def parse_statement(sql: Any, options: ExecutionOptions | None = None) -> Statement | Shape:
+    def parse_statement(
+        sql: Any, options: ExecutionOptions | None = None
+    ) -> Statement | Shape:
         """The door's one parse (:func:`parse_at_door`); an
         already-parsed statement passes."""
         return parse_at_door(sql, options) if isinstance(sql, str) else sql

@@ -78,6 +78,7 @@ class BuiltOnRead:
         builder not yet called — without building it."""
         return record.__dict__["_" + name]
 
+
 _enabled = True
 _registry: "list[LRUCache]" = []
 

@@ -233,9 +233,13 @@ def _qualified(
             return InSubquery(node.operand, nested, node.negated)
         if isinstance(node, ColumnRef) and node.qualifier is None:
             for columns in frames:
-                owners = [alias for alias, names in columns.items() if node.column in names]
+                owners = [
+                    alias for alias, names in columns.items() if node.column in names
+                ]
+                if len(owners) == 1:
+                    return ColumnRef(owners[0], node.column)
                 if owners:
-                    return ColumnRef(owners[0], node.column) if len(owners) == 1 else None
+                    return None
         return None
 
     if query.where is None:

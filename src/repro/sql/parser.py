@@ -101,14 +101,15 @@ class Parser:
     (:func:`parse_shape`); every other statement keeps its literals.
     """
 
+    # While lifting a query: (type, value) -> slot name, and the
+    # (token index, slot name) of each literal lifted.
+    _slots: dict[tuple, str] | None = None
+    _lifted: list[tuple[int, str]] | tuple = ()
+
     def __init__(self, text: str, lift: bool = False) -> None:
         self._spans: dict[int, tuple[int, int]] | None = {} if lift else None
         self._tokens = tokenize(text, self._spans)
         self._pos = 0
-        # While lifting a query: (type, value) -> slot name, and the
-        # (token index, slot name) of each literal lifted.
-        self._slots: dict[tuple, str] | None = None
-        self._lifted: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------
     # token-stream helpers
@@ -211,7 +212,7 @@ class Parser:
         if self._at_keyword("BEGIN", "COMMIT", "ROLLBACK"):
             return self._transaction_control()
         if self._spans is not None:
-            self._slots = {}
+            self._slots, self._lifted = {}, []
         return self._query_expr()
 
     # ------------------------------------------------------------------
@@ -666,7 +667,9 @@ class Shape(NamedTuple):
 
 def _bound(query: Query, values: dict[str, SqlValue]) -> Query:
     if isinstance(query, SetOperation):
-        return replace(query, left=_bound(query.left, values), right=_bound(query.right, values))
+        return replace(
+            query, left=_bound(query.left, values), right=_bound(query.right, values)
+        )
 
     def bind(node: Expr) -> Expr | None:
         if isinstance(node, HostVar) and node.name in values:

@@ -48,6 +48,7 @@ from .expressions import (
     Not,
     Or,
 )
+from .parser import SLOT
 
 # Precedence levels used to decide where parentheses are required.
 _PREC_OR = 1
@@ -71,7 +72,7 @@ def to_sql(node: Statement | Expr) -> str:
     raise TypeError(f"cannot print {type(node).__name__}")
 
 
-_SLOT = re.compile(r":(\$[0-9]+)")
+_SLOT = re.compile(f":({re.escape(SLOT)}[0-9]+)")
 
 
 def bind_slots(text: str, values: dict) -> str:
