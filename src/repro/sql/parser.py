@@ -690,8 +690,9 @@ def parse_shape(text: str) -> Statement | Shape:
     holding NUMBER or STRING literals as its :class:`Shape`.
 
     Only a query is lifted: DDL, INSERT, UPDATE and DELETE keep their
-    literals, and so does any statement the keywords NULL, TRUE and
-    FALSE are the only constants of.
+    literals, and the keywords NULL, TRUE and FALSE stay literals
+    everywhere (the analysis reads them).  A statement with nothing to
+    lift is returned as :func:`parse` returns it.
     """
     parser = Parser(text, lift=True)
     statement = parser.parse_statement()
