@@ -17,11 +17,9 @@ conjuncts into correlated EXISTS so the flattening rule can handle them.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ...analysis.binding import table_columns
 from ...catalog.schema import Catalog
-from ...sql.ast import Quantifier, Query, SelectItem, SelectQuery, SetOperation, Star
+from ...sql.ast import Quantifier, Query, SelectItem, SelectQuery, Star, map_where
 from ...sql.expressions import (
     ColumnRef,
     Comparison,
@@ -73,7 +71,7 @@ class SubqueryToJoin(Rule):
         inner = _rename_conflicts(inner, query_aliases(outer), ctx)
         # Merged into the outer FROM, an unqualified name the outer
         # block also has would turn ambiguous: qualify the body first.
-        inner = _qualified(inner, (), ctx.catalog)
+        inner = _qualified(inner, ctx.catalog)
 
         flattened_where = conjoin(rest + conjuncts(inner.where))
         flattened = SelectQuery(
@@ -209,28 +207,14 @@ def _single_output_column(inner: SelectQuery) -> ColumnRef | None:
     return None
 
 
-def _qualified(
-    query: Query, frames: tuple[dict[str, list[str]], ...], catalog: Catalog
-) -> Query:
+def _qualified(query: Query, catalog: Catalog) -> Query:
     """*query* with each unqualified name its FROM, or a block nested in
     it, answers to qualified — innermost FROM first, the rule
     :meth:`~repro.engine.schema.Scope.resolve` applies at run time.  A
     name no frame answers to (an outer reference), or that one FROM
     answers to twice (ambiguous), stays as written."""
-    if isinstance(query, SetOperation):
-        return replace(
-            query,
-            left=_qualified(query.left, frames, catalog),
-            right=_qualified(query.right, frames, catalog),
-        )
-    frames = (table_columns(query, catalog), *frames)
 
-    def qualify(node: Expr) -> Expr | None:
-        if isinstance(node, Exists):
-            return Exists(_qualified(node.query, frames, catalog), node.negated)
-        if isinstance(node, InSubquery):
-            nested = _qualified(node.query, frames, catalog)
-            return InSubquery(node.operand, nested, node.negated)
+    def qualify(node: Expr, frames: tuple[dict[str, list[str]], ...]) -> Expr | None:
         if isinstance(node, ColumnRef) and node.qualifier is None:
             for columns in frames:
                 owners = [
@@ -242,9 +226,7 @@ def _qualified(
                     return None
         return None
 
-    if query.where is None:
-        return query
-    return query.with_where(query.where.transform(qualify))
+    return map_where(query, qualify, lambda block: table_columns(block, catalog))
 
 
 def _rename_conflicts(

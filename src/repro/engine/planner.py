@@ -31,15 +31,13 @@ from ..observe.trace import NULL_SPAN, TRACER
 from ..options import check_engine_mode
 from ..resilience.budgets import ExecutionGuard
 from ..resilience.faults import FAULTS, SITE_FINGERPRINT
-from ..sql.ast import Query, SelectQuery, SetOperation
+from ..sql.ast import Query, SelectQuery, SetOperation, map_where
 from ..sql.expressions import (
     And,
     ColumnRef,
     Comparison,
-    Exists,
     Expr,
     HostVar,
-    InSubquery,
     IsNull,
     Literal,
     Or,
@@ -674,38 +672,25 @@ def plan_subquery(
     under *name* before each execution of *plan*.
     """
     slots: dict[ColumnRef, str] = {}
-    body = _bind_outer(query, (), slots, database.catalog)
+    body = _bind_outer(query, slots, database.catalog)
     options = PlannerOptions(index_scans=index_scans)
     plan = Planner(database.catalog, options, database=database).plan(body)
     return plan, tuple((name, ref) for ref, name in slots.items())
 
 
 def _bind_outer(
-    query: Query,
-    frames: tuple[RelSchema, ...],
-    slots: dict[ColumnRef, str],
-    catalog: Catalog,
+    query: Query, slots: dict[ColumnRef, str], catalog: Catalog
 ) -> Query:
-    """*query* with its outer references turned into slots (innermost
-    FROM first in *frames*)."""
-    if isinstance(query, SetOperation):
-        return replace(
-            query,
-            left=_bind_outer(query.left, frames, slots, catalog),
-            right=_bind_outer(query.right, frames, slots, catalog),
-        )
-    schema = RelSchema(())
-    for table_ref in query.tables:
-        columns = catalog.table(table_ref.name).column_names
-        schema = schema.concat(RelSchema.for_table(table_ref.effective_name, columns))
-    frames = (schema, *frames)
+    """*query* with its outer references turned into slots."""
 
-    def bind(node: Expr) -> Expr | None:
-        if isinstance(node, Exists):
-            return Exists(_bind_outer(node.query, frames, slots, catalog), node.negated)
-        if isinstance(node, InSubquery):
-            nested = _bind_outer(node.query, frames, slots, catalog)
-            return InSubquery(node.operand, nested, node.negated)
+    def schema(block: SelectQuery) -> RelSchema:
+        schema = RelSchema(())
+        for table_ref in block.tables:
+            columns = catalog.table(table_ref.name).column_names
+            schema = schema.concat(RelSchema.for_table(table_ref.effective_name, columns))
+        return schema
+
+    def bind(node: Expr, frames: tuple[RelSchema, ...]) -> Expr | None:
         if isinstance(node, ColumnRef) and not any(
             column.matches(node.qualifier, node.column)
             for frame in frames
@@ -716,9 +701,7 @@ def _bind_outer(
             return HostVar(slots[node])
         return None
 
-    if query.where is None:
-        return query
-    return query.with_where(query.where.transform(bind))
+    return map_where(query, bind, schema)
 
 
 def execute_plan(

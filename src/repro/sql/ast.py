@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
-from .expressions import ColumnRef, Expr
+from .expressions import ColumnRef, Exists, Expr, InSubquery
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,44 @@ def iter_select_blocks(query: Query) -> Iterator[SelectQuery]:
     else:
         yield from iter_select_blocks(query.left)
         yield from iter_select_blocks(query.right)
+
+
+def map_where(
+    query: Query,
+    fn: Callable[[Expr, tuple], Expr | None],
+    frame: Callable[[SelectQuery], Any] | None = None,
+    frames: tuple = (),
+) -> Query:
+    """*query* with *fn* mapped bottom-up (:meth:`Expr.transform`) over
+    every WHERE clause: both sides of a set operation and each EXISTS /
+    IN body, however deep, which is mapped in place of handing its
+    predicate to *fn*.
+
+    With *frame*, each SELECT block pushes ``frame(block)`` in front of
+    *frames*, so *fn* receives a node and the frames of its block and of
+    every block it is nested in, innermost first — the order in which a
+    name resolves (:meth:`~repro.engine.schema.Scope.resolve`).
+    """
+    if isinstance(query, SetOperation):
+        return replace(
+            query,
+            left=map_where(query.left, fn, frame, frames),
+            right=map_where(query.right, fn, frame, frames),
+        )
+    if query.where is None:
+        return query
+    if frame is not None:
+        frames = (frame(query), *frames)
+
+    def visit(node: Expr) -> Expr | None:
+        if isinstance(node, Exists):
+            return Exists(map_where(node.query, fn, frame, frames), node.negated)
+        if isinstance(node, InSubquery):
+            body = map_where(node.query, fn, frame, frames)
+            return InSubquery(node.operand, body, node.negated)
+        return fn(node, frames)
+
+    return query.with_where(query.where.transform(visit))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ parses to one AST, keyed by one text (see :class:`Shape`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -57,6 +56,7 @@ from .ast import (
     TableRef,
     UniqueClause,
     Update,
+    map_where,
 )
 from .expressions import (
     Between,
@@ -662,27 +662,14 @@ class Shape(NamedTuple):
     def bind(self, query: Query) -> Query:
         """*query* — this shape's, or a rewrite of it — with each slot
         back as its literal."""
-        return _bound(query, self.values)
+        values = self.values
 
+        def literal(node: Expr, _frames: tuple) -> Expr | None:
+            if isinstance(node, HostVar) and node.name in values:
+                return Literal(values[node.name])
+            return None
 
-def _bound(query: Query, values: dict[str, SqlValue]) -> Query:
-    if isinstance(query, SetOperation):
-        return replace(
-            query, left=_bound(query.left, values), right=_bound(query.right, values)
-        )
-
-    def bind(node: Expr) -> Expr | None:
-        if isinstance(node, HostVar) and node.name in values:
-            return Literal(values[node.name])
-        if isinstance(node, Exists):
-            return Exists(_bound(node.query, values), node.negated)
-        if isinstance(node, InSubquery):
-            return InSubquery(node.operand, _bound(node.query, values), node.negated)
-        return None
-
-    if query.where is None:
-        return query
-    return query.with_where(query.where.transform(bind))
+        return map_where(query, literal)
 
 
 def parse_shape(text: str) -> Statement | Shape:
