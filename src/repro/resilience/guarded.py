@@ -58,11 +58,8 @@ from ..sql.printer import bind_slots, to_sql
 from ..types.values import SqlValue
 from .budgets import ExecutionGuard, ResourceBudget
 
-#: Per-query-text execution counters driving safe-mode sampling, as
-#: many texts as the plan cache holds plans: a text forgotten is
-#: checked again on its next execution, so the bound errs toward
-#: checking more.
-_sample_counters = LRUCache("safe_mode_samples", maxsize=PLAN_CACHE_SIZE)
+#: Per-query-text execution counters driving safe-mode sampling.
+_sample_counters: dict[str, int] = {}
 
 
 def reset_safe_mode_sampling() -> None:
@@ -76,10 +73,8 @@ def _take_sample(text: str, every: int) -> bool:
     execution needs no count, so it keeps none."""
     if every <= 1:
         return True
-    with _sample_counters._lock:
-        count = _sample_counters.get(text)
-        count = 0 if count is MISSING else count
-        _sample_counters.put(text, count + 1)
+    count = _sample_counters.get(text, 0)
+    _sample_counters[text] = count + 1
     return count % every == 0
 
 
