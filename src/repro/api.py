@@ -82,17 +82,16 @@ def parse_at_door(
 
 def _show_literals(outcome: GuardedOutcome, shape: Shape, text: str | None) -> None:
     """Point what a reader of *outcome* sees back at the literals the
-    statement was written with: its SQL, query and audit trail are each
-    built on first read from the shape's and the slots' values."""
+    statement was written with: its SQL and audit trail now, its query
+    — a rewrite of the shape's, dearer to bind — on first read."""
     values = shape.values
     if outcome.mismatch:
         # The reference result was served: the statement as written.
         outcome.sql = text if text is not None else bind_slots(shape.text, values)
     else:
-        outcome.sql = partial(bind_slots, outcome.sql, values)
+        outcome.sql = bind_slots(outcome.sql, values)
     outcome.query = partial(shape.bind, outcome.query)
-    audit = BuiltOnRead.pending(outcome, "audit")
-    outcome.audit = lambda: (audit() if callable(audit) else audit).bind(values)
+    outcome.audit = outcome.audit.bind(values)
 
 
 def run_with_options(
@@ -373,8 +372,7 @@ class ExecutedQuery:
         rows: the result rows as tuples (NULLs as the library's NULL
             sentinel, identical local and remote).
         sql: the SQL that produced the rows (rewritten form if a rule
-            fired; the original after a safe-mode mismatch), given or
-            built from *outcome* on first read.
+            fired; the original after a safe-mode mismatch).
         rewritten / rules / mismatch: the rewrite trail.
         stats: non-zero execution counters (given, or built from
             *outcome* on first read).
@@ -387,7 +385,7 @@ class ExecutedQuery:
 
     columns: list[str]
     rows: list[tuple]
-    sql: str = BuiltOnRead()
+    sql: str
     rewritten: bool = False
     rules: list[str] = field(default_factory=list)
     mismatch: bool = False
@@ -409,7 +407,7 @@ def executed_from_outcome(
     return ExecutedQuery(
         columns=list(outcome.result.columns),
         rows=list(outcome.result.rows),
-        sql=partial(getattr, outcome, "sql"),
+        sql=outcome.sql,
         rewritten=outcome.rewritten,
         rules=list(outcome.rules),
         mismatch=outcome.mismatch,

@@ -45,14 +45,13 @@ MISSING = object()
 class BuiltOnRead:
     """A dataclass field that may be given a zero-argument builder in
     place of its value: the first read calls the builder and keeps what
-    it returns.  With a *default* (a builder too) the field's default is
-    ``None``, read as *default()*; without one the field is required.
+    it returns.  The field's default is ``None``, read as *default()*.
 
     For per-request records whose costlier fields most requests never
     read.  Two threads reading one record at once may both build.
     """
 
-    def __init__(self, default: Callable[[], Any] | None = None) -> None:
+    def __init__(self, default: Callable[[], Any]) -> None:
         self.default = default
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -60,9 +59,6 @@ class BuiltOnRead:
 
     def __get__(self, record: Any, owner: type | None = None) -> Any:
         if record is None:
-            if self.default is None:
-                # What dataclasses read as "no default": a required field.
-                raise AttributeError(self.slot[1:])
             return None  # the dataclass default
         value = record.__dict__[self.slot]
         if value is None or callable(value):
@@ -71,13 +67,6 @@ class BuiltOnRead:
 
     def __set__(self, record: Any, value: Any) -> None:
         record.__dict__[self.slot] = value
-
-    @staticmethod
-    def pending(record: Any, name: str) -> Any:
-        """What field *name* of *record* holds — its value, or the
-        builder not yet called — without building it."""
-        return record.__dict__["_" + name]
-
 
 _enabled = True
 _registry: "list[LRUCache]" = []

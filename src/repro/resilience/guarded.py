@@ -144,13 +144,13 @@ class GuardedOutcome:
             (DB-API convention; the facade reports ``len(result)`` for
             reads instead).
 
-    A door that lifted the statement's literals into slots hands *sql*,
-    *query* and *audit* a builder that writes the literals back on first
-    read (:func:`repro.api.run_with_options`).
+    A door that lifted the statement's literals into slots writes them
+    back into *sql* and *audit*, and hands *query* a builder that does so
+    on first read (:func:`repro.api.run_with_options`).
     """
 
     result: Result
-    sql: str = BuiltOnRead()
+    sql: str
     rewritten: bool
     rules: list[str]
     stats: Stats
