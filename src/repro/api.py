@@ -153,12 +153,10 @@ def run_with_options(
         statement = query
     shape = None
     if type(statement) is Shape:
-        if options.stats or options.adaptive:
-            # Parsed for a cost model that does not read literals.
-            statement = statement.bind(statement.query)
-        else:
-            shape, statement = statement, statement.query
-            params = {**params, **shape.values} if params else shape.values
+        # parse_at_door lifts nothing for a cost model that reads literals.
+        assert not (options.stats or options.adaptive), "a shape under stats"
+        shape, statement = statement, statement.query
+        params = {**params, **shape.values} if params else shape.values
     if isinstance(statement, (Insert, Update, Delete)):
         return run_dml_with_options(
             statement,

@@ -548,21 +548,6 @@ def test_statistics_requests_keep_one_entry_per_literal(db):
     assert repro.cache_stats()["rewrites"]["entries"] == 2
 
 
-def test_a_shape_handed_to_a_statistics_request_runs_as_written(db):
-    from repro.api import run_with_options
-    from repro.options import ExecutionOptions
-    from repro.sql.parser import parse_shape
-
-    text = FILTER_SCAN.format(*LITERALS[1])
-    outcome = run_with_options(
-        parse_shape(text), db, options=ExecutionOptions(stats=True), sql_text=text
-    )
-    with repro.connect(db) as conn:
-        expected = conn.execute(text, optimize=False).fetchall()
-    assert sorted(outcome.result.rows) == sorted(expected)
-    assert outcome.sql == text
-
-
 def test_a_mismatch_evicts_the_shapes_entries(monkeypatch):
     from repro.resilience import guarded
     from repro.sql.parser import parse_shape
