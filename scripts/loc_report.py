@@ -12,10 +12,11 @@ value a caller or an operator can choose — keyword parameters of the
 four execution entry points, fields of the two options dataclasses,
 CLI flags per subcommand, ``Stats`` counters and fault sites — read off
 the imported package itself, so a knob cannot be added or removed
-without this number moving.  Its last row,
-``fused_kernels``, names the plan operators under ``repro.engine`` with
-a generated form (``_fused``: the row loop emitted as source,
-``repro.engine.codegen``).
+without this number moving.  Its last two rows are lists:
+``caches`` names the memos in the cache registry
+(``repro.cache_stats()``), and ``fused_kernels`` names the plan
+operators under ``repro.engine`` with a generated form (``_fused``: the
+row loop emitted as source, ``repro.engine.codegen``).
 
 Usage::
 
@@ -112,6 +113,7 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
     sys.path.insert(0, str(root.resolve().parent))
     import repro.engine
     from repro.api import run_with_options
+    from repro.cache import cache_stats
     from repro.cli import build_arg_parser
     from repro.engine.operators.base import PlanNode
     from repro.engine.planner import PlannerOptions, execute_plan, execute_planned
@@ -148,6 +150,7 @@ def knob_census(root: Path) -> dict[str, dict[str, int] | list[str] | int]:
         },
         "stats_counters": len(dataclasses.fields(Stats)),
         "fault_sites": len(ALL_SITES),
+        "caches": sorted(set(cache_stats())),
         "fused_kernels": sorted(
             cls.__name__ for cls in _subclasses(PlanNode) if "_fused" in vars(cls)
         ),

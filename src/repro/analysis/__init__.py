@@ -8,16 +8,14 @@ from .binding import (
     resolve_column,
     table_columns,
 )
-from .closure import bound_closure, equivalence_classes
+from .closure import bound_closure
 from .conditions import Equality, Type1, Type2, atom_attributes, classify_atom
 from .normal_forms import (
     DEFAULT_CLAUSE_BUDGET,
     NormalFormOverflow,
     clauses_to_expr,
     expand_sugar,
-    terms_to_expr,
     to_cnf_clauses,
-    to_dnf_terms,
     to_nnf,
 )
 
@@ -34,15 +32,12 @@ __all__ = [
     "bound_closure",
     "classify_atom",
     "clauses_to_expr",
-    "equivalence_classes",
     "expand_sugar",
     "projection_attributes",
     "qualify",
     "qualify_query_predicate",
     "resolve_column",
     "table_columns",
-    "terms_to_expr",
     "to_cnf_clauses",
-    "to_dnf_terms",
     "to_nnf",
 ]

@@ -42,34 +42,3 @@ def bound_closure(
                 changed = True
     return frozenset(bound)
 
-
-def equivalence_classes(
-    equalities: Sequence[Equality],
-) -> list[set[Attribute]]:
-    """Union-find style equivalence classes induced by Type 2 conditions.
-
-    Used by the Theorem 2 tester to reason about which inner-table
-    columns a correlation predicate pins down.
-    """
-    parent: dict[Attribute, Attribute] = {}
-
-    def find(attribute: Attribute) -> Attribute:
-        parent.setdefault(attribute, attribute)
-        root = attribute
-        while parent[root] != root:
-            root = parent[root]
-        while parent[attribute] != root:
-            parent[attribute], attribute = root, parent[attribute]
-        return root
-
-    def union(a: Attribute, b: Attribute) -> None:
-        parent[find(a)] = find(b)
-
-    for equality in equalities:
-        if isinstance(equality, Type2):
-            union(equality.left, equality.right)
-
-    groups: dict[Attribute, set[Attribute]] = {}
-    for attribute in parent:
-        groups.setdefault(find(attribute), set()).add(attribute)
-    return list(groups.values())

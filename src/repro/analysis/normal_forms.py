@@ -1,7 +1,8 @@
-"""Conversion of predicates to negation/conjunctive/disjunctive normal form.
+"""Conversion of predicates to negation and conjunctive normal form.
 
-Algorithm 1 operates on a CNF view of the selection predicate and then a
-DNF view of the surviving equality conditions.  These conversions are
+Algorithm 1 operates on a CNF view of the selection predicate; its DNF
+step multiplies out only the clauses that survive filtering
+(:func:`repro.core.uniqueness._dnf_terms`).  These conversions are
 purely structural; they are exact under Kleene three-valued logic:
 
 * double negation and De Morgan's laws hold in Kleene logic,
@@ -16,7 +17,6 @@ back to a conservative answer.
 
 from __future__ import annotations
 
-from ..cache import MISSING, LRUCache
 from ..errors import ReproError
 from ..sql.expressions import (
     And,
@@ -34,39 +34,12 @@ from ..sql.expressions import (
     disjoin,
 )
 
-#: Upper bound on the number of clauses/terms a conversion may produce.
+#: Upper bound on the number of clauses a conversion may produce.
 DEFAULT_CLAUSE_BUDGET = 512
 
 
 class NormalFormOverflow(ReproError):
-    """Raised when CNF/DNF distribution exceeds the clause budget."""
-
-
-# Expression trees are immutable (frozen dataclasses), so a conversion
-# keyed on (expr, budget) can never go stale.  Overflows are cached too
-# — re-distributing an exploding predicate just to re-raise is the most
-# expensive possible miss.
-_OVERFLOW = object()
-_cnf_cache = LRUCache("cnf", maxsize=1024)
-_dnf_cache = LRUCache("dnf", maxsize=1024)
-
-
-def _cached_conversion(
-    cache: LRUCache, expr: Expr, budget: int, over_or: bool
-) -> list[list[Expr]]:
-    key = (expr, budget)
-    cached = cache.get(key)
-    if cached is _OVERFLOW:
-        raise NormalFormOverflow(f"normal form exceeds {budget} clauses")
-    if cached is MISSING:
-        try:
-            cached = _dedup(_distribute(to_nnf(expr), over_or, budget))
-        except NormalFormOverflow:
-            cache.put(key, _OVERFLOW)
-            raise
-        cache.put(key, cached)
-    # Fresh outer/inner lists: callers may consume their copy destructively.
-    return [list(group) for group in cached]
+    """Raised when CNF distribution exceeds the clause budget."""
 
 
 def expand_sugar(expr: Expr) -> Expr:
@@ -117,43 +90,30 @@ def to_cnf_clauses(
     Raises:
         NormalFormOverflow: if distribution would exceed *budget* clauses.
     """
-    return _cached_conversion(_cnf_cache, expr, budget, over_or=True)
+    return _dedup(_distribute(to_nnf(expr), budget))
 
 
-def to_dnf_terms(
-    expr: Expr, budget: int = DEFAULT_CLAUSE_BUDGET
-) -> list[list[Expr]]:
-    """DNF as a list of terms, each term a list of atoms (conjuncts)."""
-    return _cached_conversion(_dnf_cache, expr, budget, over_or=False)
-
-
-def _distribute(expr: Expr, over_or: bool, budget: int) -> list[list[Expr]]:
-    """Return CNF clauses (over_or=True) or DNF terms (over_or=False).
-
-    The result is a list of groups; for CNF a group is a disjunction, for
-    DNF a conjunction.  The two cases are duals, differing only in which
-    connective multiplies out.
-    """
-    outer_type, inner_type = (And, Or) if over_or else (Or, And)
-
-    if isinstance(expr, outer_type):
-        groups: list[list[Expr]] = []
+def _distribute(expr: Expr, budget: int) -> list[list[Expr]]:
+    """The CNF clauses of an NNF expression: AND concatenates its
+    operands' clauses, OR multiplies them out."""
+    if isinstance(expr, And):
+        clauses: list[list[Expr]] = []
         for operand in expr.operands:
-            groups.extend(_distribute(operand, over_or, budget))
-            if len(groups) > budget:
+            clauses.extend(_distribute(operand, budget))
+            if len(clauses) > budget:
                 raise NormalFormOverflow(
                     f"normal form exceeds {budget} clauses"
                 )
-        return groups
-    if isinstance(expr, inner_type):
-        # Cartesian combination of the operands' groups.
+        return clauses
+    if isinstance(expr, Or):
+        # Cartesian combination of the operands' clauses.
         product: list[list[Expr]] = [[]]
         for operand in expr.operands:
-            operand_groups = _distribute(operand, over_or, budget)
+            operand_clauses = _distribute(operand, budget)
             product = [
-                existing + group
+                existing + clause
                 for existing in product
-                for group in operand_groups
+                for clause in operand_clauses
             ]
             if len(product) > budget:
                 raise NormalFormOverflow(
@@ -184,8 +144,3 @@ def _dedup(groups: list[list[Expr]]) -> list[list[Expr]]:
 def clauses_to_expr(clauses: list[list[Expr]]) -> Expr:
     """Rebuild a CNF clause list into an expression."""
     return conjoin([disjoin(clause) for clause in clauses])
-
-
-def terms_to_expr(terms: list[list[Expr]]) -> Expr:
-    """Rebuild a DNF term list into an expression."""
-    return disjoin([conjoin(term) for term in terms])

@@ -2,7 +2,7 @@
 
 The paper's batch scenarios (the E10 CASE-tool audit, templated OLTP
 workloads) re-run the *same* analysis over and over: the same SQL text
-is parsed, normalized to CNF/DNF, and pushed through Algorithm 1 for
+is parsed, normalized to CNF, and pushed through Algorithm 1 for
 every occurrence of a template.  This module supplies the shared cache
 machinery that amortizes that work:
 

@@ -14,9 +14,13 @@ The paper exploits two kinds of semantic information (§2.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..sql.expressions import Expr
 from ..sql.printer import to_sql
+
+if TYPE_CHECKING:
+    from .table import TableSchema
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,6 @@ class KeyConstraint:
         if len(set(self.columns)) != len(self.columns):
             raise ValueError(f"duplicate column in key: {self.columns}")
 
-    @property
-    def column_set(self) -> frozenset[str]:
-        """The key columns as a set (order-insensitive comparisons)."""
-        return frozenset(self.columns)
-
     def describe(self) -> str:
         kind = "PRIMARY KEY" if self.is_primary else "UNIQUE"
         return f"{kind} ({', '.join(self.columns)})"
@@ -67,13 +66,21 @@ class CheckConstraint:
 
 @dataclass(frozen=True)
 class ForeignKeyConstraint:
-    """A referential constraint (used by the workload generators and the
-    IMS/OODB mappers to lay out hierarchies; not needed by Theorem 1)."""
+    """A referential constraint: checked on every insert and relied on
+    by join elimination (not needed by Theorem 1)."""
 
     columns: tuple[str, ...]
     ref_table: str
     ref_columns: tuple[str, ...]
     name: str | None = None
+
+    def referenced_columns(self, target: "TableSchema") -> tuple[str, ...] | None:
+        """The columns of *target* this key references: ``ref_columns``,
+        else *target*'s PRIMARY KEY; None when it declares neither."""
+        if self.ref_columns:
+            return self.ref_columns
+        key = target.primary_key
+        return key.columns if key is not None else None
 
     def describe(self) -> str:
         refs = f" ({', '.join(self.ref_columns)})" if self.ref_columns else ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 from ..errors import CatalogError, UnknownColumnError
 from .column import Column
@@ -77,6 +78,16 @@ class TableSchema:
         primary = [key for key in self.keys if key.is_primary]
         unique = [key for key in self.keys if not key.is_primary]
         return primary + unique
+
+    def covered_key(self, columns: Collection[str]) -> KeyConstraint | None:
+        """The first candidate key (primary first) whose columns all lie
+        in *columns*, or None: the one test of "these columns hold at
+        most one row" that Algorithm 1, Theorem 2, join elimination,
+        the planner's index choice and the estimator share."""
+        for key in self.candidate_keys:
+            if all(column in columns for column in key.columns):
+                return key
+        return None
 
     def has_key(self) -> bool:
         """Whether any candidate key is declared (Theorem 1 precondition)."""

@@ -194,8 +194,8 @@ class JoinElimination(Rule):
         """The FK of *other_schema* whose column pairing the join uses.
 
         The join conjuncts must cover the FK exactly, and the referenced
-        columns must be a candidate key of the target (so the match is
-        unique as well as guaranteed).
+        columns must cover a candidate key of the target (so the match
+        is unique as well as guaranteed).
         """
         pairing = {
             (other.column, target.column) for other, target in join_pairs
@@ -203,21 +203,12 @@ class JoinElimination(Rule):
         for fk in other_schema.foreign_keys:
             if fk.ref_table != target_name.upper():
                 continue
-            ref_columns = fk.ref_columns
-            if not ref_columns:
-                key = target_schema.primary_key
-                if key is None:
-                    continue
-                ref_columns = key.columns
-            expected = set(zip(fk.columns, ref_columns))
-            if pairing != expected:
+            ref_columns = fk.referenced_columns(target_schema)
+            if ref_columns is None:
                 continue
-            is_key = any(
-                key.columns == tuple(ref_columns)
-                or key.column_set == set(ref_columns)
-                for key in target_schema.candidate_keys
-            )
-            if is_key:
+            if pairing != set(zip(fk.columns, ref_columns)):
+                continue
+            if target_schema.covered_key(ref_columns) is not None:
                 return fk.columns
         return None
 

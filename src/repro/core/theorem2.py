@@ -1,12 +1,12 @@
 """Theorem 2: when a positive existential subquery matches at most one
 inner tuple per outer candidate row.
 
-The test mirrors Algorithm 1, but the closure seed is different: instead
-of starting from the projection list, an inner-table column is *bound*
-when it is equated with a constant, a host variable, or a column of the
-**outer** block (which is fixed for the duration of one outer row).  The
-subquery can match at most one tuple when the bound set covers a
-candidate key of every inner table.
+The test is Algorithm 1 with the outer row held constant: the same
+clause filter, DNF expansion and bound closure
+(:mod:`repro.core.uniqueness`), but the closure is seeded with the
+**outer** block's columns (fixed for the duration of one outer row)
+instead of a projection list, and the tables whose candidate keys must
+be bound are the inner block's.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ from dataclasses import dataclass, field
 
 from ..catalog.schema import Catalog
 from ..sql.ast import SelectQuery
-from ..sql.expressions import Expr
-from ..analysis.attributes import Attribute, AttributeSet
+from ..analysis.attributes import AttributeSet
 from ..analysis.binding import qualify, table_columns
-from ..analysis.closure import bound_closure
-from ..analysis.conditions import Equality, Type1, Type2, atom_attributes, classify_atom
-from ..analysis.normal_forms import NormalFormOverflow, to_cnf_clauses
-from .uniqueness import UniquenessOptions, _dnf_terms
+from ..analysis.conditions import atom_attributes
+from .uniqueness import (
+    CNF_OVERFLOW,
+    UniquenessOptions,
+    _analyze_term,
+    _dnf_terms,
+    _filter_clauses,
+)
 
 
 @dataclass
@@ -87,92 +90,35 @@ def subquery_matches_at_most_one(
     predicate = qualify(predicate, inner_columns, allow_correlated=True)
     predicate = qualify(predicate, outer_columns, allow_correlated=True)
 
-    try:
-        clauses = to_cnf_clauses(predicate, budget=options.clause_budget)
-    except NormalFormOverflow:
-        return SubqueryUniqueness(False, "CNF expansion exceeds the clause budget")
-
-    inner_aliases = set(inner_columns)
-    kept: list[list[Expr]] = []
-    for clause in clauses:
-        if _clause_usable(clause, inner_aliases, options):
-            kept.append(clause)
+    kept, dropped = _filter_clauses(predicate, options)
+    if dropped and dropped[0][1] == CNF_OVERFLOW:
+        return SubqueryUniqueness(False, CNF_OVERFLOW)
 
     terms = _dnf_terms(kept, options.clause_budget)
     if terms is None:
         return SubqueryUniqueness(False, "DNF expansion exceeds the clause budget")
 
+    inner_aliases = set(inner_columns)
     result = SubqueryUniqueness(True, "")
     for term in terms:
-        bound = _bound_inner_attributes(term, inner_aliases, options)
-        result.terms.append(bound)
-        for ref in inner.tables:
-            alias = ref.effective_name
-            schema = catalog.table(ref.name)
-            covered = any(
-                all(Attribute(alias, column) in bound for column in key.columns)
-                for key in schema.candidate_keys
+        outer_row = [
+            attribute
+            for atom in term
+            for attribute in atom_attributes(atom)
+            if attribute.relation not in inner_aliases
+        ]
+        report = _analyze_term(term, outer_row, inner.tables, catalog, options)
+        result.terms.append(
+            frozenset(a for a in report.bound if a.relation in inner_aliases)
+        )
+        if not report.satisfied:
+            result.at_most_one = False
+            result.reason = (
+                f"inner table {report.missing_tables[0]} has no candidate key "
+                "bound by the correlation/selection predicate"
             )
-            if not covered:
-                result.at_most_one = False
-                result.reason = (
-                    f"inner table {alias} has no candidate key bound by the "
-                    "correlation/selection predicate"
-                )
-                return result
+            return result
     result.reason = (
         "every disjunctive component binds a candidate key of every inner table"
     )
     return result
-
-
-def _clause_usable(
-    clause: list[Expr], inner_aliases: set[str], options: UniquenessOptions
-) -> bool:
-    """Clause filtering (Algorithm 1 lines 6–9 adapted to subqueries)."""
-    classified = [
-        classify_atom(atom, options.treat_is_null_as_binding) for atom in clause
-    ]
-    if any(equality is None for equality in classified):
-        return False
-    if len(clause) > 1:
-        if options.disjunction_handling == "conservative":
-            return False
-        seen: set[Attribute] = set()
-        for atom in clause:
-            attributes = atom_attributes(atom)
-            if attributes & seen:
-                return False
-            seen |= attributes
-    return True
-
-
-def _bound_inner_attributes(
-    term: tuple[Expr, ...], inner_aliases: set[str], options: UniquenessOptions
-) -> AttributeSet:
-    """Closure of inner attributes bound by one conjunctive component.
-
-    Outer-block attributes are folded into the seed: an equality between
-    an inner and an outer column binds the inner one, and chains through
-    inner-inner equalities propagate as usual.
-    """
-    equalities: list[Equality] = []
-    seed: set[Attribute] = set()
-    for atom in term:
-        equality = classify_atom(atom, options.treat_is_null_as_binding)
-        if equality is None:
-            continue
-        if isinstance(equality, Type1):
-            if equality.attribute.relation in inner_aliases:
-                seed.add(equality.attribute)
-        else:
-            left_inner = equality.left.relation in inner_aliases
-            right_inner = equality.right.relation in inner_aliases
-            if left_inner and right_inner:
-                equalities.append(equality)
-            elif left_inner:
-                seed.add(equality.left)  # outer column = constant per row
-            elif right_inner:
-                seed.add(equality.right)
-    bound = bound_closure(seed, equalities)
-    return frozenset(a for a in bound if a.relation in inner_aliases)

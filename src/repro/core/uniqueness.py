@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from ..cache import MISSING, LRUCache, safe_fingerprint
 from ..catalog.schema import Catalog
 from ..errors import UnsupportedQueryError
 from ..observe.trace import TRACER
 from ..resilience.faults import FAULTS, SITE_UNIQUENESS
-from ..sql.ast import Query, SelectQuery, SetOperation, SetOpKind
+from ..sql.ast import Query, SelectQuery, SetOperation, SetOpKind, TableRef
 from ..sql.expressions import Expr
 from ..sql.parser import parse_query
 from ..sql.printer import to_sql
@@ -304,7 +305,7 @@ def _test_uniqueness(
         return result
 
     for term in terms:
-        report = _analyze_term(term, projection, query, catalog, options)
+        report = _analyze_term(term, projection, query.tables, catalog, options)
         result.terms.append(report)
         if not report.satisfied:
             result.reason = (
@@ -363,6 +364,10 @@ def is_duplicate_free(
 # internal steps
 
 
+#: Why :func:`_filter_clauses` dropped a whole predicate.
+CNF_OVERFLOW = "CNF expansion exceeds the clause budget"
+
+
 def _filter_clauses(
     predicate: Expr | None, options: UniquenessOptions
 ) -> tuple[list[list[Expr]], list[tuple[list[Expr], str]]]:
@@ -372,7 +377,7 @@ def _filter_clauses(
     try:
         clauses = to_cnf_clauses(predicate, budget=options.clause_budget)
     except NormalFormOverflow:
-        return [], [([predicate], "CNF expansion exceeds the clause budget")]
+        return [], [([predicate], CNF_OVERFLOW)]
 
     kept: list[list[Expr]] = []
     dropped: list[tuple[list[Expr], str]] = []
@@ -427,29 +432,27 @@ def _dnf_terms(
 
 def _analyze_term(
     term: tuple[Expr, ...],
-    projection: list[Attribute],
-    query: SelectQuery,
+    seed: Iterable[Attribute],
+    tables: Sequence[TableRef],
     catalog: Catalog,
     options: UniquenessOptions,
 ) -> TermReport:
-    """Lines 13–17 for one conjunctive component E_i."""
+    """Lines 13–17 for one conjunctive component E_i: close *seed* over
+    the term's equalities and name the *tables* left without a bound
+    candidate key."""
     equalities = [
         equality
         for atom in term
         if (equality := classify_atom(atom, options.treat_is_null_as_binding))
         is not None
     ]
-    bound = bound_closure(projection, equalities)
+    bound = bound_closure(seed, equalities)
 
     missing: list[str] = []
-    for table_ref in query.tables:
+    for table_ref in tables:
         alias = table_ref.effective_name
-        schema = catalog.table(table_ref.name)
-        covered = any(
-            all(Attribute(alias, column) in bound for column in key.columns)
-            for key in schema.candidate_keys
-        )
-        if not covered:
+        columns = {a.column for a in bound if a.relation == alias}
+        if catalog.table(table_ref.name).covered_key(columns) is None:
             missing.append(alias)
     return TermReport(equalities=equalities, bound=bound, missing_tables=missing)
 

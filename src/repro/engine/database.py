@@ -116,13 +116,10 @@ class Database:
             if any(is_null(value) for value in values):
                 continue  # simple match: NULL components exempt the row
             parent = self.table(fk.ref_table)
-            ref_columns = fk.ref_columns
-            if not ref_columns:
-                key = parent.schema.primary_key
-                if key is None:
-                    continue
-                ref_columns = key.columns
-            found = parent.has_key_value(tuple(ref_columns), values)
+            ref_columns = fk.referenced_columns(parent.schema)
+            if ref_columns is None:
+                continue
+            found = parent.has_key_value(ref_columns, values)
             if found is None:  # not a declared key: fall back to a scan
                 indices = [
                     parent.schema.column_index(column)

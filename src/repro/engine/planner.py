@@ -348,17 +348,13 @@ class Planner:
         if not probes:
             return None
 
-        key_columns: tuple[str, ...] | None = None
-        for key in schema.candidate_keys:
-            if all(column in probes for column in key.columns):
-                key_columns = key.columns
-                break
-        if key_columns is None:
-            for column in schema.column_names:  # deterministic pick
-                if column in probes:
-                    key_columns = (column,)
-                    break
-        assert key_columns is not None
+        key = schema.covered_key(probes)
+        if key is not None:
+            key_columns = key.columns
+        else:  # deterministic pick
+            key_columns = next(
+                (column,) for column in schema.column_names if column in probes
+            )
 
         consumed = {id(probes[column][0]) for column in key_columns}
         key_exprs = tuple(probes[column][1] for column in key_columns)
@@ -546,10 +542,10 @@ class Planner:
         columns = [side.schema.columns[key].name for key in keys]
         if len(columns) == 1:
             return [0] if columns[0] in schema.indexable_columns() else None
-        for key in schema.candidate_keys:
-            if sorted(key.columns) == sorted(columns):
-                return [columns.index(column) for column in key.columns]
-        return None
+        key = schema.covered_key(columns)
+        if key is None or len(key.columns) != len(columns):
+            return None
+        return [columns.index(column) for column in key.columns]
 
     def _equi_keys(
         self,

@@ -136,8 +136,7 @@ class StatisticsCostModel(CostModel):
 
     def _index_scan(self, plan: IndexScan) -> PlanEstimate:
         schema = self.database.catalog.table(plan.table_name)
-        probed = set(plan.key_columns)
-        if any(set(key.columns) <= probed for key in schema.candidate_keys):
+        if schema.covered_key(plan.key_columns) is not None:
             rows = 1.0  # a full candidate-key probe returns at most one row
         else:
             rows = float(self._table_rows(plan.table_name))
@@ -219,7 +218,7 @@ class StatisticsCostModel(CostModel):
         if len(key_names) != len(key_positions):
             return False
         schema = self.database.catalog.table(base.table_name)
-        return any(set(key.columns) <= key_names for key in schema.candidate_keys)
+        return schema.covered_key(key_names) is not None
 
     # -- distinct -------------------------------------------------------
 

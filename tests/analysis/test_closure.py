@@ -1,12 +1,6 @@
 """Bound-attribute closure (Algorithm 1 lines 13–16)."""
 
-from repro.analysis import (
-    Attribute,
-    Type1,
-    Type2,
-    bound_closure,
-    equivalence_classes,
-)
+from repro.analysis import Attribute, Type1, Type2, bound_closure
 from repro.sql import Literal
 
 
@@ -49,19 +43,3 @@ class TestBoundClosure:
         closure = bound_closure([], [Type1(A, CONST), Type2(A, D)])
         assert closure == {A, D}
 
-
-class TestEquivalenceClasses:
-    def test_classes_from_type2_chains(self):
-        classes = equivalence_classes(
-            [Type2(A, B), Type2(B, C), Type2(D, D)]
-        )
-        merged = [cls for cls in classes if len(cls) > 1]
-        assert {A, B, C} in merged
-
-    def test_type1_ignored(self):
-        classes = equivalence_classes([Type1(A, CONST)])
-        assert classes == []
-
-    def test_separate_components(self):
-        classes = equivalence_classes([Type2(A, B), Type2(C, D)])
-        assert len(classes) == 2

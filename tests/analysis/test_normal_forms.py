@@ -1,4 +1,5 @@
-"""CNF/DNF conversion: structural checks and semantic equivalence.
+"""CNF conversion and Algorithm 1's DNF step: structural checks and
+semantic equivalence.
 
 Semantic equivalence is verified by brute force: evaluate the original
 and converted predicates over every assignment of a small row space
@@ -10,21 +11,27 @@ import itertools
 import pytest
 
 from repro.analysis import (
+    DEFAULT_CLAUSE_BUDGET,
     NormalFormOverflow,
     clauses_to_expr,
-    terms_to_expr,
     to_cnf_clauses,
-    to_dnf_terms,
     to_nnf,
 )
+from repro.core.uniqueness import _dnf_terms
 from repro.engine import Evaluator, RelSchema, Scope
 from repro.engine.schema import ColumnInfo
-from repro.sql import And, Comparison, Not, Or, parse_condition
+from repro.sql import And, Comparison, Not, Or, conjoin, disjoin, parse_condition
 from repro.types import NULL
 
 
 SCHEMA = RelSchema([ColumnInfo("T", "A"), ColumnInfo("T", "B"), ColumnInfo("T", "C")])
 DOMAIN = (0, 1, NULL)
+
+
+def dnf_of(text):
+    """Algorithm 1's DNF (line 11): its CNF clauses multiplied out."""
+    clauses = to_cnf_clauses(parse_condition(text))
+    return _dnf_terms(clauses, DEFAULT_CLAUSE_BUDGET)
 
 
 def assert_equivalent(original_text, converted):
@@ -69,8 +76,8 @@ def test_cnf_preserves_three_valued_semantics(text):
 
 @pytest.mark.parametrize("text", PREDICATES)
 def test_dnf_preserves_three_valued_semantics(text):
-    terms = to_dnf_terms(parse_condition(text))
-    assert_equivalent(text, terms_to_expr(terms))
+    terms = dnf_of(text)
+    assert_equivalent(text, disjoin([conjoin(list(term)) for term in terms]))
 
 
 class TestStructure:
@@ -99,9 +106,7 @@ class TestStructure:
         assert all(len(clause) == 2 for clause in clauses)
 
     def test_dnf_of_conjunction_of_disjunctions(self):
-        terms = to_dnf_terms(
-            parse_condition("(A = 1 OR B = 1) AND (C = 1 OR A = 0)")
-        )
+        terms = dnf_of("(A = 1 OR B = 1) AND (C = 1 OR A = 0)")
         assert len(terms) == 4
 
     def test_between_expanded_before_conversion(self):
@@ -117,7 +122,13 @@ class TestStructure:
         assert len(clauses) == 1
 
     def test_overflow_raises(self):
+        # (a AND b) OR ... 20 times -> 2^20 CNF clauses
+        text = " OR ".join(f"(A = {i} AND B = {i})" for i in range(20))
+        with pytest.raises(NormalFormOverflow):
+            to_cnf_clauses(parse_condition(text), budget=64)
+
+    def test_dnf_step_overflow_is_none(self):
         # (a OR b) AND ... 20 times -> 2^20 DNF terms
         text = " AND ".join(f"(A = {i} OR B = {i})" for i in range(20))
-        with pytest.raises(NormalFormOverflow):
-            to_dnf_terms(parse_condition(text), budget=64)
+        clauses = to_cnf_clauses(parse_condition(text))
+        assert _dnf_terms(clauses, 64) is None

@@ -1,7 +1,7 @@
 """Property tests for the SQL front end and normal forms.
 
 * printer/parser round-trip over randomly generated predicate trees,
-* CNF/DNF/NNF three-valued semantic equivalence over random predicates
+* CNF/NNF three-valued semantic equivalence over random predicates
   (brute-forced over a small row space),
 * random CREATE TABLE round-trips.
 """
@@ -14,9 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import (
     NormalFormOverflow,
     clauses_to_expr,
-    terms_to_expr,
     to_cnf_clauses,
-    to_dnf_terms,
     to_nnf,
 )
 from repro.engine import Evaluator, RelSchema, Scope
@@ -103,18 +101,16 @@ def test_predicate_print_parse_round_trip(seed):
 @settings(max_examples=150, **COMMON)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_normal_forms_preserve_three_valued_semantics(seed):
-    """NNF/CNF/DNF agree with the original on every row, including NULLs."""
+    """NNF/CNF agree with the original on every row, including NULLs."""
     expr = random_predicate(random.Random(seed))
     reference = truth_vector(expr)
     try:
         nnf = to_nnf(expr)
         cnf = clauses_to_expr(to_cnf_clauses(expr))
-        dnf = terms_to_expr(to_dnf_terms(expr))
     except NormalFormOverflow:
         return
     assert truth_vector(nnf) == reference
     assert truth_vector(cnf) == reference
-    assert truth_vector(dnf) == reference
 
 
 @settings(max_examples=150, **COMMON)

@@ -2,11 +2,12 @@
 
 The central claim under test: **whenever Algorithm 1 answers YES, the
 query provably yields no duplicates** — checked by brute-force execution
-on random instances.  Companion properties cover the exact checker and
-the FD-based analysis.
+on random instances.  Companion properties cover Theorem 2, the exact
+checker and the FD-based analysis.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -14,11 +15,13 @@ from repro.core import (
     ExactOptions,
     UniquenessOptions,
     check_theorem1,
+    subquery_matches_at_most_one,
     test_uniqueness,
 )
 from tests.engine.reference_executor import execute
+from tests.properties.test_rewrite_equivalence import random_exists_query
 from repro.fd import is_duplicate_free_fd
-from repro.sql.ast import Quantifier
+from repro.sql.ast import Quantifier, SelectQuery, Star
 from repro.workloads import (
     GeneratorConfig,
     random_catalog,
@@ -95,6 +98,34 @@ def test_algorithm1_sound_under_every_option_combination(
         return
     result = execute(query.with_quantifier(Quantifier.ALL), database)
     assert not result.has_duplicates()
+
+
+@settings(max_examples=120, **COMMON)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_theorem2_yes_implies_at_most_one_match_per_outer_row(seed):
+    """Soundness of Theorem 2's test: when it says the correlated EXISTS
+    matches at most one inner row, no outer row matches two."""
+    rng = random.Random(seed)
+    catalog = random_catalog(rng, CONFIG)
+    database = random_database(rng, catalog, CONFIG)
+    outer = random_exists_query(rng, catalog)
+    inner = outer.where.query
+    verdict = subquery_matches_at_most_one(inner, outer, catalog)
+    if not verdict.at_most_one:
+        return
+    # Every outer row joined with each inner row it matches; the outer
+    # table has a primary key, so its columns name the outer row.
+    pairs = SelectQuery(
+        quantifier=Quantifier.ALL,
+        select_list=(Star(),),
+        tables=outer.tables + inner.tables,
+        where=inner.where,
+    )
+    width = len(catalog.table(outer.tables[0].name).column_names)
+    matches = Counter(row[:width] for row in execute(pairs, database).rows)
+    assert max(matches.values(), default=0) <= 1, (
+        f"Theorem 2 wrongly said YES\nquery: {outer}\n{verdict.witness()}"
+    )
 
 
 @settings(max_examples=120, **COMMON)
