@@ -20,7 +20,7 @@ from repro.analysis import (
 from repro.core.uniqueness import _dnf_terms
 from repro.engine import Evaluator, RelSchema, Scope
 from repro.engine.schema import ColumnInfo
-from repro.sql import And, Comparison, Not, Or, conjoin, disjoin, parse_condition
+from repro.sql import And, Comparison, conjoin, disjoin, parse_condition
 from repro.types import NULL
 
 
