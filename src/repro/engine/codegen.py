@@ -186,7 +186,9 @@ def pipeline_source(
     ])
 
 
-def _key_lines(row: str, index: int | None, wrap: bool = False) -> list[str]:
+def _key_lines(
+    row: str, index: int | None, wrap: bool = False, rank: int | None = None
+) -> list[str]:
     """Set ``key`` for the row named *row*, or ``continue`` past it.
 
     *index* is the one strict key column, whose key is ``(rank,
@@ -195,10 +197,17 @@ def _key_lines(row: str, index: int | None, wrap: bool = False) -> list[str]:
     and an unranked value take the key kernel ``<row>_key``, whose keys
     are 1-tuples and so never equal an inline 2-tuple.  ``None``: the
     kernel keys every row (several columns, or a null-safe one).
+
+    A *rank* says every value of the column has that rank (its type
+    census holds no NULL and one rank): the key is built with it, and
+    no row's type is looked up.
     """
     fallback = [f"key = {row}_key({row})", "if key is None:", "    continue"]
     if index is None:
         return fallback
+    if rank is not None:
+        key = f"({rank:d}, {row}[{index:d}])"
+        return [f"key = ({key},)" if wrap else f"key = {key}"]
     return [
         f"v = {row}[{index:d}]",
         "t = rank(type(v))",
@@ -220,11 +229,13 @@ def join_source(
     index: bool = False,
     kept: str | None = None,
     guarded: bool = True,
+    probe_rank: int | None = None,
 ) -> str:
     """Hash join: build over ``b``, probe over ``p``.
 
-    *build_key*/*probe_key* as :func:`_key_lines`; *residual* is the
-    residual's ⌊P⌋ and *row* the output row, both over ``b`` and ``p``.
+    *build_key*/*probe_key* as :func:`_key_lines`, *probe_rank* its
+    *rank* for the probe key; *residual* is the residual's ⌊P⌋ and
+    *row* the output row, both over ``b`` and ``p``.
 
     Every match is a checkpoint.  When *guarded* (see the module's
     checkpoint rule) the kernel counts them in ``unticked`` and ticks
@@ -318,7 +329,10 @@ def join_source(
         *("        " + line for line in build),
         "        for p in probe_rows:",
         *("            " + line for line in pull),
-        *("            " + line for line in _key_lines("p", probe_key, index)),
+        *(
+            "            " + line
+            for line in _key_lines("p", probe_key, index, probe_rank)
+        ),
         "            probes += 1",
         "            for b in matching(key, ()):",
         *("                " + line for line in checkpoint),

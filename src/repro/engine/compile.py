@@ -91,6 +91,9 @@ PredicateFn = Callable[[Sequence[SqlValue]], Tristate]
 Lowered = tuple[str | None, str | None, Tristate | None]
 #: Spells a column position of the row in a fragment (``r[<n>]``).
 Column = Callable[[int], str]
+#: Per column position, the value types its rows hold (``None``: not
+#: known) — a table's type census, or a join's two sides side by side.
+Census = Sequence["frozenset[type] | None"]
 
 
 _enabled = True
@@ -170,6 +173,7 @@ def lower_source(
     params: dict[str, SqlValue] | None = None,
     column: Column | None = None,
     slots: list[SqlValue] | None = None,
+    census: Census | None = None,
 ) -> tuple[str, str, list[SqlValue]] | None:
     """⌊P⌋ and ⌊¬P⌋ as source fragments, with the values of their slots.
 
@@ -179,13 +183,18 @@ def lower_source(
     sources), so several predicates can share one numbering.  ``None``
     exactly when :func:`compile_pair` is; a root that folds to a
     constant is the pair of constant tests.
+
+    *census* holds, per column position, the value types every row the
+    fragments will meet is drawn from (``None``: not known); a
+    comparison those types cannot trip is spelled bare
+    (:func:`_comparison`).  Without it every fragment is guarded.
     """
     if not _enabled:
         return None
     slots = [] if slots is None else slots
     try:
         is_true, is_false, const = _lower(
-            expr, schema, params or {}, column or _row, slots
+            expr, schema, params or {}, column or _row, slots, census
         )
     except CannotCompile:
         return None
@@ -244,6 +253,7 @@ def _lower(
     params: dict[str, SqlValue],
     column: Column,
     slots: list[SqlValue],
+    census: Census | None,
 ) -> Lowered:
     """Lower one condition node (see :data:`Lowered`)."""
     if isinstance(expr, Literal):
@@ -253,13 +263,13 @@ def _lower(
             return None, None, (TRUE if expr.value else FALSE)
         raise CannotCompile(f"literal {expr.value!r} is not a condition")
     if isinstance(expr, Comparison):
-        return _comparison(expr, schema, params, column, slots)
+        return _comparison(expr, schema, params, column, slots, census)
     if isinstance(expr, And):
-        return _connective(expr.operands, schema, params, column, slots, True)
+        return _connective(expr.operands, schema, params, column, slots, census, True)
     if isinstance(expr, Or):
-        return _connective(expr.operands, schema, params, column, slots, False)
+        return _connective(expr.operands, schema, params, column, slots, census, False)
     if isinstance(expr, Not):
-        return _negated(_lower(expr.operand, schema, params, column, slots))
+        return _negated(_lower(expr.operand, schema, params, column, slots, census))
     if isinstance(expr, IsNull):
         index, const = _scalar(expr.operand, schema, params)
         if index is None:
@@ -281,7 +291,7 @@ def _lower(
             )
         else:
             parts = tuple(Comparison("=", expr.operand, i) for i in expr.items)
-        lowered = _connective(parts, schema, params, column, slots, conjunctive)
+        lowered = _connective(parts, schema, params, column, slots, census, conjunctive)
         return _negated(lowered) if expr.negated else lowered
     # Exists / InSubquery / anything exotic: interpreter territory.
     raise CannotCompile(f"cannot compile {type(expr).__name__}")
@@ -306,6 +316,7 @@ def _comparison(
     params: dict[str, SqlValue],
     column: Column,
     slots: list[SqlValue],
+    census: Census | None,
 ) -> Lowered:
     """Fold what is constant; otherwise a column on the left against a
     column or a non-NULL constant.
@@ -315,6 +326,12 @@ def _comparison(
     rule — and ``is_false`` is ``not (a op b)``, never the complementary
     operator: ``NaN < 1`` and ``NaN >= 1`` are both FALSE.  ``=`` and
     ``<>`` never consult comparability.
+
+    The guard is left out — ``(a op b)`` and ``(not a op b)`` — where
+    the *census* says it always passes: no NULL in a compared column,
+    and, for an ordering, a column against a constant holding only
+    types of the constant's exact class (``_exact_types``), or two
+    columns holding together only types of one class.
     """
     left, left_const = _scalar(expr.left, schema, params)
     right, const = _scalar(expr.right, schema, params)
@@ -329,19 +346,29 @@ def _comparison(
         return None, None, UNKNOWN
     a = column(left)
     ordering = expr.op not in ("=", "<>")
+    types = None if census is None else census[left]
     if right is None:
         operand = expr.right
         b = _slot(slots, const, operand)
+        lean = _null_free(types) and (
+            not ordering or types <= _exact_types(const)
+        )
         decided = f"{a} is not NULL"
-        if ordering:
+        if ordering and not lean:
             exact = _slot(slots, _exact_types(const), operand, _exact_types)
             decided += f" and (type({a}) in {exact} or comparable({a}, {b}))"
     else:
         b = column(right)
+        others = None if census is None else census[right]
+        lean = _null_free(types) and _null_free(others) and (
+            not ordering or _one_class(types | others)
+        )
         decided = f"{a} is not NULL and {b} is not NULL"
         if ordering:
             decided += f" and (type({a}) is type({b}) or comparable({a}, {b}))"
     test = f"{a} {SPELLED[expr.op]} {b}"
+    if lean:
+        return f"({test})", f"(not {test})", None
     return f"({decided} and {test})", f"({decided} and not {test})", None
 
 
@@ -351,6 +378,7 @@ def _connective(
     params: dict[str, SqlValue],
     column: Column,
     slots: list[SqlValue],
+    census: Census | None,
     conjunctive: bool,
 ) -> Lowered:
     """Shared AND/OR lowering with constant folding.
@@ -365,7 +393,9 @@ def _connective(
     trues: list[str] = []
     falses: list[str] = []
     for operand in operands:
-        is_true, is_false, const = _lower(operand, schema, params, column, slots)
+        is_true, is_false, const = _lower(
+            operand, schema, params, column, slots, census
+        )
         if const is None:
             trues.append(is_true)
             falses.append(is_false)
@@ -413,6 +443,21 @@ def _every(tests: Sequence[str]) -> str:
 
 def _some(tests: Sequence[str]) -> str:
     return "(" + " or ".join(tests) + ")"
+
+
+_NULL_TYPE = type(NULL)
+_NUMBERS = frozenset({int, float})
+
+
+def _null_free(types: "frozenset[type] | None") -> bool:
+    """Whether a census is known and holds no NULL."""
+    return types is not None and _NULL_TYPE not in types
+
+
+def _one_class(types: frozenset[type]) -> bool:
+    """Whether *types* lie in one comparability class (so any two of
+    their values are ``comparable``)."""
+    return len(types) <= 1 or types <= _NUMBERS
 
 
 def _exact_types(const: SqlValue) -> frozenset[type]:

@@ -14,6 +14,12 @@ The *matching phase completes before any write is buffered*, so a
 statement never observes its own effects — and a constraint failure
 mid-statement restores the transaction to its pre-statement state
 (statement atomicity) via :meth:`Transaction.savepoint`.
+
+A FOREIGN KEY is enforced on both sides: an inserted child row needs
+its parent (:meth:`Transaction.insert_row`), and at statement end a
+DELETE, or an UPDATE of referenced columns, may not leave a visible
+child row without its parent (NO ACTION, :func:`check_referenced`) —
+the inclusion dependency join elimination relies on.
 """
 
 from __future__ import annotations
@@ -259,7 +265,53 @@ def execute_dml(
     )
     state = txn.savepoint()
     try:
-        return node.execute(ctx, txn)
+        count = node.execute(ctx, txn)
+        check_referenced(txn, state)
+        return count
     except BaseException:
         txn.restore(state)
         raise
+
+
+def check_referenced(txn: "Transaction", mark: int) -> None:
+    """NO ACTION: refuse the statement that buffered, since *mark*, the
+    delete of a parent row a visible child row still references.
+
+    Runs at statement end, over the transaction's view: a parent key
+    another visible row still carries (an UPDATE that kept it, say)
+    orphans nothing, and a child row this statement or transaction
+    deleted is not visible.  The child is probed through its index over
+    the foreign-key columns; a reference with a NULL component never
+    matched a parent, as in the insert-side check.
+
+    Raises:
+        ConstraintViolation: naming the child table and its key.
+    """
+    gone: dict[str, list[tuple]] = {}
+    for name, row in txn.deleted_since(mark):
+        gone.setdefault(name, []).append(row)
+    if not gone:
+        return
+    view = txn.view()
+    for child in view.catalog:
+        for fk in child.foreign_keys:
+            rows = gone.get(fk.ref_table.upper())
+            if not rows:
+                continue
+            parent = view.table(fk.ref_table)
+            ref_columns = fk.referenced_columns(parent.schema)
+            if ref_columns is None:
+                continue
+            positions = [parent.schema.column_index(c) for c in ref_columns]
+            for row in rows:
+                values = tuple(row[p] for p in positions)
+                if any(value is NULL for value in values):
+                    continue
+                if parent.index_lookup(ref_columns, values):
+                    continue  # the key is still there
+                if view.table(child.name).index_lookup(fk.columns, values):
+                    raise ConstraintViolation(
+                        child.name,
+                        f"{fk.describe()} still has a row referencing the "
+                        f"deleted row of {parent.schema.name}",
+                    )

@@ -9,9 +9,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
 from ...sql.expressions import Expr, host_vars
-from ...types.values import NULL, SqlValue
+from ...types.values import NULL, SqlValue, census_rank
 from ..codegen import assemble
-from ..compile import Refill, compilation_enabled, lower_source
+from ..compile import Census, Refill, compilation_enabled, lower_source
 from ..evaluator import Evaluator
 from ..schema import RelSchema, Scope
 from ..stats import Stats
@@ -184,38 +184,43 @@ class PlanNode:
         self,
         ctx: ExecContext,
         source: Callable[..., str],
-        *tests: tuple[Expr | None, RelSchema, Callable[[int], str]],
+        *tests: tuple[Expr | None, RelSchema, Callable[[int], str], Census | None],
         variant: object = None,
+        census: object = None,
     ) -> Callable[..., Any] | None:
         """The generated function of this node's fused form, or ``None``
         when ``_lower`` refuses a predicate (or CPython the source).
 
-        Each of *tests* is ``(predicate, schema, column)``: ⌊predicate⌋
-        lowered over *schema*, columns spelled by *column*, its
-        constants numbered across all of them (``None``: no such test).
-        ``source(*fragments, slots)`` is the kernel's text given those
-        fragments (``None`` where a test is absent), reading *slots*
-        argument slots.
+        Each of *tests* is ``(predicate, schema, column, types)``:
+        ⌊predicate⌋ lowered over *schema*, columns spelled by *column*,
+        its comparisons left bare where the per-position census *types*
+        allows (``None``: none known), its constants numbered across all
+        of them (``None``: no such test).  ``source(*fragments, slots)``
+        is the kernel's text given those fragments (``None`` where a
+        test is absent), reading *slots* argument slots.  *census* is
+        what the *types* and anything else *source* reads of the tables'
+        censuses was taken from: the censuses themselves.
 
         The node keeps one lowering table, ``_lowered``: per *variant*,
-        the host variables its tests read and, per which of them are
-        NULL (or unbound), the compiled factory and the recipe of its
-        slots (:class:`~repro.engine.compile.Refill`).  A warm execution
-        of a cached plan refills the slots from its bindings and walks
-        no predicate; a lowering that folded two constants on a host
-        variable's value is redone every execution.
+        the host variables its tests read and, per the type of each
+        value (``NULL``'s, or unbound) and *census*, the compiled
+        factory and the recipe of its slots
+        (:class:`~repro.engine.compile.Refill`).  A warm execution of a
+        cached plan refills the slots from its bindings and walks no
+        predicate: a census that grew is a new entry, and the kernel
+        chosen under it guards what the new types can trip.  A lowering
+        that folded two constants on a host variable's value is redone
+        every execution.
         """
         table = self.__dict__.setdefault("_lowered", {})
         names, forms = table.get(variant) or table.setdefault(
             variant, (tuple({v.name for t in tests for v in host_vars(t[0])}), {})
         )
         params = ctx.params
-        # A kernel without host variables (or slots) skips the
-        # comprehensions: a key lookup's pipeline, say.
-        state = names and tuple([
-            value if value is NULL or value is _UNBOUND else None
-            for value in map(params.get, names, repeat(_UNBOUND))
-        ])
+        # A kernel without host variables (a key lookup's pipeline, say)
+        # skips the pass over the bindings.
+        state = names and tuple(map(type, map(params.get, names, repeat(_UNBOUND))))
+        state = state, census
         entry = forms.get(state)
         if entry is None:
             slots = Refill()
@@ -238,6 +243,13 @@ class PlanNode:
     def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         """Yield output rows."""
         raise NotImplementedError
+
+    @cached_property
+    def lineage(self) -> tuple[tuple[str, int] | None, ...]:
+        """Per output column, the stored ``(table, position)`` whose
+        values it carries unchanged (``None``: computed, or not known) —
+        where a reader finds that column's type census."""
+        return (None,) * len(self.schema)
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()
@@ -263,8 +275,11 @@ class PlanNode:
         return "\n".join(lines)
 
 
-#: A host variable the bindings lack (``_lower`` refuses it).
-_UNBOUND = object()
+class _Unbound:
+    """A host variable the bindings lack (``_lower`` refuses it)."""
+
+
+_UNBOUND = _Unbound()
 
 
 def _lower_form(
@@ -274,16 +289,27 @@ def _lower_form(
     factory (``None``: refused), how many predicates it compiles and
     its slots' recipe; *slots* holds this lowering's values."""
     fragments = []
-    for predicate, schema, column in tests:
+    for predicate, schema, column, types in tests:
         if predicate is None:
             fragments.append(None)
             continue
-        lowered = lower_source(predicate, schema, params, column, slots)
+        lowered = lower_source(predicate, schema, params, column, slots, types)
         if lowered is None:
             return None, 0, ()
         fragments.append(lowered[0])
     make = assemble(source(*fragments, len(slots)))
     return make, len(fragments) - fragments.count(None), tuple(slots.recipe)
+
+
+def census_ranked(ctx: ExecContext, lineage: tuple) -> bool:
+    """Whether the type census of every column of *lineage* shows one
+    type rank and no NULL.  Read it after the rows it is to describe."""
+    table = ctx.database.table
+    return all(
+        source is not None
+        and census_rank(table(source[0]).census[source[1]]) is not None
+        for source in lineage
+    )
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,10 @@ class Filter(PlanNode):
     def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         return select_rows(ctx, self.predicate, self.schema, self.child.rows(ctx))
 
+    @property
+    def lineage(self) -> tuple:
+        return self.child.lineage
+
     def _fused(
         self,
         ctx: ExecContext,

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
-from ...types.values import key_extractor
+from ...types.values import census_rank, key_extractor
 from ..codegen import TICK_CHUNK, join_source, row_source
 from ..schema import Scope
 from .base import ExecContext, PlanNode
@@ -57,6 +57,10 @@ class NestedLoopJoin(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
+
+    @cached_property
+    def lineage(self) -> tuple:
+        return self.left.lineage + self.right.lineage
 
     def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         inner = list(self.right.rows(ctx))
@@ -142,6 +146,10 @@ class HashJoin(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
+
+    @cached_property
+    def lineage(self) -> tuple:
+        return self.left.lineage + self.right.lineage
 
     def _sides(self) -> tuple[PlanNode, PlanNode, list[int], list[int]]:
         """``(build, probe, build_keys, probe_keys)``."""
@@ -251,21 +259,37 @@ class HashJoin(PlanNode):
         build, probe, _, _ = self._sides()
         analysis = ctx.analysis
         scan = None if analysis is not None else scan_pipeline(probe, indexed=True)
-        join = self._kernel(ctx, node, indices, scan, self.index is not None)
+        indexed = self.index is not None
+        # The tables whose rows the kernel reads itself: their censuses
+        # shape it, taken again after those rows are read.
+        table = ctx.database.table
+        probed = None if scan is None else table(scan[0].table_name)
+        built = table(scan_pipeline(build)[0].table_name) if indexed else None
+        census = _census(probed), _census(built)
+        join = self._kernel(ctx, node, indices, scan, indexed, census)
         if join is None:
             return None
-        if self.index is None:
+        if not indexed:
             build_rows = build.rows(ctx)
         else:
             build_rows = self._index(ctx)
             if build_rows is None:
                 ctx.stats.index_fallbacks += 1
-                join = self._kernel(ctx, node, indices, scan, False)
+                built = None
+                census = census[0], None
+                join = self._kernel(ctx, node, indices, scan, False, census)
                 build_rows = build.rows(ctx)
         if scan is None:
             probe_rows = probe.rows(ctx)
         else:
             probe_rows = scan[0]._source(ctx)
+        if _census(probed) is not census[0] or _census(built) is not census[1]:
+            # A write widened a census between the reads: the rows may
+            # hold a type the kernel was not chosen for.
+            census = _census(probed), _census(built)
+            join = self._kernel(ctx, node, indices, scan, built is not None, census)
+            if join is None:
+                return None
         build_key, probe_key = self._key_kernels
         rows = join(build_rows, probe_rows, ctx.tick, ctx.stats, build_key, probe_key)
         if analysis is None:
@@ -279,22 +303,41 @@ class HashJoin(PlanNode):
         indices: list[int] | None,
         scan: tuple | None,
         indexed: bool,
+        census: tuple,
     ) -> Callable[..., Iterator[tuple]] | None:
         """The generated join of :meth:`_fused` over the probe side's
         *scan* pipeline (``None``: a stream), probing the build
         table's index if *indexed*, else hashing the build input; it
-        ticks only if *ctx* has a guard."""
+        ticks only if *ctx* has a guard.
+
+        *census* holds the type census of the probe scan's table and
+        of the indexed build table (``None``: the side is a stream).
+        The probe side's filter, the build side's and the residual's
+        columns on those sides are lowered under it, and a probe key
+        column it shows NULL-free and of one type rank is keyed with
+        that rank inline.
+        """
         build, probe, _, _ = self._sides()
+        probe_types, build_types = census
         where = None if scan is None else scan[1]
         kept = scan_pipeline(build)[1] if indexed else None
         variant = (scan is not None, indexed, ctx.guard is not None)
+        joined = None
+        if self.residual is not None:
+            left, right = probe_types, build_types
+            if self.build_left:
+                left, right = right, left
+            joined = (left or (None,) * len(self.left.schema)) + (
+                right or (None,) * len(self.right.schema)
+            )
         return (node or self)._generated(
             ctx,
-            partial(self._join_source, indices, *variant),
-            (self.residual, self.schema, self._column),
-            (where, probe.schema, lambda index: "p[%d]" % index),
-            (kept, build.schema, lambda index: "b[%d]" % index),
+            partial(self._join_source, indices, *variant, probe_types),
+            (self.residual, self.schema, self._column, joined),
+            (where, probe.schema, lambda index: "p[%d]" % index, probe_types),
+            (kept, build.schema, lambda index: "b[%d]" % index, build_types),
             variant=variant,
+            census=census,
         )
 
     @cached_property
@@ -323,6 +366,7 @@ class HashJoin(PlanNode):
         scan: bool,
         indexed: bool,
         guarded: bool,
+        probe_types: tuple | None,
         residual: str | None,
         where: str | None,
         kept: str | None,
@@ -335,6 +379,9 @@ class HashJoin(PlanNode):
             row = row_source(map(self._column, indices))
         # One strict key column is keyed inline; the rest by the kernels.
         inline = len(build_keys) == 1 and not self.null_safe[0]
+        rank = None
+        if inline and probe_types is not None:
+            rank = census_rank(probe_types[probe_keys[0]])
         return join_source(
             build_keys[0] if inline else None,
             probe_keys[0] if inline else None,
@@ -346,6 +393,7 @@ class HashJoin(PlanNode):
             indexed,
             kept,
             guarded,
+            rank,
         )
 
     def label(self) -> str:
@@ -358,3 +406,8 @@ class HashJoin(PlanNode):
             table = scan_pipeline(self._sides()[0])[0].table_name
             side += f", index={table}({', '.join(self.index)})"
         return f"HashJoin({keys}{side})"
+
+
+def _census(data) -> tuple | None:
+    """The type census of the table *data* (``None`` for ``None``)."""
+    return None if data is None else data.census

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import groupby, islice
+from collections import Counter
+from functools import cached_property
 from operator import itemgetter, length_hint
 from typing import Callable, Iterator
 
 from ...types.values import order_key, row_keys
 from ..codegen import ChunkedRows
 from ..schema import ColumnInfo, RelSchema
-from .base import ExecContext, PlanNode
+from .base import ExecContext, PlanNode, census_ranked
 
 
 class Project(PlanNode):
@@ -30,6 +31,11 @@ class Project(PlanNode):
         else:
             pick = lambda row: tuple([row[i] for i in indices])  # noqa: E731
         yield from map(pick, self.child.rows(ctx))
+
+    @cached_property
+    def lineage(self) -> tuple:
+        lineage = self.child.lineage
+        return tuple(lineage[i] for i in self.indices)
 
     def _fused(
         self,
@@ -65,43 +71,72 @@ class SortDistinct(PlanNode):
         return (self.child,)
 
     def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        return sort_distinct(ctx, lambda: list(self.child.rows(ctx)))
+        return sort_distinct(
+            ctx, lambda: list(self.child.rows(ctx)), self.child.lineage
+        )
+
+    @property
+    def lineage(self) -> tuple:
+        return self.child.lineage
 
     def label(self) -> str:
         return "Distinct(sort)"
 
 
-def sort_distinct(ctx: ExecContext, read: Callable[[], list[tuple]]) -> ChunkedRows:
+def sort_distinct(
+    ctx: ExecContext,
+    read: Callable[[], list[tuple]],
+    lineage: tuple | None = None,
+) -> ChunkedRows:
     """Sort-based duplicate elimination of the list *read* returns,
-    charging one sort; the input is read when the first row is asked
-    for.  The stable sort on the ≐ key alone keeps equal rows in input
-    order, so the first of each survives.
+    charging one sort of every row; the input is read when the first
+    row is asked for.  The rows are the first of each ≐ key in input
+    order, in key order.
+
+    Duplicates go first — a ``Counter`` counts each key, in first-seen
+    order — and only the distinct keys are sorted: on a total key order
+    that is the order, and the row, a stable sort of every row keeps
+    first.  (A NaN, equal only to itself, breaks that total order; it
+    still never hides an equal key from its duplicates.)
+    When the type census of every column (*lineage*, read after the
+    rows) shows one rank and no NULL, a row is its own key without a
+    look at its values (:func:`~repro.types.values.row_keys`).
 
     The distinct rows are one list, handed out through
     :class:`~repro.engine.codegen.ChunkedRows`.  ``duplicates_removed``
     counts only what the consumer passed, as a row-at-a-time loop
     would: a consumer that leaves after its n-th row has passed the
-    duplicates of the n - 1 groups before it.
+    duplicates of the n - 1 keys before it.
     """
-    return ChunkedRows(_distinct(ctx, read))
+    return ChunkedRows(_distinct(ctx, read, lineage))
 
 
-def _distinct(ctx: ExecContext, read: Callable) -> Iterator[Iterator[tuple]]:
+def _distinct(
+    ctx: ExecContext, read: Callable, lineage: tuple | None
+) -> Iterator[Iterator[tuple]]:
     """The one row group of :func:`sort_distinct`."""
     rows = read()
     stats = ctx.stats
     stats.sorts += 1
     stats.sort_rows += len(rows)
-    (keys,) = row_keys(rows)
-    key = itemgetter(0)
-    ordered = sorted(zip(keys, rows), key=key)
-    distinct = [next(group)[1] for _, group in groupby(ordered, key)]
+    if lineage is not None and census_ranked(ctx, lineage):
+        keys = rows
+    else:
+        (keys,) = row_keys(rows)
+    counts = Counter(keys)  # in first-seen order
+    ordered = sorted(counts)
+    if keys is rows:
+        distinct = ordered
+    else:
+        # Written back to front, so each key keeps its first row.
+        first = dict(zip(reversed(keys), reversed(rows)))
+        distinct = list(map(first.__getitem__, ordered))
     handed = iter(distinct)
     try:
         yield handed
     except GeneratorExit:
-        passed = islice(groupby(ordered, key), len(distinct) - length_hint(handed) - 1)
-        stats.duplicates_removed += sum(len(list(group)) - 1 for _, group in passed)
+        passed = ordered[: max(len(distinct) - length_hint(handed) - 1, 0)]
+        stats.duplicates_removed += sum(map(counts.__getitem__, passed)) - len(passed)
         raise
     stats.duplicates_removed += len(rows) - len(distinct)
 
@@ -126,6 +161,10 @@ class Sort(PlanNode):
         ctx.stats.sort_rows += len(rows)
         rows.sort(key=order_key(zip(self.key_positions, self.ascending)))
         yield from rows
+
+    @property
+    def lineage(self) -> tuple:
+        return self.child.lineage
 
     def label(self) -> str:
         keys = ", ".join(

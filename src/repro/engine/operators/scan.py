@@ -7,6 +7,7 @@ fused form (:func:`fused_scan`).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 from ...errors import ExecutionError, MissingHostVariableError, ResourceError
@@ -29,6 +30,10 @@ class SeqScan(PlanNode):
 
     def _rows(self, ctx: ExecContext) -> Iterator[tuple]:
         return scan_rows(ctx, self)
+
+    @cached_property
+    def lineage(self) -> tuple[tuple[str, int], ...]:
+        return tuple((self.table_name, i) for i in range(len(self.schema)))
 
     def _source(self, ctx: ExecContext) -> list[tuple]:
         """The row list this scan reads: the whole table."""
@@ -96,32 +101,51 @@ def fused_scan(
     ``rows_scanned`` and, under a filter, ``predicate_evals``.
     ``None`` when ``_lower`` refuses *predicate*.
 
+    The filter is lowered under the scan table's type census, taken
+    again after the row list: a census that grew in between (a
+    concurrent write) lowers the kernel once more under the wider one.
+
     Under an analysis sink the pipeline is one observed unit: the nodes
     under *node* down to *scan* are credited with it, and an absorbed
     ``SeqScan`` the rows the kernel scanned, counted in the unit's own
     ``Stats``.
     """
     guarded = ctx.guard is not None
-    pipeline = node._generated(
-        ctx,
-        lambda test, slots: pipeline_source(test, indices, slots, guarded),
-        (predicate, scan.schema, None),
-        variant=guarded,
-    )
+    # Without a filter the kernel reads no census.
+    data = None if predicate is None else ctx.database.table(scan.table_name)
+    census = None if data is None else data.census
+
+    def generated(census):
+        return node._generated(
+            ctx,
+            lambda test, slots: pipeline_source(test, indices, slots, guarded),
+            (predicate, scan.schema, None, census),
+            variant=guarded,
+            census=census,
+        )
+
+    pipeline = generated(census)
     if pipeline is None:
         return None
+    rows = scan._source(ctx)
+    if data is not None and data.census is not census:
+        # A write widened the census between the two reads: the rows
+        # may hold a type the kernel was not chosen for.
+        pipeline = generated(data.census)
+        if pipeline is None:
+            return None
     analysis = ctx.analysis
     if analysis is None:
-        return ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
+        return ChunkedRows(pipeline(rows, ctx.tick, ctx.stats))
     absorbed = ()
     if node is not scan:
         absorbed = (scan,) if node.child is scan else (node.child, scan)
         if isinstance(scan, SeqScan):
             unit = Stats()
-            rows = ChunkedRows(pipeline(scan._source(ctx), ctx.tick, unit))
-            return analysis.observe(node, rows, absorbed, scan, unit, ctx.stats)
-    rows = ChunkedRows(pipeline(scan._source(ctx), ctx.tick, ctx.stats))
-    return analysis.observe(node, rows, absorbed)
+            chunks = ChunkedRows(pipeline(rows, ctx.tick, unit))
+            return analysis.observe(node, chunks, absorbed, scan, unit, ctx.stats)
+    chunks = ChunkedRows(pipeline(rows, ctx.tick, ctx.stats))
+    return analysis.observe(node, chunks, absorbed)
 
 
 class IndexScan(PlanNode):
@@ -208,6 +232,10 @@ class IndexScan(PlanNode):
         if self.residual is None:
             return rows
         return select_rows(ctx, self.residual, self.schema, rows)
+
+    @cached_property
+    def lineage(self) -> tuple[tuple[str, int], ...]:
+        return tuple((self.table_name, i) for i in range(len(self.schema)))
 
     def _fused(
         self,

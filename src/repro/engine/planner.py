@@ -542,10 +542,12 @@ class Planner:
         columns = [side.schema.columns[key].name for key in keys]
         if len(columns) == 1:
             return [0] if columns[0] in schema.indexable_columns() else None
-        key = schema.covered_key(columns)
-        if key is None or len(key.columns) != len(columns):
-            return None
-        return [columns.index(column) for column in key.columns]
+        # The key over exactly these columns, not the first one they
+        # cover: PRIMARY KEY (A) must not hide UNIQUE (A, B).
+        for key in schema.candidate_keys:
+            if sorted(key.columns) == sorted(columns):
+                return [columns.index(column) for column in key.columns]
+        return None
 
     def _equi_keys(
         self,

@@ -5,6 +5,15 @@ Inserts validate, in order: column count and NOT NULL, CHECK constraints
 unknown*), and key uniqueness under the ≐ semantics the paper adopts
 from SQL2 — a UNIQUE candidate key treats NULL as a single special
 value, so at most one row may carry any given (possibly NULL) key.
+
+Every table also keeps a per-column *type census*
+(:attr:`TableData.census`): the Python value types ever stored in each
+column, NULL's type included.  It grows before a row becomes visible to
+any reader — at load, and when a transaction buffers a write — and it
+never shrinks (a rolled-back write may leave it larger, which is safe).
+A reader that takes the census *after* its row list therefore holds a
+census that covers every row of that list: the generated kernels read
+it to drop per-row guards the stored types cannot trip.
 """
 
 from __future__ import annotations
@@ -75,6 +84,12 @@ class TableData:
         #: Monotonic data version; bumped by every mutation so cached
         #: artifacts keyed on a database fingerprint go stale correctly.
         self.version = 0
+        #: The type census: per column, the frozenset of value types ever
+        #: stored there.  Replaced whole when it grows (:meth:`widen`),
+        #: so a reader holding one holds a fixed set.
+        self.census: tuple[frozenset[type], ...] = tuple(
+            frozenset() for _ in schema.columns
+        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -196,6 +211,7 @@ class TableData:
             self._check_not_null(row)
             self._check_conditions(row, evaluator)
             self._check_keys(row)
+        self.widen(row)
         self.rows.append(row)
         version = RowVersion(row)
         self.versions.append(version)
@@ -234,6 +250,21 @@ class TableData:
             self.insert(row, evaluator, enforce)
             count += 1
         return count
+
+    def widen(self, row: tuple) -> None:
+        """Grow :attr:`census` by the value types of *row*; call it
+        before *row* becomes visible to any reader.
+
+        A row of known types costs one C-level pass; a new type replaces
+        the census under the index lock, so two writers widening at once
+        both land.
+        """
+        if all(map(frozenset.__contains__, self.census, map(type, row))):
+            return
+        with self._index_lock:
+            self.census = tuple(
+                seen | {type(value)} for seen, value in zip(self.census, row)
+            )
 
     def clear(self) -> None:
         """Delete every row (and reset the key and hash indexes)."""

@@ -271,6 +271,7 @@ class Transaction:
         from .database import Database  # local import breaks the cycle
 
         Database._check_foreign_keys(self.view(), data.schema, row)
+        data.widen(row)  # before the row is visible, even to this view
         self._inserts.setdefault(name, []).append(row)
         self._own_keys.setdefault(name, set()).update(keys)
         self._wrote(name, None, row, None)
@@ -325,6 +326,15 @@ class Transaction:
                     id(version) not in self._deletes.get(name, ())
                 )
         return False
+
+    def deleted_since(self, mark: int) -> list[tuple[str, tuple]]:
+        """``(table, row)`` of each delete buffered since the savepoint
+        *mark*, a committed version's or a pending insert's."""
+        return [
+            (name, row if version is None else version.row)
+            for name, version, row, position in self._undo[mark:]
+            if version is not None or position is not None
+        ]
 
     def _wrote(self, name: str, version, row, position) -> None:
         self._undo.append((name, version, row, position))
@@ -475,7 +485,7 @@ class _TxnTable:
     """One table as a transaction sees it.
 
     Duck-types the read surface of :class:`TableData` (``rows``,
-    ``hash_index``/``index_lookup``, ``__len__``)
+    ``census``, ``hash_index``/``index_lookup``, ``__len__``)
     over the snapshot-visible versions plus the transaction's own
     buffered writes.  Materializations are cached against the pair
     (base data version, transaction change count) and rebuilt when
@@ -496,6 +506,12 @@ class _TxnTable:
     @property
     def version(self) -> tuple[int, int]:
         return (self.base.version, self._txn.change_count)
+
+    @property
+    def census(self) -> tuple[frozenset[type], ...]:
+        """The base table's type census: it grows before a write is
+        buffered, so it covers this view's pending inserts too."""
+        return self.base.census
 
     def invalidate(self) -> None:
         self._rows = None

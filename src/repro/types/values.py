@@ -127,13 +127,20 @@ def compare_where(op: str, left: SqlValue, right: SqlValue) -> Tristate:
 _TYPE_RANK = {bool: 0, int: 1, float: 1, str: 2}
 
 
+def census_rank(types: "frozenset[type]") -> int | None:
+    """The one type rank of every type in a column's type census, or
+    ``None`` — several ranks, an unranked type, NULL, or no type yet."""
+    ranks = set(map(_TYPE_RANK.get, types))
+    return ranks.pop() if len(ranks) == 1 else None
+
+
 def sort_key(value: SqlValue) -> tuple:
     """Total-order key over SQL values; NULL sorts first.
 
     The key is usable across mixed-type columns: values are ranked first
     by a type class (NULL < bool < numeric < str), then by value within
-    the class.  DISTINCT-via-sort and set operations rely on this order
-    grouping ≐-equivalent values adjacently.
+    the class.  DISTINCT and the set operations sort their distinct keys
+    by this order.
     """
     if is_null(value):
         return (-1, 0)

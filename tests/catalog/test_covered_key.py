@@ -111,3 +111,20 @@ def test_every_key_question_agrees_with_covered_key(database, columns):
     )
     assert (model.estimate(probe).rows == 1.0) is covered
     assert model._keys_cover_candidate_key(side, positions) is covered
+
+
+def test_a_join_on_exactly_a_composite_key_is_served_from_its_index():
+    # PRIMARY KEY (A) is the first key {A, B} covers; the join's columns
+    # are exactly UNIQUE (A, B), so the (A, B) index serves it.
+    database = Database.from_script(
+        """CREATE TABLE K (A INT NOT NULL, B INT NOT NULL, V INT,
+                           PRIMARY KEY (A), UNIQUE (A, B));
+           INSERT INTO K VALUES (1, 1, 10);"""
+    )
+    schema = database.catalog.table("K")
+    assert schema.covered_key(("A", "B")).columns == ("A",)
+    planner = Planner(database.catalog, database=database)
+    side = SeqScan("K", "K", schema.column_names)
+    assert planner._index_order(side, [1, 0]) == [1, 0]
+    assert planner._index_order(side, [0, 1]) == [0, 1]
+    assert planner._index_order(side, [0, 2]) is None

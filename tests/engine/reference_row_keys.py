@@ -15,7 +15,6 @@ with one sort.  INTERSECT and EXCEPT [ALL] charge the paper's two sorts.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 
 from repro.engine.stats import Stats
 from repro.sql.ast import SetOpKind
@@ -38,17 +37,17 @@ class _Reversed:
 
 
 def sort_distinct(rows: list[tuple], stats: Stats) -> list[tuple]:
+    """Each key's first row, the keys sorted — deduplicated before the
+    sort, as INTERSECT and EXCEPT below, so a NaN (unordered against
+    every value) cannot keep two equal keys apart."""
     stats.sorts += 1
     stats.sort_rows += len(rows)
-    keyed = sorted(zip(map(row_sort_key, rows), rows), key=itemgetter(0))
-    output, previous_key = [], None
-    for key, row in keyed:
-        if key != previous_key:
-            previous_key = key
-            output.append(row)
-        else:
-            stats.duplicates_removed += 1
-    return output
+    counts = Counter(map(row_sort_key, rows))
+    first: dict = {}
+    for row in rows:
+        first.setdefault(row_sort_key(row), row)
+    stats.duplicates_removed += len(rows) - len(counts)
+    return [first[key] for key in sorted(counts)]
 
 
 def order(

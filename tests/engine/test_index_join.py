@@ -254,6 +254,8 @@ def test_a_transaction_sees_its_writes_through_the_index_join():
         assert len(before[0]) == 8 and len(before[1]) == 1
         conn.begin()
         conn.execute("INSERT INTO PARTS VALUES (5, 99, 'Extra', 99999, 'RED')")
+        conn.execute("DELETE FROM PARTS WHERE SNO = 7")  # its referencing
+        conn.execute("DELETE FROM AGENTS WHERE SNO = 7")  # rows go first
         conn.execute("DELETE FROM SUPPLIER WHERE SNO = 7")
         during = answers(conn)
         assert during[0] == sorted(before[0] + [(5, 99)])

@@ -4,8 +4,12 @@
 ``benchmarks/e2e/workloads.py``, the source text of each kernel that one
 plain execution through the front door assembles from cold caches — in
 both contexts a kernel is shaped for: no guard (the connection's
-defaults) and a guard (a timeout).  The six benchmark workloads run
-these texts, so a change that must leave the served row path alone
+defaults) and a guard (a timeout) — under two type censuses: one that
+has met NULL in every column, so every comparison keeps its guard
+(``unguarded``, ``guarded``), and the census the loaded rows leave,
+NULL-free and one type per column, so the comparisons run bare
+(``unguarded.lean``, ``guarded.lean``).  The six benchmark workloads
+run these texts, so a change that must leave the served row path alone
 (an observer, a refactoring of the per-node path) shows here if it does
 not.  Regenerate only for an intended change of a kernel's text::
 
@@ -25,6 +29,7 @@ import repro
 from repro import clear_all_caches
 from repro.engine import PlanCache, codegen
 from repro.options import ExecutionOptions
+from repro.types.values import NULL
 from repro.workloads import SupplierScale, build_database, generate
 
 from ..api.test_request_path import spy_on
@@ -49,6 +54,15 @@ def _database():
     return database
 
 
+def _met_null(database):
+    """*database* with NULL's type in every column's census, as writes
+    that were rolled back may have left it (the rows are unchanged)."""
+    for name in database.table_names():
+        data = database.table(name)
+        data.census = tuple(types | {type(NULL)} for types in data.census)
+    return database
+
+
 def _params(template_id: str) -> dict:
     if template_id == "key_lookup.ledger":  # keys are sequenced, not drawn
         return {"K": 1 + SEED % LEDGER_ROWS}
@@ -56,23 +70,25 @@ def _params(template_id: str) -> dict:
     return workloads._draw(template_id, random.Random(SEED), dims)
 
 
-def kernel_sources(database, assembled: list, template_id: str) -> dict:
-    """``{context: [source, …]}`` of one cold plain execution per context,
-    *assembled* being the list a spy on ``codegen.assemble`` appends to."""
+def kernel_sources(databases, assembled: list, template_id: str) -> dict:
+    """``{context: [source, …]}`` of one cold plain execution per context
+    and census, *databases* being ``(lean, met_null)`` and *assembled*
+    the list a spy on ``codegen.assemble`` appends to."""
     sql, params = workloads.TEMPLATES[template_id].sql, _params(template_id)
     sources = {}
-    for context, options in CONTEXTS.items():
-        clear_all_caches()
-        del assembled[:]
-        with repro.connect(database, plan_cache=PlanCache()) as conn:
-            conn.execute(sql, params, options=options).fetchall()
-        sources[context] = list(assembled)
+    for database, suffix in zip(databases, (".lean", "")):
+        for context, options in CONTEXTS.items():
+            clear_all_caches()
+            del assembled[:]
+            with repro.connect(database, plan_cache=PlanCache()) as conn:
+                conn.execute(sql, params, options=options).fetchall()
+            sources[context + suffix] = list(assembled)
     return sources
 
 
 @pytest.fixture(scope="module")
 def database():
-    return _database()
+    return _database(), _met_null(_database())
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +111,7 @@ def test_a_plain_read_assembles_the_pinned_kernels(
 
 
 def _write() -> None:
-    database = _database()
+    database = _database(), _met_null(_database())
     with pytest.MonkeyPatch.context() as monkeypatch:
         assembled = spy_on(monkeypatch, codegen, "assemble")
         golden = {

@@ -218,14 +218,10 @@ def test_benchmark_distinct_texts_build_no_canonical_key(canonical_keys, cls):
 
 
 # ----------------------------------------------------------------------
-# a known hole: NaN breaks the sort adjacency DISTINCT relies on
+# NaN has no place in the ≐ order, but DISTINCT deduplicates before it
+# sorts, so a NaN between two equal values no longer keeps both
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="NaN has no place in the ≐ order yet (ROADMAP 6f): sorting "
-    "leaves it between equal values, so sort_distinct keeps both",
-)
 def test_distinct_over_a_nan_returns_each_row_once():
     database = Database.from_script(
         "CREATE TABLE T (K INT NOT NULL, X FLOAT, PRIMARY KEY (K));"

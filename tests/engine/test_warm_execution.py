@@ -24,9 +24,9 @@ one list.  Counted, not timed:
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from inspect import CO_GENERATOR
 from itertools import islice
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,20 +200,21 @@ def test_a_comparison_of_two_host_variables_lowers_every_time(
 
 
 def _row_at_a_time(rows: list[tuple], stop: int) -> tuple[list[tuple], int]:
-    """The rows a consumer takes from a row-at-a-time sort-distinct loop
-    before it leaves at *stop*, and the duplicates the loop counted."""
+    """The rows a consumer takes from a row-at-a-time distinct loop —
+    each canonical key's first row, the keys sorted — before it leaves
+    at *stop*, and the duplicates the loop counted."""
     stats = Stats()
 
     def loop():
-        previous, duplicates = None, 0
+        duplicates = 0
         try:
-            keyed = sorted(zip(map(row_sort_key, rows), rows), key=itemgetter(0))
-            for key, row in keyed:
-                if key != previous:
-                    previous = key
-                    yield row
-                else:
-                    duplicates += 1
+            counts = Counter(map(row_sort_key, rows))
+            first: dict = {}
+            for row in rows:
+                first.setdefault(row_sort_key(row), row)
+            for key in sorted(counts):
+                yield first[key]
+                duplicates += counts[key] - 1
         finally:
             stats.duplicates_removed += duplicates
 
