@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from ...resilience.budgets import ExecutionGuard
 from ...resilience.faults import FAULTS, SITE_OPERATOR
 from ...sql.expressions import Expr, host_vars
-from ...types.values import NULL, SqlValue, census_rank
+from ...types.values import NULL, SqlValue
 from ..codegen import assemble
 from ..compile import Census, Refill, compilation_enabled, lower_source
 from ..evaluator import Evaluator
@@ -299,17 +299,6 @@ def _lower_form(
         fragments.append(lowered[0])
     make = assemble(source(*fragments, len(slots)))
     return make, len(fragments) - fragments.count(None), tuple(slots.recipe)
-
-
-def census_ranked(ctx: ExecContext, lineage: tuple) -> bool:
-    """Whether the type census of every column of *lineage* shows one
-    type rank and no NULL.  Read it after the rows it is to describe."""
-    table = ctx.database.table
-    return all(
-        source is not None
-        and census_rank(table(source[0]).census[source[1]]) is not None
-        for source in lineage
-    )
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,10 @@ from functools import cached_property
 from operator import itemgetter, length_hint
 from typing import Callable, Iterator
 
-from ...types.values import order_key, row_keys
+from ...types.values import census_rank, order_key, row_keys
 from ..codegen import ChunkedRows
 from ..schema import ColumnInfo, RelSchema
-from .base import ExecContext, PlanNode, census_ranked
+from .base import ExecContext, PlanNode
 
 
 class Project(PlanNode):
@@ -139,6 +139,17 @@ def _distinct(
         stats.duplicates_removed += sum(map(counts.__getitem__, passed)) - len(passed)
         raise
     stats.duplicates_removed += len(rows) - len(distinct)
+
+
+def census_ranked(ctx: ExecContext, lineage: tuple) -> bool:
+    """Whether the type census of every column of *lineage* shows one
+    type rank and no NULL.  Read it after the rows it is to describe."""
+    table = ctx.database.table
+    return all(
+        source is not None
+        and census_rank(table(source[0]).census[source[1]]) is not None
+        for source in lineage
+    )
 
 
 class Sort(PlanNode):
