@@ -1,6 +1,11 @@
-"""Shared benchmark fixtures: scaled instances of the paper's schema."""
+"""Shared benchmark fixtures: scaled instances of the paper's schema.
+
+Every run writes its report tables to ``benchmarks/out/BENCH_<slug>.json``
+(ignored by git: a run's timings are outputs, not baselines)."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -39,7 +44,8 @@ def bench_store(bench_data):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Replay every experiment report and write BENCH_<slug>.json files."""
+    """Replay every experiment report and write its BENCH_<slug>.json
+    file under ``benchmarks/out/``."""
     from repro.bench import RENDERED_REPORTS, write_reports
 
     if not RENDERED_REPORTS:
@@ -49,5 +55,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("")
         for line in rendered.splitlines():
             terminalreporter.write_line(line)
-    for path in write_reports(str(config.rootpath)):
+    out = os.path.join(str(config.rootpath), "benchmarks", "out")
+    for path in write_reports(out):
         terminalreporter.write_line(f"wrote {path}")

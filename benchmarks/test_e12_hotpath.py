@@ -9,7 +9,7 @@ Three mechanisms attack the engine's interpretive overheads:
 * predicate compilation to row closures, removing per-row Scope
   allocation and recursive dispatch from Filter/join residuals.
 
-Every table in this module lands in ``BENCH_hotpath.json``.
+Every table in this module lands in ``benchmarks/out/BENCH_hotpath.json``.
 """
 
 from repro import (

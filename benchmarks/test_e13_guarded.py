@@ -21,7 +21,7 @@ machine drift hits both arms equally:
   (a directly timed execution of the unrewritten plan) amortized at its
   exact 1-in-25 rate, the way a long session pays it.
 
-Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
+Both ratios must stay under 1.05.  Lands in ``benchmarks/out/BENCH_e13.json``.
 """
 
 from statistics import median

@@ -16,7 +16,7 @@ analysis caches):
   enabled and disabled batches pair-by-pair, median per-pair ratio) so
   machine drift hits both arms equally.
 
-Lands in ``BENCH_e14.json`` with the batch's engine-counter deltas.
+Lands in ``benchmarks/out/BENCH_e14.json`` with the batch's engine-counter deltas.
 """
 
 from statistics import median

@@ -12,7 +12,7 @@ measures a mixed E10/E12 workload three ways:
 * two interleaved sessions against different databases, verifying that
   the shared plan cache never leaks rows across sessions.
 
-Every table lands in ``BENCH_e15.json``.  The headline acceptance bar:
+Every table lands in ``benchmarks/out/BENCH_e15.json``.  The headline acceptance bar:
 >= 2x throughput with 4 workers over the serial loop, with every served
 row sequence identical to the serial run's.
 """

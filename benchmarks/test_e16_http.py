@@ -13,7 +13,7 @@ Two claims about :mod:`repro.net` riding on one server process:
   server, and the wall-clock gap plus the wire-reported work counters
   both show it.
 
-Every table lands in ``BENCH_e16.json``.
+Every table lands in ``benchmarks/out/BENCH_e16.json``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the row-at-a-time interpreter — and reports where the gain shrinks (a
 join and a DISTINCT keep per-row Python work in their probe loops and
 folds).
 
-Every table lands in ``BENCH_e17.json``.  The baseline is the *pure*
+Every table lands in ``benchmarks/out/BENCH_e17.json``.  The baseline is the *pure*
 tuple interpreter (predicate compilation off), the same reference a
 refused predicate runs on.
 

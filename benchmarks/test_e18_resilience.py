@@ -20,7 +20,7 @@ controller, the client breaker):
   the per-request deadline EWMA feed) stays within 5% of the same
   drive with no resilience headers at all.
 
-Every table lands in ``BENCH_e18.json``.
+Every table lands in ``benchmarks/out/BENCH_e18.json``.
 """
 
 from __future__ import annotations

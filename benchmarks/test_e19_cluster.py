@@ -15,7 +15,7 @@ Two claims about :mod:`repro.cluster` on one box:
 
 Byte-identity with single-node execution (E1–E11) is pinned by the
 cluster test suite; this benchmark pins the *performance* contract.  Results land
-in ``BENCH_e19.json``.
+in ``benchmarks/out/BENCH_e19.json``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Two claims, both from the cost-model story (``docs/cost_model.md``):
   run, so the per-query max q-error drops monotonically to <= 2 within
   five runs.
 
-Every table lands in ``BENCH_e20.json``.
+Every table lands in ``benchmarks/out/BENCH_e20.json``.
 """
 
 import gc

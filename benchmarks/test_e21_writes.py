@@ -15,7 +15,7 @@ Two claims for the MVCC write engine:
   table*.  Under the old whole-database fingerprint every one of those
   writes would have evicted the plan and forced a replan per read.
 
-Every table lands in ``BENCH_e21.json``.
+Every table lands in ``benchmarks/out/BENCH_e21.json``.
 """
 
 import gc

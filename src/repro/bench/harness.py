@@ -144,6 +144,8 @@ def write_reports(directory: str = ".") -> list[str]:
     for report in REPORTS:
         grouped.setdefault(report.effective_slug(), []).append(report.to_dict())
     paths = []
+    if grouped:
+        os.makedirs(directory, exist_ok=True)
     for slug, tables in sorted(grouped.items()):
         path = os.path.join(directory, f"BENCH_{slug}.json")
         with open(path, "w", encoding="utf-8") as handle:

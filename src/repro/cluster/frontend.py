@@ -26,7 +26,9 @@ on the fresh process).
 Worker hops are framed by the :mod:`repro.net.http11` codec and reuse
 kept-alive connections: idle ones wait in a pool per shard, keyed on
 the worker URL they reached, so a respawn — which moves the port —
-strands no request on a dead incarnation's socket.
+strands no request on a dead incarnation's socket.  A worker's chunked
+stream keeps its hop connection too: the front end de-chunks it and
+relays it with a ``Content-Length``.
 """
 
 from __future__ import annotations
@@ -341,8 +343,9 @@ class ClusterFrontend:
         with another URL reached a dead incarnation and is dropped, and
         so is one whose worker closed it while idle (its reader has seen
         EOF).  The request is sent once; a failure after that propagates,
-        because the worker may have read and run it.  A reply without a
-        Content-Length, or with ``Connection: close``, ends its
+        because the worker may have read and run it.  A chunked reply (a
+        stream) is read whole and de-chunked.  A reply framed by neither
+        a length nor chunks, or with ``Connection: close``, ends its
         connection."""
         try:
             url = self.coordinator.worker_url(shard)
@@ -382,6 +385,8 @@ class ClusterFrontend:
             length = http11.body_length(reply)
             if length is None:
                 reply_body = await reader.read()
+            elif length == http11.CHUNKED:
+                reply_body = await _read_chunked(reader)
             else:
                 reply_body = await reader.readexactly(length)
         except BaseException:
@@ -392,6 +397,16 @@ class ClusterFrontend:
         else:
             writer.close()
         return reply, reply_body
+
+
+async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
+    """A chunked body, de-chunked; its trailer fields are skipped."""
+    chunks = []
+    while size := http11.chunk_size(await reader.readuntil(b"\r\n")):
+        chunks.append(http11.chunk_data(await reader.readexactly(size + 2)))
+    while await reader.readuntil(b"\r\n") != b"\r\n":
+        pass
+    return b"".join(chunks)
 
 
 def _hop_headers(client_headers: Headers) -> list[tuple[str, str]]:

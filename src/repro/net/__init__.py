@@ -9,9 +9,9 @@ throughput wins measurable at the socket:
   codec (``json`` writes the engine's tuples, NULL ↔ ``null``; rows
   must be arrays of arrays, restored to tuples), and the
   errors-taxonomy → HTTP status mapping with its retryability contract;
-* :mod:`~repro.net.http11` — the sans-IO HTTP/1.1 codec: heads,
-  ``Content-Length`` framing and the keep-alive decision, as pure
-  functions over bytes;
+* :mod:`~repro.net.http11` — the sans-IO HTTP/1.1 codec both ends
+  use: heads, ``Content-Length`` and chunked framing and the
+  keep-alive decision, as pure functions over bytes;
 * :mod:`~repro.net.serving` — the one asyncio serving loop both
   servers run on (this one and the cluster front end): whole requests
   read before dispatch, the 400 for malformed framing, the idle
@@ -23,7 +23,8 @@ throughput wins measurable at the socket:
   backpressure, graceful drain;
 * :mod:`~repro.net.client` — :func:`~repro.net.client.connect`, giving
   back the same :class:`~repro.api.Connection` facade as a local
-  database, with bounded jittered retry on 429/transient faults.
+  database over kept-alive raw sockets (one write per request), with
+  bounded jittered retry on 429/transient faults.
 
 Everything is importable lazily — ``import repro`` does not pay for the
 HTTP machinery until a URL is actually dialed.

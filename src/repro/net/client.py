@@ -2,14 +2,18 @@
 get back the exact :class:`~repro.api.Connection` facade a local
 database gives you.
 
-Transport is stdlib ``http.client`` over kept-alive connections: a
-backend keeps its idle sockets in a list (one per calling thread at
-most) and reuses them, so a statement costs a round trip, not a TCP
-connect and teardown.  Resilience reuses the library's
-own :func:`~repro.resilience.retry.call_with_retry` with a bounded,
-jittered :class:`~repro.resilience.retry.RetryPolicy`: a 429 (admission
-queue full), a 503 (drain or injected transient fault), or a socket
-failure becomes a :class:`~repro.errors.TransientNetworkError` that the
+Transport is raw kept-alive sockets (``ssl``-wrapped for ``https://``)
+framed by the :mod:`repro.net.http11` codec that both servers use: each
+request's head and body go out in one ``sendall``, and a reply is read
+by its ``Content-Length`` or, for an NDJSON stream, its chunks, so a
+stream keeps its socket too.  A backend keeps its idle sockets in a
+list (one per calling thread at most) and reuses them, so a statement
+costs a round trip, not a TCP connect and teardown.  Resilience reuses
+the library's own :func:`~repro.resilience.retry.call_with_retry` with
+a bounded, jittered :class:`~repro.resilience.retry.RetryPolicy`: a 429
+(admission queue full), a 503 (drain or injected transient fault), or a
+socket or framing failure becomes a
+:class:`~repro.errors.TransientNetworkError` that the
 policy retries — honouring the server's ``Retry-After`` when one is
 given — while every other envelope decodes to a terminal
 :class:`~repro.errors.RemoteQueryError`.  NULLs survive the round trip
@@ -19,11 +23,11 @@ given — while every other envelope decodes to a terminal
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import select
 import socket
+import ssl
 import threading
 import urllib.parse
 from typing import Any
@@ -47,8 +51,9 @@ from ..resilience.admission import PRIORITY_HEADER, PRIORITY_INTERACTIVE
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..resilience.retry import RetryPolicy, call_with_retry
-from . import protocol
-from .protocol import CONTENT_NDJSON, REQUEST_ID_HEADER
+from . import http11, protocol
+from .http11 import Headers
+from .protocol import CONTENT_JSON, CONTENT_NDJSON
 
 #: Wire retries back off harder than in-process IMS retries: a drain or
 #: queue-full condition clears in tenths of seconds, not microseconds.
@@ -56,10 +61,21 @@ DEFAULT_HTTP_RETRY = RetryPolicy(
     max_attempts=5, base_delay=0.05, multiplier=2.0, max_delay=1.0
 )
 
-_CONNECTION_CLASSES = {
-    "http": http.client.HTTPConnection,
-    "https": http.client.HTTPSConnection,
-}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+class _Wire:
+    """One kept-alive socket and the buffered reader replies come off."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 class HttpBackend:
@@ -124,13 +140,18 @@ class HttpBackend:
         self._deadline: Deadline | None = None
         self._priority: str = PRIORITY_INTERACTIVE
         parts = urllib.parse.urlsplit(self.url)
-        if parts.scheme not in _CONNECTION_CLASSES:
+        if parts.scheme not in _DEFAULT_PORTS:
             raise ValueError(f"server URL must be http:// or https://, got {url!r}")
-        self._connection_class = _CONNECTION_CLASSES[parts.scheme]
-        self._host, self._port, self._prefix = parts.hostname, parts.port, parts.path
-        # Idle kept-alive connections; a Connection may be shared by
+        self._host = parts.hostname
+        self._port = parts.port or _DEFAULT_PORTS[parts.scheme]
+        self._prefix = parts.path
+        self._host_field = parts.netloc.rpartition("@")[2]
+        self._tls = (
+            ssl.create_default_context() if parts.scheme == "https" else None
+        )
+        # Idle kept-alive sockets; a Connection may be shared by
         # threads, so each call takes its own socket from here.
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Wire] = []
         self._idle_lock = threading.Lock()
 
     # -- the Connection backend interface -------------------------------
@@ -239,8 +260,8 @@ class HttpBackend:
             self._owned_session = False
         with self._idle_lock:
             idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        for wire in idle:
+            wire.close()
 
     def describe(self) -> str:
         where = f"{self.url}"
@@ -407,14 +428,14 @@ class HttpBackend:
             raise
         data = protocol.dumps(body) if body is not None else None
         if data is not None:
-            headers["Content-Type"] = "application/json"
+            headers["Content-Type"] = CONTENT_JSON
         if self._priority != PRIORITY_INTERACTIVE:
             headers[PRIORITY_HEADER] = self._priority
         try:
             status, reply_headers, raw = self._exchange(
                 method, self._prefix + path, data, headers
             )
-        except (OSError, http.client.HTTPException) as error:
+        except (OSError, ProtocolError) as error:
             self.breaker.record_failure()
             raise TransientNetworkError(
                 f"{method} {path} failed: {error!r}", status=0
@@ -438,32 +459,37 @@ class HttpBackend:
 
     def _exchange(
         self, method: str, path: str, data: bytes | None, headers: dict
-    ) -> tuple[int, Any, bytes]:
-        """One request and its whole reply on a kept-alive connection.
+    ) -> tuple[int, Headers, bytes]:
+        """One request and its whole reply on a kept-alive socket.
 
-        The request is sent once: any failure, on a reused socket or a
-        fresh one, propagates to the counted retry path, because the
-        server may have read and run it.  The socket goes back to the
-        idle list unless the reply says it will close (an NDJSON stream
-        does).
+        The head and body go out in one write.  The request is sent
+        once: any failure, on a reused socket or a fresh one, propagates
+        to the counted retry path, because the server may have read and
+        run it.  The socket goes back to the idle list when the reply
+        was framed (by length or chunks) and does not say it will close.
         """
-        connection = self._connection()
+        fields = [("Host", self._host_field), *headers.items()]
+        if data is not None:
+            fields.append(("Content-Length", str(len(data))))
+        request = http11.encode_head(
+            http11.Request(method, path, "HTTP/1.1", Headers(fields))
+        )
+        wire = self._wire()
         try:
-            connection.request(method, path, body=data, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
+            wire.sock.sendall(request + data if data is not None else request)
+            reply, raw, framed = http11.read_response(wire.reader)
         except BaseException:
-            connection.close()
+            wire.close()
             raise
-        if response.will_close:
-            connection.close()
-        else:
+        if framed and http11.keeps_alive(reply):
             with self._idle_lock:
-                self._idle.append(connection)
-        return response.status, response.headers, raw
+                self._idle.append(wire)
+        else:
+            wire.close()
+        return reply.status, reply.headers, raw
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """A live idle connection, else a fresh one.
+    def _wire(self) -> _Wire:
+        """A live idle socket, else a fresh one.
 
         A server closes an idle socket when its keep-alive timeout
         passes or it restarts.  An idle HTTP/1.1 socket has nothing to
@@ -472,23 +498,29 @@ class HttpBackend:
         """
         while True:
             with self._idle_lock:
-                connection = self._idle.pop() if self._idle else None
-            if connection is None:
+                wire = self._idle.pop() if self._idle else None
+            if wire is None:
                 return self._open()
-            if not select.select([connection.sock], [], [], 0)[0]:
-                return connection
-            connection.close()
+            if not select.select([wire.sock], [], [], 0)[0]:
+                return wire
+            wire.close()
 
-    def _open(self) -> http.client.HTTPConnection:
-        connection = self._connection_class(
-            self._host, self._port, timeout=self.timeout
+    def _open(self) -> _Wire:
+        """Dial the server: TCP, then TLS for ``https://``."""
+        sock = socket.create_connection(
+            (self._host, self._port), timeout=self.timeout
         )
-        connection.connect()
-        # http.client sends the request head and body in two writes; on
-        # a kept-alive socket Nagle would hold the body back until the
-        # server's delayed ACK of the head.
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return connection
+        try:
+            # A request is one write, but one longer than a segment
+            # would otherwise hold its last segment back until the
+            # server's delayed ACK of the ones before.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+            return _Wire(sock)
+        except BaseException:
+            sock.close()
+            raise
 
     @staticmethod
     def _statusline_error(code: int, raw: bytes) -> Exception:

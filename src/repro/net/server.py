@@ -7,8 +7,8 @@ thread, submits with ``wait=False`` — so a saturated admission queue
 surfaces as **429 + Retry-After**, the wire form of the service's typed
 backpressure — and awaits the ticket through its completion callback,
 so no thread waits per request or per connection.  Large results
-stream as NDJSON, one write per chunk, so the first rows reach the
-client while later chunks are still being encoded.
+stream as chunked NDJSON, one write per chunk, so the first rows reach
+the client while later chunks are still being encoded.
 
 Endpoints::
 
@@ -32,15 +32,16 @@ query complete and its response flush, then stops the listener.
 Connections are HTTP/1.1 keep-alive (:mod:`repro.net.http11` decides):
 one socket serves requests until the peer closes it, it idles past
 :data:`~repro.net.serving.IDLE_TIMEOUT`, or a response says
-``Connection: close`` (NDJSON streams, HTTP/1.0, malformed framing).
+``Connection: close`` (HTTP/1.0, malformed framing).  NDJSON streams
+are chunked, so they keep their connection too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import threading
-import uuid
 from time import perf_counter
 from typing import Any
 
@@ -129,6 +130,9 @@ class QueryServer:
         self._sessions_lock = threading.Lock()
         self._draining = threading.Event()
         self._request_counter = itertools.count(1)
+        # Tells this server's ids from another's (or a restart's); drawn
+        # once, since a uuid4 per request cost about 4 µs of the loop.
+        self._request_token = os.urandom(4).hex()
         self._endpoints = {
             ("POST", "/v1/query"): ("query", self._handle_query),
             ("POST", "/v1/session"): ("session", self._handle_session_open),
@@ -197,7 +201,7 @@ class QueryServer:
         """The caller's request id, or a fresh server-generated one."""
         if provided:
             return provided[:128]
-        return f"req-{next(self._request_counter):06d}-{uuid.uuid4().hex[:8]}"
+        return f"req-{next(self._request_counter):06d}-{self._request_token}"
 
     # -- lifecycle ------------------------------------------------------
 
@@ -367,6 +371,7 @@ class QueryServer:
         await exchange.write(
             protocol.dumps(protocol.stream_footer(executed)) + b"\n"
         )
+        await exchange.end()
         return 200
 
 

@@ -47,8 +47,10 @@ class Exchange:
     """One request read off a connection, and the response it is owed.
 
     A handler answers with :meth:`send` or :meth:`json`, or streams
-    with ``send(status, None, ...)`` followed by :meth:`write` (a stream
-    ends its connection); each returns the status sent.
+    with ``send(status, None, ...)``, then :meth:`write` per piece and
+    :meth:`end`; each returns the status sent.  A stream to an HTTP/1.1
+    client is chunked and keeps its connection; to an HTTP/1.0 one it
+    ends with the connection.
     """
 
     __slots__ = (
@@ -57,6 +59,7 @@ class Exchange:
         "request_id",
         "keep_alive",
         "status",
+        "_chunked",
         "_writer",
     )
 
@@ -73,6 +76,7 @@ class Exchange:
         self.keep_alive = head is not None and http11.keeps_alive(head)
         #: The status whose head went out; 0 before that.
         self.status = 0
+        self._chunked = False
         self._writer = writer
 
     def body(self) -> bytes:
@@ -112,16 +116,18 @@ class Exchange:
     ) -> int:
         """Write the head and *body*.  The ``net_write`` fault site fires
         before anything goes out, so an injected fault is still a clean
-        envelope.  A None body starts a stream, whose end is the
-        connection's."""
+        envelope.  A None body starts a stream."""
         FAULTS.check(SITE_NET_WRITE)
         fields = list(headers)
         if self.request_id is not None:
             fields.append((REQUEST_ID_HEADER, self.request_id))
-        if body is None:
-            self.keep_alive = False
-        else:
+        if body is not None:
             fields.append(("Content-Length", str(len(body))))
+        elif self.head.version == "HTTP/1.1":
+            self._chunked = True
+            fields.append(("Transfer-Encoding", "chunked"))
+        else:
+            self.keep_alive = False
         if not self.keep_alive:
             fields.append(("Connection", "close"))
         self._writer.write(http11.response_head(status, fields) + (body or b""))
@@ -139,9 +145,15 @@ class Exchange:
         return await self.send(status, protocol.dumps(payload), headers)
 
     async def write(self, data: bytes) -> None:
-        """More of a streamed body."""
-        self._writer.write(data)
+        """More of a streamed body: one chunk of it when chunked."""
+        self._writer.write(http11.encode_chunk(data) if self._chunked else data)
         await self._writer.drain()
+
+    async def end(self) -> None:
+        """End a streamed body."""
+        if self._chunked:
+            self._writer.write(http11.LAST_CHUNK)
+            await self._writer.drain()
 
     async def fail(self, error: Exception) -> int:
         """Answer *error* with its :func:`~repro.net.protocol.error_envelope`
@@ -154,8 +166,8 @@ class Exchange:
         status, payload = protocol.error_envelope(error, self.request_id)
         try:
             if self.status:
-                self.keep_alive = False
                 await self.write(protocol.dumps(payload) + b"\n")
+                await self.end()
                 return status
             retry_after = payload["error"].get("retry_after")
             extra = [("Retry-After", str(retry_after))] if retry_after else []

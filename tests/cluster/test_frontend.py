@@ -270,6 +270,21 @@ class TestKeptConnections:
                 ).fetchall()
         assert len(hop_connects) <= cluster.coordinator.shards
 
+    def test_streams_keep_the_hop_and_the_client_connection(
+        self, cluster, hop_connects, local_db
+    ):
+        """A worker's chunked stream is de-chunked on a kept hop
+        connection and relayed with a length, so neither hop nor
+        client connection is redialled per stream."""
+        with repro.connect(cluster.url, stream=True) as conn:
+            for params in BINDINGS[:12]:
+                rows = conn.execute(POINT_SQL, params).fetchall()
+                assert [list(row) for row in rows] == expected_rows(
+                    local_db, POINT_SQL, params
+                )
+            assert len(conn._backend._idle) == 1
+        assert len(hop_connects) <= cluster.coordinator.shards
+
     def test_a_killed_worker_leaves_no_stale_socket(
         self, hop_connects, local_db
     ):

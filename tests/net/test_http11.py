@@ -1,6 +1,6 @@
 """The HTTP/1.1 codec: how a head frames its body and whether its
-connection carries another message, what it refuses, head round trips,
-and field names compared without regard to case."""
+connection carries another message, what it refuses, head and chunk
+round trips, and field names compared without regard to case."""
 
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ def response(*fields: tuple[str, str]) -> Response:
         (response(("Content-Length", "5")), 5, True),
         (response(), None, True),  # the body runs to EOF
         (response(("Connection", "close")), None, False),
+        (response(("Transfer-Encoding", "chunked")), http11.CHUNKED, True),
+        (response(("transfer-encoding", "Chunked")), http11.CHUNKED, True),
     ],
     ids=[
         "length",
@@ -44,6 +46,8 @@ def response(*fields: tuple[str, str]) -> Response:
         "reply length",
         "reply without length",
         "reply close",
+        "reply chunked",
+        "reply chunked, lower case",
     ],
 )
 def test_framing(head, length, keeps_alive):
@@ -60,6 +64,48 @@ def test_a_malformed_content_length_is_refused(value):
 def test_a_request_transfer_coding_is_refused():
     with pytest.raises(ProtocolError):
         http11.body_length(request(("Transfer-Encoding", "chunked")))
+
+
+def test_a_reply_coding_other_than_chunked_is_refused():
+    with pytest.raises(ProtocolError):
+        http11.body_length(response(("Transfer-Encoding", "gzip, chunked")))
+
+
+@pytest.mark.parametrize(
+    "line", [b"\r\n", b"zz\r\n", b"-1\r\n", b"0x10\r\n", b"1_0\r\n", b"+5\r\n"]
+)
+def test_a_malformed_chunk_size_is_refused(line):
+    with pytest.raises(ProtocolError):
+        http11.chunk_size(line)
+
+
+def test_chunk_size_lines_read_hex_and_skip_extensions():
+    assert http11.chunk_size(b"1F\r\n") == 31
+    assert http11.chunk_size(b"a;name=value\r\n") == 10
+    assert http11.chunk_size(b"0\r\n") == 0
+
+
+def test_chunk_data_needs_its_crlf():
+    assert http11.chunk_data(b"abc\r\n") == b"abc"
+    with pytest.raises(ProtocolError):
+        http11.chunk_data(b"abcd")
+    with pytest.raises(ValueError):
+        http11.encode_chunk(b"")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(min_size=1, max_size=300), max_size=5))
+def test_chunks_round_trip(pieces):
+    body = b"".join(map(http11.encode_chunk, pieces)) + http11.LAST_CHUNK
+    got, rest = [], body
+    while True:
+        line, _, rest = rest.partition(b"\r\n")
+        size = http11.chunk_size(line + b"\r\n")
+        if not size:
+            break
+        got.append(http11.chunk_data(rest[: size + 2]))
+        rest = rest[size + 2 :]
+    assert got == pieces and rest == b"\r\n"
 
 
 @pytest.mark.parametrize(
@@ -88,6 +134,13 @@ def test_field_names_compare_case_insensitively():
     assert http11.body_length(head) == 3
     assert not http11.keeps_alive(head)
     assert head.headers == (("content-LENGTH", "3"), ("CONNECTION", "Close"))
+
+
+def test_the_first_value_of_a_repeated_field_wins():
+    parsed = http11.parse_head(b"GET / HTTP/1.1\r\nX-A: 1\r\nx-a: 2\r\n\r\n")
+    built = request(("X-A", "1"), ("x-a", "2"))
+    assert parsed.headers.get("x-A") == built.headers.get("x-A") == "1"
+    assert parsed.headers.get("missing", "none") == "none"
 
 
 def test_a_response_head_carries_the_standard_phrase():

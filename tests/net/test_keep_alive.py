@@ -1,9 +1,11 @@
 """Kept-alive connections: the client reuses one socket per calling
-thread; both servers keep a socket open across requests without a
-thread per socket, never let a request body leak into the next
+thread, sends each request in one write and keeps its socket across a
+chunked stream; both servers keep a socket open across requests without
+a thread per socket, never let a request body leak into the next
 request, and close after framing they cannot parse; and drain neither
 waits out idle sockets nor returns before a response in flight is
-written."""
+written.  A reply the client cannot frame, or one cut short, is a
+transient failure, never a short result."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import contextlib
 import http.client
 import json
 import socket
+import ssl
 import threading
 import time
 
@@ -23,7 +26,7 @@ from repro.net.client import HttpBackend
 from repro.net import http11, serving
 from repro.net.server import QueryServer
 from repro.resilience import FAULTS, SITE_NET_READ, SITE_NET_WRITE, RetryPolicy
-from repro.resilience.breaker import STATE_CLOSED
+from repro.resilience.breaker import STATE_CLOSED, STATE_OPEN, CircuitBreaker
 
 from .conftest import SERVERS
 
@@ -32,15 +35,33 @@ POINT = "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :N"
 
 @pytest.fixture()
 def connects(monkeypatch):
-    """Every TCP connect an ``http.client`` connection makes."""
+    """Every socket the client dials."""
     calls: list[tuple[str, int]] = []
-    original = http.client.HTTPConnection.connect
+    original = HttpBackend._open
 
     def spy(self):
-        calls.append((self.host, self.port))
+        calls.append((self._host, self._port))
         return original(self)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", spy)
+    monkeypatch.setattr(HttpBackend, "_open", spy)
+    return calls
+
+
+@pytest.fixture()
+def client_writes(monkeypatch):
+    """Every ``sendall``/``send`` made on a socket by the test's thread
+    (the servers write from their own threads)."""
+    calls: list[tuple[str, bytes]] = []
+    me = threading.current_thread()
+    for name in ("sendall", "send"):
+        original = getattr(socket.socket, name)
+
+        def spy(self, data, *args, _name=name, _original=original):
+            if threading.current_thread() is me:
+                calls.append((_name, bytes(data)))
+            return _original(self, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, spy)
     return calls
 
 
@@ -74,13 +95,35 @@ def test_threads_sharing_a_connection_take_a_socket_each(server, connects):
     assert 1 <= len(connects) <= 2
 
 
-def test_stream_replies_are_not_reused(server, connects):
-    """An NDJSON stream ends with the connection: nothing is pooled."""
+def test_each_request_is_one_write(server, client_writes):
+    """Head and body leave in one ``sendall``: the server wakes once per
+    request, not once for the head and again for the body."""
+    with repro.connect(server.url) as conn:
+        for i in range(10):
+            assert conn.execute(POINT, {"N": i % 3 + 1}).fetchall() == [
+                (i % 3 + 1,)
+            ]
+    requests = [data for name, data in client_writes if name == "sendall"]
+    assert [name for name, _data in client_writes] == ["sendall"] * 10
+    for data in requests:
+        head, _, body = data.partition(http11.HEAD_END)
+        request = http11.parse_head(head)
+        assert http11.body_length(request) == len(body)
+        assert json.loads(body)["params"]["N"] in (1, 2, 3)
+
+
+@pytest.mark.parametrize("server", SERVERS, indirect=True)
+def test_a_stream_keeps_its_connection(server, connects):
+    """An NDJSON stream is chunked, so its socket goes back to the pool
+    and carries the next statement, streamed or plain."""
     with repro.connect(server.url, stream=True) as conn:
         for _ in range(3):
             assert conn.execute(POINT, {"N": 1}).fetchall() == [(1,)]
-            assert conn._backend._idle == []
-    assert len(connects) == 3
+            assert len(conn._backend._idle) == 1
+        conn._backend.stream = False
+        assert conn.execute(POINT, {"N": 2}).fetchall() == [(2,)]
+        assert len(conn._backend._idle) == 1
+    assert len(connects) == 1
 
 
 def test_a_socket_closed_while_idle_is_replaced_without_a_retry(
@@ -129,20 +172,125 @@ def test_a_reply_lost_after_the_request_ran_is_not_resent_silently():
 
 
 def test_https_urls_speak_tls(monkeypatch):
-    """An https:// URL gets an HTTPSConnection, on port 443 by default;
-    any other scheme is refused up front."""
-    dialled: list[tuple[type, str, int]] = []
+    """An https:// URL dials port 443 by default and wraps the socket in
+    TLS for the URL's host before anything is sent; a refused handshake
+    closes the socket.  Any other scheme is refused up front."""
+    dialled: list[tuple] = []
+    socks: list[socket.socket] = []
+    create_connection = socket.create_connection
 
-    def refuse(self):
-        dialled.append((type(self), self.host, self.port))
+    def dial(address, timeout=None):
+        dialled.append(("tcp", *address))
+        # Port 443 is not listened on here: reach a local listener.
+        socks.append(create_connection(listener.getsockname(), timeout))
+        return socks[-1]
+
+    def handshake(self, sock, server_hostname=None, **kwargs):
+        dialled.append(("tls", server_hostname))
         raise ConnectionRefusedError("not dialled in tests")
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", refuse)
-    with pytest.raises(TransientNetworkError):
-        HttpBackend("https://127.0.0.1").healthz()
-    assert dialled == [(http.client.HTTPSConnection, "127.0.0.1", 443)]
+    monkeypatch.setattr("repro.net.client.socket.create_connection", dial)
+    monkeypatch.setattr(ssl.SSLContext, "wrap_socket", handshake)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(TransientNetworkError):
+            HttpBackend("https://127.0.0.1").healthz()
+    assert dialled == [("tcp", "127.0.0.1", 443), ("tls", "127.0.0.1")]
+    assert socks[0].fileno() == -1  # closed on the failed handshake
     with pytest.raises(ValueError):
         HttpBackend("ftp://127.0.0.1:21")
+
+
+@contextlib.contextmanager
+def scripted_server(*replies: bytes):
+    """A listening socket whose thread answers one request per connection
+    with the next of *replies*, as raw bytes, then closes it; yields the
+    URL.  The request is read whole first."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer() -> None:
+        for reply in replies:
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as reader:
+                lines = []
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    lines.append(line)
+                head = http11.parse_head(b"".join(lines) + b"\r\n")
+                reader.read(http11.body_length(head))
+                sock.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
+NDJSON_HEAD = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+    b"Transfer-Encoding: chunked\r\n\r\n"
+)
+STREAM_LINES = [
+    b'{"columns": ["SNO"], "final_sql": "SELECT SNO FROM SUPPLIER"}\n',
+    b'{"rows": [[1], [2]]}\n',
+    b'{"end": true, "row_count": 2}\n',
+]
+
+
+def test_a_stream_cut_before_its_last_chunk_is_transient():
+    """Every NDJSON line arrives, footer included, but not the chunk that
+    ends the body: the reply is incomplete, so it is a transient failure
+    that feeds the breaker, never a result."""
+    cut = NDJSON_HEAD + b"".join(map(http11.encode_chunk, STREAM_LINES))
+    whole = cut + http11.LAST_CHUNK
+    no_retry = RetryPolicy(max_attempts=1)
+    with scripted_server(cut, whole) as url:
+        with repro.connect(url, stream=True, retry_policy=no_retry) as conn:
+            with pytest.raises(TransientNetworkError):
+                conn.execute("SELECT SNO FROM SUPPLIER")
+            backend = conn._backend
+            assert backend.breaker.snapshot()["consecutive_failures"] == 1
+            assert backend._idle == []
+            # The same lines, ended, are the whole result.
+            assert conn.execute("SELECT SNO FROM SUPPLIER").fetchall() == [
+                (1,), (2,),
+            ]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 OK\r\n\r\n",
+        b"HTTP/2.0 200 OK\r\n\r\n",
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nNo-Colon\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+    ],
+    ids=[
+        "no status code",
+        "HTTP/2.0",
+        "not HTTP",
+        "field without colon",
+        "bad chunk size",
+        "body cut short",
+    ],
+)
+def test_a_reply_that_cannot_be_framed_is_transient_and_opens_the_breaker(reply):
+    breaker = CircuitBreaker(
+        failure_threshold=1, recovery_time=60.0, max_recovery_time=60.0
+    )
+    no_retry = RetryPolicy(max_attempts=1)
+    with scripted_server(reply) as url:
+        backend = HttpBackend(url, retry_policy=no_retry, breaker=breaker)
+        try:
+            with pytest.raises(TransientNetworkError):
+                backend.healthz()
+            assert breaker.state == STATE_OPEN
+            assert backend._idle == []
+        finally:
+            backend.close()
 
 
 @pytest.mark.parametrize("server", SERVERS, indirect=True)
@@ -219,6 +367,23 @@ def test_both_servers_answer_framing_alike_and_close(server, data, status):
     assert reply.headers.get("Connection") == "close"
     if status == 400:
         assert json.loads(body)["error"]["type"] == "ProtocolError"
+
+
+def test_a_stream_to_an_http10_client_ends_with_its_connection(server):
+    """Chunks are HTTP/1.1: an HTTP/1.0 client gets the stream unframed,
+    ended by the close (the cluster front end relays every stream with
+    a length)."""
+    body = json.dumps({"sql": POINT, "params": {"N": 3}, "stream": True})
+    data = (
+        f"POST /v1/query HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n{body}"
+    ).encode()
+    head, _, rest = _until_closed(server, data).partition(http11.HEAD_END)
+    reply = http11.parse_head(head)
+    assert reply.status == 200
+    assert http11.body_length(reply) is None
+    assert reply.headers.get("Connection") == "close"
+    lines = [json.loads(line) for line in rest.splitlines()]
+    assert lines[1] == {"rows": [[3]]} and lines[-1]["end"] is True
 
 
 def test_idle_kept_alive_connections_hold_no_thread(server):

@@ -89,6 +89,9 @@ class _Recording:
     async def write(self, data: bytes) -> None:
         self.written.append(data)
 
+    async def end(self) -> None:
+        pass
+
 
 def server_ndjson(result: ExecutedQuery, chunk_rows: int) -> bytes:
     """The NDJSON body ``QueryServer`` writes for *result*."""
