@@ -418,7 +418,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         metavar="N",
         help="with --http: serve a sharded cluster of N worker "
-        "processes behind an asyncio front end, which forwards each "
+        "processes behind a front end, which forwards each "
         "statement whole to the next worker in rotation",
     )
 

@@ -4,9 +4,9 @@ The front end is the cluster's only client-facing surface.  It speaks
 the exact :mod:`repro.net.protocol` HTTP/JSON contract a single
 :class:`~repro.net.server.QueryServer` speaks — the stock
 :class:`~repro.net.client.HttpBackend` connects to it unchanged — and
-serves on the same :class:`~repro.net.serving.ServingLoop`, so client
-connections share one asyncio thread, answer malformed framing with the
-same 400, and pass the same ``net_*`` fault sites.
+serves on the same :class:`~repro.net.serving.Listener`, so each client
+connection has a thread of its own, malformed framing gets the same
+400, and requests pass the same ``net_*`` fault sites.
 
 Every query makes exactly one worker hop: its body goes untouched to
 the next shard in rotation.  Every worker holds the whole database, so
@@ -23,8 +23,9 @@ and deadline awareness it has standalone.  Shard connection failures map to
 retryable 503 envelopes (the worker is respawning; a client retry lands
 on the fresh process).
 
-Worker hops are framed by the :mod:`repro.net.http11` codec and reuse
-kept-alive connections: idle ones wait in a pool per shard, keyed on
+A worker hop is a blocking exchange on the connection thread, framed
+by the :mod:`repro.net.http11` codec as the client's is, on a
+kept-alive connection: idle ones wait in a pool per shard, keyed on
 the worker URL they reached, so a respawn — which moves the port —
 strands no request on a dead incarnation's socket.  A worker's chunked
 stream keeps its hop connection too: the front end de-chunks it and
@@ -33,9 +34,10 @@ relays it with a ``Content-Length``.
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import json
 import math
+import socket
 import threading
 from typing import Any
 
@@ -48,7 +50,8 @@ from ..net.protocol import (
     REQUEST_ID_HEADER,
     dumps,
 )
-from ..net.serving import Exchange, ServingLoop, route
+from ..net.client import Wire, exchange
+from ..net.serving import Exchange, Listener, route
 from ..observe.metrics import MetricsRegistry
 from ..resilience.admission import PRIORITY_HEADER
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
@@ -96,18 +99,16 @@ class ClusterFrontend:
         self.port = port
         self.owns_coordinator = owns_coordinator
         self.metrics = MetricsRegistry()
-        # The next query's shard is this modulo the shard count; the
-        # event loop thread is the only one that touches it.
-        self._turn = 0
+        # The next query's shard is the next of these modulo the shard
+        # count (``next`` on a count is atomic).
+        self._turn = itertools.count()
         # name → options wire form, replayed onto respawned workers so
         # a session survives its shard's death.
         self._sessions: dict[str, Any] = {}
         self._sessions_lock = threading.Lock()
-        # shard → idle (worker URL, reader, writer); the event loop
-        # thread is the only one that touches it.
-        self._idle: dict[
-            int, list[tuple[str, asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
+        # shard → (the worker URL they reached, idle connections)
+        self._idle: dict[int, tuple[str, list[Wire]]] = {}
+        self._idle_lock = threading.Lock()  # leaf
         self._endpoints = {
             ("POST", "/v1/query"): ("query", self._handle_query),
             ("POST", "/v1/session"): ("session", self._handle_session_open),
@@ -115,7 +116,7 @@ class ClusterFrontend:
             ("GET", "/healthz"): ("healthz", self._handle_healthz),
             ("GET", "/metrics"): ("metrics", self._handle_metrics),
         }
-        self._serving: ServingLoop | None = None
+        self._serving: Listener | None = None
         self._draining = threading.Event()
         self._drained = threading.Event()
         coordinator.on_respawn = self._replay_sessions
@@ -126,7 +127,7 @@ class ClusterFrontend:
         if self._serving is not None:
             return self
         self.coordinator.start()
-        self._serving = ServingLoop(
+        self._serving = Listener(
             self._handle, self.host, self.port, "repro-cluster-frontend"
         )
         self.port = self._serving.port
@@ -142,8 +143,12 @@ class ClusterFrontend:
         self._draining.set()
         try:
             if self._serving is not None:
-                self._serving.call(self._drain_connections())
-                self._serving.stop()
+                self._serving.drain()
+            with self._idle_lock:
+                pools, self._idle = self._idle, {}
+            for _url, pool in pools.values():
+                for wire in pool:
+                    wire.close()
             if self.owns_coordinator:
                 self.coordinator.drain()
         finally:
@@ -170,48 +175,38 @@ class ClusterFrontend:
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    async def _drain_connections(self) -> None:
-        await self._serving.drain()
-        for pool in self._idle.values():
-            for _url, _reader, writer in pool:
-                writer.close()
-        self._idle.clear()
-
     # -- requests -------------------------------------------------------
 
-    async def _handle(self, exchange: Exchange) -> None:
+    def _handle(self, exchange: Exchange) -> None:
         self.metrics.inc("cluster_requests_total")
-        await exchange.run(route(self._endpoints, exchange.head)[1])
+        exchange.run(route(self._endpoints, exchange.head)[1])
 
-    async def _handle_query(self, exchange: Exchange) -> int:
+    def _handle_query(self, exchange: Exchange) -> int:
         """Forward the body untouched to the next shard in rotation and
         pass its reply on; a shard that cannot be reached answers with
         the retryable 503."""
         if self._draining.is_set():
             raise ServiceShutdownError()
-        shard = self._turn % self.coordinator.shards
-        self._turn += 1
+        shard = next(self._turn) % self.coordinator.shards
         self.metrics.inc("cluster_shard_requests_total", shard=shard)
         body = exchange.body()
         try:
-            reply = await self._forward_to_shard(
+            reply = self._forward_to_shard(
                 shard, "POST", "/v1/query", exchange.head.headers, body
             )
-        except (OSError, asyncio.IncompleteReadError) as error:
-            return await _unreachable(exchange, shard, error)
-        return await _pass_on(exchange, reply)
+        except OSError as error:
+            return _unreachable(exchange, shard, error)
+        return _pass_on(exchange, reply)
 
     # -- sessions -------------------------------------------------------
 
-    async def _handle_session_open(self, exchange: Exchange) -> int:
+    def _handle_session_open(self, exchange: Exchange) -> int:
         """Broadcast the open to every shard so whichever shard a query
         reaches knows the session; remember the spec to replay onto
         respawned workers."""
         if self._draining.is_set():
             raise ServiceShutdownError()
-        replies = await self._broadcast(
-            exchange, "POST", "/v1/session", exchange.body()
-        )
+        replies = self._broadcast(exchange, "POST", "/v1/session", exchange.body())
         if replies is None:
             return exchange.status
         decoded = json.loads(replies[0][1])
@@ -220,69 +215,60 @@ class ClusterFrontend:
                 "name": decoded["session"],
                 "options": decoded.get("options"),
             }
-        return await _pass_on(exchange, replies[0])
+        return _pass_on(exchange, replies[0])
 
-    async def _handle_session_close(self, exchange: Exchange) -> int:
+    def _handle_session_close(self, exchange: Exchange) -> int:
         path = exchange.head.target
         with self._sessions_lock:
             self._sessions.pop(path[len("/v1/session/") :], None)
-        replies = await self._broadcast(exchange, "DELETE", path, b"")
+        replies = self._broadcast(exchange, "DELETE", path, b"")
         if replies is None:
             return exchange.status
-        return await _pass_on(exchange, replies[0])
+        return _pass_on(exchange, replies[0])
 
-    async def _broadcast(
+    def _broadcast(
         self, exchange: Exchange, method: str, path: str, body: bytes
     ) -> list[_Reply] | None:
-        """Send one request to every shard.  Returns their replies, or
-        None once the first unreachable shard or non-200 reply has
-        been passed on to the client."""
-        replies = await asyncio.gather(
-            *[
-                self._forward_to_shard(
+        """Send one request to every shard, one after another.  Returns
+        their replies, or None once the first unreachable shard or
+        non-200 reply has been passed on to the client."""
+        replies = []
+        for shard in range(self.coordinator.shards):
+            try:
+                reply = self._forward_to_shard(
                     shard, method, path, exchange.head.headers, body
                 )
-                for shard in range(self.coordinator.shards)
-            ],
-            return_exceptions=True,
-        )
-        for shard, reply in enumerate(replies):
-            if isinstance(reply, BaseException):
-                await _unreachable(exchange, shard, reply)
+            except OSError as error:
+                _unreachable(exchange, shard, error)
                 return None
             if reply[0].status != 200:
-                await _pass_on(exchange, reply)
+                _pass_on(exchange, reply)
                 return None
+            replies.append(reply)
         return replies
 
     def _replay_sessions(self, handle: WorkerHandle) -> None:
-        """Coordinator respawn callback (monitor thread, not the event
-        loop): re-open every tracked session on the fresh worker through
-        the loop's own worker hop, and wait for each, so the worker is
-        fully usable before the rotation sends it traffic again."""
+        """Coordinator respawn callback (monitor thread): re-open every
+        tracked session on the fresh worker, one hop each, so the worker
+        is fully usable before the rotation sends it traffic again."""
         self.metrics.inc("cluster_worker_respawns_total")
         with self._sessions_lock:
             specs = list(self._sessions.values())
         for spec in specs:
             body = dumps({key: value for key, value in spec.items() if value})
             try:
-                self._serving.call(
-                    self._forward_to_shard(
-                        handle.shard_id, "POST", "/v1/session", Headers(), body
-                    ),
-                    timeout=10.0,
+                self._forward_to_shard(
+                    handle.shard_id, "POST", "/v1/session", Headers(), body
                 )
             except Exception:
                 pass  # the session's first query will surface the gap
 
     # -- health & metrics -----------------------------------------------
 
-    async def _handle_healthz(self, exchange: Exchange) -> int:
+    def _handle_healthz(self, exchange: Exchange) -> int:
         shards = self.coordinator.snapshot()
-        probes = await asyncio.gather(
-            *[self._probe_health(entry["shard"]) for entry in shards]
-        )
-        for entry, probe in zip(shards, probes):
+        for entry in shards:
+            probe = self._probe_health(entry["shard"])
             entry["health"] = probe
             entry["reachable"] = probe is not None
             self.metrics.set(
@@ -291,7 +277,7 @@ class ClusterFrontend:
                 shard=entry["shard"],
             )
         all_up = all(e["alive"] and e["reachable"] for e in shards)
-        return await exchange.json(
+        return exchange.json(
             200,
             {
                 "status": "ok" if all_up else "degraded",
@@ -301,16 +287,16 @@ class ClusterFrontend:
             },
         )
 
-    async def _probe_health(self, shard: int) -> dict | None:
+    def _probe_health(self, shard: int) -> dict | None:
         try:
-            reply, body = await self._forward_to_shard(
+            reply, body = self._forward_to_shard(
                 shard, "GET", "/healthz", Headers(), b""
             )
             return json.loads(body) if reply.status == 200 else None
         except Exception:  # noqa: BLE001 — any failure reads as unreachable
             return None
 
-    async def _handle_metrics(self, exchange: Exchange) -> int:
+    def _handle_metrics(self, exchange: Exchange) -> int:
         for entry in self.coordinator.snapshot():
             self.metrics.set(
                 "cluster_shard_up",
@@ -322,13 +308,11 @@ class ClusterFrontend:
             float(self.coordinator.respawn_count()),
         )
         body = self.metrics.to_prometheus().encode("utf-8")
-        return await exchange.send(
-            200, body, [("Content-Type", CONTENT_PROMETHEUS)]
-        )
+        return exchange.send(200, body, [("Content-Type", CONTENT_PROMETHEUS)])
 
     # -- shard transport ------------------------------------------------
 
-    async def _forward_to_shard(
+    def _forward_to_shard(
         self,
         shard: int,
         method: str,
@@ -336,77 +320,47 @@ class ClusterFrontend:
         client_headers: Headers,
         body: bytes,
     ) -> _Reply:
-        """One HTTP exchange with one worker, on a kept-alive connection.
+        """One HTTP exchange with one worker, on a kept-alive connection
+        (:func:`~repro.net.client.exchange`).
 
         Idle connections wait in a pool per shard, tagged with the
-        worker URL they reached: a respawn moves the port, so one tagged
-        with another URL reached a dead incarnation and is dropped, and
-        so is one whose worker closed it while idle (its reader has seen
-        EOF).  The request is sent once; a failure after that propagates,
-        because the worker may have read and run it.  A chunked reply (a
-        stream) is read whole and de-chunked.  A reply framed by neither
-        a length nor chunks, or with ``Connection: close``, ends its
-        connection."""
+        worker URL they reached: a respawn moves the port, so a pool
+        tagged with another URL reached a dead incarnation and is
+        closed.  A chunked reply (a stream) is read whole and
+        de-chunked."""
         try:
             url = self.coordinator.worker_url(shard)
         except KeyError:
             raise ConnectionError(f"unknown shard {shard}") from None
         host, _, port = url.partition("://")[2].partition(":")
-        request = http11.Request(
-            method,
-            path,
-            "HTTP/1.1",
-            Headers(
-                [
-                    ("Host", f"{host}:{port}"),
-                    *_hop_headers(client_headers),
-                    ("Content-Type", CONTENT_JSON),
-                    ("Content-Length", str(len(body))),
-                ]
-            ),
+        fields = [
+            ("Host", f"{host}:{port}"),
+            *_hop_headers(client_headers),
+            ("Content-Type", CONTENT_JSON),
+            ("Content-Length", str(len(body))),
+        ]
+        request = http11.Request(method, path, "HTTP/1.1", Headers(fields))
+        with self._idle_lock:
+            pooled_url, pool = self._idle.get(shard, (url, []))
+            if pooled_url != url:
+                for wire in pool:
+                    wire.close()
+                pool = []
+            self._idle[shard] = (url, pool)
+        return exchange(
+            pool,
+            self._idle_lock,
+            lambda: _dial(host, int(port)),
+            http11.encode_head(request) + body,
         )
-        pool = self._idle.setdefault(shard, [])
-        while pool:
-            pooled_url, reader, writer = pool.pop()
-            if pooled_url == url and not (
-                reader.at_eof() or reader.exception() or writer.is_closing()
-            ):
-                break
-            writer.close()
-        else:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, int(port)),
-                timeout=_CONNECT_TIMEOUT,
-            )
-        try:
-            writer.write(http11.encode_head(request) + body)
-            await writer.drain()
-            reply = http11.parse_head(await reader.readuntil(http11.HEAD_END))
-            length = http11.body_length(reply)
-            if length is None:
-                reply_body = await reader.read()
-            elif length == http11.CHUNKED:
-                reply_body = await _read_chunked(reader)
-            else:
-                reply_body = await reader.readexactly(length)
-        except BaseException:
-            writer.close()
-            raise
-        if length is not None and http11.keeps_alive(reply):
-            pool.append((url, reader, writer))
-        else:
-            writer.close()
-        return reply, reply_body
 
 
-async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
-    """A chunked body, de-chunked; its trailer fields are skipped."""
-    chunks = []
-    while size := http11.chunk_size(await reader.readuntil(b"\r\n")):
-        chunks.append(http11.chunk_data(await reader.readexactly(size + 2)))
-    while await reader.readuntil(b"\r\n") != b"\r\n":
-        pass
-    return b"".join(chunks)
+def _dial(host: str, port: int) -> Wire:
+    """A fresh hop connection to a worker."""
+    sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT)
+    sock.settimeout(None)  # the worker's own budgets bound a statement
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return Wire(sock)
 
 
 def _hop_headers(client_headers: Headers) -> list[tuple[str, str]]:
@@ -431,7 +385,7 @@ def _hop_headers(client_headers: Headers) -> list[tuple[str, str]]:
     return hop
 
 
-async def _pass_on(exchange: Exchange, reply: _Reply) -> int:
+def _pass_on(exchange: Exchange, reply: _Reply) -> int:
     """Answer with one worker reply: its status, body and the headers
     in :data:`_PASSED_ON`."""
     head, body = reply
@@ -440,10 +394,10 @@ async def _pass_on(exchange: Exchange, reply: _Reply) -> int:
         for name in _PASSED_ON
         if (value := head.headers.get(name)) is not None
     ]
-    return await exchange.send(head.status, body, headers)
+    return exchange.send(head.status, body, headers)
 
 
-async def _unreachable(
+def _unreachable(
     exchange: Exchange, shard: int, error: BaseException
 ) -> int:
     """A dead/unreachable worker → a retryable 503 with Retry-After:
@@ -461,7 +415,7 @@ async def _unreachable(
             "retry_after": 0.5,
         }
     }
-    return await exchange.json(503, payload, [("Retry-After", "0.5")])
+    return exchange.json(503, payload, [("Retry-After", "0.5")])
 
 
 def serve_cluster(

@@ -12,10 +12,11 @@ throughput wins measurable at the socket:
 * :mod:`~repro.net.http11` — the sans-IO HTTP/1.1 codec both ends
   use: heads, ``Content-Length`` and chunked framing and the
   keep-alive decision, as pure functions over bytes;
-* :mod:`~repro.net.serving` — the one asyncio serving loop both
-  servers run on (this one and the cluster front end): whole requests
-  read before dispatch, the 400 for malformed framing, the idle
-  timeout, the ``net_*`` fault sites, drain;
+* :mod:`~repro.net.serving` — the blocking listener both servers run
+  on (this one and the cluster front end): a thread per connection,
+  which reads whole requests before dispatch and runs each on itself,
+  the 400 for malformed framing, the idle timeout, the ``net_*`` fault
+  sites, drain;
 * :mod:`~repro.net.server` — :class:`QueryServer`, the front end over
   :class:`~repro.service.QueryService`: ``POST /v1/query`` (JSON or
   streamed NDJSON), ``POST /v1/session`` lifecycle, ``GET /healthz``,

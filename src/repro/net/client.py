@@ -30,7 +30,7 @@ import socket
 import ssl
 import threading
 import urllib.parse
-from typing import Any
+from typing import Any, Callable
 
 from ..api import Connection, ExecutedQuery
 from ..errors import (
@@ -64,8 +64,9 @@ DEFAULT_HTTP_RETRY = RetryPolicy(
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
-class _Wire:
-    """One kept-alive socket and the buffered reader replies come off."""
+class Wire:
+    """One kept-alive socket and the buffered reader replies come off
+    (the client's, and the cluster front end's hop to a worker)."""
 
     __slots__ = ("sock", "reader")
 
@@ -76,6 +77,44 @@ class _Wire:
     def close(self) -> None:
         self.reader.close()
         self.sock.close()
+
+
+def exchange(
+    idle: list[Wire], lock: threading.Lock, dial: Callable[[], Wire], request: bytes
+) -> tuple[http11.Response, bytes]:
+    """Send *request*, head and body in one write, on a socket from
+    *idle* (guarded by *lock*) or on one *dial* opens; its whole reply.
+
+    A server closes an idle socket when its keep-alive timeout passes
+    or it restarts.  An idle HTTP/1.1 socket has nothing to read, so one
+    that polls readable has seen that EOF or reset (or holds stray
+    bytes) and is closed before anything is sent on it.  The request is
+    sent once: any failure after that propagates, because the server
+    may have read and run it.  The socket goes back to *idle* when the
+    reply was framed (by length or chunks) and does not say it will
+    close.
+    """
+    while True:
+        with lock:
+            wire = idle.pop() if idle else None
+        if wire is None:
+            wire = dial()
+            break
+        if not select.select([wire.sock], [], [], 0)[0]:
+            break
+        wire.close()
+    try:
+        wire.sock.sendall(request)
+        reply, raw, framed = http11.read_response(wire.reader)
+    except BaseException:
+        wire.close()
+        raise
+    if framed and http11.keeps_alive(reply):
+        with lock:
+            idle.append(wire)
+    else:
+        wire.close()
+    return reply, raw
 
 
 class HttpBackend:
@@ -151,7 +190,7 @@ class HttpBackend:
         )
         # Idle kept-alive sockets; a Connection may be shared by
         # threads, so each call takes its own socket from here.
-        self._idle: list[_Wire] = []
+        self._idle: list[Wire] = []
         self._idle_lock = threading.Lock()
 
     # -- the Connection backend interface -------------------------------
@@ -343,7 +382,7 @@ class HttpBackend:
         if content_type == CONTENT_NDJSON:
             return self._assemble_stream(raw)
         payload = self._parse_body(raw)
-        return protocol.parse_query_response(payload)
+        return protocol.parse_query_response(payload, b"null" in raw)
 
     def _json_once(self, path: str, body: dict) -> dict[str, Any]:
         status, headers, raw = self._raw_request("POST", path, body)
@@ -374,7 +413,9 @@ class HttpBackend:
                         "stream footer row_count disagrees with rows received"
                     )
             else:
-                rows.extend(protocol.decode_rows(record.get("rows", [])))
+                rows.extend(
+                    protocol.decode_rows(record.get("rows", []), b"null" in line)
+                )
         if header is None or not sealed:
             raise TransientNetworkError(
                 "result stream truncated before its footer", status=0
@@ -460,52 +501,20 @@ class HttpBackend:
     def _exchange(
         self, method: str, path: str, data: bytes | None, headers: dict
     ) -> tuple[int, Headers, bytes]:
-        """One request and its whole reply on a kept-alive socket.
-
-        The head and body go out in one write.  The request is sent
-        once: any failure, on a reused socket or a fresh one, propagates
-        to the counted retry path, because the server may have read and
-        run it.  The socket goes back to the idle list when the reply
-        was framed (by length or chunks) and does not say it will close.
-        """
+        """One request and its whole reply on a kept-alive socket
+        (:func:`exchange`)."""
         fields = [("Host", self._host_field), *headers.items()]
         if data is not None:
             fields.append(("Content-Length", str(len(data))))
         request = http11.encode_head(
             http11.Request(method, path, "HTTP/1.1", Headers(fields))
         )
-        wire = self._wire()
-        try:
-            wire.sock.sendall(request + data if data is not None else request)
-            reply, raw, framed = http11.read_response(wire.reader)
-        except BaseException:
-            wire.close()
-            raise
-        if framed and http11.keeps_alive(reply):
-            with self._idle_lock:
-                self._idle.append(wire)
-        else:
-            wire.close()
+        reply, raw = exchange(
+            self._idle, self._idle_lock, self._open, request + (data or b"")
+        )
         return reply.status, reply.headers, raw
 
-    def _wire(self) -> _Wire:
-        """A live idle socket, else a fresh one.
-
-        A server closes an idle socket when its keep-alive timeout
-        passes or it restarts.  An idle HTTP/1.1 socket has nothing to
-        read, so one that polls readable has seen that EOF or reset (or
-        holds stray bytes) and is dropped before anything is sent on it.
-        """
-        while True:
-            with self._idle_lock:
-                wire = self._idle.pop() if self._idle else None
-            if wire is None:
-                return self._open()
-            if not select.select([wire.sock], [], [], 0)[0]:
-                return wire
-            wire.close()
-
-    def _open(self) -> _Wire:
+    def _open(self) -> Wire:
         """Dial the server: TCP, then TLS for ``https://``."""
         sock = socket.create_connection(
             (self._host, self._port), timeout=self.timeout
@@ -517,7 +526,7 @@ class HttpBackend:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tls is not None:
                 sock = self._tls.wrap_socket(sock, server_hostname=self._host)
-            return _Wire(sock)
+            return Wire(sock)
         except BaseException:
             sock.close()
             raise

@@ -1,8 +1,8 @@
 """HTTP/1.1 heads and framing as pure functions over bytes.
 
-Nothing here opens, polls or writes a socket; :func:`read_response`
-reads one response off a blocking stream it is handed.  Both servers
-(:class:`~repro.net.server.QueryServer` and
+Nothing here opens, polls or writes a socket; :func:`read_request` and
+:func:`read_response` read one message off a blocking stream they are
+handed.  Both servers (:class:`~repro.net.server.QueryServer` and
 :class:`~repro.cluster.ClusterFrontend`, through
 :mod:`repro.net.serving`), the front end's worker hop and the client
 call these functions, so a head is parsed, a body framed and a
@@ -29,7 +29,8 @@ connection kept or closed by one set of rules:
 from __future__ import annotations
 
 from http import HTTPStatus
-from typing import BinaryIO, Iterable, NamedTuple
+from io import BufferedReader
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from ..errors import ProtocolError
 
@@ -47,7 +48,7 @@ CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 _VERSIONS = ("HTTP/1.1", "HTTP/1.0")
 #: The longest head or chunk-size line, and the most head lines, that
-#: :func:`read_response` accepts.
+#: :func:`read_request` and :func:`read_response` accept.
 _MAX_LINE = 65536
 _MAX_LINES = 100
 
@@ -198,18 +199,36 @@ def response_head(status: int, headers: Iterable[tuple[str, str]]) -> bytes:
     )
 
 
+def read_request(
+    reader: BufferedReader, on_continue: Callable[[], None]
+) -> tuple[Request, bytes] | None:
+    """One request off *reader*, a blocking binary stream: its head and
+    its ``Content-Length`` body; None when the connection ended before
+    the request began.  *on_continue* runs before the body of a request
+    that sent ``Expect: 100-continue`` is read (it sends
+    :data:`CONTINUE`).  A request cut short is a
+    :class:`ConnectionError`; one that cannot be framed a
+    :class:`~repro.errors.ProtocolError`."""
+    if not reader.peek(1):
+        return None
+    head = _read_head(reader)
+    if not isinstance(head, Request):
+        raise ProtocolError("expected a request, got a status line")
+    length = body_length(head)
+    if not length:
+        return head, b""
+    if (head.headers.get("expect") or "").lower() == "100-continue":
+        on_continue()
+    return head, _read_exactly(reader, length)
+
+
 def read_response(reader: BinaryIO) -> tuple[Response, bytes, bool]:
     """One response off *reader*, a blocking binary stream (a socket's
     ``makefile("rb")``): its head, its whole body (de-chunked) and
     whether the body was framed, so the connection can carry another
     message.  A response cut short is a :class:`ConnectionError`; one
     that cannot be framed a :class:`~repro.errors.ProtocolError`."""
-    lines = []
-    while (line := _read_line(reader)) != b"\r\n":
-        lines.append(line)
-        if len(lines) > _MAX_LINES:
-            raise ProtocolError("response head too long")
-    reply = parse_head(b"".join(lines) + b"\r\n")
+    reply = _read_head(reader)
     if not isinstance(reply, Response):
         raise ProtocolError("expected a status line, got a request")
     length = body_length(reply)
@@ -225,11 +244,20 @@ def read_response(reader: BinaryIO) -> tuple[Response, bytes, bool]:
     return reply, _read_exactly(reader, length), True
 
 
+def _read_head(reader: BinaryIO) -> Request | Response:
+    lines = []
+    while (line := _read_line(reader)) != b"\r\n":
+        lines.append(line)
+        if len(lines) > _MAX_LINES:
+            raise ProtocolError("head too long")
+    return parse_head(b"".join(lines) + b"\r\n")
+
+
 def _read_line(reader: BinaryIO) -> bytes:
     line = reader.readline(_MAX_LINE)
     if not line.endswith(b"\r\n"):
         if len(line) < _MAX_LINE and not line.endswith(b"\n"):
-            raise ConnectionError("connection closed mid-response")
+            raise ConnectionError("connection closed mid-message")
         raise ProtocolError(f"malformed line {line[:80]!r}")
     return line
 
@@ -237,5 +265,5 @@ def _read_line(reader: BinaryIO) -> bytes:
 def _read_exactly(reader: BinaryIO, size: int) -> bytes:
     data = reader.read(size)
     if len(data) < size:
-        raise ConnectionError("connection closed mid-response")
+        raise ConnectionError("connection closed mid-message")
     return data

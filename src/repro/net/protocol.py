@@ -118,16 +118,20 @@ _ENCODER = json.JSONEncoder(
 )
 
 
-def decode_rows(rows: Any) -> list[tuple]:
+def decode_rows(rows: Any, nulls: bool = True) -> list[tuple]:
     """JSON arrays → result rows (tuples, NULLs restored).
 
     *rows* must be an array of arrays.  Rows become tuples, and the rows
     holding a ``null`` are found, in C-level passes; only those are
-    rebuilt with NULL.
+    rebuilt with NULL.  ``nulls=False`` says the JSON text the rows came
+    from holds no ``null`` token, so no row can hold one and that pass
+    is skipped (a string holding the text ``null`` only costs the pass).
     """
     if not isinstance(rows, list) or not {list}.issuperset(map(type, rows)):
         raise ProtocolError("response rows must be an array of arrays")
     decoded = list(map(tuple, rows))
+    if not nulls:
+        return decoded
     for at in compress(count(), map(contains, decoded, repeat(None))):
         decoded[at] = tuple([NULL if v is None else v for v in decoded[at]])
     return decoded
@@ -249,11 +253,12 @@ def stream_footer(executed: Any) -> dict[str, Any]:
     return {"end": True, "row_count": len(executed.rows)}
 
 
-def parse_query_response(payload: Mapping[str, Any]) -> "Any":
-    """A response body → an :class:`~repro.api.ExecutedQuery`."""
+def parse_query_response(payload: Mapping[str, Any], nulls: bool = True) -> "Any":
+    """A response body → an :class:`~repro.api.ExecutedQuery` (*nulls*
+    as for :func:`decode_rows`)."""
     if "error" in payload:
         raise decode_error(payload)
-    return executed_query(payload, decode_rows(payload.get("rows")))
+    return executed_query(payload, decode_rows(payload.get("rows"), nulls))
 
 
 def executed_query(header: Mapping[str, Any], rows: list[tuple]) -> "Any":

@@ -1,14 +1,16 @@
 """``QueryServer`` — an HTTP front end over the query service.
 
-Architecture: one :class:`~repro.service.QueryService` (worker pool +
-bounded admission queue) does all execution; the
-:class:`~repro.net.serving.ServingLoop` parses requests on one asyncio
-thread, submits with ``wait=False`` — so a saturated admission queue
+Architecture: a :class:`~repro.net.serving.Listener` serves each
+connection on a thread of its own, and a ``/v1/query`` statement runs
+on that thread through :meth:`QueryService.execute
+<repro.service.QueryService.execute>`, under the service's admission
+and its ``workers`` execution slots — so a saturated admission room
 surfaces as **429 + Retry-After**, the wire form of the service's typed
-backpressure — and awaits the ticket through its completion callback,
-so no thread waits per request or per connection.  Large results
-stream as chunked NDJSON, one write per chunk, so the first rows reach
-the client while later chunks are still being encoded.
+backpressure, and no statement is handed to another thread and back.
+Large results stream as chunked NDJSON, one write per chunk, encoded
+on the connection's own thread, so the first rows reach the client
+while later chunks are still being encoded and no other connection
+waits for them.
 
 Endpoints::
 
@@ -26,8 +28,9 @@ kills the response mid-flight (streams carry a terminal error line so
 truncation is detectable).
 
 Lifecycle: :meth:`QueryServer.drain` (wired to SIGTERM by the CLI)
-stops admitting new queries (503 + Retry-After), lets every in-flight
-query complete and its response flush, then stops the listener.
+stops admitting new queries (503 + Retry-After), lets every running
+query complete and its response flush, then stops the listener and
+joins every connection thread.
 
 Connections are HTTP/1.1 keep-alive (:mod:`repro.net.http11` decides):
 one socket serves requests until the peer closes it, it idles past
@@ -38,7 +41,6 @@ are chunked, so they keep their connection too.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
 import threading
@@ -48,13 +50,9 @@ from typing import Any
 from ..api import executed_from_outcome
 from ..engine.database import Database
 from ..engine.plan_cache import PlanCache
-from ..errors import (
-    ProtocolError,
-    ServiceShutdownError,
-    TicketWaitTimeout,
-)
+from ..errors import ProtocolError, ServiceShutdownError, TicketWaitTimeout
 from ..observe.metrics import MetricsRegistry
-from ..observe.trace import NULL_SPAN, TRACER, Span
+from ..observe.trace import NULL_SPAN, TRACER
 from ..options import ExecutionOptions
 from ..resilience.admission import (
     PRIORITIES,
@@ -64,11 +62,10 @@ from ..resilience.admission import (
 from ..resilience.deadline import DEADLINE_HEADER, Deadline
 from ..resilience.faults import FAULTS, SITE_NET_WRITE
 from ..service import QueryService, Session
-from ..service.core import QueryTicket
 from . import protocol
 from .http11 import Headers
 from .protocol import CONTENT_NDJSON, CONTENT_PROMETHEUS, REQUEST_ID_HEADER
-from .serving import Exchange, ServingLoop, route
+from .serving import Exchange, Listener, route
 
 #: Name of the session used when a request names none.
 DEFAULT_SESSION = "default"
@@ -140,7 +137,7 @@ class QueryServer:
             ("GET", "/healthz"): ("healthz", self._handle_healthz),
             ("GET", "/metrics"): ("metrics", self._handle_metrics),
         }
-        self._serving = ServingLoop(self._handle, host, port, "repro-http")
+        self._serving = Listener(self._handle, host, port, "repro-http")
         self.host, self.port = self._serving.host, self._serving.port
 
     # -- addressing -----------------------------------------------------
@@ -210,20 +207,20 @@ class QueryServer:
 
         New ``/v1/query`` requests observed after this point get a
         retryable 503.  Queries already *running* complete and their
-        responses flush before this returns; queries still
-        *queued* fail fast with the same retryable 503
-        (``cancel_queued=True``), so a full admission queue cannot
+        responses flush before this returns; queries still waiting for
+        an execution slot fail fast with the same retryable 503
+        (``cancel_queued=True``), so a full admission room cannot
         stretch the drain window — and the service's ledger counters
         account every one (``service_drained_total``).  Idle kept-alive
-        connections are closed, not waited out.  Idempotent.
+        connections are closed, not waited out, and no connection
+        thread outlives this call.  Idempotent.
         """
         if self._draining.is_set():
             self._serving.stopped.wait()
             return
         self._draining.set()
         self.service.shutdown(wait=True, cancel_queued=True)
-        self._serving.call(self._serving.drain())
-        self._serving.stop()
+        self._serving.drain()
 
     #: Alias so the server can sit in a ``with`` like a Connection.
     close = drain
@@ -245,32 +242,22 @@ class QueryServer:
 
     # -- requests -------------------------------------------------------
 
-    async def _handle(self, exchange: Exchange) -> None:
+    def _handle(self, exchange: Exchange) -> None:
         route_name, handler = route(self._endpoints, exchange.head)
         started = perf_counter()
         exchange.request_id = self.next_request_id(
             exchange.head.headers.get(REQUEST_ID_HEADER)
         )
-        # Timed without the tracer, then attached as a root: requests
-        # interleave on the loop thread, whose open-span stack would
-        # nest one inside another.
-        span = (
-            Span(
-                "http.request",
-                {"route": route_name, "request_id": exchange.request_id},
-            )
-            if TRACER.enabled
-            else None
-        )
-        with span or NULL_SPAN:
-            status = await exchange.run(handler)
-        if span is not None:
-            span.attributes["status"] = status
-            TRACER.attach(span)
+        with TRACER.span(
+            "http.request", route=route_name, request_id=exchange.request_id
+        ) if TRACER.enabled else NULL_SPAN as span:
+            status = exchange.run(handler)
+            if span is not None:
+                span.attributes["status"] = status
         self.metrics.record_http(route_name, status, perf_counter() - started)
 
-    async def _handle_healthz(self, exchange: Exchange) -> int:
-        return await exchange.json(
+    def _handle_healthz(self, exchange: Exchange) -> int:
+        return exchange.json(
             200,
             {
                 "status": "draining" if self.draining else "ok",
@@ -281,14 +268,12 @@ class QueryServer:
             },
         )
 
-    async def _handle_metrics(self, exchange: Exchange) -> int:
+    def _handle_metrics(self, exchange: Exchange) -> int:
         self.metrics.record_caches()
         body = self.metrics.to_prometheus().encode("utf-8")
-        return await exchange.send(
-            200, body, [("Content-Type", CONTENT_PROMETHEUS)]
-        )
+        return exchange.send(200, body, [("Content-Type", CONTENT_PROMETHEUS)])
 
-    async def _handle_session_open(self, exchange: Exchange) -> int:
+    def _handle_session_open(self, exchange: Exchange) -> int:
         if self.draining:
             raise ServiceShutdownError()
         payload = protocol.parse_json(exchange.body())
@@ -302,7 +287,7 @@ class QueryServer:
             raise ProtocolError("field 'name' must be a non-empty string")
         options = ExecutionOptions.from_wire(payload.get("options"))
         session = self.open_session(name, options)
-        return await exchange.json(
+        return exchange.json(
             200,
             {
                 "session": session.name,
@@ -311,15 +296,15 @@ class QueryServer:
             },
         )
 
-    async def _handle_session_close(self, exchange: Exchange) -> int:
+    def _handle_session_close(self, exchange: Exchange) -> int:
         name = exchange.head.target[len("/v1/session/") :]
         snapshot = self.close_session(name)
         snapshot["stats"] = {
             k: v for k, v in snapshot["stats"].as_dict().items() if v
         }
-        return await exchange.json(200, {"closed": name, "snapshot": snapshot})
+        return exchange.json(200, {"closed": name, "snapshot": snapshot})
 
-    async def _handle_query(self, exchange: Exchange) -> int:
+    def _handle_query(self, exchange: Exchange) -> int:
         if self.draining:
             raise ServiceShutdownError()
         request = protocol.parse_query_request(
@@ -329,68 +314,39 @@ class QueryServer:
             exchange.head.headers, request["options"]
         )
         session = self.get_session(request["session"])
-        # wait=False: a full admission queue is the 429 backpressure
-        # signal, never a silently blocked loop.
-        ticket = self.service.submit(
-            session,
-            request["sql"],
-            request["params"],
-            wait=False,
-            options=options,
-            request_id=exchange.request_id,
-        )
+        # Runs here, on the connection's thread; a full admission room
+        # is the 429 backpressure signal, never a blocked connection.
         try:
-            outcome = await _settled(ticket, request["wait_timeout"])
+            outcome = self.service.execute(
+                session,
+                request["sql"],
+                request["params"],
+                options=options,
+                request_id=exchange.request_id,
+                wait_timeout=request["wait_timeout"],
+            )
         except TicketWaitTimeout:
-            # The client's wait is over; nobody will read the answer.
-            # Cancel so a queued query is dropped and a running one
-            # stops at its next cooperative checkpoint, instead of
-            # silently burning a worker (the abandoned-ticket leak).
-            ticket.cancel(f"HTTP wait abandoned ({exchange.request_id})")
+            # The client's wait is over; the statement was cancelled.
             self.metrics.inc("http_abandoned_total")
             raise
         executed = executed_from_outcome(outcome, exchange.request_id)
         if request["stream"]:
-            return await self._stream_result(exchange, executed)
-        return await exchange.json(200, protocol.query_response(executed))
+            return self._stream_result(exchange, executed)
+        return exchange.json(200, protocol.query_response(executed))
 
-    async def _stream_result(self, exchange: Exchange, executed: Any) -> int:
+    def _stream_result(self, exchange: Exchange, executed: Any) -> int:
         """NDJSON: header, one write per chunk of rows, footer."""
-        await exchange.send(200, None, [("Content-Type", CONTENT_NDJSON)])
-        await exchange.write(
-            protocol.dumps(protocol.stream_header(executed)) + b"\n"
-        )
+        exchange.send(200, None, [("Content-Type", CONTENT_NDJSON)])
+        exchange.write(protocol.dumps(protocol.stream_header(executed)) + b"\n")
         chunk_rows = self.stream_chunk_rows
         for start in range(0, len(executed.rows), chunk_rows):
             chunk = executed.rows[start : start + chunk_rows]
             FAULTS.check(SITE_NET_WRITE)
-            await exchange.write(
-                protocol.dumps(protocol.stream_chunk(chunk)) + b"\n"
-            )
+            exchange.write(protocol.dumps(protocol.stream_chunk(chunk)) + b"\n")
             self.metrics.inc("http_stream_chunks_total")
-        await exchange.write(
-            protocol.dumps(protocol.stream_footer(executed)) + b"\n"
-        )
-        await exchange.end()
+        exchange.write(protocol.dumps(protocol.stream_footer(executed)) + b"\n")
+        exchange.end()
         return 200
-
-
-async def _settled(ticket: QueryTicket, timeout: float | None) -> Any:
-    """The ticket's outcome, awaited: its completion callback wakes the
-    loop, so no thread blocks on ``ticket.result()``."""
-    loop = asyncio.get_running_loop()
-    done = loop.create_future()
-    ticket.on_done(lambda: loop.call_soon_threadsafe(_resolve, done))
-    try:
-        await asyncio.wait_for(done, timeout)
-    except asyncio.TimeoutError:
-        raise TicketWaitTimeout(timeout, ticket.sql) from None
-    return ticket.result(0)
-
-
-def _resolve(future: asyncio.Future) -> None:
-    if not future.done():  # wait_for cancelled it on timeout
-        future.set_result(None)
 
 
 def _apply_resilience_headers(

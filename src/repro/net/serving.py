@@ -1,13 +1,15 @@
-"""One asyncio serving loop for both HTTP servers.
+"""Blocking HTTP/1.1 serving for both servers: a thread per connection.
 
-:class:`ServingLoop` runs an event loop on a thread of its own and
-serves HTTP/1.1 on it through the :mod:`repro.net.http11` codec.
+:class:`Listener` accepts connections on a thread of its own and serves
+each on a thread of its own through the :mod:`repro.net.http11` codec.
 :class:`~repro.net.server.QueryServer` and
-:class:`~repro.cluster.ClusterFrontend` each hand it one coroutine that
-answers an :class:`Exchange`, so an idle kept-alive connection costs a
-task, not a thread.
+:class:`~repro.cluster.ClusterFrontend` each hand it one function that
+answers an :class:`Exchange`; it runs on the thread that read the
+request, so a statement executes where its request arrived, with no
+hand-off to another thread and back.  An idle kept-alive connection
+holds one thread, blocked in its read.
 
-Per connection the loop reads a whole request, head and then its
+Per connection the thread reads a whole request, head and then its
 ``Content-Length`` body, before dispatch: no handler can leave a body
 unread for the next request to trip on.  A head or length the codec
 rejects is answered with the 400 ``ProtocolError`` envelope, and the
@@ -16,15 +18,16 @@ connection closes.  So does a connection that waits
 one.
 
 The ``net_accept``, ``net_read`` and ``net_write`` fault sites sit on
-:class:`Exchange`, so both servers pass them.  They run on the loop
-thread: a ``slow`` spec there stalls every connection of that server.
+:class:`Exchange`, so both servers pass them.  They run on the
+connection's thread: a ``slow`` spec there stalls only that connection.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import socket
 import threading
-from typing import Any, Awaitable, Callable, Coroutine, Iterable
+from typing import Any, Callable, Iterable
 
 from ..errors import ProtocolError, ReproError
 from ..resilience.faults import (
@@ -40,7 +43,7 @@ from .protocol import CONTENT_JSON, REQUEST_ID_HEADER
 #: of one, before it is closed: a stalled client must not hold a socket.
 IDLE_TIMEOUT = 60.0
 
-Handler = Callable[["Exchange"], Awaitable[int]]
+Handler = Callable[["Exchange"], int]
 
 
 class Exchange:
@@ -48,9 +51,11 @@ class Exchange:
 
     A handler answers with :meth:`send` or :meth:`json`, or streams
     with ``send(status, None, ...)``, then :meth:`write` per piece and
-    :meth:`end`; each returns the status sent.  A stream to an HTTP/1.1
-    client is chunked and keeps its connection; to an HTTP/1.0 one it
-    ends with the connection.
+    :meth:`end`; each returns the status sent.  A whole response goes
+    out when the handler has returned (:meth:`flush`), so the server's
+    own account of it is complete before the client can read it.  A
+    stream to an HTTP/1.1 client is chunked and keeps its connection; to
+    an HTTP/1.0 one it ends with the connection.
     """
 
     __slots__ = (
@@ -60,14 +65,15 @@ class Exchange:
         "keep_alive",
         "status",
         "_chunked",
-        "_writer",
+        "_sock",
+        "_unsent",
     )
 
     def __init__(
         self,
         head: http11.Request | None,
         raw_body: bytes,
-        writer: asyncio.StreamWriter,
+        sock: socket.socket,
     ) -> None:
         self.head = head
         self.raw_body = raw_body
@@ -77,7 +83,8 @@ class Exchange:
         #: The status whose head went out; 0 before that.
         self.status = 0
         self._chunked = False
-        self._writer = writer
+        self._sock = sock
+        self._unsent = b""
 
     def body(self) -> bytes:
         """The request body, through the ``net_read`` fault site.
@@ -86,7 +93,7 @@ class Exchange:
         ``corrupt`` fault mangles or truncates the bytes the way a
         broken proxy would.  Either way the failure stays inside this
         request: a short body is a typed 400 before any session or
-        queue slot is touched.
+        execution slot is touched.
         """
         if not self.raw_body:
             return b""
@@ -99,16 +106,16 @@ class Exchange:
             )
         return data
 
-    async def run(self, handler: Handler) -> int:
+    def run(self, handler: Handler) -> int:
         """Answer with *handler*, or with the envelope of what it raised;
         the ``net_accept`` fault site comes first (a retryable 503)."""
         try:
             FAULTS.check(SITE_NET_ACCEPT)
-            return await handler(self)
+            return handler(self)
         except Exception as error:  # noqa: BLE001 — the request boundary
-            return await self.fail(error)
+            return self.fail(error)
 
-    async def send(
+    def send(
         self,
         status: int,
         body: bytes | None,
@@ -130,32 +137,41 @@ class Exchange:
             self.keep_alive = False
         if not self.keep_alive:
             fields.append(("Connection", "close"))
-        self._writer.write(http11.response_head(status, fields) + (body or b""))
         self.status = status
-        await self._writer.drain()
+        if body is None:
+            self._sock.sendall(http11.response_head(status, fields))
+        else:
+            self._unsent = http11.response_head(status, fields) + body
         return status
 
-    async def json(
+    def json(
         self,
         status: int,
         payload: dict[str, Any],
         headers: Iterable[tuple[str, str]] = (),
     ) -> int:
         headers = [("Content-Type", CONTENT_JSON), *headers]
-        return await self.send(status, protocol.dumps(payload), headers)
+        return self.send(status, protocol.dumps(payload), headers)
 
-    async def write(self, data: bytes) -> None:
+    def write(self, data: bytes) -> None:
         """More of a streamed body: one chunk of it when chunked."""
-        self._writer.write(http11.encode_chunk(data) if self._chunked else data)
-        await self._writer.drain()
+        self._sock.sendall(http11.encode_chunk(data) if self._chunked else data)
 
-    async def end(self) -> None:
+    def end(self) -> None:
         """End a streamed body."""
         if self._chunked:
-            self._writer.write(http11.LAST_CHUNK)
-            await self._writer.drain()
+            self._sock.sendall(http11.LAST_CHUNK)
 
-    async def fail(self, error: Exception) -> int:
+    def flush(self) -> None:
+        """Write the whole response :meth:`send` holds, if any; a dead
+        socket ends the connection."""
+        try:
+            if self._unsent:
+                self._sock.sendall(self._unsent)
+        except OSError:
+            self.keep_alive = False
+
+    def fail(self, error: Exception) -> int:
         """Answer *error* with its :func:`~repro.net.protocol.error_envelope`
         (anything outside the library is a 500).  After the head went
         out, a terminal error line ends the stream instead, so the client
@@ -166,20 +182,20 @@ class Exchange:
         status, payload = protocol.error_envelope(error, self.request_id)
         try:
             if self.status:
-                await self.write(protocol.dumps(payload) + b"\n")
-                await self.end()
+                self.write(protocol.dumps(payload) + b"\n")
+                self.end()
                 return status
             retry_after = payload["error"].get("retry_after")
             extra = [("Retry-After", str(retry_after))] if retry_after else []
-            return await self.json(status, payload, extra)
+            return self.json(status, payload, extra)
         except (ReproError, OSError):
             # A net_write fault, or a dead socket, on the error itself.
             self.keep_alive = False
             return status
 
 
-async def not_found(exchange: Exchange) -> int:
-    return await exchange.json(
+def not_found(exchange: Exchange) -> int:
+    return exchange.json(
         404,
         {
             "error": {
@@ -206,118 +222,110 @@ def route(
     )
 
 
-class ServingLoop:
-    """An event loop on its own thread, serving HTTP/1.1 with *handle*.
+class Listener:
+    """A listening socket whose connections are each served, by
+    *handle*, on a thread of their own.
 
     The constructor returns once the socket is bound, and raises what
-    binding raised.  :meth:`drain` (a coroutine, run with :meth:`call`)
-    then :meth:`stop` shut it down.
+    binding raised.  :meth:`drain` shuts it down.
     """
 
     def __init__(
         self,
-        handle: Callable[[Exchange], Awaitable[Any]],
+        handle: Callable[[Exchange], Any],
         host: str,
         port: int,
         name: str,
     ) -> None:
         self._handle = handle
-        self._tasks: set[asyncio.Task] = set()
-        # connection task → the timer that cancels it when idle too long
-        self._idle: dict[asyncio.Task, asyncio.TimerHandle] = {}
+        self._name = name
+        self._sock = socket.create_server((host, port))
+        self.host, self.port = self._sock.getsockname()[:2]
+        # leaf: the open connections (thread → socket) and the flag
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, socket.socket] = {}
         self._closing = False
-        #: Set once the loop has stopped for good.
+        #: Set once every connection thread has ended.
         self.stopped = threading.Event()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name=name, daemon=True
+        self._acceptor = threading.Thread(
+            target=self._accept, name=name, daemon=True
         )
-        self._thread.start()
-        try:
-            self._server = self.call(
-                asyncio.start_server(self._accept, host, port)
-            )
-        except BaseException:
-            self.stop()
-            raise
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        self._acceptor.start()
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def call(
-        self, coro: Coroutine[Any, Any, Any], timeout: float | None = None
-    ) -> Any:
-        """Run *coro* on the loop from another thread; its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
-
-    async def drain(self) -> None:
+    def drain(self) -> None:
         """Stop accepting, close the connections waiting for a request,
-        and wait until every request already read has its response out."""
-        self._closing = True
-        self._server.close()
-        for task in self._idle:
-            task.cancel()
-        while self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        and wait until every request already read has its response out
+        and every connection thread has ended.
 
-    def stop(self) -> None:
-        """Stop the loop and join its thread."""
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
+        Every open connection is shut for reading: a thread blocked in
+        its read sees EOF now, and one answering a request writes its
+        response and then sees it."""
+        with self._lock:
+            self._closing = True
+            for sock in self._connections.values():
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RD)
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._sock.close()
+        self._acceptor.join()
+        while self._connections:
+            with self._lock:
+                threads = list(self._connections)
+            for thread in threads:
+                thread.join()
         self.stopped.set()
 
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one connection in a task of the loop's own: handed a
-        coroutine, 3.11's stream protocol logs every cancelled handler
-        task as an error, and drain and the idle timeout cancel them."""
-        task = self._loop.create_task(self._serve(reader, writer))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        try:
-            while not self._closing:
-                timer = self._loop.call_later(IDLE_TIMEOUT, task.cancel)
-                self._idle[task] = timer
-                try:
-                    exchange = await self._read(reader, writer)
-                finally:
-                    self._idle.pop(task).cancel()
-                if exchange is None:
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _address = self._sock.accept()
+            except OSError:
+                return  # drain shut the listener
+            thread = threading.Thread(
+                target=self._serve,
+                args=(sock,),
+                name=f"{self._name}-connection",
+                daemon=True,
+            )
+            with self._lock:
+                if self._closing:
+                    sock.close()
                     return
-                await self._handle(exchange)
+                self._connections[thread] = sock
+            thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        reader = sock.makefile("rb")
+        try:
+            # A stream is several writes; don't hold one back for an ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(IDLE_TIMEOUT)
+            while not self._closing:
+                try:
+                    request = http11.read_request(
+                        reader, lambda: sock.sendall(http11.CONTINUE)
+                    )
+                except OSError:  # closed, reset, timed out or drained
+                    return
+                except ProtocolError as malformed:
+                    refusal = Exchange(None, b"", sock)  # the 400
+                    refusal.fail(malformed)
+                    refusal.flush()
+                    return
+                if request is None:
+                    return
+                exchange = Exchange(*request, sock)
+                self._handle(exchange)
+                exchange.flush()
                 if not exchange.keep_alive:
                     return
         finally:
-            writer.close()
-
-    async def _read(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Exchange | None:
-        """The next whole request; None when the connection is over.  A
-        request that cannot be framed is answered here, with the 400."""
-        try:
-            head = http11.parse_head(await reader.readuntil(http11.HEAD_END))
-            if not isinstance(head, http11.Request):
-                raise ProtocolError("expected a request, got a status line")
-            length = http11.body_length(head)
-            expect = (head.headers.get("Expect") or "").lower()
-            if length and expect == "100-continue":
-                writer.write(http11.CONTINUE)
-            return Exchange(head, await reader.readexactly(length), writer)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        except asyncio.LimitOverrunError:
-            error = ProtocolError("request head too long")
-        except ProtocolError as malformed:
-            error = malformed
-        await Exchange(None, b"", writer).fail(error)
-        return None
+            reader.close()
+            sock.close()
+            with self._lock:
+                del self._connections[threading.current_thread()]

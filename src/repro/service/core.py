@@ -1,29 +1,35 @@
 """The embeddable concurrent query service.
 
-:class:`QueryService` owns a pool of worker threads draining a bounded
-admission queue.  Callers interact through
+:class:`QueryService` owns a pool of worker threads draining an
+admission queue, and ``workers`` execution slots that the pool and the
+blocking :meth:`QueryService.execute` share.  Callers interact through
 :class:`~repro.service.Session` handles and :class:`QueryTicket`
-futures; every query executes through
-:func:`~repro.resilience.guarded.run_guarded`, so the service inherits
-the whole resilience stack — budgets, safe-mode verification, typed
-errors — without new execution code.
+futures, or run a statement on their own thread with ``execute`` (the
+HTTP servers do, on the thread that read the request); every query
+executes through :func:`~repro.resilience.guarded.run_guarded`, so the
+service inherits the whole resilience stack — budgets, safe-mode
+verification, typed errors — without new execution code.
 
 Concurrency design (the full locking order lives in DESIGN.md §3e):
 
-* The **admission queue** is a bounded :class:`queue.Queue`; its
-  internal lock is independent of every other lock in the process.
-  ``submit(..., wait=True)`` blocks when the queue is full — that *is*
-  the backpressure — while ``wait=False`` turns a full queue into a
-  :class:`~repro.errors.ServiceOverloadedError` for callers that would
-  rather shed load than stall.
-* **Workers never hold a lock while executing a query.**  All shared
+* **Admission is bounded.**  At most ``queue_depth`` statements wait
+  for a slot at once, queued for the pool or blocked in ``execute``.
+  ``submit(..., wait=True)`` blocks while that room is full — that *is*
+  the backpressure — while ``submit(wait=False)`` and ``execute`` turn
+  a full room into a :class:`~repro.errors.ServiceOverloadedError` for
+  callers that would rather shed load than stall.
+* **At most ``workers`` statements run at once**, however they
+  arrived: each holds one of the ``workers`` slots while it runs.  The
+  slot count and the waiting count sit under one leaf lock, never held
+  while a statement runs; the queue's own lock is independent of it.
+* **Nothing holds a lock while executing a query.**  All shared
   structures a query touches (plan cache, memo caches, fault injector,
   metrics, tracer, per-table index builds) are individually
   thread-safe leaf locks, so no lock ordering between them can arise.
-* **One query runs on one worker thread.**  Workers never hand work
-  to each other, so a worker can never wait on its own pool.  Under
-  the GIL the worker threads overlap queue and network waits, not
-  compute; more cores come from the cluster's worker *processes*
+* **One query runs on one thread.**  Nothing hands work to another
+  thread mid-statement, so no thread can wait on its own pool.  Under
+  the GIL the threads overlap queue and network waits, not compute;
+  more cores come from the cluster's worker *processes*
   (:mod:`repro.cluster`).
 """
 
@@ -32,7 +38,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable
 
 from ..api import apply_transaction_control, parse_at_door, run_with_options
 from ..sql.ast import (
@@ -59,7 +64,8 @@ from .session import Session
 
 
 class QueryTicket:
-    """A future for one submitted query.
+    """One admitted statement — its session, SQL, parameters and
+    effective options — and a future for its outcome.
 
     Workers complete the ticket exactly once; :meth:`result` blocks
     until then and either returns the
@@ -69,9 +75,12 @@ class QueryTicket:
     """
 
     __slots__ = (
+        "session",
         "sql",
-        "session_name",
+        "params",
+        "options",
         "request_id",
+        "admitted_at",
         "_event",
         "_outcome",
         "_error",
@@ -79,24 +88,30 @@ class QueryTicket:
         "_guard",
         "_cancelled",
         "_cancel_reason",
-        "_on_done",
     )
 
     def __init__(
-        self, sql: str, session_name: str, request_id: str | None = None
+        self,
+        session: Session,
+        sql: str,
+        params: dict | None,
+        options: ExecutionOptions,
+        request_id: str | None,
     ) -> None:
+        self.session = session
         self.sql = sql
-        self.session_name = session_name
+        self.params = params
+        self.options = options
         self.request_id = request_id
+        self.admitted_at = time.monotonic()
         self._event = threading.Event()
         self._outcome: GuardedOutcome | None = None
         self._error: BaseException | None = None
-        # leaf: guard attach vs cancel, and callback vs completion
+        # leaf: guard attach vs cancel
         self._lock = threading.Lock()
         self._guard: ExecutionGuard | None = None
         self._cancelled = False
         self._cancel_reason = ""
-        self._on_done: Callable[[], None] | None = None
 
     def done(self) -> bool:
         """Whether the query has finished (successfully or not)."""
@@ -116,9 +131,10 @@ class QueryTicket:
         a running query is cooperatively cancelled through its
         :class:`~repro.resilience.budgets.ExecutionGuard` and fails with
         :class:`~repro.errors.QueryCancelled` at its next tick; a
-        finished query is unaffected.  This is how the HTTP front end
-        stops an abandoned wait (client gave up, deadline expired) from
-        burning a worker on an answer nobody will read.
+        finished query is unaffected.  This is how
+        :meth:`QueryService.execute` stops an abandoned wait (its
+        ``wait_timeout`` passed) from burning a slot on an answer nobody
+        will read.
         """
         with self._lock:
             self._cancelled = True
@@ -151,38 +167,15 @@ class QueryTicket:
         assert self._outcome is not None
         return self._outcome
 
-    def on_done(self, callback: Callable[[], None]) -> None:
-        """Call *callback* once the ticket completes: on the completing
-        worker thread, or here at once if it already has.  One callback
-        per ticket; this is how the HTTP server waits without a thread."""
-        with self._lock:
-            if not self._event.is_set():
-                self._on_done = callback
-                return
-        callback()
-
     # -- completion (worker side) ---------------------------------------
 
     def _complete(self, outcome: GuardedOutcome) -> None:
         self._outcome = outcome
-        self._settle()
+        self._event.set()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._settle()
-
-    def _settle(self) -> None:
-        with self._lock:
-            self._event.set()
-            callback = self._on_done
-        if callback is not None:
-            callback()
-
-
-#: Queue items are (session, ticket, sql, params, options, enqueued_at);
-#: None is the shutdown sentinel (one per worker, enqueued after all
-#: pending work).
-_WorkItem = tuple
+        self._event.set()
 
 
 class QueryService:
@@ -196,10 +189,13 @@ class QueryService:
             results = [t.result() for t in tickets]
 
     Args:
-        workers: query worker threads draining the admission queue.
+        workers: query worker threads draining the admission queue, and
+            the number of statements that run at once (pool and
+            :meth:`execute` callers together).
         queue_depth: bound on queries admitted but not yet running;
-            a full queue blocks ``submit`` (or raises with
-            ``wait=False``) — the backpressure contract.
+            a full room blocks ``submit`` (or raises with
+            ``wait=False``, and in :meth:`execute`) — the backpressure
+            contract.
         plan_cache: plan cache shared by every session (the process
             global by default).  Safe across sessions: keys include the
             database fingerprint.
@@ -232,10 +228,18 @@ class QueryService:
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         )
         self.admission = AdmissionController(shedding)
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
+        self._queue: queue.Queue = queue.Queue()
         self._shutdown = threading.Event()
         self._state_lock = threading.Lock()  # leaf: session naming, shutdown
         self._session_count = 0
+        # leaf: free slots, statements waiting for one, and whether a
+        # drain turns the waiting ones away
+        slots = threading.Lock()
+        self._slot_free = threading.Condition(slots)
+        self._room = threading.Condition(slots)
+        self._free = workers
+        self._waiting = 0
+        self._draining = False
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -280,16 +284,15 @@ class QueryService:
     ) -> QueryTicket:
         """Enqueue one query; returns a :class:`QueryTicket` immediately.
 
-        With ``wait=True`` (default) a full admission queue blocks the
-        caller until a slot frees — backpressure.  With ``wait=False`` a
-        full queue raises :class:`~repro.errors.ServiceOverloadedError`
+        With ``wait=True`` (default) a full admission room blocks the
+        caller until a place frees — backpressure.  With ``wait=False`` a
+        full room raises :class:`~repro.errors.ServiceOverloadedError`
         instead, so load-shedding callers get a typed signal.
 
         *options* layers per-query
         :class:`~repro.options.ExecutionOptions` over the session's
         defaults (non-default fields win).  *request_id* tags the
-        ticket and the worker's trace span — the HTTP front end passes
-        the caller's ``X-Request-Id`` through here.
+        ticket and the worker's trace span.
 
         Admission order (each gate rejects before any work is queued):
         shutdown → expired deadline
@@ -298,39 +301,12 @@ class QueryService:
         answer) → adaptive shedding
         (:class:`~repro.errors.LoadShedError` for batch traffic when
         predicted queue wait approaches typical deadlines) → the hard
-        queue bound.
+        ``queue_depth`` bound.
         """
-        if self._shutdown.is_set():
-            raise ServiceShutdownError()
-        effective = session.options.merged(options)
-        if effective.deadline is not None:
-            remaining = effective.deadline.remaining()
-            if remaining <= 0:
-                self.metrics.inc(
-                    "service_deadline_rejected_total", session=session.name
-                )
-                effective.deadline.check()  # raises DeadlineExpiredError
-            self.admission.observe_deadline(remaining)
-        try:
-            self.admission.admit(
-                effective.priority, self._queue.qsize(), self.queue_depth
-            )
-        except ServiceOverloadedError:
-            self.metrics.inc(
-                "service_shed_total", priority=effective.priority
-            )
-            raise
-        ticket = QueryTicket(sql, session.name, request_id)
-        item = (session, ticket, sql, params, effective, time.monotonic())
-        if wait:
-            self._queue.put(item)
-        else:
-            try:
-                self._queue.put_nowait(item)
-            except queue.Full:
-                self.metrics.inc("service_rejected_total")
-                raise ServiceOverloadedError(self.queue_depth) from None
-        self.metrics.inc("service_submitted_total", session=session.name)
+        effective = self._admit(session, options, wait)
+        ticket = QueryTicket(session, sql, params, effective, request_id)
+        # None is the shutdown sentinel (one per worker, after all work).
+        self._queue.put(ticket)
         return ticket
 
     def submit_many(
@@ -354,6 +330,81 @@ class QueryService:
             tickets.append(self.submit(session, sql, params))
         return tickets
 
+    def execute(
+        self,
+        session: Session,
+        sql: str,
+        params: dict | None = None,
+        *,
+        options: ExecutionOptions | None = None,
+        request_id: str | None = None,
+        wait_timeout: float | None = None,
+    ) -> GuardedOutcome:
+        """Run one query on the calling thread: its outcome, or its
+        error raised.
+
+        Admission is :meth:`submit`'s with ``wait=False``, and the
+        statement waits for one of the ``workers`` execution slots the
+        pool uses too.  Once *wait_timeout* seconds pass, while it waits
+        or runs, it is cancelled — a running statement stops at its next
+        checkpoint — and :class:`~repro.errors.TicketWaitTimeout` is
+        raised.
+        """
+        effective = self._admit(session, options, wait=False)
+        ticket = QueryTicket(session, sql, params, effective, request_id)
+        if wait_timeout is None:
+            return self._run(ticket)
+        timer = threading.Timer(wait_timeout, ticket.cancel, ("wait abandoned",))
+        timer.start()
+        try:
+            outcome = self._run(ticket, wait_timeout)
+        except QueryCancelled:
+            if not ticket.cancelled:
+                raise
+        finally:
+            timer.cancel()
+        if ticket.cancelled:  # nobody waits for this answer any more
+            raise TicketWaitTimeout(wait_timeout, sql)
+        return outcome
+
+    def _admit(
+        self, session: Session, options: ExecutionOptions | None, wait: bool
+    ) -> ExecutionOptions:
+        """Pass :meth:`submit`'s gates and take a place among the
+        statements waiting for a slot; the statement's effective
+        options."""
+        if self._shutdown.is_set():
+            raise ServiceShutdownError()
+        effective = session.options.merged(options)
+        if effective.deadline is not None:
+            remaining = effective.deadline.remaining()
+            if remaining <= 0:
+                self.metrics.inc(
+                    "service_deadline_rejected_total", session=session.name
+                )
+                effective.deadline.check()  # raises DeadlineExpiredError
+            self.admission.observe_deadline(remaining)
+        try:
+            self.admission.admit(effective.priority, self._waiting, self.queue_depth)
+        except ServiceOverloadedError:
+            self.metrics.inc("service_shed_total", priority=effective.priority)
+            raise
+        with self._room:
+            if wait:
+                self._room.wait_for(
+                    lambda: self._waiting < self.queue_depth or self._shutdown.is_set()
+                )
+            admitted = self._waiting < self.queue_depth and not self._shutdown.is_set()
+            if admitted:
+                self._waiting += 1
+        if not admitted:
+            if self._shutdown.is_set():
+                raise ServiceShutdownError()
+            self.metrics.inc("service_rejected_total")
+            raise ServiceOverloadedError(self.queue_depth)
+        self.metrics.inc("service_submitted_total", session=session.name)
+        return effective
+
     # -- lifecycle ------------------------------------------------------
 
     def shutdown(self, wait: bool = True, *, cancel_queued: bool = False) -> None:
@@ -363,7 +414,8 @@ class QueryService:
         still execute before the workers exit.  With
         ``cancel_queued=True`` — the graceful-drain contract the HTTP
         server uses on SIGTERM — only queries already *running* finish;
-        everything still queued fails immediately with
+        everything still waiting for a slot, queued or in
+        :meth:`execute`, fails immediately with
         :class:`~repro.errors.ServiceShutdownError` (HTTP 503, which is
         retryable) so a full queue cannot stretch the drain window.
         Either way no ticket is stranded: every admitted query ends
@@ -375,6 +427,10 @@ class QueryService:
             if self._shutdown.is_set():
                 return
             self._shutdown.set()
+        with self._slot_free:
+            self._draining = cancel_queued
+            self._slot_free.notify_all()
+            self._room.notify_all()
         if cancel_queued:
             self._fail_stranded()
         for _ in self._threads:
@@ -387,15 +443,15 @@ class QueryService:
     def _fail_stranded(self) -> None:
         while True:
             try:
-                item = self._queue.get_nowait()
+                ticket = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if item is None:
+            if ticket is None:
                 continue
-            ticket = item[1]
-            self.metrics.inc(
-                "service_drained_total", session=ticket.session_name
-            )
+            with self._room:
+                self._waiting -= 1
+                self._room.notify()
+            self.metrics.inc("service_drained_total", session=ticket.session.name)
             ticket._fail(ServiceShutdownError())
 
     def __enter__(self) -> "QueryService":
@@ -405,105 +461,118 @@ class QueryService:
         self.shutdown(wait=True)
         return False
 
-    # -- worker loop ----------------------------------------------------
+    # -- execution ------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            session, ticket, sql, params, effective, enqueued_at = item
-            # The observed queue wait is the shedding controller's
-            # ground truth — and the slice of the client's deadline the
-            # queue already spent.
-            waited = time.monotonic() - enqueued_at
-            self.admission.observe_wait(waited)
-            if ticket.cancelled:
-                # The caller abandoned the wait while we were queued:
-                # don't burn a worker on an answer nobody will read.
-                self.metrics.inc(
-                    "service_abandoned_total", session=session.name
-                )
-                ticket._fail(QueryCancelled(ticket._cancel_reason))
-                continue
+        while (ticket := self._queue.get()) is not None:
+            try:
+                outcome = self._run(ticket)
+            except BaseException as error:
+                ticket._fail(error)
+            else:
+                ticket._complete(outcome)
+
+    def _run(
+        self, ticket: QueryTicket, timeout: float | None = None
+    ) -> GuardedOutcome:
+        """Wait for an execution slot, then run the statement in it.
+
+        A drain that turns the waiting statements away fails it with
+        :class:`~repro.errors.ServiceShutdownError`, and *timeout*
+        passing first with :class:`~repro.errors.TicketWaitTimeout`;
+        both are counted."""
+        with self._slot_free:
+            ready = self._slot_free.wait_for(
+                lambda: self._free > 0 or self._draining, timeout
+            )
+            self._waiting -= 1
+            self._room.notify()
+            start = ready and not self._draining
+            if start:
+                self._free -= 1
+        if not start:
+            name = ticket.session.name
+            if ready:
+                self.metrics.inc("service_drained_total", session=name)
+                raise ServiceShutdownError()
+            self.metrics.inc("service_abandoned_total", session=name)
+            raise TicketWaitTimeout(timeout, ticket.sql)
+        try:
+            return self._execute(ticket, time.monotonic() - ticket.admitted_at)
+        finally:
+            with self._slot_free:
+                self._free += 1
+                self._slot_free.notify()
+
+    def _execute(self, ticket: QueryTicket, waited: float) -> GuardedOutcome:
+        """The one execution body, run in a slot for the pool and for
+        :meth:`execute` alike: parse, run, record the outcome on the
+        session and the metrics, and trace it."""
+        session, effective = ticket.session, ticket.options
+        # The observed wait is the shedding controller's ground truth —
+        # and the slice of the client's deadline admission already spent.
+        self.admission.observe_wait(waited)
+        if ticket.cancelled:
+            # The caller abandoned the wait before a slot came free:
+            # don't burn one on an answer nobody will read.
+            self.metrics.inc("service_abandoned_total", session=session.name)
+            raise QueryCancelled(ticket._cancel_reason)
+        stats = Stats()
+        try:
             if effective.deadline is not None:
                 try:
-                    # Queue wait spent the budget: reject with zero
-                    # work, annotated with where the time went.
+                    # The wait spent the budget: reject with zero work,
+                    # annotated with where the time went.
                     effective.deadline.check(waited=waited)
-                except BaseException as error:
+                except BaseException:
                     self.metrics.inc(
                         "service_deadline_expired_total", session=session.name
                     )
-                    self.metrics.inc(
-                        "service_failed_total",
-                        session=session.name,
-                        error=type(error).__name__,
-                    )
-                    session._record(Stats(), failed=True)
-                    ticket._fail(error)
-                    continue
-            stats = Stats()
+                    raise
             # Request-id propagation: the span carries the id the HTTP
             # layer (or any submitter) attached, so one request can be
-            # followed socket -> queue -> worker in the trace tree.
+            # followed socket -> statement in the trace tree.
+            tags = {"request_id": ticket.request_id} if ticket.request_id else {}
             span_cm = (
-                TRACER.span(
-                    "service.query",
-                    stats=stats,
-                    session=session.name,
-                    **(
-                        {"request_id": ticket.request_id}
-                        if ticket.request_id
-                        else {}
-                    ),
-                )
+                TRACER.span("service.query", stats=stats, session=session.name, **tags)
                 if TRACER.enabled
                 else NULL_SPAN
             )
             # Session-scoped transaction control: BEGIN/COMMIT/ROLLBACK
             # flip the session's transaction; everything else executes
             # inside it while it is open.  This is the request's one
-            # parse: a malformed statement fails the ticket from here,
-            # everything else travels down as the AST plus its text.
-            try:
-                with span_cm:
-                    statement = parse_at_door(sql, effective)
-                    if isinstance(
+            # parse: a malformed statement fails from here, everything
+            # else travels down as the AST plus its text.
+            with span_cm:
+                statement = parse_at_door(ticket.sql, effective)
+                if isinstance(
+                    statement,
+                    (BeginTransaction, CommitTransaction, RollbackTransaction),
+                ):
+                    outcome = apply_transaction_control(
+                        statement, session, session.database, stats
+                    )
+                else:
+                    outcome = run_with_options(
                         statement,
-                        (
-                            BeginTransaction,
-                            CommitTransaction,
-                            RollbackTransaction,
-                        ),
-                    ):
-                        outcome = apply_transaction_control(
-                            statement, session, session.database, stats
-                        )
-                    else:
-                        outcome = run_with_options(
-                            statement,
-                            session.database,
-                            sql_text=sql,
-                            params=params,
-                            options=effective,
-                            stats=stats,
-                            plan_cache=self._plan_cache,
-                            on_guard=ticket._attach_guard,
-                            transaction=session.transaction,
-                        )
-            except BaseException as error:
-                session._record(stats, failed=True)
-                self.metrics.inc(
-                    "service_failed_total",
-                    session=session.name,
-                    error=type(error).__name__,
-                )
-                ticket._fail(error)
-            else:
-                session._record(outcome.stats, failed=False)
-                self.metrics.inc(
-                    "service_completed_total", session=session.name
-                )
-                self.metrics.record_outcome(outcome)
-                ticket._complete(outcome)
+                        session.database,
+                        sql_text=ticket.sql,
+                        params=ticket.params,
+                        options=effective,
+                        stats=stats,
+                        plan_cache=self._plan_cache,
+                        on_guard=ticket._attach_guard,
+                        transaction=session.transaction,
+                    )
+        except BaseException as error:
+            session._record(stats, failed=True)
+            self.metrics.inc(
+                "service_failed_total",
+                session=session.name,
+                error=type(error).__name__,
+            )
+            raise
+        session._record(outcome.stats, failed=False)
+        self.metrics.inc("service_completed_total", session=session.name)
+        self.metrics.record_outcome(outcome)
+        return outcome

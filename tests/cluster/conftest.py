@@ -22,8 +22,8 @@ from repro.cluster import (
 )
 from repro.workloads.supplier import build_database
 
-# The front end runs on asyncio: an error it logs fails the test here too.
-from ..net.conftest import asyncio_errors_fail_the_test  # noqa: F401
+# An exception escaping a front-end thread fails the test here too.
+from ..net.conftest import serving_thread_errors_fail_the_test  # noqa: F401
 
 #: The workers rebuild the replica from this deterministic factory —
 #: the same one the tests build locally for expected results.

@@ -5,7 +5,6 @@ healthz aggregation, and resilience-header forwarding."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 
@@ -18,6 +17,7 @@ from repro.cluster import (
     WorkerConfig,
     WorkerSource,
 )
+from repro.cluster import frontend
 from repro.engine import execute_planned
 from repro.net.server import QueryServer
 from repro.workloads.queries import PAPER_QUERIES
@@ -238,13 +238,13 @@ class TestSessionReplayAfterRespawn:
 def hop_connects(monkeypatch):
     """The worker port of every connection the front end opens."""
     calls: list[int] = []
-    original = asyncio.open_connection
+    original = frontend._dial
 
-    async def spy(host, port, **kwargs):
+    def spy(host, port):
         calls.append(port)
-        return await original(host, port, **kwargs)
+        return original(host, port)
 
-    monkeypatch.setattr("repro.cluster.frontend.asyncio.open_connection", spy)
+    monkeypatch.setattr(frontend, "_dial", spy)
     return calls
 
 

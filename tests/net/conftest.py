@@ -2,13 +2,12 @@
 client-side retry or decoding), server factories over the shared test
 databases — a ``QueryServer``, or, for tests parametrized over
 :data:`SERVERS`, a one-shard cluster front end — and a guard that fails
-any test during which asyncio logged an error."""
+any test during which an exception escaped a thread."""
 
 from __future__ import annotations
 
-import gc
 import json
-import logging
+import threading
 import urllib.error
 import urllib.request
 
@@ -89,30 +88,22 @@ def make_server(request, tiny_db):
         srv.drain()
 
 
-class _ErrorRecords(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__(logging.ERROR)
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
 @pytest.fixture(autouse=True)
-def asyncio_errors_fail_the_test():
-    """Both servers run on asyncio, which reports what it cannot raise
-    (a task's exception nobody retrieved, a callback that failed) only
-    as an ERROR log line.  Any such line fails the test."""
-    handler = _ErrorRecords()
-    logger = logging.getLogger("asyncio")
-    logger.addHandler(handler)
-    try:
-        yield
-        gc.collect()  # an unretrieved task exception is logged when freed
-    finally:
-        logger.removeHandler(handler)
-    if handler.records:
-        pytest.fail(
-            "asyncio logged errors:\n"
-            + "\n".join(handler.format(record) for record in handler.records)
+def serving_thread_errors_fail_the_test(monkeypatch):
+    """Both servers serve each connection on a thread of its own, and an
+    exception that escapes a thread is only reported, never raised.
+    Any such exception fails the test."""
+    escaped: list[str] = []
+    reported = threading.excepthook
+
+    def hook(args: threading.ExceptHookArgs) -> None:
+        escaped.append(
+            f"{args.thread.name if args.thread else '?'}: "
+            f"{args.exc_type.__name__}: {args.exc_value}"
         )
+        reported(args)
+
+    monkeypatch.setattr(threading, "excepthook", hook)
+    yield
+    if escaped:
+        pytest.fail("exceptions escaped threads:\n" + "\n".join(escaped))

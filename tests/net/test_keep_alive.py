@@ -1,8 +1,9 @@
 """Kept-alive connections: the client reuses one socket per calling
 thread, sends each request in one write and keeps its socket across a
-chunked stream; both servers keep a socket open across requests without
-a thread per socket, never let a request body leak into the next
-request, and close after framing they cannot parse; and drain neither
+chunked stream; both servers keep a socket open across requests on a
+thread of its own that ends with the socket, never let a request body
+leak into the next request, and close after framing they cannot parse;
+and drain neither
 waits out idle sockets nor returns before a response in flight is
 written.  A reply the client cannot frame, or one cut short, is a
 transient failure, never a short result."""
@@ -386,7 +387,7 @@ def test_a_stream_to_an_http10_client_ends_with_its_connection(server):
     assert lines[1] == {"rows": [[3]]} and lines[-1]["end"] is True
 
 
-def test_idle_kept_alive_connections_hold_no_thread(server):
+def test_idle_kept_alive_connections_hold_one_thread_each_until_closed(server):
     before = threading.active_count()
     connections = [
         http.client.HTTPConnection(server.host, server.port, timeout=10)
@@ -397,10 +398,14 @@ def test_idle_kept_alive_connections_hold_no_thread(server):
             connection.request("GET", "/healthz")
             assert connection.getresponse().read()
             assert connection.sock is not None  # kept alive
-        assert threading.active_count() == before
+        assert threading.active_count() == before + 8
     finally:
         for connection in connections:
             connection.close()
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("make_server", SERVERS, indirect=True)

@@ -15,7 +15,6 @@ alike, never a raw ``TypeError`` or a string split into characters.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from types import SimpleNamespace
 
@@ -23,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import ExecutedQuery
+from repro.engine.database import Database
 from repro.errors import ProtocolError
 from repro.net import protocol
 from repro.net.client import HttpBackend, connect
@@ -83,13 +83,13 @@ class _Recording:
     def __init__(self) -> None:
         self.written: list[bytes] = []
 
-    async def send(self, status, body, headers) -> None:
+    def send(self, status, body, headers) -> None:
         assert status == 200 and body is None
 
-    async def write(self, data: bytes) -> None:
+    def write(self, data: bytes) -> None:
         self.written.append(data)
 
-    async def end(self) -> None:
+    def end(self) -> None:
         pass
 
 
@@ -99,7 +99,7 @@ def server_ndjson(result: ExecutedQuery, chunk_rows: int) -> bytes:
     server = SimpleNamespace(
         stream_chunk_rows=chunk_rows, metrics=SimpleNamespace(inc=lambda name: None)
     )
-    asyncio.run(QueryServer._stream_result(server, exchange, result))
+    QueryServer._stream_result(server, exchange, result)
     return b"".join(exchange.written)
 
 
@@ -168,3 +168,38 @@ def test_rows_that_are_not_arrays_of_arrays_are_refused(rows, stream, monkeypatc
         with pytest.raises(ProtocolError, match="array of arrays"):
             conn.execute("SELECT A FROM T")
         assert conn._backend.retries == 0
+
+
+@pytest.fixture(scope="module")
+def text_null_server():
+    """A server over rows that hold the text ``null``, a real NULL, or
+    neither."""
+    db = Database.from_script(
+        "CREATE TABLE T (K INT NOT NULL, S VARCHAR(8), PRIMARY KEY (K));"
+        "INSERT INTO T VALUES (1, 'null'), (2, NULL), (3, 'x');"
+    )
+    with QueryServer(db, workers=1) as server:
+        yield server
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["plain", "streamed"])
+@pytest.mark.parametrize(
+    "key, expected",
+    [(1, ("null",)), (2, (NULL,)), (3, ("x",))],
+    ids=["text-null", "real-null", "no-null"],
+)
+def test_the_text_null_and_a_real_null_survive_the_skipped_scan(
+    text_null_server, stream, key, expected
+):
+    """A body without a ``null`` token skips the NULL scan; the text
+    ``null`` is still text and a real NULL still comes back as NULL."""
+    with connect(text_null_server.url, stream=stream) as conn:
+        rows = conn.execute("SELECT S FROM T WHERE K = :K", {"K": key}).fetchall()
+    assert_same_rows(rows, [expected])
+
+
+def test_a_body_without_a_null_token_decodes_to_the_same_rows():
+    rows = [["null", 1, True], ["x", 2.5, False]]
+    raw = json.dumps(rows).encode("utf-8")
+    assert protocol.decode_rows(rows, b"null" in raw) == protocol.decode_rows(rows)
+    assert protocol.decode_rows([["x", 2]], False) == [("x", 2)]

@@ -7,6 +7,7 @@ to the op count (no lost updates), and a races-to-build index must be
 built exactly once (single-flight).
 """
 
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from repro.cache import LRUCache, MISSING
 from repro.engine.plan_cache import PlanCache
 from repro.errors import InjectedFaultError
 from repro.resilience import FAULTS, SITE_INDEX_BUILD
+from repro.service import QueryService
 from repro.workloads import SupplierScale, build_database, generate
 
 THREADS = 8
@@ -153,3 +155,50 @@ def test_stats_stay_private_per_thread():
     assert total.plan_cache_hits + total.plan_cache_misses == THREADS * 20
     # The underlying shared cache saw every lookup exactly once.
     assert cache.hits + cache.misses == THREADS * 20
+
+
+def test_execute_and_the_pool_share_the_slots_without_a_lost_update():
+    """Threads that run statements themselves (``execute``) and threads
+    that submit to the pool contend for two slots under a short switch
+    interval: never more than two statements run at once, every one
+    completes, and the slot and waiting counts return to rest."""
+    db = build_database(generate(SupplierScale(suppliers=30)))
+    running = peak = 0
+    count_lock = threading.Lock()
+    with QueryService(workers=2, queue_depth=THREADS * 2) as service:
+        body = service._execute
+
+        def counted(*args, **kwargs):
+            nonlocal running, peak
+            with count_lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                return body(*args, **kwargs)
+            finally:
+                with count_lock:
+                    running -= 1
+
+        service._execute = counted
+        session = service.session(db)
+        sql = "SELECT SNO FROM SUPPLIER WHERE SNO = 3"
+
+        def worker(index: int) -> None:
+            for _ in range(25):
+                if index % 2:
+                    outcome = service.execute(session, sql)
+                else:
+                    outcome = session.submit(sql).result(timeout=30)
+                assert outcome.result.rows == [(3,)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= peak <= 2
+        assert (service._free, service._waiting) == (2, 0)
+        assert service.metrics.value(
+            "service_completed_total", session=session.name
+        ) == THREADS * 25
